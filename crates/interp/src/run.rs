@@ -15,9 +15,9 @@ use simmpi::{RankTask, SimBackend, TaskPoll};
 use std::sync::Arc;
 use vsensor_lang::Program;
 use vsensor_runtime::{
-    AnalysisServer, AnalysisSink, BatchChannel, CrashingChannel, DirectChannel, DistributionStats,
-    DynamicRule, FaultyChannel, RunId, RuntimeConfig, SensorInfo, SensorRuntime, ServerResult,
-    SharedBaseline, TransportStats, VarianceAlert, VarianceReport,
+    AnalysisServer, AnalysisSink, BatchChannel, DistributionStats, DynamicRule, FaultyChannel,
+    RunId, RuntimeConfig, SensorInfo, SensorRuntime, ServerResult, SharedBaseline, TransportStats,
+    VarianceAlert, VarianceReport,
 };
 
 /// Which execution engine runs the ranks.
@@ -303,10 +303,10 @@ pub fn run_instrumented(
 
 /// [`run_instrumented`] without the program clone.
 ///
-/// Builds the analysis sink the cluster's fault plan calls for — the
-/// lossless direct channel for a healthy cluster, the fault-injecting one
-/// for an active plan, the kill-and-recover channel for a planned server
-/// crash — and hands off to [`run_instrumented_sink`].
+/// Builds the one server-backed sink — a [`FaultyChannel`] under the
+/// cluster's fault plan, which is the lossless path for a healthy cluster
+/// and kills and recovers the server when the plan schedules a crash — and
+/// hands off to [`run_instrumented_sink`].
 pub fn run_instrumented_shared(
     program: Arc<Program>,
     sensors: Vec<SensorInfo>,
@@ -315,31 +315,20 @@ pub fn run_instrumented_shared(
 ) -> InstrumentedRun {
     let ranks = cluster.ranks();
     let faults = cluster.faults().clone();
-    if let Some(at) = faults.server_crash() {
-        // A plan with a server crash gets a durable (WAL-backed) server so
-        // the crash can be recovered from.
-        let (mut server, wal) =
-            AnalysisServer::try_new_durable(ranks, sensors.clone(), config.runtime.clone())
-                .unwrap_or_else(|e| panic!("invalid runtime configuration: {e}"));
-        if let Some((baseline, run_id)) = config.baseline.clone() {
-            server.attach_baseline(baseline, run_id);
-        }
-        let sink = Arc::new(CrashingChannel::new(Arc::new(server), wal, at, faults));
-        return run_instrumented_sink(program, sensors, cluster, config, sink);
-    }
-    let mut server = AnalysisServer::try_new(ranks, sensors.clone(), config.runtime.clone())
-        .unwrap_or_else(|e| panic!("invalid runtime configuration: {e}"));
+    let runtime = config.runtime.clone();
+    // A plan with a server crash gets a durable (WAL-backed) server so
+    // the crash can be recovered from.
+    let built = if faults.server_crash().is_some() {
+        AnalysisServer::try_new_durable(ranks, sensors.clone(), runtime).map(|(server, _)| server)
+    } else {
+        AnalysisServer::try_new(ranks, sensors.clone(), runtime)
+    };
+    let mut server = built.unwrap_or_else(|e| panic!("invalid runtime configuration: {e}"));
     if let Some((baseline, run_id)) = config.baseline.clone() {
         server.attach_baseline(baseline, run_id);
     }
-    let server = Arc::new(server);
-    if faults.is_active() {
-        let sink = Arc::new(FaultyChannel::new(server, faults));
-        run_instrumented_sink(program, sensors, cluster, config, sink)
-    } else {
-        let sink = Arc::new(DirectChannel::new(server));
-        run_instrumented_sink(program, sensors, cluster, config, sink)
-    }
+    let sink = Arc::new(FaultyChannel::new(Arc::new(server), faults));
+    run_instrumented_sink(program, sensors, cluster, config, sink)
 }
 
 /// Run an instrumented program against an arbitrary [`AnalysisSink`] —

@@ -30,7 +30,7 @@
 //!
 //! On disk the store reuses the WAL's framing discipline: a magic header,
 //! then `[len u32 LE][crc u32 LE][payload]` records (CRC-32/IEEE over the
-//! payload, the same `Crc32` folder as [`crate::wal`]), loaded with
+//! payload, the crate's one `Crc32` folder), loaded with
 //! valid-prefix semantics — a torn or corrupted tail drops the damaged
 //! record and everything after it, never the healthy prefix.
 //!
@@ -43,9 +43,9 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::crc::Crc32;
 use crate::dynrules::Bucket;
 use crate::stats::{self, ShiftPolicy};
-use crate::wal::Crc32;
 use vsensor_lang::SensorId;
 
 /// Identifies one submission (one engine run) in the history. Callers

@@ -73,7 +73,7 @@ pub struct RuntimeConfig {
     /// batch-at-end algorithm. Off by default — the record log is exactly
     /// the unbounded memory the streaming engine exists to avoid.
     ///
-    /// [`AnalysisServer::replay_result`]: crate::server::AnalysisServer::replay_result
+    /// [`AnalysisServer::replay_result`]: crate::engine::AnalysisServer::replay_result
     pub keep_record_log: bool,
     /// Liveness timeout in detection intervals: a rank that has sent at
     /// least one batch and then stays silent for this many consecutive
@@ -176,82 +176,56 @@ impl RuntimeConfig {
     }
 
     // ----- validating builder setters -----
+    //
+    // Each setter assigns and then runs the field's one range rule — the
+    // same rule [`RuntimeConfig::validate`] runs for struct literals.
 
     /// Set the smoothing slice width. Must be positive.
     pub fn with_slice(mut self, slice: Duration) -> Result<Self, RuntimeError> {
-        if slice.as_nanos() == 0 {
-            return Err(RuntimeError::invalid_config("slice", "must be > 0"));
-        }
         self.slice = slice;
+        positive("slice", slice)?;
         Ok(self)
     }
 
     /// Set the matrix time resolution. Must be positive.
     pub fn with_matrix_resolution(mut self, resolution: Duration) -> Result<Self, RuntimeError> {
-        if resolution.as_nanos() == 0 {
-            return Err(RuntimeError::invalid_config(
-                "matrix_resolution",
-                "must be > 0",
-            ));
-        }
         self.matrix_resolution = resolution;
+        positive("matrix_resolution", resolution)?;
         Ok(self)
     }
 
     /// Set the variance threshold. Must lie in `(0, 1]`.
     pub fn with_variance_threshold(mut self, threshold: f64) -> Result<Self, RuntimeError> {
-        if !(threshold > 0.0 && threshold <= 1.0) {
-            return Err(RuntimeError::invalid_config(
-                "variance_threshold",
-                format!("{threshold} is outside (0, 1]"),
-            ));
-        }
         self.variance_threshold = threshold;
+        self.check_variance_threshold()?;
         Ok(self)
     }
 
     /// Set the ingest shard count. Must be at least 1.
     pub fn with_shards(mut self, shards: usize) -> Result<Self, RuntimeError> {
-        if shards == 0 {
-            return Err(RuntimeError::invalid_config("shards", "must be >= 1"));
-        }
         self.shards = shards;
+        at_least_one("shards", shards as u64)?;
         Ok(self)
     }
 
     /// Set the incremental detection cadence. Must be positive.
     pub fn with_detect_interval(mut self, interval: Duration) -> Result<Self, RuntimeError> {
-        if interval.as_nanos() == 0 {
-            return Err(RuntimeError::invalid_config(
-                "detect_interval",
-                "must be > 0",
-            ));
-        }
         self.detect_interval = interval;
+        positive("detect_interval", interval)?;
         Ok(self)
     }
 
     /// Set the rank→server batching period. Must be positive.
     pub fn with_batch_interval(mut self, interval: Duration) -> Result<Self, RuntimeError> {
-        if interval.as_nanos() == 0 {
-            return Err(RuntimeError::invalid_config(
-                "batch_interval",
-                "must be > 0",
-            ));
-        }
         self.batch_interval = interval;
+        positive("batch_interval", interval)?;
         Ok(self)
     }
 
     /// Set the per-rank transport buffer capacity. Must be at least 1.
     pub fn with_buffer_capacity(mut self, capacity: usize) -> Result<Self, RuntimeError> {
-        if capacity == 0 {
-            return Err(RuntimeError::invalid_config(
-                "buffer_capacity",
-                "must be >= 1",
-            ));
-        }
         self.buffer_capacity = capacity;
+        at_least_one("buffer_capacity", capacity as u64)?;
         Ok(self)
     }
 
@@ -263,25 +237,15 @@ impl RuntimeConfig {
 
     /// Set the liveness timeout in detection intervals. Must be at least 1.
     pub fn with_liveness_intervals(mut self, intervals: u32) -> Result<Self, RuntimeError> {
-        if intervals == 0 {
-            return Err(RuntimeError::invalid_config(
-                "liveness_intervals",
-                "must be >= 1",
-            ));
-        }
         self.liveness_intervals = intervals;
+        at_least_one("liveness_intervals", intervals as u64)?;
         Ok(self)
     }
 
     /// Set the WAL snapshot cadence in detection passes. Must be at least 1.
     pub fn with_wal_snapshot_every(mut self, passes: u32) -> Result<Self, RuntimeError> {
-        if passes == 0 {
-            return Err(RuntimeError::invalid_config(
-                "wal_snapshot_every",
-                "must be >= 1",
-            ));
-        }
         self.wal_snapshot_every = passes;
+        at_least_one("wal_snapshot_every", passes as u64)?;
         Ok(self)
     }
 
@@ -289,13 +253,8 @@ impl RuntimeConfig {
     /// virtual time). Must lie in `[0, 1)`; `0` disables the control
     /// plane.
     pub fn with_overhead_budget(mut self, budget: f64) -> Result<Self, RuntimeError> {
-        if !(0.0..1.0).contains(&budget) {
-            return Err(RuntimeError::invalid_config(
-                "overhead_budget",
-                format!("{budget} is outside [0, 1)"),
-            ));
-        }
         self.overhead_budget = budget;
+        self.check_overhead_budget()?;
         Ok(self)
     }
 
@@ -303,102 +262,81 @@ impl RuntimeConfig {
     /// than the coarse slice, and divide it evenly — escalated records
     /// keep the coarse slice indexing the server bins by.
     pub fn with_escalation_slice(mut self, fine: Duration) -> Result<Self, RuntimeError> {
-        if fine.as_nanos() == 0 {
-            return Err(RuntimeError::invalid_config(
-                "escalation_slice",
-                "must be > 0",
-            ));
-        }
-        if fine.as_nanos() > self.slice.as_nanos()
-            || !self.slice.as_nanos().is_multiple_of(fine.as_nanos())
-        {
-            return Err(RuntimeError::invalid_config(
-                "escalation_slice",
-                format!(
-                    "{} ns must evenly divide the coarse slice ({} ns)",
-                    fine.as_nanos(),
-                    self.slice.as_nanos(),
-                ),
-            ));
-        }
         self.escalation_slice = fine;
+        self.check_escalation_slice()?;
         Ok(self)
     }
 
-    /// Check every range constraint at once; the analysis server runs this
-    /// on construction so a hand-built struct literal with a bad value
-    /// still fails before the run starts.
-    pub fn validate(&self) -> Result<(), RuntimeError> {
-        if self.slice.as_nanos() == 0 {
-            return Err(RuntimeError::invalid_config("slice", "must be > 0"));
-        }
-        if self.matrix_resolution.as_nanos() == 0 {
-            return Err(RuntimeError::invalid_config(
-                "matrix_resolution",
-                "must be > 0",
-            ));
-        }
-        if self.shards == 0 {
-            return Err(RuntimeError::invalid_config("shards", "must be >= 1"));
-        }
+    fn check_variance_threshold(&self) -> Result<(), RuntimeError> {
         if !(self.variance_threshold > 0.0 && self.variance_threshold <= 1.0) {
             return Err(RuntimeError::invalid_config(
                 "variance_threshold",
                 format!("{} is outside (0, 1]", self.variance_threshold),
             ));
         }
-        if self.detect_interval.as_nanos() == 0 {
-            return Err(RuntimeError::invalid_config(
-                "detect_interval",
-                "must be > 0",
-            ));
-        }
-        if self.liveness_intervals == 0 {
-            return Err(RuntimeError::invalid_config(
-                "liveness_intervals",
-                "must be >= 1",
-            ));
-        }
-        if self.wal_snapshot_every == 0 {
-            return Err(RuntimeError::invalid_config(
-                "wal_snapshot_every",
-                "must be >= 1",
-            ));
-        }
+        Ok(())
+    }
+
+    fn check_overhead_budget(&self) -> Result<(), RuntimeError> {
         if !(0.0..1.0).contains(&self.overhead_budget) {
             return Err(RuntimeError::invalid_config(
                 "overhead_budget",
                 format!("{} is outside [0, 1)", self.overhead_budget),
             ));
         }
+        Ok(())
+    }
+
+    fn check_escalation_slice(&self) -> Result<(), RuntimeError> {
+        let (fine, coarse) = (self.escalation_slice.as_nanos(), self.slice.as_nanos());
+        positive("escalation_slice", self.escalation_slice)?;
+        if fine > coarse || !coarse.is_multiple_of(fine) {
+            return Err(RuntimeError::invalid_config(
+                "escalation_slice",
+                format!("{fine} ns must evenly divide the coarse slice ({coarse} ns)"),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Check every range constraint at once; the analysis server runs this
+    /// on construction so a hand-built struct literal with a bad value
+    /// still fails before the run starts.
+    pub fn validate(&self) -> Result<(), RuntimeError> {
+        positive("slice", self.slice)?;
+        positive("matrix_resolution", self.matrix_resolution)?;
+        at_least_one("shards", self.shards as u64)?;
+        self.check_variance_threshold()?;
+        positive("detect_interval", self.detect_interval)?;
+        // The controller divides by the batch interval; the transport
+        // needs room for the batch it was just handed.
+        positive("batch_interval", self.batch_interval)?;
+        at_least_one("buffer_capacity", self.buffer_capacity as u64)?;
+        at_least_one("liveness_intervals", self.liveness_intervals as u64)?;
+        at_least_one("wal_snapshot_every", self.wal_snapshot_every as u64)?;
+        self.check_overhead_budget()?;
         // With the control plane off, escalation can never fire: the
         // knob is inert, and a hand-set coarse slice must not be
         // rejected against a default it never uses.
         if self.control_enabled() {
-            if self.escalation_slice.as_nanos() == 0 {
-                return Err(RuntimeError::invalid_config(
-                    "escalation_slice",
-                    "must be > 0",
-                ));
-            }
-            if self.escalation_slice.as_nanos() > self.slice.as_nanos()
-                || !self
-                    .slice
-                    .as_nanos()
-                    .is_multiple_of(self.escalation_slice.as_nanos())
-            {
-                return Err(RuntimeError::invalid_config(
-                    "escalation_slice",
-                    format!(
-                        "{} ns must evenly divide the coarse slice ({} ns)",
-                        self.escalation_slice.as_nanos(),
-                        self.slice.as_nanos(),
-                    ),
-                ));
-            }
+            self.check_escalation_slice()?;
         }
         Ok(())
     }
+}
+
+fn positive(field: &'static str, value: Duration) -> Result<(), RuntimeError> {
+    if value.as_nanos() == 0 {
+        return Err(RuntimeError::invalid_config(field, "must be > 0"));
+    }
+    Ok(())
+}
+
+fn at_least_one(field: &'static str, value: u64) -> Result<(), RuntimeError> {
+    if value == 0 {
+        return Err(RuntimeError::invalid_config(field, "must be >= 1"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -565,5 +503,19 @@ mod tests {
         };
         let err = bad.validate().unwrap_err();
         assert!(err.to_string().contains("shards"), "{err}");
+        // A zero batch interval would reach the controller's budget-rate
+        // division; a zero buffer cannot hold the batch just enqueued.
+        let bad = RuntimeConfig {
+            batch_interval: Duration::ZERO,
+            ..Default::default()
+        };
+        let err = bad.validate().unwrap_err();
+        assert!(err.to_string().contains("batch_interval"), "{err}");
+        let bad = RuntimeConfig {
+            buffer_capacity: 0,
+            ..Default::default()
+        };
+        let err = bad.validate().unwrap_err();
+        assert!(err.to_string().contains("buffer_capacity"), "{err}");
     }
 }

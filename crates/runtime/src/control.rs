@@ -49,8 +49,8 @@
 //! [`EngineSnapshot`]: crate::engine::EngineSnapshot
 
 use crate::config::RuntimeConfig;
+use crate::crc::Crc32;
 use crate::record::SliceRecord;
-use crate::wal::Crc32;
 use cluster_sim::time::{Duration, VirtualTime};
 
 /// Sequence-namespace base for control-directive fault dice. Telemetry

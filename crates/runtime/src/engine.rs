@@ -1,9 +1,12 @@
-//! The streaming detection engine.
+//! The analysis server's streaming detection engine: [`AnalysisServer`]
+//! itself — its state and its data path (ingest, detection passes, result
+//! folds, snapshots, the control-plane delivery calls). Construction from
+//! a write-ahead log, the session handle and the result types live in
+//! [`crate::server`].
 //!
 //! The seed's analysis server was effectively offline: it hoarded every
 //! record and ran normalization, matrix construction, and event detection
-//! once, in `finalize`. This module converts that core to
-//! incremental-with-eviction:
+//! once, in `finalize`. This module is incremental-with-eviction:
 //!
 //! * **Sharded ingest** — batches are routed by `rank % shards` to one of N
 //!   ingest workers, each behind its own lock, so ranks hammering the
@@ -38,11 +41,11 @@ use crate::config::RuntimeConfig;
 use crate::control::{ControlDirective, ControlEpoch, ControlStats, Controller};
 use crate::detect::{detect_events, VarianceEvent};
 use crate::dynrules::Bucket;
-use crate::error::IngestError;
+use crate::error::{IngestError, RuntimeError};
 use crate::history::normalized;
 use crate::matrix::PerformanceMatrix;
 use crate::record::{SensorInfo, SensorKind, SliceRecord};
-use crate::server::{DeliveryQuality, SensorSummary, ServerResult};
+use crate::server::{DeliveryQuality, IngestStats, SensorSummary, ServerResult};
 use crate::transport::TelemetryBatch;
 use crate::wal::WriteAheadLog;
 use cluster_sim::time::{BusyClock, Duration, VirtualTime};
@@ -410,10 +413,14 @@ struct StreamState {
     emitted: Vec<VarianceEvent>,
 }
 
-/// The sharded streaming engine behind [`AnalysisServer`].
+/// The shared analysis server (§5.4): the sharded streaming engine that
+/// owns the accumulators, the detection stream, the write-ahead log handle
+/// and the budget controller. Ranks obtain an [`IngestSession`] (or reuse
+/// one — it is `Sync` and borrows the server) and stream batches in
+/// concurrently; closing the session yields the final [`ServerResult`].
 ///
-/// [`AnalysisServer`]: crate::server::AnalysisServer
-pub(crate) struct Engine {
+/// [`IngestSession`]: crate::server::IngestSession
+pub struct AnalysisServer {
     config: RuntimeConfig,
     sensors: Vec<SensorInfo>,
     ranks: usize,
@@ -429,7 +436,7 @@ pub(crate) struct Engine {
     detect_clock: BusyClock,
     stream: Mutex<StreamState>,
     /// Raw record log, kept only when `keep_record_log` is set, so
-    /// [`Engine::replay_result`] can cross-check the accumulators against
+    /// [`AnalysisServer::replay_result`] can cross-check the accumulators against
     /// the seed's batch-at-end algorithm.
     log: Option<Mutex<Vec<(usize, SliceRecord)>>>,
     /// Latest batch arrival per rank, encoded as `arrival_ns + 1` (0 =
@@ -469,8 +476,15 @@ struct CrossRunState {
     findings: Mutex<Vec<CrossRunFinding>>,
 }
 
-impl Engine {
-    pub(crate) fn new(ranks: usize, sensors: Vec<SensorInfo>, config: RuntimeConfig) -> Self {
+impl AnalysisServer {
+    /// Create a server for `ranks` ranks and the given sensor table,
+    /// rejecting invalid configurations.
+    pub fn try_new(
+        ranks: usize,
+        sensors: Vec<SensorInfo>,
+        config: RuntimeConfig,
+    ) -> Result<Self, RuntimeError> {
+        config.validate()?;
         let nshards = config.shards.max(1);
         let per_shard = |s: usize| {
             if ranks > s {
@@ -501,7 +515,7 @@ impl Engine {
         let control = config
             .control_enabled()
             .then(|| Mutex::new(Controller::new(config.clone(), ranks, sensors.len())));
-        Engine {
+        Ok(AnalysisServer {
             next_detect: AtomicU64::new(config.detect_interval.as_nanos()),
             config,
             sensors,
@@ -528,23 +542,36 @@ impl Engine {
             ingest_serial: Mutex::new(()),
             cross_run: None,
             control,
-        }
+        })
     }
 
-    /// Attach a write-ahead log. Every subsequent ingest is logged (and
-    /// serialized — see `ingest_serial`), and detection passes append
-    /// engine snapshots. Must be called before the engine is shared.
-    pub(crate) fn attach_wal(&mut self, wal: Arc<WriteAheadLog>) {
-        self.wal = Some(wal);
+    /// Attach the write-ahead log — promote a caught-up replica, or make a
+    /// fresh server durable: every batch accepted from now on is journaled
+    /// (and ingest serialized — see `ingest_serial`), and detection passes
+    /// append engine snapshots. Takes the server by value, so it happens
+    /// before the server is shared.
+    pub fn into_primary(mut self, wal: &Arc<WriteAheadLog>) -> Self {
+        self.wal = Some(wal.clone());
+        self
+    }
+
+    /// The write-ahead log this server journals to, if it is durable.
+    pub(crate) fn wal(&self) -> Option<&Arc<WriteAheadLog>> {
+        self.wal.as_ref()
     }
 
     /// Attach a cross-run baseline store for run `run_id`. Must be called
-    /// before the engine is shared. Per-kind adaptive thresholds are
-    /// derived from history *now* — detection during the run must not
+    /// before the server is shared (it takes `&mut self`). Detection
+    /// thresholds become history-adaptive per sensor kind where the store
+    /// holds enough runs; at session close the run is analyzed against
+    /// history, recorded into the store, and any worsening step regime
+    /// surfaces as an [`AlertKind::CrossRunRegression`] alert plus
+    /// [`ServerResult::cross_run`] findings. Per-kind adaptive thresholds
+    /// are derived from history *now* — detection during the run must not
     /// depend on what later runs record into the shared store — as the
     /// minimum over the kind's per-(sensor, bucket) adaptive cuts: every
     /// group of the kind is held at least to its own historical band.
-    pub(crate) fn attach_baseline(&mut self, baseline: SharedBaseline, run_id: RunId) {
+    pub fn attach_baseline(&mut self, baseline: SharedBaseline, run_id: RunId) {
         let per_group = baseline.with(|store| store.adaptive_thresholds());
         let mut thresholds = KindMap::build(|_| None::<f64>);
         for ((sensor, _bucket), t) in per_group {
@@ -565,7 +592,7 @@ impl Engine {
     /// The detection threshold for one sensor kind: the history-derived
     /// adaptive cut when a baseline with enough runs is attached, the
     /// fixed `variance_threshold` knob otherwise. Used identically by the
-    /// streaming passes, `result_at`, and `replay_result`, so the
+    /// streaming passes, `interim`, and `replay_result`, so the
     /// streaming/replay bitwise equivalence holds with or without a
     /// baseline.
     fn threshold_for(&self, kind: SensorKind) -> f64 {
@@ -577,24 +604,23 @@ impl Engine {
 
     /// Findings of the close-time cross-run analysis (empty before close
     /// or without an attached baseline).
-    pub(crate) fn cross_run_findings(&self) -> Vec<CrossRunFinding> {
+    fn cross_run_findings(&self) -> Vec<CrossRunFinding> {
         self.cross_run
             .as_ref()
             .map_or_else(Vec::new, |c| c.findings.lock().clone())
     }
 
-    pub(crate) fn config(&self) -> &RuntimeConfig {
+    /// The configuration the server runs under.
+    pub fn config(&self) -> &RuntimeConfig {
         &self.config
     }
 
-    pub(crate) fn ranks(&self) -> usize {
+    /// Number of ranks this server was built for.
+    pub fn ranks(&self) -> usize {
         self.ranks
     }
 
-    pub(crate) fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Relaxed)
-    }
-
+    /// Seal the server against further ingest.
     pub(crate) fn close(&self) {
         // Once-only transition: a recovered server may be closed again by
         // the same logical run, and the cross-run analysis must not record
@@ -645,7 +671,7 @@ impl Engine {
     }
 
     /// This run's mean normalized performance per (sensor, bucket) group —
-    /// the unit the cross-run store records. Same fold as `result_at`'s
+    /// the unit the cross-run store records. Same fold as `interim`'s
     /// sensor summary, but keyed one level finer (bucket kept separate):
     /// deterministic because the accumulators walk in `BTreeMap` order.
     fn group_summaries(
@@ -689,25 +715,20 @@ impl Engine {
             .collect()
     }
 
-    pub(crate) fn bytes_received(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn batch_count(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn record_count(&self) -> u64 {
-        self.records.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn malformed_count(&self) -> u64 {
-        self.malformed.load(Ordering::Relaxed)
+    /// Running ingest counters.
+    pub fn stats(&self) -> IngestStats {
+        IngestStats {
+            bytes_received: self.bytes.load(Ordering::Relaxed),
+            batches: self.batches.load(Ordering::Relaxed),
+            records: self.records.load(Ordering::Relaxed),
+            malformed: self.malformed.load(Ordering::Relaxed),
+        }
     }
 
     /// `(hot, frozen)` resident cell counts across all ranks — what the
     /// eviction-bound tests measure.
-    pub(crate) fn cell_stats(&self) -> (usize, usize) {
+    #[doc(hidden)]
+    pub fn cell_stats(&self) -> (usize, usize) {
         let mut hot = 0;
         let mut frozen = 0;
         for shard in &self.shards {
@@ -788,13 +809,14 @@ impl Engine {
     }
 
     /// Sequence-numbered streaming ingest: verify, dedup, absorb, charge
-    /// the shard's virtual clock, and maybe trigger a detection pass.
+    /// the shard's virtual clock, and maybe trigger a detection pass. The
+    /// public door is [`crate::server::IngestSession::ingest`].
     pub(crate) fn ingest(
         &self,
         batch: TelemetryBatch,
         arrival: VirtualTime,
     ) -> Result<IngestReceipt, IngestError> {
-        if self.is_closed() {
+        if self.closed.load(Ordering::Relaxed) {
             return Err(IngestError::Closed);
         }
         // Write-ahead: log every arriving batch (malformed and corrupt
@@ -993,8 +1015,8 @@ impl Engine {
         }
     }
 
-    /// Every rank the engine currently believes is dead, in rank order.
-    pub(crate) fn failed_ranks(&self) -> Vec<DeathRecord> {
+    /// Ranks the engine currently believes fail-stopped, in rank order.
+    pub fn failed_ranks(&self) -> Vec<DeathRecord> {
         self.deaths
             .lock()
             .iter()
@@ -1105,8 +1127,10 @@ impl Engine {
         }
     }
 
-    /// Drain alerts emitted since the last poll.
-    pub(crate) fn poll_events(&self) -> Vec<VarianceAlert> {
+    /// Drain detection-stream alerts emitted since the last poll. Shared
+    /// with [`crate::server::IngestSession::poll_events`]; a monitor thread
+    /// that holds only the server `Arc` can watch the stream directly.
+    pub fn poll_events(&self) -> Vec<VarianceAlert> {
         std::mem::take(&mut self.stream.lock().pending)
     }
 
@@ -1183,10 +1207,12 @@ impl Engine {
         }
     }
 
-    /// Build the full result over `[0, run_end)` from the accumulators.
-    /// Non-destructive: callable mid-run (interim snapshot) or at close.
-    pub(crate) fn result_at(&self, run_end: VirtualTime) -> ServerResult {
-        let bins = (self.config.matrix_bin(run_end).saturating_add(1)) as usize;
+    /// Build the full result over `[0, up_to)` from the accumulators.
+    /// Non-destructive, callable while ranks are still streaming: §2's
+    /// workflow updates the report *periodically while the program runs* —
+    /// this is that read, and the close-time read too.
+    pub fn interim(&self, up_to: VirtualTime) -> ServerResult {
+        let bins = (self.config.matrix_bin(up_to).saturating_add(1)) as usize;
         let guards: Vec<_> = self.shards.iter().map(|s| s.inner.lock()).collect();
         let global_std = Self::merged_global_std(&guards);
         let matrices = self.fold_matrices(&guards, &global_std, bins);
@@ -1252,15 +1278,16 @@ impl Engine {
             })
             .collect();
 
+        let stats = self.stats();
         ServerResult {
             matrices: matrices.into_hash_map(),
             events,
             sensor_summary,
-            bytes_received: self.bytes_received(),
-            batches: self.batch_count(),
-            records: self.record_count() as usize,
+            bytes_received: stats.bytes_received,
+            batches: stats.batches,
+            records: stats.records as usize,
             delivery,
-            malformed_records: self.malformed_count(),
+            malformed_records: stats.malformed,
             load: self.load(),
             failed_ranks: self.failed_ranks(),
             cross_run: self.cross_run_findings(),
@@ -1291,8 +1318,8 @@ impl Engine {
         }
     }
 
-    /// Current server-side load picture.
-    pub(crate) fn load(&self) -> ServerLoad {
+    /// Server-side processing load (shard busy clocks, detection cost).
+    pub fn load(&self) -> ServerLoad {
         ServerLoad {
             shards: self
                 .shards
@@ -1315,14 +1342,8 @@ impl Engine {
     /// the raw record log — the independent oracle the equivalence tests
     /// compare the streaming accumulators against. Requires
     /// `keep_record_log`.
-    pub(crate) fn replay_result(
-        &self,
-        run_end: VirtualTime,
-    ) -> Result<ServerResult, crate::error::RuntimeError> {
-        let log = self
-            .log
-            .as_ref()
-            .ok_or(crate::error::RuntimeError::RecordLogDisabled)?;
+    pub fn replay_result(&self, run_end: VirtualTime) -> Result<ServerResult, RuntimeError> {
+        let log = self.log.as_ref().ok_or(RuntimeError::RecordLogDisabled)?;
         let records = log.lock().clone();
 
         // Standards, exactly as the seed's absorb_record built them.
@@ -1417,15 +1438,16 @@ impl Engine {
             })
             .collect();
 
+        let stats = self.stats();
         Ok(ServerResult {
             matrices: matrices.into_hash_map(),
             events,
             sensor_summary,
-            bytes_received: self.bytes_received(),
-            batches: self.batch_count(),
+            bytes_received: stats.bytes_received,
+            batches: stats.batches,
             records: records.len(),
             delivery,
-            malformed_records: self.malformed_count(),
+            malformed_records: stats.malformed,
             load: self.load(),
             failed_ranks: self.failed_ranks(),
             cross_run: self.cross_run_findings(),
@@ -1526,7 +1548,7 @@ impl Engine {
     }
 
     /// Rebuild the engine's mutable state from a snapshot. The inverse of
-    /// [`Engine::snapshot_locked`]; requires exclusive ownership (recovery
+    /// [`AnalysisServer::snapshot_locked`]; requires exclusive ownership (recovery
     /// happens before the engine is shared).
     pub(crate) fn restore(&mut self, snap: &EngineSnapshot) {
         for (shard, s) in self.shards.iter_mut().zip(&snap.shards) {
@@ -1596,13 +1618,16 @@ impl Engine {
     }
 
     // ------------------------------------------------------------------
-    // Control plane — channel-facing delivery calls. Each takes only the
-    // controller's leaf lock; none may be called with a shard or stream
-    // lock held.
+    // Control plane (present when `RuntimeConfig::control_enabled`) —
+    // channel-facing delivery calls; each is a no-op returning nothing
+    // when the control plane is off. Each takes only the controller's
+    // leaf lock; none may be called with a shard or stream lock held.
     // ------------------------------------------------------------------
 
-    /// Begin one delivery attempt of `rank`'s pending directive, if due.
-    pub(crate) fn control_begin_attempt(
+    /// Begin one delivery attempt of `rank`'s pending control directive,
+    /// if one is due at `now`. Returns the directive and the attempt
+    /// number (1-based, feeds the fault dice).
+    pub fn control_begin_attempt(
         &self,
         rank: usize,
         now: VirtualTime,
@@ -1610,34 +1635,35 @@ impl Engine {
         self.control.as_ref()?.lock().begin_attempt(rank, now)
     }
 
-    /// The fault dice destroyed a begun attempt.
-    pub(crate) fn control_delivery_lost(&self, rank: usize) {
+    /// Record that the fault dice destroyed a begun attempt.
+    pub fn control_delivery_lost(&self, rank: usize) {
         if let Some(ctl) = &self.control {
             ctl.lock().delivery_lost(rank);
         }
     }
 
-    /// The fault dice delayed a begun attempt until `until`.
-    pub(crate) fn control_delay(&self, rank: usize, until: VirtualTime) {
+    /// Record that the fault dice delayed a begun attempt until `until`.
+    pub fn control_delay(&self, rank: usize, until: VirtualTime) {
         if let Some(ctl) = &self.control {
             ctl.lock().delay_delivery(rank, until);
         }
     }
 
-    /// `rank` acknowledged every epoch up to `epoch`.
-    pub(crate) fn control_ack(&self, rank: usize, epoch: u64) {
+    /// Record that `rank` acknowledged every epoch up to `epoch`.
+    pub fn control_ack(&self, rank: usize, epoch: u64) {
         if let Some(ctl) = &self.control {
             ctl.lock().ack(rank, epoch);
         }
     }
 
     /// Control-plane counters (`None` when the control plane is off).
-    pub(crate) fn control_stats(&self) -> Option<ControlStats> {
+    pub fn control_stats(&self) -> Option<ControlStats> {
         self.control.as_ref().map(|c| c.lock().stats())
     }
 
-    /// The issued-epoch log, for the crash-recovery bitwise contract.
-    pub(crate) fn control_schedule(&self) -> Vec<ControlEpoch> {
+    /// The issued-epoch log in decision order — what the crash-recovery
+    /// contract compares bitwise across a server crash.
+    pub fn control_schedule(&self) -> Vec<ControlEpoch> {
         self.control
             .as_ref()
             .map_or_else(Vec::new, |c| c.lock().schedule())
@@ -1645,7 +1671,7 @@ impl Engine {
 
     /// The controller's per-rank cumulative instrumentation-cost model,
     /// in nanoseconds (`None` when the control plane is off).
-    pub(crate) fn control_costs(&self) -> Option<Vec<u64>> {
+    pub fn control_costs(&self) -> Option<Vec<u64>> {
         self.control.as_ref().map(|c| c.lock().observed_costs())
     }
 }
@@ -1682,8 +1708,8 @@ struct RankDeliverySnapshot {
     latency_total: Duration,
 }
 
-/// Everything mutable about an [`Engine`], checkpointed at a detect-pass
-/// boundary. [`Engine::restore`] + replay of the WAL tail after this
+/// Everything mutable about an [`AnalysisServer`], checkpointed at a detect-pass
+/// boundary. [`AnalysisServer::restore`] + replay of the WAL tail after this
 /// snapshot reproduces the live engine bit-for-bit.
 #[derive(Clone, Debug)]
 pub(crate) struct EngineSnapshot {
@@ -1773,13 +1799,13 @@ mod tests {
         }
     }
 
-    fn engine(ranks: usize, shards: usize) -> Engine {
+    fn engine(ranks: usize, shards: usize) -> AnalysisServer {
         let config = RuntimeConfig {
             shards,
             keep_record_log: true,
             ..RuntimeConfig::free_probes()
         };
-        Engine::new(
+        AnalysisServer::new(
             ranks,
             vec![sensor_info(0, SensorKind::Computation, true)],
             config,
@@ -1828,7 +1854,7 @@ mod tests {
                     e.submit(rank, vec![rec(0, slice, avg)]);
                 }
             }
-            results.push(e.result_at(VirtualTime::from_millis(400)));
+            results.push(e.interim(VirtualTime::from_millis(400)));
         }
         let reference = &results[0];
         let m0 = &reference.matrices[&SensorKind::Computation];
@@ -1860,7 +1886,7 @@ mod tests {
             }
         }
         let end = VirtualTime::from_millis(600);
-        let streamed = e.result_at(end);
+        let streamed = e.interim(end);
         let replayed = e.replay_result(end).unwrap();
         assert_eq!(streamed.events, replayed.events);
         assert_eq!(streamed.records, replayed.records);
@@ -1878,14 +1904,14 @@ mod tests {
 
     #[test]
     fn replay_requires_the_record_log() {
-        let e = Engine::new(
+        let e = AnalysisServer::new(
             1,
             vec![sensor_info(0, SensorKind::Computation, true)],
             RuntimeConfig::free_probes(),
         );
         assert!(matches!(
             e.replay_result(VirtualTime::from_millis(1)),
-            Err(crate::error::RuntimeError::RecordLogDisabled)
+            Err(RuntimeError::RecordLogDisabled)
         ));
     }
 
@@ -1893,7 +1919,7 @@ mod tests {
     fn detection_pass_emits_alert_mid_stream() {
         let e = engine(2, 2);
         let mut seq = [0u64, 0];
-        let mut send = |rank: usize, slice: u64, avg_us: u64, t_ms: u64, e: &Engine| {
+        let mut send = |rank: usize, slice: u64, avg_us: u64, t_ms: u64, e: &AnalysisServer| {
             let t = VirtualTime::from_millis(t_ms);
             let batch = TelemetryBatch::new(rank, seq[rank], t, vec![rec(0, slice, avg_us)]);
             seq[rank] += 1;
@@ -1952,7 +1978,7 @@ mod tests {
         let alerts = e.poll_events();
         let deaths: Vec<_> = alerts.iter().filter_map(|a| a.death()).collect();
         assert_eq!(deaths.len(), 1, "notice is idempotent — one alert");
-        let result = e.result_at(VirtualTime::from_millis(300));
+        let result = e.interim(VirtualTime::from_millis(300));
         assert_eq!(result.failed_ranks, dead);
         let m = &result.matrices[&SensorKind::Computation];
         let death_bin = 150 / 200; // matrix_resolution default 200 ms
@@ -2008,8 +2034,7 @@ mod tests {
             config: config.clone(),
         };
         let wal = Arc::new(WriteAheadLog::new(header));
-        let mut live = Engine::new(4, sensors.clone(), config.clone());
-        live.attach_wal(wal.clone());
+        let live = AnalysisServer::new(4, sensors.clone(), config.clone()).into_primary(&wal);
         for ms in 0..800u64 {
             for rank in 0..4 {
                 let t = VirtualTime::from_millis(ms);
@@ -2020,7 +2045,7 @@ mod tests {
         }
         assert!(wal.snapshot_entries() >= 1, "detect passes must checkpoint");
         // Crash-recover: fresh engine + last snapshot + tail replay.
-        let mut recovered = Engine::new(4, sensors, config);
+        let mut recovered = AnalysisServer::new(4, sensors, config);
         let rec = wal.recovery_state();
         let (snap, tail) = (rec.snapshot, rec.tail);
         let snap = snap.expect("at least one snapshot");
@@ -2030,8 +2055,8 @@ mod tests {
             let _ = recovered.ingest(batch, arrival);
         }
         let end = VirtualTime::from_millis(800);
-        let a = live.result_at(end);
-        let b = recovered.result_at(end);
+        let a = live.interim(end);
+        let b = recovered.interim(end);
         assert_eq!(a.events, b.events);
         assert_eq!(a.records, b.records);
         assert_eq!(a.batches, b.batches);

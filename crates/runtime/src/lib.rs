@@ -35,6 +35,7 @@
 pub mod baseline;
 pub mod config;
 pub mod control;
+mod crc;
 pub mod detect;
 pub mod distribution;
 pub mod dynrules;
@@ -64,24 +65,22 @@ pub use detect::{detect_events, VarianceEvent};
 pub use distribution::DistributionStats;
 pub use dynrules::{Bucket, DynamicRule};
 pub use engine::{
-    AlertKind, DeathCause, DeathRecord, IngestReceipt, ServerLoad, ShardLoad, VarianceAlert,
+    AlertKind, AnalysisServer, DeathCause, DeathRecord, IngestReceipt, ServerLoad, ShardLoad,
+    VarianceAlert,
 };
 pub use error::{IngestError, RuntimeError};
 pub use matrix::{CellState, PerformanceMatrix};
 pub use record::{SensorInfo, SensorKind, SliceRecord};
 pub use report::VarianceReport;
-pub use server::{
-    AnalysisServer, DeliveryQuality, IngestSession, IngestStats, SensorSummary, ServerResult,
-};
+pub use server::{DeliveryQuality, IngestSession, IngestStats, SensorSummary, ServerResult};
 pub use service::{
-    AnalysisService, ServiceConfig, ServiceError, TenantChannel, TenantId, TenantSession,
-    TenantSpec, TenantStats,
+    AnalysisService, ServiceConfig, ServiceError, TenantChannel, TenantId, TenantSpec, TenantStats,
 };
 pub use stats::ShiftPolicy;
 pub use tick::SensorRuntime;
 pub use trace::{MetricsRegistry, RuntimeHealth};
 pub use transport::{
-    AnalysisSink, BatchChannel, CrashingChannel, DeathNotice, DirectChannel, FaultyChannel,
-    RankTransport, SendOutcome, TelemetryBatch, TransportConfig, TransportStats,
+    AnalysisSink, BatchChannel, DeathNotice, DirectChannel, FaultyChannel, RankTransport,
+    SendOutcome, TelemetryBatch, TransportConfig, TransportStats,
 };
 pub use wal::WriteAheadLog;

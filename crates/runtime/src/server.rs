@@ -1,4 +1,5 @@
-//! The analysis server (§5.4) and its session API.
+//! The analysis server (§5.4): construction, durability and its session
+//! API.
 //!
 //! vSensor dedicates one process to inter-process analysis: every rank
 //! periodically ships its buffered slice records in batches; the server
@@ -8,15 +9,14 @@
 //! it receives — the paper's data-volume comparison against tracing tools
 //! (8.8 MB vs 501.5 MB for the cg.D.128 run) falls out of this counter.
 //!
-//! Since the streaming rework the server is a thin façade over
-//! [`crate::engine`]: ingest is sharded by `rank % shards`, records fold
-//! into bounded-memory accumulators as they arrive, and detection runs
-//! incrementally, emitting [`VarianceAlert`]s mid-run.
+//! [`AnalysisServer`] is one type: the struct and its data path (sharded
+//! ingest by `rank % shards`, bounded-memory accumulators, incremental
+//! detection emitting [`VarianceAlert`]s mid-run) are in [`crate::engine`];
+//! this module holds how a server comes to exist — fresh, durable, or
+//! rebuilt from a write-ahead log — plus the session handle and the result
+//! types.
 //!
 //! # Session API
-//!
-//! The old mixed surface (`submit`, `ingest`, `snapshot`, `finalize`,
-//! loose getters) is collapsed into one flow:
 //!
 //! ```text
 //! let session = server.session();
@@ -25,16 +25,15 @@
 //! let result = session.close(end);   // -> ServerResult, seals the server
 //! ```
 //!
-//! The pre-0.2 method-per-operation surface (`submit`, `snapshot`,
-//! `finalize`, per-counter getters) is gone; the session is the one front
-//! door, so interim and final views cannot disagree by construction.
+//! The session is the one front door for telemetry, so interim and final
+//! views cannot disagree by construction.
 
-use crate::baseline::{CrossRunFinding, RunId, SharedBaseline};
+use crate::baseline::CrossRunFinding;
 use crate::config::RuntimeConfig;
-use crate::control::{ControlDirective, ControlEpoch, ControlStats};
+use crate::control::ControlStats;
 use crate::detect::VarianceEvent;
-use crate::engine::{DeathRecord, Engine};
-pub use crate::engine::{IngestReceipt, ServerLoad, ShardLoad, VarianceAlert};
+use crate::engine::DeathRecord;
+pub use crate::engine::{AnalysisServer, IngestReceipt, ServerLoad, ShardLoad, VarianceAlert};
 use crate::error::{IngestError, RuntimeError};
 use crate::matrix::PerformanceMatrix;
 use crate::record::{SensorInfo, SensorKind};
@@ -44,13 +43,6 @@ use cluster_sim::time::{Duration, VirtualTime};
 use std::collections::HashMap;
 use std::sync::Arc;
 use vsensor_lang::SensorId;
-
-/// The shared analysis server. Ranks obtain an [`IngestSession`] (or reuse
-/// one — it is `Sync` and borrows the server) and stream batches in
-/// concurrently; closing the session yields the final [`ServerResult`].
-pub struct AnalysisServer {
-    engine: Engine,
-}
 
 /// Running ingest counters, observable mid-run without building a result.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -77,18 +69,6 @@ impl AnalysisServer {
         Self::try_new(ranks, sensors, config).expect("invalid RuntimeConfig")
     }
 
-    /// Create a server, rejecting invalid configurations.
-    pub fn try_new(
-        ranks: usize,
-        sensors: Vec<SensorInfo>,
-        config: RuntimeConfig,
-    ) -> Result<Self, RuntimeError> {
-        config.validate()?;
-        Ok(AnalysisServer {
-            engine: Engine::new(ranks, sensors, config),
-        })
-    }
-
     /// Create a *durable* server: every arriving batch is appended to an
     /// in-memory [`WriteAheadLog`] before processing (which serializes
     /// ingest — log order is processing order) and the engine checkpoints
@@ -100,15 +80,13 @@ impl AnalysisServer {
         sensors: Vec<SensorInfo>,
         config: RuntimeConfig,
     ) -> Result<(Self, Arc<WriteAheadLog>), RuntimeError> {
-        config.validate()?;
+        let server = Self::try_new(ranks, sensors.clone(), config.clone())?;
         let wal = Arc::new(WriteAheadLog::new(WalHeader {
             ranks,
-            sensors: sensors.clone(),
-            config: config.clone(),
+            sensors,
+            config,
         }));
-        let mut engine = Engine::new(ranks, sensors, config);
-        engine.attach_wal(wal.clone());
-        Ok((AnalysisServer { engine }, wal))
+        Ok((server.into_primary(&wal), wal))
     }
 
     /// Rebuild a crashed durable server from its write-ahead log: restore
@@ -134,47 +112,24 @@ impl AnalysisServer {
     /// [`WriteAheadLog::batches_since`] for incremental catch-up.
     pub fn replay_from(wal: &Arc<WriteAheadLog>) -> Result<(Self, usize), RuntimeError> {
         let header = wal.header().clone();
-        header.config.validate()?;
-        let mut engine = Engine::new(header.ranks, header.sensors, header.config);
+        let mut server = Self::try_new(header.ranks, header.sensors, header.config)?;
         let rec = wal.recovery_state();
         if let Some(snap) = rec.snapshot {
-            engine.restore(&snap);
+            server.restore(&snap);
         }
-        for (batch, arrival) in rec.tail {
-            // Errors replay too: corrupt and malformed batches must
-            // reproduce their counters, exactly as they did live.
-            let _ = engine.ingest(batch, arrival);
-        }
+        server.apply_replay(rec.tail);
         let cursor = wal.frames() - rec.dropped;
-        Ok((AnalysisServer { engine }, cursor))
+        Ok((server, cursor))
     }
 
     /// Apply a slice of batches to a replica built by
     /// [`AnalysisServer::replay_from`] — incremental standby catch-up.
+    /// Errors replay too: corrupt and malformed batches must reproduce
+    /// their counters, exactly as they did live.
     pub fn apply_replay(&self, batches: Vec<(TelemetryBatch, VirtualTime)>) {
         for (batch, arrival) in batches {
-            let _ = self.engine.ingest(batch, arrival);
+            let _ = self.ingest(batch, arrival);
         }
-    }
-
-    /// Promote a caught-up replica: attach the WAL so the server journals
-    /// every batch it accepts from now on, exactly like a server built
-    /// with [`AnalysisServer::try_new_durable`].
-    pub fn into_primary(mut self, wal: &Arc<WriteAheadLog>) -> Self {
-        self.engine.attach_wal(wal.clone());
-        self
-    }
-
-    /// Attach a cross-run baseline store for run `run_id`. Must be called
-    /// before the server is shared (it takes `&mut self`, like
-    /// [`AnalysisServer::into_primary`]'s WAL attach). Detection
-    /// thresholds become history-adaptive per sensor kind where the store
-    /// holds enough runs; at session close the run is analyzed against
-    /// history, recorded into the store, and any worsening step regime
-    /// surfaces as an [`crate::engine::AlertKind::CrossRunRegression`]
-    /// alert plus [`ServerResult::cross_run`] findings.
-    pub fn attach_baseline(&mut self, baseline: SharedBaseline, run_id: RunId) {
-        self.engine.attach_baseline(baseline, run_id);
     }
 
     /// Open an ingest session. Sessions are cheap borrow handles; any
@@ -182,112 +137,6 @@ impl AnalysisServer {
     /// own), all feeding the same sharded engine.
     pub fn session(&self) -> IngestSession<'_> {
         IngestSession { server: self }
-    }
-
-    /// Drain detection-stream alerts emitted since the last poll. Shared
-    /// with [`IngestSession::poll_events`]; a monitor thread that holds
-    /// only the server `Arc` can watch the stream directly.
-    pub fn poll_events(&self) -> Vec<VarianceAlert> {
-        self.engine.poll_events()
-    }
-
-    /// Interim result over `[0, up_to)`: non-destructive, callable while
-    /// ranks are still streaming. §2's workflow updates the report
-    /// *periodically while the program runs* — this is that read.
-    pub fn interim(&self, up_to: VirtualTime) -> ServerResult {
-        self.engine.result_at(up_to)
-    }
-
-    /// Running ingest counters.
-    pub fn stats(&self) -> IngestStats {
-        IngestStats {
-            bytes_received: self.engine.bytes_received(),
-            batches: self.engine.batch_count(),
-            records: self.engine.record_count(),
-            malformed: self.engine.malformed_count(),
-        }
-    }
-
-    /// Server-side processing load (shard busy clocks, detection cost).
-    pub fn load(&self) -> ServerLoad {
-        self.engine.load()
-    }
-
-    /// Ranks the engine currently believes fail-stopped, in rank order.
-    pub fn failed_ranks(&self) -> Vec<DeathRecord> {
-        self.engine.failed_ranks()
-    }
-
-    /// Number of ranks this server was built for.
-    pub fn ranks(&self) -> usize {
-        self.engine.ranks()
-    }
-
-    /// The configuration the server runs under.
-    pub fn config(&self) -> &RuntimeConfig {
-        self.engine.config()
-    }
-
-    /// Recompute the result with the seed's batch-at-end algorithm from
-    /// the raw record log (requires `keep_record_log`) — the independent
-    /// oracle the streaming-equivalence tests compare against.
-    pub fn replay_result(&self, run_end: VirtualTime) -> Result<ServerResult, RuntimeError> {
-        self.engine.replay_result(run_end)
-    }
-
-    /// `(hot, frozen)` resident matrix-cell counts, for eviction tests.
-    #[doc(hidden)]
-    pub fn cell_stats(&self) -> (usize, usize) {
-        self.engine.cell_stats()
-    }
-
-    // ------------------------------------------------------------------
-    // Control plane (present when `RuntimeConfig::control_enabled`).
-    // Channels call these to deliver server→rank directives; each is a
-    // no-op returning nothing when the control plane is off.
-    // ------------------------------------------------------------------
-
-    /// Begin one delivery attempt of `rank`'s pending control directive,
-    /// if one is due at `now`. Returns the directive and the attempt
-    /// number (1-based, feeds the fault dice).
-    pub fn control_begin_attempt(
-        &self,
-        rank: usize,
-        now: VirtualTime,
-    ) -> Option<(ControlDirective, u32)> {
-        self.engine.control_begin_attempt(rank, now)
-    }
-
-    /// Record that the fault dice destroyed a begun attempt.
-    pub fn control_delivery_lost(&self, rank: usize) {
-        self.engine.control_delivery_lost(rank);
-    }
-
-    /// Record that the fault dice delayed a begun attempt until `until`.
-    pub fn control_delay(&self, rank: usize, until: VirtualTime) {
-        self.engine.control_delay(rank, until);
-    }
-
-    /// Record that `rank` acknowledged every epoch up to `epoch`.
-    pub fn control_ack(&self, rank: usize, epoch: u64) {
-        self.engine.control_ack(rank, epoch);
-    }
-
-    /// Control-plane counters (`None` when the control plane is off).
-    pub fn control_stats(&self) -> Option<ControlStats> {
-        self.engine.control_stats()
-    }
-
-    /// The issued-epoch log in decision order — what the crash-recovery
-    /// contract compares bitwise across a server crash.
-    pub fn control_schedule(&self) -> Vec<ControlEpoch> {
-        self.engine.control_schedule()
-    }
-
-    /// The budget controller's per-rank cumulative instrumentation-cost
-    /// model in nanoseconds (`None` when the control plane is off).
-    pub fn control_costs(&self) -> Option<Vec<u64>> {
-        self.engine.control_costs()
     }
 }
 
@@ -314,20 +163,20 @@ impl IngestSession<'_> {
         batch: TelemetryBatch,
         arrival: VirtualTime,
     ) -> Result<IngestReceipt, IngestError> {
-        self.server.engine.ingest(batch, arrival)
+        self.server.ingest(batch, arrival)
     }
 
     /// Drain detection-stream alerts emitted since the last poll (by any
     /// session or the server handle — the stream is shared).
     pub fn poll_events(&self) -> Vec<VarianceAlert> {
-        self.server.engine.poll_events()
+        self.server.poll_events()
     }
 
     /// Close the run: seal the server against further ingest and build the
     /// final result over `[0, run_end)`.
     pub fn close(self, run_end: VirtualTime) -> ServerResult {
-        self.server.engine.close();
-        self.server.engine.result_at(run_end)
+        self.server.close();
+        self.server.interim(run_end)
     }
 }
 

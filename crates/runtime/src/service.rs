@@ -3,8 +3,8 @@
 //! The single-run [`AnalysisServer`] analyses one job and stops; the
 //! ROADMAP north-star is a long-lived service ingesting hundreds of
 //! concurrent jobs. This module is that front door: an [`AnalysisService`]
-//! multiplexes N independent per-tenant engine shards behind the same
-//! session-shaped API, with
+//! multiplexes N independent per-tenant servers behind one tenant-routed
+//! API, with
 //!
 //! - **tenant routing and lazy admission** — a tenant registers a
 //!   [`TenantSpec`] (rank count, sensor table, [`RuntimeConfig`]) up
@@ -48,13 +48,13 @@
 use crate::baseline::{RunId, SharedBaseline};
 use crate::config::RuntimeConfig;
 use crate::control::ControlDirective;
-use crate::engine::{IngestReceipt, VarianceAlert};
+use crate::engine::{AnalysisServer, IngestReceipt, VarianceAlert};
 use crate::error::{IngestError, RuntimeError};
 use crate::record::SensorInfo;
-use crate::server::{AnalysisServer, ServerResult};
-use crate::transport::{AnalysisSink, BatchChannel, SendOutcome, TelemetryBatch};
+use crate::server::ServerResult;
+use crate::transport::{self, AnalysisSink, BatchChannel, SendOutcome, TelemetryBatch};
 use crate::wal::WriteAheadLog;
-use cluster_sim::fault::{FaultPlan, SendFate};
+use cluster_sim::fault::FaultPlan;
 use cluster_sim::time::{Duration, VirtualTime};
 use cluster_sim::trace::{self, Category, TraceEvent, SERVER_LANE};
 use parking_lot::Mutex;
@@ -152,13 +152,6 @@ pub enum ServiceError {
     DuplicateTenant(TenantId),
     /// No tenant with this id is registered.
     UnknownTenant(TenantId),
-    /// The tenant cannot be deregistered while sessions are open on it.
-    TenantBusy {
-        /// The busy tenant.
-        tenant: TenantId,
-        /// Sessions currently open.
-        sessions: usize,
-    },
     /// The tenant's [`RuntimeConfig`] failed validation.
     InvalidTenantConfig {
         /// The offending tenant.
@@ -184,12 +177,6 @@ impl fmt::Display for ServiceError {
             }
             ServiceError::DuplicateTenant(t) => write!(f, "tenant {t} is already registered"),
             ServiceError::UnknownTenant(t) => write!(f, "no tenant {t} is registered"),
-            ServiceError::TenantBusy { tenant, sessions } => {
-                write!(
-                    f,
-                    "tenant {tenant} has {sessions} open session(s); close them before deregistering"
-                )
-            }
             ServiceError::InvalidTenantConfig { tenant, source } => {
                 write!(f, "tenant {tenant} config invalid: {source}")
             }
@@ -240,8 +227,6 @@ struct TenantShard {
     /// The tenant's own journal (durable services only).
     wal: Mutex<Option<Arc<WriteAheadLog>>>,
     ledger: Mutex<Ledger>,
-    /// Open [`TenantSession`]s; a busy tenant refuses deregistration.
-    sessions: std::sync::atomic::AtomicUsize,
     /// Cross-run baseline to attach when the engine is built lazily.
     /// Note: a standby promoted on failover does **not** re-attach it —
     /// failover must stay bitwise-identical to the crashed primary's
@@ -320,7 +305,6 @@ impl AnalysisService {
                 live: Mutex::new(None),
                 wal: Mutex::new(None),
                 ledger: Mutex::new(Ledger::default()),
-                sessions: std::sync::atomic::AtomicUsize::new(0),
                 baseline: Mutex::new(None),
             }),
         );
@@ -335,30 +319,16 @@ impl AnalysisService {
     /// Remove a tenant and evict everything it owned: its live engine,
     /// its write-ahead log handle, its admission ledger and its standby
     /// replica all drop with the shard, so a later [`register`] under the
-    /// same id starts from a clean slate. Refused with
-    /// [`ServiceError::TenantBusy`] while any [`TenantSession`] is open on
-    /// the tenant — the check and the removal happen under the routing
-    /// lock that [`session`] takes, so a session cannot open concurrently
-    /// with a successful deregistration. Subsequent direct ingests get
+    /// same id starts from a clean slate. Subsequent ingests get
     /// [`IngestError::UnknownTenant`], exactly like an unregistered
     /// tenant.
     ///
     /// [`register`]: AnalysisService::register
-    /// [`session`]: AnalysisService::session
     pub fn deregister_tenant(&self, tenant: TenantId) -> Result<(), ServiceError> {
-        let mut tenants = self.tenants.lock();
-        let shard = tenants
-            .get(&tenant)
+        self.tenants
+            .lock()
+            .remove(&tenant)
             .ok_or(ServiceError::UnknownTenant(tenant))?;
-        let open = shard.sessions.load(Ordering::SeqCst);
-        if open > 0 {
-            return Err(ServiceError::TenantBusy {
-                tenant,
-                sessions: open,
-            });
-        }
-        tenants.remove(&tenant);
-        drop(tenants);
         // The standby map is keyed separately; evict the replica too.
         if let Some(standby) = self.standby.lock().as_mut() {
             standby.remove(&tenant);
@@ -496,7 +466,7 @@ impl AnalysisService {
         // Ledger lock released: the engine ingest below runs without any
         // front-door lock, so tenants never serialize on each other.
         let server = self.live_server(&shard);
-        let receipt = server.session().ingest(batch, arrival)?;
+        let receipt = server.ingest(batch, arrival)?;
         let cost = shard
             .spec
             .config
@@ -516,26 +486,6 @@ impl AnalysisService {
         self.server(tenant)
             .map(|s| s.poll_events())
             .unwrap_or_default()
-    }
-
-    /// Poll one tenant's control plane for a pending server→rank
-    /// directive (reliable delivery — fault dice live in the channel, not
-    /// here). An unknown tenant is rejected with the typed
-    /// [`ServiceError::UnknownTenant`] rather than a map-lookup panic.
-    pub fn control_poll(
-        &self,
-        tenant: TenantId,
-        rank: usize,
-        now: VirtualTime,
-    ) -> Result<Vec<ControlDirective>, ServiceError> {
-        let shard = self
-            .shard(tenant)
-            .ok_or(ServiceError::UnknownTenant(tenant))?;
-        let server = self.live_server(&shard);
-        Ok(server
-            .control_begin_attempt(rank, now)
-            .map(|(directive, _)| vec![directive])
-            .unwrap_or_default())
     }
 
     /// Acknowledge a control epoch applied by one of `tenant`'s ranks.
@@ -696,76 +646,12 @@ impl AnalysisService {
         }
         Ok(())
     }
-
-    /// Open a session-shaped handle for one tenant, mirroring
-    /// [`crate::IngestSession`] so single-run call sites port over by
-    /// adding a tenant id.
-    pub fn session(&self, tenant: TenantId) -> Result<TenantSession<'_>, ServiceError> {
-        // Count the session while still holding the routing lock so a
-        // concurrent `deregister_tenant` either sees it or removed the
-        // tenant first — never neither.
-        let tenants = self.tenants.lock();
-        let shard = tenants
-            .get(&tenant)
-            .cloned()
-            .ok_or(ServiceError::UnknownTenant(tenant))?;
-        shard.sessions.fetch_add(1, Ordering::SeqCst);
-        drop(tenants);
-        Ok(TenantSession {
-            service: self,
-            shard,
-            tenant,
-        })
-    }
-}
-
-/// Borrowed per-tenant session handle; same flow as
-/// [`crate::IngestSession`] — ingest, poll, close.
-pub struct TenantSession<'a> {
-    service: &'a AnalysisService,
-    /// Keeps the shard's open-session count honest (see [`Drop`]).
-    shard: Arc<TenantShard>,
-    tenant: TenantId,
-}
-
-impl Drop for TenantSession<'_> {
-    fn drop(&mut self) {
-        self.shard.sessions.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-impl TenantSession<'_> {
-    /// The tenant this session routes to.
-    pub fn tenant(&self) -> TenantId {
-        self.tenant
-    }
-
-    /// Ingest one batch (admission-controlled).
-    pub fn ingest(
-        &self,
-        batch: TelemetryBatch,
-        arrival: VirtualTime,
-    ) -> Result<IngestReceipt, IngestError> {
-        self.service.ingest(self.tenant, batch, arrival)
-    }
-
-    /// Drain this tenant's detection alerts.
-    pub fn poll_events(&self) -> Vec<VarianceAlert> {
-        self.service.poll_events(self.tenant)
-    }
-
-    /// Seal this tenant and read its final result.
-    pub fn close(self, run_end: VirtualTime) -> ServerResult {
-        self.service
-            .close_tenant(self.tenant, run_end)
-            .expect("session implies a registered tenant")
-    }
 }
 
 /// The transport-facing route from one tenant's ranks into the service:
 /// a [`BatchChannel`] that consults a [`FaultPlan`] per attempt (drops,
-/// duplicates, delays, corruption, outages — same dice as
-/// [`crate::transport::FaultyChannel`]), maps admission refusals to
+/// duplicates, delays, corruption, outages — the same dice and the same
+/// fate translation as [`crate::transport::FaultyChannel`]), maps admission refusals to
 /// [`SendOutcome::Busy`], and fires the service failover when the plan
 /// kills the primary.
 pub struct TenantChannel {
@@ -789,63 +675,38 @@ impl TenantChannel {
         self.service.clone()
     }
 
-    fn ingest_once(&self, batch: TelemetryBatch, arrival: VirtualTime) -> SendOutcome {
-        match self.service.ingest(self.tenant, batch, arrival) {
-            Ok(_) => SendOutcome::Acked,
-            Err(IngestError::Backpressure { retry_after, .. }) => SendOutcome::Busy { retry_after },
-            Err(e) if e.is_retryable() => SendOutcome::NoAck,
-            Err(_) => SendOutcome::Acked,
+    /// The primary dies at its planned instant; the first operation to
+    /// observe that — a send or a control poll — promotes the standby.
+    fn fail_over_if_due(&self, now: VirtualTime) {
+        if let Some(crash_at) = self.plan.server_crash() {
+            if now >= crash_at && !self.service.failed_over() {
+                let _ = self.service.fail_over(crash_at);
+            }
         }
     }
 }
 
 impl BatchChannel for TenantChannel {
     fn send(&self, batch: &TelemetryBatch, now: VirtualTime, attempt: u32) -> SendOutcome {
-        if let Some(crash_at) = self.plan.server_crash() {
-            if now >= crash_at && !self.service.failed_over() {
-                // The primary dies at its planned instant; the first send
-                // to observe that promotes the standby.
-                let _ = self.service.fail_over(crash_at);
-            }
-        }
-        match self.plan.fate(batch.rank, batch.seq, attempt, now) {
-            SendFate::Unreachable => SendOutcome::Unreachable,
-            SendFate::Dropped => SendOutcome::NoAck,
-            SendFate::Delivered {
-                copies,
-                delay,
-                corrupt,
-            } => {
-                let arrival = now + delay;
-                if corrupt {
-                    let _ = self
-                        .service
-                        .ingest(self.tenant, batch.corrupted_copy(), arrival);
-                    return SendOutcome::NoAck;
+        self.fail_over_if_due(now);
+        transport::deliver(&self.plan, batch, now, attempt, |b, arrival| {
+            match self.service.ingest(self.tenant, b, arrival) {
+                Err(IngestError::Backpressure { retry_after, .. }) => {
+                    SendOutcome::Busy { retry_after }
                 }
-                let mut outcome = SendOutcome::NoAck;
-                for _ in 0..copies.max(1) {
-                    outcome = self.ingest_once(batch.clone(), arrival);
-                }
-                outcome
+                result => transport::ack_of(result),
             }
-        }
+        })
     }
 
     fn poll_control(&self, rank: usize, now: VirtualTime) -> Vec<ControlDirective> {
-        if let Some(crash_at) = self.plan.server_crash() {
-            if now >= crash_at && !self.service.failed_over() {
-                // A poll can be the first operation to observe the planned
-                // crash instant; it promotes the standby just like a send.
-                let _ = self.service.fail_over(crash_at);
-            }
-        }
+        self.fail_over_if_due(now);
         // A deregistered tenant has no control plane; the rank's poll
         // comes back empty instead of panicking on the routing lookup.
         let Some(server) = self.service.server(self.tenant) else {
             return Vec::new();
         };
-        crate::transport::faulty_poll_control(&server, &self.plan, rank, now)
+        transport::faulty_poll_control(&server, &self.plan, rank, now)
     }
 
     fn ack_control(&self, rank: usize, epoch: u64, _now: VirtualTime) {
@@ -916,7 +777,7 @@ mod tests {
     }
 
     #[test]
-    fn unknown_tenant_has_no_session() {
+    fn unknown_tenant_ingest_is_a_typed_permanent_error() {
         let svc = AnalysisService::new(ServiceConfig::default());
         let err = svc
             .ingest(
@@ -927,19 +788,11 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, IngestError::UnknownTenant(TenantId(9)));
         assert!(!err.is_retryable(), "resending cannot register a tenant");
-        assert!(matches!(
-            svc.session(TenantId(9)),
-            Err(ServiceError::UnknownTenant(TenantId(9)))
-        ));
     }
 
     #[test]
     fn unknown_tenant_control_traffic_is_rejected_typed() {
         let svc = AnalysisService::new(ServiceConfig::default());
-        assert_eq!(
-            svc.control_poll(TenantId(4), 0, VirtualTime::ZERO),
-            Err(ServiceError::UnknownTenant(TenantId(4)))
-        );
         assert_eq!(
             svc.control_ack(TenantId(4), 0, 1),
             Err(ServiceError::UnknownTenant(TenantId(4)))
@@ -960,10 +813,6 @@ mod tests {
             ServiceError::AdmissionDenied { tenants: 4, max: 4 },
             ServiceError::DuplicateTenant(TenantId(1)),
             ServiceError::UnknownTenant(TenantId(2)),
-            ServiceError::TenantBusy {
-                tenant: TenantId(3),
-                sessions: 2,
-            },
             ServiceError::InvalidTenantConfig {
                 tenant: TenantId(4),
                 source: crate::error::RuntimeError::invalid_config("slice", "must be positive"),
@@ -979,8 +828,7 @@ mod tests {
                 ServiceError::DuplicateTenant(t)
                 | ServiceError::UnknownTenant(t)
                 | ServiceError::EngineAlreadyLive(t) => Some(*t),
-                ServiceError::TenantBusy { tenant, .. }
-                | ServiceError::InvalidTenantConfig { tenant, .. } => Some(*tenant),
+                ServiceError::InvalidTenantConfig { tenant, .. } => Some(*tenant),
             };
             // ...and the rendered message must carry it for operators.
             if let Some(t) = blamed {
@@ -1109,7 +957,7 @@ mod tests {
     }
 
     #[test]
-    fn deregister_refuses_unknown_and_busy_tenants() {
+    fn deregister_refuses_unknown_tenants() {
         let svc = AnalysisService::new(ServiceConfig::default());
         assert_eq!(
             svc.deregister_tenant(TenantId(3)),
@@ -1117,15 +965,6 @@ mod tests {
         );
         let t = TenantId(0);
         svc.register(t, spec(1)).unwrap();
-        let session = svc.session(t).unwrap();
-        assert_eq!(
-            svc.deregister_tenant(t),
-            Err(ServiceError::TenantBusy {
-                tenant: t,
-                sessions: 1
-            })
-        );
-        session.close(VirtualTime::from_millis(1));
         svc.deregister_tenant(t).unwrap();
         assert!(svc.tenants().is_empty());
     }

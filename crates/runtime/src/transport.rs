@@ -18,8 +18,10 @@
 
 use crate::config::RuntimeConfig;
 use crate::control::{ControlDirective, CONTROL_SEQ_BASE};
+use crate::crc::Crc32;
+use crate::engine::{AnalysisServer, IngestReceipt};
+use crate::error::IngestError;
 use crate::record::SliceRecord;
-use crate::server::AnalysisServer;
 use cluster_sim::fault::{FaultPlan, SendFate};
 use cluster_sim::time::{Duration, VirtualTime};
 use cluster_sim::trace::{self, Category, TraceEvent};
@@ -106,30 +108,19 @@ impl TelemetryBatch {
     }
 }
 
-/// CRC-32 (IEEE 802.3, bitwise) over the batch header and each record's
-/// wire fields. Table-free: batches are small and this runs on simulated
-/// time anyway.
+/// CRC-32 over the batch header and each record's wire fields.
 fn checksum(rank: usize, seq: u64, records: &[SliceRecord]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            crc ^= b as u32;
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            }
-        }
-    };
-    eat(&(rank as u64).to_le_bytes());
-    eat(&seq.to_le_bytes());
+    let mut crc = Crc32::new();
+    crc.eat(&(rank as u64).to_le_bytes());
+    crc.eat(&seq.to_le_bytes());
     for r in records {
-        eat(&r.sensor.0.to_le_bytes());
-        eat(&r.slice.to_le_bytes());
-        eat(&r.avg.as_nanos().to_le_bytes());
-        eat(&r.count.to_le_bytes());
-        eat(&r.bucket.0.to_le_bytes());
+        crc.eat(&r.sensor.0.to_le_bytes());
+        crc.eat(&r.slice.to_le_bytes());
+        crc.eat(&r.avg.as_nanos().to_le_bytes());
+        crc.eat(&r.count.to_le_bytes());
+        crc.eat(&r.bucket.0.to_le_bytes());
     }
-    !crc
+    crc.finish()
 }
 
 /// What one transmission attempt produced, from the sender's view.
@@ -192,62 +183,50 @@ pub trait AnalysisSink: BatchChannel {
     fn server(&self) -> Arc<AnalysisServer>;
 }
 
-/// The lossless channel: every batch is ingested immediately and acked.
-pub struct DirectChannel {
-    server: Arc<AnalysisServer>,
-}
-
-impl DirectChannel {
-    /// Wrap a server.
-    pub fn new(server: Arc<AnalysisServer>) -> Self {
-        DirectChannel { server }
+/// The sender's view of one ingest result. Accepted and duplicate
+/// deliveries both deserve an ack; only retryable rejections (corruption)
+/// are worth resending; malformed or closed means the server rejected the
+/// batch for good, so the sender should stop.
+pub(crate) fn ack_of(result: Result<IngestReceipt, IngestError>) -> SendOutcome {
+    match result {
+        Ok(_) => SendOutcome::Acked,
+        Err(e) if e.is_retryable() => SendOutcome::NoAck,
+        Err(_) => SendOutcome::Acked,
     }
 }
 
-impl BatchChannel for DirectChannel {
-    fn send(&self, batch: &TelemetryBatch, now: VirtualTime, _attempt: u32) -> SendOutcome {
-        match self.server.session().ingest(batch.clone(), now) {
-            // Accepted and duplicate deliveries both deserve an ack.
-            Ok(_) => SendOutcome::Acked,
-            // Only corruption is retryable; malformed or closed means the
-            // server rejected the batch for good, so retrying is pointless
-            // and the sender should stop.
-            Err(e) if e.is_retryable() => SendOutcome::NoAck,
-            Err(_) => SendOutcome::Acked,
+/// One fault-injected telemetry attempt: roll the plan's dice for
+/// `(rank, seq, attempt)` and hand what the fabric lets through to
+/// `ingest` — the one thing that differs between a server-backed channel
+/// and a tenant route. A corrupted copy reaches the target, fails its CRC
+/// check and produces no ack; a duplicated batch arrives `copies` times
+/// and the last arrival's outcome is what the sender sees.
+pub(crate) fn deliver(
+    plan: &FaultPlan,
+    batch: &TelemetryBatch,
+    now: VirtualTime,
+    attempt: u32,
+    ingest: impl Fn(TelemetryBatch, VirtualTime) -> SendOutcome,
+) -> SendOutcome {
+    match plan.fate(batch.rank, batch.seq, attempt, now) {
+        SendFate::Unreachable => SendOutcome::Unreachable,
+        SendFate::Dropped => SendOutcome::NoAck,
+        SendFate::Delivered {
+            copies,
+            delay,
+            corrupt,
+        } => {
+            let arrival = now + delay;
+            if corrupt {
+                ingest(batch.corrupted_copy(), arrival);
+                return SendOutcome::NoAck;
+            }
+            let mut outcome = SendOutcome::NoAck;
+            for _ in 0..copies.max(1) {
+                outcome = ingest(batch.clone(), arrival);
+            }
+            outcome
         }
-    }
-
-    fn poll_control(&self, rank: usize, now: VirtualTime) -> Vec<ControlDirective> {
-        // Lossless: a due directive is delivered exactly once.
-        self.server
-            .control_begin_attempt(rank, now)
-            .map(|(d, _)| vec![d])
-            .unwrap_or_default()
-    }
-
-    fn ack_control(&self, rank: usize, epoch: u64, _now: VirtualTime) {
-        self.server.control_ack(rank, epoch);
-    }
-}
-
-impl AnalysisSink for DirectChannel {
-    fn server(&self) -> Arc<AnalysisServer> {
-        self.server.clone()
-    }
-}
-
-/// A channel that consults a [`FaultPlan`] for every attempt: batches may
-/// be dropped, duplicated, delayed (arriving out of order), corrupted, or
-/// refused outright during server outages.
-pub struct FaultyChannel {
-    server: Arc<AnalysisServer>,
-    plan: FaultPlan,
-}
-
-impl FaultyChannel {
-    /// Wrap a server with a fault plan.
-    pub fn new(server: Arc<AnalysisServer>, plan: FaultPlan) -> Self {
-        FaultyChannel { server, plan }
     }
 }
 
@@ -257,7 +236,8 @@ impl FaultyChannel {
 /// (backoff already scheduled), delay reschedules it (a late arrival, not
 /// a loss), corruption delivers a damaged frame the rank's CRC gate will
 /// reject, and duplication returns multiple copies the rank sheds as
-/// stale. Shared by every fault-injecting channel.
+/// stale. Under [`FaultPlan::none`] a due directive is returned exactly
+/// once. Shared by every channel.
 pub(crate) fn faulty_poll_control(
     server: &AnalysisServer,
     plan: &FaultPlan,
@@ -294,201 +274,141 @@ pub(crate) fn faulty_poll_control(
     }
 }
 
-impl BatchChannel for FaultyChannel {
-    fn send(&self, batch: &TelemetryBatch, now: VirtualTime, attempt: u32) -> SendOutcome {
-        match self.plan.fate(batch.rank, batch.seq, attempt, now) {
-            SendFate::Unreachable => SendOutcome::Unreachable,
-            SendFate::Dropped => SendOutcome::NoAck,
-            SendFate::Delivered {
-                copies,
-                delay,
-                corrupt,
-            } => {
-                let arrival = now + delay;
-                if corrupt {
-                    // The damaged payload reaches the server, fails its CRC
-                    // check, and produces no ack.
-                    let _ = self
-                        .server
-                        .session()
-                        .ingest(batch.corrupted_copy(), arrival);
-                    return SendOutcome::NoAck;
-                }
-                let mut outcome = SendOutcome::NoAck;
-                for _ in 0..copies.max(1) {
-                    outcome = match self.server.session().ingest(batch.clone(), arrival) {
-                        Ok(_) => SendOutcome::Acked,
-                        Err(e) if e.is_retryable() => SendOutcome::NoAck,
-                        Err(_) => SendOutcome::Acked,
-                    };
-                }
-                outcome
-            }
+/// The server-backed channel. It consults a [`FaultPlan`] for every
+/// attempt: batches may be dropped, duplicated, delayed (arriving out of
+/// order), corrupted, or refused outright during server outages.
+///
+/// When the plan schedules a server crash *and* the server is durable (see
+/// [`AnalysisServer::try_new_durable`]), the server fail-stops at the
+/// planned instant: the first operation observed at or after it —
+/// telemetry send, control poll or control ack — kills the current server
+/// (its in-memory state is discarded wholesale, exactly like a crashed
+/// process) and replaces it with [`AnalysisServer::recover`]'s
+/// reconstruction from the write-ahead log; delivery then continues as if
+/// nothing happened, and the plan's packet semantics still apply per
+/// attempt, so a crash can overlap other injected faults. A non-durable
+/// server has nothing to recover from and ignores the planned crash.
+pub struct FaultyChannel {
+    server: Arc<AnalysisServer>,
+    plan: FaultPlan,
+    /// Present iff the planned crash can fire: its instant, and the
+    /// recovered server once it has (`None` until then). Holding the lock
+    /// across an operation keeps a kill from racing an ingest into the
+    /// dying server.
+    crash: Option<(VirtualTime, parking_lot::Mutex<Option<Arc<AnalysisServer>>>)>,
+}
+
+impl FaultyChannel {
+    /// Wrap a server with a fault plan.
+    pub fn new(server: Arc<AnalysisServer>, plan: FaultPlan) -> Self {
+        let crash = plan
+            .server_crash()
+            .filter(|_| server.wal().is_some())
+            .map(|at| (at, parking_lot::Mutex::new(None)));
+        FaultyChannel {
+            server,
+            plan,
+            crash,
         }
     }
 
-    fn poll_control(&self, rank: usize, now: VirtualTime) -> Vec<ControlDirective> {
-        faulty_poll_control(&self.server, &self.plan, rank, now)
+    /// Run one channel operation against the live server, firing the
+    /// planned crash first if `now` reached it.
+    fn with_live<R>(&self, now: VirtualTime, op: impl FnOnce(&AnalysisServer) -> R) -> R {
+        let Some((crash_at, recovered)) = &self.crash else {
+            return op(&self.server);
+        };
+        let mut recovered = recovered.lock();
+        if recovered.is_none() && now >= *crash_at {
+            *recovered = Some(Arc::new(self.kill_and_recover(*crash_at, now)));
+        }
+        op(recovered.as_deref().unwrap_or(&self.server))
     }
 
-    fn ack_control(&self, rank: usize, epoch: u64, _now: VirtualTime) {
-        self.server.control_ack(rank, epoch);
+    /// Kill → recover. The old server's in-memory state dies with it; the
+    /// WAL is the only survivor.
+    fn kill_and_recover(&self, crash_at: VirtualTime, now: VirtualTime) -> AnalysisServer {
+        let wal = self
+            .server
+            .wal()
+            .expect("a planned crash is armed only for a durable server");
+        let trace_wal = |name: &'static str, at: VirtualTime| {
+            if trace::enabled(Category::ENGINE) {
+                trace::record(TraceEvent::instant(
+                    Category::ENGINE,
+                    name,
+                    trace::SERVER_LANE,
+                    at.as_nanos(),
+                    wal.batch_entries() as u64,
+                    wal.snapshot_entries() as u64,
+                ));
+            }
+        };
+        trace_wal("server_crash", crash_at);
+        let recovered = AnalysisServer::recover(wal).expect("WAL header was validated at creation");
+        trace_wal("server_recover", now);
+        recovered
+    }
+}
+
+impl BatchChannel for FaultyChannel {
+    fn send(&self, batch: &TelemetryBatch, now: VirtualTime, attempt: u32) -> SendOutcome {
+        self.with_live(now, |server| {
+            deliver(&self.plan, batch, now, attempt, |b, arrival| {
+                ack_of(server.ingest(b, arrival))
+            })
+        })
+    }
+
+    fn poll_control(&self, rank: usize, now: VirtualTime) -> Vec<ControlDirective> {
+        self.with_live(now, |server| {
+            faulty_poll_control(server, &self.plan, rank, now)
+        })
+    }
+
+    fn ack_control(&self, rank: usize, epoch: u64, now: VirtualTime) {
+        self.with_live(now, |server| server.control_ack(rank, epoch));
     }
 }
 
 impl AnalysisSink for FaultyChannel {
-    fn server(&self) -> Arc<AnalysisServer> {
-        self.server.clone()
-    }
-}
-
-/// A channel whose *server* fail-stops at a planned virtual instant and
-/// is rebuilt from its write-ahead log.
-///
-/// The first send observed at or after `crash_at` kills the current
-/// server (its in-memory state is discarded wholesale, exactly like a
-/// crashed process) and replaces it with [`AnalysisServer::recover`]'s
-/// reconstruction from the WAL; delivery then continues as if nothing
-/// happened. Fault-plan packet semantics (drops, duplicates, outages)
-/// still apply per attempt, so a crash can overlap other injected faults.
-pub struct CrashingChannel {
-    wal: Arc<crate::wal::WriteAheadLog>,
-    crash_at: VirtualTime,
-    plan: FaultPlan,
-    state: parking_lot::Mutex<CrashState>,
-}
-
-struct CrashState {
-    server: Arc<AnalysisServer>,
-    crashed: bool,
-}
-
-impl CrashingChannel {
-    /// Wrap a durable server (see [`AnalysisServer::try_new_durable`])
-    /// and its log; the crash fires at `crash_at`.
-    pub fn new(
-        server: Arc<AnalysisServer>,
-        wal: Arc<crate::wal::WriteAheadLog>,
-        crash_at: VirtualTime,
-        plan: FaultPlan,
-    ) -> Self {
-        CrashingChannel {
-            wal,
-            crash_at,
-            plan,
-            state: parking_lot::Mutex::new(CrashState {
-                server,
-                crashed: false,
-            }),
-        }
-    }
-
     /// The currently-live server — after the crash fired, the recovered
-    /// one. Callers read the final result through this handle.
-    pub fn server(&self) -> Arc<AnalysisServer> {
-        self.state.lock().server.clone()
-    }
-
-    /// Whether the planned crash has fired yet.
-    pub fn crashed(&self) -> bool {
-        self.state.lock().crashed
-    }
-
-    fn deliver(
-        &self,
-        server: &AnalysisServer,
-        batch: &TelemetryBatch,
-        now: VirtualTime,
-        attempt: u32,
-    ) -> SendOutcome {
-        match self.plan.fate(batch.rank, batch.seq, attempt, now) {
-            SendFate::Unreachable => SendOutcome::Unreachable,
-            SendFate::Dropped => SendOutcome::NoAck,
-            SendFate::Delivered {
-                copies,
-                delay,
-                corrupt,
-            } => {
-                let arrival = now + delay;
-                if corrupt {
-                    let _ = server.session().ingest(batch.corrupted_copy(), arrival);
-                    return SendOutcome::NoAck;
-                }
-                let mut outcome = SendOutcome::NoAck;
-                for _ in 0..copies.max(1) {
-                    outcome = match server.session().ingest(batch.clone(), arrival) {
-                        Ok(_) => SendOutcome::Acked,
-                        Err(e) if e.is_retryable() => SendOutcome::NoAck,
-                        Err(_) => SendOutcome::Acked,
-                    };
-                }
-                outcome
-            }
-        }
+    /// one.
+    fn server(&self) -> Arc<AnalysisServer> {
+        let recovered = self.crash.as_ref().and_then(|(_, r)| r.lock().clone());
+        recovered.unwrap_or_else(|| self.server.clone())
     }
 }
 
-impl CrashingChannel {
-    /// Fire the planned crash if `now` reached it: discard the current
-    /// server wholesale and rebuild from the WAL. Any channel operation —
-    /// telemetry send or control poll — can be the one that observes the
-    /// crash instant first.
-    fn fire_crash_if_due(&self, st: &mut CrashState, now: VirtualTime) {
-        if st.crashed || now < self.crash_at {
-            return;
-        }
-        // Kill → recover. The old server's in-memory state dies with
-        // it; the WAL is the only survivor.
-        if trace::enabled(Category::ENGINE) {
-            trace::record(TraceEvent::instant(
-                Category::ENGINE,
-                "server_crash",
-                cluster_sim::trace::SERVER_LANE,
-                self.crash_at.as_nanos(),
-                self.wal.batch_entries() as u64,
-                self.wal.snapshot_entries() as u64,
-            ));
-        }
-        let recovered =
-            AnalysisServer::recover(&self.wal).expect("WAL header was validated at creation");
-        st.server = Arc::new(recovered);
-        st.crashed = true;
-        if trace::enabled(Category::ENGINE) {
-            trace::record(TraceEvent::instant(
-                Category::ENGINE,
-                "server_recover",
-                cluster_sim::trace::SERVER_LANE,
-                now.as_nanos(),
-                self.wal.batch_entries() as u64,
-                self.wal.snapshot_entries() as u64,
-            ));
-        }
+/// The lossless channel: a [`FaultyChannel`] under [`FaultPlan::none`] —
+/// every batch is ingested immediately and acked, every due directive is
+/// delivered exactly once.
+pub struct DirectChannel(FaultyChannel);
+
+impl DirectChannel {
+    /// Wrap a server.
+    pub fn new(server: Arc<AnalysisServer>) -> Self {
+        DirectChannel(FaultyChannel::new(server, FaultPlan::none()))
     }
 }
 
-impl BatchChannel for CrashingChannel {
+impl BatchChannel for DirectChannel {
     fn send(&self, batch: &TelemetryBatch, now: VirtualTime, attempt: u32) -> SendOutcome {
-        let mut st = self.state.lock();
-        self.fire_crash_if_due(&mut st, now);
-        self.deliver(&st.server, batch, now, attempt)
+        self.0.send(batch, now, attempt)
     }
 
     fn poll_control(&self, rank: usize, now: VirtualTime) -> Vec<ControlDirective> {
-        let mut st = self.state.lock();
-        self.fire_crash_if_due(&mut st, now);
-        faulty_poll_control(&st.server, &self.plan, rank, now)
+        self.0.poll_control(rank, now)
     }
 
     fn ack_control(&self, rank: usize, epoch: u64, now: VirtualTime) {
-        let mut st = self.state.lock();
-        self.fire_crash_if_due(&mut st, now);
-        st.server.control_ack(rank, epoch);
+        self.0.ack_control(rank, epoch, now);
     }
 }
 
-impl AnalysisSink for CrashingChannel {
+impl AnalysisSink for DirectChannel {
     fn server(&self) -> Arc<AnalysisServer> {
-        CrashingChannel::server(self)
+        self.0.server()
     }
 }
 
@@ -873,6 +793,8 @@ mod tests {
     use super::*;
     use crate::dynrules::Bucket;
     use crate::record::{SensorInfo, SensorKind};
+    use crate::service::{AnalysisService, TenantChannel, TenantId};
+    use cluster_sim::fault::FaultConfig;
     use vsensor_lang::SensorId;
 
     fn rec(sensor: u32, slice: u64) -> SliceRecord {
@@ -885,15 +807,19 @@ mod tests {
         }
     }
 
+    fn sensors() -> Vec<SensorInfo> {
+        vec![SensorInfo {
+            sensor: SensorId(0),
+            kind: SensorKind::Computation,
+            process_invariant: true,
+            location: "t:0".into(),
+        }]
+    }
+
     fn server(ranks: usize) -> Arc<AnalysisServer> {
         Arc::new(AnalysisServer::new(
             ranks,
-            vec![SensorInfo {
-                sensor: SensorId(0),
-                kind: SensorKind::Computation,
-                process_invariant: true,
-                location: "t:0".into(),
-            }],
+            sensors(),
             RuntimeConfig::free_probes(),
         ))
     }
@@ -1030,28 +956,195 @@ mod tests {
         assert_eq!(t.in_flight(), 0);
     }
 
+    /// How a target is prepared so that an arriving batch meets one
+    /// particular ingest outcome.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Meets {
+        Accepted,
+        Duplicate,
+        Corrupt,
+        Malformed,
+        Closed,
+        Backpressure,
+    }
+
+    /// Ingests a target has seen: every ingest that gets past the closed
+    /// gate leaves exactly one mark in one of these counters.
+    fn marks(server: &AnalysisServer, service: Option<&AnalysisService>) -> u64 {
+        let delivery = server.interim(VirtualTime::from_secs(1)).delivery;
+        server.stats().batches
+            + server.stats().malformed
+            + delivery
+                .iter()
+                .map(|d| d.duplicates + d.corrupt)
+                .sum::<u64>()
+            + service.map_or(0, |s| s.stats(TenantId(0)).unwrap().backpressured)
+    }
+
     #[test]
-    fn duplicates_are_deduplicated_by_the_server() {
-        let s = server(1);
-        let plan = FaultPlan::new(cluster_sim::fault::FaultConfig {
-            duplicate_rate: 1.0,
-            ..Default::default()
-        });
-        let mut t = RankTransport::new(
-            0,
-            Arc::new(FaultyChannel::new(s.clone(), plan)),
-            TransportConfig::default(),
-        );
-        for i in 0..10u64 {
-            t.enqueue(vec![rec(0, i)], VirtualTime::from_millis(i));
+    fn every_fate_and_ingest_outcome_maps_to_one_send_outcome_on_both_targets() {
+        use crate::service::{ServiceConfig, TenantSpec};
+        let now = VirtualTime::from_millis(1);
+        let stall_end = VirtualTime::from_millis(10);
+        let window = Duration::from_secs(1);
+        let rates = |dup: f64, corrupt: f64| {
+            FaultPlan::new(FaultConfig {
+                duplicate_rate: dup,
+                corrupt_rate: corrupt,
+                ..Default::default()
+            })
+        };
+        // (plan forcing the fate, arrival instant, ingests it causes, and
+        // the outcome when the fate alone decides it)
+        let fates = [
+            (
+                FaultPlan::none().with_outage(VirtualTime::ZERO, stall_end),
+                now,
+                0,
+                Some(SendOutcome::Unreachable),
+            ),
+            (FaultPlan::lossy(1.0, 1), now, 0, Some(SendOutcome::NoAck)),
+            (FaultPlan::none(), now, 1, None),
+            (rates(1.0, 0.0), now, 2, None),
+            (
+                FaultPlan::none().with_stall(VirtualTime::ZERO, stall_end, Vec::new()),
+                stall_end,
+                1,
+                None,
+            ),
+            (rates(0.0, 1.0), now, 1, Some(SendOutcome::NoAck)),
+        ];
+        let outcomes = [
+            (Meets::Accepted, SendOutcome::Acked),
+            (Meets::Duplicate, SendOutcome::Acked),
+            (Meets::Corrupt, SendOutcome::NoAck),
+            (Meets::Malformed, SendOutcome::Acked),
+            (Meets::Closed, SendOutcome::Acked),
+        ];
+        for tenant in [false, true] {
+            for (plan, arrival, ingests, fate_decides) in &fates {
+                let refused = SendOutcome::Busy {
+                    retry_after: window - arrival.since(VirtualTime::ZERO),
+                };
+                // Only admission control refuses: no server-target row.
+                let backpressure = tenant.then_some((Meets::Backpressure, refused));
+                for (meets, delivered) in outcomes.iter().copied().chain(backpressure) {
+                    let good = TelemetryBatch::new(0, 0, now, vec![rec(0, 0)]);
+                    let batch = match meets {
+                        Meets::Corrupt => good.corrupted_copy(),
+                        Meets::Malformed => TelemetryBatch::new(7, 0, now, vec![rec(0, 0)]),
+                        _ => good.clone(),
+                    };
+                    let service = tenant.then(|| {
+                        let budget = u32::from(meets == Meets::Backpressure);
+                        let config = ServiceConfig::default()
+                            .with_batch_budget(budget)
+                            .with_budget_window(window);
+                        let service = Arc::new(AnalysisService::new(config));
+                        let spec = TenantSpec {
+                            ranks: 1,
+                            sensors: sensors(),
+                            config: RuntimeConfig::free_probes(),
+                        };
+                        service.register(TenantId(0), spec).unwrap();
+                        service
+                    });
+                    let live = match &service {
+                        Some(service) => service.server(TenantId(0)).unwrap(),
+                        None => server(1),
+                    };
+                    let channel: Box<dyn BatchChannel> = match &service {
+                        Some(service) => Box::new(TenantChannel::new(
+                            service.clone(),
+                            TenantId(0),
+                            plan.clone(),
+                        )),
+                        None => Box::new(FaultyChannel::new(live.clone(), plan.clone())),
+                    };
+                    match (meets, &service) {
+                        (Meets::Duplicate, _) => drop(live.ingest(good, now)),
+                        (Meets::Closed, _) => drop(live.session().close(stall_end)),
+                        // Use up rank 0's whole share of the window.
+                        (Meets::Backpressure, Some(service)) => {
+                            let spent = TelemetryBatch::new(0, 9, now, vec![rec(0, 9)]);
+                            service.ingest(TenantId(0), spent, now).unwrap();
+                        }
+                        _ => {}
+                    }
+                    let before = marks(&live, service.as_deref());
+                    let got = channel.send(&batch, now, 0);
+                    let seen = marks(&live, service.as_deref()) - before;
+                    let case = format!("tenant={tenant} {plan:?} meets {meets:?}");
+                    assert_eq!(got, fate_decides.unwrap_or(delivered), "{case}");
+                    let expected = if meets == Meets::Closed { 0 } else { *ingests };
+                    assert_eq!(seen, expected, "ingest count: {case}");
+                    if meets == Meets::Accepted && *ingests > 0 && fate_decides.is_none() {
+                        // Copies arrive at now + delay, and only one counts.
+                        let d = &live.interim(stall_end).delivery[0];
+                        assert_eq!((d.accepted, d.duplicates), (1, ingests - 1), "{case}");
+                        assert_eq!(d.mean_latency, arrival.since(now), "{case}");
+                    }
+                }
+            }
         }
-        assert_eq!(t.stats().acked, 10);
-        // Every batch arrived twice; the server kept one copy of each.
-        assert_eq!(s.stats().records, 10);
-        let result = s.interim(VirtualTime::from_secs(1));
-        assert_eq!(result.delivery[0].duplicates, 10);
-        assert_eq!(result.delivery[0].accepted, 10);
-        assert_eq!(result.delivery[0].gaps, 0);
+    }
+
+    #[test]
+    fn a_control_poll_can_be_the_first_operation_to_observe_the_planned_crash() {
+        // Three sensors, one rank, a budget the stream blows through: the
+        // controller darkens the two heaviest sensors, one epoch each.
+        let config = RuntimeConfig {
+            overhead_budget: 0.01,
+            ..RuntimeConfig::default()
+        };
+        let table: Vec<SensorInfo> = (0..3)
+            .map(|id| SensorInfo {
+                sensor: SensorId(id),
+                ..sensors().remove(0)
+            })
+            .collect();
+        // The rank polls, acks what it got, then flushes — every 100 ms.
+        // Returns the live server's schedule and whether the poll at
+        // 300 ms swapped the server out.
+        let drive = |plan: FaultPlan| {
+            let (server, _wal) =
+                AnalysisServer::try_new_durable(1, table.clone(), config.clone()).unwrap();
+            let first = Arc::new(server);
+            let channel = FaultyChannel::new(first.clone(), plan);
+            let mut swapped_by_poll = false;
+            for k in 1..=12u64 {
+                let now = VirtualTime::from_millis(100 * k);
+                let was_first = Arc::ptr_eq(&channel.server(), &first);
+                let directives = channel.poll_control(0, now);
+                if k == 3 {
+                    swapped_by_poll = was_first && !Arc::ptr_eq(&channel.server(), &first);
+                }
+                for d in directives {
+                    channel.ack_control(0, d.epoch, now);
+                }
+                let records = (0..3u32)
+                    .map(|sensor| SliceRecord {
+                        count: 4_000 * (3 - sensor),
+                        ..rec(sensor, k)
+                    })
+                    .collect();
+                let batch = TelemetryBatch::new(0, k, now, records);
+                assert_eq!(channel.send(&batch, now, 0), SendOutcome::Acked);
+            }
+            let live = channel.server();
+            (live.control_schedule(), live.stats(), swapped_by_poll)
+        };
+        // The crash lands between the flush at 200 ms and the poll at
+        // 300 ms, before the first directive (issued by the pass at
+        // 400 ms): every epoch is decided by the recovered server.
+        let crash = FaultPlan::none().with_server_crash(VirtualTime::from_millis(250));
+        let (crashed_schedule, crashed_stats, swapped_by_poll) = drive(crash);
+        let (schedule, stats, never_swapped) = drive(FaultPlan::none());
+        assert!(swapped_by_poll, "the poll at 300 ms must fire the crash");
+        assert!(!never_swapped);
+        assert_eq!(schedule.len(), 2, "{schedule:?}");
+        assert_eq!(crashed_schedule, schedule);
+        assert_eq!(crashed_stats, stats);
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! [`ServerResult`]: crate::ServerResult
 
 use crate::config::RuntimeConfig;
+use crate::crc::Crc32;
 use crate::engine::EngineSnapshot;
 use crate::record::SensorInfo;
 use crate::transport::TelemetryBatch;
@@ -78,31 +79,6 @@ pub(crate) struct RecoveryState {
 pub struct WriteAheadLog {
     header: WalHeader,
     frames: Mutex<Vec<Frame>>,
-}
-
-/// Bitwise CRC-32 (IEEE 802.3) folder for frame checksums. Table-free:
-/// frames are checked once per recovery, not per ingest. Shared with the
-/// cross-run baseline store, which frames its file the same way.
-pub(crate) struct Crc32(u32);
-
-impl Crc32 {
-    pub(crate) fn new() -> Self {
-        Crc32(0xFFFF_FFFF)
-    }
-
-    pub(crate) fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u32;
-            for _ in 0..8 {
-                let mask = (self.0 & 1).wrapping_neg();
-                self.0 = (self.0 >> 1) ^ (0xEDB8_8320 & mask);
-            }
-        }
-    }
-
-    pub(crate) fn finish(self) -> u32 {
-        !self.0
-    }
 }
 
 /// Frame checksum for one entry. For batches this covers the wire header,
@@ -328,7 +304,7 @@ mod tests {
         assert_eq!(rec.tail.len(), 2);
         assert_eq!(rec.dropped, 0);
         // A snapshot cuts the tail; later batches accumulate after it.
-        let engine = crate::engine::Engine::new(
+        let engine = crate::AnalysisServer::new(
             1,
             wal.header().sensors.clone(),
             wal.header().config.clone(),
@@ -382,7 +358,7 @@ mod tests {
         let wal = WriteAheadLog::new(header());
         let t = VirtualTime::from_micros(1);
         wal.append_batch(batch(0), t);
-        let engine = crate::engine::Engine::new(
+        let engine = crate::AnalysisServer::new(
             1,
             wal.header().sensors.clone(),
             wal.header().config.clone(),

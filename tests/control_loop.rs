@@ -27,7 +27,9 @@ use vsensor_bench::failstop::first_mismatch;
 use vsensor_repro::cluster_sim::{ClusterConfig, FaultPlan, VirtualTime};
 use vsensor_repro::interp::{InstrumentedRun, RunConfig};
 use vsensor_repro::runtime::record::SensorKind;
-use vsensor_repro::runtime::{AlertKind, RuntimeConfig};
+use vsensor_repro::runtime::{
+    AlertKind, AnalysisServer, AnalysisSink, DirectChannel, FaultyChannel, RuntimeConfig,
+};
 use vsensor_repro::simmpi::SimBackend;
 use vsensor_repro::{scenarios, Pipeline, Prepared};
 
@@ -398,6 +400,41 @@ fn rank_death_mid_epoch_cancels_pending_directives() {
     let again = run(budget_prepared(), cluster, runtime);
     assert_eq!(first_mismatch(&outcome.server, &again.server), None);
     assert_eq!(again.analysis.control_schedule(), schedule);
+}
+
+#[test]
+fn direct_channel_is_the_faulty_channel_under_an_empty_plan() {
+    // The same budgeted job through both constructors of the server-backed
+    // channel: telemetry fates and control polls must be indistinguishable.
+    let budget = tight_budget();
+    let via = |sink_of: fn(Arc<AnalysisServer>) -> Arc<dyn AnalysisSink>| {
+        let (cluster, runtime) = scenarios::overhead_budgeted(RANKS, BAD_NODE, MEM_PERF, budget);
+        let config = RunConfig {
+            runtime: no_escalation(runtime),
+            sim: SimBackend::event(),
+            ..Default::default()
+        };
+        let prepared = budget_prepared();
+        let server =
+            AnalysisServer::try_new(RANKS, prepared.sensors.clone(), config.runtime.clone())
+                .expect("the scenario's runtime configuration is valid");
+        prepared.run_sink(
+            Arc::new(cluster.with_ranks_per_node(RANKS_PER_NODE).build()),
+            &config,
+            sink_of(Arc::new(server)),
+        )
+    };
+    let direct = via(|server| Arc::new(DirectChannel::new(server)));
+    let faulty = via(|server| Arc::new(FaultyChannel::new(server, FaultPlan::none())));
+    assert_eq!(first_mismatch(&direct.server, &faulty.server), None);
+    for (a, b) in direct.ranks.iter().zip(&faulty.ranks) {
+        assert_eq!((a.end, &a.transport), (b.end, &b.transport));
+    }
+    assert_eq!(direct.report.transport, faulty.report.transport);
+    let schedule = direct.analysis.control_schedule();
+    assert!(!schedule.is_empty(), "the budget must force directives");
+    assert_eq!(schedule, faulty.analysis.control_schedule());
+    assert_eq!(direct.server.control, faulty.server.control);
 }
 
 #[test]

@@ -14,8 +14,11 @@
 //!    healthy Figure 21 tenant indistinguishable from the same job run
 //!    solo against a private server — matrices, events and volume
 //!    counters bitwise identical, the live alert stream and rendered
-//!    report identical up to the interleaving-dependent in-flight alert
-//!    means (which differ even between two solo runs).
+//!    report identical up to the in-flight alert means. The three runs
+//!    are hosted on `SimBackend::event()`: which detection pass surfaces
+//!    an alert, and over which ranks, depends on the arrival order of
+//!    batches, which only the event scheduler makes a function of the
+//!    seed (the thread backend leaves it to host-thread interleaving).
 
 use std::sync::Arc;
 use vsensor_bench::failstop::first_mismatch;
@@ -25,6 +28,7 @@ use vsensor_repro::interp::RunConfig;
 use vsensor_repro::runtime::{
     AlertKind, AnalysisService, ServiceConfig, TenantChannel, TenantId, TenantSpec,
 };
+use vsensor_repro::simmpi::SimBackend;
 use vsensor_repro::{scenarios, Pipeline};
 
 #[test]
@@ -94,6 +98,7 @@ fn faulty_tenant_cannot_perturb_a_healthy_neighbor() {
     let (healthy_cluster, runtime) = scenarios::live_bad_node(ranks, bad_node, 0.55);
     let config = RunConfig {
         runtime: runtime.clone(),
+        sim: SimBackend::event(),
         ..Default::default()
     };
     let solo = prepared.run(
@@ -119,6 +124,7 @@ fn faulty_tenant_cannot_perturb_a_healthy_neighbor() {
     let (faulty_cluster, faulty_runtime) = scenarios::node_death(ranks, bad_node, 0.55, 7, 8);
     let faulty_config = RunConfig {
         runtime: faulty_runtime,
+        sim: SimBackend::event(),
         ..Default::default()
     };
     service.register(TenantId(1), spec(&faulty_config)).unwrap();
@@ -155,12 +161,11 @@ fn faulty_tenant_cannot_perturb_a_healthy_neighbor() {
     // counters are bitwise identical to the solo run.
     assert_eq!(first_mismatch(&healthy.server, &solo.server), None);
     // The live alert stream conveys the same detections: the same kinds
-    // over the same rank regions, surfaced by the same detection passes.
+    // over the same rank regions, surfaced by the same detection passes
+    // — deterministic because every run here is on the event scheduler.
     // (An alert's emission instant, bin extent and in-flight `mean_perf`
-    // reflect whichever batches had been folded in when its pass fired —
-    // that depends on host-thread interleaving and differs even between
-    // two *solo* runs, so those fields are not compared bitwise; the
-    // deterministic end-of-run artifacts above are.)
+    // are left out of the shape; the end-of-run artifacts above are the
+    // bitwise contract.)
     let alert_shape = |alerts: &[vsensor_repro::runtime::VarianceAlert]| {
         alerts
             .iter()
