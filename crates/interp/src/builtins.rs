@@ -291,7 +291,7 @@ mod tests {
     fn int_arg_errors_on_missing_or_wrong_type() {
         assert_eq!(int_arg(&[Value::Int(5)], 0).unwrap(), 5);
         assert!(int_arg(&[], 0).is_err());
-        assert!(int_arg(&[Value::IntArray(vec![])], 0).is_err());
+        assert!(int_arg(&[Value::IntArray(Box::default())], 0).is_err());
         assert_eq!(int_arg(&[Value::Float(2.7)], 0).unwrap(), 2);
     }
 

@@ -120,13 +120,17 @@ pub struct Machine<'w> {
     program: Arc<Program>,
     proc: ProcRef<'w>,
     globals: Env,
-    pending: Work,
+    /// Work not yet converted into virtual time: all units, and how many
+    /// of them are memory-bound. One running total makes a charge one add
+    /// and one compare against the chunk threshold.
+    pending_total: u64,
+    pending_mem: u64,
+    /// Work already flushed; with `pending_total` it is the work counter
+    /// since machine start (see [`Self::work_total`]).
+    work_flushed: u64,
     miss_rate: f64,
     /// Sensor machinery; absent for plain (uninstrumented) runs.
     sensors: Option<SensorHarness>,
-    /// Work counter since machine start (drives PMU sampling keys and
-    /// per-sense instruction counts).
-    work_total: u64,
     /// Open senses: (sensor, work counter at tick).
     open_senses: Vec<(SensorId, u64)>,
     validation: ValidationStats,
@@ -201,10 +205,11 @@ impl<'w> Machine<'w> {
             program,
             proc,
             globals,
-            pending: Work::default(),
+            pending_total: 0,
+            pending_mem: 0,
+            work_flushed: 0,
             miss_rate: 0.0,
             sensors,
-            work_total: 0,
             open_senses: Vec::new(),
             validation: ValidationStats::default(),
             rand_state: rand_seed,
@@ -312,17 +317,14 @@ impl<'w> Machine<'w> {
 
     /// Add bulk work (the `compute`/`mem_access` builtins).
     pub fn charge_bulk(&mut self, work: Work) {
-        self.pending = self.pending.plus(work);
-        self.work_total += work.total();
-        if self.pending.total() >= cost::CHUNK {
-            self.sync_clock();
-        }
+        self.pending_mem += work.mem;
+        self.charge(work.total());
     }
 
-    pub(crate) fn charge(&mut self, cpu: u64) {
-        self.pending.cpu += cpu;
-        self.work_total += cpu;
-        if self.pending.total() >= cost::CHUNK {
+    #[inline(always)]
+    pub(crate) fn charge(&mut self, units: u64) {
+        self.pending_total += units;
+        if self.pending_total >= cost::CHUNK {
             self.sync_clock();
         }
     }
@@ -334,34 +336,57 @@ impl<'w> Machine<'w> {
     /// fold whole runs of expression-node charges while keeping every
     /// flush boundary — and therefore every `Proc::compute` call — at the
     /// same work counts as the tree-walker.
+    #[inline(always)]
     pub(crate) fn charge_units(&mut self, n: u32) {
-        let mut left = n as u64;
+        let total = self.pending_total + n as u64;
+        if total < cost::CHUNK {
+            self.pending_total = total;
+        } else {
+            self.charge_units_flushing(n as u64);
+        }
+    }
+
+    /// [`Self::charge_units`] when at least one unit charge trips a flush.
+    #[cold]
+    #[inline(never)]
+    fn charge_units_flushing(&mut self, mut left: u64) {
         while left > 0 {
             // Units until a single-unit charge would trip the flush. The
             // accumulator can already sit at/above the threshold (memory
             // charges don't flush), in which case the next unit trips it.
-            let to_flush = cost::CHUNK.saturating_sub(self.pending.total()).max(1);
+            let to_flush = cost::CHUNK.saturating_sub(self.pending_total).max(1);
             if to_flush > left {
-                self.pending.cpu += left;
-                self.work_total += left;
+                self.pending_total += left;
                 return;
             }
-            self.pending.cpu += to_flush;
-            self.work_total += to_flush;
+            self.pending_total += to_flush;
             self.sync_clock();
             left -= to_flush;
         }
     }
 
+    #[inline(always)]
     pub(crate) fn charge_mem(&mut self, mem: u64) {
-        self.pending.mem += mem;
-        self.work_total += mem;
+        self.pending_total += mem;
+        self.pending_mem += mem;
+    }
+
+    /// Work counter since machine start (drives PMU sampling keys and
+    /// per-sense instruction counts).
+    fn work_total(&self) -> u64 {
+        self.work_flushed + self.pending_total
     }
 
     /// Convert all pending work into virtual time.
     pub fn sync_clock(&mut self) {
-        if self.pending.total() > 0 {
-            let w = std::mem::take(&mut self.pending);
+        if self.pending_total > 0 {
+            let w = Work {
+                cpu: self.pending_total - self.pending_mem,
+                mem: self.pending_mem,
+            };
+            self.work_flushed += self.pending_total;
+            self.pending_total = 0;
+            self.pending_mem = 0;
             self.proc.compute(w, self.miss_rate);
         }
     }
@@ -387,7 +412,7 @@ impl<'w> Machine<'w> {
                 0,
             ));
         }
-        self.open_senses.push((sensor, self.work_total));
+        self.open_senses.push((sensor, self.work_total()));
     }
 
     pub(crate) fn on_tock(&mut self, sensor: SensorId) {
@@ -419,12 +444,13 @@ impl<'w> Machine<'w> {
             ));
         }
         if let Some(work_at_tick) = opened {
-            let true_work = self.work_total - work_at_tick;
+            let work_total = self.work_total();
+            let true_work = work_total - work_at_tick;
             let measured = self
                 .proc
                 .cluster()
                 .pmu()
-                .measure_instructions(true_work, self.work_total ^ now.as_nanos());
+                .measure_instructions(true_work, work_total ^ now.as_nanos());
             self.validation.observe(sensor, measured);
         }
         let metrics = SenseMetrics {
@@ -524,10 +550,7 @@ impl<'w> Machine<'w> {
                 if n < 0 {
                     return Err(ExecError::new(format!("negative array length {n}")));
                 }
-                let v = match ty {
-                    vsensor_lang::ast::Type::Int => Value::IntArray(vec![0; n as usize]),
-                    vsensor_lang::ast::Type::Float => Value::FloatArray(vec![0.0; n as usize]),
-                };
+                let v = Value::zeroed_array(*ty, n as usize);
                 self.charge_mem(n as u64 / 8);
                 env.declare(name, v);
                 Ok(Flow::Normal)
@@ -741,51 +764,66 @@ pub(crate) fn coerce_scalar(v: Value, ty: vsensor_lang::ast::Type) -> Value {
     }
 }
 
+/// Element read, inlined into every caller (the VM's dispatch arms
+/// included) with the error construction outlined, so no formatting code
+/// sits in a loop body. A negative `i` wraps past any `Vec` length, so
+/// `get` is the whole bounds check.
+#[inline(always)]
 pub(crate) fn load_element(arr: &Value, i: i64) -> Result<Value, ExecError> {
-    let check = |len: usize| -> Result<usize, ExecError> {
-        if i < 0 || i as usize >= len {
-            Err(ExecError::new(format!(
-                "array index {i} out of bounds (len {len})"
-            )))
-        } else {
-            Ok(i as usize)
-        }
-    };
     match arr {
-        Value::IntArray(a) => Ok(Value::Int(a[check(a.len())?])),
-        Value::FloatArray(a) => Ok(Value::Float(a[check(a.len())?])),
-        _ => Err(ExecError::new("indexing a scalar")),
+        Value::IntArray(a) => match a.get(i as usize) {
+            Some(x) => Ok(Value::Int(*x)),
+            _ => Err(out_of_bounds(i, a.len())),
+        },
+        Value::FloatArray(a) => match a.get(i as usize) {
+            Some(x) => Ok(Value::Float(*x)),
+            _ => Err(out_of_bounds(i, a.len())),
+        },
+        _ => Err(cold_error("indexing a scalar")),
     }
 }
 
+/// Element write; bounds are checked before the stored value's type, as
+/// the error order is part of the walker≡VM contract.
+#[inline(always)]
 pub(crate) fn store_element(slot: &mut Value, i: i64, v: Value) -> Result<(), ExecError> {
     match slot {
-        Value::IntArray(a) => {
-            let len = a.len();
-            if i < 0 || i as usize >= len {
-                return Err(ExecError::new(format!(
-                    "array index {i} out of bounds (len {len})"
-                )));
-            }
-            a[i as usize] = v
-                .as_int()
-                .ok_or_else(|| ExecError::new("storing non-scalar into int array"))?;
-            Ok(())
-        }
+        Value::IntArray(a) => store_scalar(a, i, v.as_int(), "storing non-scalar into int array"),
         Value::FloatArray(a) => {
-            let len = a.len();
-            if i < 0 || i as usize >= len {
-                return Err(ExecError::new(format!(
-                    "array index {i} out of bounds (len {len})"
-                )));
-            }
-            a[i as usize] = v
-                .as_float()
-                .ok_or_else(|| ExecError::new("storing non-scalar into float array"))?;
-            Ok(())
+            store_scalar(a, i, v.as_float(), "storing non-scalar into float array")
         }
-        _ => Err(ExecError::new("indexing a scalar")),
+        _ => Err(cold_error("indexing a scalar")),
     }
+}
+
+#[inline(always)]
+fn store_scalar<T>(
+    a: &mut [T],
+    i: i64,
+    v: Option<T>,
+    non_scalar: &'static str,
+) -> Result<(), ExecError> {
+    let len = a.len();
+    let Some(x) = a.get_mut(i as usize) else {
+        return Err(out_of_bounds(i, len));
+    };
+    let Some(v) = v else {
+        return Err(cold_error(non_scalar));
+    };
+    *x = v;
+    Ok(())
+}
+
+#[cold]
+#[inline(never)]
+fn out_of_bounds(i: i64, len: usize) -> ExecError {
+    ExecError::new(format!("array index {i} out of bounds (len {len})"))
+}
+
+#[cold]
+#[inline(never)]
+fn cold_error(message: &'static str) -> ExecError {
+    ExecError::new(message)
 }
 
 pub(crate) fn binop(op: BinOp, l: Value, r: Value) -> Result<Value, ExecError> {

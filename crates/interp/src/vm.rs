@@ -19,7 +19,6 @@ use crate::machine::{
     binop, coerce_scalar, cost, load_element, store_element, ExecError, Machine, MachineResult,
 };
 use crate::values::Value;
-use vsensor_lang::ast::Type;
 use vsensor_lang::UnOp;
 
 /// A suspended caller: where to resume and where its locals/operands live.
@@ -235,12 +234,8 @@ fn run_vm_loop(
                 if n < 0 {
                     return Err(ExecError::new(format!("negative array length {n}")));
                 }
-                let v = match ty {
-                    Type::Int => Value::IntArray(vec![0; n as usize]),
-                    Type::Float => Value::FloatArray(vec![0.0; n as usize]),
-                };
                 m.charge_mem(n as u64 / 8);
-                locals[locals_base + *slot as usize] = v;
+                locals[locals_base + *slot as usize] = Value::zeroed_array(*ty, n as usize);
             }
             Insn::UnOp(op) => {
                 let v = pop!();
@@ -678,6 +673,20 @@ mod tests {
             "fn main() { int n = 0 - 4; int a[n]; }",
             "fn main() { int a[8]; int b[2]; int x = a[b]; }",
             "fn main() { int a[4]; a[0] = 0 - a; }",
+            // The cold side of every element-access arm, fused forms
+            // included: index -1, index == len, a truncated float index, a
+            // scalar indexed, a non-scalar stored.
+            "fn main() { int a[4]; int x = a[4]; }",
+            "fn main() { int a[4]; int x = a[4.9]; }",
+            "fn main() { int a[4]; int k = 0 - 1; int x = a[k]; }",
+            "fn main() { float a[4]; int k = 4; a[k] = 1; }",
+            "fn main() { int a[4]; int b[4]; int i = 4; int j = 0; int x = a[i] + b[j]; }",
+            "fn main() { int a[4]; int b[4]; int i = 0; int j = 0 - 1; int x = a[i] + b[j]; }",
+            "fn main() { int a[4]; int k = 4; int s = 1; s = s + 2 + a[k]; }",
+            "fn main() { int x = 1; int k = 0; x[k] = 2; }",
+            "global int g = 1; fn main() { g[0] = 2; }",
+            "fn main() { int a[4]; int b[2]; a[0] = b; }",
+            "fn main() { float a[4]; int b[2]; int k = 4; a[k] = b; }",
         ] {
             let (w, v) = both_errors(src);
             assert_eq!(w, v, "error mismatch for {src}");

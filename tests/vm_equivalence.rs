@@ -13,7 +13,11 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use vsensor_repro::cluster_sim::time::VirtualTime;
 use vsensor_repro::cluster_sim::{Cluster, ClusterConfig, FaultPlan, NoiseConfig};
-use vsensor_repro::interp::{run_plain_shared, ExecBackend, InstrumentedRun, RunConfig};
+use vsensor_repro::interp::machine::MachineResult;
+use vsensor_repro::interp::{
+    run_plain_shared, ExecBackend, ExecError, Executor, InstrumentedRun, RunConfig,
+};
+use vsensor_repro::simmpi::{SimBackend, World};
 use vsensor_repro::Pipeline;
 
 /// Run one prepared program under a given backend on a fresh cluster
@@ -244,4 +248,213 @@ fn noisy_cluster_solver_matches_bitwise() {
         };
         cfg.build()
     });
+}
+
+// ---------------------------------------------------------------------
+// The cold sides of the element-access arms, and array value semantics
+// through the boxed array payload (DESIGN.md §10, "Value layout").
+// ---------------------------------------------------------------------
+
+/// One plain rank under `backend`, errors returned instead of panicking.
+fn run_one(src: &str, backend: ExecBackend) -> Result<MachineResult, ExecError> {
+    let program = Arc::new(vsensor_repro::lang::compile(src).expect("program compiles"));
+    let exec = Executor::new(program, backend);
+    World::new(Arc::new(ClusterConfig::quiet(1).build()))
+        .run(|proc| exec.run_rank(proc, None))
+        .remove(0)
+}
+
+/// Every way an element access can fail, through the generic and each
+/// fused instruction form: both backends report the same text, verbatim.
+#[test]
+fn element_access_errors_match_verbatim() {
+    let oob = |i: i64| format!("array index {i} out of bounds (len 4)");
+    let cases: Vec<(&str, String)> = vec![
+        // Generic forms (computed index: LoadIndexLocal / StoreIndexLocal).
+        ("int a[4]; int x = a[0 - 1];", oob(-1)),
+        ("int a[4]; int x = a[2 + 2];", oob(4)),
+        ("int a[4]; a[0 - 1] = 1;", oob(-1)),
+        ("float a[4]; a[2 + 2] = 1;", oob(4)),
+        // Float indices truncate toward zero before the bounds check.
+        ("int a[4]; int x = a[4.9];", oob(4)),
+        ("int a[4]; float k = 0.0 - 1.5; a[k] = 1;", oob(-1)),
+        // LoadIndexLV / StoreIndexLV (local array, local index variable).
+        ("int a[4]; int k = 0 - 1; int x = a[k];", oob(-1)),
+        ("float a[4]; int k = 4; float x = a[k];", oob(4)),
+        ("int a[4]; int k = 4; a[k] = 1;", oob(4)),
+        ("float a[4]; int k = 0 - 1; a[k] = 1;", oob(-1)),
+        // BinOpII: left operand, then right operand.
+        (
+            "int a[4]; int b[4]; int i = 4; int j = 0; int x = a[i] + b[j];",
+            oob(4),
+        ),
+        (
+            "int a[4]; float b[4]; int i = 0; int j = 0 - 1; int x = a[i] * b[j];",
+            oob(-1),
+        ),
+        // BinOpIdx.
+        ("int a[4]; int k = 4; int s = 1; s = s + 2 + a[k];", oob(4)),
+        (
+            "float a[4]; int k = 0 - 1; float s = 1.0; s = s * 2.0 - a[k];",
+            oob(-1),
+        ),
+        // Indexing a scalar, local and global, read and write, fused or not.
+        ("int x = 1; int y = x[0];", "indexing a scalar".into()),
+        (
+            "int x = 1; int k = 0; int y = x[k];",
+            "indexing a scalar".into(),
+        ),
+        ("int x = 1; x[0] = 2;", "indexing a scalar".into()),
+        (
+            "int x = 1; int k = 0; x[k] = 2;",
+            "indexing a scalar".into(),
+        ),
+        ("int y = g[0];", "indexing a scalar".into()),
+        ("g[0] = 2;", "indexing a scalar".into()),
+        (
+            "int a[4]; int x = 1; int i = 0; int y = a[i] + x[i];",
+            "indexing a scalar".into(),
+        ),
+        (
+            "int x = 1; int k = 0; int s = 1; s = s + 2 + x[k];",
+            "indexing a scalar".into(),
+        ),
+        // A non-scalar stored into an element; bounds are judged first.
+        (
+            "int a[4]; int b[2]; a[0] = b;",
+            "storing non-scalar into int array".into(),
+        ),
+        (
+            "float a[4]; int b[2]; int k = 1; a[k] = b;",
+            "storing non-scalar into float array".into(),
+        ),
+        ("int a[4]; int b[2]; int k = 4; a[k] = b;", oob(4)),
+        // A non-scalar index.
+        (
+            "int a[4]; int b[2]; int x = a[b];",
+            "array index must be integer".into(),
+        ),
+        (
+            "int a[4]; int b[2]; a[b] = 1;",
+            "array index must be integer".into(),
+        ),
+    ];
+    for (body, expected) in cases {
+        let src = format!("global int g = 1; fn main() {{ {body} }}");
+        let walker = run_one(&src, ExecBackend::TreeWalker).expect_err(&src);
+        let vm = run_one(&src, ExecBackend::Vm).expect_err(&src);
+        assert_eq!(walker, vm, "error mismatch for {src}");
+        assert_eq!(walker.message, expected, "error text for {src}");
+    }
+}
+
+/// Programs that `explode()` (an unknown function: a runtime error) if an
+/// array ever holds the wrong contents, and fold what they read into
+/// `compute` so a wrong value also shifts virtual time.
+const ARRAY_SEMANTICS: &[&str] = &[
+    // In-range float indices truncate: a[1.9] is a[1], a[3.99] is a[3].
+    r#"fn main() {
+        int a[4];
+        for (k = 0; k < 4; k = k + 1) { a[k] = 10 * k; }
+        float f = 3.99;
+        if (a[1.9] != 10) { explode(); }
+        if (a[f] != 30) { explode(); }
+        a[f] = 7; a[0.5] = 9;
+        if (a[3] != 7 || a[0] != 9) { explode(); }
+        compute(a[f] * 1000 + a[0.5]);
+    }"#,
+    // An array handed to a callee is copied: the callee's stores do not
+    // reach the caller's array, and the callee sees the caller's values.
+    r#"fn poke(int b, int k) -> int {
+        if (b[k] != 5) { explode(); }
+        b[k] = 99; b[0] = b[0] + 1;
+        return b[k] + b[0];
+    }
+    fn main() {
+        int a[4]; float fa[2];
+        int k = 2;
+        a[k] = 5; fa[1] = 5.0;
+        int r = poke(a, k);
+        if (r != 100) { explode(); }
+        if (a[k] != 5 || a[0] != 0) { explode(); }
+        int r2 = poke(a, k);
+        if (r2 != 100 || a[k] != 5) { explode(); }
+        int fr = poke(fa, 1);
+        if (fr != 100 || fa[1] != 5.0 || fa[0] != 0.0) { explode(); }
+        int c = a;
+        c[k] = 6;
+        if (a[k] != 5 || c[k] != 6) { explode(); }
+        compute(a[k] * 1000 + r);
+    }"#,
+    // A declaration re-executed inside a loop starts zeroed every time.
+    r#"fn main() {
+        int n = 0;
+        for (it = 0; it < 5; it = it + 1) {
+            int a[6]; float f[3];
+            for (k = 0; k < 6; k = k + 1) { if (a[k] != 0) { explode(); } }
+            if (f[it - it / 3 * 3] != 0.0) { explode(); }
+            a[it] = it + 1; f[it - it / 3 * 3] = 2.5;
+            n = n + a[it];
+        }
+        int w = 0;
+        while (w < 3) { int b[2]; if (b[1] != 0) { explode(); } b[1] = 4; w = w + 1; }
+        compute(n * 100);
+    }"#,
+];
+
+#[test]
+fn array_semantics_match_through_the_boxed_payload() {
+    for src in ARRAY_SEMANTICS {
+        let walker = run_one(src, ExecBackend::TreeWalker).unwrap_or_else(|e| panic!("{e}: {src}"));
+        let vm = run_one(src, ExecBackend::Vm).unwrap_or_else(|e| panic!("{e}: {src}"));
+        assert_eq!(walker.end, vm.end, "virtual end time for {src}");
+        assert_eq!(walker.stats, vm.stats, "proc stats for {src}");
+    }
+}
+
+/// Arrays in the frame of `main` and of a suspended callee keep their
+/// contents while the rank is parked in the event scheduler: every
+/// blocking call below yields with the arrays live in the saved `VmState`.
+#[test]
+fn arrays_survive_yield_and_resume_on_the_event_scheduler() {
+    let src = r#"
+        fn exchange(int b, int rank) -> int {
+            int local[4];
+            for (k = 0; k < 4; k = k + 1) { local[k] = b[k] * 2 + rank; }
+            mpi_barrier();
+            int got = mpi_allreduce_val(8, local[3]);
+            for (k = 0; k < 4; k = k + 1) {
+                if (local[k] != b[k] * 2 + rank) { explode(); }
+            }
+            return got;
+        }
+        fn main() {
+            int rank = mpi_comm_rank();
+            int a[4]; float f[4];
+            for (k = 0; k < 4; k = k + 1) { a[k] = rank * 10 + k; f[k] = k + 0.5; }
+            int sum = 0;
+            for (it = 0; it < 3; it = it + 1) {
+                sum = sum + exchange(a, rank);
+                mpi_barrier();
+                for (k = 0; k < 4; k = k + 1) {
+                    if (a[k] != rank * 10 + k + it) { explode(); }
+                    if (f[k] != k + 0.5) { explode(); }
+                    a[k] = a[k] + 1;
+                }
+            }
+            compute(sum);
+        }
+    "#;
+    let program = Arc::new(vsensor_repro::lang::compile(src).unwrap());
+    let run = |backend, sim| {
+        let cluster = Arc::new(ClusterConfig::quiet(4).build());
+        run_plain_shared(program.clone(), cluster, backend, sim)
+    };
+    let walker = run(ExecBackend::TreeWalker, SimBackend::Threads);
+    let event = run(ExecBackend::Vm, SimBackend::event());
+    assert_eq!(walker.len(), event.len());
+    for (w, v) in walker.iter().zip(event.iter()) {
+        assert_eq!(w.end, v.end);
+        assert_eq!(w.stats, v.stats);
+    }
 }
