@@ -15,29 +15,33 @@
 //! overrides the rank count for the experiments that accept one: `table1`
 //! builds the table at N ranks on the event scheduler (`--ranks 16384`
 //! reproduces the paper's process count), and `simmpi` measures the
-//! scaling curve at N ranks only. `--check` turns the `interp`, `service`
-//! and `simmpi` experiments into the CI perf-regression gate: a reduced
-//! paper-scale measurement is compared against the committed
-//! `BENCH_*.json` and the process exits nonzero on regression.
-//! `--ratio-only` restricts the gates to machine-independent checks
-//! (same-machine ratios and virtual-time figures), dropping absolute
-//! wall-clock comparisons — required on hardware that is not comparable
-//! to the baseline machine (shared CI runners).
+//! scaling curve at N ranks only.
 //!
-//! `repro gate` (explicit-only, like `failover`) runs the perf gates and
-//! the control-plane study in
-//! one invocation and **appends** the fresh measurements to the history
+//! `interp`, `service`, `simmpi` and `control` are the *gate suites*
+//! ([`SUITES`]): each study reports `perf_gate::BenchRow`s and owns one
+//! committed baseline, `BENCH_<suite>.json`. Run plainly, a suite
+//! rewrites its baseline from the fresh rows; `--check` instead turns it
+//! into the CI perf-regression gate — a paper-scale measurement is
+//! compared row by row against the committed baseline and the process
+//! exits nonzero on regression. `--ratio-only` restricts the gate to
+//! machine-independent rows (same-machine ratios and virtual-time
+//! figures), skipping absolute wall-clock rows by name — required on
+//! hardware that is not comparable to the baseline machine (shared CI
+//! runners).
+//!
+//! `repro gate` (explicit-only, like `failover`) checks every suite in
+//! one invocation and **appends** the checked rows to the history
 //! file (`BENCH_history.jsonl`, override with `--history PATH`) — even
 //! when a gate fails, so the change-point analysis can see the failing
 //! regime form. `--stats` makes every gate variance-aware: once a cell
 //! has 5 recorded runs, the verdict comes from the recorded history
 //! (latest change-point regime median ± `max(3·MAD, floor)`) instead of
 //! the fixed 25 % band; shallower cells keep the fixed band. `--stats`
-//! also works with the individual `interp`/`service`/`simmpi --check`
-//! gates (read-only — only `gate` appends). `--allow-new-cells` accepts
-//! measured cells that are missing from the committed baseline (the
-//! intended flag when regenerating a baseline that grew a cell);
-//! without it, a new unmeasured cell fails the gate hard.
+//! also works with the individual `<suite> --check` gates (read-only —
+//! only `gate` appends). `--allow-new-cells` accepts measured cells that
+//! are missing from the committed baseline (the intended flag when
+//! regenerating a baseline that grew a cell); without it, a new
+//! unmeasured cell fails the gate hard.
 //!
 //! `repro simmpi --profile`
 //! prints the event scheduler's per-phase wall breakdown (due-set
@@ -46,6 +50,7 @@
 
 use cluster_sim::time::Duration;
 use std::path::PathBuf;
+use vsensor_bench::perf_gate::BenchRow;
 use vsensor_bench::*;
 use vsensor_runtime::record::SensorKind;
 use vsensor_viz::{render_ppm, render_svg, HeatmapOptions};
@@ -163,7 +168,20 @@ fn main() {
         std::process::exit(2);
     }
 
-    let gate_ctx = GateCtx::load(stats, allow_new_cells, history_arg);
+    let history_path = history_arg.map_or_else(|| committed("BENCH_history.jsonl"), PathBuf::from);
+    // A missing history file is an empty history, not an error: the
+    // stats gate falls back to the fixed band until runs accumulate.
+    let history_text = std::fs::read_to_string(&history_path).unwrap_or_default();
+    let ctx = GateCtx {
+        effort,
+        ranks: ranks_override,
+        out_dir: out_dir.clone(),
+        absolute: !ratio_only,
+        stats,
+        allow_new_cells,
+        history_path,
+        history: perf_gate::parse_history(&history_text),
+    };
 
     println!("vSensor reproduction harness — effort: {:?}\n", effort);
 
@@ -280,27 +298,6 @@ fn main() {
         section("ablations");
         println!("{}", ablations::render_all(effort));
     }
-    if want("interp") {
-        section("interp");
-        if check {
-            if !run_perf_gate(!ratio_only, &gate_ctx).passed() {
-                std::process::exit(1);
-            }
-        } else {
-            let r = interp_speed::run(effort);
-            println!("{}", r.render());
-            // The perf trajectory is always recorded: into --out when given,
-            // next to the invocation otherwise.
-            let json = r.to_json();
-            match &out_dir {
-                Some(_) => write_artifact(&out_dir, "BENCH_interp.json", &json),
-                None => {
-                    std::fs::write("BENCH_interp.json", &json).expect("write BENCH_interp.json");
-                    println!("[wrote BENCH_interp.json]");
-                }
-            }
-        }
-    }
     if want("trace") {
         section("trace");
         let r = trace_run::run(effort);
@@ -317,175 +314,183 @@ fn main() {
             std::process::exit(1);
         }
     }
-    if want("service") {
-        section("service");
-        if check {
-            if !run_service_gate(!ratio_only, &gate_ctx).passed() {
-                std::process::exit(1);
-            }
-        } else {
-            let r = service_bench::run(effort);
-            println!("{}", r.render());
-            let json = r.to_json();
-            match &out_dir {
-                Some(_) => write_artifact(&out_dir, "BENCH_service.json", &json),
-                None => {
-                    std::fs::write("BENCH_service.json", &json).expect("write BENCH_service.json");
-                    println!("[wrote BENCH_service.json]");
-                }
-            }
-            exit_unless_service_invariants(&r);
-        }
-    }
-    if want("simmpi") {
+    if want("simmpi") && profile {
         section("simmpi");
-        if profile {
-            // Per-phase wall breakdown of the event scheduler's dispatch
-            // loop, from the SCHED trace category: where does a
-            // rank-iteration's wall time go — heap ops, task execution,
-            // effect commit, or collective completion?
-            let ranks = ranks_override.unwrap_or(match effort {
-                Effort::Smoke => 256,
-                Effort::Paper => 4096,
-            });
-            println!("{}", simmpi_scale::profile(ranks).render());
-        } else if check {
-            if !run_simmpi_gate(!ratio_only, &gate_ctx).passed() {
-                std::process::exit(1);
-            }
-        } else {
-            let r = match ranks_override {
-                Some(ranks) => simmpi_scale::run_with_ranks(&[ranks]),
-                None => simmpi_scale::run(effort),
-            };
-            println!("{}", r.render());
-            let json = r.to_json();
-            match &out_dir {
-                Some(_) => write_artifact(&out_dir, "BENCH_simmpi.json", &json),
-                None => {
-                    std::fs::write("BENCH_simmpi.json", &json).expect("write BENCH_simmpi.json");
-                    println!("[wrote BENCH_simmpi.json]");
-                }
-            }
-        }
+        // Per-phase wall breakdown of the event scheduler's dispatch
+        // loop, from the SCHED trace category: where does a
+        // rank-iteration's wall time go — heap ops, task execution,
+        // effect commit, or collective completion?
+        let ranks = ranks_override.unwrap_or(match effort {
+            Effort::Smoke => 256,
+            Effort::Paper => 4096,
+        });
+        println!("{}", simmpi_scale::profile(ranks).render());
     }
-    if want("control") {
-        section("control");
-        let r = control_bench::run(effort);
-        println!("{}", r.render());
-        exit_unless_control_invariants(&r);
+    for suite in &SUITES {
+        let run = want(suite.0) && !(profile && suite.0 == "simmpi");
+        if run && run_gate(suite, check, &ctx).is_some_and(|report| !report.passed()) {
+            std::process::exit(1);
+        }
     }
     // `failover` is the CI smoke alias for the service study's failover
     // invariants — explicit-only so a bare `repro` does not run the
     // 16-tenant study twice.
     if selected.contains(&"failover") {
         section("failover");
-        let r = service_bench::run(effort);
-        println!("{}", r.render());
-        exit_unless_service_invariants(&r);
+        service_study(effort, false, None);
     }
-    // `gate` runs all three perf gates and files the fresh measurements
-    // into the history — explicit-only for the same reason: it re-runs
-    // the interp sweep and the 16-tenant study at paper scale.
+    // `gate` checks every suite and files the checked rows into the
+    // history — explicit-only for the same reason: it re-runs the interp
+    // sweep and the 16-tenant study at paper scale.
     if selected.contains(&"gate") {
         section("gate");
-        let interp = run_perf_gate(!ratio_only, &gate_ctx);
-        let service = run_service_gate(!ratio_only, &gate_ctx);
-        let simmpi = run_simmpi_gate(!ratio_only, &gate_ctx);
-        // The control-plane study has no committed baseline file — its
-        // figures are virtual-time deterministic, so the run history IS
-        // the baseline: the first runs seed it, `--stats` judges later
-        // runs against the recorded regime. Invariant violations fail
-        // hard regardless.
-        let control_run = control_bench::run(effort);
-        println!("{}", control_run.render());
-        exit_unless_control_invariants(&control_run);
-        let control = gate_ctx.finish(control_run.gate_report(), "control");
+        let run = perf_gate::next_history_run(&ctx.history);
+        let mut lines = String::new();
+        let mut passed = true;
+        for suite in &SUITES {
+            let report = run_gate(suite, true, &ctx).expect("a check always reports");
+            lines.push_str(&perf_gate::history_lines(&report, run));
+            passed &= report.passed();
+        }
         // Append before exiting, pass or fail: the change-point analysis
         // needs to see a failing regime *form* across runs, and a torn
         // append is tolerated by the valid-prefix parser anyway.
-        let run = perf_gate::next_history_run(&gate_ctx.history);
-        let mut lines = String::new();
-        for (suite, report) in [
-            ("interp", &interp),
-            ("service", &service),
-            ("simmpi", &simmpi),
-            ("control", &control),
-        ] {
-            lines.push_str(&perf_gate::history_lines(report, suite, run));
-        }
         use std::io::Write as _;
         std::fs::OpenOptions::new()
             .create(true)
             .append(true)
-            .open(&gate_ctx.history_path)
+            .open(&ctx.history_path)
             .and_then(|mut f| f.write_all(lines.as_bytes()))
             .unwrap_or_else(|e| {
                 eprintln!(
                     "gate: cannot append history to {}: {e}",
-                    gate_ctx.history_path.display()
+                    ctx.history_path.display()
                 );
                 std::process::exit(2);
             });
-        println!(
-            "[appended run {run} to {}]",
-            gate_ctx.history_path.display()
-        );
-        if !(interp.passed() && service.passed() && simmpi.passed() && control.passed()) {
+        println!("[appended run {run} to {}]", ctx.history_path.display());
+        if !passed {
             std::process::exit(1);
         }
     }
 }
 
-/// Everything the gates need beyond the committed baseline files: the
-/// `--stats` / `--allow-new-cells` flags and the parsed run history.
+/// A gate study runs at the given effort (`check` and an explicit
+/// `--ranks` may narrow its sweep), prints its report, exits nonzero on a
+/// broken invariant, and returns its gated rows.
+type Study = fn(Effort, bool, Option<usize>) -> Vec<BenchRow>;
+
+/// A gate suite: experiment name (also the `suite` of its rows), the
+/// committed baseline it rewrites and is checked against, and the study.
+type Suite = (&'static str, &'static str, Study);
+
+const SUITES: [Suite; 4] = [
+    ("interp", "BENCH_interp.json", interp_study),
+    ("service", "BENCH_service.json", service_study),
+    ("simmpi", "BENCH_simmpi.json", simmpi_study),
+    ("control", "BENCH_control.json", control_study),
+];
+
+fn interp_study(effort: Effort, check: bool, _ranks: Option<usize>) -> Vec<BenchRow> {
+    let r = if check {
+        // Reduced sweep: the two cheapest rank counts of the committed
+        // trajectory. Cells the sweep skips (ranks=64) are reported, not
+        // failed.
+        interp_speed::run_with_ranks(effort, &[4, 16])
+    } else {
+        interp_speed::run(effort)
+    };
+    println!("{}", r.render());
+    r.rows()
+}
+
+fn service_study(effort: Effort, _check: bool, _ranks: Option<usize>) -> Vec<BenchRow> {
+    let r = service_bench::run(effort);
+    println!("{}", r.render());
+    exit_unless_service_invariants(&r);
+    r.rows()
+}
+
+fn simmpi_study(effort: Effort, _check: bool, ranks: Option<usize>) -> Vec<BenchRow> {
+    // Paper effort is the whole committed curve, including the
+    // 16,384-rank point — the batched event scheduler finishes it in
+    // seconds, so the gate re-measures it and both adjacent scaling
+    // ratios.
+    let r = match ranks {
+        Some(ranks) => simmpi_scale::run_with_ranks(&[ranks]),
+        None => simmpi_scale::run(effort),
+    };
+    println!("{}", r.render());
+    r.rows()
+}
+
+fn control_study(effort: Effort, _check: bool, _ranks: Option<usize>) -> Vec<BenchRow> {
+    let r = control_bench::run(effort);
+    println!("{}", r.render());
+    exit_unless_control_invariants(&r);
+    r.rows()
+}
+
+/// Everything a suite run needs beyond the suite itself: the flags and
+/// the parsed run history.
 struct GateCtx {
+    effort: Effort,
+    ranks: Option<usize>,
+    out_dir: Option<PathBuf>,
+    absolute: bool,
     stats: bool,
     allow_new_cells: bool,
     history_path: PathBuf,
-    history: Vec<perf_gate::HistoryCell>,
+    history: Vec<(u64, BenchRow)>,
 }
 
-impl GateCtx {
-    fn load(stats: bool, allow_new_cells: bool, history_arg: Option<&String>) -> Self {
-        let history_path = match history_arg {
-            Some(p) => PathBuf::from(p),
-            None => {
-                // Next to the invocation first (repo root in CI), then
-                // relative to the crate — same search as the baselines.
-                let local = PathBuf::from("BENCH_history.jsonl");
-                let repo = PathBuf::from(concat!(
-                    env!("CARGO_MANIFEST_DIR"),
-                    "/../../BENCH_history.jsonl"
-                ));
-                if !local.exists() && repo.exists() {
-                    repo
-                } else {
-                    local
-                }
-            }
-        };
-        // A missing history file is an empty history, not an error: the
-        // stats gate falls back to the fixed band until runs accumulate.
-        let text = std::fs::read_to_string(&history_path).unwrap_or_default();
-        GateCtx {
-            stats,
-            allow_new_cells,
-            history_path,
-            history: perf_gate::parse_history(&text),
-        }
+/// A committed bench file: next to the invocation first (repo root in
+/// CI), then relative to the crate for `cargo run` from anywhere in the
+/// workspace.
+fn committed(name: &str) -> PathBuf {
+    let local = PathBuf::from(name);
+    let repo = PathBuf::from(format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR")));
+    if !local.exists() && repo.exists() {
+        repo
+    } else {
+        local
     }
+}
 
-    /// Apply the flags to a freshly compared report: new-cell policy
-    /// always, history verdicts when `--stats` is on.
-    fn finish(&self, mut report: perf_gate::GateReport, suite: &str) -> perf_gate::GateReport {
-        report.allow_new_cells = self.allow_new_cells;
-        if self.stats {
-            perf_gate::apply_history(&mut report, suite, &self.history);
-        }
-        println!("{}", report.render());
-        report
+/// Run one gate suite. Without `check`, the fresh rows become the suite's
+/// baseline — written into `--out` when given, next to the invocation
+/// otherwise — and there is no report. With `check`, the study runs at
+/// paper effort (the committed baselines were measured at paper scale, so
+/// a smoke run would not be comparable) and is compared against the
+/// committed baseline; the caller exits nonzero on a failed report so CI
+/// can gate on it.
+fn run_gate(suite: &Suite, check: bool, ctx: &GateCtx) -> Option<perf_gate::GateReport> {
+    let &(name, baseline_file, study) = suite;
+    section(name);
+    let effort = if check { Effort::Paper } else { ctx.effort };
+    let fresh = study(effort, check, ctx.ranks);
+    if !check {
+        let path = ctx.out_dir.clone().unwrap_or_default().join(baseline_file);
+        std::fs::write(&path, perf_gate::rows_to_json(&fresh)).expect("write baseline");
+        println!("[wrote {}]", path.display());
+        return None;
     }
+    let path = committed(baseline_file);
+    let baseline = std::fs::read_to_string(&path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| perf_gate::parse_rows(&text))
+        .unwrap_or_else(|e| {
+            eprintln!("perf gate: cannot read {}: {e}", path.display());
+            std::process::exit(2);
+        });
+    let tolerance = perf_gate::DEFAULT_TOLERANCE;
+    let mut report = perf_gate::compare(&baseline, &fresh, tolerance, ctx.absolute);
+    report.allow_new_cells = ctx.allow_new_cells;
+    if ctx.stats {
+        perf_gate::apply_history(&mut report, &ctx.history);
+    }
+    println!("{}", report.render());
+    Some(report)
 }
 
 /// Exit nonzero unless the control-plane study's three invariants hold:
@@ -549,108 +554,6 @@ fn exit_unless_service_invariants(r: &service_bench::ServiceBenchResult) {
     if failed {
         std::process::exit(1);
     }
-}
-
-/// The `interp --check` path: a reduced paper-scale sweep compared
-/// against the committed baseline. The caller exits nonzero on a failed
-/// report so CI can gate on it. Always paper-parameter workloads — the
-/// committed baseline was measured at paper scale, so a smoke sweep
-/// would not be comparable. With `--ratio-only` (`absolute = false`)
-/// only the machine-independent walker→VM speedup ratio is gated — the
-/// right mode for shared CI runners, whose absolute speed is not
-/// comparable to the baseline machine's.
-fn run_perf_gate(absolute: bool, ctx: &GateCtx) -> perf_gate::GateReport {
-    let baseline_text = read_baseline().unwrap_or_else(|e| {
-        eprintln!("perf gate: cannot read BENCH_interp.json: {e}");
-        std::process::exit(2);
-    });
-    let baseline = perf_gate::parse_baseline(&baseline_text).unwrap_or_else(|e| {
-        eprintln!("perf gate: cannot parse BENCH_interp.json: {e}");
-        std::process::exit(2);
-    });
-    // Reduced sweep: the two cheapest rank counts of the committed
-    // trajectory. Cells the sweep skips (ranks=64) are reported, not
-    // failed.
-    let fresh = interp_speed::run_with_ranks(Effort::Paper, &[4, 16]);
-    ctx.finish(
-        perf_gate::compare(&baseline, &fresh, perf_gate::DEFAULT_TOLERANCE, absolute),
-        "interp",
-    )
-}
-
-/// The `service --check` path: the paper-scale 16-tenant study compared
-/// against the committed `BENCH_service.json`. The p99 ingest latencies
-/// are *virtual-time* figures — machine-independent, so they are gated
-/// even under `--ratio-only`; the wall-clock batches/sec throughput is
-/// only gated with `absolute`. Backpressure engagement on the hot tenant
-/// is a correctness bit and always gated.
-fn run_service_gate(absolute: bool, ctx: &GateCtx) -> perf_gate::GateReport {
-    let baseline_text = read_service_baseline().unwrap_or_else(|e| {
-        eprintln!("service gate: cannot read BENCH_service.json: {e}");
-        std::process::exit(2);
-    });
-    let baseline = perf_gate::parse_service_baseline(&baseline_text).unwrap_or_else(|e| {
-        eprintln!("service gate: cannot parse BENCH_service.json: {e}");
-        std::process::exit(2);
-    });
-    let fresh = service_bench::run(Effort::Paper);
-    exit_unless_service_invariants(&fresh);
-    ctx.finish(
-        perf_gate::compare_service(&baseline, &fresh, perf_gate::DEFAULT_TOLERANCE, absolute),
-        "service",
-    )
-}
-
-/// The `simmpi --check` path: re-measure the committed rank-scaling
-/// curve — including the 16,384-rank point, which the batched event
-/// scheduler finishes in seconds — and compare against
-/// `BENCH_simmpi.json`. Virtual-time throughput and *both* adjacent
-/// scaling-efficiency ratios (1,024→4,096 and 4,096→16,384) are gated in
-/// every mode, so a collapsing tail cannot hide behind a healthy head;
-/// absolute wall throughput only without `--ratio-only`.
-fn run_simmpi_gate(absolute: bool, ctx: &GateCtx) -> perf_gate::GateReport {
-    let baseline_text = read_simmpi_baseline().unwrap_or_else(|e| {
-        eprintln!("simmpi gate: cannot read BENCH_simmpi.json: {e}");
-        std::process::exit(2);
-    });
-    let baseline = perf_gate::parse_simmpi_baseline(&baseline_text).unwrap_or_else(|e| {
-        eprintln!("simmpi gate: cannot parse BENCH_simmpi.json: {e}");
-        std::process::exit(2);
-    });
-    let fresh = simmpi_scale::run_with_ranks(&[1024, 4096, 16384]);
-    ctx.finish(
-        perf_gate::compare_simmpi(&baseline, &fresh, perf_gate::DEFAULT_TOLERANCE, absolute),
-        "simmpi",
-    )
-}
-
-fn read_simmpi_baseline() -> std::io::Result<String> {
-    std::fs::read_to_string("BENCH_simmpi.json").or_else(|_| {
-        std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_simmpi.json"
-        ))
-    })
-}
-
-fn read_service_baseline() -> std::io::Result<String> {
-    std::fs::read_to_string("BENCH_service.json").or_else(|_| {
-        std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_service.json"
-        ))
-    })
-}
-
-fn read_baseline() -> std::io::Result<String> {
-    // Next to the invocation first (repo root in CI), then relative to
-    // the crate for `cargo run` from anywhere in the workspace.
-    std::fs::read_to_string("BENCH_interp.json").or_else(|_| {
-        std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_interp.json"
-        ))
-    })
 }
 
 fn write_artifact(out_dir: &Option<PathBuf>, name: &str, content: &str) {

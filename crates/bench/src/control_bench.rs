@@ -19,8 +19,9 @@
 //!
 //! The `repro control` experiment exits nonzero when any of these
 //! invariants fails, so CI can gate on it; its virtual-time measurements
-//! (cost fractions, epoch counts) are filed into `BENCH_history.jsonl`
-//! by `repro gate` for change-point tracking.
+//! (cost fractions, epoch counts) are an ordinary gate suite — committed
+//! in `BENCH_control.json`, checked by `repro control --check` and filed
+//! into `BENCH_history.jsonl` by `repro gate`.
 
 use std::fmt::Write;
 use std::sync::Arc;
@@ -31,7 +32,7 @@ use vsensor_runtime::record::SensorKind;
 use vsensor_runtime::{AlertKind, RuntimeConfig};
 
 use crate::failstop::first_mismatch;
-use crate::perf_gate::{GateCheck, GateReport, DEFAULT_TOLERANCE};
+use crate::perf_gate::{BenchRow, Better, Kind};
 use crate::Effort;
 
 const RANKS_PER_NODE: usize = 2;
@@ -163,30 +164,20 @@ impl ControlBenchResult {
         out
     }
 
-    /// The study's virtual-time measurements as an already-passed gate
-    /// report, so `repro gate` can file them into the run history (and
-    /// `--stats` can judge them against the recorded regime). These are
-    /// deterministic figures: any drift is a simulation change.
-    pub fn gate_report(&self) -> GateReport {
-        let cell = |metric: &'static str, value: f64| GateCheck {
-            workload: "badnode".to_string(),
-            ranks: self.ranks,
-            metric,
-            baseline: value,
-            current: value,
-            ok: true,
-            stats: None,
+    /// The gated rows of the `control` suite (`BENCH_control.json`). All
+    /// four are virtual-time figures — any drift is a simulation change —
+    /// and all four regress upwards.
+    pub fn rows(&self) -> Vec<BenchRow> {
+        let row = |metric, value| {
+            let cell = format!("badnode/{}", self.ranks);
+            BenchRow::new("control", cell, metric, value, Kind::Virtual, Better::Lower)
         };
-        GateReport {
-            checks: vec![
-                cell("reference-cost-fraction", self.reference_fraction),
-                cell("budgeted-cost-fraction", self.budgeted_fraction),
-                cell("control-epochs", self.budget_stats.epochs_issued as f64),
-                cell("escalated-ranks", self.escalated.len() as f64),
-            ],
-            tolerance: DEFAULT_TOLERANCE,
-            ..Default::default()
-        }
+        vec![
+            row("reference-cost-fraction", self.reference_fraction),
+            row("budgeted-cost-fraction", self.budgeted_fraction),
+            row("control-epochs", self.budget_stats.epochs_issued as f64),
+            row("escalated-ranks", self.escalated.len() as f64),
+        ]
     }
 }
 
@@ -321,4 +312,20 @@ pub fn live_spans(outcome: &InstrumentedRun) -> Vec<(usize, usize)> {
             _ => None,
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::perf_gate::{parse_rows, rows_to_json};
+
+    #[test]
+    fn smoke_study_holds_its_invariants_and_its_rows_round_trip() {
+        let r = run(Effort::Smoke);
+        assert!(r.budget_held() && r.escalation_ok() && r.lossy_deterministic());
+        let gated = r.rows();
+        assert_eq!(gated.len(), 4);
+        assert_eq!(gated[0].key(), "badnode/16/reference-cost-fraction");
+        assert_eq!(parse_rows(&rows_to_json(&gated)), Ok(gated));
+    }
 }

@@ -5,9 +5,10 @@
 //! MiniHPC array loops rather than bulk builtins — under both execution
 //! backends across a rank sweep, and reports wall-clock nanoseconds per
 //! *simulated* second — the metric that decides how big a cluster the
-//! reproduction can afford to simulate. The `repro` binary serializes the
-//! rows to `BENCH_interp.json` so the perf trajectory is recorded
-//! machine-readably and future changes can diff against it.
+//! reproduction can afford to simulate. The `repro` binary serializes
+//! [`InterpSpeedResult::rows`] to `BENCH_interp.json` so the perf
+//! trajectory is recorded machine-readably and `repro interp --check`
+//! can gate future changes against it.
 
 use std::fmt::Write;
 use std::sync::Arc;
@@ -16,6 +17,7 @@ use vsensor::{scenarios, Pipeline, Prepared};
 use vsensor_apps::{cg, ft, Params};
 use vsensor_interp::{ExecBackend, RunConfig};
 
+use crate::perf_gate::{BenchRow, Better, Kind};
 use crate::Effort;
 
 /// One measured (workload, backend, ranks) cell.
@@ -42,16 +44,18 @@ pub struct InterpSpeedResult {
 }
 
 impl InterpSpeedResult {
-    /// Walker-time / VM-time for one (workload, ranks) pair.
-    pub fn speedup(&self, workload: &str, ranks: usize) -> Option<f64> {
-        let find = |backend: &str| {
-            self.rows
-                .iter()
-                .find(|r| r.workload == workload && r.ranks == ranks && r.backend == backend)
-        };
-        let walker = find("tree-walker")?;
-        let vm = find("vm")?;
-        Some(walker.wall_ns as f64 / vm.wall_ns.max(1) as f64)
+    /// Every (workload, ranks) cell measured under both backends, in
+    /// sweep order: the walker row, the VM row and the walker→VM speedup
+    /// (walker wall / VM wall).
+    fn cells(&self) -> impl Iterator<Item = (&InterpRow, &InterpRow, f64)> {
+        let vms = self.rows.iter().filter(|r| r.backend == "vm");
+        vms.filter_map(|v| {
+            let walker = |r: &&InterpRow| {
+                r.backend == "tree-walker" && r.workload == v.workload && r.ranks == v.ranks
+            };
+            let w = self.rows.iter().find(walker)?;
+            Some((w, v, w.wall_ns as f64 / v.wall_ns.max(1) as f64))
+        })
     }
 
     /// Human-readable table with a speedup column.
@@ -62,49 +66,38 @@ impl InterpSpeedResult {
             "{:<10} {:>6} {:>14} {:>14} {:>16} {:>9}",
             "workload", "ranks", "walker wall", "vm wall", "vm ns/sim-sec", "speedup"
         );
-        let mut keys: Vec<(&str, usize)> = Vec::new();
-        for r in &self.rows {
-            if !keys.contains(&(r.workload, r.ranks)) {
-                keys.push((r.workload, r.ranks));
-            }
-        }
-        for (workload, ranks) in keys {
-            let find = |backend: &str| {
-                self.rows
-                    .iter()
-                    .find(|r| r.workload == workload && r.ranks == ranks && r.backend == backend)
-            };
-            let (Some(w), Some(v)) = (find("tree-walker"), find("vm")) else {
-                continue;
-            };
+        for (w, v, speedup) in self.cells() {
             let _ = writeln!(
                 out,
                 "{:<10} {:>6} {:>12.2}ms {:>12.2}ms {:>16.0} {:>8.2}x",
-                workload,
-                ranks,
+                v.workload,
+                v.ranks,
                 w.wall_ns as f64 / 1e6,
                 v.wall_ns as f64 / 1e6,
                 v.wall_ns_per_sim_sec,
-                w.wall_ns as f64 / v.wall_ns.max(1) as f64,
+                speedup,
             );
         }
         out
     }
 
-    /// Machine-readable rows for `BENCH_interp.json`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let _ = write!(
-                out,
-                "  {{\"workload\": \"{}\", \"backend\": \"{}\", \"ranks\": {}, \
-                 \"wall_ns\": {}, \"simulated_secs\": {:.6}, \"wall_ns_per_sim_sec\": {:.1}}}",
-                r.workload, r.backend, r.ranks, r.wall_ns, r.simulated_secs, r.wall_ns_per_sim_sec,
-            );
-            out.push_str(if i + 1 < self.rows.len() { ",\n" } else { "\n" });
+    /// The gated rows of the `interp` suite (`BENCH_interp.json`), two
+    /// per cell. The speedup is a same-run ratio, so it is meaningful
+    /// even when CI hardware differs from the baseline machine; the VM
+    /// backend's wall ns per simulated second compares wall clocks
+    /// across machines.
+    pub fn rows(&self) -> Vec<BenchRow> {
+        let mut rows = Vec::new();
+        for (_, v, speedup) in self.cells() {
+            let cell = format!("{}/{}", v.workload, v.ranks);
+            let row = |metric, value, kind, better| {
+                BenchRow::new("interp", cell.clone(), metric, value, kind, better)
+            };
+            rows.push(row("vm-speedup", speedup, Kind::Ratio, Better::Higher));
+            let throughput = v.wall_ns_per_sim_sec;
+            rows.push(row("vm-throughput", throughput, Kind::Wall, Better::Lower));
         }
-        out.push_str("]\n");
-        out
+        rows
     }
 }
 
@@ -200,16 +193,18 @@ pub fn run_with_ranks(effort: Effort, rank_sweep: &[usize]) -> InterpSpeedResult
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::perf_gate::{parse_rows, rows_to_json};
 
     #[test]
-    fn smoke_sweep_produces_rows_and_json() {
+    fn smoke_sweep_produces_rows() {
         let r = run(Effort::Smoke);
         // 2 workloads × 2 rank counts × 2 backends.
         assert_eq!(r.rows.len(), 8);
-        assert!(r.speedup("cg-fig21", 4).is_some());
-        let json = r.to_json();
-        assert!(json.contains("\"backend\": \"vm\""));
-        assert!(json.contains("wall_ns_per_sim_sec"));
+        // Two gated rows per (workload, ranks) cell.
+        let gated = r.rows();
+        assert_eq!(gated.len(), 8);
+        assert_eq!(gated[0].key(), "cg-fig21/4/vm-speedup");
+        assert_eq!(parse_rows(&rows_to_json(&gated)), Ok(gated));
         assert!(r.render().contains("speedup"));
         // Both backends simulated the same virtual time (bit-identity).
         for pair in r.rows.chunks(2) {

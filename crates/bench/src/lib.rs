@@ -22,10 +22,11 @@
 //! | [`ablations`]        | design-choice sweeps called out in DESIGN.md |
 //! | [`interp_speed`]     | tree-walker vs bytecode-VM backend speed (`BENCH_interp.json`) |
 //! | [`trace_run`]        | traced degraded-transport run → Chrome trace JSON |
-//! | [`perf_gate`]        | CI regression gate over `BENCH_interp.json` |
+//! | [`perf_gate`]        | the one bench row (`BENCH_*.json`, `BENCH_history.jsonl`), its parser and the CI regression gate |
 //! | [`failstop`]         | node-death localization + WAL crash-recovery equivalence |
 //! | [`service_bench`]    | multi-tenant service: fairness, isolation, failover (`BENCH_service.json`) |
 //! | [`simmpi_scale`]     | event-backend rank-scaling curve to 16,384 ranks (`BENCH_simmpi.json`) |
+//! | [`control_bench`]    | closed control loop: budget, escalation, lossy determinism (`BENCH_control.json`) |
 
 pub mod ablations;
 pub mod control_bench;

@@ -1,45 +1,37 @@
-//! CI perf-regression gate over the committed interpreter benchmark.
+//! The perf-regression gate: one row schema, one parser, one comparator.
 //!
-//! `repro interp --check` re-measures a reduced slice of the
-//! [`crate::interp_speed`] sweep and compares it against the committed
-//! `BENCH_interp.json` trajectory. Two regressions fail the gate, each
-//! with a generous noise tolerance (CI machines are not the baseline
-//! machine):
+//! Every gated study (`interp`, `service`, `simmpi`, `control`) reports
+//! its measurements as [`BenchRow`]s — `{suite, cell, metric, value,
+//! kind, better}` — and that one shape is at once what a study's `rows()`
+//! emits, what the committed `BENCH_<suite>.json` baselines contain (a
+//! JSON array of rows) and what a `BENCH_history.jsonl` line is (a row
+//! plus its `run` index). Adding a gated number is therefore a data
+//! change: the owning study emits one more row and the baseline is
+//! regenerated; nothing in this module names a metric.
 //!
-//! * **Speedup loss** — the walker→VM speedup for a (workload, ranks)
-//!   cell drops by more than the tolerance. The speedup is a same-machine
-//!   ratio, so it is robust to absolute machine speed.
-//! * **Absolute slowdown** — the VM backend's wall-ns-per-simulated-second
-//!   worsens by more than the tolerance versus the baseline. Opt-in
-//!   (`absolute = true`): it compares wall clocks across machines, which
-//!   is only meaningful when the run executes on hardware comparable to
-//!   the one that produced the baseline. CI runs on shared runners whose
-//!   absolute speed routinely differs from any baseline machine by more
-//!   than any sane tolerance, so CI gates on the ratio alone
-//!   (`--ratio-only`).
+//! [`compare`] joins baseline and fresh rows on `(suite, cell, metric)`
+//! and reads every policy decision off the row itself:
 //!
-//! Only (workload, ranks) cells present in **both** the baseline and the
-//! fresh measurement are compared; baseline-only cells are counted as
-//! skipped, never failed.
+//! * `better` (`higher` | `lower`) is the direction in which a change is
+//!   *not* a regression; a value may move the other way by at most the
+//!   tolerance ([`DEFAULT_TOLERANCE`], generous because CI machines are
+//!   not the baseline machine).
+//! * `kind` says what the value is made of. `virtual` figures are
+//!   simulated time — deterministic and machine-independent, so drift
+//!   means the *simulation* changed. `ratio` figures divide two wall
+//!   measurements of the same run (walker→VM speedup, the scaling
+//!   efficiency between adjacent rank counts), so machine speed cancels.
+//!   Both are gated in every mode. `wall` figures compare wall clocks
+//!   across machines and are gated only with `absolute = true`
+//!   (`--check` without `--ratio-only`, on hardware comparable to the
+//!   baseline machine); otherwise they are skipped *and named*.
 //!
-//! The baseline parser is hand-rolled (the workspace has no JSON
-//! dependency) and accepts exactly the flat array-of-objects shape
-//! `InterpSpeedResult::to_json` emits.
+//! Derived cells are computed by the study that owns the raw numbers and
+//! emitted as `ratio` rows; the gate never re-derives anything.
 //!
-//! `repro service --check` gates the multi-tenant service the same way,
-//! over the committed `BENCH_service.json`: the per-tenant p99 ingest
-//! latencies are *virtual-time* quantities — deterministic and
-//! machine-independent, so they are gated even under `--ratio-only` —
-//! the hot tenant must still be the one engaging backpressure, and the
-//! absolute batches-per-wall-second throughput is gated only on
-//! comparable hardware (`absolute = true`).
-//!
-//! `repro simmpi --check` gates the event scheduler's rank-scaling curve
-//! over the committed `BENCH_simmpi.json`: the virtual-time throughput is
-//! deterministic (gated in every mode), the scaling-efficiency ratio
-//! between rank counts is same-machine (gated in every mode), and the
-//! absolute rank-iterations-per-wall-second is gated only with
-//! `absolute = true`.
+//! Baseline rows the fresh run did not measure are skipped by name, never
+//! failed (CI re-measures reduced sweeps). Fresh rows the baseline lacks
+//! are ungated cells — a hard failure unless `--allow-new-cells`.
 //!
 //! # History mode (`--stats`)
 //!
@@ -48,106 +40,182 @@
 //! all) and occasionally too tight for a wall-derived ratio on a noisy
 //! runner. `--stats` replaces it with the same statistics the runtime's
 //! cross-run baseline store uses ([`vsensor_runtime::stats`]): every
-//! gate run appends its fresh measurements to `BENCH_history.jsonl`
-//! (one flat JSON object per line, keyed by `workload/ranks/metric`),
-//! and once a cell has [`MIN_HISTORY_SAMPLES`] recorded runs the verdict
-//! becomes *variance-aware* — the history series is split at its most
-//! significant change-points (Welch-t scan, so a runner-hardware change
-//! mid-history starts a fresh regime instead of poisoning the median),
-//! and the current value must sit within `max(3·scaled-MAD,
-//! rel-floor·|median|)` of the latest regime's median in the worse
-//! direction. The relative floor is 1 % for virtual-time figures
-//! (deterministic by construction) and 10 % for wall-derived ones.
-//! Cells with shallower history keep the fixed-tolerance verdict — the
-//! fallback, not an error.
+//! `repro gate` run appends its checked rows to `BENCH_history.jsonl`,
+//! and once a `(suite, cell, metric)` series has [`MIN_HISTORY_SAMPLES`]
+//! recorded runs the verdict becomes *variance-aware* — the series is
+//! split at its most significant change-points (Welch-t scan, so a
+//! runner-hardware change mid-history starts a fresh regime instead of
+//! poisoning the median), and the current value must sit within
+//! `max(3·scaled-MAD, floor·|median|)` of the latest regime's median in
+//! the worse direction. The relative floor is 1 % for `virtual` rows and
+//! 10 % for `wall` and `ratio` rows. Series with shallower history keep
+//! the fixed-tolerance verdict — the fallback, not an error.
 //!
-//! History parsing has the runtime WAL's valid-prefix semantics: the
-//! first malformed line (a torn tail from an interrupted append) drops
-//! itself and everything after it.
+//! The parser is hand-rolled (the workspace has no JSON dependency) and
+//! accepts exactly flat objects. The baseline reader is strict (any
+//! malformed row is an error); the history reader has the runtime WAL's
+//! valid-prefix semantics: the first malformed line (a torn tail from an
+//! interrupted append) drops itself and everything after it.
 
 use std::fmt::Write;
 
 use vsensor_runtime::stats::{self, ShiftPolicy};
 
-use crate::interp_speed::InterpSpeedResult;
-use crate::service_bench::ServiceBenchResult;
-use crate::simmpi_scale::ScaleResult;
-
-#[cfg(test)]
-use crate::interp_speed::InterpRow;
-
-/// Default noise tolerance: a cell may lose up to 25 % speedup or get up
-/// to 25 % slower before the gate fails.
+/// Default noise tolerance: a row may move up to 25 % in its worse
+/// direction before the fixed-band gate fails.
 pub const DEFAULT_TOLERANCE: f64 = 0.25;
 
-/// One baseline cell parsed from `BENCH_interp.json`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BaselineRow {
-    /// Workload name (`cg-fig21`, `ft-fig22`).
-    pub workload: String,
-    /// Backend name (`tree-walker`, `vm`).
-    pub backend: String,
-    /// Simulated ranks.
-    pub ranks: usize,
-    /// Wall-clock nanoseconds of the baseline measurement.
-    pub wall_ns: u64,
-    /// Baseline wall nanoseconds per simulated second.
-    pub wall_ns_per_sim_sec: f64,
+/// A series needs this many recorded runs before the history verdict
+/// supersedes the fixed tolerance band — mirrors the runtime baseline
+/// store's `min_history`.
+pub const MIN_HISTORY_SAMPLES: usize = 5;
+
+/// What a row's value is made of — decides whether it is comparable
+/// across machines and how tightly history bounds it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    /// Simulated time: deterministic, gated in every mode, 1 % floor.
+    Virtual,
+    /// Wall clock: gated only on comparable hardware, 10 % floor.
+    Wall,
+    /// Same-run quotient of two wall figures: gated in every mode, 10 %
+    /// floor.
+    Ratio,
 }
 
-/// Split a flat JSON array of objects into the raw text of each object.
-/// Tolerates arbitrary whitespace and key order; every baseline format in
-/// this module is an array of flat objects, so the splitter is shared.
-fn split_objects(json: &str) -> Result<Vec<&str>, String> {
-    let trimmed = json.trim();
-    if !trimmed.starts_with('[') || !trimmed.ends_with(']') {
-        return Err("baseline is not a JSON array".into());
-    }
-    let mut objects = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    for (i, c) in trimmed.char_indices() {
-        match c {
-            '{' => {
-                if depth == 0 {
-                    start = i;
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth = depth
-                    .checked_sub(1)
-                    .ok_or_else(|| "unbalanced braces in baseline".to_string())?;
-                if depth == 0 {
-                    objects.push(&trimmed[start..=i]);
-                }
-            }
-            _ => {}
+/// The direction in which a change of the value is not a regression.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Better {
+    /// Speedups, throughputs, scaling ratios.
+    Higher,
+    /// Latencies, cost fractions, ns-per-work figures.
+    Lower,
+}
+
+impl Kind {
+    const ALL: [Kind; 3] = [Kind::Virtual, Kind::Wall, Kind::Ratio];
+
+    fn as_str(self) -> &'static str {
+        match self {
+            Kind::Virtual => "virtual",
+            Kind::Wall => "wall",
+            Kind::Ratio => "ratio",
         }
     }
-    if depth != 0 {
+}
+
+impl Better {
+    const ALL: [Better; 2] = [Better::Higher, Better::Lower];
+
+    fn as_str(self) -> &'static str {
+        match self {
+            Better::Higher => "higher",
+            Better::Lower => "lower",
+        }
+    }
+}
+
+/// One measurement: what studies emit, what baselines hold, what a
+/// history line records.
+#[derive(Clone, Debug, PartialEq)]
+pub struct BenchRow {
+    /// Gate suite (`interp`, `service`, `simmpi`, `control`).
+    pub suite: String,
+    /// What was measured, `workload/ranks` (`cg-fig21/4`, `simmpi/4096`).
+    pub cell: String,
+    /// Which figure of that cell (`vm-speedup`, `p99-hot-ingest`, ...).
+    pub metric: String,
+    /// The measured value.
+    pub value: f64,
+    /// What the value is made of.
+    pub kind: Kind,
+    /// Which direction is not a regression.
+    pub better: Better,
+}
+
+impl BenchRow {
+    /// Build a row.
+    pub fn new(
+        suite: &str,
+        cell: String,
+        metric: &str,
+        value: f64,
+        kind: Kind,
+        better: Better,
+    ) -> Self {
+        BenchRow {
+            suite: suite.into(),
+            cell,
+            metric: metric.into(),
+            value,
+            kind,
+            better,
+        }
+    }
+
+    /// The row's name in reports, `cell/metric` — the
+    /// `workload/ranks/metric` string earlier history files stored whole.
+    pub fn key(&self) -> String {
+        format!("{}/{}", self.cell, self.metric)
+    }
+
+    /// Whether two rows measure the same `(suite, cell, metric)` series.
+    fn same_series(&self, other: &BenchRow) -> bool {
+        self.suite == other.suite && self.cell == other.cell && self.metric == other.metric
+    }
+
+    /// The row's JSON fields, without the braces (a history line puts
+    /// `run` in front). `{:?}` prints the shortest text that parses back
+    /// to the same `f64`, so a row survives the file.
+    fn json_fields(&self) -> String {
+        format!(
+            "\"suite\": \"{}\", \"cell\": \"{}\", \"metric\": \"{}\", \"value\": {:?}, \
+             \"kind\": \"{}\", \"better\": \"{}\"",
+            self.suite,
+            self.cell,
+            self.metric,
+            self.value,
+            self.kind.as_str(),
+            self.better.as_str(),
+        )
+    }
+
+    /// The row as one flat JSON object.
+    pub fn to_json(&self) -> String {
+        format!("{{{}}}", self.json_fields())
+    }
+}
+
+/// A baseline file: a JSON array with one row per line.
+pub fn rows_to_json(rows: &[BenchRow]) -> String {
+    let lines: Vec<String> = rows.iter().map(|r| format!("  {}", r.to_json())).collect();
+    format!("[\n{}\n]\n", lines.join(",\n"))
+}
+
+/// Split a JSON array of flat objects into the text inside each object's
+/// braces. Rows never nest, so every `}` closes one; whatever follows the
+/// last must be blank and every piece must open with `{`.
+fn split_objects(json: &str) -> Result<Vec<&str>, String> {
+    let inner = (json.trim().strip_prefix('['))
+        .and_then(|s| s.strip_suffix(']'))
+        .ok_or("baseline is not a JSON array")?;
+    let mut pieces: Vec<&str> = inner.split('}').collect();
+    if !pieces.pop().is_some_and(|tail| tail.trim().is_empty()) {
         return Err("unterminated object in baseline".into());
     }
-    if objects.is_empty() {
+    if pieces.is_empty() {
         return Err("baseline contains no rows".into());
     }
-    Ok(objects)
-}
-
-/// Parse `BENCH_interp.json` (an array of flat objects). Rejects anything
-/// missing a required field.
-pub fn parse_baseline(json: &str) -> Result<Vec<BaselineRow>, String> {
-    split_objects(json)?.into_iter().map(parse_object).collect()
-}
-
-fn parse_object(obj: &str) -> Result<BaselineRow, String> {
-    Ok(BaselineRow {
-        workload: str_field(obj, "workload")?,
-        backend: str_field(obj, "backend")?,
-        ranks: num_field(obj, "ranks")? as usize,
-        wall_ns: num_field(obj, "wall_ns")? as u64,
-        wall_ns_per_sim_sec: num_field(obj, "wall_ns_per_sim_sec")?,
-    })
+    fn object(piece: &str) -> Option<&str> {
+        let p = piece.trim_start();
+        p.strip_prefix(',')
+            .unwrap_or(p)
+            .trim_start()
+            .strip_prefix('{')
+    }
+    (pieces.into_iter())
+        .map(|p| object(p).ok_or_else(|| format!("expected an object, found `{p}`")))
+        .collect()
 }
 
 /// The raw text after `"key":`, trimmed.
@@ -155,14 +223,14 @@ fn field_value<'a>(obj: &'a str, key: &str) -> Result<&'a str, String> {
     let pat = format!("\"{key}\"");
     let at = obj
         .find(&pat)
-        .ok_or_else(|| format!("baseline row missing field `{key}`: {obj}"))?;
+        .ok_or_else(|| format!("row missing field `{key}`: {obj}"))?;
     let rest = obj[at + pat.len()..].trim_start();
     rest.strip_prefix(':')
         .map(str::trim_start)
         .ok_or_else(|| format!("malformed field `{key}`"))
 }
 
-fn str_field(obj: &str, key: &str) -> Result<String, String> {
+fn str_field<'a>(obj: &'a str, key: &str) -> Result<&'a str, String> {
     let v = field_value(obj, key)?;
     let v = v
         .strip_prefix('"')
@@ -170,7 +238,7 @@ fn str_field(obj: &str, key: &str) -> Result<String, String> {
     let end = v
         .find('"')
         .ok_or_else(|| format!("unterminated string for `{key}`"))?;
-    Ok(v[..end].to_string())
+    Ok(&v[..end])
 }
 
 fn num_field(obj: &str, key: &str) -> Result<f64, String> {
@@ -183,59 +251,60 @@ fn num_field(obj: &str, key: &str) -> Result<f64, String> {
         .map_err(|e| format!("field `{key}` is not a number: {e}"))
 }
 
-/// One metric row parsed from `BENCH_service.json`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ServiceBaselineRow {
-    /// Metric name (`p99_hot_ingest_ns`, `batches_per_wall_sec`, ...).
-    pub metric: String,
-    /// Baseline value.
-    pub value: f64,
+/// Parse one flat row object. Rejects a missing field and an unknown
+/// `kind` or `better`.
+pub fn parse_row(obj: &str) -> Result<BenchRow, String> {
+    let kind = str_field(obj, "kind")?;
+    let better = str_field(obj, "better")?;
+    Ok(BenchRow {
+        suite: str_field(obj, "suite")?.into(),
+        cell: str_field(obj, "cell")?.into(),
+        metric: str_field(obj, "metric")?.into(),
+        value: num_field(obj, "value")?,
+        kind: (Kind::ALL.into_iter().find(|k| k.as_str() == kind))
+            .ok_or_else(|| format!("unknown kind `{kind}`"))?,
+        better: (Better::ALL.into_iter().find(|b| b.as_str() == better))
+            .ok_or_else(|| format!("unknown better `{better}`"))?,
+    })
 }
 
-/// Parse `BENCH_service.json` (a flat array of `{"metric", "value"}`
-/// rows, the shape [`ServiceBenchResult::to_json`] emits).
-pub fn parse_service_baseline(json: &str) -> Result<Vec<ServiceBaselineRow>, String> {
-    split_objects(json)?
-        .into_iter()
-        .map(|obj| {
-            Ok(ServiceBaselineRow {
-                metric: str_field(obj, "metric")?,
-                value: num_field(obj, "value")?,
-            })
-        })
+/// Parse a committed baseline (`BENCH_<suite>.json`, the
+/// [`rows_to_json`] shape). Strict: any malformed row is an error.
+pub fn parse_rows(json: &str) -> Result<Vec<BenchRow>, String> {
+    split_objects(json)?.into_iter().map(parse_row).collect()
+}
+
+/// Parse `BENCH_history.jsonl` — one row object per line, plus its `run`
+/// index (monotonic, shared by every row one run appended). Valid-prefix
+/// semantics like the runtime WAL: the first malformed line (a torn tail
+/// from an interrupted append) drops itself and everything after it;
+/// blank lines are skipped. A missing or empty file is an empty history.
+pub fn parse_history(text: &str) -> Vec<(u64, BenchRow)> {
+    text.lines()
+        .map(str::trim)
+        .filter(|line| !line.is_empty())
+        .map_while(|line| Some((num_field(line, "run").ok()? as u64, parse_row(line).ok()?)))
         .collect()
 }
 
-/// One baseline rank count parsed from `BENCH_simmpi.json`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SimmpiBaselineRow {
-    /// Simulated ranks.
-    pub ranks: usize,
-    /// Baseline rank-iterations per virtual second (deterministic).
-    pub rank_iters_per_virtual_sec: f64,
-    /// Baseline rank-iterations per wall second (machine-dependent).
-    pub rank_iters_per_wall_sec: f64,
+/// The run index a fresh append should use: one past the largest seen.
+pub fn next_history_run(history: &[(u64, BenchRow)]) -> u64 {
+    history.iter().map(|(run, _)| run + 1).max().unwrap_or(0)
 }
 
-/// Parse `BENCH_simmpi.json` (the shape
-/// [`crate::simmpi_scale::ScaleResult::to_json`] emits).
-pub fn parse_simmpi_baseline(json: &str) -> Result<Vec<SimmpiBaselineRow>, String> {
-    split_objects(json)?
-        .into_iter()
-        .map(|obj| {
-            Ok(SimmpiBaselineRow {
-                ranks: num_field(obj, "ranks")? as usize,
-                rank_iters_per_virtual_sec: num_field(obj, "rank_iters_per_virtual_sec")?,
-                rank_iters_per_wall_sec: num_field(obj, "rank_iters_per_wall_sec")?,
-            })
-        })
-        .collect()
+/// This report's checked fresh rows as history lines.
+pub fn history_lines(report: &GateReport, run: u64) -> String {
+    let mut out = String::new();
+    for c in &report.checks {
+        let _ = writeln!(out, "{{\"run\": {run}, {}}}", c.row.json_fields());
+    }
+    out
 }
 
 /// The history-derived verdict attached to a check in `--stats` mode.
 #[derive(Clone, Debug)]
 pub struct StatsGate {
-    /// Recorded history samples for this cell (the current run excluded).
+    /// Recorded history samples for this series (the current run excluded).
     pub samples: usize,
     /// Samples in the latest regime after change-point splitting.
     pub regime_len: usize,
@@ -248,38 +317,32 @@ pub struct StatsGate {
 /// One comparison the gate performed.
 #[derive(Clone, Debug)]
 pub struct GateCheck {
-    /// Workload name.
-    pub workload: String,
-    /// Rank count.
-    pub ranks: usize,
-    /// What was compared (`"vm-speedup"` or `"vm-throughput"`).
-    pub metric: &'static str,
-    /// Baseline value.
+    /// The freshly measured row.
+    pub row: BenchRow,
+    /// The committed baseline value of the same series.
     pub baseline: f64,
-    /// Freshly measured value.
-    pub current: f64,
-    /// Whether the cell is within tolerance.
+    /// Whether the row is within tolerance.
     pub ok: bool,
     /// The history verdict that superseded the fixed band, when deep
     /// enough history was available ([`apply_history`]).
     pub stats: Option<StatsGate>,
 }
 
-/// The gate's verdict over every comparable cell.
+/// The gate's verdict over every comparable row.
 #[derive(Clone, Debug, Default)]
 pub struct GateReport {
-    /// All performed checks.
+    /// All performed checks, in baseline order.
     pub checks: Vec<GateCheck>,
-    /// Baseline (workload, ranks) cells the fresh run did not measure.
-    pub skipped: usize,
-    /// The skipped cells by name — a silent skip hides a gate that
-    /// quietly stopped measuring something.
+    /// Baseline rows not compared, by name ([`BenchRow::key`]): the fresh
+    /// run did not measure them, or they are `wall` rows in a ratio-only
+    /// run. Named, because a silent skip hides a gate that quietly
+    /// stopped measuring something.
     pub skipped_cells: Vec<String>,
-    /// Cells the fresh run measured that the committed baseline lacks:
-    /// a regenerated baseline grew a cell nothing gates yet. Hard
+    /// Rows the fresh run measured that the committed baseline lacks:
+    /// a regenerated benchmark grew a row nothing gates yet. Hard
     /// failure unless [`GateReport::allow_new_cells`].
     pub new_cells: Vec<String>,
-    /// Accept new unmeasured cells (set when regenerating the baseline
+    /// Accept new unmeasured rows (set when regenerating the baseline
     /// on purpose, `--allow-new-cells`).
     pub allow_new_cells: bool,
     /// Tolerance used.
@@ -288,7 +351,7 @@ pub struct GateReport {
 
 impl GateReport {
     /// True when every check passed, at least one ran (an empty
-    /// comparison is a gate misconfiguration, not a pass), and no cell
+    /// comparison is a gate misconfiguration, not a pass), and no row
     /// is new-and-ungated (unless explicitly allowed).
     pub fn passed(&self) -> bool {
         !self.checks.is_empty()
@@ -301,35 +364,29 @@ impl GateReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "perf gate (tolerance {:.0}%): {} check(s), {} baseline cell(s) not re-measured",
+            "perf gate (tolerance {:.0}%): {} check(s), {} baseline cell(s) not compared",
             self.tolerance * 100.0,
             self.checks.len(),
-            self.skipped,
+            self.skipped_cells.len(),
         );
         for c in &self.checks {
-            let _ = write!(
+            let verdict = match &c.stats {
+                Some(s) => format!(
+                    "history n={} regime {} median {:.4} allow ±{:.4}",
+                    s.samples, s.regime_len, s.median, s.allowed,
+                ),
+                None => "fixed tolerance".to_string(),
+            };
+            let _ = writeln!(
                 out,
-                "  [{}] {:<10} ranks {:>3} {:<13} baseline {:>12.2} current {:>12.2} ({:+.1}%)",
+                "  [{}] {:<14} {:<23} baseline {:>17.4} current {:>17.4} ({:+.1}%) [{verdict}]",
                 if c.ok { "ok" } else { "FAIL" },
-                c.workload,
-                c.ranks,
-                c.metric,
+                c.row.cell,
+                c.row.metric,
                 c.baseline,
-                c.current,
-                (c.current / c.baseline.max(1e-12) - 1.0) * 100.0,
+                c.row.value,
+                (c.row.value / c.baseline.max(1e-12) - 1.0) * 100.0,
             );
-            match &c.stats {
-                Some(s) => {
-                    let _ = writeln!(
-                        out,
-                        " [history n={} regime {} median {:.2} allow ±{:.2}]",
-                        s.samples, s.regime_len, s.median, s.allowed,
-                    );
-                }
-                None => {
-                    let _ = writeln!(out, " [fixed tolerance]");
-                }
-            }
         }
         if !self.skipped_cells.is_empty() {
             let _ = writeln!(
@@ -338,16 +395,15 @@ impl GateReport {
                 self.skipped_cells.join(", ")
             );
         }
+        let (tag, hint) = if self.allow_new_cells {
+            ("new", " (allowed)")
+        } else {
+            ("NEW", "; regenerate it or pass --allow-new-cells")
+        };
         for cell in &self.new_cells {
             let _ = writeln!(
                 out,
-                "  [{}] {cell} — measured but absent from the committed baseline{}",
-                if self.allow_new_cells { "new " } else { "NEW " },
-                if self.allow_new_cells {
-                    " (allowed)"
-                } else {
-                    "; regenerate it or pass --allow-new-cells"
-                },
+                "  [{tag} ] {cell} — measured but absent from the committed baseline{hint}"
             );
         }
         let _ = writeln!(
@@ -359,209 +415,21 @@ impl GateReport {
     }
 }
 
-/// Compare a fresh measurement against the committed baseline. Cells are
-/// keyed by (workload, ranks); a cell is compared only when both sides
-/// have both backends for it. `absolute` additionally gates the VM
-/// backend's absolute wall-ns-per-simulated-second — pass `false` unless
-/// the run executes on hardware comparable to the baseline machine.
+/// Whether `value` is no worse than `reference` by more than `allowed`.
+fn within(better: Better, value: f64, reference: f64, allowed: f64) -> bool {
+    match better {
+        Better::Higher => value >= reference - allowed,
+        Better::Lower => value <= reference + allowed,
+    }
+}
+
+/// Compare a fresh measurement against the committed baseline, joining
+/// on `(suite, cell, metric)`. `absolute` additionally gates `wall` rows
+/// — pass `false` unless the run executes on hardware comparable to the
+/// baseline machine. The fresh row's `kind` and `better` decide.
 pub fn compare(
-    baseline: &[BaselineRow],
-    current: &InterpSpeedResult,
-    tolerance: f64,
-    absolute: bool,
-) -> GateReport {
-    let find_base = |workload: &str, ranks: usize, backend: &str| {
-        baseline
-            .iter()
-            .find(|r| r.workload == workload && r.ranks == ranks && r.backend == backend)
-    };
-    let find_cur = |workload: &str, ranks: usize, backend: &str| {
-        current
-            .rows
-            .iter()
-            .find(|r| r.workload == workload && r.ranks == ranks && r.backend == backend)
-    };
-
-    let mut keys: Vec<(String, usize)> = Vec::new();
-    for r in baseline {
-        let key = (r.workload.clone(), r.ranks);
-        if !keys.contains(&key) {
-            keys.push(key);
-        }
-    }
-
-    let mut report = GateReport {
-        tolerance,
-        ..GateReport::default()
-    };
-    // Cells the fresh sweep measured that the baseline has never heard
-    // of: nothing gates them, which is exactly how a regenerated
-    // benchmark silently escapes its gate.
-    for r in &current.rows {
-        let key = (r.workload.to_string(), r.ranks);
-        let name = format!("{}/{}", key.0, key.1);
-        if !keys.contains(&key) && !report.new_cells.contains(&name) {
-            report.new_cells.push(name);
-        }
-    }
-    for (workload, ranks) in keys {
-        let cells = (
-            find_base(&workload, ranks, "tree-walker"),
-            find_base(&workload, ranks, "vm"),
-            find_cur(&workload, ranks, "tree-walker"),
-            find_cur(&workload, ranks, "vm"),
-        );
-        let (Some(bw), Some(bv), Some(cw), Some(cv)) = cells else {
-            report.skipped += 1;
-            report.skipped_cells.push(format!("{workload}/{ranks}"));
-            continue;
-        };
-        // Walker→VM speedup must not collapse: a same-machine ratio, so
-        // it is meaningful even when CI hardware differs from the
-        // baseline machine.
-        let base_speedup = bw.wall_ns as f64 / bv.wall_ns.max(1) as f64;
-        let cur_speedup = cw.wall_ns as f64 / cv.wall_ns.max(1) as f64;
-        report.checks.push(GateCheck {
-            workload: workload.clone(),
-            ranks,
-            metric: "vm-speedup",
-            baseline: base_speedup,
-            current: cur_speedup,
-            ok: cur_speedup >= base_speedup * (1.0 - tolerance),
-            stats: None,
-        });
-        // The VM backend (the default engine) must not get absolutely
-        // slower per simulated second — same-machine runs only.
-        if absolute {
-            report.checks.push(GateCheck {
-                workload: workload.clone(),
-                ranks,
-                metric: "vm-throughput",
-                baseline: bv.wall_ns_per_sim_sec,
-                current: cv.wall_ns_per_sim_sec,
-                ok: cv.wall_ns_per_sim_sec <= bv.wall_ns_per_sim_sec * (1.0 + tolerance),
-                stats: None,
-            });
-        }
-    }
-    report
-}
-
-/// Compare a fresh multi-tenant service measurement against the
-/// committed `BENCH_service.json`. The p99 ingest latencies are virtual
-/// time — machine-independent, gated in every mode. Backpressure must
-/// still engage on the hot tenant (a zero count means admission control
-/// stopped working, whatever the baseline said). The absolute
-/// batches-per-wall-second throughput compares wall clocks across
-/// machines, so it is gated only with `absolute = true`; otherwise the
-/// baseline row is counted as skipped.
-pub fn compare_service(
-    baseline: &[ServiceBaselineRow],
-    current: &ServiceBenchResult,
-    tolerance: f64,
-    absolute: bool,
-) -> GateReport {
-    let mut checks = Vec::new();
-    let mut skipped_cells: Vec<String> = Vec::new();
-    let tenants = current.tenants;
-    let mut push = |metric: &'static str, base: f64, cur: f64, ok: bool| {
-        checks.push(GateCheck {
-            workload: "service".into(),
-            ranks: tenants,
-            metric,
-            baseline: base,
-            current: cur,
-            ok,
-            stats: None,
-        });
-    };
-    for row in baseline {
-        match row.metric.as_str() {
-            "p99_hot_ingest_ns" => {
-                let cur = current.p99_hot_ingest_ns as f64;
-                push(
-                    "p99-hot-ingest",
-                    row.value,
-                    cur,
-                    cur <= row.value * (1.0 + tolerance),
-                );
-            }
-            "p99_steady_ingest_ns" => {
-                let cur = current.p99_steady_ingest_ns as f64;
-                push(
-                    "p99-steady-ingest",
-                    row.value,
-                    cur,
-                    cur <= row.value * (1.0 + tolerance),
-                );
-            }
-            "hot_backpressured" => {
-                let cur = current.hot_backpressured as f64;
-                push("backpressure-engaged", row.value, cur, cur > 0.0);
-            }
-            "batches_per_wall_sec" => {
-                if absolute {
-                    let cur = current.batches_per_wall_sec();
-                    push(
-                        "service-throughput",
-                        row.value,
-                        cur,
-                        cur >= row.value * (1.0 - tolerance),
-                    );
-                } else {
-                    skipped_cells.push(format!("service/{}", row.metric));
-                }
-            }
-            _ => skipped_cells.push(format!("service/{}", row.metric)),
-        }
-    }
-    // Every metric the fresh study emits must exist in the baseline:
-    // regenerating `BENCH_service.json` with a new metric nothing gates
-    // is a hard failure, not a silent pass.
-    let new_cells = [
-        "p99_hot_ingest_ns",
-        "p99_steady_ingest_ns",
-        "hot_backpressured",
-        "batches_per_wall_sec",
-    ]
-    .iter()
-    .filter(|m| !baseline.iter().any(|r| &r.metric == *m))
-    .map(|m| format!("service/{m}"))
-    .collect();
-    GateReport {
-        checks,
-        skipped: skipped_cells.len(),
-        skipped_cells,
-        new_cells,
-        tolerance,
-        ..GateReport::default()
-    }
-}
-
-/// Compare a fresh event-backend rank-scaling measurement against the
-/// committed `BENCH_simmpi.json`. Three classes of check, in descending
-/// portability:
-///
-/// * **Virtual-time throughput** per rank count — deterministic and
-///   machine-independent, gated in every mode. Drift here means the
-///   *simulation* changed, not the hardware.
-/// * **Scaling efficiency** — the ratio of wall throughput between each
-///   *adjacent pair* of rank counts measured on both sides (1K→4K,
-///   4K→16K, ...). Same-machine ratios (both ends of each come from this
-///   run), so they are gated even on shared CI runners: an event-queue or
-///   data-layout regression that hits big worlds harder than small ones
-///   collapses one of these ratios no matter how fast the machine is —
-///   and gating per segment means a collapsing 4K→16K tail cannot hide
-///   behind a healthy 1K→4K span.
-/// * **Absolute wall throughput** per rank count — gated only with
-///   `absolute = true` (comparable hardware).
-///
-/// Baseline rank counts the fresh run did not measure are skipped, never
-/// failed — CI re-measures a reduced curve (the 16,384-rank point takes
-/// minutes).
-pub fn compare_simmpi(
-    baseline: &[SimmpiBaselineRow],
-    current: &ScaleResult,
+    baseline: &[BenchRow],
+    fresh: &[BenchRow],
     tolerance: f64,
     absolute: bool,
 ) -> GateReport {
@@ -569,177 +437,26 @@ pub fn compare_simmpi(
         tolerance,
         ..GateReport::default()
     };
-    // Fresh rank counts the baseline lacks are ungated cells.
-    for c in &current.rows {
-        if !baseline.iter().any(|b| b.ranks == c.ranks) {
-            report.new_cells.push(format!("simmpi/{}", c.ranks));
+    // Rows the fresh run measured that the baseline has never heard of:
+    // nothing gates them, which is exactly how a regenerated benchmark
+    // silently escapes its gate.
+    for f in fresh {
+        if !baseline.iter().any(|b| b.same_series(f)) {
+            report.new_cells.push(f.key());
         }
     }
-    // Rank counts present on both sides, ascending (baseline order).
-    let mut common: Vec<usize> = Vec::new();
     for b in baseline {
-        match current.rows.iter().find(|c| c.ranks == b.ranks) {
-            Some(c) => {
-                common.push(b.ranks);
-                report.checks.push(GateCheck {
-                    workload: "simmpi".into(),
-                    ranks: b.ranks,
-                    metric: "virt-throughput",
-                    baseline: b.rank_iters_per_virtual_sec,
-                    current: c.rank_iters_per_virtual_sec,
-                    ok: c.rank_iters_per_virtual_sec
-                        >= b.rank_iters_per_virtual_sec * (1.0 - tolerance),
-                    stats: None,
-                });
-                if absolute {
-                    report.checks.push(GateCheck {
-                        workload: "simmpi".into(),
-                        ranks: b.ranks,
-                        metric: "wall-throughput",
-                        baseline: b.rank_iters_per_wall_sec,
-                        current: c.rank_iters_per_wall_sec,
-                        ok: c.rank_iters_per_wall_sec
-                            >= b.rank_iters_per_wall_sec * (1.0 - tolerance),
-                        stats: None,
-                    });
-                }
-            }
-            None => {
-                report.skipped += 1;
-                report.skipped_cells.push(format!("simmpi/{}", b.ranks));
-            }
+        match fresh.iter().find(|f| f.same_series(b)) {
+            Some(f) if absolute || f.kind != Kind::Wall => report.checks.push(GateCheck {
+                row: f.clone(),
+                baseline: b.value,
+                ok: within(f.better, f.value, b.value, b.value * tolerance),
+                stats: None,
+            }),
+            _ => report.skipped_cells.push(b.key()),
         }
-    }
-    // Scaling efficiency per adjacent pair of measured rank counts. One
-    // widest-span ratio can hide a collapsing tail: a big win at
-    // 1K→4K masks a 4K→16K cliff when they are folded into one number.
-    // Gating each adjacent segment (1K→4K *and* 4K→16K) catches a
-    // regression that only bites at the top of the curve.
-    for pair in common.windows(2) {
-        let (lo, hi) = (pair[0], pair[1]);
-        let base_ratio = {
-            let find = |ranks| baseline.iter().find(|r| r.ranks == ranks).unwrap();
-            find(hi).rank_iters_per_wall_sec / find(lo).rank_iters_per_wall_sec.max(1e-9)
-        };
-        let cur_ratio = current.scaling_efficiency(lo, hi).unwrap();
-        report.checks.push(GateCheck {
-            workload: "simmpi".into(),
-            ranks: hi,
-            metric: "scaling-ratio",
-            baseline: base_ratio,
-            current: cur_ratio,
-            ok: cur_ratio >= base_ratio * (1.0 - tolerance),
-            stats: None,
-        });
     }
     report
-}
-
-/// A cell needs this many recorded runs before the history verdict
-/// supersedes the fixed tolerance band — mirrors the runtime baseline
-/// store's `min_history`.
-pub const MIN_HISTORY_SAMPLES: usize = 5;
-
-/// One recorded measurement from `BENCH_history.jsonl`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct HistoryCell {
-    /// Monotonic run index (shared by every cell appended by one run).
-    pub run: u64,
-    /// Gate suite (`interp`, `service`, `simmpi`).
-    pub suite: String,
-    /// Cell key, `workload/ranks/metric` ([`cell_key`]).
-    pub cell: String,
-    /// The measured value.
-    pub value: f64,
-}
-
-/// The history key of a check: `workload/ranks/metric`.
-pub fn cell_key(check: &GateCheck) -> String {
-    format!("{}/{}/{}", check.workload, check.ranks, check.metric)
-}
-
-/// Parse `BENCH_history.jsonl` — one flat `{"run","suite","cell",
-/// "value"}` object per line. Valid-prefix semantics like the runtime
-/// WAL: the first malformed line (a torn tail from an interrupted
-/// append) drops itself and everything after it; blank lines are
-/// skipped. A missing or empty file is simply an empty history.
-pub fn parse_history(text: &str) -> Vec<HistoryCell> {
-    let mut cells = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let parsed = (|| -> Result<HistoryCell, String> {
-            Ok(HistoryCell {
-                run: num_field(line, "run")? as u64,
-                suite: str_field(line, "suite")?,
-                cell: str_field(line, "cell")?,
-                value: num_field(line, "value")?,
-            })
-        })();
-        match parsed {
-            Ok(c) => cells.push(c),
-            Err(_) => break,
-        }
-    }
-    cells
-}
-
-/// The run index a fresh append should use: one past the largest seen.
-pub fn next_history_run(history: &[HistoryCell]) -> u64 {
-    history.iter().map(|h| h.run + 1).max().unwrap_or(0)
-}
-
-/// Serialize this report's fresh measurements as history lines (the
-/// correctness-bit metric is excluded — it is not a distribution).
-pub fn history_lines(report: &GateReport, suite: &str, run: u64) -> String {
-    let mut out = String::new();
-    for c in &report.checks {
-        if c.metric == "backpressure-engaged" {
-            continue;
-        }
-        let _ = writeln!(
-            out,
-            "{{\"run\": {run}, \"suite\": \"{suite}\", \"cell\": \"{}\", \"value\": {:?}}}",
-            cell_key(c),
-            c.current,
-        );
-    }
-    out
-}
-
-/// In the worse direction, a larger value of this metric is a
-/// regression (latencies and ns-per-work figures); for every other
-/// metric smaller is worse (speedups, throughputs, scaling ratios).
-fn higher_is_worse(metric: &str) -> bool {
-    matches!(
-        metric,
-        "vm-throughput"
-            | "p99-hot-ingest"
-            | "p99-steady-ingest"
-            | "reference-cost-fraction"
-            | "budgeted-cost-fraction"
-            | "control-epochs"
-            | "escalated-ranks"
-    )
-}
-
-/// The relative deviation floor under the `3·MAD` cut: virtual-time
-/// figures are deterministic by construction, so real drift there is a
-/// simulation change and the floor is 1 %; wall-derived figures jitter
-/// with the machine and get 10 %.
-fn rel_floor(metric: &str) -> f64 {
-    match metric {
-        "p99-hot-ingest"
-        | "p99-steady-ingest"
-        | "virt-throughput"
-        | "reference-cost-fraction"
-        | "budgeted-cost-fraction"
-        | "control-epochs"
-        | "escalated-ranks" => 0.01,
-        _ => 0.10,
-    }
 }
 
 /// The tail of the series after repeatedly splitting at the most
@@ -759,23 +476,21 @@ fn latest_regime<'a>(series: &'a [f64], policy: &ShiftPolicy) -> &'a [f64] {
 
 /// Re-judge every check against the recorded history (`--stats`).
 ///
-/// Cells with at least [`MIN_HISTORY_SAMPLES`] recorded runs get a
+/// Series with at least [`MIN_HISTORY_SAMPLES`] recorded runs get a
 /// variance-aware verdict that *supersedes* the fixed band: the current
-/// value must sit within `max(3·scaled-MAD, rel_floor·|median|)` of the
-/// latest regime's median in the worse direction. Shallower cells keep
-/// their fixed-tolerance verdict (the documented fallback). The
-/// backpressure correctness bit is never statistical.
-pub fn apply_history(report: &mut GateReport, suite: &str, history: &[HistoryCell]) {
+/// value must sit within `max(3·scaled-MAD, floor·|median|)` of the
+/// latest regime's median in the worse direction. Virtual-time figures
+/// are deterministic by construction, so real drift there is a
+/// simulation change and the floor is 1 %; wall-derived figures jitter
+/// with the machine and get 10 %. Shallower series keep their
+/// fixed-tolerance verdict (the documented fallback).
+pub fn apply_history(report: &mut GateReport, history: &[(u64, BenchRow)]) {
     let policy = ShiftPolicy::default();
     for check in &mut report.checks {
-        if check.metric == "backpressure-engaged" {
-            continue;
-        }
-        let key = cell_key(check);
         let mut rows: Vec<(u64, f64)> = history
             .iter()
-            .filter(|h| h.suite == suite && h.cell == key)
-            .map(|h| (h.run, h.value))
+            .filter(|(_, h)| h.same_series(&check.row))
+            .map(|(run, h)| (*run, h.value))
             .collect();
         rows.sort_by_key(|&(run, _)| run);
         let series: Vec<f64> = rows.into_iter().map(|(_, v)| v).collect();
@@ -785,12 +500,12 @@ pub fn apply_history(report: &mut GateReport, suite: &str, history: &[HistoryCel
         let regime = latest_regime(&series, &policy);
         let median = stats::median(regime).expect("regime is non-empty");
         let smad = stats::scaled_mad(regime).unwrap_or(0.0);
-        let allowed = (3.0 * smad).max(rel_floor(check.metric) * median.abs());
-        check.ok = if higher_is_worse(check.metric) {
-            check.current <= median + allowed
-        } else {
-            check.current >= median - allowed
+        let floor = match check.row.kind {
+            Kind::Virtual => 0.01,
+            Kind::Wall | Kind::Ratio => 0.10,
         };
+        let allowed = (3.0 * smad).max(floor * median.abs());
+        check.ok = within(check.row.better, check.row.value, median, allowed);
         check.stats = Some(StatsGate {
             samples: series.len(),
             regime_len: regime.len(),
@@ -804,664 +519,435 @@ pub fn apply_history(report: &mut GateReport, suite: &str, history: &[HistoryCel
 mod tests {
     use super::*;
 
-    fn synthetic(workloads: &[&'static str], ranks: &[usize]) -> Vec<InterpRow> {
-        let mut rows = Vec::new();
-        for &w in workloads {
-            for &r in ranks {
-                // Walker 5x slower than the VM, throughput scales with
-                // ranks — the committed trajectory's rough shape.
-                let vm_wall = 1_000_000_000 * r as u64;
-                rows.push(InterpRow {
-                    workload: w,
-                    backend: "tree-walker",
-                    ranks: r,
-                    wall_ns: vm_wall * 5,
-                    simulated_secs: 0.05,
-                    wall_ns_per_sim_sec: (vm_wall * 5) as f64 / 0.05,
-                });
-                rows.push(InterpRow {
-                    workload: w,
-                    backend: "vm",
-                    ranks: r,
-                    wall_ns: vm_wall,
-                    simulated_secs: 0.05,
-                    wall_ns_per_sim_sec: vm_wall as f64 / 0.05,
-                });
-            }
+    /// Rows from a whitespace table, one `suite cell metric kind better
+    /// value` line each — through the production parser.
+    fn rows(table: &str) -> Vec<BenchRow> {
+        let line = |l: &str| {
+            let t: Vec<&str> = l.split_whitespace().collect();
+            parse_row(&format!(
+                "{{\"suite\": \"{}\", \"cell\": \"{}\", \"metric\": \"{}\", \"kind\": \"{}\", \
+                 \"better\": \"{}\", \"value\": {}}}",
+                t[0], t[1], t[2], t[3], t[4], t[5]
+            ))
+        };
+        let lines = table.lines().filter(|l| !l.trim().is_empty());
+        lines.map(|l| line(l).expect(l)).collect()
+    }
+
+    /// The rows of `table` whose cell is `<anything>/<one of ranks>`.
+    fn at(table: &str, ranks: &[usize]) -> Vec<BenchRow> {
+        let wanted = |r: &BenchRow| ranks.iter().any(|n| r.cell.ends_with(&format!("/{n}")));
+        rows(table).into_iter().filter(wanted).collect()
+    }
+
+    /// The interp suite's shape: a 5x walker→VM speedup and a VM
+    /// ns-per-simulated-second figure that grows with the rank count.
+    const INTERP: &str = "
+        interp cg-fig21/4  vm-speedup    ratio higher 5.0
+        interp cg-fig21/4  vm-throughput wall  lower  8e10
+        interp cg-fig21/16 vm-speedup    ratio higher 5.0
+        interp cg-fig21/16 vm-throughput wall  lower  32e10
+        interp cg-fig21/64 vm-speedup    ratio higher 5.0
+        interp cg-fig21/64 vm-throughput wall  lower  128e10";
+
+    /// The simmpi suite's shape: flat cost per rank-iteration (wall
+    /// throughput independent of scale, every adjacent ratio 1.0) and
+    /// virtual throughput growing with the rank count.
+    const SIMMPI: &str = "
+        simmpi simmpi/1024  virt-throughput virtual higher 49152
+        simmpi simmpi/1024  wall-throughput wall    higher 24000
+        simmpi simmpi/4096  virt-throughput virtual higher 196608
+        simmpi simmpi/4096  wall-throughput wall    higher 24000
+        simmpi simmpi/16384 virt-throughput virtual higher 786432
+        simmpi simmpi/16384 wall-throughput wall    higher 24000
+        simmpi simmpi/4096  scaling-ratio   ratio   higher 1.0
+        simmpi simmpi/16384 scaling-ratio   ratio   higher 1.0";
+
+    const SERVICE: &str = "
+        service service/16 p99-hot-ingest     virtual lower  1000
+        service service/16 p99-steady-ingest  virtual lower  500
+        service service/16 service-throughput wall    higher 1000";
+
+    /// `rows` with every row whose key ends in `suffix` scaled by `factor`.
+    fn scaled(mut rows: Vec<BenchRow>, suffix: &str, factor: f64) -> Vec<BenchRow> {
+        for r in rows.iter_mut().filter(|r| r.key().ends_with(suffix)) {
+            r.value *= factor;
         }
         rows
     }
 
-    fn to_baseline(rows: &[InterpRow]) -> Vec<BaselineRow> {
-        parse_baseline(
-            &InterpSpeedResult {
-                rows: rows.to_vec(),
+    /// One fixed-band scenario. `failing` and `missing` are what a full
+    /// (`absolute`) comparison reports; a `--ratio-only` one must
+    /// additionally move every common `wall` row from checked to skipped.
+    struct Case {
+        name: &'static str,
+        baseline: Vec<BenchRow>,
+        fresh: Vec<BenchRow>,
+        failing: &'static [&'static str],
+        missing: &'static [&'static str],
+        new: &'static [&'static str],
+    }
+
+    #[rustfmt::skip]
+    fn cases() -> Vec<Case> {
+        let (small, curve) = ([4, 16], [1024, 4096, 16384]);
+        let (interp, simmpi, service) = (|r| at(INTERP, r), |r| at(SIMMPI, r), || rows(SERVICE));
+        let mut jitter = interp(&small);
+        for (i, r) in jitter.iter_mut().enumerate() {
+            r.value *= if i % 2 == 0 { 1.10 } else { 0.90 };
+        }
+        // The speedup halves and ns-per-simulated-second doubles.
+        let vm_2x = scaled(scaled(interp(&[4]), "vm-speedup", 0.5), "vm-throughput", 2.0);
+        // Wall throughput at 4,096 ranks drops to a third while 1,024 is
+        // untouched: a uniformly slower machine can't produce this shape.
+        let collapse = scaled(scaled(simmpi(&curve[..2]), "4096/wall-throughput", 1.0 / 3.0), "scaling-ratio", 1.0 / 3.0);
+        // 1K→4K *better* than baseline while 4K→16K more than halves: a
+        // widest-span 1K→16K ratio (0.9) would clear the band; the
+        // per-segment rows must fail on the 16,384 segment only.
+        let tail = scaled(scaled(simmpi(&curve), "4096/scaling-ratio", 2.0), "16384/scaling-ratio", 0.45);
+        let case = |name, baseline, fresh, failing, missing, new| Case { name, baseline, fresh, failing, missing, new };
+        vec![
+            case("identical interp", interp(&small), interp(&small), &[], &[], &[]),
+            case("identical service", service(), service(), &[], &[], &[]),
+            case("identical simmpi", simmpi(&curve), simmpi(&curve), &[], &[], &[]),
+            case("noise inside tolerance", interp(&small), jitter, &[], &[], &[]),
+            case("2x VM slowdown: the ratio alone catches it", interp(&[4]), vm_2x,
+                &["cg-fig21/4/vm-speedup", "cg-fig21/4/vm-throughput"], &[], &[]),
+            case("uniformly 3x slower machine passes --ratio-only", interp(&small), scaled(interp(&small), "vm-throughput", 3.0),
+                &["cg-fig21/4/vm-throughput", "cg-fig21/16/vm-throughput"], &[], &[]),
+            case("uniformly 3x slower machine, simmpi", simmpi(&curve[..2]), scaled(simmpi(&curve[..2]), "wall-throughput", 1.0 / 3.0),
+                &["simmpi/1024/wall-throughput", "simmpi/4096/wall-throughput"], &[], &[]),
+            case("virtual latency regression fails in every mode", service(), scaled(service(), "p99-steady-ingest", 2.0),
+                &["service/16/p99-steady-ingest"], &[], &[]),
+            case("virtual throughput drift fails in every mode", simmpi(&curve[..2]), scaled(simmpi(&curve[..2]), "1024/virt-throughput", 0.5),
+                &["simmpi/1024/virt-throughput"], &[], &[]),
+            case("scaling collapse fails even --ratio-only", simmpi(&curve[..2]), collapse,
+                &["simmpi/4096/wall-throughput", "simmpi/4096/scaling-ratio"], &[], &[]),
+            case("collapsing 4K->16K tail fails despite a healthy 1K->4K head", simmpi(&curve), tail,
+                &["simmpi/16384/scaling-ratio"], &[], &[]),
+            case("baseline-only cells are skipped and named", interp(&[4, 16, 64]), interp(&small),
+                &[], &["cg-fig21/64/vm-speedup", "cg-fig21/64/vm-throughput"], &[]),
+            case("baseline-only ranks of a reduced curve", simmpi(&curve), simmpi(&curve[..2]),
+                &[], &["simmpi/16384/virt-throughput", "simmpi/16384/wall-throughput", "simmpi/16384/scaling-ratio"], &[]),
+            case("a new cell hard-fails unless allowed", interp(&small), interp(&[4, 16, 64]),
+                &[], &[], &["cg-fig21/64/vm-speedup", "cg-fig21/64/vm-throughput"]),
+            case("a new rank count hard-fails unless allowed", simmpi(&curve[..2]), simmpi(&curve),
+                &[], &[], &["simmpi/16384/virt-throughput", "simmpi/16384/wall-throughput", "simmpi/16384/scaling-ratio"]),
+            case("an empty comparison fails", interp(&[4]), interp(&[64]),
+                &[], &["cg-fig21/4/vm-speedup", "cg-fig21/4/vm-throughput"], &["cg-fig21/64/vm-speedup", "cg-fig21/64/vm-throughput"]),
+        ]
+    }
+
+    #[test]
+    fn fixed_band_verdicts() {
+        for c in cases() {
+            for absolute in [true, false] {
+                let mut report = compare(&c.baseline, &c.fresh, DEFAULT_TOLERANCE, absolute);
+                let rendered = report.render();
+                let name = format!("{} (absolute={absolute})\n{rendered}", c.name);
+                // Gated in this mode: measured, and not a wall row of a
+                // ratio-only run.
+                let gated = |key: &str| {
+                    let mut fresh = c.fresh.iter().filter(|f| f.key() == key);
+                    fresh.any(|f| absolute || f.kind != Kind::Wall)
+                };
+                let failing: Vec<String> = (report.checks.iter().filter(|k| !k.ok))
+                    .map(|k| k.row.key())
+                    .collect();
+                let expected: Vec<&str> =
+                    (c.failing.iter().copied().filter(|k| gated(k))).collect();
+                assert_eq!(failing, expected, "{name}");
+                // Every baseline row is checked or skipped *by name*.
+                let checked: Vec<String> = report.checks.iter().map(|k| k.row.key()).collect();
+                let keys = |want_gated: bool| -> Vec<String> {
+                    let keys = c.baseline.iter().map(BenchRow::key);
+                    keys.filter(|k| gated(k) == want_gated).collect()
+                };
+                assert_eq!(
+                    (checked, &report.skipped_cells),
+                    (keys(true), &keys(false)),
+                    "{name}"
+                );
+                assert!(
+                    c.missing
+                        .iter()
+                        .all(|m| report.skipped_cells.iter().any(|s| s == m)),
+                    "{name}"
+                );
+                assert_eq!(report.new_cells, c.new, "{name}");
+                for named in report.skipped_cells.iter().chain(&report.new_cells) {
+                    assert!(rendered.contains(named.as_str()), "{name}");
+                }
+                let clean = failing.is_empty() && !report.checks.is_empty();
+                assert_eq!(report.passed(), clean && c.new.is_empty(), "{name}");
+                assert_eq!(
+                    rendered.contains("--allow-new-cells"),
+                    !c.new.is_empty(),
+                    "{name}"
+                );
+                report.allow_new_cells = true;
+                assert_eq!(report.passed(), clean, "allowed: {name}");
             }
-            .to_json(),
-        )
-        .expect("round-trip")
-    }
-
-    #[test]
-    fn parser_round_trips_the_emitted_format() {
-        let rows = synthetic(&["cg-fig21", "ft-fig22"], &[4, 16]);
-        let parsed = to_baseline(&rows);
-        assert_eq!(parsed.len(), 8);
-        assert_eq!(parsed[0].workload, "cg-fig21");
-        assert_eq!(parsed[0].backend, "tree-walker");
-        assert_eq!(parsed[0].ranks, 4);
-        assert_eq!(parsed[0].wall_ns, 20_000_000_000);
-        assert!((parsed[1].wall_ns_per_sim_sec - 4_000_000_000.0 / 0.05).abs() < 1.0);
-    }
-
-    #[test]
-    fn parser_rejects_malformed_input() {
-        assert!(parse_baseline("not json").is_err());
-        assert!(parse_baseline("[]").is_err(), "no rows is an error");
-        assert!(
-            parse_baseline("[{\"workload\": \"cg\"}]").is_err(),
-            "missing fields"
-        );
-        assert!(parse_baseline("[{").is_err());
-    }
-
-    #[test]
-    fn identical_runs_pass() {
-        let rows = synthetic(&["cg-fig21"], &[4, 16]);
-        let report = compare(
-            &to_baseline(&rows),
-            &InterpSpeedResult { rows },
-            DEFAULT_TOLERANCE,
-            true,
-        );
-        assert!(report.passed(), "{}", report.render());
-        assert_eq!(report.checks.len(), 4, "2 cells x 2 metrics");
-        assert_eq!(report.skipped, 0);
-    }
-
-    #[test]
-    fn noise_within_tolerance_passes() {
-        let base = synthetic(&["cg-fig21", "ft-fig22"], &[4, 16]);
-        let mut cur = base.clone();
-        // ±10% jitter, alternating direction per row.
-        for (i, r) in cur.iter_mut().enumerate() {
-            let f = if i % 2 == 0 { 1.10 } else { 0.90 };
-            r.wall_ns = (r.wall_ns as f64 * f) as u64;
-            r.wall_ns_per_sim_sec *= f;
-        }
-        let report = compare(
-            &to_baseline(&base),
-            &InterpSpeedResult { rows: cur },
-            DEFAULT_TOLERANCE,
-            true,
-        );
-        assert!(report.passed(), "{}", report.render());
-    }
-
-    #[test]
-    fn injected_2x_vm_slowdown_fails() {
-        let base = synthetic(&["cg-fig21"], &[4]);
-        let mut cur = base.clone();
-        for r in cur.iter_mut().filter(|r| r.backend == "vm") {
-            r.wall_ns *= 2;
-            r.wall_ns_per_sim_sec *= 2.0;
-        }
-        let report = compare(
-            &to_baseline(&base),
-            &InterpSpeedResult { rows: cur.clone() },
-            DEFAULT_TOLERANCE,
-            true,
-        );
-        assert!(!report.passed());
-        // Both metrics see it: the speedup halves and throughput doubles.
-        assert!(
-            report.checks.iter().filter(|c| !c.ok).count() == 2,
-            "{}",
-            report.render()
-        );
-        assert!(report.render().contains("FAIL"));
-        // The ratio alone also catches a VM-only regression.
-        let ratio_only = compare(
-            &to_baseline(&base),
-            &InterpSpeedResult { rows: cur },
-            DEFAULT_TOLERANCE,
-            false,
-        );
-        assert!(!ratio_only.passed(), "{}", ratio_only.render());
-    }
-
-    #[test]
-    fn ratio_only_tolerates_a_uniformly_slower_machine() {
-        // A CI runner 3x slower than the baseline machine slows both
-        // backends equally: the speedup ratio is unchanged, the absolute
-        // throughput is far outside any sane tolerance.
-        let base = synthetic(&["cg-fig21", "ft-fig22"], &[4, 16]);
-        let mut cur = base.clone();
-        for r in cur.iter_mut() {
-            r.wall_ns *= 3;
-            r.wall_ns_per_sim_sec *= 3.0;
-        }
-        let ratio_only = compare(
-            &to_baseline(&base),
-            &InterpSpeedResult { rows: cur.clone() },
-            DEFAULT_TOLERANCE,
-            false,
-        );
-        assert!(ratio_only.passed(), "{}", ratio_only.render());
-        assert!(
-            ratio_only.checks.iter().all(|c| c.metric == "vm-speedup"),
-            "no absolute checks in ratio-only mode"
-        );
-        let with_absolute = compare(
-            &to_baseline(&base),
-            &InterpSpeedResult { rows: cur },
-            DEFAULT_TOLERANCE,
-            true,
-        );
-        assert!(
-            !with_absolute.passed(),
-            "the absolute check is machine-dependent by design"
-        );
-    }
-
-    #[test]
-    fn baseline_only_cells_are_skipped_not_failed() {
-        let base = synthetic(&["cg-fig21"], &[4, 16, 64]);
-        let cur = synthetic(&["cg-fig21"], &[4, 16]);
-        let report = compare(
-            &to_baseline(&base),
-            &InterpSpeedResult { rows: cur },
-            DEFAULT_TOLERANCE,
-            true,
-        );
-        assert!(report.passed());
-        assert_eq!(report.skipped, 1, "the ranks=64 cell");
-    }
-
-    fn service_result() -> ServiceBenchResult {
-        ServiceBenchResult {
-            tenants: 16,
-            ranks_per_tenant: 4,
-            runs: Vec::new(),
-            stats: Vec::new(),
-            loads: Vec::new(),
-            failover_mismatches: Vec::new(),
-            healthy_mismatches: Vec::new(),
-            hot_backpressured: 10,
-            max_steady_backpressured: 0,
-            p99_hot_ingest_ns: 1_000,
-            p99_steady_ingest_ns: 500,
-            batches_total: 1_000,
-            wall: std::time::Duration::from_secs(1),
         }
     }
 
     #[test]
-    fn service_baseline_round_trips() {
-        let r = service_result();
-        let rows = parse_service_baseline(&r.to_json()).expect("round-trip");
-        assert_eq!(rows.len(), 4);
-        assert_eq!(rows[0].metric, "p99_hot_ingest_ns");
-        assert!((rows[0].value - 1_000.0).abs() < 1e-9);
-        assert!(parse_service_baseline("[]").is_err());
-        assert!(parse_service_baseline("[{\"metric\": \"x\"}]").is_err());
-    }
-
-    #[test]
-    fn identical_service_runs_pass_and_ratio_only_skips_throughput() {
-        let r = service_result();
-        let base = parse_service_baseline(&r.to_json()).unwrap();
-        let full = compare_service(&base, &r, DEFAULT_TOLERANCE, true);
-        assert!(full.passed(), "{}", full.render());
-        assert_eq!(full.checks.len(), 4);
-        let ratio = compare_service(&base, &r, DEFAULT_TOLERANCE, false);
-        assert!(ratio.passed(), "{}", ratio.render());
-        assert_eq!(ratio.checks.len(), 3, "wall throughput not gated");
-        assert_eq!(ratio.skipped, 1);
-        assert!(ratio
-            .checks
-            .iter()
-            .all(|c| c.metric != "service-throughput"));
-    }
-
-    #[test]
-    fn service_p99_regression_fails_in_every_mode() {
-        let base = parse_service_baseline(&service_result().to_json()).unwrap();
-        let mut slow = service_result();
-        slow.p99_steady_ingest_ns *= 2;
-        for absolute in [true, false] {
-            let report = compare_service(&base, &slow, DEFAULT_TOLERANCE, absolute);
-            assert!(!report.passed(), "{}", report.render());
-            assert!(report
-                .checks
-                .iter()
-                .any(|c| c.metric == "p99-steady-ingest" && !c.ok));
+    fn parser_rejects_malformed_input_and_round_trips_rows() {
+        let good = rows(INTERP)[0].to_json();
+        for bad in [
+            "not json".to_string(),
+            "[]".to_string(),
+            "[{".to_string(),
+            format!("[{good}}}]"),
+            "[{\"suite\": \"interp\", \"cell\": \"cg/4\"}]".to_string(),
+            format!("[{}]", good.replace("ratio", "ratios")),
+            format!("[{}]", good.replace("higher", "up")),
+            format!("[{}]", good.replace("5.0", "\"5.0\"")),
+        ] {
+            assert!(parse_rows(&bad).is_err(), "{bad}");
         }
+        let mut all = [rows(INTERP), rows(SIMMPI), rows(SERVICE)].concat();
+        all[0].value = 0.1 + 0.2; // not a short decimal
+        all[1].value = 1.0e-7 / 3.0;
+        assert_eq!(parse_rows(&rows_to_json(&all)), Ok(all));
     }
 
-    #[test]
-    fn service_gate_fails_when_backpressure_stops_engaging() {
-        let base = parse_service_baseline(&service_result().to_json()).unwrap();
-        let mut broken = service_result();
-        broken.hot_backpressured = 0;
-        let report = compare_service(&base, &broken, DEFAULT_TOLERANCE, false);
-        assert!(!report.passed(), "{}", report.render());
-        assert!(report
-            .checks
-            .iter()
-            .any(|c| c.metric == "backpressure-engaged" && !c.ok));
-    }
-
-    fn scale_result(ranks: &[usize]) -> ScaleResult {
-        use crate::simmpi_scale::ScaleRow;
-        // Flat cost per rank-iteration: wall throughput independent of
-        // scale, virtual throughput growing with the rank count (more
-        // ranks do more work per virtual second).
-        ScaleResult {
-            rows: ranks
-                .iter()
-                .map(|&r| ScaleRow {
-                    ranks: r,
-                    iterations: 24,
-                    virtual_secs: 0.5,
-                    rank_iters_per_virtual_sec: (r * 24) as f64 / 0.5,
-                    wall_ns: (r as u64) * 1_000_000,
-                    rank_iters_per_wall_sec: 24_000.0,
-                })
-                .collect(),
+    fn hist(row: &BenchRow, values: &[f64]) -> Vec<(u64, BenchRow)> {
+        let mut samples = vec![row.clone(); values.len()];
+        for (sample, value) in samples.iter_mut().zip(values) {
+            sample.value = *value;
         }
-    }
-
-    #[test]
-    fn simmpi_baseline_round_trips() {
-        let r = scale_result(&[1024, 4096]);
-        let rows = parse_simmpi_baseline(&r.to_json()).expect("round-trip");
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].ranks, 1024);
-        assert!((rows[0].rank_iters_per_virtual_sec - 1024.0 * 24.0 / 0.5).abs() < 1.0);
-        assert!((rows[1].rank_iters_per_wall_sec - 24_000.0).abs() < 1e-6);
-        assert!(parse_simmpi_baseline("[]").is_err());
-        assert!(parse_simmpi_baseline("[{\"ranks\": 4}]").is_err());
-    }
-
-    #[test]
-    fn identical_simmpi_runs_pass_and_ratio_only_skips_wall() {
-        let r = scale_result(&[1024, 4096, 16384]);
-        let base = parse_simmpi_baseline(&r.to_json()).unwrap();
-        let full = compare_simmpi(&base, &r, DEFAULT_TOLERANCE, true);
-        assert!(full.passed(), "{}", full.render());
-        // 3 virtual + 3 wall + 2 adjacent scaling ratios (1K→4K, 4K→16K).
-        assert_eq!(full.checks.len(), 8);
-        let ratio = compare_simmpi(&base, &r, DEFAULT_TOLERANCE, false);
-        assert!(ratio.passed(), "{}", ratio.render());
-        assert_eq!(ratio.checks.len(), 5, "no absolute wall checks");
-        assert!(ratio.checks.iter().all(|c| c.metric != "wall-throughput"));
-    }
-
-    #[test]
-    fn simmpi_scaling_collapse_fails_even_ratio_only() {
-        // A regression that hits big worlds harder: wall throughput at
-        // 4096 ranks drops to a third while 1024 is untouched. A uniformly
-        // slower CI machine can't produce this shape.
-        let base = parse_simmpi_baseline(&scale_result(&[1024, 4096]).to_json()).unwrap();
-        let mut cur = scale_result(&[1024, 4096]);
-        cur.rows[1].wall_ns *= 3;
-        cur.rows[1].rank_iters_per_wall_sec /= 3.0;
-        let report = compare_simmpi(&base, &cur, DEFAULT_TOLERANCE, false);
-        assert!(!report.passed(), "{}", report.render());
-        assert!(report
-            .checks
-            .iter()
-            .any(|c| c.metric == "scaling-ratio" && !c.ok));
-    }
-
-    #[test]
-    fn simmpi_collapsing_tail_ratio_fails_despite_healthy_head() {
-        // The tail-gate scenario: 1K→4K is *better* than baseline while
-        // 4K→16K collapses. The old widest-span (1K→16K) ratio would
-        // average the win against the cliff and could pass; the
-        // per-adjacent-pair gate must fail on the 16,384 segment.
-        let base = parse_simmpi_baseline(&scale_result(&[1024, 4096, 16384]).to_json()).unwrap();
-        let mut cur = scale_result(&[1024, 4096, 16384]);
-        cur.rows[1].rank_iters_per_wall_sec *= 2.0; // 4096 got faster...
-        cur.rows[2].rank_iters_per_wall_sec *= 0.9; // ...16384 did not keep the gain
-                                                    // Sanity: the widest 1K→16K span (0.9 vs a baseline ratio of 1.0)
-                                                    // clears the 25% tolerance, so only the per-segment gate can see
-                                                    // that the 4K→16K efficiency halved (0.9/2.0 = 0.45).
-        let wide = cur.rows[2].rank_iters_per_wall_sec / cur.rows[0].rank_iters_per_wall_sec;
-        assert!(wide >= 1.0 * (1.0 - DEFAULT_TOLERANCE));
-        let report = compare_simmpi(&base, &cur, DEFAULT_TOLERANCE, false);
-        assert!(!report.passed(), "{}", report.render());
-        let tail = report
-            .checks
-            .iter()
-            .find(|c| c.metric == "scaling-ratio" && c.ranks == 16384)
-            .expect("tail segment is gated");
-        assert!(!tail.ok, "the 4K->16K collapse must fail");
-        let head = report
-            .checks
-            .iter()
-            .find(|c| c.metric == "scaling-ratio" && c.ranks == 4096)
-            .expect("head segment is gated");
-        assert!(head.ok, "the healthy 1K->4K segment passes");
-    }
-
-    #[test]
-    fn simmpi_ratio_only_tolerates_a_uniformly_slower_machine() {
-        let base = parse_simmpi_baseline(&scale_result(&[1024, 4096]).to_json()).unwrap();
-        let mut cur = scale_result(&[1024, 4096]);
-        for row in &mut cur.rows {
-            row.wall_ns *= 3;
-            row.rank_iters_per_wall_sec /= 3.0;
-        }
-        let ratio = compare_simmpi(&base, &cur, DEFAULT_TOLERANCE, false);
-        assert!(ratio.passed(), "{}", ratio.render());
-        let absolute = compare_simmpi(&base, &cur, DEFAULT_TOLERANCE, true);
-        assert!(!absolute.passed(), "wall checks are machine-dependent");
-    }
-
-    #[test]
-    fn simmpi_virtual_drift_fails_in_every_mode() {
-        // Virtual-time throughput is deterministic: a drop means the
-        // simulation itself changed, and no machine excuse applies.
-        let base = parse_simmpi_baseline(&scale_result(&[1024, 4096]).to_json()).unwrap();
-        let mut cur = scale_result(&[1024, 4096]);
-        cur.rows[0].rank_iters_per_virtual_sec /= 2.0;
-        for absolute in [true, false] {
-            let report = compare_simmpi(&base, &cur, DEFAULT_TOLERANCE, absolute);
-            assert!(!report.passed(), "{}", report.render());
-        }
-    }
-
-    #[test]
-    fn simmpi_baseline_only_ranks_are_skipped_not_failed() {
-        // CI re-measures a reduced curve: the committed 16,384-rank point
-        // must not fail the gate just because it wasn't re-run.
-        let base = parse_simmpi_baseline(&scale_result(&[1024, 4096, 16384]).to_json()).unwrap();
-        let cur = scale_result(&[1024, 4096]);
-        let report = compare_simmpi(&base, &cur, DEFAULT_TOLERANCE, false);
-        assert!(report.passed(), "{}", report.render());
-        assert_eq!(report.skipped, 1, "the 16384 cell");
-    }
-
-    #[test]
-    fn empty_comparison_is_a_failure() {
-        let base = synthetic(&["cg-fig21"], &[4]);
-        let cur = synthetic(&["ft-fig22"], &[8]);
-        let report = compare(
-            &to_baseline(&base),
-            &InterpSpeedResult { rows: cur },
-            DEFAULT_TOLERANCE,
-            true,
-        );
-        assert!(!report.passed(), "nothing compared must not pass");
-    }
-
-    #[test]
-    fn skipped_cells_are_named_not_just_counted() {
-        let base = synthetic(&["cg-fig21"], &[4, 16, 64]);
-        let cur = synthetic(&["cg-fig21"], &[4, 16]);
-        let report = compare(
-            &to_baseline(&base),
-            &InterpSpeedResult { rows: cur },
-            DEFAULT_TOLERANCE,
-            true,
-        );
-        assert_eq!(report.skipped_cells, vec!["cg-fig21/64"]);
-        assert_eq!(report.skipped, report.skipped_cells.len());
-        assert!(report
-            .render()
-            .contains("skipped baseline cell(s): cg-fig21/64"));
-    }
-
-    #[test]
-    fn a_new_unmeasured_cell_is_a_hard_failure_unless_allowed() {
-        // Regenerating the benchmark grew a ranks=64 cell the committed
-        // baseline has never gated. Passing checks must not mask it.
-        let base = synthetic(&["cg-fig21"], &[4, 16]);
-        let cur = synthetic(&["cg-fig21"], &[4, 16, 64]);
-        let mut report = compare(
-            &to_baseline(&base),
-            &InterpSpeedResult { rows: cur },
-            DEFAULT_TOLERANCE,
-            true,
-        );
-        assert!(report.checks.iter().all(|c| c.ok));
-        assert_eq!(report.new_cells, vec!["cg-fig21/64"]);
-        assert!(!report.passed(), "{}", report.render());
-        assert!(report.render().contains("--allow-new-cells"));
-        report.allow_new_cells = true;
-        assert!(report.passed(), "{}", report.render());
-
-        // Same contract for the simmpi curve.
-        let base = parse_simmpi_baseline(&scale_result(&[1024, 4096]).to_json()).unwrap();
-        let cur = scale_result(&[1024, 4096, 16384]);
-        let report = compare_simmpi(&base, &cur, DEFAULT_TOLERANCE, false);
-        assert_eq!(report.new_cells, vec!["simmpi/16384"]);
-        assert!(!report.passed(), "{}", report.render());
+        (0..).zip(samples).collect()
     }
 
     #[test]
     fn history_jsonl_round_trips_and_tolerates_a_torn_tail() {
-        let rows = synthetic(&["cg-fig21"], &[4]);
-        let report = compare(
-            &to_baseline(&rows),
-            &InterpSpeedResult { rows: rows.clone() },
-            DEFAULT_TOLERANCE,
-            true,
-        );
-        let mut text = history_lines(&report, "interp", 3);
+        let fresh = at(INTERP, &[4]);
+        let report = compare(&fresh, &fresh, DEFAULT_TOLERANCE, true);
+        let mut text = history_lines(&report, 3);
         let cells = parse_history(&text);
-        assert_eq!(cells.len(), report.checks.len());
-        assert_eq!(cells[0].run, 3);
-        assert_eq!(cells[0].suite, "interp");
-        assert_eq!(cells[0].cell, "cg-fig21/4/vm-speedup");
-        assert!((cells[0].value - report.checks[0].current).abs() < 1e-12);
+        let expected: Vec<(u64, BenchRow)> = fresh.iter().map(|r| (3, r.clone())).collect();
+        assert_eq!(cells, expected);
+        // Old and new runs form one series: cell + metric concatenate to
+        // the `workload/ranks/metric` key earlier history files stored.
+        assert_eq!(cells[0].1.key(), "cg-fig21/4/vm-speedup");
         assert_eq!(next_history_run(&cells), 4);
         assert_eq!(next_history_run(&[]), 0);
+        // A ratio-only run files only what it checked.
+        let ratio_only = compare(&fresh, &fresh, DEFAULT_TOLERANCE, false);
+        assert_eq!(parse_history(&history_lines(&ratio_only, 0)).len(), 1);
 
         // A torn tail (interrupted append) drops itself and nothing
         // before it — the runtime WAL's valid-prefix semantics.
         text.push_str("{\"run\": 4, \"sui");
-        assert_eq!(parse_history(&text).len(), cells.len());
+        assert_eq!(parse_history(&text), expected);
         // Damage mid-file drops the suffix too: the prefix stays valid.
-        let torn = format!("{}garbage\n{}", history_lines(&report, "interp", 0), text);
+        let torn = format!("{}garbage\n{}", history_lines(&report, 0), text);
         assert_eq!(parse_history(&torn).len(), cells.len());
     }
 
-    fn hist(suite: &str, cell: &str, values: &[f64]) -> Vec<HistoryCell> {
-        values
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| HistoryCell {
-                run: i as u64,
-                suite: suite.into(),
-                cell: cell.into(),
-                value: v,
-            })
-            .collect()
+    /// One `--stats` scenario, a single series judged against its
+    /// recorded history: the row's `kind`, `better` and fresh `value`, the
+    /// committed `baseline` value, the recorded `series`, the fixed-band
+    /// verdict then the verdict after [`apply_history`], and `(samples,
+    /// regime_len)` when history superseded the band.
+    type StatsCase = (
+        &'static str,
+        &'static str,
+        f64,
+        f64,
+        Vec<f64>,
+        [bool; 2],
+        Option<(usize, usize)>,
+    );
+
+    #[rustfmt::skip]
+    fn stats_cases() -> Vec<StatsCase> {
+        let around = |c: f64| vec![c * 1.01, c * 0.99, c, c * 1.02, c];
+        // Five runs on the old CI machine (speedup ~6.4), five on the new
+        // one (~5.0): the verdict must come from the *latest* regime.
+        let regimes = || vec![6.4, 6.38, 6.42, 6.41, 6.39, 5.0, 4.98, 5.02, 5.01, 4.99];
+        let (virt, deep) = (49_152.0, Some((6, 6)));
+        vec![
+            ("four runs are one short: the fixed band stays", "ratio higher", 5.0, 5.0, vec![5.0; 4], [true, true], None),
+            // The dogfood scenario: this machine sits 28.6% below the
+            // committed baseline, outside the fixed band, but dead centre
+            // of what it has recorded five times.
+            ("deep history accepts what the band refused", "ratio higher", 3.57, 5.0, around(3.57), [false, true], Some((5, 5))),
+            ("15% below a tight regime fails inside the band", "ratio higher", 5.0, 5.0, around(5.9), [true, false], Some((5, 5))),
+            ("2x slowdown fails the stats gate too", "ratio higher", 2.5, 5.0, around(5.0), [false, false], Some((5, 5))),
+            ("a regime change resets the reference", "ratio higher", 5.0, 6.4, regimes(), [true, true], Some((10, 5))),
+            ("15% below the new regime fails", "ratio higher", 4.25, 5.0, regimes(), [true, false], Some((10, 5))),
+            ("faster than the regime is never a regression", "ratio higher", 6.4, 6.4, regimes(), [true, true], Some((10, 5))),
+            // Virtual time is deterministic: a 5% dip is a simulation
+            // change. The 1% floor catches it; the same dip on a
+            // wall-derived figure sits inside the 10% floor.
+            ("virtual rows get the 1% floor", "virtual higher", virt * 0.95, virt, vec![virt; 6], [true, false], deep),
+            ("0.5% is inside the 1% floor", "virtual higher", virt * 0.995, virt, vec![virt; 6], [true, true], deep),
+            ("ratio rows get the 10% floor", "ratio higher", virt * 0.95, virt, vec![virt; 6], [true, true], deep),
+            ("wall rows get the 10% floor", "wall higher", virt * 0.95, virt, vec![virt; 6], [true, true], deep),
+            ("lower-is-better rows regress upwards", "virtual lower", 1_020.0, 1_000.0, vec![1_000.0; 6], [true, false], deep),
+            ("lower-is-better rows may always fall", "virtual lower", 500.0, 1_000.0, vec![1_000.0; 6], [true, true], deep),
+        ]
     }
 
     #[test]
-    fn shallow_history_keeps_the_fixed_tolerance_verdict() {
-        let rows = synthetic(&["cg-fig21"], &[4]);
-        let mut report = compare(
-            &to_baseline(&rows),
-            &InterpSpeedResult { rows: rows.clone() },
-            DEFAULT_TOLERANCE,
-            true,
-        );
-        // Four recorded runs: one short of the minimum.
-        let history = hist("interp", "cg-fig21/4/vm-speedup", &[5.0, 5.0, 5.0, 5.0]);
-        apply_history(&mut report, "interp", &history);
-        assert!(
-            report.checks.iter().all(|c| c.stats.is_none()),
-            "shallow history must stay on the fixed band"
-        );
-        assert!(report.passed(), "{}", report.render());
-        assert!(report.render().contains("[fixed tolerance]"));
-    }
-
-    #[test]
-    fn deep_history_supersedes_the_fixed_band_in_both_directions() {
-        // The dogfood scenario. The committed BENCH_interp.json was
-        // measured on a faster-relative machine: this machine's speedup
-        // sits ~29% below it, outside the fixed band. With five recorded
-        // runs centered on what *this* machine actually measures, the
-        // history verdict accepts it with room to spare…
-        let base = synthetic(&["cg-fig21"], &[4]);
-        let mut cur = base.clone();
-        for r in cur.iter_mut().filter(|r| r.backend == "tree-walker") {
-            r.wall_ns = r.wall_ns * 100 / 140; // speedup 5x*100/140 ≈ 3.57: 28.6% down
-        }
-        let mut report = compare(
-            &to_baseline(&base),
-            &InterpSpeedResult { rows: cur },
-            DEFAULT_TOLERANCE,
-            false,
-        );
-        assert!(!report.passed(), "28% down fails the fixed band");
-        let measured = report.checks[0].current;
-        let history = hist(
-            "interp",
-            "cg-fig21/4/vm-speedup",
-            &[
-                measured * 1.01,
-                measured * 0.99,
-                measured,
-                measured * 1.02,
-                measured,
-            ],
-        );
-        apply_history(&mut report, "interp", &history);
-        assert!(report.passed(), "{}", report.render());
-        let stats = report.checks[0].stats.as_ref().expect("history verdict");
-        assert_eq!(stats.samples, 5);
-
-        // …and a drop the fixed band would wave through fails once the
-        // history shows the cell never moves: 15% below a tight regime.
-        let mut report2 = compare(
-            &to_baseline(&base),
-            &InterpSpeedResult { rows: base.clone() },
-            DEFAULT_TOLERANCE,
-            false,
-        );
-        assert!(report2.passed(), "identical run passes the fixed band");
-        let cur_val = report2.checks[0].current;
-        let tight = hist(
-            "interp",
-            "cg-fig21/4/vm-speedup",
-            &[
-                cur_val * 1.18,
-                cur_val * 1.17,
-                cur_val * 1.18,
-                cur_val * 1.19,
-                cur_val * 1.18,
-            ],
-        );
-        apply_history(&mut report2, "interp", &tight);
-        assert!(
-            !report2.passed(),
-            "a 15% drop below a tight history regime must fail: {}",
-            report2.render()
-        );
-    }
-
-    #[test]
-    fn synthetic_2x_slowdown_fails_the_stats_gate_too() {
-        // The acceptance scenario: `repro interp --check --stats` must
-        // exit nonzero on a 2x slowdown even when the history is deep.
-        let base = synthetic(&["cg-fig21"], &[4]);
-        let healthy = compare(
-            &to_baseline(&base),
-            &InterpSpeedResult { rows: base.clone() },
-            DEFAULT_TOLERANCE,
-            false,
-        );
-        let good = healthy.checks[0].current;
-        let history = hist(
-            "interp",
-            "cg-fig21/4/vm-speedup",
-            &[good, good * 1.01, good * 0.99, good, good * 1.02, good],
-        );
-        let mut slow = base.clone();
-        for r in slow.iter_mut().filter(|r| r.backend == "vm") {
-            r.wall_ns *= 2;
-            r.wall_ns_per_sim_sec *= 2.0;
-        }
-        let mut report = compare(
-            &to_baseline(&base),
-            &InterpSpeedResult { rows: slow },
-            DEFAULT_TOLERANCE,
-            false,
-        );
-        apply_history(&mut report, "interp", &history);
-        assert!(!report.passed(), "{}", report.render());
-        let check = &report.checks[0];
-        assert!(check.stats.is_some(), "verdict must come from history");
-        assert!(!check.ok);
-    }
-
-    #[test]
-    fn a_regime_change_in_history_resets_the_reference() {
-        // Five runs on the old CI machine (speedup ~6.4), five on the
-        // new one (~5.0): the change-point split must judge against the
-        // *latest* regime, not the pooled history.
-        let series = [6.4, 6.38, 6.42, 6.41, 6.39, 5.0, 4.98, 5.02, 5.01, 4.99];
-        let history = hist("interp", "cg-fig21/4/vm-speedup", &series);
-        let judge = |current: f64| {
-            let mut check = GateCheck {
-                workload: "cg-fig21".into(),
-                ranks: 4,
-                metric: "vm-speedup",
-                baseline: 6.4,
-                current,
-                ok: true,
-                stats: None,
+    fn history_verdicts() {
+        for (name, shape, value, baseline, series, ok, stats) in stats_cases() {
+            let fresh = rows(&format!("suite cell/4 metric {shape} {value:?}")).remove(0);
+            let mut base = fresh.clone();
+            base.value = baseline;
+            let mut report = compare(
+                &[base],
+                std::slice::from_ref(&fresh),
+                DEFAULT_TOLERANCE,
+                true,
+            );
+            assert_eq!(report.checks[0].ok, ok[0], "fixed band: {name}");
+            // Another series in the same file never leaks in.
+            let mut other = fresh.clone();
+            other.cell = "cell/8".into();
+            let history = [hist(&fresh, &series), hist(&other, &[1e9; 6])].concat();
+            apply_history(&mut report, &history);
+            let check = &report.checks[0];
+            assert_eq!(check.ok, ok[1], "{name}\n{}", report.render());
+            let judged = check.stats.as_ref().map(|s| (s.samples, s.regime_len));
+            assert_eq!(judged, stats, "{name}");
+            let tag = if stats.is_some() {
+                "[history n="
+            } else {
+                "[fixed tolerance]"
             };
-            let mut report = GateReport {
-                checks: vec![check.clone()],
-                tolerance: DEFAULT_TOLERANCE,
-                ..GateReport::default()
-            };
-            apply_history(&mut report, "interp", &history);
-            check = report.checks.pop().unwrap();
-            let stats = check.stats.expect("deep history");
-            assert_eq!(stats.regime_len, 5, "latest regime only");
-            assert!((stats.median - 5.0).abs() < 0.05);
-            check.ok
+            assert!(report.render().contains(tag), "{name}");
+        }
+    }
+
+    fn committed(name: &str) -> String {
+        let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+    }
+
+    fn committed_baselines() -> Vec<BenchRow> {
+        let suites = ["interp", "service", "simmpi", "control"];
+        let read = |suite: &&str| {
+            let rows = parse_rows(&committed(&format!("BENCH_{suite}.json"))).expect(suite);
+            assert!(rows.iter().all(|r| r.suite == **suite), "{suite}");
+            rows
         };
-        assert!(judge(5.0), "the new machine's own value passes");
-        assert!(
-            !judge(5.0 * 0.85),
-            "15% below the new regime fails even though it is within 25% of nothing in particular"
-        );
-        assert!(judge(6.4), "faster than the regime is never a regression");
+        suites.iter().flat_map(read).collect()
     }
 
     #[test]
-    fn deterministic_metrics_get_the_tight_floor() {
-        // virt-throughput is virtual time: a 5% dip is a simulation
-        // change, and the 1% floor must catch it where the wall-derived
-        // 10% floor would not.
-        let history = hist("simmpi", "simmpi/1024/virt-throughput", &[49_152.0; 6]);
-        let mut report = GateReport {
-            checks: vec![GateCheck {
-                workload: "simmpi".into(),
-                ranks: 1024,
-                metric: "virt-throughput",
-                baseline: 49_152.0,
-                current: 49_152.0 * 0.95,
-                ok: true,
-                stats: None,
-            }],
-            tolerance: DEFAULT_TOLERANCE,
-            ..GateReport::default()
-        };
-        apply_history(&mut report, "simmpi", &history);
-        assert!(!report.passed(), "{}", report.render());
-        report.checks[0].current = 49_152.0 * 0.995;
-        apply_history(&mut report, "simmpi", &history);
-        assert!(report.checks[0].ok, "0.5% is inside the 1% floor");
+    fn committed_files_parse_and_every_history_series_has_a_baseline_row() {
+        let baselines = committed_baselines();
+        let text = committed("BENCH_history.jsonl");
+        let history = parse_history(&text);
+        let lines = text.lines().filter(|l| !l.trim().is_empty()).count();
+        assert_eq!(
+            (history.len(), lines),
+            (130, 130),
+            "valid-prefix parsing truncated the history"
+        );
+        for (_, h) in &history {
+            let base = baselines.iter().find(|b| b.same_series(h));
+            let base = base.unwrap_or_else(|| panic!("no baseline row for {}", h.key()));
+            assert_eq!((base.kind, base.better), (h.kind, h.better), "{}", h.key());
+            // Every series keeps its length and its run order.
+            let series = history.iter().filter(|(_, o)| o.same_series(h));
+            let runs: Vec<u64> = series.map(|(run, _)| *run).collect();
+            assert_eq!(
+                runs.len(),
+                if h.suite == "interp" { 8 } else { 6 },
+                "{}",
+                h.key()
+            );
+            assert!(runs.windows(2).all(|w| w[0] < w[1]), "{}", h.key());
+        }
+    }
+
+    type ParentVerdict = (&'static str, f64, bool, bool, usize, usize, f64, f64);
+
+    /// What the pre-row gate (three parsers, three comparators, two name
+    /// tables) reported on the committed data with the committed baseline
+    /// values as the fresh measurement, captured once at the parent
+    /// commit: `(key, baseline, fixed-band ok, --stats ok, samples,
+    /// regime_len, median, allowed)`. The ranks-64 interp cells were not
+    /// measured (the gate's reduced sweep) and have no history.
+    #[rustfmt::skip]
+    const PARENT_VERDICTS: [ParentVerdict; 19] = [
+        ("cg-fig21/4/vm-speedup", 10.422468205694468, true, true, 8, 8, 5.176943721945241, 0.5176943721945241),
+        ("cg-fig21/4/vm-throughput", 3509026354.5, true, true, 8, 8, 13111645888.93902, 1311164588.893902),
+        ("cg-fig21/16/vm-speedup", 9.70550642335844, true, true, 8, 8, 5.189686471139558, 0.5189686471139557),
+        ("cg-fig21/16/vm-throughput", 14698681126.5, true, true, 8, 8, 52511267603.8186, 5251126760.381861),
+        ("ft-fig22/4/vm-speedup", 8.664093449386359, true, true, 8, 8, 4.615984389259525, 1.1300909272107447),
+        ("ft-fig22/4/vm-throughput", 2699061201.2, true, true, 8, 8, 10651057391.53104, 1918317461.9414492),
+        ("ft-fig22/16/vm-speedup", 8.770000332707282, true, true, 8, 8, 4.741712040539536, 0.47417120405395363),
+        ("ft-fig22/16/vm-throughput", 5066799979.6, true, true, 8, 8, 21085478166.320663, 2295989352.966242),
+        ("service/16/p99-hot-ingest", 200161920.0, true, true, 6, 6, 200161810.0, 2001618.1),
+        ("service/16/p99-steady-ingest", 190297.0, true, true, 6, 6, 189668.0, 2797.6661999999997),
+        ("service/16/service-throughput", 592.5650536044382, true, false, 6, 6, 816.1914321788884, 152.11900145393275),
+        ("simmpi/1024/virt-throughput", 30290854.3, true, true, 6, 6, 30290854.321401544, 302908.54321401543),
+        ("simmpi/1024/wall-throughput", 887478.2, true, true, 6, 6, 799975.4360105656, 80881.77648795577),
+        ("simmpi/4096/virt-throughput", 102637134.5, true, true, 6, 6, 102637134.54627462, 1026371.3454627462),
+        ("simmpi/4096/wall-throughput", 652457.5, true, true, 6, 6, 591623.8150041692, 64968.102092692476),
+        ("simmpi/16384/virt-throughput", 356091986.1, true, true, 6, 6, 356091986.0829121, 3560919.860829121),
+        ("simmpi/16384/wall-throughput", 562453.3, true, true, 6, 6, 495633.5169162098, 77880.13304118285),
+        ("simmpi/4096/scaling-ratio", 0.7351814388229481, true, true, 6, 6, 0.730902241840817, 0.11276647168367873),
+        ("simmpi/16384/scaling-ratio", 0.862053543717407, true, true, 6, 6, 0.8569814636590437, 0.19651780761141704),
+    ];
+
+    #[test]
+    fn verdicts_on_the_committed_data_match_the_parent_gate() {
+        let baselines = committed_baselines();
+        let history = parse_history(&committed("BENCH_history.jsonl"));
+        let measured = |r: &&BenchRow| r.suite != "control" && !r.cell.ends_with("/64");
+        let fresh: Vec<BenchRow> = baselines.iter().filter(measured).cloned().collect();
+        for absolute in [true, false] {
+            let mut report = compare(&baselines, &fresh, DEFAULT_TOLERANCE, absolute);
+            // The parent skipped the same rows: `cg-fig21/64` and
+            // `ft-fig22/64` whole, wall rows when ratio-only (it named
+            // only the service one) — plus, new here, the control suite.
+            let skipped = |b: &&BenchRow| !measured(b) || (b.kind == Kind::Wall && !absolute);
+            let expected: Vec<String> = baselines
+                .iter()
+                .filter(skipped)
+                .map(BenchRow::key)
+                .collect();
+            assert_eq!(report.skipped_cells, expected);
+            assert!(report.new_cells.is_empty());
+            let pinned = |c: &GateCheck| {
+                let key = c.row.key();
+                *(PARENT_VERDICTS.iter().find(|p| p.0 == key)).unwrap_or_else(|| panic!("{key}"))
+            };
+            assert_eq!(
+                report.checks.len(),
+                PARENT_VERDICTS.len() - if absolute { 0 } else { 8 }
+            );
+            for c in &report.checks {
+                let (key, base, fixed_ok, ..) = pinned(c);
+                assert_eq!(
+                    (c.baseline.to_bits(), c.ok),
+                    (base.to_bits(), fixed_ok),
+                    "{key}"
+                );
+            }
+            apply_history(&mut report, &history);
+            for c in &report.checks {
+                let (key, _, _, ok, samples, regime_len, median, allowed) = pinned(c);
+                let s = c.stats.as_ref().expect(key);
+                assert_eq!(
+                    (c.ok, s.samples, s.regime_len),
+                    (ok, samples, regime_len),
+                    "{key}"
+                );
+                let bits = (s.median.to_bits(), s.allowed.to_bits());
+                assert_eq!(bits, (median.to_bits(), allowed.to_bits()), "{key}");
+            }
+            assert_eq!(
+                report.passed(),
+                !absolute,
+                "only the wall service-throughput row fails"
+            );
+        }
     }
 }

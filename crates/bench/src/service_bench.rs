@@ -34,6 +34,7 @@ use vsensor_interp::{InstrumentedRun, RunConfig};
 use vsensor_runtime::{AnalysisService, TenantChannel, TenantId, TenantSpec, TenantStats};
 
 use crate::failstop::first_mismatch;
+use crate::perf_gate::{BenchRow, Better, Kind};
 use crate::Effort;
 
 /// Result of the multi-tenant service study.
@@ -90,22 +91,24 @@ impl ServiceBenchResult {
         self.batches_total as f64 / self.wall.as_secs_f64().max(1e-9)
     }
 
-    /// The committed `BENCH_service.json` shape: a flat array of
-    /// `{"metric", "value"}` rows.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[\n");
-        let rows = [
-            ("p99_hot_ingest_ns", self.p99_hot_ingest_ns as f64),
-            ("p99_steady_ingest_ns", self.p99_steady_ingest_ns as f64),
-            ("hot_backpressured", self.hot_backpressured as f64),
-            ("batches_per_wall_sec", self.batches_per_wall_sec()),
-        ];
-        for (i, (metric, value)) in rows.iter().enumerate() {
-            let _ = write!(out, "  {{\"metric\": \"{metric}\", \"value\": {value}}}");
-            out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("]\n");
-        out
+    /// The gated rows of the `service` suite (`BENCH_service.json`). The
+    /// p99 ingest latencies are *virtual-time* quantities — deterministic
+    /// and machine-independent; the batches-per-wall-second throughput
+    /// compares wall clocks across machines. Whether backpressure
+    /// engaged is an invariant ([`Self::backpressure_is_fair`]), not a
+    /// measurement, so it is not a row.
+    pub fn rows(&self) -> Vec<BenchRow> {
+        let row = |metric, value, kind, better| {
+            let cell = format!("service/{}", self.tenants);
+            BenchRow::new("service", cell, metric, value, kind, better)
+        };
+        let p99 = |metric, ns: u64| row(metric, ns as f64, Kind::Virtual, Better::Lower);
+        let throughput = self.batches_per_wall_sec();
+        vec![
+            p99("p99-hot-ingest", self.p99_hot_ingest_ns),
+            p99("p99-steady-ingest", self.p99_steady_ingest_ns),
+            row("service-throughput", throughput, Kind::Wall, Better::Higher),
+        ]
     }
 
     /// Render the study.
@@ -336,8 +339,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn service_json_is_flat_metric_rows() {
-        let r = ServiceBenchResult {
+    fn service_rows_and_the_backpressure_invariant() {
+        let mut r = ServiceBenchResult {
             tenants: 16,
             ranks_per_tenant: 4,
             runs: Vec::new(),
@@ -352,10 +355,24 @@ mod tests {
             batches_total: 1_000,
             wall: std::time::Duration::from_secs(2),
         };
-        let json = r.to_json();
-        assert!(json.contains("\"metric\": \"p99_hot_ingest_ns\", \"value\": 1234"));
-        assert!(json.contains("\"metric\": \"hot_backpressured\", \"value\": 42"));
-        assert!(json.contains("\"metric\": \"batches_per_wall_sec\", \"value\": 500"));
-        assert!((r.batches_per_wall_sec() - 500.0).abs() < 1e-9);
+        let rows = r.rows();
+        let keyed: Vec<(String, f64)> = rows.iter().map(|r| (r.key(), r.value)).collect();
+        assert_eq!(
+            keyed,
+            [
+                ("service/16/p99-hot-ingest".to_string(), 1_234.0),
+                ("service/16/p99-steady-ingest".to_string(), 567.0),
+                ("service/16/service-throughput".to_string(), 500.0),
+            ]
+        );
+        // The gate carries no backpressure row: admission control that
+        // stopped engaging on the hot tenant (or touched a steady one) is
+        // refused by this invariant before any comparison runs.
+        assert!(r.backpressure_is_fair());
+        r.max_steady_backpressured = 1;
+        assert!(!r.backpressure_is_fair());
+        r.max_steady_backpressured = 0;
+        r.hot_backpressured = 0;
+        assert!(!r.backpressure_is_fair());
     }
 }

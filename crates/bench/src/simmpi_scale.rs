@@ -20,8 +20,9 @@
 //!   checks the *ratio* between rank counts (scaling efficiency) unless
 //!   absolute checking is requested.
 //!
-//! The `repro` binary serializes the sweep to `BENCH_simmpi.json` so the
-//! committed baseline records the 1,024 → 16,384 scaling curve.
+//! The `repro` binary serializes [`ScaleResult::rows`] to
+//! `BENCH_simmpi.json` so the committed baseline records the 1,024 →
+//! 16,384 scaling curve.
 
 use simmpi::SimBackend;
 use std::fmt::Write;
@@ -29,6 +30,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use vsensor::{scenarios, Pipeline, Prepared};
 
+use crate::perf_gate::{BenchRow, Better, Kind};
 use crate::Effort;
 
 /// Outer iterations of the ring/allreduce/barrier loop per rank.
@@ -39,8 +41,6 @@ const ITERS: usize = 24;
 pub struct ScaleRow {
     /// Simulated MPI ranks.
     pub ranks: usize,
-    /// Outer iterations each rank executed.
-    pub iterations: usize,
     /// Virtual seconds the run simulated (max over ranks) — deterministic.
     pub virtual_secs: f64,
     /// Rank-iterations per virtual second: `ranks * iterations /
@@ -59,15 +59,23 @@ pub struct ScaleResult {
 }
 
 impl ScaleResult {
-    /// Scaling efficiency between two rank counts: wall throughput at
-    /// `hi` ranks divided by wall throughput at `lo` ranks. 1.0 means the
-    /// scheduler's cost per rank-iteration is flat across the scale; the
-    /// gate fails CI when this ratio collapses.
-    pub fn scaling_efficiency(&self, lo: usize, hi: usize) -> Option<f64> {
-        let find = |ranks| self.rows.iter().find(|r| r.ranks == ranks);
-        let a = find(lo)?;
-        let b = find(hi)?;
-        Some(b.rank_iters_per_wall_sec / a.rank_iters_per_wall_sec.max(1e-9))
+    /// Scaling efficiency per *adjacent pair* of measured rank counts
+    /// (1K→4K, 4K→16K, ...): `(lo ranks, hi ranks, wall throughput at hi
+    /// / wall throughput at lo)`. 1.0 means the scheduler's cost per
+    /// rank-iteration is flat across the scale. Both ends of a ratio come
+    /// from this run, so machine speed cancels: an event-queue or
+    /// data-layout regression that hits big worlds harder than small ones
+    /// collapses one of these no matter how fast the machine is. Per
+    /// segment, because one widest-span ratio can hide a collapsing tail
+    /// — a big win at 1K→4K masks a 4K→16K cliff when they are folded
+    /// into one number.
+    pub fn scaling_ratios(&self) -> Vec<(usize, usize, f64)> {
+        let ratio = |lo: &ScaleRow, hi: &ScaleRow| {
+            hi.rank_iters_per_wall_sec / lo.rank_iters_per_wall_sec.max(1e-9)
+        };
+        (self.rows.windows(2))
+            .map(|p| (p[0].ranks, p[1].ranks, ratio(&p[0], &p[1])))
+            .collect()
     }
 
     /// Human-readable table.
@@ -93,35 +101,32 @@ impl ScaleResult {
                 r.rank_iters_per_wall_sec,
             );
         }
-        for pair in self.rows.windows(2) {
-            let (lo, hi) = (pair[0].ranks, pair[1].ranks);
-            if let Some(eff) = self.scaling_efficiency(lo, hi) {
-                let _ = writeln!(out, "scaling efficiency {lo} -> {hi} ranks: {eff:.2}x");
-            }
+        for (lo, hi, eff) in self.scaling_ratios() {
+            let _ = writeln!(out, "scaling efficiency {lo} -> {hi} ranks: {eff:.2}x");
         }
         out
     }
 
-    /// Machine-readable rows for `BENCH_simmpi.json`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let _ = write!(
-                out,
-                "  {{\"ranks\": {}, \"iterations\": {}, \"virtual_secs\": {:.6}, \
-                 \"rank_iters_per_virtual_sec\": {:.1}, \"wall_ns\": {}, \
-                 \"rank_iters_per_wall_sec\": {:.1}}}",
-                r.ranks,
-                r.iterations,
-                r.virtual_secs,
-                r.rank_iters_per_virtual_sec,
-                r.wall_ns,
-                r.rank_iters_per_wall_sec,
-            );
-            out.push_str(if i + 1 < self.rows.len() { ",\n" } else { "\n" });
+    /// The gated rows of the `simmpi` suite (`BENCH_simmpi.json`): per
+    /// rank count the deterministic virtual-time throughput and the
+    /// machine-dependent wall throughput, then one scaling ratio per
+    /// adjacent pair, filed under the pair's upper rank count.
+    pub fn rows(&self) -> Vec<BenchRow> {
+        let row = |ranks: usize, metric, value, kind| {
+            let cell = format!("simmpi/{ranks}");
+            BenchRow::new("simmpi", cell, metric, value, kind, Better::Higher)
+        };
+        let mut rows = Vec::new();
+        for r in &self.rows {
+            let virt = r.rank_iters_per_virtual_sec;
+            rows.push(row(r.ranks, "virt-throughput", virt, Kind::Virtual));
+            let wall = r.rank_iters_per_wall_sec;
+            rows.push(row(r.ranks, "wall-throughput", wall, Kind::Wall));
         }
-        out.push_str("]\n");
-        out
+        for (_, hi, ratio) in self.scaling_ratios() {
+            rows.push(row(hi, "scaling-ratio", ratio, Kind::Ratio));
+        }
+        rows
     }
 }
 
@@ -172,7 +177,6 @@ fn measure(prepared: &Prepared, ranks: usize) -> ScaleRow {
     let rank_iters = (ranks * ITERS) as f64;
     ScaleRow {
         ranks,
-        iterations: ITERS,
         virtual_secs,
         rank_iters_per_virtual_sec: rank_iters / virtual_secs.max(1e-9),
         wall_ns: best_wall_ns,
@@ -284,20 +288,23 @@ pub fn run_with_ranks(rank_sweep: &[usize]) -> ScaleResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::perf_gate::{parse_rows, rows_to_json};
 
     #[test]
-    fn smoke_sweep_produces_rows_and_json() {
+    fn smoke_sweep_produces_rows() {
         let r = run(Effort::Smoke);
         assert_eq!(r.rows.len(), 2);
-        assert!(r.scaling_efficiency(64, 256).is_some());
+        assert_eq!(r.scaling_ratios().len(), 1);
         for row in &r.rows {
             assert!(row.virtual_secs > 0.0, "{} ranks simulated time", row.ranks);
             assert!(row.rank_iters_per_virtual_sec > 0.0);
             assert!(row.rank_iters_per_wall_sec > 0.0);
         }
-        let json = r.to_json();
-        assert!(json.contains("\"ranks\": 64"));
-        assert!(json.contains("rank_iters_per_virtual_sec"));
+        // 2 rank counts x (virtual, wall) + 1 adjacent scaling ratio.
+        let gated = r.rows();
+        assert_eq!(gated.len(), 5);
+        assert_eq!(gated[4].key(), "simmpi/256/scaling-ratio");
+        assert_eq!(parse_rows(&rows_to_json(&gated)), Ok(gated));
         assert!(r.render().contains("iters/wall-sec"));
     }
 

@@ -116,7 +116,13 @@ fn main() {
             };
             let mut run_config = RunConfig::default();
             if let Some(t) = opt("--threshold") {
-                run_config.runtime.variance_threshold = t.parse().unwrap_or_else(|_| usage());
+                let threshold = t.parse().unwrap_or_else(|_| usage());
+                run_config.runtime = (run_config.runtime)
+                    .with_variance_threshold(threshold)
+                    .unwrap_or_else(|e| {
+                        eprintln!("vsc: {e}");
+                        exit(2);
+                    });
             }
             if let Some(s) = opt("--sim") {
                 run_config.sim = SimBackend::parse(&s).unwrap_or_else(|| usage());

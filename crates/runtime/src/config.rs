@@ -57,17 +57,6 @@ pub struct RuntimeConfig {
     ///
     /// [`VarianceAlert`]: crate::engine::VarianceAlert
     pub detect_interval: Duration,
-    /// How many matrix bins behind a rank's newest bin its hot (mutable,
-    /// hash-indexed) cells are kept before being frozen into the compact
-    /// evicted form. Larger values tolerate more telemetry reordering at
-    /// the price of more resident hot cells.
-    pub eviction_lag_bins: u64,
-    /// Virtual processing cost charged to a shard's busy clock per record
-    /// ingested (server-side load accounting; never charged to ranks).
-    pub server_record_cost: Duration,
-    /// Virtual cost charged per matrix cell visited by an incremental
-    /// detection pass (server-side load accounting).
-    pub server_detect_cell_cost: Duration,
     /// Retain the raw record log so [`AnalysisServer::replay_result`] can
     /// cross-check the streaming accumulators against the seed's
     /// batch-at-end algorithm. Off by default — the record log is exactly
@@ -81,11 +70,6 @@ pub struct RuntimeConfig {
     /// engine. A later arrival from the rank revokes a liveness-based
     /// verdict (transport outages look like silence too).
     pub liveness_intervals: u32,
-    /// When a write-ahead log is attached, snapshot the full engine state
-    /// into it every this many detection passes (1 = every pass). Smaller
-    /// values shorten the replay tail on recovery; larger values shrink
-    /// the log.
-    pub wal_snapshot_every: u32,
     /// Instrumentation overhead budget as a fraction of elapsed virtual
     /// time (`0.02` = 2 %). When positive, the engine runs the server→rank
     /// control plane ([`crate::control`]): detect passes compare each
@@ -123,12 +107,8 @@ impl Default for RuntimeConfig {
             send_overhead: Duration::from_micros(2),
             shards: 4,
             detect_interval: Duration::from_millis(200),
-            eviction_lag_bins: 4,
-            server_record_cost: Duration::from_nanos(20),
-            server_detect_cell_cost: Duration::from_nanos(5),
             keep_record_log: false,
             liveness_intervals: 3,
-            wal_snapshot_every: 1,
             overhead_budget: 0.0,
             escalation_slice: Duration::from_micros(250),
         }
@@ -242,13 +222,6 @@ impl RuntimeConfig {
         Ok(self)
     }
 
-    /// Set the WAL snapshot cadence in detection passes. Must be at least 1.
-    pub fn with_wal_snapshot_every(mut self, passes: u32) -> Result<Self, RuntimeError> {
-        self.wal_snapshot_every = passes;
-        at_least_one("wal_snapshot_every", passes as u64)?;
-        Ok(self)
-    }
-
     /// Set the instrumentation overhead budget (fraction of elapsed
     /// virtual time). Must lie in `[0, 1)`; `0` disables the control
     /// plane.
@@ -313,7 +286,6 @@ impl RuntimeConfig {
         positive("batch_interval", self.batch_interval)?;
         at_least_one("buffer_capacity", self.buffer_capacity as u64)?;
         at_least_one("liveness_intervals", self.liveness_intervals as u64)?;
-        at_least_one("wal_snapshot_every", self.wal_snapshot_every as u64)?;
         self.check_overhead_budget()?;
         // With the control plane off, escalation can never fire: the
         // knob is inert, and a hand-set coarse slice must not be
@@ -404,20 +376,14 @@ mod tests {
             .is_err());
         assert!(RuntimeConfig::default().with_buffer_capacity(0).is_err());
         assert!(RuntimeConfig::default().with_liveness_intervals(0).is_err());
-        assert!(RuntimeConfig::default().with_wal_snapshot_every(0).is_err());
     }
 
     #[test]
     fn failstop_knobs_default_and_build() {
         let c = RuntimeConfig::default();
         assert_eq!(c.liveness_intervals, 3);
-        assert_eq!(c.wal_snapshot_every, 1);
-        let c = c
-            .with_liveness_intervals(5)
-            .and_then(|c| c.with_wal_snapshot_every(4))
-            .expect("valid");
+        let c = c.with_liveness_intervals(5).expect("valid");
         assert_eq!(c.liveness_intervals, 5);
-        assert_eq!(c.wal_snapshot_every, 4);
         c.validate().expect("still valid");
     }
 

@@ -20,7 +20,7 @@
 //!   can keep without the records. Standards may keep tightening while the
 //!   run is live; the decomposition re-normalizes frozen history for free.
 //! * **Bounded-memory eviction** — per rank, only the trailing
-//!   `eviction_lag_bins` matrix bins stay in the mutable "hot" form; older
+//!   [`EVICTION_LAG_BINS`] matrix bins stay in the mutable "hot" form; older
 //!   bins freeze into a compact sorted vector. Late (out-of-order) records
 //!   transparently reopen and re-freeze their bin.
 //! * **A detection stream** — ingest arrivals periodically trigger an
@@ -58,6 +58,21 @@ use vsensor_lang::SensorId;
 
 /// Byte overhead charged per batch message (header / envelope).
 pub(crate) const BATCH_HEADER_BYTES: u64 = 64;
+
+/// How many matrix bins behind a rank's newest bin its hot (mutable,
+/// hash-indexed) cells are kept before being frozen into the compact
+/// evicted form: enough to absorb the reordering the transport produces
+/// without keeping more than a handful of hot cells per rank resident.
+const EVICTION_LAG_BINS: u64 = 4;
+
+/// Virtual processing cost charged to a shard's busy clock (and, at the
+/// service front door, to the tenant's ledger) per record ingested —
+/// server-side load accounting, never charged to ranks.
+pub(crate) const SERVER_RECORD_COST: Duration = Duration(20);
+
+/// Virtual cost charged per matrix cell visited by an incremental
+/// detection pass (server-side load accounting).
+const SERVER_DETECT_CELL_COST: Duration = Duration(5);
 
 /// A normalization group: records sharing a standard. For
 /// process-invariant sensors the group spans all ranks; otherwise the
@@ -768,7 +783,7 @@ impl AnalysisServer {
         let bin = rec.slice / self.config.slices_per_bin();
         if rank < self.ranks {
             let local = rank / self.shards.len();
-            inner.cells[local].absorb(bin, key, rec.avg, self.config.eviction_lag_bins);
+            inner.cells[local].absorb(bin, key, rec.avg, EVICTION_LAG_BINS);
         }
         inner
             .sensor_acc
@@ -908,8 +923,7 @@ impl AnalysisServer {
         self.records.fetch_add(absorbed, Ordering::Relaxed);
         shard.batches.fetch_add(1, Ordering::Relaxed);
         shard.records.fetch_add(absorbed, Ordering::Relaxed);
-        let ingest_cost =
-            Duration::from_nanos(self.config.server_record_cost.as_nanos() * absorbed);
+        let ingest_cost = Duration::from_nanos(SERVER_RECORD_COST.as_nanos() * absorbed);
         shard.clock.charge(arrival, ingest_cost);
         if trace::enabled(Category::ENGINE) {
             trace::record(TraceEvent::complete(
@@ -1062,8 +1076,7 @@ impl AnalysisServer {
         let matrices = self.fold_matrices(&guards, &global_std, bins);
         let pass = self.detect_passes.fetch_add(1, Ordering::Relaxed) + 1;
         let cells_visited = (self.ranks * bins * SensorKind::ALL.len()) as u64;
-        let detect_cost =
-            Duration::from_nanos(self.config.server_detect_cell_cost.as_nanos() * cells_visited);
+        let detect_cost = Duration::from_nanos(SERVER_DETECT_CELL_COST.as_nanos() * cells_visited);
         self.detect_clock.charge(now, detect_cost);
         if trace::enabled(Category::ENGINE) {
             trace::record(TraceEvent::complete(
@@ -1108,21 +1121,19 @@ impl AnalysisServer {
             ctl.lock().decide(now, pass, &fresh_spans, |r| dead[r]);
         }
         // Pass boundaries are the durability points: with a WAL attached,
-        // checkpoint the whole engine every `wal_snapshot_every` passes so
-        // recovery replays at most that many intervals of batches.
+        // checkpoint the whole engine every pass so recovery replays at
+        // most one interval of batches.
         if let Some(wal) = &self.wal {
-            if pass.is_multiple_of(self.config.wal_snapshot_every as u64) {
-                wal.append_snapshot(self.snapshot_locked(&guards, &stream));
-                if trace::enabled(Category::ENGINE) {
-                    trace::record(TraceEvent::instant(
-                        Category::ENGINE,
-                        "wal_snapshot",
-                        SERVER_LANE,
-                        now.as_nanos(),
-                        pass,
-                        wal.batch_entries() as u64,
-                    ));
-                }
+            wal.append_snapshot(self.snapshot_locked(&guards, &stream));
+            if trace::enabled(Category::ENGINE) {
+                trace::record(TraceEvent::instant(
+                    Category::ENGINE,
+                    "wal_snapshot",
+                    SERVER_LANE,
+                    now.as_nanos(),
+                    pass,
+                    wal.batch_entries() as u64,
+                ));
             }
         }
     }

@@ -72,7 +72,7 @@ impl AnalysisServer {
     /// Create a *durable* server: every arriving batch is appended to an
     /// in-memory [`WriteAheadLog`] before processing (which serializes
     /// ingest — log order is processing order) and the engine checkpoints
-    /// itself into the log every `wal_snapshot_every` detection passes.
+    /// itself into the log every detection pass.
     /// The returned log handle outlives the server; after a crash,
     /// [`AnalysisServer::recover`] rebuilds an equivalent server from it.
     pub fn try_new_durable(

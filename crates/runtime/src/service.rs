@@ -48,7 +48,7 @@
 use crate::baseline::{RunId, SharedBaseline};
 use crate::config::RuntimeConfig;
 use crate::control::ControlDirective;
-use crate::engine::{AnalysisServer, IngestReceipt, VarianceAlert};
+use crate::engine::{AnalysisServer, IngestReceipt, VarianceAlert, SERVER_RECORD_COST};
 use crate::error::{IngestError, RuntimeError};
 use crate::record::SensorInfo;
 use crate::server::ServerResult;
@@ -467,11 +467,7 @@ impl AnalysisService {
         // front-door lock, so tenants never serialize on each other.
         let server = self.live_server(&shard);
         let receipt = server.ingest(batch, arrival)?;
-        let cost = shard
-            .spec
-            .config
-            .server_record_cost
-            .mul_f64(receipt.records.max(1) as f64);
+        let cost = SERVER_RECORD_COST.mul_f64(receipt.records.max(1) as f64);
         let mut ledger = shard.ledger.lock();
         let start = ledger.free_at.max(arrival);
         let done = start + cost;

@@ -5,7 +5,7 @@
 //! but the discipline is the real one — every arriving batch is appended
 //! *before* it mutates engine state, whole ingests are serialized while a
 //! WAL is attached (log order ≡ processing order), and detection passes
-//! append full [`EngineSnapshot`]s every `wal_snapshot_every` passes.
+//! append a full [`EngineSnapshot`] every pass.
 //!
 //! Each entry is framed with its own CRC-32 at append time. Recovery
 //! ([`crate::AnalysisServer::recover`]) walks frames in order and stops at

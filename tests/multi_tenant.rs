@@ -22,6 +22,7 @@
 
 use std::sync::Arc;
 use vsensor_bench::failstop::first_mismatch;
+use vsensor_bench::perf_gate::{parse_rows, rows_to_json};
 use vsensor_bench::{service_bench, Effort};
 use vsensor_repro::cluster_sim::{FaultPlan, VirtualTime};
 use vsensor_repro::interp::RunConfig;
@@ -75,6 +76,11 @@ fn sixteen_tenant_skew_failover_and_fairness() {
             );
         }
     }
+    // The study's gated rows survive the baseline file format bit-exactly
+    // (rows → text → rows).
+    let rows = r.rows();
+    assert_eq!(rows.len(), 3);
+    assert_eq!(parse_rows(&rows_to_json(&rows)), Ok(rows));
 }
 
 /// The Figure 21 bad-node workload (same shape the fail-stop suite uses).
