@@ -113,9 +113,9 @@ impl ClusterConfig {
         }
         let deaths = self.faults.resolve_deaths(&topology);
         Cluster {
+            noise: NoiseModel::new(self.noise, self.injected, nodes.len()),
             nodes,
             topology,
-            noise: NoiseModel::new(self.noise, self.injected),
             network: self.network,
             pmu: Pmu::new(self.pmu),
             faults: self.faults,

@@ -7,7 +7,7 @@
 //! paper's FT case study where the Tianhe-2 interconnect degraded for ~50 s
 //! and slowed all-to-all heavy code by 3.37×.
 
-use crate::time::{Duration, VirtualTime};
+use crate::time::{ceil_to_u64, round_to_u64, Duration, VirtualTime};
 
 /// A window during which the network runs slower.
 #[derive(Clone, Debug, PartialEq)]
@@ -75,7 +75,7 @@ impl NetworkConfig {
             self.latency
         };
         let transfer =
-            Duration::from_nanos((bytes as f64 / self.bandwidth_bytes_per_ns).ceil() as u64);
+            Duration::from_nanos(ceil_to_u64(bytes as f64 / self.bandwidth_bytes_per_ns));
         (lat + transfer).mul_f64(self.factor_at(t))
     }
 
@@ -108,7 +108,7 @@ impl NetworkConfig {
             // other rank; linear in P and the dominant term for FT.
             CollectiveOp::Alltoall => (p - 1.0) * (lat + b * per_byte),
         };
-        Duration::from_nanos(ns.round() as u64).mul_f64(self.factor_at(t))
+        Duration::from_nanos(round_to_u64(ns)).mul_f64(self.factor_at(t))
     }
 }
 

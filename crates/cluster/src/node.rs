@@ -6,7 +6,7 @@
 //! can be modelled directly: a slow-memory node stretches only the memory
 //! component.
 
-use crate::time::Duration;
+use crate::time::{round_to_u64, Duration};
 
 /// Static performance description of one node.
 ///
@@ -69,7 +69,7 @@ impl NodeSpec {
         let cpu_ns = work.cpu as f64 * self.cpu_factor;
         let mem_ns =
             (work.mem as f64 + work.cpu as f64 * miss_rate * MISS_PENALTY) * self.mem_factor;
-        Duration::from_nanos((cpu_ns + mem_ns).round() as u64)
+        Duration::from_nanos(round_to_u64(cpu_ns + mem_ns))
     }
 }
 

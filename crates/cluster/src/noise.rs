@@ -18,7 +18,7 @@
 //! [`NoiseModel::stretch`] converts a noise-free duration into a noisy one
 //! by integrating the factor curve segment by segment — exact, not sampled.
 
-use crate::time::{Duration, VirtualTime};
+use crate::time::{round_to_u64, Duration, VirtualTime};
 
 /// A single injected slowdown window on a set of nodes.
 #[derive(Clone, Debug, PartialEq)]
@@ -97,16 +97,33 @@ impl NoiseConfig {
 }
 
 /// The full noise model: background config plus injected windows.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct NoiseModel {
     config: NoiseConfig,
     windows: Vec<SlowdownWindow>,
+    /// Offset of each node's OS tick within the period — a constant of
+    /// `(seed, node)`, so that ticks across nodes are not aligned (the
+    /// paper cites unsynchronized interrupts as a noise source). Empty
+    /// when periodic ticks are disabled.
+    tick_phase: Vec<u64>,
 }
 
 impl NoiseModel {
-    /// Build from a config and injected windows.
-    pub fn new(config: NoiseConfig, windows: Vec<SlowdownWindow>) -> Self {
-        NoiseModel { config, windows }
+    /// Build from a config and injected windows, for nodes `0..nodes`.
+    pub fn new(config: NoiseConfig, windows: Vec<SlowdownWindow>, nodes: usize) -> Self {
+        let period = config.tick_period.as_nanos();
+        let tick_phase = if period > 0 {
+            (0..nodes as u64)
+                .map(|node| mix64(config.seed ^ 0xF1C4 ^ node) % period)
+                .collect()
+        } else {
+            Vec::new()
+        };
+        NoiseModel {
+            config,
+            windows,
+            tick_phase,
+        }
     }
 
     /// The injected windows.
@@ -148,7 +165,7 @@ impl NoiseModel {
         // 2. Periodic tick steal: apply as an average slowdown when the
         // duration spans many periods, or as explicit overlap when short.
         if self.config.tick_period > Duration::ZERO && self.config.tick_fraction > 0.0 {
-            remaining = self.apply_ticks(start, remaining, sample_key, node);
+            remaining = self.apply_ticks(start, remaining, node);
         }
 
         // 3. Injected windows: walk segment boundaries exactly.
@@ -158,17 +175,13 @@ impl NoiseModel {
     /// Apply the periodic tick model. Work `d` starting at `t` is stretched
     /// so that during each `tick_fraction` slice of a period no work
     /// retires. The phase of the tick is deterministic per node.
-    fn apply_ticks(&self, start: VirtualTime, d: Duration, key: u64, node: usize) -> Duration {
+    fn apply_ticks(&self, start: VirtualTime, d: Duration, node: usize) -> Duration {
         let period = self.config.tick_period.as_nanos();
         let pause = (period as f64 * self.config.tick_fraction) as u64;
         if pause == 0 {
             return d;
         }
-        // Node-specific phase so that ticks across nodes are not aligned
-        // (the paper cites unsynchronized interrupts as a noise source).
-        let phase = mix64(self.config.seed ^ 0xF1C4 ^ node as u64) % period;
-        let _ = key;
-        let mut t = start.as_nanos() + phase;
+        let mut t = start.as_nanos() + self.tick_phase[node];
         let mut work_left = d.as_nanos();
         let mut elapsed = 0u64;
         // Cap segment walking; beyond the cap, amortize analytically.
@@ -179,7 +192,7 @@ impl NoiseModel {
             if segments > MAX_SEGMENTS {
                 // Average stretch for the remainder.
                 let run = (period - pause) as f64 / period as f64;
-                elapsed += (work_left as f64 / run).round() as u64;
+                elapsed += round_to_u64(work_left as f64 / run);
                 break;
             }
             let in_period = t % period;
@@ -227,19 +240,19 @@ impl NoiseModel {
             }
             if next_change == u64::MAX {
                 // No more changes ahead: finish at the current factor.
-                elapsed += (work_left as f64 * factor).round() as u64;
+                elapsed += round_to_u64(work_left as f64 * factor);
                 break;
             }
             let wall_until_change = next_change - t;
             // Work that fits before the boundary at this factor.
-            let work_fits = (wall_until_change as f64 / factor).floor() as u64;
+            let work_fits = (wall_until_change as f64 / factor) as u64;
             if work_fits >= work_left {
-                elapsed += (work_left as f64 * factor).round() as u64;
+                elapsed += round_to_u64(work_left as f64 * factor);
                 break;
             }
             // Consume up to the boundary.
             let consumed = work_fits.max(1); // guarantee progress
-            elapsed += (consumed as f64 * factor).round() as u64;
+            elapsed += round_to_u64(consumed as f64 * factor);
             work_left -= consumed.min(work_left);
             t = next_change.max(t + 1);
         }
@@ -260,7 +273,7 @@ mod tests {
     use super::*;
 
     fn quiet_model_with(windows: Vec<SlowdownWindow>) -> NoiseModel {
-        NoiseModel::new(NoiseConfig::quiet(), windows)
+        NoiseModel::new(NoiseConfig::quiet(), windows, 8)
     }
 
     #[test]
@@ -345,7 +358,7 @@ mod tests {
             jitter: 0.0,
             seed: 42,
         };
-        let m = NoiseModel::new(cfg, vec![]);
+        let m = NoiseModel::new(cfg, vec![], 1);
         let d = Duration::from_micros(1000); // 10 periods
         let a = m.stretch(0, VirtualTime::ZERO, d, 7);
         let b = m.stretch(0, VirtualTime::ZERO, d, 7);
@@ -358,6 +371,29 @@ mod tests {
         );
     }
 
+    /// The table holds, for every node, what `apply_ticks` used to
+    /// recompute on each call.
+    #[test]
+    fn precomputed_tick_phase_is_the_per_call_expression() {
+        for seed in [0x5eed, 7, u64::MAX] {
+            let cfg = NoiseConfig {
+                seed,
+                ..NoiseConfig::default()
+            };
+            let period = cfg.tick_period.as_nanos();
+            let m = NoiseModel::new(cfg, vec![], 1024);
+            assert_eq!(m.tick_phase.len(), 1024);
+            for node in 0..1024usize {
+                assert_eq!(
+                    m.tick_phase[node],
+                    mix64(seed ^ 0xF1C4 ^ node as u64) % period,
+                    "seed {seed:#x} node {node}"
+                );
+            }
+        }
+        assert!(quiet_model_with(vec![]).tick_phase.is_empty());
+    }
+
     #[test]
     fn jitter_is_bounded_and_keyed() {
         let cfg = NoiseConfig {
@@ -366,7 +402,7 @@ mod tests {
             jitter: 0.05,
             seed: 1,
         };
-        let m = NoiseModel::new(cfg, vec![]);
+        let m = NoiseModel::new(cfg, vec![], 1);
         let d = Duration::from_micros(100);
         let mut distinct = std::collections::HashSet::new();
         for key in 0..32 {
@@ -380,7 +416,7 @@ mod tests {
 
     #[test]
     fn zero_duration_stays_zero() {
-        let m = NoiseModel::new(NoiseConfig::default(), vec![]);
+        let m = NoiseModel::new(NoiseConfig::default(), vec![], 1);
         assert_eq!(
             m.stretch(0, VirtualTime::ZERO, Duration::ZERO, 0),
             Duration::ZERO

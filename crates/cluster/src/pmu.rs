@@ -8,6 +8,7 @@
 //! returns the true work count perturbed by a small deterministic jitter.
 
 use crate::noise::mix64;
+use crate::time::round_to_u64;
 
 /// PMU configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -63,7 +64,7 @@ impl Pmu {
                                                         // Real counters overcount more often than undercount; bias the
                                                         // error range to [-j/2, +j].
         let rel = self.config.jitter * (1.5 * u - 0.5);
-        ((count as f64) * (1.0 + rel)).round().max(0.0) as u64
+        round_to_u64((count as f64) * (1.0 + rel))
     }
 }
 

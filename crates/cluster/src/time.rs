@@ -92,13 +92,40 @@ impl Duration {
 
     /// Construct from fractional seconds (rounds to nanoseconds).
     pub fn from_secs_f64(s: f64) -> Self {
-        Duration((s * 1e9).round().max(0.0) as u64)
+        Duration(round_to_u64(s * 1e9))
     }
 
     /// Scale by a float factor (rounds to nanoseconds).
     pub fn mul_f64(self, factor: f64) -> Self {
-        Duration((self.0 as f64 * factor).round().max(0.0) as u64)
+        Duration(round_to_u64(self.0 as f64 * factor))
     }
+}
+
+/// `f64::round`, clamped at zero and cast saturating to `u64` — bit for
+/// bit, in integer arithmetic: round half away from zero, negatives and
+/// NaN to 0, saturating at `u64::MAX`.
+///
+/// Every float → nanosecond conversion on the virtual-time path goes
+/// through here. `f64::round` is a libm call on baseline x86-64 (no
+/// `roundsd` before SSE4.1), and a build flag that inlined it would make
+/// virtual times depend on target features; the cast-and-compare form is
+/// exact on every target. Why it is exact: the saturating cast truncates,
+/// so for `0 <= x < 2^53` `t` is `floor(x)` and `x - t` is the fractional
+/// part, computed without rounding error; from `2^53` up `x` is an integer
+/// and the difference is 0 (or `x` is beyond `u64` and `t` saturated).
+#[inline]
+pub fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add((x - t as f64 >= 0.5) as u64)
+}
+
+/// `f64::ceil` cast saturating to `u64`, by the same truncate-and-compare
+/// argument as [`round_to_u64`] (one call per simulated `send`, for the
+/// transfer time).
+#[inline]
+pub fn ceil_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add((x > t as f64) as u64)
 }
 
 /// A work-conserving virtual clock for a server-side worker.
@@ -265,6 +292,80 @@ mod tests {
     fn mul_f64_rounds_and_clamps() {
         assert_eq!(Duration::from_nanos(10).mul_f64(1.26).as_nanos(), 13);
         assert_eq!(Duration::from_nanos(10).mul_f64(-1.0).as_nanos(), 0);
+    }
+
+    /// The spellings the helpers replaced on the virtual-time path.
+    fn assert_is_f64_round(x: f64) {
+        let got = round_to_u64(x);
+        assert_eq!(
+            got,
+            x.round().max(0.0) as u64,
+            "x = {x:e} ({:#x})",
+            x.to_bits()
+        );
+        assert_eq!(got, x.round() as u64, "x = {x:e} ({:#x})", x.to_bits());
+        assert_eq!(
+            ceil_to_u64(x),
+            x.ceil() as u64,
+            "x = {x:e} ({:#x})",
+            x.to_bits()
+        );
+    }
+
+    #[test]
+    fn round_to_u64_is_f64_round_on_the_specials() {
+        let p52 = (1u64 << 52) as f64;
+        let p53 = (1u64 << 53) as f64;
+        for x in [
+            0.0,
+            -0.0,
+            0.5,
+            0.49999999999999994,
+            1.5,
+            2.5,
+            -0.5,
+            -1.5,
+            -1e9,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            p52 - 0.5,
+            p52,
+            p53 - 1.0,
+            p53,
+            9223372036854775808.0,  // 2^63
+            18446744073709551616.0, // 2^64
+            1e300,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::EPSILON,
+        ] {
+            assert_is_f64_round(x);
+        }
+        assert_eq!(round_to_u64(2.5), 3, "half away from zero, not to even");
+        assert_eq!(round_to_u64(0.49999999999999994), 0);
+        assert_eq!(round_to_u64(p52 - 0.5), 1 << 52);
+        assert_eq!(round_to_u64(f64::NAN), 0);
+        assert_eq!(round_to_u64(1e300), u64::MAX);
+    }
+
+    #[test]
+    fn round_to_u64_is_f64_round_on_seeded_values() {
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            crate::noise::mix64(state)
+        };
+        for _ in 0..300_000 {
+            // Any bit pattern: every exponent, both signs, NaNs, subnormals.
+            assert_is_f64_round(f64::from_bits(next()));
+            // The shapes the cost models produce: binary fractions, exact
+            // halves, and quotients that are not representable.
+            let k = next() >> (next() % 64);
+            assert_is_f64_round(k as f64 / 1024.0);
+            assert_is_f64_round(k as f64 + 0.5);
+            assert_is_f64_round(k as f64 / 3.0);
+        }
     }
 
     #[test]

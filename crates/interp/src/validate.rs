@@ -7,62 +7,73 @@
 //! column of Table 1. With a truly fixed workload, all deviation comes from
 //! PMU measurement noise, so small values validate the static analysis.
 
-use std::collections::HashMap;
 use vsensor_lang::SensorId;
 
 /// Min/max instruction counts per sensor for one process.
 #[derive(Clone, Debug, Default)]
 pub struct ValidationStats {
-    ranges: HashMap<SensorId, (u64, u64)>,
+    /// `(min, max)` indexed by `SensorId` — sensor IDs are dense, and
+    /// `observe` runs on every probe pair; `None` = never observed.
+    ranges: Vec<Option<(u64, u64)>>,
 }
 
 impl ValidationStats {
+    /// Widen `sensor`'s range to include `[lo, hi]`.
+    fn widen(&mut self, sensor: SensorId, lo: u64, hi: u64) {
+        let i = sensor.0 as usize;
+        if i >= self.ranges.len() {
+            self.ranges.resize(i + 1, None);
+        }
+        let range = &mut self.ranges[i];
+        *range = Some(match *range {
+            Some((l, h)) => (l.min(lo), h.max(hi)),
+            None => (lo, hi),
+        });
+    }
+
+    /// The sensors with data and their ranges.
+    fn seen(&self) -> impl Iterator<Item = (SensorId, (u64, u64))> + '_ {
+        self.ranges
+            .iter()
+            .enumerate()
+            .filter_map(|(i, range)| Some((SensorId(i as u32), (*range)?)))
+    }
+
     /// Record one measured count.
     pub fn observe(&mut self, sensor: SensorId, measured: u64) {
-        self.ranges
-            .entry(sensor)
-            .and_modify(|(lo, hi)| {
-                *lo = (*lo).min(measured);
-                *hi = (*hi).max(measured);
-            })
-            .or_insert((measured, measured));
+        self.widen(sensor, measured, measured);
     }
 
     /// `Ps` for one sensor: max/min, or `None` if unseen or zero-work.
     pub fn ps(&self, sensor: SensorId) -> Option<f64> {
-        let (lo, hi) = self.ranges.get(&sensor)?;
-        if *lo == 0 {
+        let (lo, hi) = (*self.ranges.get(sensor.0 as usize)?)?;
+        if lo == 0 {
             return None;
         }
-        Some(*hi as f64 / *lo as f64)
+        Some(hi as f64 / lo as f64)
     }
 
     /// `Pa`: the worst `Ps` over all sensors of this process (1.0 if no
     /// sensor produced two measurements).
     pub fn pa(&self) -> f64 {
-        self.ranges
-            .values()
-            .filter(|(lo, _)| *lo > 0)
-            .map(|(lo, hi)| *hi as f64 / *lo as f64)
+        self.seen()
+            .filter(|(_, (lo, _))| *lo > 0)
+            .map(|(_, (lo, hi))| hi as f64 / lo as f64)
             .fold(1.0, f64::max)
     }
 
-    /// Merge another process's stats (for computing `Pm`).
+    /// Merge another stats object's ranges into this one, sensor by
+    /// sensor. Not how `Pm` is computed — see [`pm`], which never merges
+    /// ranges across processes.
     pub fn merge(&mut self, other: &ValidationStats) {
-        for (sensor, (lo, hi)) in &other.ranges {
-            self.ranges
-                .entry(*sensor)
-                .and_modify(|(l, h)| {
-                    *l = (*l).min(*lo);
-                    *h = (*h).max(*hi);
-                })
-                .or_insert((*lo, *hi));
+        for (sensor, (lo, hi)) in other.seen() {
+            self.widen(sensor, lo, hi);
         }
     }
 
     /// Number of sensors with data.
     pub fn sensor_count(&self) -> usize {
-        self.ranges.len()
+        self.seen().count()
     }
 }
 
@@ -116,6 +127,26 @@ mod tests {
         c.observe(SensorId(0), 100);
         c.observe(SensorId(0), 150);
         assert!((pm(&[a, c]) - 1.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sparse_sensor_ids_leave_the_gaps_unseen() {
+        let mut v = ValidationStats::default();
+        v.observe(SensorId(7), 100);
+        v.observe(SensorId(7), 110);
+        assert_eq!(v.sensor_count(), 1);
+        assert_eq!(v.ps(SensorId(3)), None);
+        assert_eq!(v.ps(SensorId(8)), None);
+        assert!((v.ps(SensorId(7)).unwrap() - 1.1).abs() < 1e-12);
+        // Merging keeps the gaps and unions the ranges per sensor.
+        let mut w = ValidationStats::default();
+        w.observe(SensorId(2), 50);
+        w.observe(SensorId(7), 90);
+        w.merge(&v);
+        assert_eq!(w.sensor_count(), 2);
+        assert_eq!(w.ps(SensorId(3)), None);
+        assert!((w.ps(SensorId(7)).unwrap() - 110.0 / 90.0).abs() < 1e-12);
+        assert_eq!(w.ps(SensorId(2)), Some(1.0));
     }
 
     #[test]

@@ -9,13 +9,15 @@
 use crate::dynrules::Bucket;
 use crate::record::SliceRecord;
 use cluster_sim::time::Duration;
-use std::collections::HashMap;
 use vsensor_lang::SensorId;
 
 /// Tracks standard times and normalizes records against them.
 #[derive(Clone, Debug, Default)]
 pub struct History {
-    standards: HashMap<(SensorId, Bucket), Duration>,
+    /// Indexed by `SensorId` (dense); each sensor's groups are a short
+    /// list searched linearly — a dynamic rule yields a handful of
+    /// buckets, one without a rule.
+    standards: Vec<Vec<(Bucket, Duration)>>,
 }
 
 impl History {
@@ -27,7 +29,8 @@ impl History {
     /// Current standard (fastest) time for a sensor/group, if any record
     /// has been seen.
     pub fn standard(&self, sensor: SensorId, bucket: Bucket) -> Option<Duration> {
-        self.standards.get(&(sensor, bucket)).copied()
+        let groups = self.standards.get(sensor.0 as usize)?;
+        groups.iter().find(|(b, _)| *b == bucket).map(|(_, s)| *s)
     }
 
     /// Observe a record: updates the standard if this record is faster,
@@ -35,17 +38,25 @@ impl History {
     ///
     /// The first record of a group scores 1.0 by construction.
     pub fn observe(&mut self, rec: &SliceRecord) -> f64 {
-        let key = (rec.sensor, rec.bucket);
-        let std = self
-            .standards
-            .entry(key)
-            .and_modify(|s| {
-                if rec.avg < *s {
-                    *s = rec.avg;
-                }
-            })
-            .or_insert(rec.avg);
-        normalized(*std, rec.avg)
+        let i = rec.sensor.0 as usize;
+        if i >= self.standards.len() {
+            self.standards.resize_with(i + 1, Vec::new);
+        }
+        let groups = &mut self.standards[i];
+        let std = match groups.iter_mut().find(|(b, _)| *b == rec.bucket) {
+            Some((_, s)) => {
+                *s = (*s).min(rec.avg);
+                *s
+            }
+            None => {
+                // One more slot, not the growth default of four: most
+                // sensors only ever see one group, on every rank.
+                groups.reserve_exact(1);
+                groups.push((rec.bucket, rec.avg));
+                rec.avg
+            }
+        };
+        normalized(std, rec.avg)
     }
 
     /// Normalize a record against the current standard without updating it
@@ -58,7 +69,7 @@ impl History {
     /// Number of stored scalars — the paper's point is that this stays
     /// tiny (one per sensor per group) no matter how long the run is.
     pub fn stored_scalars(&self) -> usize {
-        self.standards.len()
+        self.standards.iter().map(Vec::len).sum()
     }
 }
 

@@ -57,7 +57,7 @@ use crate::wal::WriteAheadLog;
 use cluster_sim::fault::FaultPlan;
 use cluster_sim::time::{Duration, VirtualTime};
 use cluster_sim::trace::{self, Category, TraceEvent, SERVER_LANE};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -223,7 +223,12 @@ struct TenantShard {
     id: TenantId,
     spec: TenantSpec,
     /// Live server, built lazily on first ingest; swapped on failover.
-    live: Mutex<Option<Arc<AnalysisServer>>>,
+    /// An ingest holds this *shared* for the whole engine call and
+    /// promotion takes it *exclusively* from the replica's final catch-up
+    /// to the swap, so no batch can be journaled by the dying primary
+    /// after the replica stopped reading the journal. Ingests of one
+    /// tenant still run side by side, and tenants never share the lock.
+    live: RwLock<Option<Arc<AnalysisServer>>>,
     /// The tenant's own journal (durable services only).
     wal: Mutex<Option<Arc<WriteAheadLog>>>,
     ledger: Mutex<Ledger>,
@@ -302,7 +307,7 @@ impl AnalysisService {
             Arc::new(TenantShard {
                 id,
                 spec,
-                live: Mutex::new(None),
+                live: RwLock::new(None),
                 wal: Mutex::new(None),
                 ledger: Mutex::new(Ledger::default()),
                 baseline: Mutex::new(None),
@@ -382,7 +387,7 @@ impl AnalysisService {
         let shard = self
             .shard(tenant)
             .ok_or(ServiceError::UnknownTenant(tenant))?;
-        if shard.live.lock().is_some() {
+        if shard.live.read().is_some() {
             return Err(ServiceError::EngineAlreadyLive(tenant));
         }
         *shard.baseline.lock() = Some((baseline, run_id));
@@ -391,9 +396,12 @@ impl AnalysisService {
 
     /// Get or lazily build the tenant's engine (and WAL when durable).
     fn live_server(&self, shard: &TenantShard) -> Arc<AnalysisServer> {
-        let mut live = shard.live.lock();
-        if let Some(server) = live.as_ref() {
+        if let Some(server) = shard.live.read().as_ref() {
             return server.clone();
+        }
+        let mut live = shard.live.write();
+        if let Some(server) = live.as_ref() {
+            return server.clone(); // another rank built it meanwhile
         }
         let spec = &shard.spec;
         let server = if self.config.durable {
@@ -463,10 +471,20 @@ impl AnalysisService {
             }
             slot.1 += 1;
         }
-        // Ledger lock released: the engine ingest below runs without any
-        // front-door lock, so tenants never serialize on each other.
-        let server = self.live_server(&shard);
-        let receipt = server.ingest(batch, arrival)?;
+        // Ledger lock released: the engine ingest below runs under this
+        // tenant's shared `live` lock only, so tenants never serialize on
+        // each other and neither do one tenant's ranks — only a promotion
+        // of this tenant waits for (and holds off) its ingests.
+        let receipt = {
+            let mut live = shard.live.read();
+            if live.is_none() {
+                drop(live);
+                self.live_server(&shard);
+                live = shard.live.read();
+            }
+            let server = live.as_ref().expect("built above; never cleared");
+            server.ingest(batch, arrival)?
+        };
         let cost = SERVER_RECORD_COST.mul_f64(receipt.records.max(1) as f64);
         let mut ledger = shard.ledger.lock();
         let start = ledger.free_at.max(arrival);
@@ -610,6 +628,10 @@ impl AnalysisService {
         }
         let shards: Vec<Arc<TenantShard>> = self.tenants.lock().values().cloned().collect();
         for shard in shards {
+            // Exclusive from here to the swap: in-flight ingests of this
+            // tenant finish (and journal) first, later ones see the
+            // promoted engine.
+            let mut live = shard.live.write();
             let Some(wal) = shard.wal.lock().clone() else {
                 continue; // never admitted: nothing to lose or promote
             };
@@ -627,8 +649,7 @@ impl AnalysisService {
                         .0
                 }
             };
-            let promoted = Arc::new(replica.into_primary(&wal));
-            *shard.live.lock() = Some(promoted);
+            *live = Some(Arc::new(replica.into_primary(&wal)));
             if trace::enabled(Category::ENGINE) {
                 trace::record(TraceEvent::instant(
                     Category::ENGINE,

@@ -78,7 +78,17 @@ pub(crate) struct RecoveryState {
 /// snapshot mid-ingest without re-entrancy.
 pub struct WriteAheadLog {
     header: WalHeader,
-    frames: Mutex<Vec<Frame>>,
+    log: Mutex<Log>,
+}
+
+/// The frames plus running counts of each kind, kept in `append` — the
+/// `wal_snapshot` trace event reads one per detection pass, which must not
+/// be a walk over the whole log.
+#[derive(Default)]
+struct Log {
+    frames: Vec<Frame>,
+    batch_entries: usize,
+    snapshot_entries: usize,
 }
 
 /// Frame checksum for one entry. For batches this covers the wire header,
@@ -112,7 +122,7 @@ impl WriteAheadLog {
     pub(crate) fn new(header: WalHeader) -> Self {
         WriteAheadLog {
             header,
-            frames: Mutex::new(Vec::new()),
+            log: Mutex::new(Log::default()),
         }
     }
 
@@ -122,7 +132,12 @@ impl WriteAheadLog {
 
     fn append(&self, entry: WalEntry) {
         let crc = entry_crc(&entry);
-        self.frames.lock().push(Frame {
+        let mut log = self.log.lock();
+        match entry {
+            WalEntry::Batch { .. } => log.batch_entries += 1,
+            WalEntry::Snapshot(_) => log.snapshot_entries += 1,
+        }
+        log.frames.push(Frame {
             crc,
             torn: false,
             entry,
@@ -150,33 +165,25 @@ impl WriteAheadLog {
     /// Total frames appended so far (batches + snapshots), including any
     /// damaged tail. Standby replicas use this as their replay cursor.
     pub fn frames(&self) -> usize {
-        self.frames.lock().len()
+        self.log.lock().frames.len()
     }
 
     /// Batches logged so far (all of them, snapshots not included).
     pub fn batch_entries(&self) -> usize {
-        self.frames
-            .lock()
-            .iter()
-            .filter(|f| matches!(f.entry, WalEntry::Batch { .. }))
-            .count()
+        self.log.lock().batch_entries
     }
 
     /// Snapshots logged so far.
     pub fn snapshot_entries(&self) -> usize {
-        self.frames
-            .lock()
-            .iter()
-            .filter(|f| matches!(f.entry, WalEntry::Snapshot(_)))
-            .count()
+        self.log.lock().snapshot_entries
     }
 
     /// What recovery needs: the latest snapshot in the intact prefix and
     /// the batch tail logged after it, in log order, plus how many frames
     /// were dropped at the first failed CRC check.
     pub(crate) fn recovery_state(&self) -> RecoveryState {
-        let frames = self.frames.lock();
-        let valid = Self::valid_prefix(&frames);
+        let frames = &self.log.lock().frames;
+        let valid = Self::valid_prefix(frames);
         let intact = &frames[..valid];
         let cut = intact
             .iter()
@@ -206,8 +213,8 @@ impl WriteAheadLog {
     /// stay caught up. Returns the batches and the new cursor (one past
     /// the last frame consumed).
     pub(crate) fn batches_since(&self, from: usize) -> (Vec<(TelemetryBatch, VirtualTime)>, usize) {
-        let frames = self.frames.lock();
-        let valid = Self::valid_prefix(&frames);
+        let frames = &self.log.lock().frames;
+        let valid = Self::valid_prefix(frames);
         let upto = valid.max(from.min(frames.len()));
         let batches = frames[from.min(upto)..upto]
             .iter()
@@ -222,8 +229,8 @@ impl WriteAheadLog {
     /// Every batch in the intact prefix, in log order — the from-scratch
     /// replay oracle the recovery-equivalence tests use.
     pub fn all_batches(&self) -> Vec<(TelemetryBatch, VirtualTime)> {
-        let frames = self.frames.lock();
-        let valid = Self::valid_prefix(&frames);
+        let frames = &self.log.lock().frames;
+        let valid = Self::valid_prefix(frames);
         frames[..valid]
             .iter()
             .filter_map(|f| match &f.entry {
@@ -237,8 +244,9 @@ impl WriteAheadLog {
     /// without restamping the frame CRC — a corrupted-at-rest tail.
     #[doc(hidden)]
     pub fn corrupt_tail_record(&self) {
-        let mut frames = self.frames.lock();
-        let frame = frames
+        let mut log = self.log.lock();
+        let frame = log
+            .frames
             .iter_mut()
             .rev()
             .find(|f| matches!(f.entry, WalEntry::Batch { .. }))
@@ -252,8 +260,8 @@ impl WriteAheadLog {
     /// mid-write and only the frame header reached the log.
     #[doc(hidden)]
     pub fn truncate_mid_record(&self) {
-        let mut frames = self.frames.lock();
-        frames.last_mut().expect("no frame to tear").torn = true;
+        let mut log = self.log.lock();
+        log.frames.last_mut().expect("no frame to tear").torn = true;
     }
 }
 

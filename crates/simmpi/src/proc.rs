@@ -115,12 +115,6 @@ struct EventState {
     /// Destinations of sends since the last yield (scheduler re-examines
     /// those ranks' blocked receives).
     sent_to: Vec<usize>,
-    /// Group rendezvous this rank registered for since the last yield. The
-    /// control plane runs the completion check (`try_complete`) for each
-    /// touched key at the end of the dispatch phase — registration never
-    /// completes inline in event mode, so same-instant members can never
-    /// be stranded by a completion racing their wait registration.
-    group_touched: Vec<GroupKey>,
     /// Completed sub-receives of an in-progress `waitall`.
     waitall_done: Vec<RecvInfo>,
 }
@@ -176,13 +170,11 @@ impl Proc {
         }
     }
 
-    /// Drain the notifications accumulated since the last yield.
-    pub(crate) fn take_event_notifications(&mut self) -> (Vec<usize>, Vec<GroupKey>) {
-        let ev = self.event.as_mut().expect("event mode");
-        (
-            std::mem::take(&mut ev.sent_to),
-            std::mem::take(&mut ev.group_touched),
-        )
+    /// Move the send destinations accumulated since the last yield onto
+    /// the end of `out`. The rank's buffer keeps its capacity, so the
+    /// resume → drain cycle allocates nothing once both have grown.
+    pub(crate) fn drain_sent_to(&mut self, out: &mut Vec<usize>) {
+        out.append(&mut self.event.as_mut().expect("event mode").sent_to);
     }
 
     fn pending(&self) -> Option<PendingOp> {
@@ -644,11 +636,12 @@ impl Proc {
                 }
                 .unwrap_or_else(|e| panic!("rank {}: {e}", self.rank));
                 // Never completes inline — even the last arriver yields;
-                // the scheduler's control plane completes touched keys
-                // after the whole dispatch phase has committed.
-                let ev = self.event_mut();
-                ev.group_touched.push(key);
-                ev.pending = Some(PendingOp::Collective {
+                // the scheduler sees the group wait when it classifies
+                // the yield, and its control plane runs the completion
+                // check after the whole dispatch phase has committed, so
+                // same-instant members can never be stranded by a
+                // completion racing their wait registration.
+                self.event_mut().pending = Some(PendingOp::Collective {
                     key,
                     gen,
                     start,
@@ -817,9 +810,7 @@ impl Proc {
                 let gen = self.shared.comms.poll_split_register(self.rank, color, at);
                 // As with collectives: the last arriver yields too; the
                 // control plane completes the split after the phase.
-                let ev = self.event_mut();
-                ev.group_touched.push(GroupKey::Split);
-                ev.pending = Some(PendingOp::Split { gen, start, color });
+                self.event_mut().pending = Some(PendingOp::Split { gen, start, color });
                 Poll::Pending
             }
             Some(PendingOp::Split { gen, start, color }) => {

@@ -75,7 +75,6 @@ use crate::world::World;
 use cluster_sim::time::VirtualTime;
 use cluster_sim::trace::{self, Category, TraceEvent, SERVER_LANE};
 use std::any::Any;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::time::Instant;
@@ -227,6 +226,47 @@ struct ReadyBatch {
     ranks: Vec<(usize, u64)>,
 }
 
+/// Ranks registered for one group rendezvous and waiting for its last
+/// arriver.
+#[derive(Default)]
+struct GroupWaiters {
+    ranks: Vec<usize>,
+    /// A member registered since the last control-plane pass, so the pass
+    /// owes this rendezvous one completion check — one per phase however
+    /// many members registered in it.
+    touched: bool,
+}
+
+impl GroupWaiters {
+    /// Put the rendezvous on the control plane's list for this pass, once.
+    fn mark(&mut self, key: GroupKey, touched: &mut Vec<GroupKey>) {
+        if !self.touched {
+            self.touched = true;
+            touched.push(key);
+        }
+    }
+}
+
+/// Waiter lists by group. The world collective and the split rendezvous —
+/// every collective of a program that never splits — have a slot of their
+/// own; only sub-communicators are looked up by ID.
+#[derive(Default)]
+struct GroupTable {
+    world: GroupWaiters,
+    split: GroupWaiters,
+    comms: HashMap<u64, GroupWaiters>,
+}
+
+impl GroupTable {
+    fn get_mut(&mut self, key: GroupKey) -> &mut GroupWaiters {
+        match key {
+            GroupKey::World => &mut self.world,
+            GroupKey::Split => &mut self.split,
+            GroupKey::Comm(id) => self.comms.entry(id).or_default(),
+        }
+    }
+}
+
 /// Scheduler bookkeeping: the event queue plus per-rank wait state.
 struct EventQueue {
     /// Four-ary min-heap of `(instant, rank)` with a generation payload
@@ -238,18 +278,17 @@ struct EventQueue {
     /// What each yielded rank is blocked on.
     waiting: Vec<Option<EventWait>>,
     /// Ranks registered for a group rendezvous, by group.
-    group_waiters: HashMap<GroupKey, Vec<usize>>,
+    groups: GroupTable,
     /// Released groups whose wake-up instant is still in the future.
     batches: Vec<ReadyBatch>,
-    /// Groups touched by registrations since the last control-plane pass
-    /// (scratch; duplicates are fine — `try_complete` is idempotent).
+    /// Groups whose `touched` flag is set, each once (scratch).
     touched: Vec<GroupKey>,
     /// Ranks due at the current phase's instant, ascending (scratch).
     due: Vec<usize>,
+    /// Send destinations of the rank being committed (scratch).
+    sent: Vec<usize>,
     /// Recycled batch rank vectors (zero steady-state allocation).
     batch_pool: Vec<Vec<(usize, u64)>>,
-    /// Recycled group-waiter vectors.
-    waiter_pool: Vec<Vec<usize>>,
 }
 
 impl EventQueue {
@@ -259,12 +298,12 @@ impl EventQueue {
             gens: vec![0; size],
             scheduled: vec![Some(VirtualTime::ZERO); size],
             waiting: (0..size).map(|_| None).collect(),
-            group_waiters: HashMap::new(),
+            groups: GroupTable::default(),
             batches: Vec::new(),
             touched: Vec::new(),
             due: Vec::with_capacity(size),
+            sent: Vec::new(),
             batch_pool: Vec::new(),
-            waiter_pool: Vec::new(),
         };
         for rank in 0..size {
             q.heap.push(HeapEntry {
@@ -367,19 +406,19 @@ impl EventQueue {
         true
     }
 
-    /// Process the notifications a just-resumed rank accumulated: sends
-    /// may unblock a receiver; group registrations mark their rendezvous
-    /// for the end-of-phase completion pass.
+    /// Process the sends a just-resumed rank made: each may unblock a
+    /// receiver.
     fn drain(&mut self, shared: &WorldShared, proc: &mut Proc) {
-        let (sent_to, touched) = proc.take_event_notifications();
-        for dest in sent_to {
+        let mut sent = std::mem::take(&mut self.sent);
+        proc.drain_sent_to(&mut sent);
+        for dest in sent.drain(..) {
             if let Some(EventWait::Recv { src, tag, posted }) = self.waiting[dest] {
                 if let Some(arr) = shared.mailboxes[dest].best_arrival(src, tag) {
                     self.schedule(dest, posted.max(arr));
                 }
             }
         }
-        self.touched.extend(touched);
+        self.sent = sent;
     }
 
     /// Record what a yielded rank is blocked on and queue its wake-up if
@@ -398,15 +437,15 @@ impl EventQueue {
                 }
                 // Otherwise: a future send or death notification wakes it.
             }
-            EventWait::Group(key) => match self.group_waiters.entry(key) {
-                Entry::Occupied(mut o) => o.get_mut().push(rank),
-                Entry::Vacant(v) => {
-                    let mut w = self.waiter_pool.pop().unwrap_or_default();
-                    w.clear();
-                    w.push(rank);
-                    v.insert(w);
-                }
-            },
+            // A rank only ever yields on a group wait straight out of its
+            // registration (a registered rank is next resumed by the
+            // group's release), so this is where the rendezvous is marked
+            // for the end-of-phase completion pass.
+            EventWait::Group(key) => {
+                let group = self.groups.get_mut(key);
+                group.ranks.push(rank);
+                group.mark(key, &mut self.touched);
+            }
         }
     }
 
@@ -439,10 +478,22 @@ impl EventQueue {
     /// member has registered its wait before any release is computed.
     fn complete_touched(&mut self, shared: &WorldShared, deaths: bool) {
         if deaths {
-            self.touched.extend(self.group_waiters.keys().copied());
+            let groups = &mut self.groups;
+            let comms = groups.comms.iter_mut();
+            let open = [
+                (GroupKey::World, &mut groups.world),
+                (GroupKey::Split, &mut groups.split),
+            ]
+            .into_iter()
+            .chain(comms.map(|(&id, group)| (GroupKey::Comm(id), group)))
+            .filter(|(_, group)| !group.ranks.is_empty());
+            for (key, group) in open {
+                group.mark(key, &mut self.touched);
+            }
         }
         let mut touched = std::mem::take(&mut self.touched);
         for key in touched.drain(..) {
+            self.groups.get_mut(key).touched = false;
             let exit = match key {
                 GroupKey::World => shared
                     .collective
@@ -456,9 +507,7 @@ impl EventQueue {
                 GroupKey::Split => shared.comms.try_complete_split(&shared.cluster),
             };
             if let Some(exit) = exit {
-                if let Some(waiters) = self.group_waiters.remove(&key) {
-                    self.release_group(exit, waiters);
-                }
+                self.release_group(exit, key);
             }
         }
         self.touched = touched;
@@ -468,18 +517,19 @@ impl EventQueue {
     /// exits are strictly after the current phase instant (entry clocks
     /// include the MPI call overhead), so the batch never feeds back into
     /// the running phase.
-    fn release_group(&mut self, at: VirtualTime, mut waiters: Vec<usize>) {
+    fn release_group(&mut self, at: VirtualTime, key: GroupKey) {
+        let waiters = &mut self.groups.get_mut(key).ranks;
         waiters.sort_unstable();
         let mut ranks = self.batch_pool.pop().unwrap_or_default();
         ranks.clear();
-        for &rank in &waiters {
+        for &rank in waiters.iter() {
             self.gens[rank] += 1;
             self.scheduled[rank] = Some(at);
             self.waiting[rank] = None;
             ranks.push((rank, self.gens[rank]));
         }
+        // Emptied in place: the list keeps its capacity.
         waiters.clear();
-        self.waiter_pool.push(waiters);
         self.batches.push(ReadyBatch { at, next: 0, ranks });
     }
 }

@@ -19,15 +19,22 @@
 //!    an alert, and over which ranks, depends on the arrival order of
 //!    batches, which only the event scheduler makes a function of the
 //!    seed (the thread backend leaves it to host-thread interleaving).
+//! 3. **Promotion under concurrent ingest** loses no journaled batch: with
+//!    rank threads ingesting a durable tenant while `fail_over` fires, the
+//!    promoted engine equals a from-scratch replay of the tenant's WAL and
+//!    the front door accepted exactly the batches the WAL holds.
 
 use std::sync::Arc;
 use vsensor_bench::failstop::first_mismatch;
 use vsensor_bench::perf_gate::{parse_rows, rows_to_json};
 use vsensor_bench::{service_bench, Effort};
+use vsensor_repro::cluster_sim::time::Duration;
 use vsensor_repro::cluster_sim::{FaultPlan, VirtualTime};
 use vsensor_repro::interp::RunConfig;
+use vsensor_repro::lang::SensorId;
 use vsensor_repro::runtime::{
-    AlertKind, AnalysisService, ServiceConfig, TenantChannel, TenantId, TenantSpec,
+    AlertKind, AnalysisServer, AnalysisService, Bucket, RuntimeConfig, SensorInfo, SensorKind,
+    ServiceConfig, SliceRecord, TelemetryBatch, TenantChannel, TenantId, TenantSpec,
 };
 use vsensor_repro::simmpi::SimBackend;
 use vsensor_repro::{scenarios, Pipeline};
@@ -196,4 +203,80 @@ fn faulty_tenant_cannot_perturb_a_healthy_neighbor() {
         render_without_alerts(&healthy.report),
         render_without_alerts(&solo.report)
     );
+}
+
+/// Rank threads ingest one durable tenant while the primary is killed
+/// mid-stream. Promotion must quiesce that tenant's ingests: a batch
+/// journaled between the replica's final catch-up and the swap of the live
+/// engine would be in the WAL and in no engine. Fifty rounds, the kill
+/// landing at a different point of the stream in each.
+#[test]
+fn promotion_under_concurrent_ingest_loses_no_journaled_batch() {
+    const RANKS: usize = 4;
+    const BATCHES: u64 = 150;
+    let tenant = TenantId(0);
+    for round in 0..50u64 {
+        let service = AnalysisService::new(ServiceConfig::default().durable());
+        let spec = TenantSpec {
+            ranks: RANKS,
+            sensors: vec![SensorInfo {
+                sensor: SensorId(0),
+                kind: SensorKind::Computation,
+                process_invariant: true,
+                location: "test:0".into(),
+            }],
+            config: RuntimeConfig::free_probes(),
+        };
+        service.register(tenant, spec).unwrap();
+        service.attach_standby().unwrap();
+        let kill_after = 40 + 9 * round;
+        let start = std::sync::Barrier::new(RANKS + 1);
+        std::thread::scope(|s| {
+            for rank in 0..RANKS {
+                let (service, start) = (&service, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for seq in 0..BATCHES {
+                        let at = VirtualTime::from_micros(50 * (seq + 1));
+                        let records = vec![SliceRecord {
+                            sensor: SensorId(0),
+                            slice: seq,
+                            avg: Duration::from_micros(10 + seq % 7),
+                            count: 1,
+                            bucket: Bucket(0),
+                        }];
+                        let batch = TelemetryBatch::new(rank, seq, at, records);
+                        service.ingest(tenant, batch, at).unwrap();
+                    }
+                });
+            }
+            start.wait();
+            // The kill fires while the ranks are mid-stream.
+            while service.stats(tenant).unwrap().accepted < kill_after {
+                std::hint::spin_loop();
+            }
+            service
+                .fail_over(VirtualTime::from_micros(50 * kill_after))
+                .unwrap();
+        });
+        assert!(service.failed_over());
+
+        let wal = service.wal(tenant).unwrap();
+        let accepted = service.stats(tenant).unwrap().accepted;
+        assert_eq!(accepted, RANKS as u64 * BATCHES);
+        assert_eq!(
+            accepted,
+            wal.batch_entries() as u64,
+            "round {round}: front door and journal disagree"
+        );
+        let end = VirtualTime::from_millis(20);
+        let promoted = service.close_tenant(tenant, end).unwrap();
+        let (replayed, _) = AnalysisServer::replay_from(&wal).unwrap();
+        let replayed = replayed.session().close(end);
+        assert_eq!(
+            first_mismatch(&promoted, &replayed),
+            None,
+            "round {round}: the promoted engine is not the replay of its own WAL"
+        );
+    }
 }
