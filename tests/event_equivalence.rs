@@ -1,24 +1,145 @@
-//! Differential equivalence suite: the event-driven virtual-time scheduler
-//! (`SimBackend::Event`) must be *bit-identical* to the thread-per-rank
-//! backend (`SimBackend::Threads`) on every observable output.
+//! Golden-pinned equivalence suite for the simulation backend.
 //!
-//! Both backends share the same completion math — the poll paths inside
-//! `simmpi` call the exact same locked helpers as the blocking paths — so
-//! any divergence in final virtual times, `ProcStats`, sensor record
-//! streams, server matrices or the rendered report text is a scheduler
-//! bug, not tolerable drift. Fault scenarios (rank/node fail-stop,
-//! degraded transport, outage windows) are first-class here: death
-//! detection and degraded receives are exactly the paths the scheduler
-//! redesigns.
+//! Every observable output of a run — per-rank end times, `ProcStats`,
+//! sense distributions, transport counters, PMU validation, server
+//! matrices, events, failed ranks, volume, and (where the scenario asserts
+//! it) the live alert stream and the rendered report text — is folded into
+//! one FNV-1a fingerprint and compared with a committed constant.
+//!
+//! **Where the constants come from.** They were captured once from the
+//! thread-per-rank backend (`SimBackend::Threads`), the differential oracle
+//! of the event scheduler, at the last commit that still had it: in that
+//! commit every test below ran the scenario on both backends and asserted
+//! `fingerprint(threads) == fingerprint(event) == GOLDEN`. The comparison
+//! the oracle made is therefore still made, against its recorded answer.
+//! (`NODE_DEATH_RENDERED` is the one constant the event backend supplied
+//! alone: under threads the mid-run alert stream of a fail-stop run
+//! depended on host-thread arrival interleaving, so the two backends were
+//! only ever compared on final state and death-alert count there.)
+//!
+//! **Re-capturing.** A simulation change that is *meant* to move virtual
+//! times moves every constant: run `cargo test --test event_equivalence`,
+//! each failing assertion prints the new fingerprint in hex, paste it over
+//! the old one and say why in the commit message.
+//!
+//! **Build-configuration invariance.** Tier-1 runs this suite in debug
+//! (`cargo test -q`) and CI runs it in `--release`; both builds must
+//! reproduce the same constants, so the suite also pins that virtual-time
+//! results do not depend on optimisation level (Bentley et al. in
+//! PAPERS.md on compiler-induced variability).
+//!
+//! 1 ≡ N workers is `tests/worker_invariance.rs`'s job, not this file's.
 
+use std::fmt::Debug;
 use std::sync::Arc;
-use vsensor_bench::failstop::first_mismatch;
 use vsensor_repro::cluster_sim::time::VirtualTime;
 use vsensor_repro::cluster_sim::{Cluster, ClusterConfig, FaultPlan, NoiseConfig};
-use vsensor_repro::interp::{run_plain_shared, ExecBackend, InstrumentedRun, RunConfig};
+use vsensor_repro::interp::{
+    run_plain_shared, ExecBackend, InstrumentedRun, RankResult, RunConfig,
+};
+use vsensor_repro::runtime::record::SensorKind;
 use vsensor_repro::runtime::RuntimeConfig;
 use vsensor_repro::simmpi::SimBackend;
 use vsensor_repro::{scenarios, Pipeline};
+
+// Captured from `SimBackend::Threads` (see the file header).
+const QUIET_64: u64 = 0x4075f00fb2bf32a9;
+const NOISY_16: u64 = 0x343fce1595849b74;
+const BAD_NODE: u64 = 0x96cb0567b407a333;
+const NODE_DEATH_FINAL: u64 = 0xf55a9357ea7e3188;
+const NODE_DEATH_RENDERED: u64 = 0x2b9d9d2b5efecab3;
+const DEGRADED_TRANSPORT: u64 = 0xf1b98e4ec7f02032;
+const OUTAGE_WINDOW: u64 = 0x11750f116bc8face;
+const PLAIN_64: u64 = 0x3d3d87720cdc755a;
+
+fn fnv(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= b as u64;
+        *h = h.wrapping_mul(0x100000001b3);
+    }
+}
+
+fn fnv_u64(h: &mut u64, v: u64) {
+    fnv(h, &v.to_le_bytes());
+}
+
+/// Fold a value's `Debug` text: exact for the all-integer stats structs,
+/// and shortest-round-trip (so bit-faithful) for the floats inside events.
+fn fnv_debug(h: &mut u64, v: &impl Debug) {
+    fnv(h, format!("{v:?}").as_bytes());
+}
+
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
+/// FNV-1a over a run's *final state*: everything that is a function of the
+/// simulation's virtual-time semantics alone.
+fn fingerprint(run: &InstrumentedRun) -> u64 {
+    let mut h = FNV_OFFSET;
+    fnv_u64(&mut h, run.ranks.len() as u64);
+    for r in &run.ranks {
+        fnv_u64(&mut h, r.end.as_nanos());
+        fnv_debug(&mut h, &r.stats);
+        fnv_debug(&mut h, &r.distribution);
+        fnv_u64(&mut h, r.local_variances);
+        fnv_debug(&mut h, &r.transport);
+        fnv_u64(&mut h, r.validation.pa().to_bits());
+    }
+    fnv_u64(&mut h, run.run_time.as_nanos());
+    fnv_u64(&mut h, run.workload_max_error.to_bits());
+    // Server-side view: events, failed ranks, volume, matrices cell by cell.
+    let s = &run.server;
+    fnv_debug(&mut h, &s.events);
+    fnv_debug(&mut h, &s.failed_ranks);
+    for v in [
+        s.bytes_received as u64,
+        s.batches as u64,
+        s.records as u64,
+        s.malformed_records as u64,
+    ] {
+        fnv_u64(&mut h, v);
+    }
+    for kind in SensorKind::ALL {
+        let m = s.matrix(kind).expect("every component has a matrix");
+        fnv_u64(&mut h, m.ranks() as u64);
+        fnv_u64(&mut h, m.bins() as u64);
+        for rank in 0..m.ranks() {
+            for bin in 0..m.bins() {
+                let (perf, n) = m.cell_raw(rank, bin).unwrap_or((f64::NAN, 0));
+                fnv_u64(&mut h, perf.to_bits());
+                fnv_u64(&mut h, n as u64);
+            }
+        }
+    }
+    h
+}
+
+/// [`fingerprint`] plus the live alert stream and the rendered report
+/// text — the final word for scenarios without fail-stop deaths.
+fn fingerprint_rendered(run: &InstrumentedRun) -> u64 {
+    let mut h = fingerprint(run);
+    fnv_debug(&mut h, &run.alerts);
+    fnv(&mut h, run.report.render().as_bytes());
+    h
+}
+
+/// The plain-run twin: per-rank end time and MPI accounting.
+fn fingerprint_plain(ranks: &[RankResult]) -> u64 {
+    let mut h = FNV_OFFSET;
+    fnv_u64(&mut h, ranks.len() as u64);
+    for r in ranks {
+        fnv_u64(&mut h, r.end.as_nanos());
+        fnv_debug(&mut h, &r.stats);
+    }
+    h
+}
+
+#[track_caller]
+fn assert_golden(what: &str, got: u64, golden: u64) {
+    assert_eq!(
+        got, golden,
+        "{what}: fingerprint {got:#018x} differs from the golden {golden:#018x}"
+    );
+}
 
 /// Run one program under a given simulation backend on a fresh cluster
 /// built from the same configuration (clusters hold per-run RNG state, so
@@ -38,75 +159,25 @@ fn run_sim(
     prepared.run(Arc::new(make_cluster()), &config)
 }
 
-/// Assert every observable output of two instrumented runs is identical,
-/// down to the rendered report text.
-fn assert_runs_identical(threads: &InstrumentedRun, event: &InstrumentedRun) {
-    assert_final_state_identical(threads, event);
-    assert_eq!(
-        format!("{:?}", threads.alerts),
-        format!("{:?}", event.alerts),
-        "live alerts"
-    );
-    // The human-readable report is the final word: bitwise identical text.
-    assert_eq!(
-        threads.report.render(),
-        event.report.render(),
-        "rendered report"
-    );
-}
-
-/// Like [`assert_runs_identical`] but without the live-alert stream and the
-/// rendered report (which embeds it). Mid-run streaming alerts depend on
-/// which batches have *arrived* when a detection pass fires, and a pass
-/// fires on the first ingest that crosses the schedule — an
-/// ingest-interleaving artifact, not part of the simulation's virtual-time
-/// semantics. Fail-stop scenarios perturb that interleaving (survivor
-/// flushes race the death gossip), so there the streams may name different
-/// provisional events even though the final matrices, detected events,
-/// failed ranks and volume counters — everything `first_mismatch` checks —
-/// stay bitwise identical.
-fn assert_final_state_identical(threads: &InstrumentedRun, event: &InstrumentedRun) {
-    assert_eq!(threads.ranks.len(), event.ranks.len());
-    for (i, (t, e)) in threads.ranks.iter().zip(event.ranks.iter()).enumerate() {
-        assert_eq!(t.end, e.end, "rank {i} final virtual time");
-        assert_eq!(t.stats, e.stats, "rank {i} MPI stats");
-        assert_eq!(
-            t.distribution, e.distribution,
-            "rank {i} sense distribution"
-        );
-        assert_eq!(
-            t.local_variances, e.local_variances,
-            "rank {i} local variances"
-        );
-        assert_eq!(t.transport, e.transport, "rank {i} transport counters");
-        assert_eq!(
-            t.validation.pa().to_bits(),
-            e.validation.pa().to_bits(),
-            "rank {i} PMU validation Pa"
-        );
-    }
-    assert_eq!(threads.run_time, event.run_time, "run time");
-    assert_eq!(
-        threads.workload_max_error.to_bits(),
-        event.workload_max_error.to_bits(),
-        "workload max error"
-    );
-    // Server-side view: matrices bitwise, events, failed ranks, volume.
-    assert_eq!(
-        first_mismatch(&threads.server, &event.server),
-        None,
-        "server results must be bitwise identical"
-    );
-}
-
-fn assert_equivalent_with(src: &str, make_cluster: &dyn Fn() -> Cluster, runtime: RuntimeConfig) {
+/// Both backends must produce the golden rendered fingerprint.
+fn assert_golden_with(
+    src: &str,
+    make_cluster: &dyn Fn() -> Cluster,
+    runtime: RuntimeConfig,
+    golden: u64,
+) {
     let threads = run_sim(src, make_cluster, runtime.clone(), SimBackend::Threads);
     let event = run_sim(src, make_cluster, runtime, SimBackend::event());
-    assert_runs_identical(&threads, &event);
+    assert_eq!(
+        fingerprint_rendered(&threads),
+        fingerprint_rendered(&event),
+        "thread and event backends disagree"
+    );
+    assert_golden("event backend", fingerprint_rendered(&event), golden);
 }
 
-fn assert_equivalent(src: &str, make_cluster: &dyn Fn() -> Cluster) {
-    assert_equivalent_with(src, make_cluster, RuntimeConfig::default());
+fn assert_golden_run(src: &str, make_cluster: &dyn Fn() -> Cluster, golden: u64) {
+    assert_golden_with(src, make_cluster, RuntimeConfig::default(), golden);
 }
 
 /// A stencil-style workload touching every sensor component class plus
@@ -141,52 +212,60 @@ const BAD_NODE_SRC: &str = r#"
 
 #[test]
 fn quiet_cluster_64_ranks_matches_bitwise() {
-    assert_equivalent(MIXED_WORKLOAD, &|| ClusterConfig::quiet(64).build());
+    assert_golden_run(
+        MIXED_WORKLOAD,
+        &|| ClusterConfig::quiet(64).build(),
+        QUIET_64,
+    );
 }
 
 #[test]
 fn noisy_cluster_matches_bitwise() {
-    assert_equivalent(MIXED_WORKLOAD, &|| {
-        let mut cfg = ClusterConfig::healthy(16);
-        cfg.noise = NoiseConfig {
-            seed: 0xBEEF,
-            ..NoiseConfig::default()
-        };
-        cfg.build()
-    });
+    assert_golden_run(
+        MIXED_WORKLOAD,
+        &|| {
+            let mut cfg = ClusterConfig::healthy(16);
+            cfg.noise = NoiseConfig {
+                seed: 0xBEEF,
+                ..NoiseConfig::default()
+            };
+            cfg.build()
+        },
+        NOISY_16,
+    );
 }
 
 #[test]
 fn bad_node_detection_matches_bitwise() {
     let (cluster, runtime) = scenarios::live_bad_node(16, 4, 0.55);
-    assert_equivalent_with(
+    assert_golden_with(
         BAD_NODE_SRC,
         &|| cluster.clone().with_ranks_per_node(2).build(),
         runtime,
+        BAD_NODE,
     );
 }
 
 /// Rank/node fail-stop: survivors shrink collectives, receives from the
 /// dead node degrade, and survivor gossip reports the deaths — all at the
-/// exact same virtual instants on both backends.
+/// golden virtual instants.
 #[test]
 fn node_death_matches_bitwise() {
     let (cluster, runtime) = scenarios::node_death(16, 4, 0.55, 7, 2);
-    let threads = run_sim(
-        BAD_NODE_SRC,
-        &|| cluster.clone().with_ranks_per_node(2).build(),
-        runtime.clone(),
-        SimBackend::Threads,
+    let make = || cluster.clone().with_ranks_per_node(2).build();
+    let threads = run_sim(BAD_NODE_SRC, &make, runtime.clone(), SimBackend::Threads);
+    let event = run_sim(BAD_NODE_SRC, &make, runtime, SimBackend::event());
+    assert_eq!(
+        fingerprint(&threads),
+        fingerprint(&event),
+        "thread and event backends disagree on final state"
     );
-    let event = run_sim(
-        BAD_NODE_SRC,
-        &|| cluster.clone().with_ranks_per_node(2).build(),
-        runtime,
-        SimBackend::event(),
+    assert_golden("final state", fingerprint(&event), NODE_DEATH_FINAL);
+    assert_golden(
+        "alerts and report",
+        fingerprint_rendered(&event),
+        NODE_DEATH_RENDERED,
     );
-    assert_final_state_identical(&threads, &event);
-    // Both streams must still report the same deaths, whatever variance
-    // alerts the interleaving-dependent provisional passes surfaced.
     let deaths = |run: &InstrumentedRun| {
         run.alerts
             .iter()
@@ -195,6 +274,7 @@ fn node_death_matches_bitwise() {
     };
     assert_eq!(deaths(&threads), deaths(&event), "death alert count");
     // The scenario actually exercised the fail-stop path.
+    assert_eq!(deaths(&event), 2, "one death alert per killed rank");
     assert_eq!(
         event.server.failed_ranks.len(),
         2,
@@ -203,51 +283,53 @@ fn node_death_matches_bitwise() {
 }
 
 /// Degraded (lossy) telemetry transport: batches drop, retry and reorder
-/// by virtual send time; identity proves the scheduler runs every flush at
-/// the same virtual instant as the parked threads did.
+/// by virtual send time; the fingerprint proves the scheduler runs every
+/// flush at the same virtual instant as the parked threads did.
 #[test]
 fn degraded_transport_matches_bitwise() {
-    assert_equivalent(MIXED_WORKLOAD, &|| {
-        ClusterConfig::quiet(8)
-            .with_faults(FaultPlan::lossy(0.5, 42))
-            .build()
-    });
+    assert_golden_run(
+        MIXED_WORKLOAD,
+        &|| {
+            ClusterConfig::quiet(8)
+                .with_faults(FaultPlan::lossy(0.5, 42))
+                .build()
+        },
+        DEGRADED_TRANSPORT,
+    );
 }
 
 /// A mid-run analysis-server outage window on top of packet loss.
 #[test]
 fn outage_window_matches_bitwise() {
-    assert_equivalent(MIXED_WORKLOAD, &|| {
-        ClusterConfig::quiet(8)
-            .with_faults(FaultPlan::none().with_outage(
-                VirtualTime::from_micros(200),
-                VirtualTime::from_micros(60_000),
-            ))
-            .build()
-    });
+    assert_golden_run(
+        MIXED_WORKLOAD,
+        &|| {
+            ClusterConfig::quiet(8)
+                .with_faults(FaultPlan::none().with_outage(
+                    VirtualTime::from_micros(200),
+                    VirtualTime::from_micros(60_000),
+                ))
+                .build()
+        },
+        OUTAGE_WINDOW,
+    );
 }
 
 /// Plain (uninstrumented) runs match per-rank at 64 ranks.
 #[test]
 fn plain_runs_match_at_64_ranks() {
     let program = Arc::new(vsensor_repro::lang::compile(MIXED_WORKLOAD).expect("program compiles"));
-    let threads = run_plain_shared(
-        program.clone(),
-        Arc::new(ClusterConfig::quiet(64).build()),
-        ExecBackend::Vm,
-        SimBackend::Threads,
-    );
-    let event = run_plain_shared(
-        program,
-        Arc::new(ClusterConfig::quiet(64).build()),
-        ExecBackend::Vm,
-        SimBackend::event(),
-    );
-    assert_eq!(threads.len(), event.len());
-    for (i, (t, e)) in threads.iter().zip(event.iter()).enumerate() {
-        assert_eq!(t.end, e.end, "rank {i} final virtual time");
-        assert_eq!(t.stats, e.stats, "rank {i} MPI stats");
-    }
+    let run = |sim| {
+        run_plain_shared(
+            program.clone(),
+            Arc::new(ClusterConfig::quiet(64).build()),
+            ExecBackend::Vm,
+            sim,
+        )
+    };
+    let (threads, event) = (run(SimBackend::Threads), run(SimBackend::event()));
+    assert_eq!(fingerprint_plain(&threads), fingerprint_plain(&event));
+    assert_golden("plain run", fingerprint_plain(&event), PLAIN_64);
 }
 
 /// Paper-scale smoke test: 4,096 ranks in one process on the event
