@@ -91,10 +91,10 @@ fn fingerprint(run: &InstrumentedRun) -> u64 {
     fnv_debug(&mut h, &s.events);
     fnv_debug(&mut h, &s.failed_ranks);
     for v in [
-        s.bytes_received as u64,
-        s.batches as u64,
+        s.bytes_received,
+        s.batches,
         s.records as u64,
-        s.malformed_records as u64,
+        s.malformed_records,
     ] {
         fnv_u64(&mut h, v);
     }
