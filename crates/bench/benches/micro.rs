@@ -88,12 +88,15 @@ fn bench_collectives(c: &mut Criterion) {
         g.bench_function(format!("barrier_x100_{ranks}ranks"), |b| {
             let cluster = Arc::new(ClusterConfig::quiet(ranks).build());
             b.iter(|| {
-                simmpi::World::new(cluster.clone()).run(|p| {
-                    for _ in 0..100 {
-                        p.barrier().ready();
-                    }
-                    p.now()
-                })
+                simmpi::World::new(cluster.clone()).run_hosted(
+                    |mut h| {
+                        for _ in 0..100 {
+                            h.wait(|p| p.barrier());
+                        }
+                        h.now()
+                    },
+                    |_, _| unreachable!("no deaths planned"),
+                )
             });
         });
     }

@@ -15,7 +15,8 @@
 use crate::machine::{ExecError, Machine};
 use crate::values::Value;
 use cluster_sim::node::Work;
-use simmpi::ReduceOp;
+use simmpi::{Lockstep, Proc, ReduceOp};
+use std::ops::DerefMut;
 
 /// Identifier for a builtin function, resolved from its source name once
 /// (at bytecode-compile time or on first lookup in the tree-walker).
@@ -84,29 +85,33 @@ impl Builtin {
 /// (the machine then reports an unknown-function error, matching the
 /// conservative front-end which already treats it as never-fixed).
 ///
-/// The tree-walker only runs on the thread-per-rank backend, where every
-/// MPI operation completes in place — a `Pending` here is a driver bug.
+/// The tree-walker cannot return to the scheduler from inside its
+/// recursion, so a `Pending` MPI operation parks the rank on the lock-step
+/// host and re-dispatches on resume — the same retry the VM makes.
 pub fn call_builtin(
-    m: &mut Machine<'_>,
+    m: &mut Machine<Lockstep<'_>>,
     name: &str,
     args: &[Value],
 ) -> Option<Result<Value, ExecError>> {
     let builtin = Builtin::from_name(name)?;
-    Some(dispatch(m, builtin, args).map(|v| {
-        v.expect("blocking builtin suspended under the tree-walker (event backend requires the VM)")
-    }))
+    Some(loop {
+        match dispatch(m, builtin, args) {
+            Ok(None) => m.proc.park(),
+            Ok(Some(v)) => break Ok(v),
+            Err(e) => break Err(e),
+        }
+    })
 }
 
 /// Execute a resolved builtin. Shared by the tree-walker (via
 /// [`call_builtin`]) and the bytecode VM (which pre-binds the id).
 ///
-/// Returns `Ok(None)` when the builtin's MPI operation is `Pending` (event
-/// backend only): the caller must suspend the rank and re-dispatch the same
-/// builtin on resume — argument parsing and `sync_clock` are idempotent
+/// Returns `Ok(None)` when the builtin's MPI operation is `Pending`: the
+/// caller must suspend the rank and re-dispatch the same builtin on resume — argument parsing and `sync_clock` are idempotent
 /// across the retry (no work accrues while suspended), and the `Proc`
 /// carries the latched operation.
-pub(crate) fn dispatch(
-    m: &mut Machine<'_>,
+pub(crate) fn dispatch<P: DerefMut<Target = Proc>>(
+    m: &mut Machine<P>,
     builtin: Builtin,
     args: &[Value],
 ) -> Result<Option<Value>, ExecError> {

@@ -11,7 +11,7 @@
 //! * runs of per-expression-node unit charges fold into a single
 //!   [`Insn::ChargeUnits`] that the VM replays in O(1).
 //!
-//! The compiled form is executed by `vm::run_vm`. The contract with the
+//! The compiled form is executed by `vm::resume_vm`. The contract with the
 //! tree-walker is **bit-identical virtual time**: the walker charges work
 //! through `Machine::charge`/`charge_mem`/`charge_bulk`, and the exact
 //! sequence of `Proc::compute` calls (count *and* arguments) determines

@@ -24,11 +24,10 @@ pub mod values;
 pub mod vm;
 
 pub use bytecode::{CompiledProgram, Insn};
-pub use machine::{ExecError, Machine, ProcRef};
+pub use machine::{ExecError, Machine};
 pub use run::{
     run_instrumented, run_instrumented_shared, run_instrumented_sink, run_plain, run_plain_shared,
-    ExecBackend, Executor, InstrumentedRun, RankResult, RunConfig,
+    ExecBackend, InstrumentedRun, RankResult, RunConfig,
 };
 pub use validate::ValidationStats;
 pub use values::Value;
-pub use vm::run_vm;

@@ -13,8 +13,9 @@ use crate::values::{Env, Value};
 use cluster_sim::node::Work;
 use cluster_sim::time::VirtualTime;
 use cluster_sim::trace::{self, Category, TraceEvent};
-use simmpi::Proc;
+use simmpi::{Lockstep, Proc};
 use std::fmt;
+use std::ops::DerefMut;
 use std::sync::Arc;
 use vsensor_lang::{
     BinOp, Block, CallSite, Expr, Function, GlobalInit, LValue, Program, SensorId, Stmt, UnOp,
@@ -74,51 +75,14 @@ enum Flow {
     Continue,
 }
 
-/// How a [`Machine`] holds its rank handle: borrowed from a rank thread
-/// (the thread-per-rank backend) or owned outright by an event-scheduler
-/// task, which must carry the `Proc` across yields.
-pub enum ProcRef<'w> {
-    /// Borrowed from the enclosing rank thread.
-    Borrowed(&'w mut Proc),
-    /// Owned by the machine itself (event backend; `Machine<'static>`).
-    Owned(Box<Proc>),
-}
-
-impl std::ops::Deref for ProcRef<'_> {
-    type Target = Proc;
-    fn deref(&self) -> &Proc {
-        match self {
-            ProcRef::Borrowed(p) => p,
-            ProcRef::Owned(p) => p,
-        }
-    }
-}
-
-impl std::ops::DerefMut for ProcRef<'_> {
-    fn deref_mut(&mut self) -> &mut Proc {
-        match self {
-            ProcRef::Borrowed(p) => p,
-            ProcRef::Owned(p) => p,
-        }
-    }
-}
-
-impl<'w> From<&'w mut Proc> for ProcRef<'w> {
-    fn from(p: &'w mut Proc) -> Self {
-        ProcRef::Borrowed(p)
-    }
-}
-
-impl From<Proc> for ProcRef<'static> {
-    fn from(p: Proc) -> Self {
-        ProcRef::Owned(Box::new(p))
-    }
-}
-
-/// The per-rank interpreter.
-pub struct Machine<'w> {
+/// The per-rank interpreter, generic over how it holds its rank handle:
+/// the bytecode VM, which returns to the scheduler at every yield point,
+/// owns its `Proc` (`Box<Proc>`, the default); the tree-walker, which
+/// cannot return mid-recursion, runs on simmpi's lock-step host and holds
+/// the host's [`Lockstep`] handle, through which it parks.
+pub struct Machine<P = Box<Proc>> {
     program: Arc<Program>,
-    proc: ProcRef<'w>,
+    pub(crate) proc: P,
     globals: Env,
     /// Work not yet converted into virtual time: all units, and how many
     /// of them are memory-bound. One running total makes a charge one add
@@ -182,15 +146,10 @@ impl SensorHarness {
     }
 }
 
-impl<'w> Machine<'w> {
+impl<P: DerefMut<Target = Proc>> Machine<P> {
     /// Create a machine for one rank. Pass `sensors` for instrumented
-    /// runs. The rank handle may be borrowed (thread backend) or owned
-    /// (event backend) — see [`ProcRef`].
-    pub fn new(
-        program: Arc<Program>,
-        proc: impl Into<ProcRef<'w>>,
-        sensors: Option<SensorHarness>,
-    ) -> Self {
+    /// runs.
+    pub fn new(program: Arc<Program>, proc: P, sensors: Option<SensorHarness>) -> Self {
         let mut globals = Env::new();
         for g in &program.globals {
             let v = match g.init {
@@ -199,7 +158,6 @@ impl<'w> Machine<'w> {
             };
             globals.declare(&g.name, v);
         }
-        let proc = proc.into();
         let rand_seed = 0x7ea5_0000 ^ proc.rank() as u64;
         Machine {
             program,
@@ -217,26 +175,11 @@ impl<'w> Machine<'w> {
         }
     }
 
-    /// Execute `main`; returns the finalized sensor state.
-    pub fn run(mut self) -> Result<MachineResult, ExecError> {
-        let main = self
-            .program
-            .function_index("main")
-            .ok_or_else(|| ExecError::new("program has no `main`"))?;
-        // Borrow the function out of the shared program instead of deep
-        // cloning its whole body for the call.
-        let program = Arc::clone(&self.program);
-        self.call_function(&program.functions[main], Vec::new())?;
-        let result = self.finalize();
-        Ok(result)
-    }
-
     /// Flush pending work and collect the run's results. Shared tail of the
-    /// tree-walker [`Self::run`], the bytecode VM (`vm::run_vm`) and the
-    /// event-scheduler task driver, so every backend finishes a rank
-    /// identically. Takes `&mut self` because an event task must keep its
-    /// owned `Proc` reachable after completion (the scheduler drains the
-    /// rank's final notifications).
+    /// tree-walker (`Machine::run`) and the bytecode VM's task, so both
+    /// interpreters finish a rank identically. Takes `&mut self` because a
+    /// task must keep its `Proc` reachable after completion (the scheduler
+    /// delivers the rank's final sends).
     pub(crate) fn finalize(&mut self) -> MachineResult {
         self.sync_clock();
         let mut end = self.proc.now();
@@ -496,8 +439,24 @@ impl<'w> Machine<'w> {
             }
         }
     }
+}
 
-    // ----- execution -----
+/// The tree-walking interpreter proper: a recursive evaluator, so it runs
+/// where it can block — on the lock-step host.
+impl Machine<Lockstep<'_>> {
+    /// Execute `main`; returns the finalized sensor state.
+    pub fn run(mut self) -> Result<MachineResult, ExecError> {
+        let main = self
+            .program
+            .function_index("main")
+            .ok_or_else(|| ExecError::new("program has no `main`"))?;
+        // Borrow the function out of the shared program instead of deep
+        // cloning its whole body for the call.
+        let program = Arc::clone(&self.program);
+        self.call_function(&program.functions[main], Vec::new())?;
+        let result = self.finalize();
+        Ok(result)
+    }
 
     fn call_function(&mut self, func: &Function, args: Vec<Value>) -> Result<Value, ExecError> {
         if self.call_depth > 256 {
@@ -894,12 +853,29 @@ mod tests {
     fn run_src(src: &str, ranks: usize) -> Vec<MachineResult> {
         let program = Arc::new(vsensor_lang::compile(src).unwrap());
         let cluster = Arc::new(ClusterConfig::quiet(ranks).build());
-        let world = World::new(cluster);
-        world.run(|proc| {
-            Machine::new(program.clone(), proc, None)
+        hosted(cluster, move |h| {
+            Machine::new(program.clone(), h, None)
                 .run()
                 .expect("program runs")
         })
+    }
+
+    /// The walker on every rank of `cluster`, hosted; no deaths planned.
+    fn hosted<R: Send + 'static>(
+        cluster: Arc<cluster_sim::Cluster>,
+        program: impl Fn(Lockstep<'_>) -> R + Send + Sync + 'static,
+    ) -> Vec<R> {
+        World::new(cluster).run_hosted(program, |_, _| unreachable!("no deaths planned"))
+    }
+
+    /// The error a single-rank program fails with.
+    fn error_of(src: &str) -> ExecError {
+        let program = Arc::new(vsensor_lang::compile(src).unwrap());
+        let cluster = Arc::new(ClusterConfig::quiet(1).build());
+        hosted(cluster, move |h| {
+            Machine::new(program.clone(), h, None).run().unwrap_err()
+        })
+        .remove(0)
     }
 
     #[test]
@@ -952,21 +928,14 @@ mod tests {
 
     #[test]
     fn division_by_zero_is_reported() {
-        let program =
-            Arc::new(vsensor_lang::compile("fn main() { int x = 0; int y = 5 / x; }").unwrap());
-        let cluster = Arc::new(ClusterConfig::quiet(1).build());
-        let world = World::new(cluster);
-        let errs = world.run(|proc| Machine::new(program.clone(), proc, None).run().unwrap_err());
-        assert!(errs[0].message.contains("division by zero"));
+        let err = error_of("fn main() { int x = 0; int y = 5 / x; }");
+        assert!(err.message.contains("division by zero"));
     }
 
     #[test]
     fn array_out_of_bounds_is_reported() {
-        let program = Arc::new(vsensor_lang::compile("fn main() { int a[4]; a[9] = 1; }").unwrap());
-        let cluster = Arc::new(ClusterConfig::quiet(1).build());
-        let errs = World::new(cluster)
-            .run(|proc| Machine::new(program.clone(), proc, None).run().unwrap_err());
-        assert!(errs[0].message.contains("out of bounds"));
+        let err = error_of("fn main() { int a[4]; a[9] = 1; }");
+        assert!(err.message.contains("out of bounds"));
     }
 
     #[test]
@@ -998,14 +967,8 @@ mod tests {
 
     #[test]
     fn recursion_guard_fires() {
-        let program = Arc::new(
-            vsensor_lang::compile("fn f(int n) -> int { return f(n + 1); } fn main() { f(0); }")
-                .unwrap(),
-        );
-        let cluster = Arc::new(ClusterConfig::quiet(1).build());
-        let errs = World::new(cluster)
-            .run(|proc| Machine::new(program.clone(), proc, None).run().unwrap_err());
-        assert!(errs[0].message.contains("call depth"));
+        let err = error_of("fn f(int n) -> int { return f(n + 1); } fn main() { f(0); }");
+        assert!(err.message.contains("call depth"));
     }
 
     #[test]

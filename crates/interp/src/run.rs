@@ -6,12 +6,12 @@
 //! analysis server, and a final [`VarianceReport`].
 
 use crate::bytecode::{self, CompiledProgram};
-use crate::machine::{ExecError, Machine, MachineResult, SensorHarness};
+use crate::machine::{Machine, MachineResult, SensorHarness};
 use crate::validate::{self, ValidationStats};
 use crate::vm::{self, VmState};
 use cluster_sim::time::{Duration, VirtualTime};
 use cluster_sim::Cluster;
-use simmpi::{RankTask, SimBackend, TaskPoll};
+use simmpi::{Hosted, RankTask, SimBackend, TaskPoll};
 use std::sync::Arc;
 use vsensor_lang::Program;
 use vsensor_runtime::{
@@ -20,7 +20,7 @@ use vsensor_runtime::{
     VarianceAlert, VarianceReport,
 };
 
-/// Which execution engine runs the ranks.
+/// Which interpreter runs the ranks.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecBackend {
     /// Slot-resolved bytecode VM (the default: same results, much faster).
@@ -29,45 +29,6 @@ pub enum ExecBackend {
     /// The original tree-walking interpreter; kept as the differential
     /// oracle the VM is validated against.
     TreeWalker,
-}
-
-/// A program prepared for execution on some backend. Bytecode is compiled
-/// exactly once here and shared (via `Arc` clones of the executor) across
-/// all rank threads.
-#[derive(Clone)]
-pub struct Executor {
-    program: Arc<Program>,
-    /// Present iff the backend is [`ExecBackend::Vm`].
-    compiled: Option<Arc<CompiledProgram>>,
-}
-
-impl Executor {
-    /// Prepare `program` for the given backend.
-    pub fn new(program: Arc<Program>, backend: ExecBackend) -> Self {
-        let compiled = match backend {
-            ExecBackend::Vm => Some(Arc::new(bytecode::compile(&program))),
-            ExecBackend::TreeWalker => None,
-        };
-        Executor { program, compiled }
-    }
-
-    /// The shared program.
-    pub fn program(&self) -> &Arc<Program> {
-        &self.program
-    }
-
-    /// Execute one rank on the prepared backend.
-    pub fn run_rank(
-        &self,
-        proc: &mut simmpi::Proc,
-        sensors: Option<SensorHarness>,
-    ) -> Result<MachineResult, ExecError> {
-        let machine = Machine::new(self.program.clone(), proc, sensors);
-        match &self.compiled {
-            Some(compiled) => vm::run_vm(machine, compiled),
-            None => machine.run(),
-        }
-    }
 }
 
 /// Configuration for an instrumented run.
@@ -79,10 +40,8 @@ pub struct RunConfig {
     pub rule: Arc<dyn DynamicRule>,
     /// Execution engine (defaults to the bytecode VM).
     pub backend: ExecBackend,
-    /// Which simmpi backend hosts the ranks: thread-per-rank (default) or
-    /// the event-driven virtual-time scheduler. The event backend requires
-    /// [`ExecBackend::Vm`] and produces bit-identical results while
-    /// scaling to paper-size worlds (16k+ ranks) in one process.
+    /// How many workers the event scheduler resumes same-instant ranks on
+    /// (results are bit-identical for every count).
     pub sim: SimBackend,
     /// Cross-run baseline store to attach (with this run's id) to the
     /// analysis server: detection thresholds turn history-adaptive and
@@ -103,16 +62,16 @@ impl Default for RunConfig {
     }
 }
 
-/// One rank of a VM run as a resumable event-scheduler task: the machine
-/// owns its `Proc`, the [`VmState`] carries the suspended interpreter, and
+/// One rank of a VM run as a resumable scheduler task: the machine owns
+/// its `Proc`, the [`VmState`] carries the suspended interpreter, and
 /// every `resume` continues the dispatch loop until the next `Pending`
 /// MPI operation or the end of `main`.
 struct VmTask {
-    machine: Machine<'static>,
+    machine: Machine,
     state: VmState,
     compiled: Arc<CompiledProgram>,
-    /// `(lane, start)` of the per-rank VM trace span, mirroring
-    /// `vm::run_vm`'s bracket on the threaded backend.
+    /// `(lane, start)` of the per-rank VM trace span. Reading the clock
+    /// charges nothing, so traced and untraced runs are bit-identical.
     traced: Option<(u32, VirtualTime)>,
 }
 
@@ -123,7 +82,7 @@ impl VmTask {
         proc: simmpi::Proc,
         sensors: Option<SensorHarness>,
     ) -> Self {
-        let machine = Machine::new(program, proc, sensors);
+        let machine = Machine::new(program, Box::new(proc), sensors);
         let traced = cluster_sim::trace::enabled(cluster_sim::trace::Category::VM)
             .then(|| (machine.trace_lane(), machine.now()));
         VmTask {
@@ -157,8 +116,8 @@ impl RankTask for VmTask {
                 TaskPoll::Ready(result)
             }
             Ok(false) => TaskPoll::Yielded,
-            // Matches the threaded driver: program errors become a panic
-            // the world relabels with the rank ID.
+            // Program errors become a panic the scheduler relabels with
+            // the rank ID.
             Err(e) => panic!("{e}"),
         }
     }
@@ -168,14 +127,43 @@ impl RankTask for VmTask {
     }
 }
 
-/// The compiled program an event run needs, or a clear panic: the
-/// tree-walker cannot suspend, so it only runs thread-per-rank.
-fn event_compiled(exec: &Executor) -> Arc<CompiledProgram> {
-    exec.compiled.clone().unwrap_or_else(|| {
-        panic!(
-            "the event scheduler (SimBackend::Event) requires the bytecode VM              (ExecBackend::Vm); the tree-walking interpreter cannot yield and              only runs on the thread-per-rank backend"
-        )
-    })
+/// Execute `program` on every rank of `cluster` with the chosen
+/// interpreter; `harness` builds each rank's sensor machinery (`None` for a
+/// plain run). The VM is a resumable task; the tree-walker, which cannot
+/// return at a yield point, runs on simmpi's lock-step host. A rank the
+/// fault plan kills reports its accounting up to the death.
+fn run_ranks(
+    program: Arc<Program>,
+    backend: ExecBackend,
+    cluster: Arc<Cluster>,
+    sim: SimBackend,
+    harness: impl Fn(&simmpi::Proc) -> Option<SensorHarness>,
+) -> Vec<MachineResult> {
+    let world = simmpi::World::new(cluster);
+    match backend {
+        ExecBackend::Vm => {
+            let compiled = Arc::new(bytecode::compile(&program));
+            world.run_event_workers(
+                sim.workers(),
+                |_rank, proc| {
+                    let sensors = harness(&proc);
+                    VmTask::new(program.clone(), compiled.clone(), proc, sensors)
+                },
+                |death, task| dead_rank_result(death, task.proc_mut()),
+            )
+        }
+        ExecBackend::TreeWalker => world.run_event_workers(
+            sim.workers(),
+            |_rank, proc| {
+                let (program, sensors) = (program.clone(), harness(&proc));
+                Hosted::new(proc, move |h| {
+                    let machine = Machine::new(program, h, sensors);
+                    machine.run().unwrap_or_else(|e| panic!("{e}"))
+                })
+            },
+            |death, task| dead_rank_result(death, task.proc_mut()),
+        ),
+    }
 }
 
 /// Per-rank outcome (re-exported view over the machine result).
@@ -222,35 +210,15 @@ pub fn run_plain(program: &Program, cluster: Arc<Cluster>) -> Vec<RankResult> {
     )
 }
 
-/// [`run_plain`] without the program clone, on explicit execution and
-/// simulation backends.
+/// [`run_plain`] without the program clone, on an explicit interpreter
+/// and worker count.
 pub fn run_plain_shared(
     program: Arc<Program>,
     cluster: Arc<Cluster>,
     backend: ExecBackend,
     sim: SimBackend,
 ) -> Vec<RankResult> {
-    let exec = Executor::new(program, backend);
-    let world = simmpi::World::new(cluster);
-    let results: Vec<MachineResult> = match sim {
-        SimBackend::Threads => world.run(|proc| {
-            match simmpi::catch_death(|| {
-                exec.run_rank(proc, None).unwrap_or_else(|e| panic!("{e}"))
-            }) {
-                Ok(r) => r,
-                Err(death) => dead_rank_result(death, proc),
-            }
-        }),
-        SimBackend::Event { workers } => {
-            let compiled = event_compiled(&exec);
-            let program = exec.program.clone();
-            world.run_event_workers(
-                workers,
-                move |_rank, proc| VmTask::new(program.clone(), compiled.clone(), proc, None),
-                |death, task| dead_rank_result(death, task.proc_mut()),
-            )
-        }
-    };
+    let results = run_ranks(program, backend, cluster, sim, |_| None);
     results.into_iter().map(RankResult::from).collect()
 }
 
@@ -347,45 +315,16 @@ pub fn run_instrumented_sink(
     config: &RunConfig,
     sink: Arc<dyn AnalysisSink>,
 ) -> InstrumentedRun {
-    let exec = Executor::new(program, config.backend);
     let ranks = cluster.ranks();
     let channel: Arc<dyn BatchChannel> = sink.clone();
-    let world = simmpi::World::new(cluster);
     let sensor_count = sensors.len();
-    let machine_results: Vec<MachineResult> = match config.sim {
-        SimBackend::Threads => world.run(|proc| {
-            let runtime =
-                SensorRuntime::with_rule(sensor_count, config.runtime.clone(), config.rule.clone());
-            let harness = SensorHarness::with_channel(runtime, proc.rank(), channel.clone())
-                .with_trace_lane(proc.trace_lane());
-            match simmpi::catch_death(|| {
-                exec.run_rank(proc, Some(harness))
-                    .unwrap_or_else(|e| panic!("{e}"))
-            }) {
-                Ok(r) => r,
-                Err(death) => dead_rank_result(death, proc),
-            }
-        }),
-        SimBackend::Event { workers } => {
-            let compiled = event_compiled(&exec);
-            let program = exec.program.clone();
-            let channel = channel.clone();
-            world.run_event_workers(
-                workers,
-                move |rank, proc| {
-                    let runtime = SensorRuntime::with_rule(
-                        sensor_count,
-                        config.runtime.clone(),
-                        config.rule.clone(),
-                    );
-                    let harness = SensorHarness::with_channel(runtime, rank, channel.clone())
-                        .with_trace_lane(proc.trace_lane());
-                    VmTask::new(program.clone(), compiled.clone(), proc, Some(harness))
-                },
-                |death, task| dead_rank_result(death, task.proc_mut()),
-            )
-        }
+    let harness = |proc: &simmpi::Proc| {
+        let runtime =
+            SensorRuntime::with_rule(sensor_count, config.runtime.clone(), config.rule.clone());
+        let harness = SensorHarness::with_channel(runtime, proc.rank(), channel.clone());
+        Some(harness.with_trace_lane(proc.trace_lane()))
     };
+    let machine_results = run_ranks(program, config.backend, cluster, config.sim, harness);
     let rank_results: Vec<RankResult> = machine_results.into_iter().map(RankResult::from).collect();
     // Read the final state through the sink: if a crash fired, the
     // original server object died with its state and this resolves to the

@@ -15,9 +15,7 @@
 
 use crate::builtins;
 use crate::bytecode::{self, CompiledProgram, Insn};
-use crate::machine::{
-    binop, coerce_scalar, cost, load_element, store_element, ExecError, Machine, MachineResult,
-};
+use crate::machine::{binop, coerce_scalar, cost, load_element, store_element, ExecError, Machine};
 use crate::values::Value;
 use vsensor_lang::UnOp;
 
@@ -66,59 +64,22 @@ impl VmState {
     }
 }
 
-/// Execute `main` of a compiled program on one rank. The `Machine` carries
+/// Run or resume one rank's VM: the dispatch loop. The `Machine` carries
 /// the rank's clock, cost accumulator and sensor harness; the walker's
 /// `Machine::run` and this function produce bit-identical results.
+/// `Ok(true)` means `main` returned (call `Machine::finalize` for the
+/// result); `Ok(false)` means a blocking builtin is `Pending` — the rank
+/// yielded, and the next call continues bit-identically to an
+/// uninterrupted run.
 ///
-/// The trace bracket lives in this thin wrapper and the dispatch loop in
-/// [`run_vm_loop`]: keeping the span's `(rank, start)` pair live across
-/// the loop itself (rather than across one outlined call) perturbs the
-/// loop's register allocation enough to cost double-digit percent even
-/// with tracing disabled.
-pub fn run_vm(mut m: Machine<'_>, compiled: &CompiledProgram) -> Result<MachineResult, ExecError> {
-    // Trace the whole VM run as one virtual-time span per rank. Reading
-    // the clock here charges nothing, so traced and untraced runs are
-    // bit-identical.
-    let traced = cluster_sim::trace::enabled(cluster_sim::trace::Category::VM)
-        .then(|| (m.trace_lane(), m.now()));
-    let mut st = VmState::new();
-    let finished = run_vm_loop(&mut m, compiled, &mut st)?;
-    debug_assert!(finished, "a thread-backed rank never suspends");
-    let result = m.finalize();
-    if let Some((lane, start)) = traced {
-        cluster_sim::trace::record(cluster_sim::trace::TraceEvent::complete(
-            cluster_sim::trace::Category::VM,
-            "vm_run",
-            lane,
-            0,
-            start.as_nanos(),
-            result.end.since(start).as_nanos(),
-            0,
-            0,
-        ));
-    }
-    Ok(result)
-}
-
-/// Run or resume one rank's VM under the event scheduler. `Ok(true)` means
-/// `main` returned (call `Machine::finalize` for the result); `Ok(false)`
-/// means a blocking builtin is `Pending` — the rank yielded, and the next
-/// call continues bit-identically to an uninterrupted run.
-pub(crate) fn resume_vm(
-    m: &mut Machine<'_>,
-    compiled: &CompiledProgram,
-    st: &mut VmState,
-) -> Result<bool, ExecError> {
-    run_vm_loop(m, compiled, st)
-}
-
-/// The dispatch loop proper. Outlined from [`run_vm`] so nothing
-/// trace-related is live across it. State lives in locals for dispatch
-/// speed and is written back to `st` only at a suspend or the final
-/// return.
+/// Never inlined into the task's `resume`: keeping anything trace-related
+/// live across the loop perturbs its register allocation enough to cost
+/// double-digit percent even with tracing disabled. State lives in locals
+/// for dispatch speed and is written back to `st` only at a suspend or the
+/// final return.
 #[inline(never)]
-fn run_vm_loop(
-    m: &mut Machine<'_>,
+pub(crate) fn resume_vm(
+    m: &mut Machine,
     compiled: &CompiledProgram,
     st: &mut VmState,
 ) -> Result<bool, ExecError> {
@@ -460,7 +421,7 @@ fn load(v: &Value) -> Value {
 /// Pop-side of an array index: integer check then the memory charge, in
 /// walker order.
 #[inline]
-fn index_operand(m: &mut Machine<'_>, v: Value) -> Result<i64, ExecError> {
+fn index_operand(m: &mut Machine, v: Value) -> Result<i64, ExecError> {
     let i = v
         .as_int()
         .ok_or_else(|| ExecError::new("array index must be integer"))?;
@@ -470,7 +431,7 @@ fn index_operand(m: &mut Machine<'_>, v: Value) -> Result<i64, ExecError> {
 
 /// [`index_operand`] reading straight from a slot (fused `a[k]` forms).
 #[inline(always)]
-fn local_index(m: &mut Machine<'_>, v: &Value) -> Result<i64, ExecError> {
+fn local_index(m: &mut Machine, v: &Value) -> Result<i64, ExecError> {
     let i = match v {
         Value::Int(x) => *x,
         Value::Float(x) => *x as i64,
@@ -483,32 +444,20 @@ fn local_index(m: &mut Machine<'_>, v: &Value) -> Result<i64, ExecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode;
+    use crate::run::{run_plain_shared, ExecBackend, RankResult};
     use cluster_sim::ClusterConfig;
-    use simmpi::World;
+    use simmpi::{RankTask, SimBackend, TaskPoll, World};
     use std::sync::Arc;
 
-    /// Run a source program through both backends on quiet ranks and
+    /// Run a source program through both interpreters on quiet ranks and
     /// return (walker, vm) results.
-    fn both(src: &str, ranks: usize) -> (Vec<MachineResult>, Vec<MachineResult>) {
+    fn both(src: &str, ranks: usize) -> (Vec<RankResult>, Vec<RankResult>) {
         let program = Arc::new(vsensor_lang::compile(src).unwrap());
-        let walker = {
+        let run = |backend| {
             let cluster = Arc::new(ClusterConfig::quiet(ranks).build());
-            let program = program.clone();
-            World::new(cluster).run(move |proc| {
-                Machine::new(program.clone(), proc, None)
-                    .run()
-                    .expect("walker runs")
-            })
+            run_plain_shared(program.clone(), cluster, backend, SimBackend::event())
         };
-        let compiled = Arc::new(bytecode::compile(&program));
-        let vm = {
-            let cluster = Arc::new(ClusterConfig::quiet(ranks).build());
-            World::new(cluster).run(move |proc| {
-                run_vm(Machine::new(program.clone(), proc, None), &compiled).expect("vm runs")
-            })
-        };
-        (walker, vm)
+        (run(ExecBackend::TreeWalker), run(ExecBackend::Vm))
     }
 
     fn assert_identical(src: &str, ranks: usize) {
@@ -519,18 +468,48 @@ mod tests {
         }
     }
 
+    /// A VM rank whose program error is its output instead of a panic.
+    struct ErrorOfVm {
+        machine: Machine,
+        state: VmState,
+        compiled: Arc<CompiledProgram>,
+    }
+
+    impl RankTask for ErrorOfVm {
+        type Output = ExecError;
+
+        fn resume(&mut self) -> TaskPoll<ExecError> {
+            match resume_vm(&mut self.machine, &self.compiled, &mut self.state) {
+                Ok(true) => panic!("the program was expected to fail"),
+                Ok(false) => TaskPoll::Yielded,
+                Err(e) => TaskPoll::Ready(e),
+            }
+        }
+
+        fn proc_mut(&mut self) -> &mut simmpi::Proc {
+            self.machine.proc()
+        }
+    }
+
     fn both_errors(src: &str) -> (ExecError, ExecError) {
         let program = Arc::new(vsensor_lang::compile(src).unwrap());
-        let cluster = Arc::new(ClusterConfig::quiet(1).build());
+        let world = || World::new(Arc::new(ClusterConfig::quiet(1).build()));
         let walker = {
             let program = program.clone();
-            World::new(cluster.clone())
-                .run(move |proc| Machine::new(program.clone(), proc, None).run().unwrap_err())
+            world().run_hosted(
+                move |h| Machine::new(program.clone(), h, None).run().unwrap_err(),
+                |_, _| unreachable!("no deaths planned"),
+            )
         };
         let compiled = Arc::new(bytecode::compile(&program));
-        let vm = World::new(Arc::new(ClusterConfig::quiet(1).build())).run(move |proc| {
-            run_vm(Machine::new(program.clone(), proc, None), &compiled).unwrap_err()
-        });
+        let vm = world().run_event(
+            |_, proc| ErrorOfVm {
+                machine: Machine::new(program.clone(), Box::new(proc), None),
+                state: VmState::new(),
+                compiled: compiled.clone(),
+            },
+            |_, _| unreachable!("no deaths planned"),
+        );
         (walker[0].clone(), vm[0].clone())
     }
 

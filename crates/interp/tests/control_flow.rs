@@ -17,12 +17,14 @@ fn run_ok(src: &str) {
 fn run_err(src: &str) -> String {
     let program = Arc::new(compile(src).unwrap());
     let cluster = Arc::new(ClusterConfig::quiet(1).build());
-    let world = simmpi::World::new(cluster);
-    let errs = world.run(|proc| {
-        vsensor_interp::Machine::new(program.clone(), proc, None)
-            .run()
-            .unwrap_err()
-    });
+    let errs = simmpi::World::new(cluster).run_hosted(
+        move |h| {
+            vsensor_interp::Machine::new(program.clone(), h, None)
+                .run()
+                .unwrap_err()
+        },
+        |_, _| unreachable!("no deaths planned"),
+    );
     errs[0].message.clone()
 }
 

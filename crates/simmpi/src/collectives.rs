@@ -1,16 +1,18 @@
 //! Collective operations.
 //!
-//! A single generation-counted rendezvous synchronizes all ranks of the
-//! world communicator. Each rank enters with its virtual clock (and an
-//! optional scalar contribution); the last arriver computes the common exit
-//! time `max(entries) + cost(op, procs, bytes)` and the reduced value, then
-//! bumps the generation to release everyone. MPI requires all ranks to call
-//! collectives in the same order, which is what makes one slot per
-//! communicator sufficient; the slot checks that the op/byte arguments of
-//! all ranks agree and reports disagreement as a typed
-//! [`CollectiveError::Mismatch`] to *every* member (the slot is poisoned),
-//! so one rank's bug surfaces as an error on each rank instead of a hang
-//! or a single-rank abort.
+//! One rendezvous slot synchronizes all ranks of a communicator. Each rank
+//! enters with its virtual clock (and an optional scalar contribution); the
+//! slot keeps a running `max(entries)` and reduction fold, and once every
+//! alive member has entered, [`CollectiveSlot::try_complete`] computes the
+//! common exit time `max(entries) + cost(op, procs, bytes)` and the reduced
+//! value. MPI requires all ranks to call collectives in the same order,
+//! which is what makes one slot per communicator sufficient; the slot
+//! checks that the op/byte arguments of all ranks agree and reports
+//! disagreement as a typed [`CollectiveError::Mismatch`].
+//!
+//! Slots are plain data owned by the scheduler: ranks latch their entry
+//! while they run, and the control thread registers it when it commits the
+//! yield (see [`crate::sched`]).
 //!
 //! Fail-stop deaths shrink the membership: a collective completes once
 //! every *alive* member has entered (ULFM-style), charging the plan's
@@ -23,11 +25,9 @@
 use cluster_sim::network::CollectiveOp;
 use cluster_sim::time::VirtualTime;
 use cluster_sim::Cluster;
-use parking_lot::{Condvar, Mutex};
 use std::fmt;
 
 use crate::death::DeathBoard;
-use crate::p2p::DEADLOCK_TIMEOUT;
 
 /// Reduction operators for `reduce`/`allreduce`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -78,8 +78,7 @@ pub struct CollectiveEntry {
 /// Why a collective could not complete normally.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CollectiveError {
-    /// Ranks disagreed on the operation or byte count. The slot is
-    /// poisoned: every current and future member sees this same error.
+    /// Ranks disagreed on the operation or byte count.
     Mismatch {
         /// Operation the first arriver declared.
         expected_op: CollectiveOp,
@@ -90,56 +89,32 @@ pub enum CollectiveError {
         /// Byte count the disagreeing rank passed.
         got_bytes: u64,
     },
-    /// The real-time deadlock window expired with live members missing —
-    /// in a correct program this means some rank never calls in.
-    Deadlock {
-        /// The operation being waited on.
-        op: CollectiveOp,
-        /// Members that had arrived at timeout.
-        arrived: usize,
-        /// Total membership of the communicator.
-        procs: usize,
-    },
 }
 
 impl fmt::Display for CollectiveError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CollectiveError::Mismatch {
-                expected_op,
-                got_op,
-                expected_bytes,
-                got_bytes,
-            } => write!(
-                f,
-                "collective mismatch: ranks disagree ({expected_op:?}/{expected_bytes}B vs \
-                 {got_op:?}/{got_bytes}B)"
-            ),
-            CollectiveError::Deadlock { op, arrived, procs } => write!(
-                f,
-                "simmpi deadlock: collective {op:?} waited {DEADLOCK_TIMEOUT:?} with \
-                 {arrived}/{procs} ranks arrived"
-            ),
-        }
+        let CollectiveError::Mismatch {
+            expected_op,
+            got_op,
+            expected_bytes,
+            got_bytes,
+        } = self;
+        write!(
+            f,
+            "collective mismatch: ranks disagree ({expected_op:?}/{expected_bytes}B vs \
+             {got_op:?}/{got_bytes}B)"
+        )
     }
 }
 
 impl std::error::Error for CollectiveError {}
 
-/// The shared rendezvous state.
+/// The rendezvous state of one communicator.
 #[derive(Debug)]
 pub struct CollectiveSlot {
-    state: Mutex<SlotState>,
-    cond: Condvar,
-    procs: usize,
-    /// World ranks belonging to this communicator (used to count alive
-    /// members against the death board).
+    /// World ranks belonging to this communicator, ascending (used to
+    /// count alive members against the death board).
     members: Vec<usize>,
-}
-
-#[derive(Debug)]
-struct SlotState {
-    generation: u64,
     arrived: usize,
     op: Option<CollectiveOp>,
     bytes: u64,
@@ -154,12 +129,6 @@ struct SlotState {
     /// Cursor into the death board's log; deaths at positions ≥ this have
     /// not yet been folded into `alive`.
     deaths_seen: usize,
-    // Results of the previous generation, read by released waiters.
-    done_exit: VirtualTime,
-    done_value: i64,
-    done_missing: u32,
-    // A mismatch poisons the slot for every current and future member.
-    poisoned: Option<CollectiveError>,
 }
 
 /// A completed collective: common exit time plus the combined value
@@ -187,218 +156,105 @@ impl CollectiveSlot {
     pub fn with_members(members: Vec<usize>) -> Self {
         debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
         CollectiveSlot {
-            state: Mutex::new(SlotState {
-                generation: 0,
-                arrived: 0,
-                op: None,
-                bytes: 0,
-                max_entry: VirtualTime::ZERO,
-                acc: 0,
-                rop: ReduceOp::Sum,
-                bcast_val: 0,
-                // Start from "all alive" with the log cursor at zero: the
-                // first drain folds in any deaths that predate this slot
-                // (sub-communicators are created lazily, possibly after
-                // ranks have already died).
-                alive: members.len(),
-                deaths_seen: 0,
-                done_exit: VirtualTime::ZERO,
-                done_value: 0,
-                done_missing: 0,
-                poisoned: None,
-            }),
-            cond: Condvar::new(),
-            procs: members.len(),
+            arrived: 0,
+            op: None,
+            bytes: 0,
+            max_entry: VirtualTime::ZERO,
+            acc: 0,
+            rop: ReduceOp::Sum,
+            bcast_val: 0,
+            // Start from "all alive" with the log cursor at zero: the
+            // first drain folds in any deaths that predate this slot
+            // (sub-communicators are created by a split, possibly after
+            // ranks have already died).
+            alive: members.len(),
+            deaths_seen: 0,
             members,
         }
     }
 
-    /// Wake every waiter so it can re-examine its wait condition (a rank
-    /// died — the membership just shrank).
-    pub fn wake_all(&self) {
-        let _guard = self.state.lock();
-        self.cond.notify_all();
-    }
-
     /// Current alive-member count, folding any deaths logged since the
-    /// last call into the slot's counter. Replaces the old O(members)
-    /// flag scan: the no-new-deaths fast path is one atomic load, and a
-    /// death costs one binary search per open slot instead of a rescan of
-    /// every member of every slot.
-    fn alive_now(&self, st: &mut SlotState, board: &DeathBoard) -> usize {
-        let mut alive = st.alive;
-        let seen = board.deaths_since(st.deaths_seen, |dead| {
-            if self.members.binary_search(&dead).is_ok() {
-                alive -= 1;
+    /// last call into the slot's counter: a death costs one binary search
+    /// per open slot instead of a rescan of every member of every slot.
+    fn alive_now(&mut self, board: &DeathBoard) -> usize {
+        let (members, alive) = (&self.members, &mut self.alive);
+        self.deaths_seen = board.deaths_since(self.deaths_seen, |dead| {
+            if members.binary_search(&dead).is_ok() {
+                *alive -= 1;
             }
         });
-        st.alive = alive;
-        st.deaths_seen = seen;
-        alive.max(1)
+        self.alive.max(1)
     }
 
-    /// Enter the collective; blocks (in real time) until every *alive*
-    /// member has entered, then returns the common result. Dead members
-    /// shrink the rendezvous: the result reports them as `missing` and the
-    /// exit time includes the fault plan's death-detection timeout.
+    /// Register one member's arrival in the open rendezvous. Never
+    /// completes it — the control plane runs [`Self::try_complete`] once
+    /// the whole dispatch phase has committed, so every same-instant member
+    /// is registered before any release is computed.
     ///
     /// # Errors
     ///
-    /// [`CollectiveError::Mismatch`] if ranks disagree on the operation or
-    /// byte count (the slot poisons, so every member gets the error), and
-    /// [`CollectiveError::Deadlock`] when the real-time timeout expires
-    /// with live members missing.
-    pub fn enter(
-        &self,
+    /// [`CollectiveError::Mismatch`] if this rank disagrees with the first
+    /// arriver on the operation or byte count; the slot is left unchanged.
+    pub fn register(&mut self, entry: CollectiveEntry) -> Result<(), CollectiveError> {
+        if self.arrived == 0 {
+            self.op = Some(entry.op);
+            self.bytes = entry.bytes;
+            self.rop = entry.rop;
+            self.acc = entry.rop.identity();
+            self.max_entry = VirtualTime::ZERO;
+        } else if self.op != Some(entry.op) || self.bytes != entry.bytes {
+            return Err(CollectiveError::Mismatch {
+                expected_op: self.op.expect("first arriver set the op"),
+                got_op: entry.op,
+                expected_bytes: self.bytes,
+                got_bytes: entry.bytes,
+            });
+        }
+        self.arrived += 1;
+        self.max_entry = self.max_entry.max(entry.at);
+        self.acc = self.rop.fold(self.acc, entry.value);
+        if entry.is_root {
+            self.bcast_val = entry.value;
+        }
+        Ok(())
+    }
+
+    /// Completion check: if the open rendezvous now has every *alive*
+    /// member registered, complete it and return the result. Ranks blocked
+    /// inside a collective cannot die (deaths fire from a rank's own code),
+    /// so every arrival is from a live member: arrived == alive ⇒ all
+    /// alive members are in, and the rendezvous — possibly shrunk —
+    /// completes. The check is O(1) amortized: a counter compare, plus a
+    /// death-log delta fold.
+    pub fn try_complete(
+        &mut self,
         cluster: &Cluster,
         board: &DeathBoard,
-        entry: CollectiveEntry,
-    ) -> Result<CollectiveResult, CollectiveError> {
-        let mut st = self.state.lock();
-        let my_gen = self.register_locked(&mut st, entry)?;
-
-        loop {
-            // Ranks blocked inside a collective cannot die (deaths fire
-            // from a rank's own code), so every arrival this generation is
-            // from a live member: arrived == alive ⇒ all alive members are
-            // in, and the rendezvous — possibly shrunk — completes.
-            let required = self.alive_now(&mut st, board);
-            if st.arrived >= required {
-                return Ok(self.complete_locked(&mut st, cluster));
-            }
-            let timed_out = self.cond.wait_for(&mut st, DEADLOCK_TIMEOUT).timed_out();
-            if let Some(e) = &st.poisoned {
-                return Err(e.clone());
-            }
-            if st.generation != my_gen {
-                return Ok(st.done_result());
-            }
-            if timed_out {
-                return Err(CollectiveError::Deadlock {
-                    op: entry.op,
-                    arrived: st.arrived,
-                    procs: self.procs,
-                });
-            }
-        }
-    }
-
-    /// Register for the collective without blocking (event scheduler).
-    /// Identical registration math to [`Self::enter`], but the rendezvous
-    /// is *never* completed inline — even the last arriver yields back to
-    /// the control plane, which completes touched slots via
-    /// [`Self::try_complete`] once the whole dispatch phase has committed.
-    /// (Inline completion would release waiters before same-instant peers
-    /// have registered their waits, stranding them.) Returns the
-    /// generation joined; poll [`Self::poll_finish`] with it.
-    ///
-    /// # Errors
-    ///
-    /// [`CollectiveError::Mismatch`], exactly as [`Self::enter`].
-    pub fn poll_register(&self, entry: CollectiveEntry) -> Result<u64, CollectiveError> {
-        let mut st = self.state.lock();
-        self.register_locked(&mut st, entry)
-    }
-
-    /// Check whether the generation joined via [`Self::poll_register`] has
-    /// completed (some later arriver or a death finished it). `None` means
-    /// still pending.
-    ///
-    /// # Errors
-    ///
-    /// [`CollectiveError::Mismatch`] if the slot was poisoned meanwhile.
-    pub fn poll_finish(&self, gen: u64) -> Result<Option<CollectiveResult>, CollectiveError> {
-        let st = self.state.lock();
-        if let Some(e) = &st.poisoned {
-            return Err(e.clone());
-        }
-        Ok((st.generation != gen).then(|| st.done_result()))
-    }
-
-    /// Control-plane completion check (event scheduler): if the open
-    /// generation now has every *alive* member registered, complete it and
-    /// return the result so waiters can be scheduled at its exit time.
-    /// Called at the end of each dispatch phase for every slot touched by
-    /// a registration, and for every open slot after a death. The check is
-    /// O(1) amortized: a counter compare, plus a death-log delta fold.
-    pub fn try_complete(&self, cluster: &Cluster, board: &DeathBoard) -> Option<CollectiveResult> {
-        let mut st = self.state.lock();
-        if st.poisoned.is_some() || st.arrived == 0 {
+    ) -> Option<CollectiveResult> {
+        if self.arrived == 0 || self.arrived < self.alive_now(board) {
             return None;
         }
-        if st.arrived < self.alive_now(&mut st, board) {
-            return None;
-        }
-        Some(self.complete_locked(&mut st, cluster))
-    }
-
-    /// Registration phase shared by the blocking and poll entry points, so
-    /// both backends run bit-identical math. Returns the generation joined.
-    fn register_locked(
-        &self,
-        st: &mut SlotState,
-        entry: CollectiveEntry,
-    ) -> Result<u64, CollectiveError> {
-        if let Some(e) = &st.poisoned {
-            return Err(e.clone());
-        }
-        let my_gen = st.generation;
-
-        if st.arrived == 0 {
-            st.op = Some(entry.op);
-            st.bytes = entry.bytes;
-            st.rop = entry.rop;
-            st.acc = entry.rop.identity();
-            st.max_entry = VirtualTime::ZERO;
-        } else if st.op != Some(entry.op) || st.bytes != entry.bytes {
-            let err = CollectiveError::Mismatch {
-                expected_op: st.op.expect("first arriver set the op"),
-                got_op: entry.op,
-                expected_bytes: st.bytes,
-                got_bytes: entry.bytes,
-            };
-            st.poisoned = Some(err.clone());
-            self.cond.notify_all();
-            return Err(err);
-        }
-        st.arrived += 1;
-        st.max_entry = st.max_entry.max(entry.at);
-        let rop = st.rop;
-        st.acc = rop.fold(st.acc, entry.value);
-        if entry.is_root {
-            st.bcast_val = entry.value;
-        }
-        Ok(my_gen)
-    }
-
-    /// Completion phase shared by the blocking and poll entry points.
-    fn complete_locked(&self, st: &mut SlotState, cluster: &Cluster) -> CollectiveResult {
-        let op = st.op.expect("op set while generation open");
-        let missing = (self.procs - st.arrived) as u32;
-        let mut cost = cluster.collective_cost(op, st.arrived, st.bytes, st.max_entry);
+        let op = self.op.expect("op set while the rendezvous is open");
+        let missing = (self.members.len() - self.arrived) as u32;
+        let mut cost = cluster.collective_cost(op, self.arrived, self.bytes, self.max_entry);
         if missing > 0 {
             cost += cluster.faults().death_timeout();
         }
-        st.done_exit = st.max_entry + cost;
-        st.done_value = match op {
-            CollectiveOp::Bcast => st.bcast_val,
-            _ => st.acc,
-        };
-        st.done_missing = missing;
-        st.arrived = 0;
-        st.generation += 1;
-        self.cond.notify_all();
-        st.done_result()
+        self.arrived = 0;
+        Some(CollectiveResult {
+            exit: self.max_entry + cost,
+            value: match op {
+                CollectiveOp::Bcast => self.bcast_val,
+                _ => self.acc,
+            },
+            missing,
+        })
     }
-}
 
-impl SlotState {
-    fn done_result(&self) -> CollectiveResult {
-        CollectiveResult {
-            exit: self.done_exit,
-            value: self.done_value,
-            missing: self.done_missing,
-        }
+    /// `(operation, arrived, required)` of the open rendezvous, for the
+    /// scheduler's deadlock report.
+    pub(crate) fn progress(&mut self, board: &DeathBoard) -> (Option<CollectiveOp>, usize, usize) {
+        (self.op, self.arrived, self.alive_now(board))
     }
 }
 
@@ -406,7 +262,6 @@ impl SlotState {
 mod tests {
     use super::*;
     use cluster_sim::ClusterConfig;
-    use std::sync::Arc;
 
     fn entry(op: CollectiveOp, at_ns: u64, value: i64) -> CollectiveEntry {
         CollectiveEntry {
@@ -419,78 +274,54 @@ mod tests {
         }
     }
 
-    /// Run one entry per thread; each rank's `Result` is propagated (not
-    /// unwrapped inside the rank), so one rank's error never aborts the
-    /// whole world.
-    fn try_run_collective(
+    /// Register `entries` on a fresh `procs`-member slot and complete it.
+    fn run_collective(
         procs: usize,
         entries: Vec<CollectiveEntry>,
         board: &DeathBoard,
-    ) -> Vec<Result<CollectiveResult, CollectiveError>> {
-        let cluster = Arc::new(ClusterConfig::quiet(procs).build());
-        let slot = Arc::new(CollectiveSlot::new(procs));
-        std::thread::scope(|s| {
-            let handles: Vec<_> = entries
-                .into_iter()
-                .map(|e| {
-                    let slot = slot.clone();
-                    let cluster = cluster.clone();
-                    s.spawn(move || slot.enter(&cluster, board, e))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-    }
-
-    fn run_collective(procs: usize, entries: Vec<CollectiveEntry>) -> Vec<CollectiveResult> {
-        let board = DeathBoard::new(procs);
-        try_run_collective(procs, entries, &board)
-            .into_iter()
-            .map(|r| r.expect("collective completed"))
-            .collect()
+    ) -> Option<CollectiveResult> {
+        let cluster = ClusterConfig::quiet(procs).build();
+        let mut slot = CollectiveSlot::new(procs);
+        for e in entries {
+            slot.register(e).expect("entries agree");
+        }
+        slot.try_complete(&cluster, board)
     }
 
     #[test]
     fn barrier_synchronizes_to_max_plus_cost() {
-        let rs = run_collective(
+        let r = run_collective(
             4,
             (0..4)
                 .map(|i| entry(CollectiveOp::Barrier, (i as u64 + 1) * 1000, 0))
                 .collect(),
-        );
-        assert!(rs.iter().all(|r| r.exit == rs[0].exit));
-        assert!(rs[0].exit > VirtualTime(4000), "exit after last entry");
+            &DeathBoard::new(4),
+        )
+        .expect("all four arrived");
+        assert!(r.exit > VirtualTime(4000), "exit after last entry");
+        assert_eq!(r.missing, 0);
     }
 
     #[test]
-    fn allreduce_sums_contributions() {
-        let rs = run_collective(
-            3,
-            vec![
-                entry(CollectiveOp::Allreduce, 0, 5),
-                entry(CollectiveOp::Allreduce, 0, 7),
-                entry(CollectiveOp::Allreduce, 0, 8),
-            ],
-        );
-        assert!(rs.iter().all(|r| r.value == 20));
+    fn incomplete_rendezvous_stays_open() {
+        let partial = (0..3)
+            .map(|i| entry(CollectiveOp::Allreduce, 0, i))
+            .collect();
+        assert_eq!(run_collective(4, partial, &DeathBoard::new(4)), None);
     }
 
     #[test]
-    fn reduce_min_max() {
-        for (rop, expect) in [(ReduceOp::Min, 2), (ReduceOp::Max, 9)] {
+    fn reductions_fold_contributions() {
+        for (rop, expect) in [(ReduceOp::Sum, 15), (ReduceOp::Min, 2), (ReduceOp::Max, 9)] {
             let entries = [2i64, 9, 4]
                 .iter()
                 .map(|&v| CollectiveEntry {
-                    op: CollectiveOp::Allreduce,
-                    bytes: 0,
-                    at: VirtualTime::ZERO,
-                    value: v,
                     rop,
-                    is_root: false,
+                    ..entry(CollectiveOp::Allreduce, 0, v)
                 })
                 .collect();
-            let rs = run_collective(3, entries);
-            assert!(rs.iter().all(|r| r.value == expect));
+            let r = run_collective(3, entries, &DeathBoard::new(3)).unwrap();
+            assert_eq!(r.value, expect);
         }
     }
 
@@ -500,150 +331,80 @@ mod tests {
             (0..4).map(|_| entry(CollectiveOp::Bcast, 0, -1)).collect();
         entries[2].value = 42;
         entries[2].is_root = true;
-        let rs = run_collective(4, entries);
-        assert!(rs.iter().all(|r| r.value == 42));
+        let r = run_collective(4, entries, &DeathBoard::new(4)).unwrap();
+        assert_eq!(r.value, 42);
     }
 
     #[test]
-    fn slot_is_reusable_across_generations() {
+    fn slot_is_reusable_across_rounds() {
         let procs = 3;
-        let cluster = Arc::new(ClusterConfig::quiet(procs).build());
-        let slot = Arc::new(CollectiveSlot::new(procs));
-        let results: Vec<Vec<i64>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..procs)
-                .map(|r| {
-                    let slot = slot.clone();
-                    let cluster = cluster.clone();
-                    s.spawn(move || {
-                        let board = DeathBoard::new(procs);
-                        (0..10)
-                            .map(|round| {
-                                slot.enter(
-                                    &cluster,
-                                    &board,
-                                    entry(CollectiveOp::Allreduce, 0, (r + round) as i64),
-                                )
-                                .expect("collective completed")
-                                .value
-                            })
-                            .collect()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for round in 0..10 {
-            let expect: i64 = (0..procs as i64).map(|r| r + round as i64).sum();
-            for r in &results {
-                assert_eq!(r[round], expect);
+        let cluster = ClusterConfig::quiet(procs).build();
+        let board = DeathBoard::new(procs);
+        let mut slot = CollectiveSlot::new(procs);
+        for round in 0..10i64 {
+            for r in 0..procs as i64 {
+                assert_eq!(slot.try_complete(&cluster, &board), None);
+                slot.register(entry(CollectiveOp::Allreduce, 0, r + round))
+                    .unwrap();
             }
+            let expect: i64 = (0..procs as i64).map(|r| r + round).sum();
+            assert_eq!(slot.try_complete(&cluster, &board).unwrap().value, expect);
         }
     }
 
     #[test]
     fn dead_member_shrinks_the_rendezvous() {
-        let board = DeathBoard::new(4);
+        let mut board = DeathBoard::new(4);
         board.mark_dead(3);
-        let rs = try_run_collective(
-            4,
+        let survivors = || {
             (0..3)
                 .map(|i| entry(CollectiveOp::Allreduce, 1000, 10 + i))
-                .collect(),
-            &board,
-        );
-        for r in &rs {
-            let r = r.as_ref().expect("shrunk collective completes");
-            assert_eq!(r.missing, 1, "one dead member absent");
-            assert_eq!(r.value, 33, "dead member contributes nothing");
-        }
+                .collect()
+        };
+        let r = run_collective(4, survivors(), &board).expect("shrunk collective completes");
+        assert_eq!(r.missing, 1, "one dead member absent");
+        assert_eq!(r.value, 33, "dead member contributes nothing");
         // The shrunk rendezvous pays the death-detection timeout on top of
         // the normal cost, so it exits later than a healthy 3-rank one.
-        let healthy = run_collective(
-            3,
-            (0..3)
-                .map(|i| entry(CollectiveOp::Allreduce, 1000, 10 + i))
-                .collect(),
-        );
-        assert!(rs[0].as_ref().unwrap().exit > healthy[0].exit);
+        let healthy = run_collective(3, survivors(), &DeathBoard::new(3)).unwrap();
+        assert!(r.exit > healthy.exit);
     }
 
     #[test]
-    fn death_mid_wait_releases_blocked_members() {
-        // Ranks 0 and 1 enter; rank 2 dies *after* they are already
-        // blocked. wake_all must rouse them to re-check membership.
-        let procs = 3;
-        let cluster = Arc::new(ClusterConfig::quiet(procs).build());
-        let slot = Arc::new(CollectiveSlot::new(procs));
-        let board = Arc::new(DeathBoard::new(procs));
-        let rs: Vec<_> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..2)
-                .map(|i| {
-                    let slot = slot.clone();
-                    let cluster = cluster.clone();
-                    let board = board.clone();
-                    s.spawn(move || {
-                        slot.enter(&cluster, &board, entry(CollectiveOp::Barrier, 500, i))
-                    })
-                })
-                .collect();
-            std::thread::sleep(std::time::Duration::from_millis(50));
-            board.mark_dead(2);
-            slot.wake_all();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for r in rs {
-            assert_eq!(r.expect("released by death").missing, 1);
+    fn death_after_arrivals_completes_the_open_rendezvous() {
+        // Ranks 0 and 1 enter; rank 2 dies *after* they are registered.
+        // The next completion check folds the death in and releases them.
+        let cluster = ClusterConfig::quiet(3).build();
+        let mut board = DeathBoard::new(3);
+        let mut slot = CollectiveSlot::new(3);
+        for i in 0..2 {
+            slot.register(entry(CollectiveOp::Barrier, 500, i)).unwrap();
         }
+        assert_eq!(slot.try_complete(&cluster, &board), None);
+        board.mark_dead(2);
+        assert_eq!(slot.try_complete(&cluster, &board).unwrap().missing, 1);
     }
 
     #[test]
-    fn mismatch_poisons_every_member() {
-        let board = DeathBoard::new(3);
-        let rs = try_run_collective(
-            3,
-            vec![
-                entry(CollectiveOp::Barrier, 0, 0),
-                entry(CollectiveOp::Barrier, 0, 0),
-                entry(CollectiveOp::Allreduce, 0, 0),
-            ],
-            &board,
+    fn mismatch_is_a_typed_error_naming_both_sides() {
+        let mut slot = CollectiveSlot::new(3);
+        slot.register(entry(CollectiveOp::Barrier, 0, 0)).unwrap();
+        let err = slot
+            .register(CollectiveEntry {
+                bytes: 8,
+                ..entry(CollectiveOp::Allreduce, 0, 0)
+            })
+            .unwrap_err();
+        assert_eq!(
+            err,
+            CollectiveError::Mismatch {
+                expected_op: CollectiveOp::Barrier,
+                got_op: CollectiveOp::Allreduce,
+                expected_bytes: 0,
+                got_bytes: 8,
+            }
         );
-        assert!(
-            rs.iter()
-                .all(|r| matches!(r, Err(CollectiveError::Mismatch { .. }))),
-            "every rank sees the same typed mismatch error: {rs:?}"
-        );
-    }
-
-    #[test]
-    fn poisoned_slot_rejects_late_arrivals() {
-        let cluster = ClusterConfig::quiet(2).build();
-        let board = DeathBoard::new(2);
-        let slot = CollectiveSlot::new(2);
-        let poison: Vec<_> = std::thread::scope(|s| {
-            [
-                s.spawn(|| slot.enter(&cluster, &board, entry(CollectiveOp::Barrier, 0, 0))),
-                s.spawn(|| slot.enter(&cluster, &board, entry(CollectiveOp::Bcast, 0, 0))),
-            ]
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .collect()
-        });
-        assert!(poison.iter().all(Result::is_err));
-        // A later generation never starts: the poison is sticky.
-        let late = slot.enter(&cluster, &board, entry(CollectiveOp::Barrier, 0, 0));
-        assert!(matches!(late, Err(CollectiveError::Mismatch { .. })));
-    }
-
-    #[test]
-    fn mismatch_error_names_both_sides() {
-        let e = CollectiveError::Mismatch {
-            expected_op: CollectiveOp::Barrier,
-            got_op: CollectiveOp::Allreduce,
-            expected_bytes: 0,
-            got_bytes: 8,
-        };
-        let msg = e.to_string();
+        let msg = err.to_string();
         assert!(
             msg.contains("Barrier") && msg.contains("Allreduce"),
             "{msg}"

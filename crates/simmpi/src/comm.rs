@@ -8,14 +8,8 @@
 //! model. Communicator IDs are assigned deterministically (same split
 //! sequence → same IDs on every rank), so repeated splits are safe.
 
-use crate::collectives::CollectiveSlot;
 use cluster_sim::network::CollectiveOp;
 use cluster_sim::time::VirtualTime;
-use parking_lot::{Condvar, Mutex};
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use crate::p2p::DEADLOCK_TIMEOUT;
 
 /// A communicator: a subset of world ranks with local indices.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -55,194 +49,71 @@ impl Comm {
     }
 }
 
-/// Rendezvous state for `split` plus the dynamic collective slots of the
-/// communicators it creates.
-pub(crate) struct CommRegistry {
-    split: Mutex<SplitInner>,
-    cond: Condvar,
-    procs: usize,
-    slots: Mutex<HashMap<u64, Arc<CollectiveSlot>>>,
-}
-
-struct SplitInner {
-    generation: u64,
+/// Rendezvous state of `split`: plain data owned by the scheduler, like
+/// the collective slots of the communicators it creates.
+#[derive(Debug)]
+pub(crate) struct SplitSlot {
     arrived: usize,
+    /// Color by world rank for the open rendezvous.
     colors: Vec<i64>,
     max_entry: VirtualTime,
-    // Results of the previous generation.
-    done_colors: Vec<i64>,
-    done_base_id: u64,
-    done_exit: VirtualTime,
     next_comm_id: u64,
 }
 
-impl SplitInner {
-    /// Reconstruct `rank`'s communicator from the published colors of the
-    /// completed generation. Shared by the blocking and poll paths.
-    fn done_comm(&self, rank: usize, procs: usize) -> (Comm, VirtualTime) {
-        let my_color = self.done_colors[rank];
-        let members: Vec<usize> = (0..procs)
-            .filter(|&r| self.done_colors[r] == my_color)
-            .collect();
-        let my_index = members
-            .iter()
-            .position(|&r| r == rank)
-            .expect("rank is in its own group");
-        let mut distinct: Vec<i64> = self.done_colors.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let color_index = distinct
-            .iter()
-            .position(|&c| c == my_color)
-            .expect("color present") as u64;
-        (
-            Comm {
-                id: self.done_base_id + color_index,
-                members,
-                my_index,
-            },
-            self.done_exit,
-        )
-    }
-}
+/// A completed split: the common exit instant and the new communicators as
+/// `(id, members)`, ascending by color.
+pub(crate) type SplitResult = (VirtualTime, Vec<(u64, Vec<usize>)>);
 
-impl CommRegistry {
+impl SplitSlot {
     pub(crate) fn new(procs: usize) -> Self {
-        CommRegistry {
-            split: Mutex::new(SplitInner {
-                generation: 0,
-                arrived: 0,
-                colors: vec![0; procs],
-                max_entry: VirtualTime::ZERO,
-                done_colors: Vec::new(),
-                done_base_id: 0,
-                done_exit: VirtualTime::ZERO,
-                // ID 0 is reserved for the world communicator.
-                next_comm_id: 1,
-            }),
-            cond: Condvar::new(),
-            procs,
-            slots: Mutex::new(HashMap::new()),
+        SplitSlot {
+            arrived: 0,
+            colors: vec![0; procs],
+            max_entry: VirtualTime::ZERO,
+            // ID 0 is reserved for the world communicator.
+            next_comm_id: 1,
         }
     }
 
-    /// Enter the split collective. Returns `(comm, exit_time)`.
-    pub(crate) fn split(
-        &self,
-        cluster: &cluster_sim::Cluster,
-        rank: usize,
-        color: i64,
-        at: VirtualTime,
-    ) -> (Comm, VirtualTime) {
-        let mut st = self.split.lock();
-        let my_gen = self.register_split_locked(&mut st, rank, color, at);
-        if st.arrived == self.procs {
-            self.complete_split_locked(&mut st, cluster);
-        } else {
-            while st.generation == my_gen {
-                if self.cond.wait_for(&mut st, DEADLOCK_TIMEOUT).timed_out() {
-                    panic!(
-                        "simmpi deadlock: comm split waited {:?} with {}/{} ranks",
-                        DEADLOCK_TIMEOUT, st.arrived, self.procs
-                    );
-                }
-            }
+    /// Register `rank`'s arrival. Like a collective, never completes
+    /// inline: the control plane runs [`Self::try_complete`] after the
+    /// dispatch phase has committed.
+    pub(crate) fn register(&mut self, rank: usize, color: i64, at: VirtualTime) {
+        if self.arrived == 0 {
+            self.max_entry = VirtualTime::ZERO;
         }
-        let result = st.done_comm(rank, self.procs);
-        drop(st);
-        result
+        self.colors[rank] = color;
+        self.arrived += 1;
+        self.max_entry = self.max_entry.max(at);
     }
 
-    /// Register for the split without blocking (event scheduler). Identical
-    /// registration math to [`Self::split`], but never completes inline —
-    /// every member (including the last arriver) yields to the control
-    /// plane, which completes the rendezvous via [`Self::try_complete_split`]
-    /// once the dispatch phase has committed. Returns the generation
-    /// joined; poll [`Self::poll_split_finish`] with it.
-    pub(crate) fn poll_split_register(&self, rank: usize, color: i64, at: VirtualTime) -> u64 {
-        let mut st = self.split.lock();
-        self.register_split_locked(&mut st, rank, color, at)
-    }
-
-    /// Control-plane completion check for the split rendezvous (event
-    /// scheduler): completes when every rank has registered, returning the
-    /// common exit instant so waiters can be scheduled. Split is documented
-    /// as pre-death-only, so the requirement is the full world.
-    pub(crate) fn try_complete_split(&self, cluster: &cluster_sim::Cluster) -> Option<VirtualTime> {
-        let mut st = self.split.lock();
-        if st.arrived == 0 || st.arrived < self.procs {
+    /// Completes when every rank has registered (split is documented as
+    /// pre-death-only, so the requirement is the full world): groups the
+    /// ranks by color and advances the ID space by the number of distinct
+    /// colors.
+    pub(crate) fn try_complete(&mut self, cluster: &cluster_sim::Cluster) -> Option<SplitResult> {
+        let procs = self.colors.len();
+        if self.arrived < procs.max(1) {
             return None;
         }
-        self.complete_split_locked(&mut st, cluster);
-        Some(st.done_exit)
-    }
-
-    /// Check whether the split generation joined via
-    /// [`Self::poll_split_register`] has completed. `None` = still pending.
-    pub(crate) fn poll_split_finish(&self, rank: usize, gen: u64) -> Option<(Comm, VirtualTime)> {
-        let st = self.split.lock();
-        (st.generation != gen).then(|| st.done_comm(rank, self.procs))
-    }
-
-    fn register_split_locked(
-        &self,
-        st: &mut SplitInner,
-        rank: usize,
-        color: i64,
-        at: VirtualTime,
-    ) -> u64 {
-        let my_gen = st.generation;
-        if st.arrived == 0 {
-            st.max_entry = VirtualTime::ZERO;
+        let cost = cluster.collective_cost(CollectiveOp::Barrier, procs, 0, self.max_entry);
+        let mut by_color: Vec<(i64, usize)> = self.colors.iter().copied().zip(0..).collect();
+        by_color.sort_unstable();
+        let mut comms: Vec<(u64, Vec<usize>)> = Vec::new();
+        for (i, &(color, rank)) in by_color.iter().enumerate() {
+            if i == 0 || by_color[i - 1].0 != color {
+                comms.push((self.next_comm_id + comms.len() as u64, Vec::new()));
+            }
+            comms.last_mut().expect("pushed above").1.push(rank);
         }
-        st.colors[rank] = color;
-        st.arrived += 1;
-        st.max_entry = st.max_entry.max(at);
-        my_gen
+        self.next_comm_id += comms.len() as u64;
+        self.arrived = 0;
+        Some((self.max_entry + cost, comms))
     }
 
-    fn complete_split_locked(&self, st: &mut SplitInner, cluster: &cluster_sim::Cluster) {
-        let cost = cluster.collective_cost(CollectiveOp::Barrier, self.procs, 0, st.max_entry);
-        st.done_exit = st.max_entry + cost;
-        st.done_colors = st.colors.clone();
-        st.done_base_id = st.next_comm_id;
-        // Advance the ID space by the number of distinct colors.
-        let mut distinct: Vec<i64> = st.done_colors.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        st.next_comm_id += distinct.len() as u64;
-        st.arrived = 0;
-        st.generation += 1;
-        self.cond.notify_all();
-    }
-
-    /// The collective slot for a communicator (created on first use). The
-    /// slot knows its member world ranks, so sub-communicator collectives
-    /// shrink correctly when a member fail-stops.
-    pub(crate) fn slot(&self, comm: &Comm) -> Arc<CollectiveSlot> {
-        let mut slots = self.slots.lock();
-        slots
-            .entry(comm.id)
-            .or_insert_with(|| Arc::new(CollectiveSlot::with_members(comm.members.clone())))
-            .clone()
-    }
-
-    /// Look up a communicator's slot by ID without creating it. The event
-    /// scheduler uses this when a death may complete a shrunk collective.
-    pub(crate) fn slot_by_id(&self, id: u64) -> Option<Arc<CollectiveSlot>> {
-        self.slots.lock().get(&id).cloned()
-    }
-
-    /// Wake every communicator's collective waiters (a rank died).
-    pub(crate) fn wake_all(&self) {
-        let slots = self.slots.lock();
-        for slot in slots.values() {
-            slot.wake_all();
-        }
-        // Split rendezvous waiters re-check nothing death-related (split is
-        // documented as pre-death-only), but waking them is harmless.
-        let _guard = self.split.lock();
-        self.cond.notify_all();
+    /// `(arrived, required)` for the scheduler's deadlock report.
+    pub(crate) fn progress(&self) -> (usize, usize) {
+        (self.arrived, self.colors.len())
     }
 }
 
@@ -259,8 +130,8 @@ mod tests {
     #[test]
     fn split_forms_expected_groups() {
         let w = quiet_world(6);
-        let infos = w.run(|p| {
-            let comm = p.split((p.rank() % 2) as i64).ready();
+        let infos = w.hosted(|mut h| {
+            let comm = h.wait(|p| p.split((p.rank() % 2) as i64));
             (comm.size(), comm.rank(), comm.members().to_vec())
         });
         // Even ranks form {0,2,4}, odd {1,3,5}.
@@ -273,10 +144,9 @@ mod tests {
     #[test]
     fn subcomm_allreduce_sums_only_members() {
         let w = quiet_world(6);
-        let sums = w.run(|p| {
-            let comm = p.split((p.rank() % 2) as i64).ready();
-            p.comm_allreduce(&comm, 8, p.rank() as i64, ReduceOp::Sum)
-                .ready()
+        let sums = w.hosted(|mut h| {
+            let comm = h.wait(|p| p.split((p.rank() % 2) as i64));
+            h.wait(|p| p.comm_allreduce(&comm, 8, p.rank() as i64, ReduceOp::Sum))
         });
         assert_eq!(sums, vec![6, 9, 6, 9, 6, 9]); // 0+2+4 and 1+3+5
     }
@@ -284,14 +154,14 @@ mod tests {
     #[test]
     fn subcomm_barrier_synchronizes_members_only() {
         let w = quiet_world(4);
-        let ends = w.run(|p| {
-            let comm = p.split((p.rank() / 2) as i64).ready();
+        let ends = w.hosted(|mut h| {
+            let comm = h.wait(|p| p.split((p.rank() / 2) as i64));
             // One member of each group computes longer.
-            if p.rank() % 2 == 0 {
-                p.compute(cluster_sim::node::Work::cpu(100_000), 0.0);
+            if h.rank() % 2 == 0 {
+                h.compute(cluster_sim::node::Work::cpu(100_000), 0.0);
             }
-            p.comm_barrier(&comm).ready();
-            p.now()
+            h.wait(|p| p.comm_barrier(&comm));
+            h.now()
         });
         assert_eq!(ends[0], ends[1], "group {{0,1}} aligned");
         assert_eq!(ends[2], ends[3], "group {{2,3}} aligned");
@@ -300,10 +170,10 @@ mod tests {
     #[test]
     fn repeated_splits_get_distinct_ids() {
         let w = quiet_world(4);
-        let ids = w.run(|p| {
-            let a = p.split(0).ready(); // everyone together
-            let b = p.split((p.rank() % 2) as i64).ready();
-            let c = p.split(0).ready();
+        let ids = w.hosted(|mut h| {
+            let a = h.wait(|p| p.split(0)); // everyone together
+            let b = h.wait(|p| p.split((p.rank() % 2) as i64));
+            let c = h.wait(|p| p.split(0));
             (a.id(), b.id(), c.id())
         });
         // All ranks agree on each split's IDs, and IDs never repeat.
@@ -317,15 +187,15 @@ mod tests {
     fn subcomm_alltoall_uses_member_count() {
         // An alltoall over half the ranks must cost less than over all.
         let w = quiet_world(8);
-        let t_sub = w.run(|p| {
-            let comm = p.split((p.rank() % 2) as i64).ready();
-            p.comm_alltoall(&comm, 1 << 16).ready();
-            p.now()
+        let t_sub = w.hosted(|mut h| {
+            let comm = h.wait(|p| p.split((p.rank() % 2) as i64));
+            h.wait(|p| p.comm_alltoall(&comm, 1 << 16));
+            h.now()
         });
         let w2 = quiet_world(8);
-        let t_world = w2.run(|p| {
-            p.alltoall(1 << 16).ready();
-            p.now()
+        let t_world = w2.hosted(|mut h| {
+            h.wait(|p| p.alltoall(1 << 16));
+            h.now()
         });
         assert!(t_sub[0] < t_world[0], "{} vs {}", t_sub[0], t_world[0]);
     }
@@ -335,15 +205,15 @@ mod tests {
         // The FT pattern: a 2D grid of ranks, alltoall within rows, then
         // within columns.
         let w = quiet_world(4); // 2x2 grid
-        let ends = w.run(|p| {
-            let row = p.split((p.rank() / 2) as i64).ready();
-            let col = p.split((p.rank() % 2) as i64).ready();
+        let ends = w.hosted(|mut h| {
+            let row = h.wait(|p| p.split((p.rank() / 2) as i64));
+            let col = h.wait(|p| p.split((p.rank() % 2) as i64));
             for _ in 0..10 {
-                p.comm_alltoall(&row, 4096).ready();
-                p.compute(cluster_sim::node::Work::cpu(5_000), 0.0);
-                p.comm_alltoall(&col, 4096).ready();
+                h.wait(|p| p.comm_alltoall(&row, 4096));
+                h.compute(cluster_sim::node::Work::cpu(5_000), 0.0);
+                h.wait(|p| p.comm_alltoall(&col, 4096));
             }
-            p.now()
+            h.now()
         });
         assert!(ends.iter().all(|e| e.as_nanos() > 0));
     }

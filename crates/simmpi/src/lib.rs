@@ -8,30 +8,25 @@
 //! host scheduling — a "100-second" run finishes in milliseconds of wall
 //! time and is exactly reproducible.
 //!
-//! Two execution backends share that model, selected by [`SimBackend`]:
-//!
-//! * **Threads** ([`World::run`]) — one OS thread per rank, parking on
-//!   blocking calls. The original backend and the differential oracle;
-//!   comfortable up to a few hundred ranks.
-//! * **Event** ([`World::run_event`]) — an event-driven virtual-time
-//!   scheduler: each rank is a resumable [`RankTask`], every blocking
-//!   [`Proc`] operation is a yield point returning [`Poll`], and a global
-//!   event queue ordered by `(instant, rank)` picks what runs next. One
-//!   process simulates the paper's 16,384 ranks. See [`sched`].
-//!
-//! Every blocking `Proc` operation therefore returns [`Poll`]: thread-backed
-//! code unwraps with [`Poll::ready`], event-driven tasks treat `Pending` as
-//! "yield and re-poll on resume".
+//! One backend executes that model: an event-driven virtual-time scheduler
+//! ([`World::run_event_workers`], see [`sched`]). Each rank is a resumable
+//! [`RankTask`], every blocking [`Proc`] operation is a yield point
+//! returning [`Poll`] — `Pending` means "yield and re-poll on resume" — and
+//! a global event queue ordered by `(instant, rank)` picks what runs next.
+//! One process simulates the paper's 16,384 ranks. Rank programs written
+//! as plain closures run on the lock-step [`host`]
+//! ([`World::run_hosted`]).
 //!
 //! The API mirrors the MPI subset the paper's applications use: blocking
 //! send/recv, barrier, bcast, reduce, allreduce, allgather, alltoall, plus
 //! simple I/O calls that charge filesystem time.
 //!
 //! Fail-stop faults: a [`cluster_sim::FaultPlan`] can kill ranks (or whole
-//! nodes) mid-run. A dying rank halts via [`DeathUnwind`] (catch it with
-//! [`catch_death`]); survivors never hang — collectives shrink to the
-//! alive membership and receives from dead peers complete degraded after
-//! the plan's death timeout (see the [`death`] module).
+//! nodes) mid-run. A dying rank halts via [`DeathUnwind`], which the
+//! scheduler turns into the run's `on_death` outcome for that rank;
+//! survivors never hang — collectives shrink to the alive membership and
+//! receives from dead peers complete degraded after the plan's death
+//! timeout (see the [`death`] module).
 //!
 //! # Example
 //!
@@ -41,11 +36,14 @@
 //! use simmpi::World;
 //!
 //! let cluster = Arc::new(ClusterConfig::quiet(4).build());
-//! let finals = World::new(cluster).run(|proc| {
-//!     proc.compute(cluster_sim::node::Work::cpu(1_000), 0.0);
-//!     proc.barrier().ready();
-//!     proc.now()
-//! });
+//! let finals = World::new(cluster).run_hosted(
+//!     |mut h| {
+//!         h.compute(cluster_sim::node::Work::cpu(1_000), 0.0);
+//!         h.wait(|p| p.barrier());
+//!         h.now()
+//!     },
+//!     |_death, _proc| unreachable!("no deaths planned"),
+//! );
 //! // All ranks leave the barrier at the same virtual instant.
 //! assert!(finals.iter().all(|t| *t == finals[0]));
 //! ```
@@ -54,6 +52,7 @@ pub mod collectives;
 pub mod comm;
 pub mod death;
 pub mod heap;
+pub mod host;
 pub mod nonblocking;
 pub mod p2p;
 pub mod proc;
@@ -63,9 +62,10 @@ pub mod world;
 
 pub use collectives::{CollectiveError, ReduceOp};
 pub use comm::Comm;
-pub use death::{catch_death, DeathUnwind};
+pub use death::DeathUnwind;
+pub use host::{Hosted, Lockstep};
 pub use nonblocking::{RecvRequest, SendRequest};
-pub use p2p::{RecvError, RecvInfo, ANY_SOURCE, ANY_TAG};
+pub use p2p::{RecvInfo, ANY_SOURCE, ANY_TAG};
 pub use proc::Proc;
 pub use sched::{Poll, RankTask, SimBackend, TaskPoll};
 pub use stats::ProcStats;

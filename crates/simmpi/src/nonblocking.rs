@@ -67,16 +67,16 @@ mod tests {
         // flight, then waits: the wait is cheaper than a blocking recv
         // issued after the compute.
         let w = quiet_world(2);
-        let ends = w.run(|p| {
-            if p.rank() == 0 {
-                p.send(1, 10 << 20, 5, 0); // ~1 MB/ms at 10 B/ns => ~1 ms
-                p.now()
+        let ends = w.hosted(|mut h| {
+            if h.rank() == 0 {
+                h.send(1, 10 << 20, 5, 0); // ~1 MB/ms at 10 B/ns => ~1 ms
+                h.now()
             } else {
-                let req = p.irecv(0, 5);
-                p.compute(Work::cpu(2_000_000), 0.0); // 2 ms of useful work
-                let info = p.wait(req).ready();
+                let req = h.irecv(0, 5);
+                h.compute(Work::cpu(2_000_000), 0.0); // 2 ms of useful work
+                let info = h.wait(|p| p.wait(req));
                 assert_eq!(info.src, 0);
-                p.now()
+                h.now()
             }
         });
         // The transfer (≈1 ms) is fully hidden behind the 2 ms compute.
@@ -94,25 +94,25 @@ mod tests {
         // same virtual instant — the nonblocking version pays only one
         // extra library-call overhead for the separate post.
         let w = quiet_world(2);
-        let ends = w.run(|p| {
-            if p.rank() == 0 {
-                p.send(1, 10 << 20, 5, 0);
+        let ends = w.hosted(|mut h| {
+            if h.rank() == 0 {
+                h.send(1, 10 << 20, 5, 0);
             } else {
-                p.compute(Work::cpu(2_000_000), 0.0);
-                p.recv(0, 5).ready();
+                h.compute(Work::cpu(2_000_000), 0.0);
+                h.wait(|p| p.recv(0, 5));
             }
-            p.now()
+            h.now()
         });
         let w2 = quiet_world(2);
-        let ends_nb = w2.run(|p| {
-            if p.rank() == 0 {
-                p.send(1, 10 << 20, 5, 0);
+        let ends_nb = w2.hosted(|mut h| {
+            if h.rank() == 0 {
+                h.send(1, 10 << 20, 5, 0);
             } else {
-                let req = p.irecv(0, 5);
-                p.compute(Work::cpu(2_000_000), 0.0);
-                p.wait(req).ready();
+                let req = h.irecv(0, 5);
+                h.compute(Work::cpu(2_000_000), 0.0);
+                h.wait(|p| p.wait(req));
             }
-            p.now()
+            h.now()
         });
         let slack = crate::proc::MPI_CALL_OVERHEAD.as_nanos() * 2;
         assert!(
@@ -126,14 +126,15 @@ mod tests {
     #[test]
     fn waitall_completes_in_post_order() {
         let w = quiet_world(3);
-        let sums = w.run(|p| {
-            if p.rank() == 0 {
-                let r1 = p.irecv(1, 1);
-                let r2 = p.irecv(2, 2);
-                let infos = p.waitall(&[r1, r2]).ready();
+        let sums = w.hosted(|mut h| {
+            if h.rank() == 0 {
+                let r1 = h.irecv(1, 1);
+                let r2 = h.irecv(2, 2);
+                let infos = h.wait(|p| p.waitall(&[r1, r2]));
                 infos.iter().map(|i| i.value).sum::<i64>()
             } else {
-                p.send(0, 64, p.rank() as i64, p.rank() as i64 * 100);
+                let me = h.rank() as i64;
+                h.send(0, 64, me, me * 100);
                 0
             }
         });
@@ -143,14 +144,14 @@ mod tests {
     #[test]
     fn isend_handle_reports_injection_time() {
         let w = quiet_world(2);
-        w.run(|p| {
-            if p.rank() == 0 {
-                p.compute(Work::cpu(500), 0.0);
-                let req = p.isend(1, 128, 9, 7);
+        w.hosted(|mut h| {
+            if h.rank() == 0 {
+                h.compute(Work::cpu(500), 0.0);
+                let req = h.isend(1, 128, 9, 7);
                 assert!(req.injected_at().as_nanos() >= 500);
-                p.wait_send(req);
+                h.wait_send(req);
             } else {
-                assert_eq!(p.recv(0, 9).ready().value, 7);
+                assert_eq!(h.wait(|p| p.recv(0, 9)).value, 7);
             }
         });
     }

@@ -1,27 +1,18 @@
 //! Point-to-point messaging.
 //!
-//! A [`Mailbox`] per rank holds in-flight messages. Sends are *eager*: the
-//! sender deposits the message stamped with its virtual clock and moves on
-//! (plus a fixed software overhead). A receive blocks — in real time — until
-//! a matching message exists, then completes at virtual time
-//! `max(post_time, arrival_time)`, where arrival is the send time plus the
-//! network cost at the send instant.
+//! Sends are *eager*: the sender stamps the message with its virtual clock
+//! plus the network cost at the send instant, leaves it in its own outbox
+//! and moves on (after a fixed software overhead); the scheduler's commit
+//! step moves it into the receiver's [`Mailbox`]. A receive completes at
+//! virtual time `max(post_time, arrival_time)` of the best match.
 
-use crate::death::DeathBoard;
 use cluster_sim::time::VirtualTime;
-use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::fmt;
-use std::time::Duration as StdDuration;
 
 /// Wildcard source for [`crate::Proc::recv`].
 pub const ANY_SOURCE: usize = usize::MAX;
 /// Wildcard tag for [`crate::Proc::recv`].
 pub const ANY_TAG: i64 = i64::MIN;
-
-/// How long a receive may block in *real* time before the simulation
-/// declares a deadlock. Virtual time never times out.
-pub(crate) const DEADLOCK_TIMEOUT: StdDuration = StdDuration::from_secs(30);
 
 /// An in-flight message.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -32,12 +23,18 @@ pub struct Message {
     pub tag: i64,
     /// Message size in bytes (drives network cost).
     pub bytes: u64,
-    /// Virtual instant the message left the sender.
-    pub sent_at: VirtualTime,
     /// Virtual instant the message reaches the receiver's NIC.
     pub arrives_at: VirtualTime,
     /// Optional scalar payload (MiniHPC messages carry one value).
     pub value: i64,
+}
+
+impl Message {
+    /// Whether a receive posted for `(src, tag)` (wildcards allowed) takes
+    /// this message.
+    pub fn matches(&self, src: usize, tag: i64) -> bool {
+        (src == ANY_SOURCE || self.src == src) && (tag == ANY_TAG || self.tag == tag)
+    }
 }
 
 /// What a completed receive reports.
@@ -55,214 +52,55 @@ pub struct RecvInfo {
     pub completed_at: VirtualTime,
 }
 
-/// Why a receive failed to complete.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RecvError {
-    /// No matching send appeared within the real-time deadlock window — in
-    /// a correct program this means a peer is never going to send.
-    DeadlockTimeout {
-        /// Requested source ([`ANY_SOURCE`] allowed).
-        src: usize,
-        /// Requested tag ([`ANY_TAG`] allowed).
-        tag: i64,
-        /// Non-matching messages sitting in the queue at timeout.
-        queued: usize,
-    },
-    /// The awaited peer fail-stopped without a matching send in flight
-    /// (for [`ANY_SOURCE`], every possible peer is dead). The receiver
-    /// learns this after the plan's virtual death-detection timeout.
-    PeerDead {
-        /// Requested source ([`ANY_SOURCE`] allowed).
-        src: usize,
-        /// Requested tag ([`ANY_TAG`] allowed).
-        tag: i64,
-    },
-}
-
-impl fmt::Display for RecvError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RecvError::DeadlockTimeout { src, tag, queued } => write!(
-                f,
-                "simmpi deadlock: recv(src={}, tag={}) waited {:?} with no matching send \
-                 ({queued} unrelated message(s) queued)",
-                if *src == ANY_SOURCE {
-                    "ANY".to_string()
-                } else {
-                    src.to_string()
-                },
-                if *tag == ANY_TAG {
-                    "ANY".to_string()
-                } else {
-                    tag.to_string()
-                },
-                DEADLOCK_TIMEOUT,
-            ),
-            RecvError::PeerDead { src, tag } => write!(
-                f,
-                "simmpi peer death: recv(src={}, tag={}) can never complete — the peer fail-stopped",
-                if *src == ANY_SOURCE {
-                    "ANY".to_string()
-                } else {
-                    src.to_string()
-                },
-                if *tag == ANY_TAG {
-                    "ANY".to_string()
-                } else {
-                    tag.to_string()
-                },
-            ),
-        }
-    }
-}
-
-impl std::error::Error for RecvError {}
-
-/// A rank's incoming-message queue.
+/// A rank's incoming-message queue: plain data inside the receiver's
+/// [`crate::Proc`], written by the scheduler between resumes and read by
+/// the rank during them.
 #[derive(Debug, Default)]
 pub struct Mailbox {
-    inner: Mutex<VecDeque<Message>>,
-    cond: Condvar,
+    queue: VecDeque<Message>,
 }
 
 impl Mailbox {
-    /// Deposit a message and wake any waiting receiver.
-    pub fn push(&self, msg: Message) {
-        self.inner.lock().push_back(msg);
-        self.cond.notify_all();
+    /// Deposit a message.
+    pub fn push(&mut self, msg: Message) {
+        self.queue.push_back(msg);
     }
 
-    /// Block until a message matching `(src, tag)` is available and remove
-    /// it. Wildcards [`ANY_SOURCE`] / [`ANY_TAG`] match anything; among
-    /// multiple matches the one with the earliest `(arrives_at, src)` wins,
-    /// which keeps wildcard receives as deterministic as eager delivery
-    /// allows.
-    ///
-    /// # Panics
-    ///
-    /// Panics after a 30-second real-time deadlock timeout with no match;
-    /// use [`Self::try_take_matching`] to observe the timeout as a typed
-    /// [`RecvError`] instead.
-    pub fn take_matching(&self, src: usize, tag: i64) -> Message {
-        self.try_take_matching(src, tag)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`Self::take_matching`]: returns
-    /// [`RecvError::DeadlockTimeout`] instead of panicking when the
-    /// real-time deadlock window elapses with no matching send.
-    pub fn try_take_matching(&self, src: usize, tag: i64) -> Result<Message, RecvError> {
-        let mut q = self.inner.lock();
-        loop {
-            let best = q
-                .iter()
-                .enumerate()
-                .filter(|(_, m)| {
-                    (src == ANY_SOURCE || m.src == src) && (tag == ANY_TAG || m.tag == tag)
-                })
-                .min_by_key(|(_, m)| (m.arrives_at, m.src))
-                .map(|(i, _)| i);
-            if let Some(i) = best {
-                return Ok(q.remove(i).expect("index valid under lock"));
-            }
-            if self.cond.wait_for(&mut q, DEADLOCK_TIMEOUT).timed_out() {
-                return Err(RecvError::DeadlockTimeout {
-                    src,
-                    tag,
-                    queued: q.len(),
-                });
-            }
-        }
-    }
-
-    /// Death-aware variant of [`Self::try_take_matching`]: additionally
-    /// returns [`RecvError::PeerDead`] once the requested source (or, for
-    /// [`ANY_SOURCE`], every peer of `me`) is marked dead on `board` with
-    /// no matching message queued. A dead peer publishes all pre-death
-    /// sends before its board flag, so the verdict is deterministic: flag
-    /// set + empty match ⇒ the message can never arrive.
-    pub fn try_take_matching_failstop(
-        &self,
-        src: usize,
-        tag: i64,
-        board: &DeathBoard,
-        me: usize,
-    ) -> Result<Message, RecvError> {
-        let mut q = self.inner.lock();
-        loop {
-            let best = q
-                .iter()
-                .enumerate()
-                .filter(|(_, m)| {
-                    (src == ANY_SOURCE || m.src == src) && (tag == ANY_TAG || m.tag == tag)
-                })
-                .min_by_key(|(_, m)| (m.arrives_at, m.src))
-                .map(|(i, _)| i);
-            if let Some(i) = best {
-                return Ok(q.remove(i).expect("index valid under lock"));
-            }
-            let peer_gone = if src == ANY_SOURCE {
-                board.all_peers_dead(me)
-            } else {
-                board.is_dead(src)
-            };
-            if peer_gone {
-                return Err(RecvError::PeerDead { src, tag });
-            }
-            if self.cond.wait_for(&mut q, DEADLOCK_TIMEOUT).timed_out() {
-                return Err(RecvError::DeadlockTimeout {
-                    src,
-                    tag,
-                    queued: q.len(),
-                });
-            }
-        }
-    }
-
-    /// Non-blocking take: remove and return the best `(arrives_at, src)`
-    /// match right now, or `None` if nothing matches. The event scheduler's
-    /// retry path uses this — same selection rule as the blocking variants,
-    /// so both backends pick the same message among multiple matches.
-    pub fn poll_take_matching(&self, src: usize, tag: i64) -> Option<Message> {
-        let mut q = self.inner.lock();
-        let best = q
+    /// Remove and return the message a receive for `(src, tag)` takes, or
+    /// `None` if nothing matches. Wildcards [`ANY_SOURCE`] / [`ANY_TAG`]
+    /// match anything; among multiple matches the one with the earliest
+    /// `(arrives_at, src)` wins, which keeps wildcard receives as
+    /// deterministic as eager delivery allows.
+    pub fn take_matching(&mut self, src: usize, tag: i64) -> Option<Message> {
+        let best = self
+            .queue
             .iter()
             .enumerate()
-            .filter(|(_, m)| {
-                (src == ANY_SOURCE || m.src == src) && (tag == ANY_TAG || m.tag == tag)
-            })
+            .filter(|(_, m)| m.matches(src, tag))
             .min_by_key(|(_, m)| (m.arrives_at, m.src))
-            .map(|(i, _)| i);
-        best.map(|i| q.remove(i).expect("index valid under lock"))
+            .map(|(i, _)| i)?;
+        self.queue.remove(best)
     }
 
-    /// Non-blocking peek: arrival instant of the message
-    /// [`Self::poll_take_matching`] would return, without removing it. The
-    /// event scheduler uses this to decide *when* a blocked receive can
-    /// complete.
+    /// Arrival instant of the message [`Self::take_matching`] would return,
+    /// without removing it. The scheduler uses this to decide *when* a
+    /// blocked receive can complete.
     pub fn best_arrival(&self, src: usize, tag: i64) -> Option<VirtualTime> {
-        let q = self.inner.lock();
-        q.iter()
-            .filter(|m| (src == ANY_SOURCE || m.src == src) && (tag == ANY_TAG || m.tag == tag))
+        self.queue
+            .iter()
+            .filter(|m| m.matches(src, tag))
             .map(|m| m.arrives_at)
             .min()
     }
 
-    /// Wake every waiter so it can re-examine its wait condition (used
-    /// when a rank dies — blocked receivers must notice the death).
-    pub fn wake_all(&self) {
-        let _guard = self.inner.lock();
-        self.cond.notify_all();
-    }
-
     /// Number of queued messages (diagnostics).
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.queue.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.queue.is_empty()
     }
 }
 
@@ -275,7 +113,6 @@ mod tests {
             src,
             tag,
             bytes: 8,
-            sent_at: VirtualTime::ZERO,
             arrives_at: VirtualTime(arrives_ns),
             value: 0,
         }
@@ -283,131 +120,36 @@ mod tests {
 
     #[test]
     fn exact_match_takes_only_matching() {
-        let mb = Mailbox::default();
+        let mut mb = Mailbox::default();
         mb.push(msg(1, 7, 100));
         mb.push(msg(2, 7, 50));
-        let m = mb.take_matching(1, 7);
-        assert_eq!(m.src, 1);
+        assert_eq!(mb.take_matching(1, 7).unwrap().src, 1);
         assert_eq!(mb.len(), 1);
+        assert_eq!(mb.take_matching(1, 7), None);
     }
 
     #[test]
     fn any_source_takes_earliest_arrival() {
-        let mb = Mailbox::default();
+        let mut mb = Mailbox::default();
         mb.push(msg(1, 7, 100));
         mb.push(msg(2, 7, 50));
-        let m = mb.take_matching(ANY_SOURCE, 7);
-        assert_eq!(m.src, 2);
+        assert_eq!(mb.best_arrival(ANY_SOURCE, 7), Some(VirtualTime(50)));
+        assert_eq!(mb.take_matching(ANY_SOURCE, 7).unwrap().src, 2);
     }
 
     #[test]
     fn any_tag_matches_any() {
-        let mb = Mailbox::default();
+        let mut mb = Mailbox::default();
         mb.push(msg(3, 42, 10));
-        let m = mb.take_matching(3, ANY_TAG);
-        assert_eq!(m.tag, 42);
+        assert_eq!(mb.take_matching(3, ANY_TAG).unwrap().tag, 42);
         assert!(mb.is_empty());
     }
 
     #[test]
-    fn blocked_recv_wakes_on_push() {
-        let mb = std::sync::Arc::new(Mailbox::default());
-        let mb2 = mb.clone();
-        let h = std::thread::spawn(move || mb2.take_matching(0, 1));
-        std::thread::sleep(StdDuration::from_millis(20));
-        mb.push(msg(0, 1, 5));
-        let m = h.join().unwrap();
-        assert_eq!(m.src, 0);
-    }
-
-    #[test]
-    fn try_take_matching_returns_available_message() {
-        let mb = Mailbox::default();
-        mb.push(msg(1, 7, 10));
-        assert_eq!(mb.try_take_matching(1, 7).unwrap().src, 1);
-    }
-
-    #[test]
-    fn recv_error_display_names_the_wildcards() {
-        let e = RecvError::DeadlockTimeout {
-            src: ANY_SOURCE,
-            tag: 7,
-            queued: 2,
-        };
-        let s = e.to_string();
-        assert!(s.contains("src=ANY"), "{s}");
-        assert!(s.contains("tag=7"), "{s}");
-        assert!(s.contains("2 unrelated"), "{s}");
-    }
-
-    #[test]
-    fn failstop_recv_prefers_queued_predeath_message() {
-        let mb = Mailbox::default();
-        let board = DeathBoard::new(4);
-        board.mark_dead(1);
-        // A message the peer sent before dying still completes the recv.
-        mb.push(msg(1, 7, 10));
-        let m = mb.try_take_matching_failstop(1, 7, &board, 0).unwrap();
-        assert_eq!(m.src, 1);
-        // With the queue drained, the death is final.
-        assert_eq!(
-            mb.try_take_matching_failstop(1, 7, &board, 0),
-            Err(RecvError::PeerDead { src: 1, tag: 7 })
-        );
-    }
-
-    #[test]
-    fn failstop_recv_wakes_when_peer_dies() {
-        let mb = std::sync::Arc::new(Mailbox::default());
-        let board = std::sync::Arc::new(DeathBoard::new(2));
-        let (mb2, board2) = (mb.clone(), board.clone());
-        let h = std::thread::spawn(move || mb2.try_take_matching_failstop(1, 0, &board2, 0));
-        std::thread::sleep(StdDuration::from_millis(20));
-        board.mark_dead(1);
-        mb.wake_all();
-        assert_eq!(
-            h.join().unwrap(),
-            Err(RecvError::PeerDead { src: 1, tag: 0 })
-        );
-    }
-
-    #[test]
-    fn any_source_fails_only_when_all_peers_dead() {
-        let mb = Mailbox::default();
-        let board = DeathBoard::new(3);
-        board.mark_dead(1);
-        // Rank 2 is still alive, so ANY_SOURCE keeps waiting — push a
-        // message from it so the wait completes rather than timing out.
-        mb.push(msg(2, 0, 5));
-        assert_eq!(
-            mb.try_take_matching_failstop(ANY_SOURCE, 0, &board, 0)
-                .unwrap()
-                .src,
-            2
-        );
-        board.mark_dead(2);
-        assert_eq!(
-            mb.try_take_matching_failstop(ANY_SOURCE, 0, &board, 0),
-            Err(RecvError::PeerDead {
-                src: ANY_SOURCE,
-                tag: 0
-            })
-        );
-    }
-
-    #[test]
-    fn peer_dead_display_names_the_peer() {
-        let e = RecvError::PeerDead { src: 3, tag: 9 };
-        let s = e.to_string();
-        assert!(s.contains("src=3"), "{s}");
-        assert!(s.contains("fail-stopped"), "{s}");
-    }
-
-    #[test]
     fn ties_broken_by_source() {
-        let mb = Mailbox::default();
+        let mut mb = Mailbox::default();
         mb.push(msg(5, 1, 50));
         mb.push(msg(2, 1, 50));
-        assert_eq!(mb.take_matching(ANY_SOURCE, 1).src, 2);
+        assert_eq!(mb.take_matching(ANY_SOURCE, 1).unwrap().src, 2);
     }
 }

@@ -5,10 +5,10 @@
 //! cluster model, and tallies [`crate::ProcStats`]. All MPI entry points
 //! charge a small fixed software overhead, like real MPI library calls.
 
-use crate::collectives::{CollectiveEntry, CollectiveResult, CollectiveSlot, ReduceOp};
-use crate::comm::{Comm, CommRegistry};
-use crate::death::{DeathBoard, DeathUnwind};
-use crate::p2p::{Mailbox, Message, RecvError, RecvInfo, ANY_SOURCE};
+use crate::collectives::{CollectiveEntry, CollectiveResult, ReduceOp};
+use crate::comm::Comm;
+use crate::death::DeathUnwind;
+use crate::p2p::{Mailbox, Message, RecvInfo};
 use crate::sched::Poll;
 use crate::stats::ProcStats;
 use cluster_sim::network::CollectiveOp;
@@ -33,33 +33,8 @@ fn collective_name(op: CollectiveOp) -> &'static str {
 /// Fixed software overhead charged on entry to every MPI call.
 pub const MPI_CALL_OVERHEAD: Duration = Duration(120);
 
-/// Shared immutable state between all ranks of a world.
-pub(crate) struct WorldShared {
-    pub cluster: Arc<Cluster>,
-    pub mailboxes: Vec<Mailbox>,
-    pub collective: CollectiveSlot,
-    pub comms: CommRegistry,
-    /// Fail-stop liveness flags, one per rank.
-    pub board: DeathBoard,
-}
-
-impl WorldShared {
-    /// Publish a rank's death: mark the board, then wake every blocked
-    /// receiver and collective waiter so they re-examine their wait
-    /// conditions against the new membership. Must run *after* the dying
-    /// rank's last effects (sends, collective arrivals) are visible.
-    pub(crate) fn announce_death(&self, rank: usize) {
-        self.board.mark_dead(rank);
-        for mb in &self.mailboxes {
-            mb.wake_all();
-        }
-        self.collective.wake_all();
-        self.comms.wake_all();
-    }
-}
-
-/// Identifies the rendezvous group a pending collective belongs to, so the
-/// event scheduler can route completion notifications.
+/// Identifies the rendezvous a pending collective belongs to, so the
+/// scheduler can register the arrival and route the release.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub(crate) enum GroupKey {
     /// The world collective slot.
@@ -71,50 +46,59 @@ pub(crate) enum GroupKey {
 }
 
 /// The operation a rank latched on its first (yielding) poll. Entry effects
-/// (fail-stop gate, call overhead, slot registration) already happened;
-/// retries only attempt completion.
+/// on the rank itself (fail-stop gate, call overhead) already happened;
+/// the scheduler reads the latch to register the wait when it commits the
+/// yield, and retries only attempt completion.
 #[derive(Clone, Copy, Debug)]
-enum PendingOp {
+pub(crate) enum PendingOp {
+    /// Blocked receive. The clock froze at post time (after the call
+    /// overhead) when the op latched — the completion floor: the receive
+    /// finishes at `max(posted, arrival)`.
     Recv {
         src: usize,
         tag: i64,
         start: VirtualTime,
     },
+    /// Arrived at a collective on `key`, waiting for the last arriver.
     Collective {
         key: GroupKey,
-        gen: u64,
         start: VirtualTime,
         entry: CollectiveEntry,
     },
+    /// Arrived at a communicator split with `color` at instant `at`.
     Split {
-        gen: u64,
         start: VirtualTime,
         color: i64,
+        at: VirtualTime,
     },
 }
 
-/// What a yielded rank is waiting on, as the scheduler sees it.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum EventWait {
-    /// Blocked receive; `posted` is the clock after the call overhead
-    /// (the completion floor: the receive finishes at
-    /// `max(posted, arrival)`).
-    Recv {
-        src: usize,
-        tag: i64,
-        posted: VirtualTime,
-    },
-    /// Registered for a group rendezvous, waiting for the last arriver.
-    Group(GroupKey),
+/// What the control thread hands a parked rank before resuming it, when
+/// the rank cannot complete its wait from its own inbox.
+#[derive(Debug)]
+pub(crate) enum Wake {
+    /// The collective it arrived at completed.
+    Collective(CollectiveResult),
+    /// The split it arrived at completed: its communicator and the common
+    /// exit instant.
+    Split(Comm, VirtualTime),
+    /// The awaited peer fail-stopped with no match in flight: the receive
+    /// completes degraded at this instant.
+    PeerDead(VirtualTime),
 }
 
-/// Per-rank state that exists only under the event scheduler.
+/// A rank's communication state. During a resume the rank reads and writes
+/// only this (and the rest of its own `Proc`); everything another rank can
+/// observe moves through the control thread between resumes — it drains
+/// `outbox` into the receivers' `inbox`es, registers `pending` with the
+/// rendezvous it names, and leaves the outcome in `wake`.
 #[derive(Debug, Default)]
-struct EventState {
+struct CommState {
     pending: Option<PendingOp>,
-    /// Destinations of sends since the last yield (scheduler re-examines
-    /// those ranks' blocked receives).
-    sent_to: Vec<usize>,
+    /// `(dest, message)` of every send since the last yield.
+    outbox: Vec<(usize, Message)>,
+    inbox: Mailbox,
+    wake: Option<Wake>,
     /// Completed sub-receives of an in-progress `waitall`.
     waitall_done: Vec<RecvInfo>,
 }
@@ -128,61 +112,47 @@ pub struct Proc {
     sample_counter: u64,
     /// Scheduled fail-stop instant from the fault plan, if any.
     death_at: Option<VirtualTime>,
-    /// `Some` iff this rank runs under the event scheduler. Boxed so the
-    /// thread backend pays one pointer, not the whole struct, on the VM
-    /// hot loop's cache lines.
-    event: Option<Box<EventState>>,
-    shared: Arc<WorldShared>,
+    /// Boxed so the VM hot loop's cache lines carry one pointer, not the
+    /// queues.
+    comm: Box<CommState>,
+    cluster: Arc<Cluster>,
 }
 
 impl Proc {
-    pub(crate) fn new(rank: usize, size: usize, shared: Arc<WorldShared>) -> Self {
-        let death_at = shared.cluster.death_of(rank);
+    pub(crate) fn new(rank: usize, size: usize, cluster: Arc<Cluster>) -> Self {
         Proc {
             rank,
             size,
             clock: VirtualTime::ZERO,
             stats: ProcStats::default(),
             sample_counter: 0,
-            death_at,
-            event: None,
-            shared,
+            death_at: cluster.death_of(rank),
+            comm: Box::default(),
+            cluster,
         }
     }
 
-    /// Switch this rank to event-scheduler mode: blocking operations now
-    /// return [`Poll::Pending`] instead of parking the thread.
-    pub(crate) fn enable_event_mode(&mut self) {
-        self.event = Some(Box::default());
+    /// What this rank is blocked on, if anything.
+    pub(crate) fn pending(&self) -> Option<PendingOp> {
+        self.comm.pending
     }
 
-    /// What this rank is blocked on, if anything (event mode only).
-    pub(crate) fn event_wait(&self) -> Option<EventWait> {
-        match self.event.as_ref()?.pending? {
-            PendingOp::Recv { src, tag, .. } => Some(EventWait::Recv {
-                src,
-                tag,
-                // The clock froze at post time when the op latched.
-                posted: self.clock,
-            }),
-            PendingOp::Collective { key, .. } => Some(EventWait::Group(key)),
-            PendingOp::Split { .. } => Some(EventWait::Group(GroupKey::Split)),
-        }
+    /// Move the sends accumulated since the last yield onto the end of
+    /// `out`. The rank's buffer keeps its capacity, so the resume → drain
+    /// cycle allocates nothing once both have grown.
+    pub(crate) fn drain_outbox(&mut self, out: &mut Vec<(usize, Message)>) {
+        out.append(&mut self.comm.outbox);
     }
 
-    /// Move the send destinations accumulated since the last yield onto
-    /// the end of `out`. The rank's buffer keeps its capacity, so the
-    /// resume → drain cycle allocates nothing once both have grown.
-    pub(crate) fn drain_sent_to(&mut self, out: &mut Vec<usize>) {
-        out.append(&mut self.event.as_mut().expect("event mode").sent_to);
+    /// This rank's incoming messages (the scheduler delivers into it and
+    /// peeks arrivals through it).
+    pub(crate) fn inbox(&mut self) -> &mut Mailbox {
+        &mut self.comm.inbox
     }
 
-    fn pending(&self) -> Option<PendingOp> {
-        self.event.as_ref().and_then(|ev| ev.pending)
-    }
-
-    fn event_mut(&mut self) -> &mut EventState {
-        self.event.as_mut().expect("event mode")
+    /// Leave the outcome of this rank's wait for its next resume.
+    pub(crate) fn wake(&mut self, wake: Wake) {
+        self.comm.wake = Some(wake);
     }
 
     /// This rank's ID in `0..size`.
@@ -201,7 +171,7 @@ impl Proc {
     /// the VM hot loop's cache lines and this is only read on
     /// trace-enabled paths and at harness setup.
     pub fn trace_lane(&self) -> u32 {
-        self.shared.cluster.trace_lane(self.rank)
+        self.cluster.trace_lane(self.rank)
     }
 
     /// Current virtual time of this rank.
@@ -211,7 +181,7 @@ impl Proc {
 
     /// The cluster model this rank runs on.
     pub fn cluster(&self) -> &Cluster {
-        &self.shared.cluster
+        &self.cluster
     }
 
     /// Accounting so far.
@@ -222,7 +192,7 @@ impl Proc {
     /// Hostname-style identifier of the node hosting this rank (the
     /// `gethostname` analogue the rank-dependence analysis cares about).
     pub fn node_id(&self) -> usize {
-        self.shared.cluster.topology().node_of(self.rank)
+        self.cluster.topology().node_of(self.rank)
     }
 
     fn next_key(&mut self) -> u64 {
@@ -262,8 +232,9 @@ impl Proc {
         }
     }
 
-    /// Halt this rank: record the death, announce it to the world, and
-    /// unwind with a [`DeathUnwind`] marker for [`crate::catch_death`].
+    /// Halt this rank: record the death and unwind with a [`DeathUnwind`]
+    /// marker. The scheduler catches it where it resumed the rank, delivers
+    /// the rank's pre-death sends and then marks it dead.
     fn die(&mut self, at: VirtualTime) -> ! {
         self.stats.died_at = Some(at);
         if trace::enabled(Category::MPI) {
@@ -276,7 +247,6 @@ impl Proc {
                 0,
             ));
         }
-        self.shared.announce_death(self.rank);
         crate::death::silence_death_panics();
         std::panic::panic_any(DeathUnwind {
             rank: self.rank,
@@ -284,27 +254,18 @@ impl Proc {
         });
     }
 
-    /// Latest scheduled death among this rank's peers (for wildcard
-    /// receives whose every possible sender is dead).
-    fn latest_peer_death(&self) -> VirtualTime {
-        (0..self.size)
-            .filter(|&r| r != self.rank)
-            .filter_map(|r| self.shared.cluster.death_of(r))
-            .max()
-            .unwrap_or(self.clock)
-    }
-
     /// Complete a receive whose peer fail-stopped: no message ever arrives,
-    /// so the receive degrades to a timeout-shaped completion at
-    /// `max(post, peer death) + death_timeout` with a zeroed payload.
-    fn degraded_recv(&mut self, start: VirtualTime, src: usize, tag: i64) -> RecvInfo {
-        let death = if src == ANY_SOURCE {
-            self.latest_peer_death()
-        } else {
-            self.shared.cluster.death_of(src).unwrap_or(self.clock)
-        };
-        let timeout = self.shared.cluster.faults().death_timeout();
-        self.clock = self.clock.max(death) + timeout;
+    /// so the receive degrades to a timeout-shaped completion with a zeroed
+    /// payload at `due` — `max(post, peer death) + death_timeout`, computed
+    /// by the scheduler that detected the death.
+    fn degraded_recv(
+        &mut self,
+        start: VirtualTime,
+        src: usize,
+        tag: i64,
+        due: VirtualTime,
+    ) -> RecvInfo {
+        self.clock = due;
         self.stats.mpi_time += self.clock - start;
         self.stats.peer_dead_recvs += 1;
         self.trace_span(Category::MPI, "recv_peer_dead", start, 0, src as u64);
@@ -314,25 +275,6 @@ impl Proc {
             bytes: 0,
             value: 0,
             completed_at: self.clock,
-        }
-    }
-
-    /// Take a matching message, death-aware when the fault plan kills any
-    /// rank (the plain path stays untouched so healthy runs are
-    /// bit-identical to pre-fail-stop builds).
-    fn take_message(&mut self, src: usize, tag: i64) -> Result<Message, (usize, i64)> {
-        if !self.shared.cluster.has_deaths() {
-            return Ok(self.shared.mailboxes[self.rank].take_matching(src, tag));
-        }
-        match self.shared.mailboxes[self.rank].try_take_matching_failstop(
-            src,
-            tag,
-            &self.shared.board,
-            self.rank,
-        ) {
-            Ok(msg) => Ok(msg),
-            Err(RecvError::PeerDead { src, tag }) => Err((src, tag)),
-            Err(e) => panic!("rank {}: {e}", self.rank),
         }
     }
 
@@ -349,10 +291,10 @@ impl Proc {
         if self.size < 2 {
             return out;
         }
-        let timeout = self.shared.cluster.faults().death_timeout();
+        let timeout = self.cluster.faults().death_timeout();
         let mut next = (self.rank + 1) % self.size;
         while next != self.rank {
-            match self.shared.cluster.death_of(next) {
+            match self.cluster.death_of(next) {
                 // A dead-but-not-yet-detectable buddy also blocks the
                 // walk: this rank cannot know who lies beyond it yet.
                 Some(death) if now >= death + timeout => {
@@ -372,7 +314,6 @@ impl Proc {
         let key = self.next_key();
         let start = self.clock;
         let d = self
-            .shared
             .cluster
             .compute_elapsed(self.rank, self.clock, work, miss_rate, key);
         self.clock += d;
@@ -400,22 +341,18 @@ impl Proc {
         self.failstop_check();
         let start = self.clock;
         self.clock += MPI_CALL_OVERHEAD;
-        let cost = self
-            .shared
-            .cluster
-            .p2p_cost(self.rank, dest, bytes, self.clock);
+        let cost = self.cluster.p2p_cost(self.rank, dest, bytes, self.clock);
         let msg = Message {
             src: self.rank,
             tag,
             bytes,
-            sent_at: self.clock,
             arrives_at: self.clock + cost,
             value,
         };
-        self.shared.mailboxes[dest].push(msg);
-        if let Some(ev) = self.event.as_deref_mut() {
-            ev.sent_to.push(dest);
-        }
+        // Delivered by the scheduler when it commits this resume; the
+        // message arrives strictly after the current phase instant, so no
+        // same-phase receive could have taken it anyway.
+        self.comm.outbox.push((dest, msg));
         // Eager send: sender proceeds after the injection overhead; the
         // transfer itself overlaps with whatever the sender does next.
         self.stats.mpi_time += self.clock - start;
@@ -428,66 +365,49 @@ impl Proc {
     /// [`crate::p2p::ANY_SOURCE`] / [`crate::p2p::ANY_TAG`]. Completes at
     /// `max(post time, arrival time)`.
     ///
-    /// On the thread backend this is always [`Poll::Ready`]; under the
-    /// event scheduler it returns [`Poll::Pending`] until the matching
-    /// message (or the peer's death) resolves the wait — re-call with the
-    /// same arguments when resumed.
+    /// A yield point: returns [`Poll::Pending`] until the matching message
+    /// (or the peer's death) resolves the wait — re-call with the same
+    /// arguments when resumed.
     pub fn recv(&mut self, src: usize, tag: i64) -> Poll<RecvInfo> {
-        if self.event.is_some() {
-            return self.poll_recv(src, tag, "recv");
-        }
-        Poll::Ready(self.recv_blocking(src, tag, "recv"))
+        self.poll_recv(src, tag, "recv")
     }
 
-    /// Thread-backend receive: parks until a match exists.
-    fn recv_blocking(&mut self, src: usize, tag: i64, name: &'static str) -> RecvInfo {
-        self.failstop_check();
-        let start = self.clock;
-        self.clock += MPI_CALL_OVERHEAD;
-        let msg = match self.take_message(src, tag) {
-            Ok(msg) => msg,
-            Err((src, tag)) => return self.degraded_recv(start, src, tag),
-        };
-        self.finish_recv(start, name, msg)
-    }
-
-    /// Event-scheduler receive. First call latches the entry effects
-    /// (fail-stop gate, call overhead) and yields — a not-yet-resumed task
-    /// with an earlier clock could still send an earlier-arriving match, so
-    /// completing greedily here would pick the wrong message. Retries take
-    /// the best match non-blockingly or degrade if the peer is dead.
+    /// First call latches the entry effects (fail-stop gate, call overhead)
+    /// and yields — a not-yet-resumed rank with an earlier clock could still
+    /// send an earlier-arriving match, so completing greedily here would
+    /// pick the wrong message. Retries take the best match from the inbox,
+    /// or degrade if the scheduler reported the peer dead.
     fn poll_recv(&mut self, src: usize, tag: i64, name: &'static str) -> Poll<RecvInfo> {
-        let start = match self.pending() {
+        let start = match self.comm.pending {
             None => {
                 self.failstop_check();
                 let start = self.clock;
                 self.clock += MPI_CALL_OVERHEAD;
-                self.event_mut().pending = Some(PendingOp::Recv { src, tag, start });
+                self.comm.pending = Some(PendingOp::Recv { src, tag, start });
                 return Poll::Pending;
             }
             Some(PendingOp::Recv { start, .. }) => start,
-            Some(other) => panic!(
-                "rank {}: resumed into a different op than it yielded on ({other:?})",
-                self.rank
-            ),
+            Some(other) => self.resumed_into_wrong_op(other),
         };
-        if let Some(msg) = self.shared.mailboxes[self.rank].poll_take_matching(src, tag) {
-            self.event_mut().pending = None;
+        if let Some(msg) = self.comm.inbox.take_matching(src, tag) {
+            self.comm.pending = None;
             return Poll::Ready(self.finish_recv(start, name, msg));
         }
-        let peer_gone = if src == ANY_SOURCE {
-            self.shared.board.all_peers_dead(self.rank)
-        } else {
-            self.shared.board.is_dead(src)
-        };
-        if peer_gone {
-            self.event_mut().pending = None;
-            return Poll::Ready(self.degraded_recv(start, src, tag));
+        if let Some(Wake::PeerDead(due)) = self.comm.wake.take() {
+            self.comm.pending = None;
+            return Poll::Ready(self.degraded_recv(start, src, tag, due));
         }
         Poll::Pending
     }
 
-    /// Completion math shared by both backends: clock, stats, trace.
+    fn resumed_into_wrong_op(&self, latched: PendingOp) -> ! {
+        panic!(
+            "rank {}: resumed into a different op than it yielded on ({latched:?})",
+            self.rank
+        )
+    }
+
+    /// Receive completion: clock, stats, trace.
     fn finish_recv(&mut self, start: VirtualTime, name: &'static str, msg: Message) -> RecvInfo {
         self.clock = self.clock.max(msg.arrives_at);
         self.stats.mpi_time += self.clock - start;
@@ -538,31 +458,21 @@ impl Proc {
     /// Complete a posted receive; completes at `max(now, arrival)` in
     /// virtual time. A yield point, like [`Self::recv`].
     pub fn wait(&mut self, req: crate::nonblocking::RecvRequest) -> Poll<RecvInfo> {
-        if self.event.is_some() {
-            return self.poll_recv(req.src, req.tag, "wait");
-        }
-        Poll::Ready(self.recv_blocking(req.src, req.tag, "wait"))
+        self.poll_recv(req.src, req.tag, "wait")
     }
 
-    /// Complete several receives, in order. A yield point; under the event
-    /// scheduler partial progress is kept across polls (requests are `Copy`,
-    /// so re-submitting the same slice is free).
+    /// Complete several receives, in order. A yield point; partial progress
+    /// is kept across polls (requests are `Copy`, so re-submitting the same
+    /// slice is free).
     pub fn waitall(&mut self, reqs: &[crate::nonblocking::RecvRequest]) -> Poll<Vec<RecvInfo>> {
-        if self.event.is_none() {
-            return Poll::Ready(
-                reqs.iter()
-                    .map(|r| self.recv_blocking(r.src, r.tag, "wait"))
-                    .collect(),
-            );
-        }
-        while self.event_mut().waitall_done.len() < reqs.len() {
-            let req = reqs[self.event_mut().waitall_done.len()];
+        while self.comm.waitall_done.len() < reqs.len() {
+            let req = reqs[self.comm.waitall_done.len()];
             match self.poll_recv(req.src, req.tag, "wait") {
-                Poll::Ready(info) => self.event_mut().waitall_done.push(info),
+                Poll::Ready(info) => self.comm.waitall_done.push(info),
                 Poll::Pending => return Poll::Pending,
             }
         }
-        Poll::Ready(std::mem::take(&mut self.event_mut().waitall_done))
+        Poll::Ready(std::mem::take(&mut self.comm.waitall_done))
     }
 
     /// Combined send+recv (exchange pattern used by stencil codes). A yield
@@ -575,125 +485,55 @@ impl Proc {
         tag: i64,
         value: i64,
     ) -> Poll<RecvInfo> {
-        if self.event.is_some() {
-            if self.pending().is_none() {
-                self.send(dest, send_bytes, tag, value);
-            }
-            return self.poll_recv(src, tag, "recv");
+        if self.comm.pending.is_none() {
+            self.send(dest, send_bytes, tag, value);
         }
-        self.send(dest, send_bytes, tag, value);
-        Poll::Ready(self.recv_blocking(src, tag, "recv"))
-    }
-
-    /// The group key a collective registers under (world slot or the
-    /// sub-communicator's slot).
-    fn group_key(comm: Option<&Comm>) -> GroupKey {
-        match comm {
-            None => GroupKey::World,
-            Some(c) => GroupKey::Comm(c.id()),
-        }
+        self.poll_recv(src, tag, "recv")
     }
 
     /// Rendezvous on the world slot (`comm == None`) or a sub-communicator
-    /// slot. Handles both backends; the entry/exit math is shared with the
-    /// slot itself, so the two backends are bit-identical by construction.
+    /// slot. The first call latches the arrival and yields — even the last
+    /// arriver: the scheduler registers the arrival when it commits the
+    /// yield and completes the rendezvous only after the whole dispatch
+    /// phase has committed, so same-instant members can never be stranded
+    /// by a completion racing their registration. The retry applies the
+    /// result the scheduler handed over.
     fn group_collective(
         &mut self,
         comm: Option<&Comm>,
         entry: CollectiveEntry,
     ) -> Poll<CollectiveResult> {
-        let sub = comm.is_some() as u64;
-        if self.event.is_none() {
-            self.failstop_check();
-            let start = self.clock;
-            let (name, bytes) = (collective_name(entry.op), entry.bytes);
-            let res = match comm {
-                None => {
-                    self.shared
-                        .collective
-                        .enter(&self.shared.cluster, &self.shared.board, entry)
-                }
-                Some(c) => {
-                    self.shared
-                        .comms
-                        .slot(c)
-                        .enter(&self.shared.cluster, &self.shared.board, entry)
-                }
-            }
-            .unwrap_or_else(|e| panic!("rank {}: {e}", self.rank));
-            self.apply_collective(start, name, bytes, sub, res);
-            return Poll::Ready(res);
-        }
-
-        let key = Self::group_key(comm);
-        match self.pending() {
+        let key = comm.map_or(GroupKey::World, |c| GroupKey::Comm(c.id()));
+        match self.comm.pending {
             None => {
                 self.failstop_check();
                 let start = self.clock;
-                let gen = match comm {
-                    None => self.shared.collective.poll_register(entry),
-                    Some(c) => self.shared.comms.slot(c).poll_register(entry),
-                }
-                .unwrap_or_else(|e| panic!("rank {}: {e}", self.rank));
-                // Never completes inline — even the last arriver yields;
-                // the scheduler sees the group wait when it classifies
-                // the yield, and its control plane runs the completion
-                // check after the whole dispatch phase has committed, so
-                // same-instant members can never be stranded by a
-                // completion racing their wait registration.
-                self.event_mut().pending = Some(PendingOp::Collective {
-                    key,
-                    gen,
-                    start,
-                    entry,
-                });
+                self.comm.pending = Some(PendingOp::Collective { key, start, entry });
                 Poll::Pending
             }
             Some(PendingOp::Collective {
                 key: k,
-                gen,
                 start,
                 entry: latched,
             }) => {
                 debug_assert_eq!(k, key, "resumed into a different collective");
-                let done = match comm {
-                    None => self.shared.collective.poll_finish(gen),
-                    Some(c) => self.shared.comms.slot(c).poll_finish(gen),
+                let Some(Wake::Collective(res)) = self.comm.wake.take() else {
+                    return Poll::Pending;
+                };
+                self.comm.pending = None;
+                self.clock = res.exit;
+                self.stats.mpi_time += self.clock - start;
+                self.stats.collectives += 1;
+                if res.missing > 0 {
+                    self.stats.shrunk_collectives += 1;
                 }
-                .unwrap_or_else(|e| panic!("rank {}: {e}", self.rank));
-                match done {
-                    Some(res) => {
-                        self.event_mut().pending = None;
-                        let (name, bytes) = (collective_name(latched.op), latched.bytes);
-                        self.apply_collective(start, name, bytes, sub, res);
-                        Poll::Ready(res)
-                    }
-                    None => Poll::Pending,
-                }
+                let sub = comm.is_some() as u64;
+                let name = collective_name(latched.op);
+                self.trace_span(Category::MPI, name, start, latched.bytes, sub);
+                Poll::Ready(res)
             }
-            Some(other) => panic!(
-                "rank {}: resumed into a different op than it yielded on ({other:?})",
-                self.rank
-            ),
+            Some(other) => self.resumed_into_wrong_op(other),
         }
-    }
-
-    /// Collective completion math shared by both backends.
-    fn apply_collective(
-        &mut self,
-        start: VirtualTime,
-        name: &'static str,
-        bytes: u64,
-        sub: u64,
-        res: CollectiveResult,
-    ) {
-        self.clock = res.exit;
-        self.stats.mpi_time += self.clock - start;
-        self.stats.collectives += 1;
-        if res.missing > 0 {
-            self.stats.shrunk_collectives += 1;
-        }
-        self.trace_span(Category::MPI, name, start, bytes, sub);
     }
 
     fn collective(&mut self, entry: CollectiveEntry) -> Poll<CollectiveResult> {
@@ -791,51 +631,28 @@ impl Proc {
     /// same `color` form a sub-communicator. A collective over the world,
     /// and a yield point.
     pub fn split(&mut self, color: i64) -> Poll<Comm> {
-        if self.event.is_none() {
-            self.failstop_check();
-            let start = self.clock;
-            let at = self.clock + MPI_CALL_OVERHEAD;
-            let (comm, exit) = self
-                .shared
-                .comms
-                .split(&self.shared.cluster, self.rank, color, at);
-            self.apply_split(start, color, exit);
-            return Poll::Ready(comm);
-        }
-        match self.pending() {
+        match self.comm.pending {
             None => {
                 self.failstop_check();
                 let start = self.clock;
                 let at = self.clock + MPI_CALL_OVERHEAD;
-                let gen = self.shared.comms.poll_split_register(self.rank, color, at);
-                // As with collectives: the last arriver yields too; the
-                // control plane completes the split after the phase.
-                self.event_mut().pending = Some(PendingOp::Split { gen, start, color });
+                // As with collectives: the last arriver yields too.
+                self.comm.pending = Some(PendingOp::Split { start, color, at });
                 Poll::Pending
             }
-            Some(PendingOp::Split { gen, start, color }) => {
-                match self.shared.comms.poll_split_finish(self.rank, gen) {
-                    Some((comm, exit)) => {
-                        self.event_mut().pending = None;
-                        self.apply_split(start, color, exit);
-                        Poll::Ready(comm)
-                    }
-                    None => Poll::Pending,
-                }
+            Some(PendingOp::Split { start, color, .. }) => {
+                let Some(Wake::Split(comm, exit)) = self.comm.wake.take() else {
+                    return Poll::Pending;
+                };
+                self.comm.pending = None;
+                self.clock = self.clock.max(exit);
+                self.stats.mpi_time += self.clock - start;
+                self.stats.collectives += 1;
+                self.trace_span(Category::MPI, "comm_split", start, color as u64, 0);
+                Poll::Ready(comm)
             }
-            Some(other) => panic!(
-                "rank {}: resumed into a different op than it yielded on ({other:?})",
-                self.rank
-            ),
+            Some(other) => self.resumed_into_wrong_op(other),
         }
-    }
-
-    /// Split completion math shared by both backends.
-    fn apply_split(&mut self, start: VirtualTime, color: i64, exit: VirtualTime) {
-        self.clock = self.clock.max(exit);
-        self.stats.mpi_time += self.clock - start;
-        self.stats.collectives += 1;
-        self.trace_span(Category::MPI, "comm_split", start, color as u64, 0);
     }
 
     fn sub_collective(&mut self, comm: &Comm, entry: CollectiveEntry) -> Poll<CollectiveResult> {
@@ -922,7 +739,7 @@ impl Proc {
     pub fn io_read(&mut self, bytes: u64) {
         self.failstop_check();
         let start = self.clock;
-        let d = self.shared.cluster.io_cost(bytes, self.clock);
+        let d = self.cluster.io_cost(bytes, self.clock);
         self.clock += d;
         self.stats.io_time += d;
         self.stats.io_calls += 1;
@@ -933,7 +750,7 @@ impl Proc {
     pub fn io_write(&mut self, bytes: u64) {
         self.failstop_check();
         let start = self.clock;
-        let d = self.shared.cluster.io_cost(bytes, self.clock);
+        let d = self.cluster.io_cost(bytes, self.clock);
         self.clock += d;
         self.stats.io_time += d;
         self.stats.io_calls += 1;

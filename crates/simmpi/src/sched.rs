@@ -1,11 +1,9 @@
-//! Event-driven virtual-time scheduler — the paper-scale backend.
+//! Event-driven virtual-time scheduler — the simulation backend.
 //!
-//! The thread backend ([`crate::World::run`]) spawns one OS thread per rank
-//! and parks it on every blocking MPI call; fine at 64 ranks, hopeless at
-//! the paper's 16,384. This module replaces parked threads with *resumable
-//! tasks*: every blocking [`crate::Proc`] operation is a yield point
-//! returning [`Poll`], and a global event queue ordered by
-//! `(virtual instant, rank)` decides which rank runs next.
+//! Every rank is a *resumable task*: every blocking [`crate::Proc`]
+//! operation is a yield point returning [`Poll`], and a global event queue
+//! ordered by `(virtual instant, rank)` decides which rank runs next. One
+//! process simulates the paper's 16,384 ranks.
 //!
 //! # Phase-structured dispatch
 //!
@@ -20,28 +18,31 @@
 //! as one [`ReadyBatch`] at the exit instant instead of one heap push per
 //! waiter.
 //!
+//! # Who touches what
+//!
+//! During a resume a rank reads and writes only its own [`crate::Proc`]
+//! (plus the immutable cluster model): a send goes to the rank's own
+//! outbox, a blocking operation latches in the rank. Every write another
+//! rank can observe happens on the control thread between resumes, in the
+//! commit step: it moves outbox messages into the receivers' inboxes,
+//! registers latched collective and split arrivals with their rendezvous,
+//! marks deaths on the [`DeathBoard`], and hands each released waiter its
+//! result. Mailboxes, slots and the death board are therefore plain data
+//! with `&mut self` methods — nothing in this crate takes a lock — and
+//! worker threads resuming disjoint ranks share nothing mutable.
+//!
 //! This keeps the per-rank-iteration cost near-constant in the rank count:
 //!
 //! * **Collective completion is O(1) amortized.** Slots keep a running
 //!   `max(entry)`, a running reduction fold, and an alive-member counter
-//!   maintained from [`crate::death::DeathBoard`] deltas, so the
-//!   completion check is a counter compare — no per-member scan, and a
-//!   death adjusts counters instead of rescanning every open rendezvous.
+//!   maintained from [`DeathBoard`] deltas, so the completion check is a
+//!   counter compare — no per-member scan, and a death adjusts counters
+//!   instead of rescanning every open rendezvous.
 //! * **Group wake-ups are batched.** A completed rendezvous contributes
 //!   one batch (O(1) heap-equivalent work), not `p` heap pushes.
 //! * **The run queue is a four-ary heap** ([`crate::heap::FourAryHeap`]),
 //!   half the depth of the old binary heap on the pop-heavy schedule (see
 //!   the `schedheap` microbenchmark in the bench crate).
-//!
-//! # How the two backends stay bit-identical
-//!
-//! The event paths do not reimplement any timing math. Registration and
-//! completion of collectives, splits, and message matching live in
-//! [`crate::collectives::CollectiveSlot`], [`crate::comm::CommRegistry`]
-//! and [`crate::p2p::Mailbox`], shared with the thread backend; the poll
-//! variants call the same private completion functions the blocking
-//! variants do. The differential suite in `interp` asserts bitwise-equal
-//! virtual times, [`crate::ProcStats`], sensor streams and reports.
 //!
 //! # Determinism and the worker contract
 //!
@@ -51,41 +52,42 @@
 //! of the cluster configuration and the program, *regardless of the
 //! worker count*. The ingredients:
 //!
-//! * Registration never completes a rendezvous inline (see
-//!   [`crate::collectives::CollectiveSlot::poll_register`]); the control
-//!   plane completes touched slots only after every same-instant rank has
-//!   committed, so a completion can never race a member's wait
-//!   registration. Registration order within a phase is immaterial: the
-//!   running fold uses commutative operators and `max`.
+//! * An arrival never completes a rendezvous inline; the control plane
+//!   completes touched slots only after every same-instant rank has
+//!   committed, so a completion can never race a member's registration.
+//!   Registration order within a phase is ascending rank, and immaterial
+//!   anyway: the running fold uses commutative operators and `max`.
 //! * Same-instant sends arrive strictly later than `t0` (the MPI call
-//!   overhead precedes the p2p cost), so message matching — which picks
-//!   the minimum `(arrival, src)` — can never depend on resume order
-//!   within a phase.
+//!   overhead precedes the p2p cost), so deferring their delivery to the
+//!   commit step cannot change which message a same-phase receive takes.
 //! * Degraded-receive instants are computed from the fault *plan*
 //!   (`max(posted, death) + timeout`), not from when the death was
 //!   observed.
 //!
 //! Worker-count invariance is pinned by the `worker_invariance` test
-//! suite at 4,096 ranks, healthy and with node deaths.
+//! suite at 4,096 ranks, healthy and with node deaths; the virtual-time
+//! results themselves are pinned by golden fingerprints in
+//! `tests/event_equivalence.rs`.
 
-use crate::death::{death_in_payload, DeathUnwind};
+use crate::collectives::{CollectiveResult, CollectiveSlot};
+use crate::comm::{Comm, SplitSlot};
+use crate::death::{death_in_payload, DeathBoard, DeathUnwind};
 use crate::heap::{FourAryHeap, HeapEntry};
-use crate::proc::{EventWait, GroupKey, Proc, WorldShared};
+use crate::p2p::{Message, ANY_SOURCE, ANY_TAG};
+use crate::proc::{GroupKey, PendingOp, Proc, Wake};
 use crate::world::World;
 use cluster_sim::time::VirtualTime;
 use cluster_sim::trace::{self, Category, TraceEvent, SERVER_LANE};
+use cluster_sim::Cluster;
 use std::any::Any;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::time::Instant;
 
-/// Result of polling a blocking [`Proc`] operation.
-///
-/// On the thread backend every operation completes in-line and returns
-/// `Ready`; unwrap with [`Poll::ready`]. Under the event scheduler an
-/// operation that cannot complete yet latches its entry effects, returns
-/// `Pending`, and must be re-invoked with the same arguments when the task
-/// is next resumed.
+/// Result of polling a blocking [`Proc`] operation: an operation that
+/// cannot complete yet latches its entry effects, returns `Pending`, and
+/// must be re-invoked with the same arguments when the task is next
+/// resumed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[must_use = "a Pending operation must be re-polled when the task is resumed"]
 pub enum Poll<T> {
@@ -96,19 +98,6 @@ pub enum Poll<T> {
 }
 
 impl<T> Poll<T> {
-    /// Unwrap a completed operation. Panics on `Pending` — correct only on
-    /// the thread backend, where every operation completes in-line.
-    #[track_caller]
-    pub fn ready(self) -> T {
-        match self {
-            Poll::Ready(t) => t,
-            Poll::Pending => panic!(
-                "operation is Pending: blocking Proc calls only complete in-line on \
-                 SimBackend::Threads; event-driven tasks must yield and re-poll"
-            ),
-        }
-    }
-
     /// Map the completed value, passing `Pending` through.
     pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Poll<U> {
         match self {
@@ -123,16 +112,12 @@ impl<T> Poll<T> {
     }
 }
 
-/// Which simulation backend executes the ranks of a [`World`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// How the scheduler dispatches same-instant ranks. There is one
+/// simulation backend; the enum survives as the carrier of its one knob.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimBackend {
-    /// One OS thread per rank, parking on blocking calls. The original
-    /// backend and the differential oracle; default.
-    #[default]
-    Threads,
     /// Event-driven virtual-time scheduler: resumable tasks dispatched in
-    /// deterministic phases; scales to the paper's 16,384 ranks in a
-    /// single process. `workers > 1` resumes same-instant ranks on a
+    /// deterministic phases. `workers > 1` resumes same-instant ranks on a
     /// worker pool — the schedule is bitwise-identical for every worker
     /// count (effects commit in rank order).
     Event {
@@ -141,24 +126,31 @@ pub enum SimBackend {
     },
 }
 
+impl Default for SimBackend {
+    fn default() -> Self {
+        SimBackend::event()
+    }
+}
+
 impl SimBackend {
-    /// The event backend with serial (single-worker) dispatch — the
-    /// common spelling at call sites.
+    /// Serial (single-worker) dispatch — the common spelling at call sites.
     pub fn event() -> Self {
         SimBackend::Event { workers: 1 }
     }
 
-    /// Parse a backend name (`threads` / `event` / `event:N` with N
-    /// workers), as used by CLI flags.
+    /// Worker threads for same-instant dispatch.
+    pub fn workers(self) -> usize {
+        let SimBackend::Event { workers } = self;
+        workers
+    }
+
+    /// Parse `event` / `event:N` (N workers), as used by CLI flags.
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "threads" => Some(SimBackend::Threads),
-            "event" => Some(SimBackend::event()),
-            _ => {
-                let n = s.strip_prefix("event:")?.parse().ok()?;
-                (n >= 1).then_some(SimBackend::Event { workers: n })
-            }
+        if s == "event" {
+            return Some(SimBackend::event());
         }
+        let n = s.strip_prefix("event:")?.parse().ok()?;
+        (n >= 1).then_some(SimBackend::Event { workers: n })
     }
 }
 
@@ -178,7 +170,8 @@ pub enum TaskPoll<T> {
 /// (`Ready`) or a blocking `Proc` operation returns [`Poll::Pending`]
 /// (`Yielded`). A yielded task must be re-entrant: the next `resume` must
 /// re-poll the *same* operation with the same arguments (the `Proc` keeps
-/// the latched entry state and panics on a mismatched retry).
+/// the latched entry state and panics on a mismatched retry). Programs
+/// that cannot return mid-way run on [`crate::host::Hosted`].
 pub trait RankTask {
     /// The rank program's result type.
     type Output;
@@ -186,31 +179,24 @@ pub trait RankTask {
     /// Run until completion or the next yield point.
     fn resume(&mut self) -> TaskPoll<Self::Output>;
 
-    /// The rank's process handle (the scheduler drains notifications and
-    /// inspects waits through it).
+    /// The rank's process handle; the scheduler commits the rank's effects
+    /// and hands it results through it, between resumes.
     fn proc_mut(&mut self) -> &mut Proc;
 }
 
 /// Virtual instant a blocked receive completes degraded (peer dead, no
-/// message coming): `max(posted, death) + death_timeout`. Mirrors
-/// `Proc::degraded_recv`, whose clock equals `posted` while blocked.
-fn degraded_due(
-    shared: &WorldShared,
-    me: usize,
-    size: usize,
-    src: usize,
-    posted: VirtualTime,
-) -> VirtualTime {
-    let death = if src == crate::p2p::ANY_SOURCE {
-        (0..size)
+/// message coming): `max(posted, death) + death_timeout`, where a wildcard
+/// receive waits out the latest death among its peers.
+fn degraded_due(cluster: &Cluster, me: usize, src: usize, posted: VirtualTime) -> VirtualTime {
+    let death = if src == ANY_SOURCE {
+        (0..cluster.ranks())
             .filter(|&r| r != me)
-            .filter_map(|r| shared.cluster.death_of(r))
+            .filter_map(|r| cluster.death_of(r))
             .max()
-            .unwrap_or(posted)
     } else {
-        shared.cluster.death_of(src).unwrap_or(posted)
+        cluster.death_of(src)
     };
-    posted.max(death) + shared.cluster.faults().death_timeout()
+    posted.max(death.unwrap_or(posted)) + cluster.faults().death_timeout()
 }
 
 /// All waiters of one completed rendezvous, released together at the
@@ -226,10 +212,24 @@ struct ReadyBatch {
     ranks: Vec<(usize, u64)>,
 }
 
-/// Ranks registered for one group rendezvous and waiting for its last
-/// arriver.
-#[derive(Default)]
-struct GroupWaiters {
+/// What a yielded rank is blocked on, as the scheduler records it.
+#[derive(Clone, Copy, Debug)]
+enum Waiting {
+    /// Blocked receive; `posted` is the completion floor (the receive
+    /// finishes at `max(posted, arrival)`).
+    Recv {
+        src: usize,
+        tag: i64,
+        posted: VirtualTime,
+    },
+    /// Registered for a group rendezvous, waiting for the last arriver.
+    Group(GroupKey),
+}
+
+/// One rendezvous: the slot folding the arrivals and the ranks parked on
+/// it.
+struct Rendezvous<S> {
+    slot: S,
     ranks: Vec<usize>,
     /// A member registered since the last control-plane pass, so the pass
     /// owes this rendezvous one completion check — one per phase however
@@ -237,37 +237,53 @@ struct GroupWaiters {
     touched: bool,
 }
 
-impl GroupWaiters {
-    /// Put the rendezvous on the control plane's list for this pass, once.
-    fn mark(&mut self, key: GroupKey, touched: &mut Vec<GroupKey>) {
-        if !self.touched {
-            self.touched = true;
-            touched.push(key);
+impl<S> Rendezvous<S> {
+    fn new(slot: S) -> Self {
+        Rendezvous {
+            slot,
+            ranks: Vec::new(),
+            touched: false,
         }
     }
 }
 
-/// Waiter lists by group. The world collective and the split rendezvous —
+/// Every rendezvous of the world. The world collective and the split —
 /// every collective of a program that never splits — have a slot of their
 /// own; only sub-communicators are looked up by ID.
-#[derive(Default)]
 struct GroupTable {
-    world: GroupWaiters,
-    split: GroupWaiters,
-    comms: HashMap<u64, GroupWaiters>,
+    world: Rendezvous<CollectiveSlot>,
+    split: Rendezvous<SplitSlot>,
+    /// Created when the split that forms the communicator completes.
+    comms: HashMap<u64, Rendezvous<CollectiveSlot>>,
 }
 
 impl GroupTable {
-    fn get_mut(&mut self, key: GroupKey) -> &mut GroupWaiters {
+    /// The world's or a sub-communicator's rendezvous.
+    fn collective(&mut self, key: GroupKey) -> &mut Rendezvous<CollectiveSlot> {
         match key {
             GroupKey::World => &mut self.world,
-            GroupKey::Split => &mut self.split,
-            GroupKey::Comm(id) => self.comms.entry(id).or_default(),
+            GroupKey::Comm(id) => self
+                .comms
+                .get_mut(&id)
+                .unwrap_or_else(|| panic!("communicator {id} is not of this world")),
+            GroupKey::Split => unreachable!("the split rendezvous is not a collective slot"),
+        }
+    }
+
+    /// Parked ranks and touched flag of `key`'s rendezvous.
+    fn parked(&mut self, key: GroupKey) -> (&mut Vec<usize>, &mut bool) {
+        match key {
+            GroupKey::Split => (&mut self.split.ranks, &mut self.split.touched),
+            _ => {
+                let group = self.collective(key);
+                (&mut group.ranks, &mut group.touched)
+            }
         }
     }
 }
 
-/// Scheduler bookkeeping: the event queue plus per-rank wait state.
+/// Scheduler bookkeeping: the event queue, per-rank wait state, and the
+/// shared simulation state only the control thread touches.
 struct EventQueue {
     /// Four-ary min-heap of `(instant, rank)` with a generation payload
     /// that makes superseded entries cheap to drop lazily.
@@ -276,8 +292,9 @@ struct EventQueue {
     /// The instant each rank is currently queued for, if any.
     scheduled: Vec<Option<VirtualTime>>,
     /// What each yielded rank is blocked on.
-    waiting: Vec<Option<EventWait>>,
-    /// Ranks registered for a group rendezvous, by group.
+    waiting: Vec<Option<Waiting>>,
+    /// Fail-stop liveness, marked when a death commits.
+    board: DeathBoard,
     groups: GroupTable,
     /// Released groups whose wake-up instant is still in the future.
     batches: Vec<ReadyBatch>,
@@ -285,8 +302,8 @@ struct EventQueue {
     touched: Vec<GroupKey>,
     /// Ranks due at the current phase's instant, ascending (scratch).
     due: Vec<usize>,
-    /// Send destinations of the rank being committed (scratch).
-    sent: Vec<usize>,
+    /// Sends of the rank being committed (scratch).
+    sent: Vec<(usize, Message)>,
     /// Recycled batch rank vectors (zero steady-state allocation).
     batch_pool: Vec<Vec<(usize, u64)>>,
 }
@@ -297,8 +314,13 @@ impl EventQueue {
             heap: FourAryHeap::with_capacity(size),
             gens: vec![0; size],
             scheduled: vec![Some(VirtualTime::ZERO); size],
-            waiting: (0..size).map(|_| None).collect(),
-            groups: GroupTable::default(),
+            waiting: vec![None; size],
+            board: DeathBoard::new(size),
+            groups: GroupTable {
+                world: Rendezvous::new(CollectiveSlot::new(size)),
+                split: Rendezvous::new(SplitSlot::new(size)),
+                comms: HashMap::new(),
+            },
             batches: Vec::new(),
             touched: Vec::new(),
             due: Vec::with_capacity(size),
@@ -406,46 +428,80 @@ impl EventQueue {
         true
     }
 
-    /// Process the sends a just-resumed rank made: each may unblock a
-    /// receiver.
-    fn drain(&mut self, shared: &WorldShared, proc: &mut Proc) {
+    /// Deliver the sends a just-resumed rank made: move each into its
+    /// receiver's inbox, and queue a receiver it unblocks. The message in
+    /// hand is the only new candidate for a blocked receive and `schedule`
+    /// keeps the earliest wake-up, so the inbox needs no rescan.
+    fn deliver<T: RankTask>(&mut self, tasks: &mut [T], rank: usize) {
         let mut sent = std::mem::take(&mut self.sent);
-        proc.drain_sent_to(&mut sent);
-        for dest in sent.drain(..) {
-            if let Some(EventWait::Recv { src, tag, posted }) = self.waiting[dest] {
-                if let Some(arr) = shared.mailboxes[dest].best_arrival(src, tag) {
-                    self.schedule(dest, posted.max(arr));
+        tasks[rank].proc_mut().drain_outbox(&mut sent);
+        for (dest, msg) in sent.drain(..) {
+            if let Some(Waiting::Recv { src, tag, posted }) = self.waiting[dest] {
+                if msg.matches(src, tag) {
+                    self.schedule(dest, posted.max(msg.arrives_at));
                 }
             }
+            tasks[dest].proc_mut().inbox().push(msg);
         }
         self.sent = sent;
     }
 
-    /// Record what a yielded rank is blocked on and queue its wake-up if
-    /// the completion instant is already known.
-    fn classify(&mut self, rank: usize, size: usize, shared: &WorldShared, proc: &Proc) {
-        let wait = proc
-            .event_wait()
+    /// Commit a yield: register what the rank latched with the state it
+    /// waits on, and queue its wake-up if the completion instant is
+    /// already known.
+    fn classify(&mut self, rank: usize, cluster: &Cluster, proc: &mut Proc) {
+        let pending = proc
+            .pending()
             .unwrap_or_else(|| panic!("rank {rank} yielded with no pending operation"));
-        self.waiting[rank] = Some(wait);
-        match wait {
-            EventWait::Recv { src, tag, posted } => {
-                if let Some(arr) = shared.mailboxes[rank].best_arrival(src, tag) {
-                    self.schedule(rank, posted.max(arr));
-                } else if peer_gone(shared, rank, src) {
-                    self.schedule(rank, degraded_due(shared, rank, size, src, posted));
+        let key = match pending {
+            PendingOp::Recv { src, tag, .. } => {
+                // The clock froze at post time when the op latched.
+                let posted = proc.now();
+                self.waiting[rank] = Some(Waiting::Recv { src, tag, posted });
+                match proc.inbox().best_arrival(src, tag) {
+                    Some(arr) => self.schedule(rank, posted.max(arr)),
+                    // Otherwise a future send or death wakes it.
+                    None => self.degrade_if_peer_gone(rank, cluster, proc, src, posted),
                 }
-                // Otherwise: a future send or death notification wakes it.
+                return;
             }
-            // A rank only ever yields on a group wait straight out of its
-            // registration (a registered rank is next resumed by the
-            // group's release), so this is where the rendezvous is marked
-            // for the end-of-phase completion pass.
-            EventWait::Group(key) => {
-                let group = self.groups.get_mut(key);
-                group.ranks.push(rank);
-                group.mark(key, &mut self.touched);
+            PendingOp::Collective { key, entry, .. } => {
+                let slot = &mut self.groups.collective(key).slot;
+                slot.register(entry)
+                    .unwrap_or_else(|e| panic!("rank {rank}: {e}"));
+                key
             }
+            PendingOp::Split { color, at, .. } => {
+                self.groups.split.slot.register(rank, color, at);
+                GroupKey::Split
+            }
+        };
+        // A rank only ever yields on a group wait straight out of its
+        // arrival (it is next resumed by the group's release), so this is
+        // where the rendezvous is marked for the end-of-phase completion
+        // pass.
+        self.waiting[rank] = Some(Waiting::Group(key));
+        let (ranks, touched) = self.groups.parked(key);
+        ranks.push(rank);
+        if !std::mem::replace(touched, true) {
+            self.touched.push(key);
+        }
+    }
+
+    /// A blocked receive with no match in flight whose peer is gone for
+    /// good completes degraded: hand the rank the instant and queue it.
+    fn degrade_if_peer_gone(
+        &mut self,
+        rank: usize,
+        cluster: &Cluster,
+        proc: &mut Proc,
+        src: usize,
+        posted: VirtualTime,
+    ) {
+        if self.board.peer_gone(rank, src) {
+            let due = degraded_due(cluster, rank, src, posted);
+            proc.wake(Wake::PeerDead(due));
+            self.schedule(rank, due);
         }
     }
 
@@ -453,15 +509,14 @@ impl EventQueue {
     /// may now be gone for good). Runs once per phase, after all commits —
     /// the death board is final by then, and `schedule` keeps the earliest
     /// wake-up, so one pass converges.
-    fn rescan_recvs_after_death(&mut self, size: usize, shared: &WorldShared) {
-        for rank in 0..size {
-            if let Some(EventWait::Recv { src, tag, posted }) = self.waiting[rank] {
+    fn rescan_recvs_after_death<T: RankTask>(&mut self, tasks: &mut [T], cluster: &Cluster) {
+        for (rank, task) in tasks.iter_mut().enumerate() {
+            if let Some(Waiting::Recv { src, tag, posted }) = self.waiting[rank] {
                 // A matching in-flight message still completes normally
                 // (pre-death sends deliver); only a matchless wait degrades.
-                if shared.mailboxes[rank].best_arrival(src, tag).is_none()
-                    && peer_gone(shared, rank, src)
-                {
-                    self.schedule(rank, degraded_due(shared, rank, size, src, posted));
+                let proc = task.proc_mut();
+                if proc.inbox().best_arrival(src, tag).is_none() {
+                    self.degrade_if_peer_gone(rank, cluster, proc, src, posted);
                 }
             }
         }
@@ -475,50 +530,63 @@ impl EventQueue {
     ///
     /// Deferring completion to this point is what makes the schedule
     /// independent of commit order within the phase: every same-instant
-    /// member has registered its wait before any release is computed.
-    fn complete_touched(&mut self, shared: &WorldShared, deaths: bool) {
+    /// member has registered before any release is computed.
+    fn complete_touched<T: RankTask>(&mut self, tasks: &mut [T], cluster: &Cluster, deaths: bool) {
         if deaths {
-            let groups = &mut self.groups;
-            let comms = groups.comms.iter_mut();
-            let open = [
-                (GroupKey::World, &mut groups.world),
-                (GroupKey::Split, &mut groups.split),
-            ]
-            .into_iter()
-            .chain(comms.map(|(&id, group)| (GroupKey::Comm(id), group)))
-            .filter(|(_, group)| !group.ranks.is_empty());
-            for (key, group) in open {
-                group.mark(key, &mut self.touched);
+            let comms = self.groups.comms.keys().map(|&id| GroupKey::Comm(id));
+            let open: Vec<GroupKey> = [GroupKey::World, GroupKey::Split]
+                .into_iter()
+                .chain(comms)
+                .collect();
+            for key in open {
+                let (ranks, touched) = self.groups.parked(key);
+                if !ranks.is_empty() && !std::mem::replace(touched, true) {
+                    self.touched.push(key);
+                }
             }
         }
         let mut touched = std::mem::take(&mut self.touched);
         for key in touched.drain(..) {
-            self.groups.get_mut(key).touched = false;
-            let exit = match key {
-                GroupKey::World => shared
-                    .collective
-                    .try_complete(&shared.cluster, &shared.board)
-                    .map(|res| res.exit),
-                GroupKey::Comm(id) => shared
-                    .comms
-                    .slot_by_id(id)
-                    .and_then(|slot| slot.try_complete(&shared.cluster, &shared.board))
-                    .map(|res| res.exit),
-                GroupKey::Split => shared.comms.try_complete_split(&shared.cluster),
-            };
-            if let Some(exit) = exit {
-                self.release_group(exit, key);
+            *self.groups.parked(key).1 = false;
+            if key == GroupKey::Split {
+                let Some((exit, comms)) = self.groups.split.slot.try_complete(cluster) else {
+                    continue;
+                };
+                for (id, members) in comms {
+                    for (my_index, &rank) in members.iter().enumerate() {
+                        let comm = Comm {
+                            id,
+                            members: members.clone(),
+                            my_index,
+                        };
+                        tasks[rank].proc_mut().wake(Wake::Split(comm, exit));
+                    }
+                    let slot = CollectiveSlot::with_members(members);
+                    self.groups.comms.insert(id, Rendezvous::new(slot));
+                }
+                self.release_group(tasks, key, exit, None);
+            } else {
+                let slot = &mut self.groups.collective(key).slot;
+                if let Some(res) = slot.try_complete(cluster, &self.board) {
+                    self.release_group(tasks, key, res.exit, Some(res));
+                }
             }
         }
         self.touched = touched;
     }
 
-    /// Release a completed group's waiters as one batch at `at`. Group
-    /// exits are strictly after the current phase instant (entry clocks
-    /// include the MPI call overhead), so the batch never feeds back into
-    /// the running phase.
-    fn release_group(&mut self, at: VirtualTime, key: GroupKey) {
-        let waiters = &mut self.groups.get_mut(key).ranks;
+    /// Release a completed group's waiters as one batch at `at`, handing
+    /// each the collective's result. Group exits are strictly after the
+    /// current phase instant (entry clocks include the MPI call overhead),
+    /// so the batch never feeds back into the running phase.
+    fn release_group<T: RankTask>(
+        &mut self,
+        tasks: &mut [T],
+        key: GroupKey,
+        at: VirtualTime,
+        result: Option<CollectiveResult>,
+    ) {
+        let waiters = self.groups.parked(key).0;
         waiters.sort_unstable();
         let mut ranks = self.batch_pool.pop().unwrap_or_default();
         ranks.clear();
@@ -527,19 +595,37 @@ impl EventQueue {
             self.scheduled[rank] = Some(at);
             self.waiting[rank] = None;
             ranks.push((rank, self.gens[rank]));
+            if let Some(res) = result {
+                tasks[rank].proc_mut().wake(Wake::Collective(res));
+            }
         }
         // Emptied in place: the list keeps its capacity.
         waiters.clear();
         self.batches.push(ReadyBatch { at, next: 0, ranks });
     }
-}
 
-/// Is the peer side of a blocked receive gone for good?
-fn peer_gone(shared: &WorldShared, me: usize, src: usize) -> bool {
-    if src == crate::p2p::ANY_SOURCE {
-        shared.board.all_peers_dead(me)
-    } else {
-        shared.board.is_dead(src)
+    /// What `rank` waits on, for the deadlock report.
+    fn describe_wait<T: RankTask>(&mut self, tasks: &mut [T], rank: usize) -> String {
+        let any = |wild: bool, v: String| if wild { "ANY".to_string() } else { v };
+        match self.waiting[rank] {
+            Some(Waiting::Recv { src, tag, .. }) => format!(
+                "rank {rank}: recv(src={}, tag={}) with {} unmatched message(s) in its inbox",
+                any(src == ANY_SOURCE, src.to_string()),
+                any(tag == ANY_TAG, tag.to_string()),
+                tasks[rank].proc_mut().inbox().len(),
+            ),
+            Some(Waiting::Group(GroupKey::Split)) => {
+                let (arrived, procs) = self.groups.split.slot.progress();
+                format!("rank {rank}: comm split with {arrived}/{procs} ranks arrived")
+            }
+            Some(Waiting::Group(key)) => {
+                let (op, arrived, required) =
+                    self.groups.collective(key).slot.progress(&self.board);
+                let op = op.map_or("collective".to_string(), |op| format!("{op:?}"));
+                format!("rank {rank}: {op} on {key:?} with {arrived}/{required} ranks arrived")
+            }
+            None => format!("rank {rank}: not waiting"),
+        }
     }
 }
 
@@ -576,21 +662,20 @@ impl World {
     }
 
     /// Run every rank as a resumable task on the event-driven virtual-time
-    /// scheduler. `make` builds rank `r`'s task from its (event-mode)
-    /// [`Proc`]; `on_death` converts a fail-stopped task into its output,
-    /// like [`crate::catch_death`] does on the thread backend.
+    /// scheduler. `make` builds rank `r`'s task from its [`Proc`];
+    /// `on_death` converts a fail-stopped task into its output.
     ///
     /// `workers > 1` resumes same-instant ranks on a scoped worker pool;
     /// effects still commit in ascending rank order, so virtual times,
-    /// stats, and traces are bit-identical to [`World::run`] and to every
-    /// other worker count. One process handles tens of thousands of ranks.
+    /// stats, and traces are bit-identical for every worker count. One
+    /// process handles tens of thousands of ranks.
     ///
     /// # Panics
     ///
     /// With `"rank N panicked: ..."` if a task panics with a non-death
-    /// payload, and with a deadlock message if the event queue drains while
-    /// unfinished tasks remain (the thread backend's 30-second real-time
-    /// timeout becomes an immediate, precise diagnosis here).
+    /// payload, and with a deadlock report naming what the first blocked
+    /// ranks wait on if the event queue drains while unfinished tasks
+    /// remain.
     pub fn run_event_workers<T, F, D>(
         &self,
         workers: usize,
@@ -605,13 +690,9 @@ impl World {
     {
         let workers = workers.max(1);
         let size = self.size();
-        let shared = self.make_shared();
+        let cluster = &self.cluster;
         let mut tasks: Vec<T> = (0..size)
-            .map(|rank| {
-                let mut proc = Proc::new(rank, size, shared.clone());
-                proc.enable_event_mode();
-                make(rank, proc)
-            })
+            .map(|rank| make(rank, Proc::new(rank, size, cluster.clone())))
             .collect();
         let mut outputs: Vec<Option<T::Output>> = (0..size).map(|_| None).collect();
         let mut finished = vec![false; size];
@@ -635,10 +716,16 @@ impl World {
                 select_ns += t.elapsed().as_nanos() as u64;
             }
             if !any {
-                let blocked: Vec<usize> = (0..size).filter(|&r| !finished[r]).take(8).collect();
+                let waits: Vec<String> = (0..size)
+                    .filter(|&r| !finished[r])
+                    .take(8)
+                    .map(|r| q.describe_wait(&mut tasks, r))
+                    .collect();
                 panic!(
                     "simmpi deadlock: event queue is empty with {live} rank(s) still \
-                     blocked (first few: {blocked:?})"
+                     blocked; the first {} wait on:\n  {}",
+                    waits.len(),
+                    waits.join("\n  ")
                 );
             }
             if q.due.is_empty() {
@@ -686,9 +773,8 @@ impl World {
             }
 
             // Commit phase, ascending rank order (`due` is sorted): apply
-            // outputs, drain send/registration notifications, record
-            // waits. Deaths announce themselves to the board during the
-            // resume phase; here they only convert to outputs.
+            // outputs, deliver sends, register waits, mark deaths. This is
+            // the only place one rank's effects reach another.
             let t_commit = profiling.then(Instant::now);
             let mut deaths = false;
             for (slot, &rank) in results.iter_mut().zip(&due) {
@@ -697,11 +783,11 @@ impl World {
                         outputs[rank] = Some(out);
                         finished[rank] = true;
                         live -= 1;
-                        q.drain(&shared, tasks[rank].proc_mut());
+                        q.deliver(&mut tasks, rank);
                     }
                     Ok(TaskPoll::Yielded) => {
-                        q.drain(&shared, tasks[rank].proc_mut());
-                        q.classify(rank, size, &shared, tasks[rank].proc_mut());
+                        q.deliver(&mut tasks, rank);
+                        q.classify(rank, cluster, tasks[rank].proc_mut());
                     }
                     Err(payload) => {
                         if let Some(death) = death_in_payload(&*payload) {
@@ -709,8 +795,10 @@ impl World {
                             outputs[rank] = Some(out);
                             finished[rank] = true;
                             live -= 1;
-                            // Pre-death sends must still deliver.
-                            q.drain(&shared, tasks[rank].proc_mut());
+                            // Pre-death sends deliver before the flag
+                            // flips, so "dead and no match" is final.
+                            q.deliver(&mut tasks, rank);
+                            q.board.mark_dead(rank);
                             deaths = true;
                         } else {
                             let msg = payload
@@ -730,9 +818,9 @@ impl World {
             // Control plane: death fallout, then group completion.
             let t_complete = profiling.then(Instant::now);
             if deaths {
-                q.rescan_recvs_after_death(size, &shared);
+                q.rescan_recvs_after_death(&mut tasks, cluster);
             }
-            q.complete_touched(&shared, deaths);
+            q.complete_touched(&mut tasks, cluster, deaths);
             if let Some(t) = t_complete {
                 complete_ns += t.elapsed().as_nanos() as u64;
             }
@@ -768,8 +856,8 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::p2p::{ANY_SOURCE, ANY_TAG};
-    use crate::{catch_death, ReduceOp};
+    use crate::host::Lockstep;
+    use crate::{ProcStats, ReduceOp};
     use cluster_sim::node::Work;
     use cluster_sim::ClusterConfig;
     use std::sync::Arc;
@@ -778,44 +866,51 @@ mod tests {
         World::new(Arc::new(ClusterConfig::quiet(ranks).build()))
     }
 
-    /// A hand-rolled resumable task: a ring pass written as an explicit
-    /// state machine (what the interp crate's VM does generically).
+    /// A hand-rolled resumable task: a ring pass, an allreduce and a
+    /// barrier written as an explicit state machine (what the interp
+    /// crate's VM does generically).
     struct RingTask {
         proc: Proc,
         state: u8,
         got: i64,
+        sum: i64,
     }
 
-    impl RankTask for RingTask {
-        type Output = (i64, VirtualTime);
+    type RingOutput = (i64, i64, VirtualTime, ProcStats);
 
-        fn resume(&mut self) -> TaskPoll<Self::Output> {
-            let n = self.proc.size();
-            let next = (self.proc.rank() + 1) % n;
-            let prev = (self.proc.rank() + n - 1) % n;
+    impl RankTask for RingTask {
+        type Output = RingOutput;
+
+        fn resume(&mut self) -> TaskPoll<RingOutput> {
+            let p = &mut self.proc;
+            let n = p.size();
+            let next = (p.rank() + 1) % n;
+            let prev = (p.rank() + n - 1) % n;
             loop {
-                match self.state {
+                let polled = match self.state {
                     0 => {
-                        if self.proc.rank() == 0 {
-                            self.proc.send(next, 8, 0, 5);
+                        if p.rank() == 0 {
+                            p.send(next, 8, 0, 5);
                         }
-                        self.state = 1;
+                        Poll::Ready(())
                     }
-                    1 => match self.proc.recv(prev, 0) {
-                        Poll::Ready(info) => {
-                            self.got = info.value;
-                            self.state = 2;
-                        }
-                        Poll::Pending => return TaskPoll::Yielded,
-                    },
+                    1 => p.recv(prev, 0).map(|info| self.got = info.value),
                     2 => {
-                        if self.proc.rank() != 0 {
-                            self.proc.send(next, 8, 0, self.got * 2);
+                        if p.rank() != 0 {
+                            p.send(next, 8, 0, self.got * 2);
                         }
-                        self.state = 3;
+                        Poll::Ready(())
                     }
-                    _ => return TaskPoll::Ready((self.got, self.proc.now())),
+                    3 => p
+                        .allreduce(8, self.got, ReduceOp::Sum)
+                        .map(|sum| self.sum = sum),
+                    4 => p.barrier(),
+                    _ => return TaskPoll::Ready((self.got, self.sum, p.now(), p.stats())),
+                };
+                if polled.is_pending() {
+                    return TaskPoll::Yielded;
                 }
+                self.state += 1;
             }
         }
 
@@ -824,32 +919,42 @@ mod tests {
         }
     }
 
+    /// [`RingTask`]'s program as a plain closure on the lock-step host.
+    fn ring_closure(mut h: Lockstep<'_>) -> RingOutput {
+        let n = h.size();
+        let next = (h.rank() + 1) % n;
+        let prev = (h.rank() + n - 1) % n;
+        let got = if h.rank() == 0 {
+            h.send(next, 8, 0, 5);
+            h.wait(|p| p.recv(prev, 0)).value
+        } else {
+            let v = h.wait(|p| p.recv(prev, 0)).value;
+            h.send(next, 8, 0, v * 2);
+            v
+        };
+        let sum = h.wait(|p| p.allreduce(8, got, ReduceOp::Sum));
+        h.wait(|p| p.barrier());
+        (got, sum, h.now(), h.stats())
+    }
+
+    /// The lock-step host adds nothing: the same program as a state machine
+    /// and as a hosted closure yields identical values, instants and stats.
     #[test]
-    fn event_ring_matches_thread_ring() {
-        let threaded = quiet_world(3).run(|p| {
-            let n = p.size();
-            let next = (p.rank() + 1) % n;
-            let prev = (p.rank() + n - 1) % n;
-            if p.rank() == 0 {
-                p.send(next, 8, 0, 5);
-                (p.recv(prev, 0).ready().value, p.now())
-            } else {
-                let v = p.recv(prev, 0).ready().value;
-                p.send(next, 8, 0, v * 2);
-                (v, p.now())
-            }
-        });
-        let evented = quiet_world(3).run_event(
+    fn hosted_closure_matches_state_machine() {
+        let machine = quiet_world(3).run_event(
             |_, proc| RingTask {
                 proc,
                 state: 0,
                 got: 0,
+                sum: 0,
             },
             |_, _| unreachable!("no deaths planned"),
         );
-        // Rank 0's recv is its last op in both variants; thread rank 0
-        // returns the recv value, event rank 0 stores it the same way.
-        assert_eq!(threaded, evented);
+        let hosted = quiet_world(3).hosted(ring_closure);
+        assert_eq!(machine, hosted);
+        let values: Vec<(i64, i64)> = hosted.iter().map(|o| (o.0, o.1)).collect();
+        assert_eq!(values, vec![(20, 35), (5, 35), (10, 35)]);
+        assert!(hosted.iter().all(|o| o.2 == hosted[0].2), "barrier aligns");
     }
 
     /// A generic driver: re-runs a closure-based "program counter" task.
@@ -874,13 +979,8 @@ mod tests {
     }
 
     #[test]
-    fn event_barrier_matches_thread_barrier() {
-        let threaded = quiet_world(8).run(|p| {
-            p.compute(Work::cpu(1000 * (p.rank() as u64 + 1)), 0.0);
-            p.barrier().ready();
-            p.now()
-        });
-        let evented = quiet_world(8).run_event(
+    fn barrier_equalizes_unequal_clocks() {
+        let ends = quiet_world(8).run_event(
             |_, proc| {
                 let mut computed = false;
                 StepTask {
@@ -899,29 +999,15 @@ mod tests {
             },
             |_, _| unreachable!(),
         );
-        assert_eq!(threaded, evented);
-        assert!(evented.iter().all(|t| *t == evented[0]));
-    }
-
-    #[test]
-    fn event_allreduce_matches_threads() {
-        let threaded =
-            quiet_world(5).run(|p| p.allreduce(8, p.rank() as i64, ReduceOp::Sum).ready());
-        let evented = quiet_world(5).run_event(
-            |_, proc| StepTask {
-                proc,
-                step: |p: &mut Proc| match p.allreduce(8, p.rank() as i64, ReduceOp::Sum) {
-                    Poll::Ready(v) => TaskPoll::Ready(v),
-                    Poll::Pending => TaskPoll::Yielded,
-                },
-            },
-            |_, _| unreachable!(),
+        assert!(ends.iter().all(|t| *t == ends[0]));
+        assert!(
+            ends[0] >= VirtualTime(8000),
+            "the slowest rank sets the exit"
         );
-        assert_eq!(threaded, evented);
     }
 
     #[test]
-    fn event_wildcard_recv_collects_all_senders() {
+    fn wildcard_recv_collects_all_senders() {
         let totals = quiet_world(4).run_event(
             |_, proc| {
                 let mut total = 0i64;
@@ -957,30 +1043,30 @@ mod tests {
     }
 
     #[test]
-    fn event_failstop_degrades_recv_like_threads() {
-        let make_cluster = || {
-            Arc::new(
+    fn failstop_degrades_recv_identically_on_the_host() {
+        let world = || {
+            World::new(Arc::new(
                 ClusterConfig::quiet(2)
                     .with_faults(
                         cluster_sim::FaultPlan::none()
                             .with_rank_death(0, VirtualTime::from_micros(1)),
                     )
                     .build(),
-            )
+            ))
         };
-        let threaded = World::new(make_cluster()).run(|p| {
-            catch_death(|| {
-                if p.rank() == 0 {
-                    p.compute(Work::cpu(10_000), 0.0);
-                    p.compute(Work::cpu(10_000), 0.0);
+        let hosted = world().run_hosted(
+            |mut h| {
+                if h.rank() == 0 {
+                    h.compute(Work::cpu(10_000), 0.0);
+                    h.compute(Work::cpu(10_000), 0.0);
                     None
                 } else {
-                    Some((p.recv(0, 7).ready(), p.stats()))
+                    Some((h.wait(|p| p.recv(0, 7)), h.stats()))
                 }
-            })
-            .ok()
-        });
-        let evented = World::new(make_cluster()).run_event(
+            },
+            |_death, _proc| None,
+        );
+        let machine = world().run_event(
             |_, proc| StepTask {
                 proc,
                 step: |p: &mut Proc| {
@@ -998,95 +1084,138 @@ mod tests {
             },
             |_death, _task| None,
         );
-        assert_eq!(threaded[1], evented[1].map(Some));
-        let (info, stats) = evented[1].unwrap();
+        assert_eq!(hosted, machine);
+        let (info, stats) = machine[1].unwrap();
         assert_eq!(stats.peer_dead_recvs, 1);
         assert_eq!(info.bytes, 0);
     }
 
-    #[test]
-    fn event_deadlock_panics_immediately() {
-        let result = std::panic::catch_unwind(|| {
-            quiet_world(2).run_event(
-                |_, proc| StepTask {
-                    proc,
-                    step: |p: &mut Proc| match p.recv(1 - p.rank(), 9) {
-                        Poll::Ready(info) => TaskPoll::Ready(info.value),
-                        Poll::Pending => TaskPoll::Yielded,
-                    },
-                },
-                |_, _| unreachable!(),
-            )
-        });
-        let payload = result.expect_err("both ranks block forever");
-        let msg = payload
+    /// The panic message of a run expected to fail, and how long it took.
+    fn failure_of<R: Send + 'static>(
+        world: World,
+        program: impl Fn(Lockstep<'_>) -> R + Send + Sync + 'static,
+    ) -> String {
+        let started = Instant::now();
+        let payload = std::panic::catch_unwind(AssertUnwindSafe(|| world.hosted(program)))
+            .err()
+            .expect("the run must fail");
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(1),
+            "failures are diagnosed immediately, not after a timeout"
+        );
+        payload
             .downcast_ref::<String>()
             .cloned()
-            .unwrap_or_default();
-        assert!(msg.contains("simmpi deadlock"), "{msg}");
+            .unwrap_or_default()
     }
 
     #[test]
-    fn event_scales_past_thread_limits() {
-        // A modest smoke at a rank count the thread backend would need
-        // 2,048 stacks for; the event loop does it in-process, serially.
-        let n = 2048;
-        let ends = quiet_world(n).run_event(
-            |_, proc| {
-                let mut rounds_started = 0u64;
-                StepTask {
-                    proc,
-                    step: move |p: &mut Proc| loop {
-                        let done = p.stats().collectives;
-                        if done == 3 {
-                            return TaskPoll::Ready(p.now());
-                        }
-                        if rounds_started == done {
-                            p.compute(Work::cpu(100 + p.rank() as u64), 0.0);
-                            rounds_started += 1;
-                        }
-                        match p.barrier() {
-                            Poll::Ready(()) => continue,
-                            Poll::Pending => return TaskPoll::Yielded,
-                        }
-                    },
+    fn deadlock_report_names_the_receives() {
+        // Both ranks receive first: nobody ever sends.
+        let msg = failure_of(quiet_world(2), |mut h| {
+            let peer = 1 - h.rank();
+            h.wait(|p| p.recv(peer, 9)).value
+        });
+        assert!(msg.contains("simmpi deadlock"), "{msg}");
+        assert!(msg.contains("2 rank(s) still blocked"), "{msg}");
+        assert!(msg.contains("rank 0: recv(src=1, tag=9)"), "{msg}");
+        assert!(msg.contains("rank 1: recv(src=0, tag=9)"), "{msg}");
+        assert!(msg.contains("0 unmatched message(s)"), "{msg}");
+    }
+
+    #[test]
+    fn deadlock_report_names_the_barrier_and_who_arrived() {
+        // Rank 2 never enters the barrier the other two wait in.
+        let msg = failure_of(quiet_world(3), |mut h| {
+            if h.rank() != 2 {
+                h.wait(|p| p.barrier());
+            }
+        });
+        assert!(msg.contains("2 rank(s) still blocked"), "{msg}");
+        assert!(
+            msg.contains("rank 0: Barrier on World with 2/3 ranks arrived"),
+            "{msg}"
+        );
+    }
+
+    /// A hosted closure's own panic surfaces labelled with its rank, and
+    /// every rank thread — the panicking one and the parked ones — is gone
+    /// by the time the run's panic reaches the caller.
+    #[test]
+    fn hosted_panic_is_labelled_and_leaves_no_thread_behind() {
+        let alive = Arc::new(());
+        let held = alive.clone();
+        let msg = failure_of(quiet_world(4), move |mut h| {
+            // Lives on the rank thread's stack for as long as it runs.
+            let _on_stack = held.clone();
+            if h.rank() == 1 {
+                h.compute(Work::cpu(50_000), 0.0);
+                panic!("boom");
+            }
+            h.wait(|p| p.barrier());
+        });
+        assert!(msg.contains("rank 1 panicked: boom"), "{msg}");
+        assert_eq!(
+            Arc::strong_count(&alive),
+            1,
+            "a rank thread outlived the run"
+        );
+    }
+
+    /// Three barrier rounds with rank-dependent compute in between.
+    fn barrier_rounds(mut h: Lockstep<'_>) -> VirtualTime {
+        for _ in 0..3 {
+            let work = Work::cpu(100 + h.rank() as u64);
+            h.compute(work, 0.0);
+            h.wait(|p| p.barrier());
+        }
+        h.now()
+    }
+
+    /// The same rounds as a yielding task, for rank counts that should not
+    /// cost a thread each.
+    fn barrier_rounds_task(proc: Proc) -> impl RankTask<Output = VirtualTime> + Send {
+        let mut rounds_started = 0u64;
+        StepTask {
+            proc,
+            step: move |p: &mut Proc| loop {
+                let done = p.stats().collectives;
+                if done == 3 {
+                    return TaskPoll::Ready(p.now());
+                }
+                if rounds_started == done {
+                    p.compute(Work::cpu(100 + p.rank() as u64), 0.0);
+                    rounds_started += 1;
+                }
+                if p.barrier().is_pending() {
+                    return TaskPoll::Yielded;
                 }
             },
-            |_, _| unreachable!(),
-        );
-        assert!(ends.iter().all(|t| *t == ends[0]));
-        assert!(ends[0] > VirtualTime::ZERO);
+        }
     }
 
-    /// The same 2,048-rank barrier workload on 1 vs 4 workers: the due
-    /// sets exceed `PAR_MIN`, so the parallel dispatch path actually runs,
-    /// and the final instants must be bitwise identical.
+    #[test]
+    fn scales_to_thousands_of_ranks_in_one_thread() {
+        let ends =
+            quiet_world(2048).run_event(|_, proc| barrier_rounds_task(proc), |_, _| unreachable!());
+        assert!(ends.iter().all(|t| *t == ends[0]));
+        assert!(ends[0] > VirtualTime::ZERO);
+        // ... and a hosted world computes the very same instants.
+        let small = quiet_world(16);
+        let hosted = small.hosted(barrier_rounds);
+        let machine = small.run_event(|_, proc| barrier_rounds_task(proc), |_, _| unreachable!());
+        assert_eq!(hosted, machine);
+    }
+
+    /// 2,048 ranks on 1 vs 4 workers: the due sets exceed `PAR_MIN`, so
+    /// the parallel dispatch path actually runs, and the final instants
+    /// must be bitwise identical.
     #[test]
     fn parallel_dispatch_matches_serial() {
-        let n = 2048;
         let run = |workers: usize| {
-            quiet_world(n).run_event_workers(
+            quiet_world(2048).run_event_workers(
                 workers,
-                |_, proc| {
-                    let mut rounds_started = 0u64;
-                    StepTask {
-                        proc,
-                        step: move |p: &mut Proc| loop {
-                            let done = p.stats().collectives;
-                            if done == 3 {
-                                return TaskPoll::Ready(p.now());
-                            }
-                            if rounds_started == done {
-                                p.compute(Work::cpu(100 + p.rank() as u64), 0.0);
-                                rounds_started += 1;
-                            }
-                            match p.barrier() {
-                                Poll::Ready(()) => continue,
-                                Poll::Pending => return TaskPoll::Yielded,
-                            }
-                        },
-                    }
-                },
+                |_, proc| barrier_rounds_task(proc),
                 |_, _| unreachable!(),
             )
         };
@@ -1095,14 +1224,15 @@ mod tests {
 
     #[test]
     fn backend_parse_accepts_worker_counts() {
-        assert_eq!(SimBackend::parse("threads"), Some(SimBackend::Threads));
         assert_eq!(SimBackend::parse("event"), Some(SimBackend::event()));
+        assert_eq!(SimBackend::default(), SimBackend::event());
         assert_eq!(
             SimBackend::parse("event:8"),
             Some(SimBackend::Event { workers: 8 })
         );
+        assert_eq!(SimBackend::Event { workers: 8 }.workers(), 8);
         assert_eq!(SimBackend::parse("event:0"), None);
         assert_eq!(SimBackend::parse("event:x"), None);
-        assert_eq!(SimBackend::parse("fibers"), None);
+        assert_eq!(SimBackend::parse("threads"), None);
     }
 }

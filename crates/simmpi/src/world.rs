@@ -1,15 +1,17 @@
-//! World launcher: spawn one thread per rank and collect results.
+//! The world: the cluster plus rank bookkeeping, and the launcher for
+//! closure-style rank programs.
 
-use crate::collectives::CollectiveSlot;
-use crate::death::{death_in_payload, DeathBoard};
-use crate::p2p::Mailbox;
-use crate::proc::{Proc, WorldShared};
+use crate::death::DeathUnwind;
+use crate::host::{Hosted, Lockstep};
+use crate::proc::Proc;
+use crate::sched::RankTask;
 use cluster_sim::Cluster;
 use std::sync::Arc;
 
-/// An MPI world: the cluster plus rank bookkeeping. Create once per run.
+/// An MPI world: the cluster plus rank bookkeeping. Create once per run;
+/// run it with [`World::run_event_workers`].
 pub struct World {
-    cluster: Arc<Cluster>,
+    pub(crate) cluster: Arc<Cluster>,
 }
 
 impl World {
@@ -23,75 +25,37 @@ impl World {
         self.cluster.ranks()
     }
 
-    /// Build the state shared by all ranks of one run (both backends).
-    pub(crate) fn make_shared(&self) -> Arc<WorldShared> {
-        let size = self.size();
-        Arc::new(WorldShared {
-            cluster: self.cluster.clone(),
-            mailboxes: (0..size).map(|_| Mailbox::default()).collect(),
-            collective: CollectiveSlot::new(size),
-            comms: crate::comm::CommRegistry::new(size),
-            board: DeathBoard::new(size),
-        })
-    }
-
-    /// Run `f` on every rank concurrently; returns the per-rank results in
-    /// rank order. Panics in any rank propagate (with that rank's ID in the
-    /// message).
-    ///
-    /// The closure runs on real threads, but all timing it observes through
-    /// [`Proc`] is virtual, so results are independent of host scheduling
-    /// (for deterministic matching — see crate docs).
-    pub fn run<F, R>(&self, f: F) -> Vec<R>
+    /// Run the closure `program` on every rank, each on the lock-step host
+    /// ([`crate::host`]), under the serial scheduler; returns the per-rank
+    /// results in rank order. A rank the fault plan kills yields
+    /// `on_death(death, its Proc)` instead. Blocking operations go through
+    /// [`Lockstep::wait`]: `h.wait(|p| p.recv(prev, 7))`.
+    pub fn run_hosted<R, F, D>(&self, program: F, on_death: D) -> Vec<R>
     where
-        F: Fn(&mut Proc) -> R + Sync,
-        R: Send,
+        R: Send + 'static,
+        F: Fn(Lockstep<'_>) -> R + Send + Sync + 'static,
+        D: Fn(DeathUnwind, &mut Proc) -> R,
     {
-        let size = self.size();
-        let shared = self.make_shared();
-        let f = &f;
-        // Rank programs (interpreters) can recurse deeply; debug builds use
-        // sizeable frames, so give each rank thread a generous stack.
-        const RANK_STACK: usize = 16 << 20;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..size)
-                .map(|rank| {
-                    let shared = shared.clone();
-                    std::thread::Builder::new()
-                        .name(format!("rank-{rank}"))
-                        .stack_size(RANK_STACK)
-                        .spawn_scoped(s, move || {
-                            let mut proc = Proc::new(rank, size, shared);
-                            f(&mut proc)
-                        })
-                        .expect("spawn rank thread")
-                })
-                .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(rank, h)| match h.join() {
-                    Ok(r) => r,
-                    Err(e) => {
-                        if let Some(death) = death_in_payload(&*e) {
-                            // The program let a scheduled fail-stop unwind
-                            // escape its closure; see [`crate::catch_death`].
-                            panic!(
-                                "rank {rank} fail-stopped at {:?} (uncaught — wrap the rank \
-                                 closure in simmpi::catch_death to observe deaths)",
-                                death.at
-                            );
-                        }
-                        let msg = e
-                            .downcast_ref::<String>()
-                            .map(String::as_str)
-                            .or_else(|| e.downcast_ref::<&str>().copied())
-                            .unwrap_or("<non-string panic>");
-                        panic!("rank {rank} panicked: {msg}");
-                    }
-                })
-                .collect()
-        })
+        let program = Arc::new(program);
+        self.run_event(
+            |_, proc| {
+                let program = program.clone();
+                Hosted::new(proc, move |h| program(h))
+            },
+            |death, task| on_death(death, task.proc_mut()),
+        )
+    }
+}
+
+#[cfg(test)]
+impl World {
+    /// Test shorthand: [`Self::run_hosted`] for a run with no planned death.
+    pub(crate) fn hosted<R, F>(&self, program: F) -> Vec<R>
+    where
+        R: Send + 'static,
+        F: Fn(Lockstep<'_>) -> R + Send + Sync + 'static,
+    {
+        self.run_hosted(program, |_, _| unreachable!("no deaths planned"))
     }
 }
 
@@ -113,18 +77,18 @@ mod tests {
         // Rank r sends to (r+1) % n after receiving from (r-1); rank 0
         // seeds the ring. Virtual completion times must strictly grow.
         let w = quiet_world(4);
-        let finals = w.run(|p| {
-            let n = p.size();
-            let next = (p.rank() + 1) % n;
-            let prev = (p.rank() + n - 1) % n;
-            if p.rank() == 0 {
-                p.send(next, 1024, 7, 100);
-                p.recv(prev, 7).ready();
+        let finals = w.hosted(|mut h| {
+            let n = h.size();
+            let next = (h.rank() + 1) % n;
+            let prev = (h.rank() + n - 1) % n;
+            if h.rank() == 0 {
+                h.send(next, 1024, 7, 100);
+                h.wait(|p| p.recv(prev, 7));
             } else {
-                let got = p.recv(prev, 7).ready();
-                p.send(next, 1024, 7, got.value + 1);
+                let got = h.wait(|p| p.recv(prev, 7));
+                h.send(next, 1024, 7, got.value + 1);
             }
-            p.now()
+            h.now()
         });
         // Rank 3 finished sending before rank 0's final recv completes.
         assert!(finals[0] > finals[3]);
@@ -135,16 +99,16 @@ mod tests {
     #[test]
     fn values_flow_through_the_ring() {
         let w = quiet_world(3);
-        let got = w.run(|p| {
-            let n = p.size();
-            let next = (p.rank() + 1) % n;
-            let prev = (p.rank() + n - 1) % n;
-            if p.rank() == 0 {
-                p.send(next, 8, 0, 5);
-                p.recv(prev, 0).ready().value
+        let got = w.hosted(|mut h| {
+            let n = h.size();
+            let next = (h.rank() + 1) % n;
+            let prev = (h.rank() + n - 1) % n;
+            if h.rank() == 0 {
+                h.send(next, 8, 0, 5);
+                h.wait(|p| p.recv(prev, 0)).value
             } else {
-                let v = p.recv(prev, 0).ready().value;
-                p.send(next, 8, 0, v * 2);
+                let v = h.wait(|p| p.recv(prev, 0)).value;
+                h.send(next, 8, 0, v * 2);
                 v
             }
         });
@@ -154,11 +118,12 @@ mod tests {
     #[test]
     fn barrier_equalizes_clocks() {
         let w = quiet_world(8);
-        let finals = w.run(|p| {
+        let finals = w.hosted(|mut h| {
             // Unequal work before the barrier.
-            p.compute(Work::cpu(1000 * (p.rank() as u64 + 1)), 0.0);
-            p.barrier().ready();
-            p.now()
+            let work = Work::cpu(1000 * (h.rank() as u64 + 1));
+            h.compute(work, 0.0);
+            h.wait(|p| p.barrier());
+            h.now()
         });
         assert!(finals.iter().all(|t| *t == finals[0]));
     }
@@ -166,7 +131,7 @@ mod tests {
     #[test]
     fn allreduce_results_agree() {
         let w = quiet_world(5);
-        let sums = w.run(|p| p.allreduce(8, p.rank() as i64, ReduceOp::Sum).ready());
+        let sums = w.hosted(|mut h| h.wait(|p| p.allreduce(8, p.rank() as i64, ReduceOp::Sum)));
         assert_eq!(sums, vec![10; 5]);
     }
 
@@ -174,12 +139,12 @@ mod tests {
     fn deterministic_across_repeated_runs() {
         let run_once = || {
             let w = quiet_world(6);
-            w.run(|p| {
+            w.hosted(|mut h| {
                 for _ in 0..20 {
-                    p.compute(Work::cpu(500), 0.0);
-                    p.alltoall(256).ready();
+                    h.compute(Work::cpu(500), 0.0);
+                    h.wait(|p| p.alltoall(256));
                 }
-                p.now()
+                h.now()
             })
         };
         assert_eq!(run_once(), run_once());
@@ -188,15 +153,16 @@ mod tests {
     #[test]
     fn wildcard_recv_collects_all_senders() {
         let w = quiet_world(4);
-        let totals = w.run(|p| {
-            if p.rank() == 0 {
+        let totals = w.hosted(|mut h| {
+            if h.rank() == 0 {
                 let mut total = 0;
                 for _ in 0..3 {
-                    total += p.recv(ANY_SOURCE, ANY_TAG).ready().value;
+                    total += h.wait(|p| p.recv(ANY_SOURCE, ANY_TAG)).value;
                 }
                 total
             } else {
-                p.send(0, 64, p.rank() as i64, p.rank() as i64 * 10);
+                let me = h.rank() as i64;
+                h.send(0, 64, me, me * 10);
                 0
             }
         });
@@ -206,14 +172,14 @@ mod tests {
     #[test]
     fn stats_split_compute_and_mpi() {
         let w = quiet_world(2);
-        let stats = w.run(|p| {
-            p.compute(Work::cpu(10_000), 0.0);
-            if p.rank() == 0 {
-                p.send(1, 1 << 20, 0, 0);
+        let stats = w.hosted(|mut h| {
+            h.compute(Work::cpu(10_000), 0.0);
+            if h.rank() == 0 {
+                h.send(1, 1 << 20, 0, 0);
             } else {
-                p.recv(0, 0).ready();
+                h.wait(|p| p.recv(0, 0));
             }
-            p.stats()
+            h.stats()
         });
         assert_eq!(stats[0].compute_time.as_nanos(), 10_000);
         assert_eq!(stats[0].msgs_sent, 1);
@@ -229,9 +195,9 @@ mod tests {
             .with_node(1, NodeSpec::slow_memory(0.5))
             .build();
         let w = World::new(Arc::new(cluster));
-        let times = w.run(|p| {
-            p.compute(Work::mem(100_000), 0.0);
-            p.stats().compute_time
+        let times = w.hosted(|mut h| {
+            h.compute(Work::mem(100_000), 0.0);
+            h.stats().compute_time
         });
         assert_eq!(times[0], times[1]);
         assert_eq!(times[2], times[3]);
@@ -241,13 +207,13 @@ mod tests {
     #[test]
     fn recv_completes_no_earlier_than_arrival() {
         let w = quiet_world(2);
-        let infos = w.run(|p| {
-            if p.rank() == 0 {
-                p.compute(Work::cpu(50_000), 0.0); // sender is late
-                p.send(1, 4096, 1, 0);
+        let infos = w.hosted(|mut h| {
+            if h.rank() == 0 {
+                h.compute(Work::cpu(50_000), 0.0); // sender is late
+                h.send(1, 4096, 1, 0);
                 None
             } else {
-                Some(p.recv(0, 1).ready()) // receiver posts immediately
+                Some(h.wait(|p| p.recv(0, 1))) // receiver posts immediately
             }
         });
         let info = infos[1].unwrap();
@@ -258,25 +224,10 @@ mod tests {
     #[should_panic(expected = "rank 1 panicked")]
     fn rank_panic_is_labelled() {
         let w = quiet_world(2);
-        w.run(|p| {
-            if p.rank() == 1 {
+        w.hosted(|h| {
+            if h.rank() == 1 {
                 panic!("boom");
             }
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "rank 1 fail-stopped")]
-    fn uncaught_death_is_labelled() {
-        let cluster = ClusterConfig::quiet(2)
-            .with_faults(
-                cluster_sim::FaultPlan::none().with_rank_death(1, VirtualTime::from_micros(1)),
-            )
-            .build();
-        let w = World::new(Arc::new(cluster));
-        w.run(|p| {
-            p.compute(Work::cpu(10_000), 0.0);
-            p.compute(Work::cpu(10_000), 0.0);
         });
     }
 
@@ -291,15 +242,16 @@ mod tests {
                 )
                 .build();
             let w = World::new(Arc::new(cluster));
-            w.run(|p| {
-                let out = crate::catch_death(|| {
+            w.run_hosted(
+                |mut h| {
                     for _ in 0..10 {
-                        p.compute(Work::cpu(10_000), 0.0);
-                        p.barrier().ready();
+                        h.compute(Work::cpu(10_000), 0.0);
+                        h.wait(|p| p.barrier());
                     }
-                });
-                (out.err(), p.now(), p.stats())
-            })
+                    (None, h.now(), h.stats())
+                },
+                |death, p| (Some(death), p.now(), p.stats()),
+            )
         };
         let outs = run_once();
         let (death, _, dead_stats) = &outs[3];
@@ -324,20 +276,21 @@ mod tests {
             )
             .build();
         let w = World::new(Arc::new(cluster));
-        let outs = w.run(|p| {
-            crate::catch_death(|| {
-                if p.rank() == 0 {
+        let outs = w.run_hosted(
+            |mut h| {
+                if h.rank() == 0 {
                     // Dies before it ever sends.
-                    p.compute(Work::cpu(10_000), 0.0);
-                    p.compute(Work::cpu(10_000), 0.0);
+                    h.compute(Work::cpu(10_000), 0.0);
+                    h.compute(Work::cpu(10_000), 0.0);
                     None
                 } else {
-                    let info = p.recv(0, 7).ready();
-                    Some((info, p.stats()))
+                    let info = h.wait(|p| p.recv(0, 7));
+                    Some((info, h.stats()))
                 }
-            })
-        });
-        let (info, stats) = (*outs[1].as_ref().expect("rank 1 survives")).unwrap();
+            },
+            |_death, _p| None,
+        );
+        let (info, stats) = outs[1].expect("rank 1 survives and receives");
         assert_eq!(info.bytes, 0, "degraded recv carries no payload");
         assert_eq!(stats.peer_dead_recvs, 1);
         assert_eq!(stats.msgs_received, 0, "no real message was received");
@@ -355,18 +308,19 @@ mod tests {
             )
             .build();
         let w = World::new(Arc::new(cluster));
-        let outs = w.run(|p| {
-            crate::catch_death(|| {
-                if p.rank() == 0 {
-                    p.send(1, 64, 3, 42);
-                    p.compute(Work::cpu(1_000_000), 0.0);
-                    p.compute(Work::cpu(1_000_000), 0.0);
+        let outs = w.run_hosted(
+            |mut h| {
+                if h.rank() == 0 {
+                    h.send(1, 64, 3, 42);
+                    h.compute(Work::cpu(1_000_000), 0.0);
+                    h.compute(Work::cpu(1_000_000), 0.0);
                     0
                 } else {
-                    p.recv(0, 3).ready().value
+                    h.wait(|p| p.recv(0, 3)).value
                 }
-            })
-        });
-        assert_eq!(outs[1], Ok(42));
+            },
+            |_death, _p| -1,
+        );
+        assert_eq!(outs, vec![-1, 42]);
     }
 }

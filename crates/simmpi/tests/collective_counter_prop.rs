@@ -105,9 +105,9 @@ proptest! {
         ),
     ) {
         let cluster = ClusterConfig::quiet(n).build();
-        let board = DeathBoard::new(n);
+        let mut board = DeathBoard::new(n);
         let members: Vec<usize> = (0..n).collect();
-        let slot = CollectiveSlot::with_members(members.clone());
+        let mut slot = CollectiveSlot::with_members(members.clone());
         let op = CollectiveOp::Allreduce;
         let bytes = 256;
         let rop = [ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max][rop_sel as usize];
@@ -134,7 +134,7 @@ proptest! {
                         rop,
                         is_root: false,
                     };
-                    slot.poll_register(entry).expect("no mismatch generated");
+                    slot.register(entry).expect("no mismatch generated");
                     oracle.arrived[rank] = true;
                     oracle.arrivals.push((entry.at, value));
                 }

@@ -51,17 +51,20 @@ fn main() {
     let run_config = config.clone();
     let worker = std::thread::spawn(move || {
         let world = vsensor_repro::simmpi::World::new(cluster);
-        world.run(|proc| {
-            let harness = vsensor_repro::interp::machine::SensorHarness::direct(
-                vsensor_repro::runtime::SensorRuntime::new(sensors.len(), run_config.clone()),
-                proc.rank(),
-                server.clone(),
-            );
-            vsensor_repro::interp::Machine::new(program.clone(), proc, Some(harness))
-                .run()
-                .unwrap_or_else(|e| panic!("{e}"))
-                .end
-        })
+        world.run_hosted(
+            move |h| {
+                let harness = vsensor_repro::interp::machine::SensorHarness::direct(
+                    vsensor_repro::runtime::SensorRuntime::new(sensors.len(), run_config.clone()),
+                    h.rank(),
+                    server.clone(),
+                );
+                vsensor_repro::interp::Machine::new(program.clone(), h, Some(harness))
+                    .run()
+                    .unwrap_or_else(|e| panic!("{e}"))
+                    .end
+            },
+            |_, _| unreachable!("no deaths planned"),
+        )
     });
 
     // Poll the server while the run progresses: live alerts come from the

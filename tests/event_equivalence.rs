@@ -7,9 +7,10 @@
 //! one FNV-1a fingerprint and compared with a committed constant.
 //!
 //! **Where the constants come from.** They were captured once from the
-//! thread-per-rank backend (`SimBackend::Threads`), the differential oracle
-//! of the event scheduler, at the last commit that still had it: in that
-//! commit every test below ran the scenario on both backends and asserted
+//! thread-per-rank backend (one OS thread per rank, parking on blocking
+//! calls), the differential oracle of the event scheduler, at the last
+//! commit that still had it: in that commit every test below ran the
+//! scenario on both backends and asserted
 //! `fingerprint(threads) == fingerprint(event) == GOLDEN`. The comparison
 //! the oracle made is therefore still made, against its recorded answer.
 //! (`NODE_DEATH_RENDERED` is the one constant the event backend supplied
@@ -42,7 +43,7 @@ use vsensor_repro::runtime::RuntimeConfig;
 use vsensor_repro::simmpi::SimBackend;
 use vsensor_repro::{scenarios, Pipeline};
 
-// Captured from `SimBackend::Threads` (see the file header).
+// Captured from the thread-per-rank backend (see the file header).
 const QUIET_64: u64 = 0x4075f00fb2bf32a9;
 const NOISY_16: u64 = 0x343fce1595849b74;
 const BAD_NODE: u64 = 0x96cb0567b407a333;
@@ -141,39 +142,26 @@ fn assert_golden(what: &str, got: u64, golden: u64) {
     );
 }
 
-/// Run one program under a given simulation backend on a fresh cluster
-/// built from the same configuration (clusters hold per-run RNG state, so
-/// each run gets its own identical instance).
-fn run_sim(
-    src: &str,
-    make_cluster: &dyn Fn() -> Cluster,
-    runtime: RuntimeConfig,
-    sim: SimBackend,
-) -> InstrumentedRun {
+/// Run one instrumented program on the serial scheduler.
+fn run_sim(src: &str, cluster: Cluster, runtime: RuntimeConfig) -> InstrumentedRun {
     let prepared = Pipeline::new().compile(src).expect("program compiles");
     let config = RunConfig {
         runtime,
-        sim,
+        sim: SimBackend::event(),
         ..RunConfig::default()
     };
-    prepared.run(Arc::new(make_cluster()), &config)
+    prepared.run(Arc::new(cluster), &config)
 }
 
-/// Both backends must produce the golden rendered fingerprint.
+/// The run must produce the golden rendered fingerprint.
 fn assert_golden_with(
     src: &str,
     make_cluster: &dyn Fn() -> Cluster,
     runtime: RuntimeConfig,
     golden: u64,
 ) {
-    let threads = run_sim(src, make_cluster, runtime.clone(), SimBackend::Threads);
-    let event = run_sim(src, make_cluster, runtime, SimBackend::event());
-    assert_eq!(
-        fingerprint_rendered(&threads),
-        fingerprint_rendered(&event),
-        "thread and event backends disagree"
-    );
-    assert_golden("event backend", fingerprint_rendered(&event), golden);
+    let run = run_sim(src, make_cluster(), runtime);
+    assert_golden("rendered run", fingerprint_rendered(&run), golden);
 }
 
 fn assert_golden_run(src: &str, make_cluster: &dyn Fn() -> Cluster, golden: u64) {
@@ -252,31 +240,23 @@ fn bad_node_detection_matches_bitwise() {
 #[test]
 fn node_death_matches_bitwise() {
     let (cluster, runtime) = scenarios::node_death(16, 4, 0.55, 7, 2);
-    let make = || cluster.clone().with_ranks_per_node(2).build();
-    let threads = run_sim(BAD_NODE_SRC, &make, runtime.clone(), SimBackend::Threads);
-    let event = run_sim(BAD_NODE_SRC, &make, runtime, SimBackend::event());
-    assert_eq!(
-        fingerprint(&threads),
-        fingerprint(&event),
-        "thread and event backends disagree on final state"
-    );
-    assert_golden("final state", fingerprint(&event), NODE_DEATH_FINAL);
+    let cluster = cluster.with_ranks_per_node(2).build();
+    let run = run_sim(BAD_NODE_SRC, cluster, runtime);
+    assert_golden("final state", fingerprint(&run), NODE_DEATH_FINAL);
     assert_golden(
         "alerts and report",
-        fingerprint_rendered(&event),
+        fingerprint_rendered(&run),
         NODE_DEATH_RENDERED,
     );
-    let deaths = |run: &InstrumentedRun| {
-        run.alerts
-            .iter()
-            .filter(|a| format!("{a:?}").contains("RankDeath"))
-            .count()
-    };
-    assert_eq!(deaths(&threads), deaths(&event), "death alert count");
     // The scenario actually exercised the fail-stop path.
-    assert_eq!(deaths(&event), 2, "one death alert per killed rank");
+    let deaths = run
+        .alerts
+        .iter()
+        .filter(|a| format!("{a:?}").contains("RankDeath"))
+        .count();
+    assert_eq!(deaths, 2, "one death alert per killed rank");
     assert_eq!(
-        event.server.failed_ranks.len(),
+        run.server.failed_ranks.len(),
         2,
         "both ranks of the killed node must be reported dead"
     );
@@ -284,7 +264,7 @@ fn node_death_matches_bitwise() {
 
 /// Degraded (lossy) telemetry transport: batches drop, retry and reorder
 /// by virtual send time; the fingerprint proves the scheduler runs every
-/// flush at the same virtual instant as the parked threads did.
+/// flush at the same virtual instant the parked threads did.
 #[test]
 fn degraded_transport_matches_bitwise() {
     assert_golden_run(
@@ -319,21 +299,16 @@ fn outage_window_matches_bitwise() {
 #[test]
 fn plain_runs_match_at_64_ranks() {
     let program = Arc::new(vsensor_repro::lang::compile(MIXED_WORKLOAD).expect("program compiles"));
-    let run = |sim| {
-        run_plain_shared(
-            program.clone(),
-            Arc::new(ClusterConfig::quiet(64).build()),
-            ExecBackend::Vm,
-            sim,
-        )
-    };
-    let (threads, event) = (run(SimBackend::Threads), run(SimBackend::event()));
-    assert_eq!(fingerprint_plain(&threads), fingerprint_plain(&event));
-    assert_golden("plain run", fingerprint_plain(&event), PLAIN_64);
+    let ranks = run_plain_shared(
+        program,
+        Arc::new(ClusterConfig::quiet(64).build()),
+        ExecBackend::Vm,
+        SimBackend::event(),
+    );
+    assert_golden("plain run", fingerprint_plain(&ranks), PLAIN_64);
 }
 
-/// Paper-scale smoke test: 4,096 ranks in one process on the event
-/// backend — far past what thread-per-rank can host — finishing a
+/// Paper-scale smoke test: 4,096 ranks in one process, finishing a
 /// collective workload with all ranks aligned.
 #[test]
 fn event_backend_runs_4096_ranks() {

@@ -146,9 +146,10 @@ proptest! {
         let cluster = Arc::new(ClusterConfig::quiet(n).build());
         let values = Arc::new(values);
         let expected: i64 = values.iter().sum();
-        let sums = World::new(cluster).run(|p| {
-            p.allreduce(8, values[p.rank()], ReduceOp::Sum).ready()
-        });
+        let sums = World::new(cluster).run_hosted(
+            move |mut h| h.wait(|p| p.allreduce(8, values[p.rank()], ReduceOp::Sum)),
+            |_, _| unreachable!("no deaths planned"),
+        );
         prop_assert!(sums.iter().all(|&s| s == expected));
     }
 
@@ -160,13 +161,16 @@ proptest! {
             Arc::new(cfg.build())
         };
         let run = |cluster: Arc<vsensor_repro::cluster_sim::Cluster>| {
-            World::new(cluster).run(|p| {
-                for i in 0..20 {
-                    p.compute(Work::cpu(500 + i * 37), 0.0);
-                    p.barrier().ready();
-                }
-                p.now()
-            })
+            World::new(cluster).run_hosted(
+                |mut h| {
+                    for i in 0..20 {
+                        h.compute(Work::cpu(500 + i * 37), 0.0);
+                        h.wait(|p| p.barrier());
+                    }
+                    h.now()
+                },
+                |_, _| unreachable!("no deaths planned"),
+            )
         };
         prop_assert_eq!(run(mk()), run(mk()));
     }

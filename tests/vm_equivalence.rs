@@ -13,12 +13,11 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use vsensor_repro::cluster_sim::time::VirtualTime;
 use vsensor_repro::cluster_sim::{Cluster, ClusterConfig, FaultPlan, NoiseConfig};
-use vsensor_repro::interp::machine::MachineResult;
 use vsensor_repro::interp::{
-    run_plain_shared, ExecBackend, ExecError, Executor, InstrumentedRun, RunConfig,
+    run_plain_shared, ExecBackend, InstrumentedRun, RankResult, RunConfig,
 };
-use vsensor_repro::simmpi::{SimBackend, World};
-use vsensor_repro::Pipeline;
+use vsensor_repro::simmpi::SimBackend;
+use vsensor_repro::{scenarios, Pipeline};
 
 /// Run one prepared program under a given backend on a fresh cluster
 /// built from the same configuration (clusters hold per-run RNG state,
@@ -250,18 +249,67 @@ fn noisy_cluster_solver_matches_bitwise() {
     });
 }
 
+/// A node dies mid-run. The VM's death unwinds straight into the scheduler;
+/// the walker's unwinds on its rank thread and is forwarded by the
+/// lock-step host — survivors' shrunk collectives, degraded receives and
+/// death gossip must come out identical either way.
+#[test]
+fn node_death_matches_bitwise() {
+    const SRC: &str = r#"
+        fn main() {
+            int rank = mpi_comm_rank();
+            int size = mpi_comm_size();
+            int next = rank + 1;
+            if (next == size) { next = 0; }
+            int prev = rank - 1;
+            if (prev < 0) { prev = size - 1; }
+            for (t = 0; t < 400; t = t + 1) {
+                for (k = 0; k < 4; k = k + 1) { mem_access(25000); }
+                if (t - t / 50 * 50 == 0) { int got = mpi_sendrecv(next, 256, prev, t); }
+                mpi_barrier();
+            }
+        }
+    "#;
+    let (cluster, runtime) = scenarios::node_death(4, 0, 0.55, 1, 2);
+    let run = |backend| {
+        let prepared = Pipeline::new().compile(SRC).expect("program compiles");
+        let config = RunConfig {
+            backend,
+            runtime: runtime.clone(),
+            ..RunConfig::default()
+        };
+        let cluster = cluster.clone().with_ranks_per_node(2).build();
+        prepared.run(Arc::new(cluster), &config)
+    };
+    let (walker, vm) = (run(ExecBackend::TreeWalker), run(ExecBackend::Vm));
+    assert_runs_identical(&walker, &vm);
+    assert!(walker.ranks[2].stats.died_at.is_some(), "node 1 was killed");
+    assert!(walker.ranks[0].stats.shrunk_collectives > 0);
+    assert!(walker.ranks[0].stats.peer_dead_recvs > 0, "rank 3 stopped sending");
+    assert_eq!(
+        format!("{:?}", walker.server.failed_ranks),
+        format!("{:?}", vm.server.failed_ranks)
+    );
+    assert_eq!(walker.server.failed_ranks.len(), 2);
+}
+
 // ---------------------------------------------------------------------
 // The cold sides of the element-access arms, and array value semantics
 // through the boxed array payload (DESIGN.md §10, "Value layout").
 // ---------------------------------------------------------------------
 
-/// One plain rank under `backend`, errors returned instead of panicking.
-fn run_one(src: &str, backend: ExecBackend) -> Result<MachineResult, ExecError> {
+/// One plain rank under `backend`; a program error comes back as its text
+/// (the drivers panic with it, labelled with the rank) instead of unwinding.
+fn run_one(src: &str, backend: ExecBackend) -> Result<RankResult, String> {
     let program = Arc::new(vsensor_repro::lang::compile(src).expect("program compiles"));
-    let exec = Executor::new(program, backend);
-    World::new(Arc::new(ClusterConfig::quiet(1).build()))
-        .run(|proc| exec.run_rank(proc, None))
-        .remove(0)
+    let cluster = Arc::new(ClusterConfig::quiet(1).build());
+    std::panic::catch_unwind(|| run_plain_shared(program, cluster, backend, SimBackend::event()))
+        .map(|mut ranks| ranks.remove(0))
+        .map_err(|payload| {
+            let text = payload.downcast_ref::<String>().expect("a formatted panic");
+            let error = text.strip_prefix("rank 0 panicked: runtime error: ");
+            error.expect("the rank's runtime error").to_string()
+        })
 }
 
 /// Every way an element access can fail, through the generic and each
@@ -344,7 +392,7 @@ fn element_access_errors_match_verbatim() {
         let walker = run_one(&src, ExecBackend::TreeWalker).expect_err(&src);
         let vm = run_one(&src, ExecBackend::Vm).expect_err(&src);
         assert_eq!(walker, vm, "error mismatch for {src}");
-        assert_eq!(walker.message, expected, "error text for {src}");
+        assert_eq!(walker, expected, "error text for {src}");
     }
 }
 
@@ -450,8 +498,8 @@ fn arrays_survive_yield_and_resume_on_the_event_scheduler() {
         let cluster = Arc::new(ClusterConfig::quiet(4).build());
         run_plain_shared(program.clone(), cluster, backend, sim)
     };
-    let walker = run(ExecBackend::TreeWalker, SimBackend::Threads);
-    let event = run(ExecBackend::Vm, SimBackend::event());
+    let walker = run(ExecBackend::TreeWalker, SimBackend::event());
+    let event = run(ExecBackend::Vm, SimBackend::Event { workers: 2 });
     assert_eq!(walker.len(), event.len());
     for (w, v) in walker.iter().zip(event.iter()) {
         assert_eq!(w.end, v.end);
