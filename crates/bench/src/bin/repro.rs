@@ -191,11 +191,10 @@ fn main() {
     }
     if want("table1") {
         section("table1");
-        // An explicit --ranks runs on the event scheduler: it is the only
-        // backend that hosts the paper's 16,384 processes in one address
-        // space (thread-per-rank tops out thousands earlier).
+        // An explicit --ranks (the paper's 16,384 processes fit one
+        // address space) runs on the serial scheduler.
         let t = match ranks_override {
-            Some(ranks) => table1_validation::run_at(effort, ranks, simmpi::SimBackend::event()),
+            Some(ranks) => table1_validation::run_at(effort, ranks),
             None => table1_validation::run(effort),
         };
         println!("{}", t.render());

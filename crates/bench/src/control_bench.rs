@@ -269,9 +269,8 @@ pub fn run(effort: Effort) -> ControlBenchResult {
 fn run_one(prepared: &Prepared, cluster: ClusterConfig, runtime: RuntimeConfig) -> InstrumentedRun {
     let config = RunConfig {
         runtime,
-        // Control decisions race batch arrivals on the thread backend;
-        // the event scheduler makes the loop a pure function of the
-        // seed, which the lossy determinism check requires.
+        // Serial dispatch; the loop is a pure function of the seed for
+        // every worker count, which the lossy determinism check requires.
         sim: simmpi::SimBackend::event(),
         ..Default::default()
     };

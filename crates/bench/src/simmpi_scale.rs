@@ -1,10 +1,9 @@
-//! Rank-scaling study for the event-driven simulator backend.
+//! Rank-scaling study for the event-driven simulator.
 //!
 //! The paper evaluates vSensor at 16,384 MPI processes; the reproduction
 //! must therefore *host* 16,384 simulated ranks in one address space. The
-//! thread-per-rank backend tops out at a few thousand OS threads, so the
-//! event scheduler ([`SimBackend::Event`]) carries the paper-scale runs —
-//! and this module records how its throughput scales with the rank count.
+//! event scheduler (`simmpi::sched`) does, and this module records how its
+//! throughput scales with the rank count.
 //!
 //! The workload is the communication shape the eight miniapps share: a
 //! compute slice, a neighbour `mpi_sendrecv` ring exchange, an

@@ -7,7 +7,6 @@
 //! the same pipeline per program on the simulated cluster and emit the
 //! same columns.
 
-use simmpi::SimBackend;
 use std::fmt::Write;
 use std::sync::Arc;
 use vsensor::{scenarios, Pipeline};
@@ -49,19 +48,9 @@ pub struct Table1 {
 
 /// Build one row.
 pub fn row(app: &AppSpec, ranks: usize) -> Table1Row {
-    row_on(app, ranks, SimBackend::default())
-}
-
-/// Build one row on an explicit simulation backend. Paper-scale rank
-/// counts (16,384) need [`SimBackend::Event`]: one OS thread per rank
-/// stops being hostable long before that.
-pub fn row_on(app: &AppSpec, ranks: usize, sim: SimBackend) -> Table1Row {
     let prepared = Pipeline::new().prepare(app.compile());
     let report = &prepared.analysis.report;
-    let config = RunConfig {
-        sim,
-        ..RunConfig::default()
-    };
+    let config = RunConfig::default();
 
     // Runtime metrics on a realistically-noisy (but healthy) cluster.
     let cluster = Arc::new(scenarios::healthy(ranks).build());
@@ -71,7 +60,7 @@ pub fn row_on(app: &AppSpec, ranks: usize, sim: SimBackend) -> Table1Row {
     // the baseline is exact (the paper uses best-of-N for the same
     // reason).
     let quiet = Arc::new(scenarios::quiet(ranks).build());
-    let overhead = prepared.measure_overhead_on(quiet, sim);
+    let overhead = prepared.measure_overhead(quiet);
 
     Table1Row {
         name: app.name,
@@ -88,16 +77,16 @@ pub fn row_on(app: &AppSpec, ranks: usize, sim: SimBackend) -> Table1Row {
 
 /// Build the full table.
 pub fn run(effort: Effort) -> Table1 {
-    run_at(effort, effort.ranks(64), SimBackend::default())
+    run_at(effort, effort.ranks(64))
 }
 
-/// Build the full table at an explicit rank count and simulation backend.
-/// This is the `repro table1 --ranks 16384` path: the event backend is the
-/// only one that hosts the paper's 16,384 processes.
-pub fn run_at(effort: Effort, ranks: usize, sim: SimBackend) -> Table1 {
+/// Build the full table at an explicit rank count. This is the `repro
+/// table1 --ranks 16384` path: the paper's process count in one address
+/// space.
+pub fn run_at(effort: Effort, ranks: usize) -> Table1 {
     let rows = all_apps(effort.params())
         .iter()
-        .map(|app| row_on(app, ranks, sim))
+        .map(|app| row(app, ranks))
         .collect();
     Table1 { rows, ranks }
 }

@@ -5,7 +5,7 @@
 //! vsc instrument FILE
 //! vsc run      FILE [--ranks N] [--scenario quiet|healthy|badnode|netdeg]
 //!                   [--threshold F] [--matrix comp|net|io]
-//!                   [--sim threads|event|event:N]
+//!                   [--sim event|event:N]
 //! ```
 //!
 //! Drives the full workflow of the paper's Figure 2 on a MiniHPC source
@@ -27,7 +27,7 @@ fn usage() -> ! {
         "usage:\n  vsc analyze FILE [--explain] [--max-depth N] [--dest-matters]\n  \
          vsc instrument FILE\n  \
          vsc run FILE [--ranks N] [--scenario quiet|healthy|badnode|netdeg] \
-         [--threshold F] [--matrix comp|net|io] [--sim threads|event|event:N]"
+         [--threshold F] [--matrix comp|net|io] [--sim event|event:N]"
     );
     exit(2)
 }

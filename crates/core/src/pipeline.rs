@@ -126,8 +126,7 @@ impl Prepared {
         self.run_plain_on(cluster, simmpi::SimBackend::default())
     }
 
-    /// [`Self::run_plain`] on an explicit simulation backend — the event
-    /// scheduler runs paper-scale worlds (16k+ ranks) in one process.
+    /// [`Self::run_plain`] with an explicit scheduler worker count.
     pub fn run_plain_on(
         &self,
         cluster: Arc<cluster_sim::Cluster>,
@@ -139,23 +138,8 @@ impl Prepared {
     /// Instrumentation overhead for a given cluster: relative slowdown of
     /// the instrumented run vs. the plain run (max rank time).
     pub fn measure_overhead(&self, cluster: Arc<cluster_sim::Cluster>) -> f64 {
-        self.measure_overhead_on(cluster, simmpi::SimBackend::default())
-    }
-
-    /// [`Self::measure_overhead`] on an explicit simulation backend.
-    pub fn measure_overhead_on(
-        &self,
-        cluster: Arc<cluster_sim::Cluster>,
-        sim: simmpi::SimBackend,
-    ) -> f64 {
-        let base = self.run_plain_on(cluster.clone(), sim);
-        let inst = self.run(
-            cluster,
-            &RunConfig {
-                sim,
-                ..RunConfig::default()
-            },
-        );
+        let base = self.run_plain(cluster.clone());
+        let inst = self.run(cluster, &RunConfig::default());
         let t0 = base.iter().map(|r| r.end.as_nanos()).max().unwrap_or(1) as f64;
         let t1 = inst
             .ranks

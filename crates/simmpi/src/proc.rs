@@ -137,11 +137,10 @@ impl Proc {
         self.comm.pending
     }
 
-    /// Move the sends accumulated since the last yield onto the end of
-    /// `out`. The rank's buffer keeps its capacity, so the resume → drain
-    /// cycle allocates nothing once both have grown.
-    pub(crate) fn drain_outbox(&mut self, out: &mut Vec<(usize, Message)>) {
-        out.append(&mut self.comm.outbox);
+    /// `(dest, message)` of every send since the last yield, for the
+    /// scheduler to deliver.
+    pub(crate) fn outbox(&mut self) -> &mut Vec<(usize, Message)> {
+        &mut self.comm.outbox
     }
 
     /// This rank's incoming messages (the scheduler delivers into it and

@@ -73,7 +73,7 @@ use crate::collectives::{CollectiveResult, CollectiveSlot};
 use crate::comm::{Comm, SplitSlot};
 use crate::death::{death_in_payload, DeathBoard, DeathUnwind};
 use crate::heap::{FourAryHeap, HeapEntry};
-use crate::p2p::{Message, ANY_SOURCE, ANY_TAG};
+use crate::p2p::{ANY_SOURCE, ANY_TAG};
 use crate::proc::{GroupKey, PendingOp, Proc, Wake};
 use crate::world::World;
 use cluster_sim::time::VirtualTime;
@@ -302,8 +302,6 @@ struct EventQueue {
     touched: Vec<GroupKey>,
     /// Ranks due at the current phase's instant, ascending (scratch).
     due: Vec<usize>,
-    /// Sends of the rank being committed (scratch).
-    sent: Vec<(usize, Message)>,
     /// Recycled batch rank vectors (zero steady-state allocation).
     batch_pool: Vec<Vec<(usize, u64)>>,
 }
@@ -324,7 +322,6 @@ impl EventQueue {
             batches: Vec::new(),
             touched: Vec::new(),
             due: Vec::with_capacity(size),
-            sent: Vec::new(),
             batch_pool: Vec::new(),
         };
         for rank in 0..size {
@@ -433,8 +430,9 @@ impl EventQueue {
     /// hand is the only new candidate for a blocked receive and `schedule`
     /// keeps the earliest wake-up, so the inbox needs no rescan.
     fn deliver<T: RankTask>(&mut self, tasks: &mut [T], rank: usize) {
-        let mut sent = std::mem::take(&mut self.sent);
-        tasks[rank].proc_mut().drain_outbox(&mut sent);
+        // Borrow the rank's buffer and give it back emptied, capacity and
+        // all, so the resume → deliver cycle allocates nothing once grown.
+        let mut sent = std::mem::take(tasks[rank].proc_mut().outbox());
         for (dest, msg) in sent.drain(..) {
             if let Some(Waiting::Recv { src, tag, posted }) = self.waiting[dest] {
                 if msg.matches(src, tag) {
@@ -443,7 +441,7 @@ impl EventQueue {
             }
             tasks[dest].proc_mut().inbox().push(msg);
         }
-        self.sent = sent;
+        *tasks[rank].proc_mut().outbox() = sent;
     }
 
     /// Commit a yield: register what the rank latched with the state it

@@ -16,11 +16,10 @@
 //! 5. A server that crashes mid-run and recovers from its WAL resumes
 //!    the identical epoch schedule, bitwise.
 //!
-//! All tests pin `SimBackend::event()`: control decisions happen inside
-//! serialized detection passes, but *which* arrival crosses the schedule
-//! first is an interleaving question on the thread-per-rank backend; the
-//! event scheduler resumes ranks in deterministic `(instant, rank)`
-//! order, making the whole loop a pure function of the seed.
+//! Control decisions happen inside serialized detection passes, and
+//! *which* arrival crosses the schedule first is decided by the event
+//! scheduler resuming ranks in deterministic `(instant, rank)` order: the
+//! whole loop is a pure function of the seed.
 
 use std::sync::{Arc, OnceLock};
 use vsensor_bench::failstop::first_mismatch;

@@ -14,11 +14,10 @@
 //!    healthy Figure 21 tenant indistinguishable from the same job run
 //!    solo against a private server — matrices, events and volume
 //!    counters bitwise identical, the live alert stream and rendered
-//!    report identical up to the in-flight alert means. The three runs
-//!    are hosted on `SimBackend::event()`: which detection pass surfaces
-//!    an alert, and over which ranks, depends on the arrival order of
-//!    batches, which only the event scheduler makes a function of the
-//!    seed (the thread backend leaves it to host-thread interleaving).
+//!    report identical up to the in-flight alert means. Which detection
+//!    pass surfaces an alert, and over which ranks, depends on the
+//!    arrival order of batches, which the event scheduler makes a
+//!    function of the seed.
 //! 3. **Promotion under concurrent ingest** loses no journaled batch: with
 //!    rank threads ingesting a durable tenant while `fail_over` fires, the
 //!    promoted engine equals a from-scratch replay of the tenant's WAL and

@@ -285,7 +285,10 @@ fn node_death_matches_bitwise() {
     assert_runs_identical(&walker, &vm);
     assert!(walker.ranks[2].stats.died_at.is_some(), "node 1 was killed");
     assert!(walker.ranks[0].stats.shrunk_collectives > 0);
-    assert!(walker.ranks[0].stats.peer_dead_recvs > 0, "rank 3 stopped sending");
+    assert!(
+        walker.ranks[0].stats.peer_dead_recvs > 0,
+        "rank 3 stopped sending"
+    );
     assert_eq!(
         format!("{:?}", walker.server.failed_ranks),
         format!("{:?}", vm.server.failed_ranks)
