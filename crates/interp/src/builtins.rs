@@ -94,22 +94,27 @@ pub fn call_builtin(
     args: &[Value],
 ) -> Option<Result<Value, ExecError>> {
     let builtin = Builtin::from_name(name)?;
-    Some(loop {
-        match dispatch(m, builtin, args) {
-            Ok(None) => m.proc.park(),
-            Ok(Some(v)) => break Ok(v),
-            Err(e) => break Err(e),
+    loop {
+        if let Some(result) = dispatch(m, builtin, args).transpose() {
+            return Some(result);
         }
-    })
+        m.proc.park();
+    }
 }
 
 /// Execute a resolved builtin. Shared by the tree-walker (via
 /// [`call_builtin`]) and the bytecode VM (which pre-binds the id).
 ///
 /// Returns `Ok(None)` when the builtin's MPI operation is `Pending`: the
-/// caller must suspend the rank and re-dispatch the same builtin on resume — argument parsing and `sync_clock` are idempotent
-/// across the retry (no work accrues while suspended), and the `Proc`
-/// carries the latched operation.
+/// caller must suspend the rank and re-dispatch the same builtin on resume
+/// — argument parsing and `sync_clock` are idempotent across the retry (no
+/// work accrues while suspended), and the `Proc` carries the latched
+/// operation.
+///
+/// Never inlined: each instantiation has a single caller, and this whole
+/// match pasted into the VM's dispatch loop costs that loop its registers
+/// and layout.
+#[inline(never)]
 pub(crate) fn dispatch<P: DerefMut<Target = Proc>>(
     m: &mut Machine<P>,
     builtin: Builtin,

@@ -335,7 +335,12 @@ impl<P: DerefMut<Target = Proc>> Machine<P> {
     }
 
     // ----- probes -----
+    //
+    // Never inlined: each instantiation has one caller (the VM's dispatch
+    // loop, the walker's `exec_stmt`), and a probe's body pasted into the
+    // VM loop costs the loop's hot arms their registers and layout.
 
+    #[inline(never)]
     pub(crate) fn on_tick(&mut self, sensor: SensorId) {
         self.sync_clock();
         let now = self.proc.now();
@@ -358,6 +363,7 @@ impl<P: DerefMut<Target = Proc>> Machine<P> {
         self.open_senses.push((sensor, self.work_total()));
     }
 
+    #[inline(never)]
     pub(crate) fn on_tock(&mut self, sensor: SensorId) {
         self.sync_clock();
         let now = self.proc.now();

@@ -149,7 +149,7 @@ fn run_ranks(
                     let sensors = harness(&proc);
                     VmTask::new(program.clone(), compiled.clone(), proc, sensors)
                 },
-                |death, task| dead_rank_result(death, task.proc_mut()),
+                dead_rank_result,
             )
         }
         ExecBackend::TreeWalker => world.run_event_workers(
@@ -161,7 +161,7 @@ fn run_ranks(
                     machine.run().unwrap_or_else(|e| panic!("{e}"))
                 })
             },
-            |death, task| dead_rank_result(death, task.proc_mut()),
+            dead_rank_result,
         ),
     }
 }
@@ -224,10 +224,10 @@ pub fn run_plain_shared(
 
 /// The partial result of a rank that fail-stopped mid-run: accounting up
 /// to the death instant, no sense data past it.
-fn dead_rank_result(death: simmpi::DeathUnwind, proc: &simmpi::Proc) -> MachineResult {
+fn dead_rank_result(death: simmpi::DeathUnwind, task: &mut impl RankTask) -> MachineResult {
     MachineResult {
         end: death.at,
-        stats: proc.stats(),
+        stats: task.proc_mut().stats(),
         distribution: DistributionStats::new(),
         validation: ValidationStats::default(),
         local_variances: 0,

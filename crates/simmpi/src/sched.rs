@@ -531,13 +531,16 @@ impl EventQueue {
     /// member has registered before any release is computed.
     fn complete_touched<T: RankTask>(&mut self, tasks: &mut [T], cluster: &Cluster, deaths: bool) {
         if deaths {
-            let comms = self.groups.comms.keys().map(|&id| GroupKey::Comm(id));
-            let open: Vec<GroupKey> = [GroupKey::World, GroupKey::Split]
-                .into_iter()
-                .chain(comms)
-                .collect();
-            for key in open {
-                let (ranks, touched) = self.groups.parked(key);
+            let groups = &mut self.groups;
+            let (world, split) = (&mut groups.world, &mut groups.split);
+            let comms = groups.comms.iter_mut();
+            let open = [
+                (GroupKey::World, &world.ranks, &mut world.touched),
+                (GroupKey::Split, &split.ranks, &mut split.touched),
+            ]
+            .into_iter()
+            .chain(comms.map(|(&id, g)| (GroupKey::Comm(id), &g.ranks, &mut g.touched)));
+            for (key, ranks, touched) in open {
                 if !ranks.is_empty() && !std::mem::replace(touched, true) {
                     self.touched.push(key);
                 }
