@@ -6,7 +6,6 @@
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An instant on the virtual timeline, in nanoseconds since program start.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -136,15 +135,16 @@ pub fn ceil_to_u64(x: f64) -> u64 {
 /// The clock tracks the finish time, and total busy time accumulates
 /// separately so utilization can be read against wall (virtual) time.
 ///
-/// Charging is lock-free (CAS loop) because ingest shards are hit from many
-/// rank threads concurrently; it is observational only — it never feeds back
-/// into rank timing, so enabling it cannot perturb a run's results.
-#[derive(Debug, Default)]
+/// A plain value: the analysis engine keeps its clocks inside the state its
+/// one lock guards, so charging takes `&mut self` and a checkpoint copies
+/// the clock with everything else. It is observational only — it never
+/// feeds back into rank timing, so charging cannot perturb a run's results.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct BusyClock {
     /// Virtual instant at which the worker drains its queue.
-    free_at: AtomicU64,
+    free_at: VirtualTime,
     /// Total virtual time spent busy.
-    busy: AtomicU64,
+    busy: Duration,
 }
 
 impl BusyClock {
@@ -153,44 +153,22 @@ impl BusyClock {
         Self::default()
     }
 
-    /// Rebuild a clock from previously observed state — the restore half
-    /// of a snapshot/recovery cycle. `free_at` and `busy` must come from
-    /// the same clock's [`Self::free_at`]/[`Self::busy_time`].
-    pub fn restore(free_at: VirtualTime, busy: Duration) -> Self {
-        BusyClock {
-            free_at: AtomicU64::new(free_at.as_nanos()),
-            busy: AtomicU64::new(busy.as_nanos()),
-        }
-    }
-
     /// Charge `cost` of work arriving at `arrival`; returns the virtual
     /// completion time.
-    pub fn charge(&self, arrival: VirtualTime, cost: Duration) -> VirtualTime {
-        self.busy.fetch_add(cost.as_nanos(), Ordering::Relaxed);
-        let mut current = self.free_at.load(Ordering::Relaxed);
-        loop {
-            let start = current.max(arrival.as_nanos());
-            let done = start + cost.as_nanos();
-            match self.free_at.compare_exchange_weak(
-                current,
-                done.max(current),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return VirtualTime(done),
-                Err(seen) => current = seen,
-            }
-        }
+    pub fn charge(&mut self, arrival: VirtualTime, cost: Duration) -> VirtualTime {
+        self.busy += cost;
+        self.free_at = self.free_at.max(arrival) + cost;
+        self.free_at
     }
 
     /// Virtual instant at which all charged work is done.
     pub fn free_at(&self) -> VirtualTime {
-        VirtualTime(self.free_at.load(Ordering::Relaxed))
+        self.free_at
     }
 
     /// Total virtual time spent processing.
     pub fn busy_time(&self) -> Duration {
-        Duration(self.busy.load(Ordering::Relaxed))
+        self.busy
     }
 
     /// Busy time divided by a run length — the worker's utilization.
@@ -198,7 +176,7 @@ impl BusyClock {
         if run_time.as_nanos() == 0 {
             return 0.0;
         }
-        self.busy_time().as_nanos() as f64 / run_time.as_nanos() as f64
+        self.busy.as_nanos() as f64 / run_time.as_nanos() as f64
     }
 }
 
@@ -384,7 +362,7 @@ mod tests {
 
     #[test]
     fn busy_clock_queues_back_to_back_work() {
-        let c = BusyClock::new();
+        let mut c = BusyClock::new();
         // Work arrives at t=10 costing 5: runs 10..15.
         let done = c.charge(VirtualTime(10), Duration(5));
         assert_eq!(done, VirtualTime(15));
@@ -397,27 +375,5 @@ mod tests {
         assert_eq!(c.busy_time(), Duration(11));
         assert_eq!(c.free_at(), VirtualTime(101));
         assert!((c.utilization(Duration(110)) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn busy_clock_is_safe_under_contention() {
-        use std::sync::Arc;
-        let c = Arc::new(BusyClock::new());
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let c = Arc::clone(&c);
-                std::thread::spawn(move || {
-                    for k in 0..1000u64 {
-                        c.charge(VirtualTime(i * 1000 + k), Duration(3));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(c.busy_time(), Duration(4 * 1000 * 3));
-        // The queue can never finish before the total busy time has elapsed.
-        assert!(c.free_at().as_nanos() >= 4 * 1000 * 3);
     }
 }

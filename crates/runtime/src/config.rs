@@ -9,8 +9,8 @@ use cluster_sim::time::Duration;
 ///
 /// Fields remain public for struct-literal construction, but prefer the
 /// `with_*` builder setters for anything range-sensitive: they validate at
-/// construction time, so a zero slice or a zero shard count fails with a
-/// [`RuntimeError::InvalidConfig`] instead of corrupting a run midway.
+/// construction time, so a zero slice or a zero buffer capacity fails with
+/// a [`RuntimeError::InvalidConfig`] instead of corrupting a run midway.
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
     /// Smoothing time-slice width (§5.1; 1000 µs default).
@@ -48,10 +48,6 @@ pub struct RuntimeConfig {
     pub backoff_base: Duration,
     /// Virtual cost charged to the rank's clock per transmission attempt.
     pub send_overhead: Duration,
-    /// Ingest worker shards on the analysis server. Batches are routed by
-    /// `rank % shards`; results are bit-identical for any shard count (the
-    /// per-rank accumulators never cross a shard boundary).
-    pub shards: usize,
     /// How often (in virtual arrival time) the streaming engine runs an
     /// incremental detection pass and emits new [`VarianceAlert`]s.
     ///
@@ -105,7 +101,6 @@ impl Default for RuntimeConfig {
             buffer_capacity: 32,
             backoff_base: Duration::from_millis(2),
             send_overhead: Duration::from_micros(2),
-            shards: 4,
             detect_interval: Duration::from_millis(200),
             keep_record_log: false,
             liveness_intervals: 3,
@@ -178,13 +173,6 @@ impl RuntimeConfig {
     pub fn with_variance_threshold(mut self, threshold: f64) -> Result<Self, RuntimeError> {
         self.variance_threshold = threshold;
         self.check_variance_threshold()?;
-        Ok(self)
-    }
-
-    /// Set the ingest shard count. Must be at least 1.
-    pub fn with_shards(mut self, shards: usize) -> Result<Self, RuntimeError> {
-        self.shards = shards;
-        at_least_one("shards", shards as u64)?;
         Ok(self)
     }
 
@@ -278,7 +266,6 @@ impl RuntimeConfig {
     pub fn validate(&self) -> Result<(), RuntimeError> {
         positive("slice", self.slice)?;
         positive("matrix_resolution", self.matrix_resolution)?;
-        at_least_one("shards", self.shards as u64)?;
         self.check_variance_threshold()?;
         positive("detect_interval", self.detect_interval)?;
         // The controller divides by the batch interval; the transport
@@ -322,7 +309,6 @@ mod tests {
         assert_eq!(c.slice.as_micros(), 1000);
         assert_eq!(c.matrix_resolution.as_nanos(), 200_000_000);
         assert!((c.variance_threshold - 0.5).abs() < 1e-12);
-        assert!(c.shards >= 1);
         c.validate().expect("defaults are valid");
     }
 
@@ -346,7 +332,6 @@ mod tests {
     fn builders_accept_valid_values() {
         let c = RuntimeConfig::default()
             .with_slice(Duration::from_micros(500))
-            .and_then(|c| c.with_shards(8))
             .and_then(|c| c.with_variance_threshold(0.7))
             .and_then(|c| c.with_detect_interval(Duration::from_millis(50)))
             .and_then(|c| c.with_matrix_resolution(Duration::from_millis(100)))
@@ -354,14 +339,12 @@ mod tests {
             .and_then(|c| c.with_buffer_capacity(64))
             .expect("all valid");
         assert_eq!(c.slice.as_micros(), 500);
-        assert_eq!(c.shards, 8);
         assert_eq!(c.buffer_capacity, 64);
     }
 
     #[test]
     fn builders_reject_out_of_range_values() {
         assert!(RuntimeConfig::default().with_slice(Duration::ZERO).is_err());
-        assert!(RuntimeConfig::default().with_shards(0).is_err());
         assert!(RuntimeConfig::default()
             .with_variance_threshold(0.0)
             .is_err());
@@ -463,12 +446,6 @@ mod tests {
 
     #[test]
     fn validate_catches_hand_built_invalid_configs() {
-        let bad = RuntimeConfig {
-            shards: 0,
-            ..Default::default()
-        };
-        let err = bad.validate().unwrap_err();
-        assert!(err.to_string().contains("shards"), "{err}");
         // A zero batch interval would reach the controller's budget-rate
         // division; a zero buffer cannot hold the batch just enqueued.
         let bad = RuntimeConfig {

@@ -318,7 +318,7 @@ impl Controller {
     }
 
     /// Account one ingested batch into the rank's observed-cost model.
-    /// Called under the rank's shard lock, so a batch is either fully
+    /// Called under the engine's state lock, so a batch is either fully
     /// before or fully after any detection pass — the same atomicity the
     /// matrix accumulators have, which keeps streaming and replay
     /// decisions identical.

@@ -1,6 +1,6 @@
 //! The analysis server's streaming detection engine: [`AnalysisServer`]
 //! itself — its state and its data path (ingest, detection passes, result
-//! folds, snapshots, the control-plane delivery calls). Construction from
+//! folds, checkpoints, the control-plane delivery calls). Construction from
 //! a write-ahead log, the session handle and the result types live in
 //! [`crate::server`].
 //!
@@ -8,9 +8,16 @@
 //! record and ran normalization, matrix construction, and event detection
 //! once, in `finalize`. This module is incremental-with-eviction:
 //!
-//! * **Sharded ingest** — batches are routed by `rank % shards` to one of N
-//!   ingest workers, each behind its own lock, so ranks hammering the
-//!   server contend only within their shard.
+//! * **One state, one lock** — paper §5.4 dedicates one process to the
+//!   analysis; everything the server learns after construction is one
+//!   plain, clonable [`EngineState`] behind the server's single lock. Every
+//!   `&self` entry point locks once and the internals take the state by
+//!   reference, so an ingest (with the detection pass it may trigger) is
+//!   atomic with respect to every other call. Only the batch's CRC check —
+//!   the expensive, state-free step — runs in front of the lock. The
+//!   *virtual* server still models [`INGEST_WORKERS`] ingest workers:
+//!   `rank % INGEST_WORKERS` picks whose busy clock and counters a batch is
+//!   charged to. That is load accounting, not routing.
 //! * **Incremental accumulators** — records fold into per-cell, per-group
 //!   [`GroupAcc`]s instead of a record log. The trick is algebraic: the
 //!   seed's cell sum is Σ min(std/avgᵢ, 1) where `std` is the group's
@@ -20,21 +27,26 @@
 //!   can keep without the records. Standards may keep tightening while the
 //!   run is live; the decomposition re-normalizes frozen history for free.
 //! * **Bounded-memory eviction** — per rank, only the trailing
-//!   [`EVICTION_LAG_BINS`] matrix bins stay in the mutable "hot" form; older
-//!   bins freeze into a compact sorted vector. Late (out-of-order) records
-//!   transparently reopen and re-freeze their bin.
+//!   [`EVICTION_LAG_BINS`] matrix bins stay "hot"; older bins freeze. Both
+//!   are bin-sorted vectors of group-sorted vectors, so a checkpoint's clone
+//!   is as compact as the state. Late (out-of-order) records transparently
+//!   reopen and re-freeze their bin.
 //! * **A detection stream** — ingest arrivals periodically trigger an
 //!   incremental detection pass over provisional standards; events not seen
 //!   before are emitted as timestamped [`VarianceAlert`]s *during* the run,
 //!   which is the paper's actual pitch (§2: users notice variance while the
 //!   program is still running).
+//! * **A checkpoint is the state's clone** — [`EngineSnapshot`] wraps an
+//!   [`EngineState`]; restoring one is an assignment.
 //!
 //! Determinism: every accumulator is fed by exactly one rank (cells and
 //! sensor groups are rank-keyed), each rank's records arrive in program
-//! order, and close-time folds walk `BTreeMap`s rank-major — so the folded
-//! matrices and summaries are bit-identical for any shard count and any
-//! thread interleaving. Only alert *timestamps* depend on arrival
-//! interleaving, as they must.
+//! order, standards are integer minima, and folds walk rank-major in key
+//! order — so the folded matrices, summaries and counters are bit-identical
+//! for any interleaving of different ranks' ingests. What follows
+//! lock-acquisition order when several host threads ingest at once: alert
+//! timestamps and shapes at emission, the number of detection passes, and a
+//! worker clock's `free_at`.
 
 use crate::baseline::{CrossRunFinding, GroupSummary, RegimeChange, RunId, SharedBaseline};
 use crate::config::RuntimeConfig;
@@ -51,21 +63,25 @@ use crate::wal::WriteAheadLog;
 use cluster_sim::time::{BusyClock, Duration, VirtualTime};
 use cluster_sim::trace::{self, Category, TraceEvent, SERVER_LANE};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use vsensor_lang::SensorId;
 
 /// Byte overhead charged per batch message (header / envelope).
 pub(crate) const BATCH_HEADER_BYTES: u64 = 64;
 
-/// How many matrix bins behind a rank's newest bin its hot (mutable,
-/// hash-indexed) cells are kept before being frozen into the compact
-/// evicted form: enough to absorb the reordering the transport produces
-/// without keeping more than a handful of hot cells per rank resident.
+/// How many matrix bins behind a rank's newest bin its hot cells are kept
+/// before being frozen: enough to absorb the reordering the transport
+/// produces without keeping more than a handful of hot cells per rank.
 const EVICTION_LAG_BINS: u64 = 4;
 
-/// Virtual processing cost charged to a shard's busy clock (and, at the
+/// Ingest workers the virtual server models. `rank % INGEST_WORKERS` picks
+/// the worker whose busy clock and batch/record counters a batch is charged
+/// to ([`IngestReceipt::shard`], [`ServerLoad::shards`], the ENGINE trace
+/// lanes); it selects no lock and no data structure.
+const INGEST_WORKERS: usize = 4;
+
+/// Virtual processing cost charged to a worker's busy clock (and, at the
 /// service front door, to the tenant's ledger) per record ingested —
 /// server-side load accounting, never charged to ranks.
 pub(crate) const SERVER_RECORD_COST: Duration = Duration(20);
@@ -148,67 +164,103 @@ impl<T> std::ops::IndexMut<SensorKind> for KindMap<T> {
     }
 }
 
-/// One rank's matrix row under construction: hot (mutable) trailing bins
-/// plus frozen (compact, sorted) history.
-#[derive(Default)]
+/// The value stored under `key` in a key-sorted vector, inserted as the
+/// default when absent — the small, hash-free, compactly clonable map
+/// every per-rank cell structure is built from.
+fn slot<K: Ord, V: Default>(sorted: &mut Vec<(K, V)>, key: K) -> &mut V {
+    let i = match sorted.binary_search_by(|(k, _)| k.cmp(&key)) {
+        Ok(i) => i,
+        Err(i) => {
+            sorted.insert(i, (key, V::default()));
+            i
+        }
+    };
+    &mut sorted[i].1
+}
+
+/// One matrix bin's accumulators, sorted by group.
+type Groups = Vec<(GroupKey, GroupAcc)>;
+
+/// One rank's matrix row under construction: hot trailing bins plus frozen
+/// history, both bin-sorted. Every frozen bin is older than every hot one
+/// (a bin freezes once it falls behind the eviction threshold, which only
+/// rises), so the row in bin order is `frozen` followed by `hot`.
+#[derive(Clone, Default)]
 struct RankCells {
-    /// Trailing bins, mutable and hash-free for deterministic folds.
-    hot: BTreeMap<u64, BTreeMap<GroupKey, GroupAcc>>,
-    /// Evicted bins: per bin, a sorted `(group, acc)` vector.
-    frozen: BTreeMap<u64, Vec<(GroupKey, GroupAcc)>>,
+    /// At most `EVICTION_LAG_BINS + 1` trailing bins.
+    hot: Vec<(u64, Groups)>,
+    /// Evicted bins.
+    frozen: Vec<(u64, Groups)>,
     /// Newest bin seen for this rank; drives eviction.
     max_bin: u64,
+    /// The whole row folded per group, for the sensor summary.
+    summary: Groups,
 }
 
 impl RankCells {
     fn absorb(&mut self, bin: u64, key: GroupKey, avg: Duration, lag: u64) {
         self.max_bin = self.max_bin.max(bin);
-        self.hot
-            .entry(bin)
-            .or_default()
-            .entry(key)
-            .or_default()
-            .absorb(avg);
+        slot(&mut self.summary, key).absorb(avg);
+        slot(slot(&mut self.hot, bin), key).absorb(avg);
         let threshold = self.max_bin.saturating_sub(lag);
-        while let Some((&b, _)) = self.hot.first_key_value() {
-            if b >= threshold {
-                break;
-            }
-            let (b, groups) = self.hot.pop_first().expect("checked non-empty");
-            let target = self.frozen.entry(b).or_default();
+        let stale = self.hot.partition_point(|(b, _)| *b < threshold);
+        for (b, groups) in self.hot.drain(..stale) {
+            let target = slot(&mut self.frozen, b);
             for (k, acc) in groups {
-                match target.binary_search_by(|(tk, _)| tk.cmp(&k)) {
-                    Ok(i) => target[i].1.merge(&acc),
-                    Err(i) => target.insert(i, (k, acc)),
-                }
+                slot(target, k).merge(&acc);
             }
         }
     }
 
-    /// All bins with frozen and hot contributions merged, in bin order.
-    fn merged_bins(&self) -> BTreeMap<u64, BTreeMap<GroupKey, GroupAcc>> {
-        let mut out: BTreeMap<u64, BTreeMap<GroupKey, GroupAcc>> = BTreeMap::new();
-        for (bin, groups) in &self.frozen {
-            let m = out.entry(*bin).or_default();
-            for (k, acc) in groups {
-                m.entry(*k).or_default().merge(acc);
-            }
+    /// Every bin holding data, oldest first.
+    fn bins(&self) -> impl Iterator<Item = &(u64, Groups)> {
+        self.frozen.iter().chain(&self.hot)
+    }
+}
+
+/// A set of sequence numbers as sorted, disjoint, non-adjacent inclusive
+/// runs `(first, last)`. In-order delivery keeps it at one run and a batch
+/// lost for good costs one more, so a rank's dedup state is bounded by its
+/// losses, not by its lifetime. (Inclusive rather than half-open so that
+/// `u64::MAX`, which a peer can put on the wire, is representable.)
+#[derive(Clone, Debug, Default)]
+struct SeqSet(Vec<(u64, u64)>);
+
+impl SeqSet {
+    /// Add `seq`; false if it was already present.
+    fn insert(&mut self, seq: u64) -> bool {
+        let runs = &mut self.0;
+        // Runs before `i` start at or below `seq`; runs from `i` on lie
+        // strictly above it.
+        let i = runs.partition_point(|&(first, _)| first <= seq);
+        if i > 0 && seq <= runs[i - 1].1 {
+            return false;
         }
-        for (bin, groups) in &self.hot {
-            let m = out.entry(*bin).or_default();
-            for (k, acc) in groups {
-                m.entry(*k).or_default().merge(acc);
+        let joins_prev = i > 0 && runs[i - 1].1 + 1 == seq;
+        let joins_next = i < runs.len() && seq + 1 == runs[i].0;
+        match (joins_prev, joins_next) {
+            (true, true) => {
+                runs[i - 1].1 = runs[i].1;
+                runs.remove(i);
             }
+            (true, false) => runs[i - 1].1 = seq,
+            (false, true) => runs[i].0 = seq,
+            (false, false) => runs.insert(i, (seq, seq)),
         }
-        out
+        true
+    }
+
+    /// How many sequence numbers the set holds.
+    fn len(&self) -> u64 {
+        self.0.iter().map(|&(first, last)| last - first + 1).sum()
     }
 }
 
 /// Per-rank state for the fault-tolerant ingest path.
-#[derive(Default)]
-pub(crate) struct RankDelivery {
+#[derive(Clone, Default)]
+struct RankDelivery {
     /// Sequence numbers accepted so far (dedup + gap detection).
-    seen: HashSet<u64>,
+    seen: SeqSet,
     accepted: u64,
     duplicates: u64,
     corrupt: u64,
@@ -218,31 +270,13 @@ pub(crate) struct RankDelivery {
     latency_total: Duration,
 }
 
-/// Mutable state of one ingest shard. Every rank with
-/// `rank % shards == shard` lives here (local index `rank / shards`), so a
-/// rank's entire history is confined to one shard — the basis of the
-/// shard-count-invariance guarantee.
-struct ShardInner {
-    /// Fastest record per (sensor, bucket) for process-invariant sensors —
-    /// this shard's contribution to the global min.
-    global_std: BTreeMap<GroupKey, Duration>,
-    /// Fastest record per (sensor, bucket, rank) for rank-dependent
-    /// sensors; ranks never span shards, so no merge is needed.
-    local_std: BTreeMap<(SensorId, Bucket, usize), Duration>,
-    /// Matrix rows for this shard's ranks, indexed by `rank / shards`.
-    cells: Vec<RankCells>,
-    /// Per-(sensor, bucket, rank) folds for the sensor summary.
-    sensor_acc: BTreeMap<(SensorId, Bucket, usize), GroupAcc>,
-    /// Delivery bookkeeping for this shard's ranks, indexed like `cells`.
-    delivery: Vec<RankDelivery>,
-}
-
-struct Shard {
-    inner: Mutex<ShardInner>,
+/// Accounting for one modelled ingest worker.
+#[derive(Clone, Copy, Default)]
+struct Worker {
     /// Virtual queueing clock modelling this worker's processing cost.
     clock: BusyClock,
-    batches: AtomicU64,
-    records: AtomicU64,
+    batches: u64,
+    records: u64,
 }
 
 /// Receipt for one accepted (or deduplicated) batch.
@@ -252,7 +286,7 @@ pub struct IngestReceipt {
     pub rank: usize,
     /// Batch sequence number.
     pub seq: u64,
-    /// Ingest shard that absorbed the batch.
+    /// Modelled ingest worker (`rank % 4`) the batch was charged to.
     pub shard: usize,
     /// Records absorbed (0 for duplicates).
     pub records: usize,
@@ -376,10 +410,10 @@ impl std::fmt::Display for VarianceAlert {
     }
 }
 
-/// Server-side processing load, from the shard busy clocks.
+/// Server-side processing load, from the modelled workers' busy clocks.
 #[derive(Clone, Debug, Default)]
 pub struct ServerLoad {
-    /// Per-shard load, indexed by shard.
+    /// Load per modelled ingest worker, indexed by worker.
     pub shards: Vec<ShardLoad>,
     /// Incremental detection passes run.
     pub detect_passes: u64,
@@ -387,28 +421,28 @@ pub struct ServerLoad {
     pub detect_busy: Duration,
 }
 
-/// Load of one ingest shard.
+/// Load of one modelled ingest worker.
 #[derive(Clone, Debug)]
 pub struct ShardLoad {
-    /// Shard index.
+    /// Worker index.
     pub shard: usize,
-    /// Batches this shard accepted.
+    /// Batches charged to this worker.
     pub batches: u64,
-    /// Records this shard absorbed.
+    /// Records charged to this worker.
     pub records: u64,
     /// Virtual time spent processing.
     pub busy: Duration,
-    /// Virtual instant the shard's queue drained.
+    /// Virtual instant the worker's queue drained.
     pub free_at: VirtualTime,
 }
 
 impl ServerLoad {
-    /// Total busy time across shards and detection.
+    /// Total busy time across workers and detection.
     pub fn total_busy(&self) -> Duration {
         self.shards.iter().map(|s| s.busy).sum::<Duration>() + self.detect_busy
     }
 
-    /// Utilization of the busiest shard over a run length — the ingest
+    /// Utilization of the busiest worker over a run length — the ingest
     /// bottleneck indicator.
     pub fn peak_shard_utilization(&self, run_time: Duration) -> f64 {
         if run_time.as_nanos() == 0 {
@@ -421,65 +455,109 @@ impl ServerLoad {
     }
 }
 
-struct StreamState {
+/// Everything an [`AnalysisServer`] learns after construction — plain,
+/// clonable data behind the server's one lock. A checkpoint is a clone of
+/// this value and recovery assigns one back.
+#[derive(Clone)]
+pub(crate) struct EngineState {
+    /// Fastest record per (sensor, bucket) for process-invariant sensors.
+    global_std: BTreeMap<GroupKey, Duration>,
+    /// Fastest record per (sensor, bucket, rank) for rank-dependent sensors.
+    local_std: BTreeMap<(SensorId, Bucket, usize), Duration>,
+    /// Matrix rows (and their per-group summary folds), indexed by rank.
+    cells: Vec<RankCells>,
+    /// Delivery bookkeeping, indexed by rank.
+    delivery: Vec<RankDelivery>,
+    workers: [Worker; INGEST_WORKERS],
+    bytes: u64,
+    batches: u64,
+    records: u64,
+    malformed: u64,
+    closed: bool,
+    /// Virtual arrival time of the next scheduled detection pass (ns).
+    next_detect: u64,
+    detect_passes: u64,
+    detect_clock: BusyClock,
     /// Alerts emitted but not yet polled.
     pending: Vec<VarianceAlert>,
     /// Every event ever alerted, for overlap dedup.
     emitted: Vec<VarianceEvent>,
+    /// Raw record log, kept only when `keep_record_log` is set, so
+    /// [`AnalysisServer::replay_result`] can cross-check the accumulators
+    /// against the seed's batch-at-end algorithm.
+    log: Option<Vec<(usize, SliceRecord)>>,
+    /// Latest batch arrival per rank (`None` = never heard from).
+    last_arrival: Vec<Option<VirtualTime>>,
+    /// Fail-stop beliefs per rank: `(death instant, how we found out)`.
+    deaths: Vec<Option<(VirtualTime, DeathCause)>>,
+    /// Budget/escalation controller, present when the control plane is
+    /// enabled.
+    control: Option<Controller>,
+    /// Findings of the close-time cross-run analysis (empty until close
+    /// or without an attached baseline).
+    findings: Vec<CrossRunFinding>,
 }
 
-/// The shared analysis server (§5.4): the sharded streaming engine that
-/// owns the accumulators, the detection stream, the write-ahead log handle
-/// and the budget controller. Ranks obtain an [`IngestSession`] (or reuse
-/// one — it is `Sync` and borrows the server) and stream batches in
-/// concurrently; closing the session yields the final [`ServerResult`].
+impl EngineState {
+    fn stats(&self) -> IngestStats {
+        IngestStats {
+            bytes_received: self.bytes,
+            batches: self.batches,
+            records: self.records,
+            malformed: self.malformed,
+        }
+    }
+
+    fn load(&self) -> ServerLoad {
+        ServerLoad {
+            shards: self
+                .workers
+                .iter()
+                .enumerate()
+                .map(|(shard, w)| ShardLoad {
+                    shard,
+                    batches: w.batches,
+                    records: w.records,
+                    busy: w.clock.busy_time(),
+                    free_at: w.clock.free_at(),
+                })
+                .collect(),
+            detect_passes: self.detect_passes,
+            detect_busy: self.detect_clock.busy_time(),
+        }
+    }
+
+    fn failed_ranks(&self) -> Vec<DeathRecord> {
+        self.deaths
+            .iter()
+            .enumerate()
+            .filter_map(|(rank, d)| d.map(|(at, cause)| DeathRecord { rank, at, cause }))
+            .collect()
+    }
+}
+
+/// The shared analysis server (§5.4): the streaming engine that owns the
+/// accumulators, the detection stream, the write-ahead log handle and the
+/// budget controller. Ranks obtain an [`IngestSession`] (or reuse one — it
+/// is `Sync` and borrows the server) and stream batches in; closing the
+/// session yields the final [`ServerResult`].
 ///
 /// [`IngestSession`]: crate::server::IngestSession
 pub struct AnalysisServer {
     config: RuntimeConfig,
     sensors: Vec<SensorInfo>,
     ranks: usize,
-    shards: Vec<Shard>,
-    bytes: AtomicU64,
-    batches: AtomicU64,
-    records: AtomicU64,
-    malformed: AtomicU64,
-    closed: AtomicBool,
-    /// Virtual arrival time of the next scheduled detection pass (ns).
-    next_detect: AtomicU64,
-    detect_passes: AtomicU64,
-    detect_clock: BusyClock,
-    stream: Mutex<StreamState>,
-    /// Raw record log, kept only when `keep_record_log` is set, so
-    /// [`AnalysisServer::replay_result`] can cross-check the accumulators against
-    /// the seed's batch-at-end algorithm.
-    log: Option<Mutex<Vec<(usize, SliceRecord)>>>,
-    /// Latest batch arrival per rank, encoded as `arrival_ns + 1` (0 =
-    /// never heard from), advanced with `fetch_max` so the value is
-    /// interleaving-free.
-    last_arrival: Vec<AtomicU64>,
-    /// Fail-stop beliefs per rank: `(death instant, how we found out)`.
-    deaths: Mutex<Vec<Option<(VirtualTime, DeathCause)>>>,
-    /// Fast-path guard: true once any death has ever been recorded, so
-    /// healthy runs never touch the `deaths` lock on ingest.
-    any_deaths: AtomicBool,
+    /// The one lock. Internals take the guarded state by reference and
+    /// never call a locking entry point.
+    state: Mutex<EngineState>,
     /// In-memory write-ahead log, when durability is enabled.
     wal: Option<Arc<WriteAheadLog>>,
-    /// Serializes whole ingests while a WAL is attached, so log order
-    /// equals processing order and recovery replay is a faithful
-    /// re-execution.
-    ingest_serial: Mutex<()>,
     /// Cross-run baseline comparison, when a store is attached.
     cross_run: Option<CrossRunState>,
-    /// Budget/escalation controller, present when the control plane is
-    /// enabled. A leaf lock: taken under a shard guard (cost accounting),
-    /// under the stream lock (decisions, snapshots), or alone
-    /// (channel-facing delivery calls) — never the other way around.
-    control: Option<Mutex<Controller>>,
 }
 
-/// Cross-run detection state, fixed at attach time (before the engine is
-/// shared) except for the findings, which close() fills once.
+/// Cross-run detection set-up, fixed at attach time (before the engine is
+/// shared).
 struct CrossRunState {
     baseline: SharedBaseline,
     run_id: RunId,
@@ -487,8 +565,6 @@ struct CrossRunState {
     /// minimum adaptive threshold over the kind's (sensor, bucket) groups.
     /// `None` where history is too shallow — the fixed config knob rules.
     thresholds: KindMap<Option<f64>>,
-    /// Findings of the close-time analysis (empty until close).
-    findings: Mutex<Vec<CrossRunFinding>>,
 }
 
 impl AnalysisServer {
@@ -500,71 +576,45 @@ impl AnalysisServer {
         config: RuntimeConfig,
     ) -> Result<Self, RuntimeError> {
         config.validate()?;
-        let nshards = config.shards.max(1);
-        let per_shard = |s: usize| {
-            if ranks > s {
-                (ranks - s).div_ceil(nshards)
-            } else {
-                0
-            }
+        let state = EngineState {
+            global_std: BTreeMap::new(),
+            local_std: BTreeMap::new(),
+            cells: vec![RankCells::default(); ranks],
+            delivery: vec![RankDelivery::default(); ranks],
+            workers: [Worker::default(); INGEST_WORKERS],
+            bytes: 0,
+            batches: 0,
+            records: 0,
+            malformed: 0,
+            closed: false,
+            next_detect: config.detect_interval.as_nanos(),
+            detect_passes: 0,
+            detect_clock: BusyClock::new(),
+            pending: Vec::new(),
+            emitted: Vec::new(),
+            log: config.keep_record_log.then(Vec::new),
+            last_arrival: vec![None; ranks],
+            deaths: vec![None; ranks],
+            control: config
+                .control_enabled()
+                .then(|| Controller::new(config.clone(), ranks, sensors.len())),
+            findings: Vec::new(),
         };
-        let shards = (0..nshards)
-            .map(|s| Shard {
-                inner: Mutex::new(ShardInner {
-                    global_std: BTreeMap::new(),
-                    local_std: BTreeMap::new(),
-                    cells: std::iter::repeat_with(RankCells::default)
-                        .take(per_shard(s))
-                        .collect(),
-                    sensor_acc: BTreeMap::new(),
-                    delivery: std::iter::repeat_with(RankDelivery::default)
-                        .take(per_shard(s))
-                        .collect(),
-                }),
-                clock: BusyClock::new(),
-                batches: AtomicU64::new(0),
-                records: AtomicU64::new(0),
-            })
-            .collect();
-        let log = config.keep_record_log.then(|| Mutex::new(Vec::new()));
-        let control = config
-            .control_enabled()
-            .then(|| Mutex::new(Controller::new(config.clone(), ranks, sensors.len())));
         Ok(AnalysisServer {
-            next_detect: AtomicU64::new(config.detect_interval.as_nanos()),
             config,
             sensors,
             ranks,
-            shards,
-            bytes: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            records: AtomicU64::new(0),
-            malformed: AtomicU64::new(0),
-            closed: AtomicBool::new(false),
-            detect_passes: AtomicU64::new(0),
-            detect_clock: BusyClock::new(),
-            stream: Mutex::new(StreamState {
-                pending: Vec::new(),
-                emitted: Vec::new(),
-            }),
-            log,
-            last_arrival: std::iter::repeat_with(|| AtomicU64::new(0))
-                .take(ranks)
-                .collect(),
-            deaths: Mutex::new(vec![None; ranks]),
-            any_deaths: AtomicBool::new(false),
+            state: Mutex::new(state),
             wal: None,
-            ingest_serial: Mutex::new(()),
             cross_run: None,
-            control,
         })
     }
 
     /// Attach the write-ahead log — promote a caught-up replica, or make a
     /// fresh server durable: every batch accepted from now on is journaled
-    /// (and ingest serialized — see `ingest_serial`), and detection passes
-    /// append engine snapshots. Takes the server by value, so it happens
-    /// before the server is shared.
+    /// before it mutates the state (under the state lock, so log order is
+    /// processing order), and detection passes append checkpoints. Takes
+    /// the server by value, so it happens before the server is shared.
     pub fn into_primary(mut self, wal: &Arc<WriteAheadLog>) -> Self {
         self.wal = Some(wal.clone());
         self
@@ -600,7 +650,6 @@ impl AnalysisServer {
             baseline,
             run_id,
             thresholds,
-            findings: Mutex::new(Vec::new()),
         });
     }
 
@@ -617,14 +666,6 @@ impl AnalysisServer {
             .unwrap_or(self.config.variance_threshold)
     }
 
-    /// Findings of the close-time cross-run analysis (empty before close
-    /// or without an attached baseline).
-    fn cross_run_findings(&self) -> Vec<CrossRunFinding> {
-        self.cross_run
-            .as_ref()
-            .map_or_else(Vec::new, |c| c.findings.lock().clone())
-    }
-
     /// The configuration the server runs under.
     pub fn config(&self) -> &RuntimeConfig {
         &self.config
@@ -637,27 +678,22 @@ impl AnalysisServer {
 
     /// Seal the server against further ingest.
     pub(crate) fn close(&self) {
+        let st = &mut *self.state.lock();
         // Once-only transition: a recovered server may be closed again by
         // the same logical run, and the cross-run analysis must not record
         // that run twice.
-        if self.closed.swap(true, Ordering::Relaxed) {
-            return;
+        if !std::mem::replace(&mut st.closed, true) {
+            self.finish_cross_run(st);
         }
-        self.finish_cross_run();
     }
 
     /// Close-time cross-run analysis: fold this run's per-(sensor, bucket)
     /// summaries, classify them against the attached baseline history,
     /// record the run into the store, and queue a [`VarianceAlert`] for
-    /// every worsening step regime. Lock order matches `run_detect_pass`
-    /// (stream first, then all shard guards) so a concurrent pass cannot
-    /// deadlock against the close.
-    fn finish_cross_run(&self) {
+    /// every worsening step regime.
+    fn finish_cross_run(&self, st: &mut EngineState) {
         let Some(cr) = &self.cross_run else { return };
-        let mut stream = self.stream.lock();
-        let guards: Vec<_> = self.shards.iter().map(|s| s.inner.lock()).collect();
-        let global_std = Self::merged_global_std(&guards);
-        let groups = self.group_summaries(&guards, &global_std);
+        let groups = self.group_summaries(st);
         let findings = cr.baseline.with(|store| {
             let findings = store.analyze(cr.run_id, &groups);
             store.record_run(cr.run_id, groups);
@@ -666,59 +702,69 @@ impl AnalysisServer {
         // Timestamp alerts at the last ingest arrival the engine saw: the
         // virtual instant an operator watching the stream learns the run's
         // final shape.
-        let now = self
-            .last_arrival
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .max()
-            .map_or(VirtualTime(0), |enc| VirtualTime(enc.saturating_sub(1)));
-        let pass = self.detect_passes.load(Ordering::Relaxed);
+        let now = st.last_arrival.iter().flatten().max().copied();
+        let now = now.unwrap_or(VirtualTime::ZERO);
         for f in &findings {
             if matches!(f.change, RegimeChange::Step { .. }) && f.is_worsening() {
-                stream.pending.push(VarianceAlert {
+                st.pending.push(VarianceAlert {
                     at: now,
-                    pass,
+                    pass: st.detect_passes,
                     kind: AlertKind::CrossRunRegression(f.clone()),
                 });
             }
         }
-        *cr.findings.lock() = findings;
+        st.findings = findings;
     }
 
-    /// This run's mean normalized performance per (sensor, bucket) group —
-    /// the unit the cross-run store records. Same fold as `interim`'s
-    /// sensor summary, but keyed one level finer (bucket kept separate):
-    /// deterministic because the accumulators walk in `BTreeMap` order.
-    fn group_summaries(
+    /// The standard `rank`'s records of `(sensor, bucket)` normalize
+    /// against — the fastest such record so far: across all ranks for a
+    /// process-invariant sensor, the rank's own otherwise.
+    fn standard(
         &self,
-        guards: &[parking_lot::MutexGuard<'_, ShardInner>],
-        global_std: &BTreeMap<GroupKey, Duration>,
-    ) -> Vec<GroupSummary> {
-        let nshards = self.shards.len();
-        let mut acc_all: BTreeMap<(SensorId, Bucket, usize), GroupAcc> = BTreeMap::new();
-        for g in guards {
-            for (k, a) in &g.sensor_acc {
-                acc_all.insert(*k, *a);
+        st: &EngineState,
+        sensor: SensorId,
+        bucket: Bucket,
+        rank: usize,
+    ) -> Option<Duration> {
+        if self.sensors[sensor.0 as usize].process_invariant {
+            st.global_std.get(&(sensor, bucket)).copied()
+        } else {
+            st.local_std.get(&(sensor, bucket, rank)).copied()
+        }
+    }
+
+    /// `(Σ normalized, records)` per `key_of(sensor, bucket)`, folded from
+    /// every rank's summary accumulators against current standards — in
+    /// (sensor, bucket, rank) order, which fixes the float sums.
+    fn summarize<K: Ord>(
+        &self,
+        st: &EngineState,
+        key_of: impl Fn(SensorId, Bucket) -> K,
+    ) -> BTreeMap<K, (f64, u64)> {
+        let mut accs = Vec::new();
+        for (rank, cells) in st.cells.iter().enumerate() {
+            for &((sensor, bucket), acc) in &cells.summary {
+                accs.push((sensor, bucket, rank, acc));
             }
         }
-        let mut per_group: BTreeMap<(SensorId, Bucket), (f64, u64)> = BTreeMap::new();
-        for ((sensor, bucket, rank), acc) in acc_all {
-            let info = &self.sensors[sensor.0 as usize];
-            let std = if info.process_invariant {
-                global_std.get(&(sensor, bucket)).copied()
-            } else {
-                guards[rank % nshards]
-                    .local_std
-                    .get(&(sensor, bucket, rank))
-                    .copied()
+        accs.sort_unstable_by_key(|&(sensor, bucket, rank, _)| (sensor, bucket, rank));
+        let mut out: BTreeMap<K, (f64, u64)> = BTreeMap::new();
+        for (sensor, bucket, rank, acc) in accs {
+            let Some(std) = self.standard(st, sensor, bucket, rank) else {
+                continue;
             };
-            let Some(std) = std else { continue };
             let (sum, count) = acc.fold(std);
-            let e = per_group.entry((sensor, bucket)).or_insert((0.0, 0));
+            let e = out.entry(key_of(sensor, bucket)).or_insert((0.0, 0));
             e.0 += sum;
             e.1 += count as u64;
         }
-        per_group
+        out
+    }
+
+    /// This run's mean normalized performance per (sensor, bucket) group —
+    /// the unit the cross-run store records.
+    fn group_summaries(&self, st: &EngineState) -> Vec<GroupSummary> {
+        self.summarize(st, |sensor, bucket| (sensor, bucket))
             .into_iter()
             .filter(|&(_, (_, n))| n > 0)
             .map(|((sensor, bucket), (sum, n))| GroupSummary {
@@ -732,66 +778,43 @@ impl AnalysisServer {
 
     /// Running ingest counters.
     pub fn stats(&self) -> IngestStats {
-        IngestStats {
-            bytes_received: self.bytes.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            records: self.records.load(Ordering::Relaxed),
-            malformed: self.malformed.load(Ordering::Relaxed),
-        }
+        self.state.lock().stats()
     }
 
-    /// `(hot, frozen)` resident cell counts across all ranks — what the
+    /// `(hot, frozen)` resident bin counts across all ranks — what the
     /// eviction-bound tests measure.
     #[doc(hidden)]
     pub fn cell_stats(&self) -> (usize, usize) {
-        let mut hot = 0;
-        let mut frozen = 0;
-        for shard in &self.shards {
-            let inner = shard.inner.lock();
-            for cells in &inner.cells {
-                hot += cells.hot.len();
-                frozen += cells.frozen.len();
-            }
-        }
-        (hot, frozen)
+        let st = self.state.lock();
+        st.cells.iter().fold((0, 0), |(hot, frozen), c| {
+            (hot + c.hot.len(), frozen + c.frozen.len())
+        })
     }
 
-    /// Fold one record into the shard's standards, cells, and summary
+    /// Fold one record into the standards, cells, and summary
     /// accumulators. Returns false (and counts malformed) for records
     /// naming unknown sensors — a corrupted or hostile batch must never
     /// take the server down.
-    fn absorb_record(&self, inner: &mut ShardInner, rank: usize, rec: SliceRecord) -> bool {
+    fn absorb_record(&self, st: &mut EngineState, rank: usize, rec: SliceRecord) -> bool {
         let Some(info) = self.sensors.get(rec.sensor.0 as usize) else {
-            self.malformed.fetch_add(1, Ordering::Relaxed);
+            st.malformed += 1;
             return false;
         };
         let key = (rec.sensor, rec.bucket);
-        if info.process_invariant {
-            let e = inner.global_std.entry(key).or_insert(rec.avg);
-            if rec.avg < *e {
-                *e = rec.avg;
-            }
+        let std = if info.process_invariant {
+            st.global_std.entry(key).or_insert(rec.avg)
         } else {
-            let e = inner
-                .local_std
+            st.local_std
                 .entry((rec.sensor, rec.bucket, rank))
-                .or_insert(rec.avg);
-            if rec.avg < *e {
-                *e = rec.avg;
-            }
-        }
+                .or_insert(rec.avg)
+        };
+        *std = (*std).min(rec.avg);
         let bin = rec.slice / self.config.slices_per_bin();
-        if rank < self.ranks {
-            let local = rank / self.shards.len();
-            inner.cells[local].absorb(bin, key, rec.avg, EVICTION_LAG_BINS);
+        if let Some(cells) = st.cells.get_mut(rank) {
+            cells.absorb(bin, key, rec.avg, EVICTION_LAG_BINS);
         }
-        inner
-            .sensor_acc
-            .entry((rec.sensor, rec.bucket, rank))
-            .or_default()
-            .absorb(rec.avg);
-        if let Some(log) = &self.log {
-            log.lock().push((rank, rec));
+        if let Some(log) = &mut st.log {
+            log.push((rank, rec));
         }
         true
     }
@@ -803,43 +826,43 @@ impl AnalysisServer {
         if batch.is_empty() {
             return;
         }
-        let shard = &self.shards[rank % self.shards.len()];
-        self.bytes.fetch_add(
-            BATCH_HEADER_BYTES + batch.len() as u64 * SliceRecord::WIRE_BYTES,
-            Ordering::Relaxed,
-        );
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        shard.batches.fetch_add(1, Ordering::Relaxed);
+        let st = &mut *self.state.lock();
+        st.bytes += BATCH_HEADER_BYTES + batch.len() as u64 * SliceRecord::WIRE_BYTES;
+        st.batches += 1;
         let mut absorbed = 0u64;
-        {
-            let mut inner = shard.inner.lock();
-            for rec in batch {
-                if self.absorb_record(&mut inner, rank, rec) {
-                    absorbed += 1;
-                }
+        for rec in batch {
+            if self.absorb_record(st, rank, rec) {
+                absorbed += 1;
             }
         }
-        self.records.fetch_add(absorbed, Ordering::Relaxed);
-        shard.records.fetch_add(absorbed, Ordering::Relaxed);
+        st.records += absorbed;
+        let worker = &mut st.workers[rank % INGEST_WORKERS];
+        worker.batches += 1;
+        worker.records += absorbed;
     }
 
-    /// Sequence-numbered streaming ingest: verify, dedup, absorb, charge
-    /// the shard's virtual clock, and maybe trigger a detection pass. The
-    /// public door is [`crate::server::IngestSession::ingest`].
+    /// Sequence-numbered streaming ingest: verify, journal, dedup, absorb,
+    /// charge the modelled worker's virtual clock, and maybe run a
+    /// detection pass. The public door is
+    /// [`crate::server::IngestSession::ingest`].
     pub(crate) fn ingest(
         &self,
         batch: TelemetryBatch,
         arrival: VirtualTime,
     ) -> Result<IngestReceipt, IngestError> {
-        if self.closed.load(Ordering::Relaxed) {
+        // The CRC pass is the one expensive step and reads no engine
+        // state: it runs in front of the lock, so ingests from several
+        // host threads still overlap there.
+        let intact = batch.verify();
+        let st = &mut *self.state.lock();
+        if st.closed {
             return Err(IngestError::Closed);
         }
         // Write-ahead: log every arriving batch (malformed and corrupt
         // ones included — their counters must replay too) before touching
-        // engine state, holding the serialization guard so the log order
-        // is exactly the processing order.
-        let _serial = self.wal.as_ref().map(|wal| {
-            let guard = self.ingest_serial.lock();
+        // engine state. The state lock is held, so the log order is
+        // exactly the processing order.
+        if let Some(wal) = &self.wal {
             wal.append_batch(batch.clone(), arrival);
             if trace::enabled(Category::ENGINE) {
                 trace::record(TraceEvent::instant(
@@ -851,150 +874,138 @@ impl AnalysisServer {
                     batch.seq,
                 ));
             }
-            guard
-        });
+        }
         if batch.rank >= self.ranks {
-            self.malformed.fetch_add(1, Ordering::Relaxed);
+            st.malformed += 1;
             return Err(IngestError::Malformed {
                 rank: batch.rank,
                 ranks: self.ranks,
             });
         }
         let rank = batch.rank;
-        self.note_arrival(rank, arrival);
-        // Gossip rides outside the CRC; process it for duplicates too —
-        // `note_death` is idempotent, which is what makes repeating the
-        // notice on every batch loss-tolerant.
+        // The rank was heard from. A liveness-timeout death verdict is
+        // circumstantial — hearing from the rank again retracts it (gossip
+        // notices are sticky).
+        st.last_arrival[rank] = st.last_arrival[rank].max(Some(arrival));
+        if matches!(st.deaths[rank], Some((_, DeathCause::Liveness))) {
+            st.deaths[rank] = None;
+        }
+        // Gossip rides outside the CRC; process it for corrupt copies and
+        // duplicates too — `note_death` is idempotent, which is what makes
+        // repeating the notice on every batch loss-tolerant.
         if let Some(notice) = batch.death_notice {
             if notice.rank < self.ranks {
-                self.note_death(notice.rank, notice.at, DeathCause::Notice, arrival);
+                self.note_death(st, notice.rank, notice.at, DeathCause::Notice, arrival);
             }
         }
-        let shard_idx = rank % self.shards.len();
-        let local = rank / self.shards.len();
-        let shard = &self.shards[shard_idx];
-        let (absorbed, bytes) = {
-            let mut inner = shard.inner.lock();
-            if !batch.verify() {
-                inner.delivery[local].corrupt += 1;
-                return Err(IngestError::Corrupt {
-                    rank,
-                    seq: batch.seq,
-                });
+        let shard = rank % INGEST_WORKERS;
+        let d = &mut st.delivery[rank];
+        if !intact {
+            d.corrupt += 1;
+            return Err(IngestError::Corrupt {
+                rank,
+                seq: batch.seq,
+            });
+        }
+        if !d.seen.insert(batch.seq) {
+            d.duplicates += 1;
+            return Ok(IngestReceipt {
+                rank,
+                seq: batch.seq,
+                shard,
+                records: 0,
+                bytes: 0,
+                duplicate: true,
+            });
+        }
+        d.accepted += 1;
+        if d.max_seq.is_some_and(|max| batch.seq < max) {
+            d.out_of_order += 1; // a late batch overtaken in flight
+        }
+        d.max_seq = d.max_seq.max(Some(batch.seq));
+        d.latency_total += arrival.since(batch.sent_at);
+        // The controller's cost accounting shares the ingest's atomicity:
+        // a batch is either fully before or fully after any decision pass,
+        // exactly like the matrix accumulators — which is what keeps
+        // streaming and WAL-replay decisions identical.
+        if let Some(ctl) = &mut st.control {
+            ctl.observe_batch(rank, &batch.records);
+        }
+        let bytes = BATCH_HEADER_BYTES + batch.records.len() as u64 * SliceRecord::WIRE_BYTES;
+        let mut absorbed = 0u64;
+        for rec in batch.records {
+            if self.absorb_record(st, rank, rec) {
+                absorbed += 1;
             }
-            let d = &mut inner.delivery[local];
-            if !d.seen.insert(batch.seq) {
-                d.duplicates += 1;
-                return Ok(IngestReceipt {
-                    rank,
-                    seq: batch.seq,
-                    shard: shard_idx,
-                    records: 0,
-                    bytes: 0,
-                    duplicate: true,
-                });
-            }
-            d.accepted += 1;
-            if let Some(max) = d.max_seq {
-                if batch.seq < max {
-                    d.out_of_order += 1; // a late batch overtaken in flight
-                }
-            }
-            d.max_seq = Some(d.max_seq.map_or(batch.seq, |m| m.max(batch.seq)));
-            d.latency_total += arrival.since(batch.sent_at);
-            // Controller cost accounting shares the shard guard's
-            // atomicity: a batch is either fully before or fully after any
-            // decision pass, exactly like the matrix accumulators — which
-            // is what keeps streaming and WAL-replay decisions identical.
-            if let Some(ctl) = &self.control {
-                ctl.lock().observe_batch(rank, &batch.records);
-            }
-            let bytes = BATCH_HEADER_BYTES + batch.records.len() as u64 * SliceRecord::WIRE_BYTES;
-            let mut absorbed = 0u64;
-            for rec in batch.records {
-                if self.absorb_record(&mut inner, rank, rec) {
-                    absorbed += 1;
-                }
-            }
-            (absorbed, bytes)
-        };
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.records.fetch_add(absorbed, Ordering::Relaxed);
-        shard.batches.fetch_add(1, Ordering::Relaxed);
-        shard.records.fetch_add(absorbed, Ordering::Relaxed);
+        }
+        st.bytes += bytes;
+        st.batches += 1;
+        st.records += absorbed;
         let ingest_cost = Duration::from_nanos(SERVER_RECORD_COST.as_nanos() * absorbed);
-        shard.clock.charge(arrival, ingest_cost);
+        let worker = &mut st.workers[shard];
+        worker.batches += 1;
+        worker.records += absorbed;
+        worker.clock.charge(arrival, ingest_cost);
         if trace::enabled(Category::ENGINE) {
             trace::record(TraceEvent::complete(
                 Category::ENGINE,
                 "ingest",
                 SERVER_LANE,
-                shard_idx as u32,
+                shard as u32,
                 arrival.as_nanos(),
                 ingest_cost.as_nanos(),
                 rank as u64,
                 absorbed,
             ));
         }
-        self.maybe_detect(arrival);
+        // Run a detection pass if this arrival crossed the schedule.
+        if arrival.as_nanos() >= st.next_detect {
+            st.next_detect = arrival.as_nanos() + self.config.detect_interval.as_nanos().max(1);
+            self.run_detect_pass(st, arrival);
+        }
         Ok(IngestReceipt {
             rank,
             seq: batch.seq,
-            shard: shard_idx,
+            shard,
             records: absorbed as usize,
             bytes,
             duplicate: false,
         })
     }
 
-    /// Note that `rank` was heard from at `arrival`. A liveness-timeout
-    /// death verdict is circumstantial — hearing from the rank again
-    /// retracts it (gossip notices are sticky).
-    fn note_arrival(&self, rank: usize, arrival: VirtualTime) {
-        self.last_arrival[rank].fetch_max(arrival.as_nanos() + 1, Ordering::Relaxed);
-        if self.any_deaths.load(Ordering::Relaxed) {
-            let mut deaths = self.deaths.lock();
-            if matches!(deaths[rank], Some((_, DeathCause::Liveness))) {
-                deaths[rank] = None;
-            }
-        }
-    }
-
     /// Record a rank death, idempotently: repeated identical evidence is a
     /// no-op, earlier death instants win within a cause, and an
     /// authoritative gossip notice upgrades a circumstantial liveness
     /// verdict. Fresh verdicts emit a [`AlertKind::RankDeath`] alert.
-    fn note_death(&self, rank: usize, at: VirtualTime, cause: DeathCause, now: VirtualTime) {
-        let mut deaths = self.deaths.lock();
-        let slot = &mut deaths[rank];
-        let fresh = match *slot {
-            None => true,
-            Some((_, DeathCause::Liveness)) if cause == DeathCause::Notice => true,
+    fn note_death(
+        &self,
+        st: &mut EngineState,
+        rank: usize,
+        at: VirtualTime,
+        cause: DeathCause,
+        now: VirtualTime,
+    ) {
+        let slot = &mut st.deaths[rank];
+        match *slot {
+            None => {}
+            Some((_, DeathCause::Liveness)) if cause == DeathCause::Notice => {}
             Some((t, c)) => {
                 if c == cause && at < t {
                     *slot = Some((at, cause)); // tighten, but don't re-alert
                 }
-                false
+                return;
             }
-        };
-        if !fresh {
-            return;
         }
         *slot = Some((at, cause));
-        self.any_deaths.store(true, Ordering::Relaxed);
-        drop(deaths); // lock order: `deaths` is a leaf — never hold it across `stream`
-                      // A dead rank's pending directive is cancelled immediately — never
-                      // retried forever, never counted as overhead.
-        if let Some(ctl) = &self.control {
-            ctl.lock().cancel_dead(rank);
+        // A dead rank's pending directive is cancelled immediately — never
+        // retried forever, never counted as overhead.
+        if let Some(ctl) = &mut st.control {
+            ctl.cancel_dead(rank);
         }
-        let record = DeathRecord { rank, at, cause };
-        let pass = self.detect_passes.load(Ordering::Relaxed);
-        self.stream.lock().pending.push(VarianceAlert {
+        st.pending.push(VarianceAlert {
             at: now,
-            pass,
-            kind: AlertKind::RankDeath(record),
+            pass: st.detect_passes,
+            kind: AlertKind::RankDeath(DeathRecord { rank, at, cause }),
         });
         if trace::enabled(Category::ENGINE) {
             trace::record(TraceEvent::instant(
@@ -1010,80 +1021,47 @@ impl AnalysisServer {
 
     /// Sweep for ranks that went silent: a rank that has ever sent but has
     /// not been heard from for `liveness_intervals` detection intervals is
-    /// presumed fail-stopped at its last-heard-from instant.
-    fn liveness_scan(&self, now: VirtualTime) {
+    /// presumed fail-stopped at its last-heard-from instant. (A rank never
+    /// heard from is indistinguishable from a slow start.)
+    fn liveness_scan(&self, st: &mut EngineState, now: VirtualTime) {
         let horizon = self
             .config
             .detect_interval
             .as_nanos()
             .saturating_mul(self.config.liveness_intervals as u64);
         for rank in 0..self.ranks {
-            let enc = self.last_arrival[rank].load(Ordering::Relaxed);
-            if enc == 0 {
-                continue; // never heard from: indistinguishable from a slow start
-            }
-            let last = enc - 1;
-            if last.saturating_add(horizon) <= now.as_nanos() {
-                self.note_death(rank, VirtualTime(last), DeathCause::Liveness, now);
+            if let Some(last) = st.last_arrival[rank] {
+                if last.as_nanos().saturating_add(horizon) <= now.as_nanos() {
+                    self.note_death(st, rank, last, DeathCause::Liveness, now);
+                }
             }
         }
     }
 
     /// Ranks the engine currently believes fail-stopped, in rank order.
     pub fn failed_ranks(&self) -> Vec<DeathRecord> {
-        self.deaths
-            .lock()
-            .iter()
-            .enumerate()
-            .filter_map(|(rank, d)| d.map(|(at, cause)| DeathRecord { rank, at, cause }))
-            .collect()
-    }
-
-    /// Run a detection pass if this arrival crossed the schedule. The CAS
-    /// makes exactly one ingesting thread the winner per crossing.
-    fn maybe_detect(&self, now: VirtualTime) {
-        if self.ranks == 0 {
-            return;
-        }
-        loop {
-            let due = self.next_detect.load(Ordering::Relaxed);
-            if now.as_nanos() < due {
-                return;
-            }
-            let next = now.as_nanos() + self.config.detect_interval.as_nanos().max(1);
-            if self
-                .next_detect
-                .compare_exchange(due, next, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-            {
-                break;
-            }
-        }
-        self.run_detect_pass(now);
+        self.state.lock().failed_ranks()
     }
 
     /// One incremental detection pass: fold provisional matrices against
     /// *current* (still-tightening) standards, diff the detected events
     /// against everything already alerted, and queue the genuinely new
-    /// ones. Holding the stream lock serializes passes that race across
-    /// consecutive schedule crossings.
-    fn run_detect_pass(&self, now: VirtualTime) {
-        self.liveness_scan(now);
-        let mut stream = self.stream.lock();
+    /// ones.
+    fn run_detect_pass(&self, st: &mut EngineState, now: VirtualTime) {
+        self.liveness_scan(st, now);
         let bins = (self.config.matrix_bin(now).saturating_add(1)) as usize;
-        let guards: Vec<_> = self.shards.iter().map(|s| s.inner.lock()).collect();
-        let global_std = Self::merged_global_std(&guards);
-        let matrices = self.fold_matrices(&guards, &global_std, bins);
-        let pass = self.detect_passes.fetch_add(1, Ordering::Relaxed) + 1;
+        let matrices = self.fold_matrices(st, bins);
+        st.detect_passes += 1;
+        let pass = st.detect_passes;
         let cells_visited = (self.ranks * bins * SensorKind::ALL.len()) as u64;
         let detect_cost = Duration::from_nanos(SERVER_DETECT_CELL_COST.as_nanos() * cells_visited);
-        self.detect_clock.charge(now, detect_cost);
+        st.detect_clock.charge(now, detect_cost);
         if trace::enabled(Category::ENGINE) {
             trace::record(TraceEvent::complete(
                 Category::ENGINE,
                 "detect_pass",
                 SERVER_LANE,
-                self.shards.len() as u32,
+                INGEST_WORKERS as u32,
                 now.as_nanos(),
                 detect_cost.as_nanos(),
                 pass,
@@ -1095,7 +1073,7 @@ impl AnalysisServer {
             let events =
                 detect_events(&matrices[kind], kind, self.threshold_for(kind)).unwrap_or_default();
             for event in events {
-                let already = stream.emitted.iter().any(|e| {
+                let already = st.emitted.iter().any(|e| {
                     e.kind == event.kind
                         && e.first_rank <= event.last_rank
                         && event.first_rank <= e.last_rank
@@ -1104,8 +1082,8 @@ impl AnalysisServer {
                 });
                 if !already {
                     fresh_spans.push((event.first_rank, event.last_rank));
-                    stream.emitted.push(event.clone());
-                    stream.pending.push(VarianceAlert {
+                    st.emitted.push(event.clone());
+                    st.pending.push(VarianceAlert {
                         at: now,
                         pass,
                         kind: AlertKind::Variance(event),
@@ -1113,18 +1091,18 @@ impl AnalysisServer {
                 }
             }
         }
-        // Control decisions ride the serialized detection pass, before the
-        // snapshot below: the epoch schedule becomes a pure function of
-        // ingested telemetry, so WAL replay reproduces it bitwise.
-        if let Some(ctl) = &self.control {
-            let dead: Vec<bool> = self.deaths.lock().iter().map(Option::is_some).collect();
-            ctl.lock().decide(now, pass, &fresh_spans, |r| dead[r]);
+        // Control decisions ride the detection pass, before the checkpoint
+        // below: the epoch schedule becomes a pure function of ingested
+        // telemetry, so WAL replay reproduces it bitwise.
+        if let Some(ctl) = &mut st.control {
+            let deaths = &st.deaths;
+            ctl.decide(now, pass, &fresh_spans, |r| deaths[r].is_some());
         }
         // Pass boundaries are the durability points: with a WAL attached,
         // checkpoint the whole engine every pass so recovery replays at
         // most one interval of batches.
         if let Some(wal) = &self.wal {
-            wal.append_snapshot(self.snapshot_locked(&guards, &stream));
+            wal.append_snapshot(EngineSnapshot(st.clone()));
             if trace::enabled(Category::ENGINE) {
                 trace::record(TraceEvent::instant(
                     Category::ENGINE,
@@ -1142,73 +1120,37 @@ impl AnalysisServer {
     /// with [`crate::server::IngestSession::poll_events`]; a monitor thread
     /// that holds only the server `Arc` can watch the stream directly.
     pub fn poll_events(&self) -> Vec<VarianceAlert> {
-        std::mem::take(&mut self.stream.lock().pending)
-    }
-
-    /// Merge the per-shard invariant standards into the global minimum.
-    /// Exact: `min` is associative and order-free on integers.
-    fn merged_global_std(
-        guards: &[parking_lot::MutexGuard<'_, ShardInner>],
-    ) -> BTreeMap<GroupKey, Duration> {
-        let mut merged: BTreeMap<GroupKey, Duration> = BTreeMap::new();
-        for g in guards {
-            for (k, v) in &g.global_std {
-                merged
-                    .entry(*k)
-                    .and_modify(|e| {
-                        if v < e {
-                            *e = *v;
-                        }
-                    })
-                    .or_insert(*v);
-            }
-        }
-        merged
+        std::mem::take(&mut self.state.lock().pending)
     }
 
     /// Fold the accumulators into per-kind matrices, rank-major and
     /// group-key-ordered, so the float sums are reproducible. Dead ranks
     /// are mask-marked from their death bin onward.
-    fn fold_matrices(
-        &self,
-        guards: &[parking_lot::MutexGuard<'_, ShardInner>],
-        global_std: &BTreeMap<GroupKey, Duration>,
-        bins: usize,
-    ) -> KindMap<PerformanceMatrix> {
+    fn fold_matrices(&self, st: &EngineState, bins: usize) -> KindMap<PerformanceMatrix> {
         let mut matrices = KindMap::build(|_| {
             PerformanceMatrix::new(self.ranks, bins, self.config.matrix_resolution)
         });
-        let nshards = self.shards.len();
-        for rank in 0..self.ranks {
-            let inner = &guards[rank % nshards];
-            let cells = &inner.cells[rank / nshards];
-            for (bin, groups) in cells.merged_bins() {
-                for (key, acc) in groups {
-                    let info = &self.sensors[key.0 .0 as usize];
-                    let std = if info.process_invariant {
-                        global_std.get(&key).copied()
-                    } else {
-                        inner.local_std.get(&(key.0, key.1, rank)).copied()
+        for (rank, cells) in st.cells.iter().enumerate() {
+            for (bin, groups) in cells.bins() {
+                for &((sensor, bucket), acc) in groups {
+                    let Some(std) = self.standard(st, sensor, bucket, rank) else {
+                        continue;
                     };
-                    let Some(std) = std else { continue };
                     let (sum, count) = acc.fold(std);
-                    matrices[info.kind].add_aggregate(rank, bin, sum, count);
+                    let kind = self.sensors[sensor.0 as usize].kind;
+                    matrices[kind].add_aggregate(rank, *bin, sum, count);
                 }
             }
         }
-        self.mask_dead(&mut matrices);
+        self.mask_dead(st, &mut matrices);
         matrices
     }
 
     /// Mark every believed-dead rank's cells as dead from its death bin
     /// onward, in all three matrices — detection then skips them, so a
     /// killed rank can never read as 0%-performance variance.
-    fn mask_dead(&self, matrices: &mut KindMap<PerformanceMatrix>) {
-        if !self.any_deaths.load(Ordering::Relaxed) {
-            return;
-        }
-        let deaths = self.deaths.lock();
-        for (rank, death) in deaths.iter().enumerate() {
+    fn mask_dead(&self, st: &EngineState, matrices: &mut KindMap<PerformanceMatrix>) {
+        for (rank, death) in st.deaths.iter().enumerate() {
             if let Some((at, _)) = death {
                 let bin = self.config.matrix_bin(*at);
                 for kind in SensorKind::ALL {
@@ -1218,55 +1160,29 @@ impl AnalysisServer {
         }
     }
 
-    /// Build the full result over `[0, up_to)` from the accumulators.
-    /// Non-destructive, callable while ranks are still streaming: §2's
-    /// workflow updates the report *periodically while the program runs* —
-    /// this is that read, and the close-time read too.
-    pub fn interim(&self, up_to: VirtualTime) -> ServerResult {
-        let bins = (self.config.matrix_bin(up_to).saturating_add(1)) as usize;
-        let guards: Vec<_> = self.shards.iter().map(|s| s.inner.lock()).collect();
-        let global_std = Self::merged_global_std(&guards);
-        let matrices = self.fold_matrices(&guards, &global_std, bins);
-
+    /// Package matrices and per-sensor `(Σ normalized, records)` sums into
+    /// a [`ServerResult`]: detect and order the events, order the sensor
+    /// summary worst first, and attach the state's delivery, volume, load,
+    /// death, cross-run and control views. Shared by the streaming read
+    /// and the replay oracle, which differ in how they *compute* matrices
+    /// and sums, not in how a result is assembled from them.
+    fn result(
+        &self,
+        st: &EngineState,
+        matrices: KindMap<PerformanceMatrix>,
+        per_sensor: impl IntoIterator<Item = (SensorId, (f64, u64))>,
+        records: usize,
+    ) -> ServerResult {
+        // (A server built for zero ranks has empty matrices: no events.)
         let mut events = Vec::new();
-        if self.ranks > 0 {
-            for kind in SensorKind::ALL {
-                events.extend(
-                    detect_events(&matrices[kind], kind, self.threshold_for(kind))
-                        .unwrap_or_default(),
-                );
-            }
+        for kind in SensorKind::ALL {
+            events.extend(
+                detect_events(&matrices[kind], kind, self.threshold_for(kind)).unwrap_or_default(),
+            );
         }
         events.sort_by(|a, b| {
             (a.start_bin, a.first_rank, a.kind).cmp(&(b.start_bin, b.first_rank, b.kind))
         });
-
-        // Per-sensor summary, folded in (sensor, bucket, rank) order; each
-        // key lives in exactly one shard, so this union is disjoint.
-        let nshards = self.shards.len();
-        let mut acc_all: BTreeMap<(SensorId, Bucket, usize), GroupAcc> = BTreeMap::new();
-        for g in &guards {
-            for (k, a) in &g.sensor_acc {
-                acc_all.insert(*k, *a);
-            }
-        }
-        let mut per_sensor: BTreeMap<SensorId, (f64, u64)> = BTreeMap::new();
-        for ((sensor, bucket, rank), acc) in acc_all {
-            let info = &self.sensors[sensor.0 as usize];
-            let std = if info.process_invariant {
-                global_std.get(&(sensor, bucket)).copied()
-            } else {
-                guards[rank % nshards]
-                    .local_std
-                    .get(&(sensor, bucket, rank))
-                    .copied()
-            };
-            let Some(std) = std else { continue };
-            let (sum, count) = acc.fold(std);
-            let e = per_sensor.entry(sensor).or_insert((0.0, 0));
-            e.0 += sum;
-            e.1 += count as u64;
-        }
         let mut sensor_summary: Vec<SensorSummary> = per_sensor
             .into_iter()
             .map(|(sensor, (sum, n))| SensorSummary {
@@ -1282,71 +1198,43 @@ impl AnalysisServer {
                 .partial_cmp(&b.mean_perf)
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-
-        let delivery = (0..self.ranks)
-            .map(|rank| {
-                Self::delivery_quality(rank, &guards[rank % nshards].delivery[rank / nshards])
-            })
-            .collect();
-
-        let stats = self.stats();
+        let stats = st.stats();
         ServerResult {
             matrices: matrices.into_hash_map(),
             events,
             sensor_summary,
             bytes_received: stats.bytes_received,
             batches: stats.batches,
-            records: stats.records as usize,
-            delivery,
-            malformed_records: stats.malformed,
-            load: self.load(),
-            failed_ranks: self.failed_ranks(),
-            cross_run: self.cross_run_findings(),
-            control: self.control_stats(),
-        }
-    }
-
-    fn delivery_quality(rank: usize, d: &RankDelivery) -> DeliveryQuality {
-        let expected = d.max_seq.map_or(0, |m| m + 1);
-        let gaps = expected.saturating_sub(d.seen.len() as u64);
-        DeliveryQuality {
-            rank,
-            accepted: d.accepted,
-            duplicates: d.duplicates,
-            corrupt: d.corrupt,
-            gaps,
-            out_of_order: d.out_of_order,
-            delivery_ratio: if expected == 0 {
-                1.0
-            } else {
-                d.accepted as f64 / expected as f64
-            },
-            mean_latency: d
-                .latency_total
-                .as_nanos()
-                .checked_div(d.accepted)
-                .map_or(Duration::ZERO, Duration::from_nanos),
-        }
-    }
-
-    /// Server-side processing load (shard busy clocks, detection cost).
-    pub fn load(&self) -> ServerLoad {
-        ServerLoad {
-            shards: self
-                .shards
+            records,
+            delivery: st
+                .delivery
                 .iter()
                 .enumerate()
-                .map(|(i, s)| ShardLoad {
-                    shard: i,
-                    batches: s.batches.load(Ordering::Relaxed),
-                    records: s.records.load(Ordering::Relaxed),
-                    busy: s.clock.busy_time(),
-                    free_at: s.clock.free_at(),
-                })
+                .map(|(rank, d)| delivery_quality(rank, d))
                 .collect(),
-            detect_passes: self.detect_passes.load(Ordering::Relaxed),
-            detect_busy: self.detect_clock.busy_time(),
+            malformed_records: stats.malformed,
+            load: st.load(),
+            failed_ranks: st.failed_ranks(),
+            cross_run: st.findings.clone(),
+            control: st.control.as_ref().map(Controller::stats),
         }
+    }
+
+    /// Build the full result over `[0, up_to)` from the accumulators.
+    /// Non-destructive, callable while ranks are still streaming: §2's
+    /// workflow updates the report *periodically while the program runs* —
+    /// this is that read, and the close-time read too.
+    pub fn interim(&self, up_to: VirtualTime) -> ServerResult {
+        let st = &*self.state.lock();
+        let bins = (self.config.matrix_bin(up_to).saturating_add(1)) as usize;
+        let matrices = self.fold_matrices(st, bins);
+        let per_sensor = self.summarize(st, |sensor, _| sensor);
+        self.result(st, matrices, per_sensor, st.records as usize)
+    }
+
+    /// Server-side processing load (worker busy clocks, detection cost).
+    pub fn load(&self) -> ServerLoad {
+        self.state.lock().load()
     }
 
     /// Recompute the result with the seed's batch-at-end algorithm from
@@ -1354,13 +1242,13 @@ impl AnalysisServer {
     /// compare the streaming accumulators against. Requires
     /// `keep_record_log`.
     pub fn replay_result(&self, run_end: VirtualTime) -> Result<ServerResult, RuntimeError> {
-        let log = self.log.as_ref().ok_or(RuntimeError::RecordLogDisabled)?;
-        let records = log.lock().clone();
+        let st = &*self.state.lock();
+        let records = st.log.as_ref().ok_or(RuntimeError::RecordLogDisabled)?;
 
         // Standards, exactly as the seed's absorb_record built them.
         let mut global_std: HashMap<GroupKey, Duration> = HashMap::new();
         let mut local_std: HashMap<(SensorId, Bucket, usize), Duration> = HashMap::new();
-        for (rank, rec) in &records {
+        for (rank, rec) in records {
             let info = &self.sensors[rec.sensor.0 as usize];
             if info.process_invariant {
                 let e = global_std
@@ -1379,13 +1267,15 @@ impl AnalysisServer {
             }
         }
 
-        // Matrices, per-record in log order — the seed's finalize loop.
+        // Matrices and per-sensor sums, per-record in log order — the
+        // seed's finalize loop.
         let bins = (self.config.matrix_bin(run_end).saturating_add(1)) as usize;
         let mut matrices = KindMap::build(|_| {
             PerformanceMatrix::new(self.ranks, bins, self.config.matrix_resolution)
         });
         let slice_per_bin = self.config.slices_per_bin();
-        for (rank, rec) in &records {
+        let mut per_sensor: HashMap<SensorId, (f64, u64)> = HashMap::new();
+        for (rank, rec) in records {
             let info = &self.sensors[rec.sensor.0 as usize];
             let std = if info.process_invariant {
                 global_std.get(&(rec.sensor, rec.bucket)).copied()
@@ -1394,246 +1284,43 @@ impl AnalysisServer {
             };
             let Some(std) = std else { continue };
             let perf = normalized(std, rec.avg);
-            let bin = rec.slice / slice_per_bin;
-            matrices[info.kind].add(*rank, bin, perf);
-        }
-        self.mask_dead(&mut matrices);
-
-        let mut events = Vec::new();
-        if self.ranks > 0 {
-            for kind in SensorKind::ALL {
-                events.extend(
-                    detect_events(&matrices[kind], kind, self.threshold_for(kind))
-                        .unwrap_or_default(),
-                );
-            }
-        }
-        events.sort_by(|a, b| {
-            (a.start_bin, a.first_rank, a.kind).cmp(&(b.start_bin, b.first_rank, b.kind))
-        });
-
-        let mut per_sensor_acc: HashMap<SensorId, (f64, u64)> = HashMap::new();
-        for (rank, rec) in &records {
-            let info = &self.sensors[rec.sensor.0 as usize];
-            let std = if info.process_invariant {
-                global_std.get(&(rec.sensor, rec.bucket)).copied()
-            } else {
-                local_std.get(&(rec.sensor, rec.bucket, *rank)).copied()
-            };
-            let Some(std) = std else { continue };
-            let e = per_sensor_acc.entry(rec.sensor).or_insert((0.0, 0));
-            e.0 += normalized(std, rec.avg);
+            matrices[info.kind].add(*rank, rec.slice / slice_per_bin, perf);
+            let e = per_sensor.entry(rec.sensor).or_insert((0.0, 0));
+            e.0 += perf;
             e.1 += 1;
         }
-        let mut sensor_summary: Vec<SensorSummary> = per_sensor_acc
-            .into_iter()
-            .map(|(sensor, (sum, n))| SensorSummary {
-                sensor,
-                location: self.sensors[sensor.0 as usize].location.clone(),
-                kind: self.sensors[sensor.0 as usize].kind,
-                mean_perf: sum / n as f64,
-                records: n,
-            })
-            .collect();
-        sensor_summary.sort_by(|a, b| {
-            a.mean_perf
-                .partial_cmp(&b.mean_perf)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-
-        let guards: Vec<_> = self.shards.iter().map(|s| s.inner.lock()).collect();
-        let nshards = self.shards.len();
-        let delivery = (0..self.ranks)
-            .map(|rank| {
-                Self::delivery_quality(rank, &guards[rank % nshards].delivery[rank / nshards])
-            })
-            .collect();
-
-        let stats = self.stats();
-        Ok(ServerResult {
-            matrices: matrices.into_hash_map(),
-            events,
-            sensor_summary,
-            bytes_received: stats.bytes_received,
-            batches: stats.batches,
-            records: records.len(),
-            delivery,
-            malformed_records: stats.malformed,
-            load: self.load(),
-            failed_ranks: self.failed_ranks(),
-            cross_run: self.cross_run_findings(),
-            control: self.control_stats(),
-        })
+        self.mask_dead(st, &mut matrices);
+        Ok(self.result(st, matrices, per_sensor, records.len()))
     }
 
     // ------------------------------------------------------------------
-    // Snapshot / restore — the durability half of the WAL design.
+    // Checkpoint / restore — the durability half of the WAL design.
     // ------------------------------------------------------------------
 
-    /// Serialize every piece of mutable engine state into an
-    /// [`EngineSnapshot`]. Called at a detect-pass boundary while holding
-    /// the stream lock and all shard guards, so the snapshot is a
-    /// consistent cut of the serialized ingest order.
-    fn snapshot_locked(
-        &self,
-        guards: &[parking_lot::MutexGuard<'_, ShardInner>],
-        stream: &StreamState,
-    ) -> EngineSnapshot {
-        let shards = self
-            .shards
-            .iter()
-            .zip(guards)
-            .map(|(shard, inner)| ShardSnapshot {
-                global_std: inner.global_std.iter().map(|(k, v)| (*k, *v)).collect(),
-                local_std: inner.local_std.iter().map(|(k, v)| (*k, *v)).collect(),
-                cells: inner
-                    .cells
-                    .iter()
-                    .map(|c| RankCellsSnapshot {
-                        hot: c
-                            .hot
-                            .iter()
-                            .map(|(bin, groups)| {
-                                (*bin, groups.iter().map(|(k, a)| (*k, *a)).collect())
-                            })
-                            .collect(),
-                        frozen: c
-                            .frozen
-                            .iter()
-                            .map(|(bin, groups)| (*bin, groups.clone()))
-                            .collect(),
-                        max_bin: c.max_bin,
-                    })
-                    .collect(),
-                sensor_acc: inner.sensor_acc.iter().map(|(k, a)| (*k, *a)).collect(),
-                delivery: inner
-                    .delivery
-                    .iter()
-                    .map(|d| {
-                        let mut seen: Vec<u64> = d.seen.iter().copied().collect();
-                        seen.sort_unstable();
-                        RankDeliverySnapshot {
-                            seen,
-                            accepted: d.accepted,
-                            duplicates: d.duplicates,
-                            corrupt: d.corrupt,
-                            out_of_order: d.out_of_order,
-                            max_seq: d.max_seq,
-                            latency_total: d.latency_total,
-                        }
-                    })
-                    .collect(),
-                batches: shard.batches.load(Ordering::Relaxed),
-                records: shard.records.load(Ordering::Relaxed),
-                clock: (shard.clock.free_at(), shard.clock.busy_time()),
-            })
-            .collect();
-        EngineSnapshot {
-            shards,
-            bytes: self.bytes.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            records: self.records.load(Ordering::Relaxed),
-            malformed: self.malformed.load(Ordering::Relaxed),
-            next_detect: self.next_detect.load(Ordering::Relaxed),
-            detect_passes: self.detect_passes.load(Ordering::Relaxed),
-            detect_clock: (self.detect_clock.free_at(), self.detect_clock.busy_time()),
-            pending: stream.pending.clone(),
-            emitted: stream.emitted.clone(),
-            log: self.log.as_ref().map(|l| l.lock().clone()),
-            deaths: self.deaths.lock().clone(),
-            last_arrival: self
-                .last_arrival
-                .iter()
-                .map(|a| a.load(Ordering::Relaxed))
-                .collect(),
-            control: self.control.as_ref().map(|c| c.lock().clone()),
-        }
-    }
-
-    /// Take a snapshot outside a detection pass — test-only convenience.
+    /// Take a checkpoint outside a detection pass — test-only convenience.
     #[cfg(test)]
     pub(crate) fn snapshot_for_tests(&self) -> EngineSnapshot {
-        let stream = self.stream.lock();
-        let guards: Vec<_> = self.shards.iter().map(|s| s.inner.lock()).collect();
-        self.snapshot_locked(&guards, &stream)
+        EngineSnapshot(self.state.lock().clone())
     }
 
-    /// Rebuild the engine's mutable state from a snapshot. The inverse of
-    /// [`AnalysisServer::snapshot_locked`]; requires exclusive ownership (recovery
-    /// happens before the engine is shared).
-    pub(crate) fn restore(&mut self, snap: &EngineSnapshot) {
-        for (shard, s) in self.shards.iter_mut().zip(&snap.shards) {
-            let inner = shard.inner.get_mut();
-            inner.global_std = s.global_std.iter().copied().collect();
-            inner.local_std = s.local_std.iter().copied().collect();
-            inner.cells = s
-                .cells
-                .iter()
-                .map(|c| RankCells {
-                    hot: c
-                        .hot
-                        .iter()
-                        .map(|(bin, groups)| (*bin, groups.iter().copied().collect()))
-                        .collect(),
-                    frozen: c
-                        .frozen
-                        .iter()
-                        .map(|(bin, groups)| (*bin, groups.clone()))
-                        .collect(),
-                    max_bin: c.max_bin,
-                })
-                .collect();
-            inner.sensor_acc = s.sensor_acc.iter().copied().collect();
-            inner.delivery = s
-                .delivery
-                .iter()
-                .map(|d| RankDelivery {
-                    seen: d.seen.iter().copied().collect(),
-                    accepted: d.accepted,
-                    duplicates: d.duplicates,
-                    corrupt: d.corrupt,
-                    out_of_order: d.out_of_order,
-                    max_seq: d.max_seq,
-                    latency_total: d.latency_total,
-                })
-                .collect();
-            shard.batches = AtomicU64::new(s.batches);
-            shard.records = AtomicU64::new(s.records);
-            shard.clock = BusyClock::restore(s.clock.0, s.clock.1);
-        }
-        self.bytes = AtomicU64::new(snap.bytes);
-        self.batches = AtomicU64::new(snap.batches);
-        self.records = AtomicU64::new(snap.records);
-        self.malformed = AtomicU64::new(snap.malformed);
-        self.next_detect = AtomicU64::new(snap.next_detect);
-        self.detect_passes = AtomicU64::new(snap.detect_passes);
-        self.detect_clock = BusyClock::restore(snap.detect_clock.0, snap.detect_clock.1);
-        {
-            let stream = self.stream.get_mut();
-            stream.pending = snap.pending.clone();
-            stream.emitted = snap.emitted.clone();
-        }
-        if let (Some(log), Some(snap_log)) = (&mut self.log, &snap.log) {
-            *log.get_mut() = snap_log.clone();
-        }
-        *self.deaths.get_mut() = snap.deaths.clone();
-        self.any_deaths = AtomicBool::new(snap.deaths.iter().any(Option::is_some));
-        self.last_arrival = snap
-            .last_arrival
-            .iter()
-            .map(|&v| AtomicU64::new(v))
-            .collect();
-        if let (Some(ctl), Some(snap_ctl)) = (&mut self.control, &snap.control) {
-            *ctl.get_mut() = snap_ctl.clone();
-        }
+    /// Replace the engine's mutable state with a checkpoint's. Requires
+    /// exclusive ownership (recovery happens before the engine is shared);
+    /// the checkpoint must come from a server built from the same ranks,
+    /// sensors and configuration — the WAL header guarantees that.
+    pub(crate) fn restore(&mut self, snap: EngineSnapshot) {
+        *self.state.get_mut() = snap.0;
     }
 
     // ------------------------------------------------------------------
     // Control plane (present when `RuntimeConfig::control_enabled`) —
     // channel-facing delivery calls; each is a no-op returning nothing
-    // when the control plane is off. Each takes only the controller's
-    // leaf lock; none may be called with a shard or stream lock held.
+    // when the control plane is off.
     // ------------------------------------------------------------------
+
+    /// Run `f` on the controller under the state lock, if there is one.
+    fn with_control<T>(&self, f: impl FnOnce(&mut Controller) -> T) -> Option<T> {
+        self.state.lock().control.as_mut().map(f)
+    }
 
     /// Begin one delivery attempt of `rank`'s pending control directive,
     /// if one is due at `now`. Returns the directive and the attempt
@@ -1643,144 +1330,114 @@ impl AnalysisServer {
         rank: usize,
         now: VirtualTime,
     ) -> Option<(ControlDirective, u32)> {
-        self.control.as_ref()?.lock().begin_attempt(rank, now)
+        self.with_control(|c| c.begin_attempt(rank, now)).flatten()
     }
 
     /// Record that the fault dice destroyed a begun attempt.
     pub fn control_delivery_lost(&self, rank: usize) {
-        if let Some(ctl) = &self.control {
-            ctl.lock().delivery_lost(rank);
-        }
+        self.with_control(|c| c.delivery_lost(rank));
     }
 
     /// Record that the fault dice delayed a begun attempt until `until`.
     pub fn control_delay(&self, rank: usize, until: VirtualTime) {
-        if let Some(ctl) = &self.control {
-            ctl.lock().delay_delivery(rank, until);
-        }
+        self.with_control(|c| c.delay_delivery(rank, until));
     }
 
     /// Record that `rank` acknowledged every epoch up to `epoch`.
     pub fn control_ack(&self, rank: usize, epoch: u64) {
-        if let Some(ctl) = &self.control {
-            ctl.lock().ack(rank, epoch);
-        }
+        self.with_control(|c| c.ack(rank, epoch));
     }
 
     /// Control-plane counters (`None` when the control plane is off).
     pub fn control_stats(&self) -> Option<ControlStats> {
-        self.control.as_ref().map(|c| c.lock().stats())
+        self.with_control(|c| c.stats())
     }
 
     /// The issued-epoch log in decision order — what the crash-recovery
     /// contract compares bitwise across a server crash.
     pub fn control_schedule(&self) -> Vec<ControlEpoch> {
-        self.control
-            .as_ref()
-            .map_or_else(Vec::new, |c| c.lock().schedule())
+        self.with_control(|c| c.schedule()).unwrap_or_default()
     }
 
     /// The controller's per-rank cumulative instrumentation-cost model,
     /// in nanoseconds (`None` when the control plane is off).
     pub fn control_costs(&self) -> Option<Vec<u64>> {
-        self.control.as_ref().map(|c| c.lock().observed_costs())
+        self.with_control(|c| c.observed_costs())
     }
 }
 
-/// A consistent cut of one ingest shard's mutable state, in sorted
-/// serialized form (maps and sets flattened to ordered pairs).
-#[derive(Clone, Debug)]
-pub(crate) struct ShardSnapshot {
-    global_std: Vec<(GroupKey, Duration)>,
-    local_std: Vec<((SensorId, Bucket, usize), Duration)>,
-    cells: Vec<RankCellsSnapshot>,
-    sensor_acc: Vec<((SensorId, Bucket, usize), GroupAcc)>,
-    delivery: Vec<RankDeliverySnapshot>,
-    batches: u64,
-    records: u64,
-    clock: (VirtualTime, Duration),
+fn delivery_quality(rank: usize, d: &RankDelivery) -> DeliveryQuality {
+    let expected = d.max_seq.map_or(0, |m| m + 1);
+    let gaps = expected.saturating_sub(d.seen.len());
+    DeliveryQuality {
+        rank,
+        accepted: d.accepted,
+        duplicates: d.duplicates,
+        corrupt: d.corrupt,
+        gaps,
+        out_of_order: d.out_of_order,
+        delivery_ratio: if expected == 0 {
+            1.0
+        } else {
+            d.accepted as f64 / expected as f64
+        },
+        mean_latency: d
+            .latency_total
+            .as_nanos()
+            .checked_div(d.accepted)
+            .map_or(Duration::ZERO, Duration::from_nanos),
+    }
 }
 
-#[derive(Clone, Debug)]
-struct RankCellsSnapshot {
-    hot: Vec<(u64, Vec<(GroupKey, GroupAcc)>)>,
-    frozen: Vec<(u64, Vec<(GroupKey, GroupAcc)>)>,
-    max_bin: u64,
-}
-
-#[derive(Clone, Debug)]
-struct RankDeliverySnapshot {
-    seen: Vec<u64>,
-    accepted: u64,
-    duplicates: u64,
-    corrupt: u64,
-    out_of_order: u64,
-    max_seq: Option<u64>,
-    latency_total: Duration,
-}
-
-/// Everything mutable about an [`AnalysisServer`], checkpointed at a detect-pass
-/// boundary. [`AnalysisServer::restore`] + replay of the WAL tail after this
-/// snapshot reproduces the live engine bit-for-bit.
-#[derive(Clone, Debug)]
-pub(crate) struct EngineSnapshot {
-    shards: Vec<ShardSnapshot>,
-    bytes: u64,
-    batches: u64,
-    records: u64,
-    malformed: u64,
-    next_detect: u64,
-    detect_passes: u64,
-    detect_clock: (VirtualTime, Duration),
-    pending: Vec<VarianceAlert>,
-    emitted: Vec<VarianceEvent>,
-    log: Option<Vec<(usize, SliceRecord)>>,
-    deaths: Vec<Option<(VirtualTime, DeathCause)>>,
-    last_arrival: Vec<u64>,
-    /// Full controller state, when the control plane is on. `None` folds
-    /// nothing into the fingerprint, so control-off snapshots (and their
-    /// WAL frames) are byte-compatible with earlier builds.
-    control: Option<Controller>,
-}
+/// A checkpoint of an [`AnalysisServer`]: its whole [`EngineState`], cloned
+/// at a detect-pass boundary. [`AnalysisServer::restore`] + replay of the
+/// WAL tail after it reproduces the live engine bit-for-bit.
+#[derive(Clone)]
+pub(crate) struct EngineSnapshot(EngineState);
 
 impl EngineSnapshot {
-    /// Order-sensitive digest of the snapshot's counters and shapes, used
+    /// Order-sensitive digest of the checkpoint's counters and shapes, used
     /// by the WAL to CRC-frame snapshot entries. Not a full content hash —
-    /// it covers every counter that replay equivalence depends on, which
-    /// is enough to catch a torn or bit-flipped frame in simulation.
+    /// it covers every counter that replay equivalence depends on (volume
+    /// and per-worker counters, clocks, the detection schedule, per-rank
+    /// last arrivals, collection sizes, the controller's decision state),
+    /// which is enough to catch a torn or bit-flipped frame in simulation,
+    /// and it is cheap: the WAL recomputes it on every prefix validation.
     pub(crate) fn fingerprint(&self) -> u64 {
+        let s = &self.0;
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut fold = |v: u64| {
             h ^= v;
             h = h.wrapping_mul(0x1000_0000_01b3);
         };
-        fold(self.bytes);
-        fold(self.batches);
-        fold(self.records);
-        fold(self.malformed);
-        fold(self.next_detect);
-        fold(self.detect_passes);
-        fold(self.detect_clock.0.as_nanos());
-        fold(self.detect_clock.1.as_nanos());
-        fold(self.pending.len() as u64);
-        fold(self.emitted.len() as u64);
-        fold(self.log.as_ref().map_or(u64::MAX, |l| l.len() as u64));
-        fold(self.deaths.iter().flatten().count() as u64);
-        for &a in &self.last_arrival {
-            fold(a);
+        fold(s.bytes);
+        fold(s.batches);
+        fold(s.records);
+        fold(s.malformed);
+        fold(s.next_detect);
+        fold(s.detect_passes);
+        fold(s.detect_clock.free_at().as_nanos());
+        fold(s.detect_clock.busy_time().as_nanos());
+        fold(s.pending.len() as u64);
+        fold(s.emitted.len() as u64);
+        fold(s.log.as_ref().map_or(u64::MAX, |l| l.len() as u64));
+        fold(s.deaths.iter().flatten().count() as u64);
+        for a in &s.last_arrival {
+            fold(a.map_or(0, |t| t.as_nanos() + 1));
         }
-        for s in &self.shards {
-            fold(s.batches);
-            fold(s.records);
-            fold(s.clock.0.as_nanos());
-            fold(s.clock.1.as_nanos());
-            fold(s.global_std.len() as u64);
-            fold(s.local_std.len() as u64);
-            fold(s.cells.len() as u64);
-            fold(s.sensor_acc.len() as u64);
-            fold(s.delivery.len() as u64);
+        for w in &s.workers {
+            fold(w.batches);
+            fold(w.records);
+            fold(w.clock.free_at().as_nanos());
+            fold(w.clock.busy_time().as_nanos());
         }
-        if let Some(c) = &self.control {
+        fold(s.global_std.len() as u64);
+        fold(s.local_std.len() as u64);
+        fold(s.cells.len() as u64);
+        fold(s.delivery.len() as u64);
+        // `None` folds nothing, so control-off checkpoints digest the same
+        // with or without the control plane compiled in.
+        if let Some(c) = &s.control {
             c.fold_fingerprint(&mut fold);
         }
         h
@@ -1790,6 +1447,7 @@ impl EngineSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sensor_info(id: u32, kind: SensorKind, invariant: bool) -> SensorInfo {
         SensorInfo {
@@ -1810,9 +1468,8 @@ mod tests {
         }
     }
 
-    fn engine(ranks: usize, shards: usize) -> AnalysisServer {
+    fn engine(ranks: usize) -> AnalysisServer {
         let config = RuntimeConfig {
-            shards,
             keep_record_log: true,
             ..RuntimeConfig::free_probes()
         };
@@ -1849,43 +1506,19 @@ mod tests {
         assert_eq!(cells.hot.len() + cells.frozen.len(), 100);
         // A late record reopens its bin and is re-frozen, not lost.
         cells.absorb(3, key, Duration::from_micros(10), 4);
-        let merged = cells.merged_bins();
-        assert_eq!(merged[&3][&key].count, 2);
-        assert_eq!(merged.len(), 100);
-    }
-
-    #[test]
-    fn shard_count_does_not_change_folded_results() {
-        let mut results = Vec::new();
-        for shards in [1, 3, 4] {
-            let e = engine(8, shards);
-            for rank in 0..8 {
-                for slice in 0..400u64 {
-                    let avg = if rank == 5 { 25 } else { 10 };
-                    e.submit(rank, vec![rec(0, slice, avg)]);
-                }
-            }
-            results.push(e.interim(VirtualTime::from_millis(400)));
-        }
-        let reference = &results[0];
-        let m0 = &reference.matrices[&SensorKind::Computation];
-        for r in &results[1..] {
-            assert_eq!(r.events, reference.events);
-            let m = &r.matrices[&SensorKind::Computation];
-            for rank in 0..8 {
-                for bin in 0..m.bins() {
-                    let a = m.cell_raw(rank, bin).unwrap();
-                    let b = m0.cell_raw(rank, bin).unwrap();
-                    assert_eq!(a.0.to_bits(), b.0.to_bits(), "rank {rank} bin {bin}");
-                    assert_eq!(a.1, b.1);
-                }
-            }
-        }
+        let bins: Vec<_> = cells.bins().collect();
+        assert_eq!(bins.len(), 100);
+        assert!(bins.windows(2).all(|w| w[0].0 < w[1].0), "bin order");
+        let (bin, groups) = bins[3];
+        assert_eq!(
+            (*bin, groups.len(), groups[0].0, groups[0].1.count),
+            (3, 1, key, 2)
+        );
     }
 
     #[test]
     fn streaming_fold_matches_replay_oracle() {
-        let e = engine(4, 3);
+        let e = engine(4);
         for rank in 0..4 {
             for slice in 0..600u64 {
                 let avg = if rank == 2 && (200..400).contains(&slice) {
@@ -1928,7 +1561,7 @@ mod tests {
 
     #[test]
     fn detection_pass_emits_alert_mid_stream() {
-        let e = engine(2, 2);
+        let e = engine(2);
         let mut seq = [0u64, 0];
         let mut send = |rank: usize, slice: u64, avg_us: u64, t_ms: u64, e: &AnalysisServer| {
             let t = VirtualTime::from_millis(t_ms);
@@ -1960,7 +1593,7 @@ mod tests {
     #[test]
     fn death_notice_masks_the_rank_and_alerts() {
         use crate::transport::DeathNotice;
-        let e = engine(4, 2);
+        let e = engine(4);
         let mut seqs = [0u64; 4];
         let mut send = |rank: usize, t_ms: u64, notice: Option<DeathNotice>| {
             let t = VirtualTime::from_millis(t_ms);
@@ -2004,7 +1637,7 @@ mod tests {
 
     #[test]
     fn silent_rank_is_presumed_dead_then_resurrected() {
-        let e = engine(2, 1);
+        let e = engine(2);
         let mut seqs = [0u64; 2];
         let mut send = |rank: usize, t_ms: u64| {
             let t = VirtualTime::from_millis(t_ms);
@@ -2032,13 +1665,21 @@ mod tests {
 
     #[test]
     fn snapshot_restore_replay_is_bitwise_identical() {
+        use crate::transport::DeathNotice;
         use crate::wal::{WalHeader, WriteAheadLog};
+        // Control plane on, with a batch interval short enough that the
+        // budget acts (two sensors, so one may go dark) on top of the
+        // escalation the slow rank's alert triggers.
         let config = RuntimeConfig {
-            shards: 2,
             keep_record_log: true,
-            ..RuntimeConfig::free_probes()
+            overhead_budget: 0.02,
+            batch_interval: Duration::from_micros(100),
+            ..RuntimeConfig::default()
         };
-        let sensors = vec![sensor_info(0, SensorKind::Computation, true)];
+        let sensors = vec![
+            sensor_info(0, SensorKind::Computation, true),
+            sensor_info(1, SensorKind::Network, false),
+        ];
         let header = WalHeader {
             ranks: 4,
             sensors: sensors.clone(),
@@ -2046,25 +1687,54 @@ mod tests {
         };
         let wal = Arc::new(WriteAheadLog::new(header));
         let live = AnalysisServer::new(4, sensors.clone(), config.clone()).into_primary(&wal);
+        let batch = |rank: usize, seq: u64| {
+            let avg = if rank == 2 { 30 } else { 10 };
+            let sent = VirtualTime::from_millis(seq);
+            TelemetryBatch::new(rank, seq, sent, vec![rec(0, seq, avg), rec(1, seq, avg)])
+        };
         for ms in 0..800u64 {
+            let t = VirtualTime::from_millis(ms);
             for rank in 0..4 {
-                let t = VirtualTime::from_millis(ms);
-                let avg = if rank == 2 { 30 } else { 10 };
-                let b = TelemetryBatch::new(rank, ms, t, vec![rec(0, ms, avg)]);
+                if rank == 3 && ms >= 400 {
+                    continue; // rank 3 dies at 400 ms...
+                }
+                if (rank, ms) == (1, 200) {
+                    continue; // ...rank 1's batch 200 is overtaken in flight...
+                }
+                let mut b = batch(rank, ms);
+                if rank == 0 && ms >= 410 {
+                    // ...and rank 0 gossips the death from 410 ms on.
+                    b.death_notice = Some(DeathNotice {
+                        rank: 3,
+                        at: VirtualTime::from_millis(400),
+                    });
+                }
                 live.ingest(b, t).unwrap();
+            }
+            if ms == 205 {
+                assert!(!live.ingest(batch(1, 200), t).unwrap().duplicate, "late");
+                assert!(live.ingest(batch(1, 100), t).unwrap().duplicate);
             }
         }
         assert!(wal.snapshot_entries() >= 1, "detect passes must checkpoint");
         // Crash-recover: fresh engine + last snapshot + tail replay.
         let mut recovered = AnalysisServer::new(4, sensors, config);
         let rec = wal.recovery_state();
-        let (snap, tail) = (rec.snapshot, rec.tail);
-        let snap = snap.expect("at least one snapshot");
-        assert!(!tail.is_empty(), "some batches arrive after the snapshot");
-        recovered.restore(&snap);
-        for (batch, arrival) in tail {
-            let _ = recovered.ingest(batch, arrival);
-        }
+        let snap = rec.snapshot.expect("at least one snapshot");
+        assert!(
+            !rec.tail.is_empty(),
+            "some batches arrive after the snapshot"
+        );
+        recovered.restore(*snap);
+        recovered.apply_replay(rec.tail);
+        // A checkpoint of the recovered engine is the live engine's.
+        assert_eq!(
+            recovered.snapshot_for_tests().fingerprint(),
+            live.snapshot_for_tests().fingerprint()
+        );
+        let schedule = live.control_schedule();
+        assert!(!schedule.is_empty(), "the controller must have acted");
+        assert_eq!(recovered.control_schedule(), schedule);
         let end = VirtualTime::from_millis(800);
         let a = live.interim(end);
         let b = recovered.interim(end);
@@ -2073,15 +1743,17 @@ mod tests {
         assert_eq!(a.batches, b.batches);
         assert_eq!(a.bytes_received, b.bytes_received);
         assert_eq!(a.load.detect_passes, b.load.detect_passes);
+        assert_eq!(a.failed_ranks, b.failed_ranks);
+        assert_eq!(a.failed_ranks.len(), 1, "{:?}", a.failed_ranks);
+        assert_eq!(a.control, b.control);
         for kind in SensorKind::ALL {
             let (ma, mb) = (&a.matrices[&kind], &b.matrices[&kind]);
             assert_eq!(ma.bins(), mb.bins());
             for rank in 0..4 {
                 for bin in 0..ma.bins() {
-                    let (sa, ca) = ma.cell_raw(rank, bin).unwrap();
-                    let (sb, cb) = mb.cell_raw(rank, bin).unwrap();
-                    assert_eq!(sa.to_bits(), sb.to_bits(), "rank {rank} bin {bin}");
-                    assert_eq!(ca, cb);
+                    let ca = ma.cell_raw(rank, bin).map(|(s, n)| (s.to_bits(), n));
+                    let cb = mb.cell_raw(rank, bin).map(|(s, n)| (s.to_bits(), n));
+                    assert_eq!(ca, cb, "{kind:?} rank {rank} bin {bin}");
                 }
             }
         }
@@ -2089,13 +1761,17 @@ mod tests {
             let (da, db) = (&a.delivery[rank], &b.delivery[rank]);
             assert_eq!(da.accepted, db.accepted);
             assert_eq!(da.gaps, db.gaps);
+            assert_eq!(da.duplicates, db.duplicates);
+            assert_eq!(da.out_of_order, db.out_of_order);
             assert_eq!(da.mean_latency, db.mean_latency);
         }
+        let d = &a.delivery[1];
+        assert_eq!((d.duplicates, d.out_of_order, d.gaps), (1, 1, 0));
     }
 
     #[test]
     fn closed_engine_rejects_ingest() {
-        let e = engine(1, 1);
+        let e = engine(1);
         e.close();
         let batch = TelemetryBatch::new(0, 0, VirtualTime::ZERO, vec![rec(0, 0, 10)]);
         assert!(matches!(
@@ -2106,19 +1782,61 @@ mod tests {
 
     #[test]
     fn shard_clocks_charge_ingest_work() {
-        let e = engine(4, 2);
+        // Eight ranks over the four modelled workers: two batches each.
+        let e = engine(8);
         let t = VirtualTime::from_millis(1);
-        for rank in 0..4 {
+        for rank in 0..8 {
             let batch = TelemetryBatch::new(rank, 0, t, vec![rec(0, 0, 10), rec(0, 1, 10)]);
-            e.ingest(batch, t).unwrap();
+            assert_eq!(e.ingest(batch, t).unwrap().shard, rank % INGEST_WORKERS);
         }
         let load = e.load();
-        assert_eq!(load.shards.len(), 2);
-        for s in &load.shards {
+        assert_eq!(load.shards.len(), INGEST_WORKERS);
+        for (i, s) in load.shards.iter().enumerate() {
+            assert_eq!(s.shard, i);
             assert_eq!(s.batches, 2);
             assert_eq!(s.records, 4);
-            assert!(s.busy.as_nanos() > 0);
-            assert!(s.free_at > t);
+            assert_eq!(s.busy, Duration(4 * SERVER_RECORD_COST.as_nanos()));
+            // Both batches arrive at `t`: the second queues behind the first.
+            assert_eq!(s.free_at, t + s.busy);
+        }
+    }
+
+    /// Sorted, disjoint, non-adjacent, non-empty runs.
+    fn runs_are_canonical(set: &SeqSet) -> bool {
+        set.0.iter().all(|&(first, last)| first <= last)
+            && set
+                .0
+                .windows(2)
+                .all(|w| w[0].1 < w[1].0 && w[0].1 + 1 < w[1].0)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Draws from a small domain arrive shuffled, repeat (duplicates)
+        /// and never cover it (permanent gaps); the top-of-range base puts
+        /// `u64::MAX` itself on the wire.
+        #[test]
+        fn seq_set_matches_a_hash_set(
+            top in 0u8..2,
+            seqs in proptest::collection::vec(0u64..48, 0..160),
+        ) {
+            let base = if top == 1 { u64::MAX - 47 } else { 0 };
+            let mut set = SeqSet::default();
+            let mut oracle = std::collections::HashSet::new();
+            for s in seqs {
+                let seq = base + s;
+                prop_assert_eq!(set.insert(seq), oracle.insert(seq));
+                prop_assert_eq!(set.len(), oracle.len() as u64);
+                prop_assert!(runs_are_canonical(&set), "{:?}", set);
+            }
+            // One run per maximal block of consecutive numbers: in-order
+            // delivery is one run, each batch lost for good costs one more.
+            let blocks = oracle
+                .iter()
+                .filter(|&&s| s == 0 || !oracle.contains(&(s - 1)))
+                .count();
+            prop_assert_eq!(set.0.len(), blocks);
         }
     }
 }

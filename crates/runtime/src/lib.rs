@@ -15,7 +15,7 @@
 //! 4. **Dynamic rules** (Figure 13): records may be bucketed by a runtime
 //!    metric (cache-miss rate) before comparison — [`dynrules`].
 //! 5. **Multi-process analysis** (§5.4): ranks stream their slice records
-//!    to a dedicated analysis server whose sharded [`engine`] folds them
+//!    to a dedicated analysis server whose streaming [`engine`] folds them
 //!    incrementally into per-component performance matrices (time × rank),
 //!    flags variance regions, and emits live alerts mid-run — [`server`],
 //!    [`matrix`], [`detect`].

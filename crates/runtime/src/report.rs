@@ -48,7 +48,7 @@ pub struct VarianceReport {
     /// of each death. Empty for healthy runs (and for runs predating the
     /// fail-stop layer), which keeps their rendered text bit-identical.
     pub failed_ranks: Vec<DeathRecord>,
-    /// Server-side processing load (ingest shards, detection passes).
+    /// Server-side processing load (modelled ingest workers, detection passes).
     pub load: ServerLoad,
     /// Tracing-derived runtime health, attached only when a trace session
     /// wrapped the run; `None` keeps the rendered text bit-identical to a

@@ -9,8 +9,8 @@
 //! it receives — the paper's data-volume comparison against tracing tools
 //! (8.8 MB vs 501.5 MB for the cg.D.128 run) falls out of this counter.
 //!
-//! [`AnalysisServer`] is one type: the struct and its data path (sharded
-//! ingest by `rank % shards`, bounded-memory accumulators, incremental
+//! [`AnalysisServer`] is one type: the struct and its data path (one plain
+//! state behind one lock, bounded-memory accumulators, incremental
 //! detection emitting [`VarianceAlert`]s mid-run) are in [`crate::engine`];
 //! this module holds how a server comes to exist — fresh, durable, or
 //! rebuilt from a write-ahead log — plus the session handle and the result
@@ -70,9 +70,9 @@ impl AnalysisServer {
     }
 
     /// Create a *durable* server: every arriving batch is appended to an
-    /// in-memory [`WriteAheadLog`] before processing (which serializes
-    /// ingest — log order is processing order) and the engine checkpoints
-    /// itself into the log every detection pass.
+    /// in-memory [`WriteAheadLog`] before processing (under the engine's
+    /// state lock — log order is processing order) and the engine
+    /// checkpoints itself into the log every detection pass.
     /// The returned log handle outlives the server; after a crash,
     /// [`AnalysisServer::recover`] rebuilds an equivalent server from it.
     pub fn try_new_durable(
@@ -92,9 +92,10 @@ impl AnalysisServer {
     /// Rebuild a crashed durable server from its write-ahead log: restore
     /// the latest engine snapshot, replay the batch tail logged after it
     /// through the normal ingest path, then re-attach the log so the
-    /// recovered server keeps journaling. Because ingest under a WAL is
-    /// serialized, the recovered engine state — and hence the final
-    /// [`ServerResult`] — is bitwise identical to the crash-free run's.
+    /// recovered server keeps journaling. Because the log order is the
+    /// order the engine processed batches in, the recovered engine state —
+    /// and hence the final [`ServerResult`] — is bitwise identical to the
+    /// crash-free run's.
     ///
     /// The WAL handle is explicit — recovery has no process-global state,
     /// so one process can recover any number of tenants, each from its
@@ -115,7 +116,7 @@ impl AnalysisServer {
         let mut server = Self::try_new(header.ranks, header.sensors, header.config)?;
         let rec = wal.recovery_state();
         if let Some(snap) = rec.snapshot {
-            server.restore(&snap);
+            server.restore(*snap);
         }
         server.apply_replay(rec.tail);
         let cursor = wal.frames() - rec.dropped;
@@ -133,8 +134,7 @@ impl AnalysisServer {
     }
 
     /// Open an ingest session. Sessions are cheap borrow handles; any
-    /// number may exist concurrently (each rank thread typically holds its
-    /// own), all feeding the same sharded engine.
+    /// number may exist concurrently, all feeding the same engine.
     pub fn session(&self) -> IngestSession<'_> {
         IngestSession { server: self }
     }
@@ -143,8 +143,8 @@ impl AnalysisServer {
 /// A live ingest session: the one front door for streaming telemetry in
 /// and results out.
 ///
-/// Borrowed from an [`AnalysisServer`]; `Copy`-cheap, `Sync`, and safe to
-/// hold per rank thread. Closing any session seals the shared server —
+/// Borrowed from an [`AnalysisServer`]; cheap, `Sync`, and safe to hold
+/// per host thread. Closing any session seals the shared server —
 /// subsequent ingests fail with [`IngestError::Closed`].
 pub struct IngestSession<'a> {
     server: &'a AnalysisServer,
@@ -246,7 +246,7 @@ pub struct ServerResult {
     pub delivery: Vec<DeliveryQuality>,
     /// Records rejected for naming unknown sensors.
     pub malformed_records: u64,
-    /// Server-side processing load (shard busy clocks, detection cost).
+    /// Server-side processing load (worker busy clocks, detection cost).
     pub load: ServerLoad,
     /// Ranks the engine believes fail-stopped (gossip notice or liveness
     /// timeout), in rank order — the report's "failed ranks" section.
@@ -475,19 +475,12 @@ mod tests {
 
     #[test]
     fn receipts_describe_the_ingest() {
-        let s = AnalysisServer::new(
-            3,
-            vec![sensor_info(0, SensorKind::Computation, true)],
-            RuntimeConfig {
-                shards: 2,
-                ..RuntimeConfig::free_probes()
-            },
-        );
+        let s = default_server(7);
         let t = VirtualTime::from_millis(1);
-        let batch = TelemetryBatch::new(2, 0, t, vec![rec(0, 0, 10), rec(0, 1, 10)]);
+        let batch = TelemetryBatch::new(6, 0, t, vec![rec(0, 0, 10), rec(0, 1, 10)]);
         let receipt = s.session().ingest(batch.clone(), t).unwrap();
-        assert_eq!(receipt.rank, 2);
-        assert_eq!(receipt.shard, 0, "rank 2 % 2 shards");
+        assert_eq!(receipt.rank, 6);
+        assert_eq!(receipt.shard, 2, "rank 6 % 4 modelled workers");
         assert_eq!(receipt.records, 2);
         assert!(!receipt.duplicate);
         assert!(receipt.bytes > 2 * SliceRecord::WIRE_BYTES);
@@ -574,10 +567,12 @@ mod tests {
     #[test]
     fn invalid_config_fails_at_construction() {
         let bad = RuntimeConfig {
-            shards: 0,
+            buffer_capacity: 0,
             ..RuntimeConfig::free_probes()
         };
         let err = AnalysisServer::try_new(1, Vec::new(), bad).err().unwrap();
-        assert!(matches!(err, RuntimeError::InvalidConfig { field, .. } if field == "shards"));
+        assert!(
+            matches!(err, RuntimeError::InvalidConfig { field, .. } if field == "buffer_capacity")
+        );
     }
 }

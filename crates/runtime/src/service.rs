@@ -18,9 +18,9 @@
 //!   rolls over, which the transport honors as [`SendOutcome::Busy`] —
 //!   a delay, never a drop;
 //! - **fair drain** — fairness is structural: every tenant has its own
-//!   engine with its own locks, and the service front door never holds a
+//!   engine with its own lock, and the service front door never holds a
 //!   cross-tenant lock across an engine ingest, so a hot tenant saturates
-//!   only its own shard and its own budget;
+//!   only its own engine and its own budget;
 //! - **per-tenant WAL isolation** — one [`WriteAheadLog`] per tenant, so
 //!   recovering tenant A never replays a byte of tenant B;
 //! - **hot-standby failover** — a standby replica set replays each
@@ -45,7 +45,6 @@
 //!
 //! [`SendOutcome::Busy`]: crate::transport::SendOutcome::Busy
 
-use crate::baseline::{RunId, SharedBaseline};
 use crate::config::RuntimeConfig;
 use crate::control::ControlDirective;
 use crate::engine::{AnalysisServer, IngestReceipt, VarianceAlert, SERVER_RECORD_COST};
@@ -161,9 +160,6 @@ pub enum ServiceError {
     },
     /// Standby failover needs a durable service.
     NotDurable,
-    /// A baseline store can only be attached before the tenant's engine
-    /// is built (first ingest / first result read builds it).
-    EngineAlreadyLive(TenantId),
 }
 
 impl fmt::Display for ServiceError {
@@ -182,12 +178,6 @@ impl fmt::Display for ServiceError {
             }
             ServiceError::NotDurable => {
                 write!(f, "standby failover requires a durable service")
-            }
-            ServiceError::EngineAlreadyLive(t) => {
-                write!(
-                    f,
-                    "tenant {t} already has a live engine; attach the baseline before first use"
-                )
             }
         }
     }
@@ -216,9 +206,10 @@ struct Ledger {
     latencies: Vec<u64>,
 }
 
-/// One tenant's slot in the service: its live engine (if admitted), its
-/// WAL, and its admission ledger. The ledger lock is never held across an
-/// engine ingest, and no lock spans two tenants.
+/// One tenant's slot in the service: its live engine (if admitted — the
+/// engine holds the tenant's WAL handle) and its admission ledger, two
+/// locks in all. The ledger lock is never held across an engine ingest,
+/// and no lock spans two tenants.
 struct TenantShard {
     id: TenantId,
     spec: TenantSpec,
@@ -227,16 +218,18 @@ struct TenantShard {
     /// promotion takes it *exclusively* from the replica's final catch-up
     /// to the swap, so no batch can be journaled by the dying primary
     /// after the replica stopped reading the journal. Ingests of one
-    /// tenant still run side by side, and tenants never share the lock.
+    /// tenant share this lock and serialize inside the engine, on its
+    /// state lock; tenants never share either.
     live: RwLock<Option<Arc<AnalysisServer>>>,
-    /// The tenant's own journal (durable services only).
-    wal: Mutex<Option<Arc<WriteAheadLog>>>,
     ledger: Mutex<Ledger>,
-    /// Cross-run baseline to attach when the engine is built lazily.
-    /// Note: a standby promoted on failover does **not** re-attach it —
-    /// failover must stay bitwise-identical to the crashed primary's
-    /// WAL-derived state (see DESIGN.md §15).
-    baseline: Mutex<Option<(SharedBaseline, RunId)>>,
+}
+
+impl TenantShard {
+    /// The tenant's own journal: the live engine's (durable services only,
+    /// once admitted). A promoted replica journals to the same log.
+    fn wal(&self) -> Option<Arc<WriteAheadLog>> {
+        self.live.read().as_ref()?.wal().cloned()
+    }
 }
 
 /// A standby replica of one tenant, kept caught up by WAL replay.
@@ -308,9 +301,7 @@ impl AnalysisService {
                 id,
                 spec,
                 live: RwLock::new(None),
-                wal: Mutex::new(None),
                 ledger: Mutex::new(Ledger::default()),
-                baseline: Mutex::new(None),
             }),
         );
         Ok(())
@@ -365,33 +356,7 @@ impl AnalysisService {
     /// The tenant's WAL handle, if the service is durable and the tenant
     /// has been admitted.
     pub fn wal(&self, id: TenantId) -> Option<Arc<WriteAheadLog>> {
-        self.shard(id).and_then(|s| s.wal.lock().clone())
-    }
-
-    /// Attach a cross-run baseline store to a tenant for run `run_id`.
-    /// Must happen between [`register`] and the tenant's first use — the
-    /// engine is built lazily, and thresholds are derived from history at
-    /// build time. Refused once the engine is live: thresholds changing
-    /// mid-run would break the streaming/replay equivalence. The baseline
-    /// is deliberately **not** carried across standby promotion — the
-    /// promoted replica must stay bitwise-identical to the crashed
-    /// primary's WAL-derived state.
-    ///
-    /// [`register`]: AnalysisService::register
-    pub fn attach_baseline(
-        &self,
-        tenant: TenantId,
-        baseline: SharedBaseline,
-        run_id: RunId,
-    ) -> Result<(), ServiceError> {
-        let shard = self
-            .shard(tenant)
-            .ok_or(ServiceError::UnknownTenant(tenant))?;
-        if shard.live.read().is_some() {
-            return Err(ServiceError::EngineAlreadyLive(tenant));
-        }
-        *shard.baseline.lock() = Some((baseline, run_id));
-        Ok(())
+        self.shard(id)?.wal()
     }
 
     /// Get or lazily build the tenant's engine (and WAL when durable).
@@ -403,25 +368,14 @@ impl AnalysisService {
         if let Some(server) = live.as_ref() {
             return server.clone(); // another rank built it meanwhile
         }
-        let spec = &shard.spec;
+        let spec = shard.spec.clone();
         let server = if self.config.durable {
-            let (server, wal) = AnalysisServer::try_new_durable(
-                spec.ranks,
-                spec.sensors.clone(),
-                spec.config.clone(),
-            )
-            .expect("tenant config validated at register");
-            *shard.wal.lock() = Some(wal);
-            server
+            AnalysisServer::try_new_durable(spec.ranks, spec.sensors, spec.config)
+                .map(|(server, _wal)| server)
         } else {
-            AnalysisServer::try_new(spec.ranks, spec.sensors.clone(), spec.config.clone())
-                .expect("tenant config validated at register")
+            AnalysisServer::try_new(spec.ranks, spec.sensors, spec.config)
         };
-        let mut server = server;
-        if let Some((baseline, run_id)) = shard.baseline.lock().clone() {
-            server.attach_baseline(baseline, run_id);
-        }
-        let server = Arc::new(server);
+        let server = Arc::new(server.expect("tenant config validated at register"));
         *live = Some(server.clone());
         server
     }
@@ -472,9 +426,9 @@ impl AnalysisService {
             slot.1 += 1;
         }
         // Ledger lock released: the engine ingest below runs under this
-        // tenant's shared `live` lock only, so tenants never serialize on
-        // each other and neither do one tenant's ranks — only a promotion
-        // of this tenant waits for (and holds off) its ingests.
+        // tenant's shared `live` lock, so tenants never serialize on each
+        // other; one tenant's ingests serialize inside its engine, and only
+        // a promotion of this tenant waits for (and holds off) them.
         let receipt = {
             let mut live = shard.live.read();
             if live.is_none() {
@@ -579,7 +533,7 @@ impl AnalysisService {
         let standby = guard.as_mut().ok_or(ServiceError::NotDurable)?;
         let shards: Vec<Arc<TenantShard>> = self.tenants.lock().values().cloned().collect();
         for shard in shards {
-            let Some(wal) = shard.wal.lock().clone() else {
+            let Some(wal) = shard.wal() else {
                 continue; // not admitted yet: nothing journaled
             };
             match standby.get_mut(&shard.id) {
@@ -632,7 +586,7 @@ impl AnalysisService {
             // tenant finish (and journal) first, later ones see the
             // promoted engine.
             let mut live = shard.live.write();
-            let Some(wal) = shard.wal.lock().clone() else {
+            let Some(wal) = live.as_ref().and_then(|s| s.wal().cloned()) else {
                 continue; // never admitted: nothing to lose or promote
             };
             let replica = match standby.remove(&shard.id) {
@@ -835,16 +789,13 @@ mod tests {
                 source: crate::error::RuntimeError::invalid_config("slice", "must be positive"),
             },
             ServiceError::NotDurable,
-            ServiceError::EngineAlreadyLive(TenantId(5)),
         ];
         for e in every {
             let blamed: Option<TenantId> = match &e {
                 // Service-wide refusals: no single tenant to blame.
                 ServiceError::AdmissionDenied { .. } | ServiceError::NotDurable => None,
                 // Tenant-scoped refusals must name the tenant...
-                ServiceError::DuplicateTenant(t)
-                | ServiceError::UnknownTenant(t)
-                | ServiceError::EngineAlreadyLive(t) => Some(*t),
+                ServiceError::DuplicateTenant(t) | ServiceError::UnknownTenant(t) => Some(*t),
                 ServiceError::InvalidTenantConfig { tenant, .. } => Some(*tenant),
             };
             // ...and the rendered message must carry it for operators.

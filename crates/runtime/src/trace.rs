@@ -263,7 +263,7 @@ pub struct RuntimeHealth {
     pub transport_retries: u64,
     /// Telemetry batches dropped by senders.
     pub transport_drops: u64,
-    /// Engine shard-ingest spans.
+    /// Engine ingest spans, per modelled worker.
     pub ingests: u64,
     /// Engine detection passes.
     pub detect_passes: u64,
@@ -322,8 +322,9 @@ fn lane_name(pid: u32) -> String {
 
 /// Export a trace as Chrome trace-event JSON (the `chrome://tracing` /
 /// Perfetto format). Lanes: `pid` = rank (the analysis server gets its own
-/// lane), `tid` = engine shard index. Timestamps are virtual nanoseconds
-/// rendered as fractional microseconds, the format's native unit.
+/// lane), `tid` = modelled engine worker index. Timestamps are virtual
+/// nanoseconds rendered as fractional microseconds, the format's native
+/// unit.
 pub fn chrome_trace_json(trace: &Trace) -> String {
     let mut events: Vec<&TraceEvent> = trace.events.iter().collect();
     events.sort_by_key(|e| e.ts);

@@ -3,9 +3,9 @@
 //! The engine is an in-memory simulation, so durability is simulated too:
 //! the "log" is an append-only in-memory sequence of CRC-framed entries,
 //! but the discipline is the real one — every arriving batch is appended
-//! *before* it mutates engine state, whole ingests are serialized while a
-//! WAL is attached (log order ≡ processing order), and detection passes
-//! append a full [`EngineSnapshot`] every pass.
+//! *before* it mutates engine state, under the engine's one state lock (log
+//! order ≡ processing order), and detection passes append a full
+//! [`EngineSnapshot`] — a clone of that state — every pass.
 //!
 //! Each entry is framed with its own CRC-32 at append time. Recovery
 //! ([`crate::AnalysisServer::recover`]) walks frames in order and stops at
@@ -15,7 +15,7 @@
 //!
 //! Recovery rebuilds a fresh engine from the header, restores the last
 //! intact snapshot, and re-ingests the batch tail logged after it. Because
-//! replay is a faithful re-execution of the serialized ingest order, the
+//! replay is a faithful re-execution of the logged ingest order, the
 //! recovered engine's [`ServerResult`] is **bitwise identical** to the
 //! crash-free run's — the invariant the `fail_stop` suite asserts down to
 //! `f64::to_bits` on matrix cells.
@@ -74,8 +74,8 @@ pub(crate) struct RecoveryState {
 }
 
 /// The append-only log. Frame storage has its own lock (separate from the
-/// engine's ingest serialization) so a detection pass can append a
-/// snapshot mid-ingest without re-entrancy.
+/// engine's state lock) so standbys and recovery read it without touching
+/// the engine.
 pub struct WriteAheadLog {
     header: WalHeader,
     log: Mutex<Log>,

@@ -1,4 +1,4 @@
-//! Streaming ⇄ batch equivalence: the sharded incremental engine must
+//! Streaming ⇄ batch equivalence: the incremental engine must
 //! reach the same conclusions as a classical replay over the raw record
 //! stream, on the paper's two case studies (the Figure 21 bad node and
 //! the Figure 22 network degradation) at smoke scale.
@@ -78,7 +78,7 @@ fn assert_matches_replay(run: &InstrumentedRun) {
     }
 }
 
-fn bad_node_run(shards: usize) -> InstrumentedRun {
+fn bad_node_run() -> InstrumentedRun {
     let prepared = Pipeline::new().prepare(cg::generate(Params::test().with_iters(300)).compile());
     let cluster = Arc::new(
         scenarios::bad_node(16, 2, 0.55)
@@ -90,15 +90,13 @@ fn bad_node_run(shards: usize) -> InstrumentedRun {
         .runtime
         .with_variance_threshold(0.7)
         .unwrap()
-        .with_shards(shards)
-        .unwrap()
         .with_record_log(true);
     prepared.run(cluster, &config)
 }
 
 #[test]
 fn fig21_bad_node_streaming_equals_replay() {
-    assert_matches_replay(&bad_node_run(4));
+    assert_matches_replay(&bad_node_run());
 }
 
 #[test]
@@ -123,29 +121,6 @@ fn fig22_network_degradation_streaming_equals_replay() {
         &config,
     );
     assert_matches_replay(&run);
-}
-
-#[test]
-fn shard_count_does_not_change_the_verdict() {
-    // The virtual-time simulation is deterministic, so two runs of the
-    // same prepared program differ only in the engine's shard layout; the
-    // folded matrices must be bit-identical regardless.
-    let one = bad_node_run(1);
-    let four = bad_node_run(4);
-    assert_eq!(one.server.events, four.server.events);
-    for kind in SensorKind::ALL {
-        let a = one.server.matrix(kind).unwrap();
-        let b = four.server.matrix(kind).unwrap();
-        assert_eq!(a.ranks(), b.ranks());
-        assert_eq!(a.bins(), b.bins());
-        for rank in 0..a.ranks() {
-            for bin in 0..a.bins() {
-                let x = a.cell(rank, bin).map(f64::to_bits);
-                let y = b.cell(rank, bin).map(f64::to_bits);
-                assert_eq!(x, y, "{kind:?} cell ({rank}, {bin}) differs across shards");
-            }
-        }
-    }
 }
 
 #[test]
