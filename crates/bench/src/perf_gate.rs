@@ -845,7 +845,7 @@ mod tests {
         let lines = text.lines().filter(|l| !l.trim().is_empty()).count();
         assert_eq!(
             (history.len(), lines),
-            (238, 238),
+            (284, 284),
             "valid-prefix parsing truncated the history"
         );
         for (_, h) in &history {
@@ -858,10 +858,10 @@ mod tests {
             assert_eq!(
                 runs.len(),
                 match h.suite.as_str() {
-                    "interp" | "simmpi" => 12,
-                    "service" => 10,
+                    "interp" | "simmpi" => 14,
+                    "service" => 12,
                     // First filed with runs 10 and 11.
-                    _ => 4,
+                    _ => 6,
                 },
                 "{}",
                 h.key()
@@ -883,28 +883,30 @@ mod tests {
     /// when runs 10 (the last commit with a thread backend) and 11 and
     /// regenerated interp, service and simmpi baselines were (PR 16), and
     /// again when runs 12 and 13 (the engine behind one lock and its
-    /// parent, baselines untouched) were (PR 18).
+    /// parent, baselines untouched) were (PR 18), and when runs 14 and 15
+    /// (the truncating write-ahead log and its parent, baselines
+    /// untouched) were (PR 21).
     #[rustfmt::skip]
     const PARENT_VERDICTS: [ParentVerdict; 19] = [
-        ("cg-fig21/4/vm-speedup", 12.742476353229371, true, true, 12, 5, 11.779058794743799, 6.033843621973613),
-        ("cg-fig21/4/vm-throughput", 5121845951.755823, true, true, 12, 6, 5479174589.089014, 2549569723.2855043),
-        ("cg-fig21/16/vm-speedup", 11.513137925715276, true, true, 12, 5, 12.73991709268089, 1.836384644341269),
-        ("cg-fig21/16/vm-throughput", 24191980755.892487, true, true, 12, 6, 22006454567.442635, 17203277697.44948),
-        ("ft-fig22/4/vm-speedup", 10.211190494650662, true, true, 12, 5, 10.151509877467301, 1.0151509877467302),
-        ("ft-fig22/4/vm-throughput", 5245636342.12357, true, true, 12, 6, 4806387043.351221, 3741372428.6844106),
-        ("ft-fig22/16/vm-speedup", 11.343600227470938, true, true, 12, 3, 11.610824300721463, 1.5407369157384485),
-        ("ft-fig22/16/vm-throughput", 10538391897.842829, true, true, 12, 6, 8790977564.365166, 6764947695.746387),
-        ("service/16/p99-hot-ingest", 200161800.0, true, true, 10, 10, 200161800.0, 2001618.0),
-        ("service/16/p99-steady-ingest", 155302.0, true, true, 10, 3, 155302.0, 1553.02),
-        ("service/16/service-throughput", 3014.4132286850117, true, true, 10, 10, 834.7317067281294, 423.5444170884649),
-        ("simmpi/1024/virt-throughput", 30290854.321401544, true, true, 12, 12, 30290854.321401544, 302908.54321401543),
-        ("simmpi/1024/wall-throughput", 1585238.294031774, true, true, 12, 5, 1515079.4982112925, 388213.82192809007),
-        ("simmpi/4096/virt-throughput", 102637134.54627462, true, true, 12, 12, 102637134.54627462, 1026371.3454627462),
-        ("simmpi/4096/wall-throughput", 1246161.69609726, true, true, 12, 5, 1227375.0789021486, 219594.23984351836),
-        ("simmpi/16384/virt-throughput", 356091986.0829121, true, true, 12, 12, 356091986.0829121, 3560919.860829121),
-        ("simmpi/16384/wall-throughput", 1076014.5047311282, true, true, 12, 5, 1097702.1247368278, 192516.2684571349),
-        ("simmpi/4096/scaling-ratio", 0.7861037049060099, true, true, 12, 12, 0.7597667566790488, 0.20033879562117424),
-        ("simmpi/16384/scaling-ratio", 0.8634629904778808, true, true, 12, 12, 0.8819173416364663, 0.14656207992908898),
+        ("cg-fig21/4/vm-speedup", 12.742476353229371, true, true, 14, 7, 12.634152376282916, 3.9491445741520868),
+        ("cg-fig21/4/vm-throughput", 5121845951.755823, true, true, 14, 8, 5621026753.2137985, 3913678753.0344915),
+        ("cg-fig21/16/vm-speedup", 11.513137925715276, true, true, 14, 7, 13.15011829303878, 6.0802874869430745),
+        ("cg-fig21/16/vm-throughput", 24191980755.892487, true, true, 14, 8, 22332296525.55055, 12449021550.697681),
+        ("ft-fig22/4/vm-speedup", 10.211190494650662, true, true, 14, 7, 10.151509877467301, 1.384394965595707),
+        ("ft-fig22/4/vm-throughput", 5245636342.12357, true, true, 14, 8, 4856760077.507233, 3215367721.9245777),
+        ("ft-fig22/16/vm-speedup", 11.343600227470938, true, true, 14, 5, 11.84409776372315, 1.1844097763723151),
+        ("ft-fig22/16/vm-throughput", 10538391897.842829, true, true, 14, 8, 8958106336.840942, 2000076977.229799),
+        ("service/16/p99-hot-ingest", 200161800.0, true, true, 12, 12, 200161800.0, 2001618.0),
+        ("service/16/p99-steady-ingest", 155302.0, true, true, 12, 5, 155302.0, 1553.02),
+        ("service/16/service-throughput", 3014.4132286850117, true, true, 12, 5, 2586.668918663756, 511.6092638050918),
+        ("simmpi/1024/virt-throughput", 30290854.321401544, true, true, 14, 14, 30290854.321401544, 302908.54321401543),
+        ("simmpi/1024/wall-throughput", 1585238.294031774, true, true, 14, 7, 1515079.4982112925, 226877.86104328698),
+        ("simmpi/4096/virt-throughput", 102637134.54627462, true, true, 14, 14, 102637134.54627462, 1026371.3454627462),
+        ("simmpi/4096/wall-throughput", 1246161.69609726, true, true, 14, 7, 1141127.8464946242, 325892.22188203054),
+        ("simmpi/16384/virt-throughput", 356091986.0829121, true, true, 14, 14, 356091986.0829121, 3560919.860829121),
+        ("simmpi/16384/wall-throughput", 1076014.5047311282, true, true, 14, 7, 1054418.6433624101, 288277.6134504576),
+        ("simmpi/4096/scaling-ratio", 0.7861037049060099, true, true, 14, 14, 0.7544897823374332, 0.2018975451852797),
+        ("simmpi/16384/scaling-ratio", 0.8634629904778808, true, true, 14, 14, 0.8819173416364663, 0.14656207992908898),
     ];
 
     #[test]

@@ -1402,7 +1402,7 @@ impl EngineSnapshot {
     /// and per-worker counters, clocks, the detection schedule, per-rank
     /// last arrivals, collection sizes, the controller's decision state),
     /// which is enough to catch a torn or bit-flipped frame in simulation,
-    /// and it is cheap: the WAL recomputes it on every prefix validation.
+    /// and it is cheap: every reader that consumes the frame recomputes it.
     pub(crate) fn fingerprint(&self) -> u64 {
         let s = &self.0;
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -1663,13 +1663,17 @@ mod tests {
         assert!(e.failed_ranks().is_empty(), "liveness deaths resurrect");
     }
 
-    #[test]
-    fn snapshot_restore_replay_is_bitwise_identical() {
+    /// The durability tests' stream: four ranks, 800 ms, control plane on
+    /// with a batch interval short enough that the budget acts (two
+    /// sensors, so one may go dark) on top of the escalation the slow
+    /// rank's alert triggers; one rank death gossiped by a peer, one late
+    /// batch and one duplicate.
+    fn durable_stream() -> (
+        Vec<SensorInfo>,
+        RuntimeConfig,
+        Vec<(TelemetryBatch, VirtualTime)>,
+    ) {
         use crate::transport::DeathNotice;
-        use crate::wal::{WalHeader, WriteAheadLog};
-        // Control plane on, with a batch interval short enough that the
-        // budget acts (two sensors, so one may go dark) on top of the
-        // escalation the slow rank's alert triggers.
         let config = RuntimeConfig {
             keep_record_log: true,
             overhead_budget: 0.02,
@@ -1680,18 +1684,12 @@ mod tests {
             sensor_info(0, SensorKind::Computation, true),
             sensor_info(1, SensorKind::Network, false),
         ];
-        let header = WalHeader {
-            ranks: 4,
-            sensors: sensors.clone(),
-            config: config.clone(),
-        };
-        let wal = Arc::new(WriteAheadLog::new(header));
-        let live = AnalysisServer::new(4, sensors.clone(), config.clone()).into_primary(&wal);
         let batch = |rank: usize, seq: u64| {
             let avg = if rank == 2 { 30 } else { 10 };
             let sent = VirtualTime::from_millis(seq);
             TelemetryBatch::new(rank, seq, sent, vec![rec(0, seq, avg), rec(1, seq, avg)])
         };
+        let mut stream = Vec::new();
         for ms in 0..800u64 {
             let t = VirtualTime::from_millis(ms);
             for rank in 0..4 {
@@ -1709,42 +1707,30 @@ mod tests {
                         at: VirtualTime::from_millis(400),
                     });
                 }
-                live.ingest(b, t).unwrap();
+                stream.push((b, t));
             }
             if ms == 205 {
-                assert!(!live.ingest(batch(1, 200), t).unwrap().duplicate, "late");
-                assert!(live.ingest(batch(1, 100), t).unwrap().duplicate);
+                stream.push((batch(1, 200), t)); // late
+                stream.push((batch(1, 100), t)); // duplicate
             }
         }
-        assert!(wal.snapshot_entries() >= 1, "detect passes must checkpoint");
-        // Crash-recover: fresh engine + last snapshot + tail replay.
-        let mut recovered = AnalysisServer::new(4, sensors, config);
-        let rec = wal.recovery_state();
-        let snap = rec.snapshot.expect("at least one snapshot");
-        assert!(
-            !rec.tail.is_empty(),
-            "some batches arrive after the snapshot"
-        );
-        recovered.restore(*snap);
-        recovered.apply_replay(rec.tail);
-        // A checkpoint of the recovered engine is the live engine's.
+        (sensors, config, stream)
+    }
+
+    /// Every externally visible bit of two four-rank engines agrees.
+    fn assert_bitwise_equal(a: &AnalysisServer, b: &AnalysisServer, end: VirtualTime) {
         assert_eq!(
-            recovered.snapshot_for_tests().fingerprint(),
-            live.snapshot_for_tests().fingerprint()
+            a.snapshot_for_tests().fingerprint(),
+            b.snapshot_for_tests().fingerprint()
         );
-        let schedule = live.control_schedule();
-        assert!(!schedule.is_empty(), "the controller must have acted");
-        assert_eq!(recovered.control_schedule(), schedule);
-        let end = VirtualTime::from_millis(800);
-        let a = live.interim(end);
-        let b = recovered.interim(end);
+        assert_eq!(a.control_schedule(), b.control_schedule());
+        let (a, b) = (a.interim(end), b.interim(end));
         assert_eq!(a.events, b.events);
         assert_eq!(a.records, b.records);
         assert_eq!(a.batches, b.batches);
         assert_eq!(a.bytes_received, b.bytes_received);
         assert_eq!(a.load.detect_passes, b.load.detect_passes);
         assert_eq!(a.failed_ranks, b.failed_ranks);
-        assert_eq!(a.failed_ranks.len(), 1, "{:?}", a.failed_ranks);
         assert_eq!(a.control, b.control);
         for kind in SensorKind::ALL {
             let (ma, mb) = (&a.matrices[&kind], &b.matrices[&kind]);
@@ -1765,8 +1751,57 @@ mod tests {
             assert_eq!(da.out_of_order, db.out_of_order);
             assert_eq!(da.mean_latency, db.mean_latency);
         }
-        let d = &a.delivery[1];
+    }
+
+    #[test]
+    fn snapshot_restore_replay_is_bitwise_identical() {
+        let (sensors, config, stream) = durable_stream();
+        let (live, wal) =
+            AnalysisServer::try_new_durable(4, sensors.clone(), config.clone()).unwrap();
+        for (batch, t) in stream {
+            // Rank 1's batch 200 arriving at 205 ms is late, not a duplicate.
+            let duplicate = (batch.seq, t) == (100, VirtualTime::from_millis(205));
+            assert_eq!(live.ingest(batch, t).unwrap().duplicate, duplicate);
+        }
+        assert!(wal.snapshot_entries() >= 1, "detect passes must checkpoint");
+        // Crash-recover: fresh engine + last snapshot + tail replay.
+        let rec = wal.read_from(0);
+        assert!(rec.snapshot.is_some(), "at least one snapshot");
+        assert!(
+            !rec.tail.is_empty(),
+            "some batches arrive after the snapshot"
+        );
+        let mut recovered = AnalysisServer::new(4, sensors, config);
+        assert_eq!(recovered.catch_up(&wal, 0), wal.frames());
+        assert!(
+            !live.control_schedule().is_empty(),
+            "the controller must have acted"
+        );
+        let end = VirtualTime::from_millis(800);
+        assert_bitwise_equal(&live, &recovered, end);
+        let result = live.interim(end);
+        assert_eq!(result.failed_ranks.len(), 1, "{:?}", result.failed_ranks);
+        let d = &result.delivery[1];
         assert_eq!((d.duplicates, d.out_of_order, d.gaps), (1, 1, 0));
+    }
+
+    #[test]
+    fn recovery_at_every_crash_index_matches_the_undisturbed_run() {
+        // A crash after any ingest `k` recovers to the engine a plain
+        // server reaches on the first `k` batches — including the ingest
+        // that lands first behind each checkpoint and truncates the log.
+        let (sensors, mut config, stream) = durable_stream();
+        config.detect_interval = Duration::from_millis(100);
+        let (durable, wal) =
+            AnalysisServer::try_new_durable(4, sensors.clone(), config.clone()).unwrap();
+        let plain = AnalysisServer::new(4, sensors, config);
+        for (batch, t) in stream {
+            durable.ingest(batch.clone(), t).unwrap();
+            plain.ingest(batch, t).unwrap();
+            let recovered = AnalysisServer::recover(&wal).unwrap();
+            assert_bitwise_equal(&plain, &recovered, t + Duration::from_millis(1));
+        }
+        assert!(wal.snapshot_entries() >= 5, "{}", wal.snapshot_entries());
     }
 
     #[test]

@@ -89,9 +89,10 @@ impl AnalysisServer {
         Ok((server.into_primary(&wal), wal))
     }
 
-    /// Rebuild a crashed durable server from its write-ahead log: restore
-    /// the latest engine snapshot, replay the batch tail logged after it
-    /// through the normal ingest path, then re-attach the log so the
+    /// Rebuild a crashed durable server from its write-ahead log — an
+    /// empty engine from the header, one `catch_up` from the start of the
+    /// log: the newest intact checkpoint, then the batch tail behind it
+    /// through the normal ingest path — and re-attach the log so the
     /// recovered server keeps journaling. Because the log order is the
     /// order the engine processed batches in, the recovered engine state —
     /// and hence the final [`ServerResult`] — is bitwise identical to the
@@ -106,31 +107,38 @@ impl AnalysisServer {
     }
 
     /// Rebuild engine state from a WAL **without** attaching the log — a
-    /// read-only replay. This is what a hot standby does to stay caught
-    /// up: the replica must not journal its own replay back into the
-    /// primary's log (that would double-append every batch). Returns the
-    /// replica and the frame cursor consumed, which feeds
-    /// [`WriteAheadLog::batches_since`] for incremental catch-up.
+    /// read-only replay, which is what a hot standby is: the replica must
+    /// not journal its own replay back into the primary's log (that would
+    /// double-append every batch). Returns the replica and its read
+    /// cursor, which the next `catch_up` resumes from.
     pub fn replay_from(wal: &Arc<WriteAheadLog>) -> Result<(Self, usize), RuntimeError> {
-        let header = wal.header().clone();
-        let mut server = Self::try_new(header.ranks, header.sensors, header.config)?;
-        let rec = wal.recovery_state();
-        if let Some(snap) = rec.snapshot {
-            server.restore(*snap);
-        }
-        server.apply_replay(rec.tail);
-        let cursor = wal.frames() - rec.dropped;
+        let mut server = Self::empty_for(wal)?;
+        let cursor = server.catch_up(wal, 0);
         Ok((server, cursor))
     }
 
-    /// Apply a slice of batches to a replica built by
-    /// [`AnalysisServer::replay_from`] — incremental standby catch-up.
-    /// Errors replay too: corrupt and malformed batches must reproduce
-    /// their counters, exactly as they did live.
-    pub fn apply_replay(&self, batches: Vec<(TelemetryBatch, VirtualTime)>) {
-        for (batch, arrival) in batches {
+    /// The engine the log's header describes, before its first batch.
+    pub(crate) fn empty_for(wal: &WriteAheadLog) -> Result<Self, RuntimeError> {
+        let header = wal.header().clone();
+        Self::try_new(header.ranks, header.sensors, header.config)
+    }
+
+    /// The one way engine state is read out of a log: restore the
+    /// checkpoint [`WriteAheadLog::read_from`]`(cursor)` seeded from, if
+    /// any, re-ingest its batch tail through the normal ingest path, return
+    /// the new cursor. Errors replay too: corrupt and malformed batches
+    /// must reproduce their counters, exactly as they did live. For a
+    /// server that does not journal (yet) — `&mut` keeps it unshared.
+    pub(crate) fn catch_up(&mut self, wal: &WriteAheadLog, cursor: usize) -> usize {
+        debug_assert!(self.wal().is_none(), "a replay must not be journaled again");
+        let replay = wal.read_from(cursor);
+        if let Some(snapshot) = replay.snapshot {
+            self.restore(snapshot);
+        }
+        for (batch, arrival) in replay.tail {
             let _ = self.ingest(batch, arrival);
         }
+        replay.cursor
     }
 
     /// Open an ingest session. Sessions are cheap borrow handles; any

@@ -23,9 +23,11 @@
 //!   only its own engine and its own budget;
 //! - **per-tenant WAL isolation** — one [`WriteAheadLog`] per tenant, so
 //!   recovering tenant A never replays a byte of tenant B;
-//! - **hot-standby failover** — a standby replica set replays each
-//!   tenant's WAL stream ([`AnalysisServer::replay_from`] + incremental
-//!   [`WriteAheadLog::batches_since`]); killing the primary promotes the
+//! - **hot-standby failover** — a standby replica set follows each
+//!   tenant's WAL by checkpoint: a catch-up restores the newest checkpoint
+//!   the replica has not passed and re-ingests the batches behind it, at
+//!   most one detection interval (`AnalysisServer::catch_up`, the same read
+//!   [`AnalysisServer::recover`] does); killing the primary promotes the
 //!   replicas ([`AnalysisServer::into_primary`]), and because replay is a
 //!   faithful re-execution of the journaled ingest order, every promoted
 //!   tenant's [`ServerResult`] is bitwise-identical to the crash-free
@@ -237,6 +239,28 @@ struct Replica {
     server: AnalysisServer,
     /// Frames of the tenant's WAL already applied.
     cursor: usize,
+}
+
+impl Replica {
+    /// `prior` — or, for a tenant with no replica yet, the empty engine
+    /// its WAL header describes — caught up with `wal`. The one place a
+    /// replica is built and the one place one reads the log.
+    fn caught_up(
+        prior: Option<Replica>,
+        wal: &WriteAheadLog,
+        tenant: TenantId,
+    ) -> Result<Replica, ServiceError> {
+        let mut replica = match prior {
+            Some(replica) => replica,
+            None => Replica {
+                server: AnalysisServer::empty_for(wal)
+                    .map_err(|source| ServiceError::InvalidTenantConfig { tenant, source })?,
+                cursor: 0,
+            },
+        };
+        replica.cursor = replica.server.catch_up(wal, replica.cursor);
+        Ok(replica)
+    }
 }
 
 /// Observable per-tenant service counters.
@@ -524,10 +548,11 @@ impl AnalysisService {
         self.standby.lock().is_some()
     }
 
-    /// Incrementally catch the standby up: for every admitted tenant,
-    /// ensure a replica exists (initial [`AnalysisServer::replay_from`])
-    /// and apply the WAL frames journaled since its cursor. Cheap to call
-    /// often — a caught-up tenant applies nothing.
+    /// Catch the standby up. Replicas follow checkpoints: each admitted
+    /// tenant's replica (built on its first catch-up) restores the newest
+    /// checkpoint journaled since its cursor and re-ingests the batches
+    /// behind it — at most one detection interval, however long ago the
+    /// last call was; a caught-up tenant applies nothing.
     pub fn catch_up_standby(&self) -> Result<(), ServiceError> {
         let mut guard = self.standby.lock();
         let standby = guard.as_mut().ok_or(ServiceError::NotDurable)?;
@@ -536,18 +561,8 @@ impl AnalysisService {
             let Some(wal) = shard.wal() else {
                 continue; // not admitted yet: nothing journaled
             };
-            match standby.get_mut(&shard.id) {
-                None => {
-                    let (server, cursor) = AnalysisServer::replay_from(&wal)
-                        .expect("tenant config validated at register");
-                    standby.insert(shard.id, Replica { server, cursor });
-                }
-                Some(replica) => {
-                    let (batches, cursor) = wal.batches_since(replica.cursor);
-                    replica.server.apply_replay(batches);
-                    replica.cursor = cursor;
-                }
-            }
+            let replica = Replica::caught_up(standby.remove(&shard.id), &wal, shard.id)?;
+            standby.insert(shard.id, replica);
         }
         Ok(())
     }
@@ -563,13 +578,14 @@ impl AnalysisService {
     /// tenant's own WAL, is promoted ([`AnalysisServer::into_primary`])
     /// and starts journaling. Per-tenant WAL isolation means promoting
     /// tenant A replays zero bytes of tenant B. Admission ledgers live in
-    /// the front door and survive.
+    /// the front door and survive. With no standby attached this is refused
+    /// ([`ServiceError::NotDurable`]) and marks nothing failed over.
     pub fn fail_over(&self, now: VirtualTime) -> Result<(), ServiceError> {
+        let mut guard = self.standby.lock();
+        let standby = guard.as_mut().ok_or(ServiceError::NotDurable)?;
         if self.failed_over.swap(true, Ordering::SeqCst) {
             return Ok(()); // already promoted
         }
-        let mut guard = self.standby.lock();
-        let standby = guard.as_mut().ok_or(ServiceError::NotDurable)?;
         if trace::enabled(Category::ENGINE) {
             trace::record(TraceEvent::instant(
                 Category::ENGINE,
@@ -589,21 +605,8 @@ impl AnalysisService {
             let Some(wal) = live.as_ref().and_then(|s| s.wal().cloned()) else {
                 continue; // never admitted: nothing to lose or promote
             };
-            let replica = match standby.remove(&shard.id) {
-                Some(mut replica) => {
-                    let (batches, cursor) = wal.batches_since(replica.cursor);
-                    replica.server.apply_replay(batches);
-                    replica.cursor = cursor;
-                    replica.server
-                }
-                // Admitted after the last catch-up: cold replay.
-                None => {
-                    AnalysisServer::replay_from(&wal)
-                        .expect("tenant config validated at register")
-                        .0
-                }
-            };
-            *live = Some(Arc::new(replica.into_primary(&wal)));
+            let replica = Replica::caught_up(standby.remove(&shard.id), &wal, shard.id)?;
+            *live = Some(Arc::new(replica.server.into_primary(&wal)));
             if trace::enabled(Category::ENGINE) {
                 trace::record(TraceEvent::instant(
                     Category::ENGINE,
@@ -983,5 +986,26 @@ mod tests {
     fn standby_requires_durability() {
         let svc = AnalysisService::new(ServiceConfig::default());
         assert_eq!(svc.attach_standby(), Err(ServiceError::NotDurable));
+    }
+
+    #[test]
+    fn refused_promotion_does_not_mark_the_service_failed_over() {
+        // Durable, but no standby attached: nothing can be promoted, however
+        // often it is asked for.
+        let svc = AnalysisService::new(ServiceConfig::default().durable());
+        svc.register(TenantId(0), spec(1)).unwrap();
+        let at = VirtualTime::from_micros(5);
+        svc.ingest(TenantId(0), batch(0, 0, at), at).unwrap();
+        for _ in 0..2 {
+            assert_eq!(svc.fail_over(at), Err(ServiceError::NotDurable));
+            assert!(!svc.failed_over());
+        }
+        // Once a standby exists the promotion goes through, once.
+        svc.attach_standby().unwrap();
+        assert_eq!(svc.fail_over(at), Ok(()));
+        assert!(svc.failed_over());
+        assert_eq!(svc.fail_over(at), Ok(()));
+        let result = svc.close_tenant(TenantId(0), at).unwrap();
+        assert_eq!(result.batches, 1);
     }
 }
