@@ -35,12 +35,11 @@ impl CallGraph {
             .collect();
 
         let mut raw_edges: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (fi, f) in program.functions.iter().enumerate() {
-            let mut seen = HashSet::new();
+        for (edges, f) in raw_edges.iter_mut().zip(&program.functions) {
             visit_calls(&f.body, &mut |c| {
                 if let Some(&ci) = index.get(c.callee.as_str()) {
-                    if seen.insert(ci) {
-                        raw_edges[fi].push(ci);
+                    if !edges.contains(&ci) {
+                        edges.push(ci);
                     }
                 }
             });
@@ -154,9 +153,10 @@ fn tarjan(edges: &[Vec<usize>]) -> Vec<Vec<usize>> {
             } else {
                 // Done with v.
                 if low[v] == index[v] {
+                    // v is on the stack (pushed when first visited, and
+                    // only an SCC root's pop removes it): pop down to it.
                     let mut scc = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack non-empty");
+                    while let Some(w) = stack.pop() {
                         on_stack[w] = false;
                         scc.push(w);
                         if w == v {

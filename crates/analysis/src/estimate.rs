@@ -161,12 +161,9 @@ fn call_work(program: &Program, c: &CallSite, est: &mut WorkEstimates) -> u64 {
 pub fn trip_count(var: &str, init: &Expr, cond: &Expr, step: &Expr) -> Option<u64> {
     let start = const_eval(init)?;
     let (op, bound) = match cond {
-        Expr::Binary { op, lhs, rhs } => match (&**lhs, op) {
-            (Expr::Var(v), BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge) if v == var => {
-                (op, const_eval(rhs)?)
-            }
-            _ => return None,
-        },
+        Expr::Binary { op, lhs, rhs } if matches!(&**lhs, Expr::Var(v) if v == var) => {
+            (*op, const_eval(rhs)?)
+        }
         _ => return None,
     };
     let stride = match step {
@@ -183,7 +180,7 @@ pub fn trip_count(var: &str, init: &Expr, cond: &Expr, step: &Expr) -> Option<u6
             lhs,
             rhs,
         } => match &**lhs {
-            Expr::Var(v) if v == var => -const_eval(rhs)?,
+            Expr::Var(v) if v == var => const_eval(rhs)?.checked_neg()?,
             _ => return None,
         },
         _ => return None,
@@ -192,18 +189,18 @@ pub fn trip_count(var: &str, init: &Expr, cond: &Expr, step: &Expr) -> Option<u6
         return None;
     }
     let span = match op {
-        BinOp::Lt => bound - start,
-        BinOp::Le => bound - start + 1,
-        BinOp::Gt => start - bound,
-        BinOp::Ge => start - bound + 1,
-        _ => unreachable!("filtered above"),
+        BinOp::Lt => bound.checked_sub(start)?,
+        BinOp::Le => bound.checked_sub(start)?.checked_add(1)?,
+        BinOp::Gt => start.checked_sub(bound)?,
+        BinOp::Ge => start.checked_sub(bound)?.checked_add(1)?,
+        _ => return None,
     };
-    let stride = stride.abs();
+    let stride = stride.checked_abs()?;
     if span <= 0 {
         Some(0)
     } else {
-        // Ceiling division (i64 div_ceil is unstable on this toolchain).
-        Some(((span + stride - 1) / stride) as u64)
+        // Ceiling division without overflow.
+        Some((span / stride + i64::from(span % stride != 0)) as u64)
     }
 }
 
@@ -214,7 +211,7 @@ pub fn const_eval(e: &Expr) -> Option<i64> {
         Expr::Unary {
             op: UnOp::Neg,
             operand,
-        } => const_eval(operand).map(|v| -v),
+        } => const_eval(operand)?.checked_neg(),
         Expr::Binary { op, lhs, rhs } => {
             let (a, b) = (const_eval(lhs)?, const_eval(rhs)?);
             Some(match op {
@@ -282,6 +279,11 @@ mod tests {
         assert_eq!(
             up("fn main() { for (i = 5; i < 5; i = i + 1) {} }"),
             Some(0)
+        );
+        // A span wider than i64: unknown, not an overflow.
+        assert_eq!(
+            up("fn main() { for (i = 0 - 9223372036854775807; i < 9223372036854775807; i = i + 1) {} }"),
+            None
         );
         // Non-constant bound: unknown.
         assert_eq!(

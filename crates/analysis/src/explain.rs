@@ -100,12 +100,12 @@ pub fn explain(program: &Program, identified: &Identified, id: SnippetId) -> Vec
     if v.scope_len < v.snippet.enclosing.len() && !v.deps.has_unknown() {
         let breaking = v.snippet.enclosing[v.scope_len];
         let fa = &identified.func_analyses[v.snippet.func];
-        let assigned = fa.loop_assigned.get(&breaking).cloned().unwrap_or_default();
+        let assigned: Vec<&Name> = fa.assigned_in(breaking).collect();
         let culprits: Vec<Name> = v
             .deps
             .names
             .iter()
-            .filter(|n| assigned.contains(*n))
+            .filter(|n| assigned.contains(n))
             .cloned()
             .collect();
         reasons.push(Reason::VariesInLoop {

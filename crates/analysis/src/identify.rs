@@ -17,11 +17,11 @@
 //!   the program disqualifies snippets whose workload reads it.
 
 use crate::callgraph::CallGraph;
-use crate::deps::{self, ExcludeInduction, FuncAnalysis, Summary};
+use crate::deps::{self, Boundary, Deps, FuncAnalysis, Summary, RANK, UNKNOWN};
 use crate::snippets::{self, Snippet, SnippetId, SnippetType};
-use crate::symbols::UseSet;
+use crate::symbols::{Bits, UseSet};
 use crate::AnalysisConfig;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use vsensor_lang::{LoopId, Name, Program};
 
 /// Verdict for one candidate snippet.
@@ -73,146 +73,98 @@ pub struct Identified {
     pub fixed_params: Vec<BTreeSet<usize>>,
     /// Per function: parameters that may carry rank-derived values.
     pub rank_params: Vec<BTreeSet<usize>>,
+    /// Position in `verdicts` by loop ID and by call ID.
+    by_loop: Vec<u32>,
+    by_call: Vec<u32>,
 }
 
 impl Identified {
     /// Find the verdict for a snippet ID.
     pub fn verdict(&self, id: SnippetId) -> Option<&SnippetVerdict> {
-        self.verdicts.iter().find(|v| v.snippet.id == id)
+        self.verdicts.get(self.position(id)?)
+    }
+
+    /// Position of a snippet's verdict in `verdicts`.
+    pub(crate) fn position(&self, id: SnippetId) -> Option<usize> {
+        let at = match id {
+            SnippetId::Loop(l) => self.by_loop.get(l.0 as usize),
+            SnippetId::Call(c) => self.by_call.get(c.0 as usize),
+        };
+        let at = at.map(|&i| i as usize);
+        let indexed = at.filter(|&i| self.verdicts.get(i).is_some_and(|v| v.snippet.id == id));
+        // `verdicts` is a public field: if it was edited, look it up.
+        indexed.or_else(|| self.verdicts.iter().position(|v| v.snippet.id == id))
     }
 }
 
 /// Run identification over a whole program.
 pub fn identify(program: &Program, config: &AnalysisConfig) -> Identified {
     let callgraph = CallGraph::build(program);
-    let all_global_names: Vec<Name> = program.globals.iter().map(|g| g.name.clone()).collect();
+    let mut recursive = vec![false; program.functions.len()];
+    for &fi in &callgraph.recursive {
+        recursive[fi] = true;
+    }
 
     // 1. Bottom-up per-function analysis. Recursive functions get opaque
-    // summaries and empty analyses.
-    let mut summaries: HashMap<Name, Summary> = HashMap::new();
+    // boundaries and empty analyses.
+    let cx = deps::Context::new(program, config);
+    let mut func_analyses = vec![FuncAnalysis::default(); program.functions.len()];
     for &fi in &callgraph.recursive {
-        let f = &program.functions[fi];
-        summaries.insert(
-            f.name.clone(),
-            Summary::opaque(f.params.len(), &all_global_names),
-        );
+        let params = program.functions[fi].params.len();
+        func_analyses[fi].boundary = Some(Boundary::opaque(program, params));
     }
-    let mut func_analyses: Vec<FuncAnalysis> =
-        vec![FuncAnalysis::default(); program.functions.len()];
     for &fi in &callgraph.topo_order {
-        let f = &program.functions[fi];
-        let (fa, summary) = deps::analyze_function(
-            program,
-            f,
-            &config.externs,
-            &summaries,
-            config.comm_dest_matters,
-        );
-        func_analyses[fi] = fa;
-        summaries.insert(f.name.clone(), summary);
+        func_analyses[fi] = deps::analyze_function(&cx, &func_analyses, fi);
     }
 
-    // 2. Volatile globals: any global assigned anywhere.
-    let mut volatile_globals = BTreeSet::new();
+    // 2. Volatile globals: any global assigned anywhere; opaque functions
+    // may write anything.
+    let mut volatile = Bits::default();
     for fa in &func_analyses {
-        volatile_globals.extend(fa.direct_global_writes.iter().cloned());
+        volatile.union_with(&fa.global_writes);
     }
-    for &fi in &callgraph.recursive {
-        // Opaque functions may write anything.
-        let _ = fi;
-        if !callgraph.recursive.is_empty() {
-            volatile_globals.extend(all_global_names.iter().cloned());
-            break;
-        }
+    if !callgraph.recursive.is_empty() {
+        volatile.union_with(&deps::all_globals(program));
     }
 
     // 3. Fixpoints over parameters.
     let (fixed_params, rank_params) =
-        param_fixpoints(program, &callgraph, &func_analyses, &volatile_globals);
+        param_fixpoints(program, &func_analyses, &recursive, &volatile);
 
     // 4. Judge every snippet.
-    let globals_set: HashSet<Name> = all_global_names.iter().cloned().collect();
+    let empty = Deps::default();
     let snippets = snippets::enumerate(program);
     let mut verdicts = Vec::with_capacity(snippets.len());
     for sn in snippets {
         let fa = &func_analyses[sn.func];
-        let func = &program.functions[sn.func];
-        let param_index: HashMap<&str, usize> = func
-            .params
-            .iter()
-            .enumerate()
-            .map(|(i, (n, _))| (n.as_str(), i))
-            .collect();
-
-        let seed = fa.snippet_seeds.get(&sn.id).cloned().unwrap_or_default();
-        let ty = fa
-            .snippet_types
-            .get(&sn.id)
-            .copied()
-            .unwrap_or(SnippetType::Computation);
-
-        // Loops contained within this snippet (for induction exclusion).
-        let within: HashSet<LoopId> = match sn.id {
-            SnippetId::Loop(l) => {
-                let mut s: HashSet<LoopId> = fa
-                    .loop_ancestors
-                    .iter()
-                    .filter(|(_, anc)| anc.contains(&l))
-                    .map(|(id, _)| *id)
-                    .collect();
-                s.insert(l);
-                s
-            }
-            SnippetId::Call(_) => HashSet::new(),
-        };
-        let deps_closed = deps::closure(
-            &seed,
-            fa,
-            &param_index,
-            &globals_set,
-            &ExcludeInduction::Within(&within),
-        );
+        let (seed, ty, excluded) =
+            fa.snippet(sn.id)
+                .unwrap_or((&empty, SnippetType::Computation, Bits::default()));
+        let closed = fa.closure(seed, &excluded);
+        let unknown = closed.syms.contains(UNKNOWN);
 
         // Intra-procedural scope: walk enclosing loops innermost-out.
-        let mut scope_len = 0;
-        if !deps_closed.has_unknown() {
-            for l in &sn.enclosing {
-                let assigned = fa.loop_assigned.get(l).cloned().unwrap_or_default();
-                if deps_closed.intersects_names(&assigned) {
-                    break;
-                }
-                scope_len += 1;
-            }
-        }
-        let function_scope_fixed = scope_len == sn.enclosing.len() && !deps_closed.has_unknown();
+        let varies = |l: &&LoopId| fa.varies_in(**l, &closed.names);
+        let scope_len = if unknown {
+            0
+        } else {
+            sn.enclosing.iter().take_while(|l| !varies(l)).count()
+        };
+        let function_scope_fixed = !unknown && scope_len == sn.enclosing.len();
 
-        // Global judgment.
-        let mut globally_fixed = function_scope_fixed;
-        let mut rank_dependent = deps_closed.has_rank();
-        if globally_fixed {
-            for g in deps_closed.globals() {
-                if volatile_globals.contains(g) {
-                    globally_fixed = false;
-                }
-            }
-            for p in deps_closed.params() {
-                if !fixed_params[sn.func].contains(&p) {
-                    globally_fixed = false;
-                }
-                if rank_params[sn.func].contains(&p) {
-                    rank_dependent = true;
-                }
-            }
-            // Snippets inside recursive functions have no reliable
-            // iteration context.
-            if callgraph.recursive.contains(&sn.func) {
-                globally_fixed = false;
-            }
-        }
+        // Global judgment. Snippets inside recursive functions have no
+        // reliable iteration context.
+        let params = || deps::params(program, &closed.syms);
+        let globally_fixed = function_scope_fixed
+            && !closed.syms.intersects(&volatile)
+            && params().all(|p| fixed_params[sn.func].contains(&p))
+            && !recursive[sn.func];
+        let rank_dependent = closed.syms.contains(RANK)
+            || (function_scope_fixed && params().any(|p| rank_params[sn.func].contains(&p)));
 
         verdicts.push(SnippetVerdict {
             ty,
-            deps: deps_closed,
+            deps: fa.use_set(program, &closed),
             scope_len,
             function_scope_fixed,
             globally_fixed,
@@ -221,14 +173,31 @@ pub fn identify(program: &Program, config: &AnalysisConfig) -> Identified {
         });
     }
 
+    let mut by_loop = vec![u32::MAX; program.loop_count as usize];
+    let mut by_call = vec![u32::MAX; program.call_count as usize];
+    for (i, v) in verdicts.iter().enumerate() {
+        let slot = match v.snippet.id {
+            SnippetId::Loop(l) => by_loop.get_mut(l.0 as usize),
+            SnippetId::Call(c) => by_call.get_mut(c.0 as usize),
+        };
+        if let Some(slot) = slot {
+            *slot = i as u32;
+        }
+    }
+
+    let summaries = program.functions.iter().zip(&func_analyses);
     Identified {
+        summaries: summaries
+            .filter_map(|(f, fa)| Some((f.name.clone(), fa.boundary.as_ref()?.summary(program))))
+            .collect(),
+        volatile_globals: deps::global_names(program, &volatile).collect(),
         verdicts,
         func_analyses,
-        summaries,
         callgraph,
-        volatile_globals,
         fixed_params,
         rank_params,
+        by_loop,
+        by_call,
     }
 }
 
@@ -236,96 +205,66 @@ pub fn identify(program: &Program, config: &AnalysisConfig) -> Identified {
 /// at every call site) and rank-tainted (may carry rank-derived values).
 fn param_fixpoints(
     program: &Program,
-    callgraph: &CallGraph,
     func_analyses: &[FuncAnalysis],
-    volatile_globals: &BTreeSet<Name>,
+    recursive: &[bool],
+    volatile: &Bits,
 ) -> (Vec<BTreeSet<usize>>, Vec<BTreeSet<usize>>) {
-    let n = program.functions.len();
-    let fn_index: HashMap<&str, usize> = program
-        .functions
-        .iter()
-        .enumerate()
-        .map(|(i, f)| (f.name.as_str(), i))
-        .collect();
-    let globals_set: HashSet<Name> = program.globals.iter().map(|g| g.name.clone()).collect();
-
-    // Optimistic start: all params fixed, none rank-tainted.
+    // Optimistic start: all params fixed, none rank-tainted. Recursive
+    // functions: nothing can be trusted.
     let mut fixed: Vec<BTreeSet<usize>> = program
         .functions
         .iter()
         .map(|f| (0..f.params.len()).collect())
         .collect();
-    let mut ranky: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
+    let mut ranky = vec![BTreeSet::new(); fixed.len()];
+    for fi in (0..fixed.len()).filter(|&fi| recursive[fi]) {
+        std::mem::swap(&mut fixed[fi], &mut ranky[fi]);
+    }
 
-    // Recursive functions: nothing can be trusted.
-    for &fi in &callgraph.recursive {
-        fixed[fi].clear();
-        ranky[fi] = (0..program.functions[fi].params.len()).collect();
+    // An argument's closure does not depend on the fixpoint's state, so
+    // each is judged once: it is invariant if it contains no unknown, is
+    // assigned in no loop enclosing the call, reads no volatile global and
+    // its caller is not recursive (an untrusted caller) — and then it is
+    // fixed while every caller parameter it reads is.
+    struct Arg {
+        caller: usize,
+        callee: usize,
+        index: usize,
+        invariant: bool,
+        rank: bool,
+        params: Vec<usize>,
+    }
+    let mut args = Vec::new();
+    for (caller, fa) in func_analyses.iter().enumerate() {
+        for call in &fa.user_calls {
+            for (index, arg) in call.args.iter().enumerate() {
+                let closed = fa.closure(arg, &Bits::default());
+                let invariant = !closed.syms.contains(UNKNOWN)
+                    && !call.outer.is_some_and(|l| fa.varies_in(l, &closed.names))
+                    && !closed.syms.intersects(volatile)
+                    && !recursive[caller];
+                args.push(Arg {
+                    caller,
+                    callee: call.callee,
+                    index,
+                    invariant,
+                    rank: closed.syms.contains(RANK),
+                    params: deps::params(program, &closed.syms).collect(),
+                });
+            }
+        }
     }
 
     loop {
         let mut changed = false;
-        for (caller_idx, fa) in func_analyses.iter().enumerate() {
-            let caller = &program.functions[caller_idx];
-            let param_index: HashMap<&str, usize> = caller
-                .params
-                .iter()
-                .enumerate()
-                .map(|(i, (n, _))| (n.as_str(), i))
-                .collect();
-            for (call_id, callee_name) in &fa.call_callee {
-                let Some(&callee_idx) = fn_index.get(callee_name.as_str()) else {
-                    continue; // extern
-                };
-                let arg_deps = &fa.call_args[call_id];
-                let enclosing = &fa.call_enclosing[call_id];
-                for (pi, arg) in arg_deps.iter().enumerate() {
-                    let closed =
-                        deps::closure(arg, fa, &param_index, &globals_set, &ExcludeInduction::None);
-                    // Fixedness: the argument must be invariant at every
-                    // loop enclosing the call site, contain no unknown,
-                    // no volatile global, and only fixed caller params.
-                    let mut arg_fixed = !closed.has_unknown();
-                    if arg_fixed {
-                        for l in enclosing {
-                            let assigned = fa.loop_assigned.get(l).cloned().unwrap_or_default();
-                            if closed.intersects_names(&assigned) {
-                                arg_fixed = false;
-                                break;
-                            }
-                        }
-                    }
-                    if arg_fixed {
-                        for g in closed.globals() {
-                            if volatile_globals.contains(g) {
-                                arg_fixed = false;
-                            }
-                        }
-                        for p in closed.params() {
-                            if !fixed[caller_idx].contains(&p) {
-                                arg_fixed = false;
-                            }
-                        }
-                    }
-                    // A caller that is itself recursive is untrusted.
-                    if callgraph.recursive.contains(&caller_idx) {
-                        arg_fixed = false;
-                    }
-                    if !arg_fixed && fixed[callee_idx].remove(&pi) {
-                        changed = true;
-                    }
-
-                    // Rank taint.
-                    let mut arg_rank = closed.has_rank();
-                    for p in closed.params() {
-                        if ranky[caller_idx].contains(&p) {
-                            arg_rank = true;
-                        }
-                    }
-                    if arg_rank && ranky[callee_idx].insert(pi) {
-                        changed = true;
-                    }
-                }
+        for a in &args {
+            let arg_fixed = a.invariant && a.params.iter().all(|p| fixed[a.caller].contains(p));
+            if !arg_fixed && fixed[a.callee].remove(&a.index) {
+                changed = true;
+            }
+            let arg_rank = a.rank || a.params.iter().any(|p| ranky[a.caller].contains(p));
+            if arg_rank && ranky[a.callee].insert(a.index) {
+                changed = true;
             }
         }
         if !changed {

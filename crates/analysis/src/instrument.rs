@@ -8,7 +8,6 @@
 use crate::identify::Identified;
 use crate::select::Selection;
 use crate::snippets::{SnippetId, SnippetType};
-use std::collections::HashMap;
 use vsensor_lang::{Block, Name, Program, SensorId, Span, Stmt};
 
 /// Everything the runtime needs to know about one instrumented sensor.
@@ -62,19 +61,24 @@ impl Instrumented {
 }
 
 /// Apply the instrumentation: returns a transformed copy of the program and
-/// the sensor table.
+/// the sensor table. A chosen snippet without a verdict (a selection made
+/// for another program) is not instrumented.
 pub fn instrument(
     program: &Program,
     identified: &Identified,
     selection: &Selection,
 ) -> Instrumented {
-    // Assign sensor IDs in deterministic (selection) order.
-    let mut sensor_of: HashMap<SnippetId, SensorId> = HashMap::new();
+    // Assign sensor IDs in deterministic (selection) order; `sensor_of` is
+    // indexed like `identified.verdicts`.
+    let mut sensor_of = vec![None; identified.verdicts.len()];
     let mut sensors = Vec::with_capacity(selection.chosen.len());
-    for (i, &sid) in selection.chosen.iter().enumerate() {
-        let v = identified.verdict(sid).expect("selected snippet verdict");
-        let sensor = SensorId(i as u32);
-        sensor_of.insert(sid, sensor);
+    for &sid in &selection.chosen {
+        let Some(at) = identified.position(sid) else {
+            continue;
+        };
+        let v = &identified.verdicts[at];
+        let sensor = SensorId(sensors.len() as u32);
+        sensor_of[at] = Some(sensor);
         sensors.push(SensorMeta {
             sensor,
             snippet: sid,
@@ -85,10 +89,18 @@ pub fn instrument(
             process_invariant: v.fixed_across_processes,
         });
     }
+    let sensor = |stmt: &Stmt| {
+        let id = match stmt {
+            Stmt::Loop { id, .. } => SnippetId::Loop(*id),
+            Stmt::Call(c) => SnippetId::Call(c.id),
+            _ => return None,
+        };
+        sensor_of[identified.position(id)?]
+    };
 
     let mut out = program.clone();
     for f in &mut out.functions {
-        rewrite_block(&mut f.body, &sensor_of);
+        rewrite_block(&mut f.body, &sensor);
     }
 
     Instrumented {
@@ -97,29 +109,29 @@ pub fn instrument(
     }
 }
 
-fn rewrite_block(block: &mut Block, sensor_of: &HashMap<SnippetId, SensorId>) {
-    let mut new_stmts = Vec::with_capacity(block.stmts.len());
-    for mut stmt in std::mem::take(&mut block.stmts) {
-        // Recurse first so nested structures are rewritten (selection
-        // guarantees no probe lands inside a selected snippet, but the
-        // rewrite itself is general).
-        match &mut stmt {
-            Stmt::Loop { body, .. } => rewrite_block(body, sensor_of),
+fn rewrite_block(block: &mut Block, sensor: &impl Fn(&Stmt) -> Option<SensorId>) {
+    // Recurse first so nested structures are rewritten (selection
+    // guarantees no probe lands inside a selected snippet, but the rewrite
+    // itself is general).
+    for stmt in &mut block.stmts {
+        match stmt {
+            Stmt::Loop { body, .. } => rewrite_block(body, sensor),
             Stmt::If {
                 then_blk, else_blk, ..
             } => {
-                rewrite_block(then_blk, sensor_of);
-                rewrite_block(else_blk, sensor_of);
+                rewrite_block(then_blk, sensor);
+                rewrite_block(else_blk, sensor);
             }
             _ => {}
         }
-        let sid = match &stmt {
-            Stmt::Loop { id, .. } => Some(SnippetId::Loop(*id)),
-            Stmt::Call(c) => Some(SnippetId::Call(c.id)),
-            _ => None,
-        };
-        match sid.and_then(|s| sensor_of.get(&s)) {
-            Some(&sensor) => {
+    }
+    if block.stmts.iter().all(|s| sensor(s).is_none()) {
+        return;
+    }
+    let mut new_stmts = Vec::with_capacity(block.stmts.len() + 2);
+    for stmt in std::mem::take(&mut block.stmts) {
+        match sensor(&stmt) {
+            Some(sensor) => {
                 new_stmts.push(Stmt::Tick(sensor));
                 new_stmts.push(stmt);
                 new_stmts.push(Stmt::Tock(sensor));

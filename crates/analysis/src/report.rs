@@ -71,13 +71,12 @@ pub fn summarize(
     identified: &Identified,
     instrumented: &Instrumented,
 ) -> AnalysisReport {
-    let loc = vsensor_lang::printer::print_program(program)
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .count();
+    let mut loc = LineCounter::default();
+    // Counting lines cannot fail.
+    let _ = vsensor_lang::printer::write_program(program, &mut loc);
     let (comp, net, io) = instrumented.type_counts();
     AnalysisReport {
-        loc,
+        loc: loc.lines + usize::from(loc.open),
         snippets: identified.verdicts.len(),
         identified_vsensors: identified
             .verdicts
@@ -92,6 +91,31 @@ pub fn summarize(
         instrumented_comp: comp,
         instrumented_net: net,
         instrumented_io: io,
+    }
+}
+
+/// A `fmt::Write` sink that counts the non-blank lines written to it (a
+/// final line without a newline included). Bytes suffice: ASCII
+/// whitespace is the only whitespace the printer emits, and every line it
+/// emits that is not blank has `;`, `{` or `}` on it.
+#[derive(Default)]
+struct LineCounter {
+    lines: usize,
+    /// The current line has a non-whitespace character.
+    open: bool,
+}
+
+impl fmt::Write for LineCounter {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for &b in s.as_bytes() {
+            if b == b'\n' {
+                self.lines += usize::from(self.open);
+                self.open = false;
+            } else if !b.is_ascii_whitespace() {
+                self.open = true;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -126,6 +150,18 @@ mod tests {
         // The fixed k loop, plus the constant compute(4) call that
         // selection finds inside the varying k2 loop.
         assert_eq!(r.instrumented_comp, 2, "{r}");
+    }
+
+    #[test]
+    fn loc_counts_the_printed_non_blank_lines() {
+        let p = compile(
+            "global int G = 1;\nfn f(int x) -> int { return x; }\nfn main() { if (G > 0) { f(2); } else { G = 0; } }",
+        )
+        .unwrap();
+        let printed = vsensor_lang::printer::print_program(&p);
+        let expected = printed.lines().filter(|l| !l.trim().is_empty()).count();
+        assert_eq!(analyze(&p, &AnalysisConfig::default()).report.loc, expected);
+        assert_eq!(expected, 11, "{printed}");
     }
 
     #[test]

@@ -15,7 +15,6 @@
 
 use crate::identify::Identified;
 use crate::snippets::SnippetId;
-use std::collections::HashSet;
 use vsensor_lang::{Block, Program, Stmt};
 
 /// Tunable selection rules.
@@ -55,42 +54,19 @@ pub struct Selection {
 
 /// Select v-sensors for instrumentation.
 pub fn select(program: &Program, identified: &Identified, rules: &SelectionRules) -> Selection {
-    let estimates = if rules.min_estimated_work > 0 {
-        Some(crate::estimate::estimate(program, &identified.callgraph))
-    } else {
-        None
-    };
-    let big_enough = |id: SnippetId| match &estimates {
-        None => true,
-        Some(est) => est.snippet(id).unwrap_or(u64::MAX) >= rules.min_estimated_work,
-    };
-    // Eligibility on everything except "repeats": whether a snippet
-    // executes repeatedly depends on the *call context* (a top-level loop
-    // in a helper called from main's time loop repeats inter-procedurally)
-    // and is decided during the walk.
-    let eligible: HashSet<SnippetId> = identified
-        .verdicts
-        .iter()
-        .filter(|v| {
-            v.globally_fixed
-                && v.snippet.depth < rules.max_depth
-                && (!rules.require_process_invariant || v.fixed_across_processes)
-                && big_enough(v.snippet.id)
-        })
-        .map(|v| v.snippet.id)
-        .collect();
-
     let Some(main_idx) = program.function_index("main") else {
         return Selection::default();
     };
-
+    let estimates = (rules.min_estimated_work > 0)
+        .then(|| crate::estimate::estimate(program, &identified.callgraph));
     let mut sel = Selector {
         program,
         identified,
-        eligible,
+        rules,
+        estimates,
         chosen: Vec::new(),
-        visited: HashSet::new(),
-        covered: HashSet::new(),
+        visited: vec![false; program.functions.len()],
+        covered: vec![false; program.functions.len()],
     };
     sel.visit_function(main_idx, false);
 
@@ -98,69 +74,92 @@ pub fn select(program: &Program, identified: &Identified, rules: &SelectionRules
     // through a selected call sensor on some path — instrumenting it would
     // break that outer sensor).
     let covered = sel.covered;
-    let chosen = sel
-        .chosen
-        .into_iter()
-        .filter(|id| {
-            let v = identified.verdict(*id).expect("chosen snippet has verdict");
-            !covered.contains(&v.snippet.func)
-        })
-        .collect();
-    Selection { chosen }
+    let chosen = sel.chosen.into_iter();
+    Selection {
+        chosen: chosen
+            .filter(|&(_, f)| !covered[f])
+            .map(|(id, _)| id)
+            .collect(),
+    }
 }
 
 struct Selector<'a> {
     program: &'a Program,
     identified: &'a Identified,
-    eligible: HashSet<SnippetId>,
-    chosen: Vec<SnippetId>,
-    visited: HashSet<usize>,
+    rules: &'a SelectionRules,
+    estimates: Option<crate::estimate::WorkEstimates>,
+    /// Chosen snippets with the function each lives in.
+    chosen: Vec<(SnippetId, usize)>,
+    visited: Vec<bool>,
     /// Functions reachable from inside a selected sensor: must stay
     /// probe-free.
-    covered: HashSet<usize>,
+    covered: Vec<bool>,
 }
 
-impl Selector<'_> {
+impl<'a> Selector<'a> {
+    /// Eligibility on everything except "repeats": whether a snippet
+    /// executes repeatedly depends on the *call context* (a top-level loop
+    /// in a helper called from main's time loop repeats inter-procedurally)
+    /// and is decided during the walk.
+    fn eligible(&self, id: SnippetId) -> bool {
+        let rules = self.rules;
+        let big_enough = |est: &crate::estimate::WorkEstimates| {
+            est.snippet(id).unwrap_or(u64::MAX) >= rules.min_estimated_work
+        };
+        self.identified.verdict(id).is_some_and(|v| {
+            v.globally_fixed
+                && v.snippet.depth < rules.max_depth
+                && (!rules.require_process_invariant || v.fixed_across_processes)
+                && self.estimates.as_ref().is_none_or(big_enough)
+        })
+    }
+
     /// Visit a function's body. `in_loop_ctx` is true when every call path
     /// that brought the walk here passes through a loop, so top-level
     /// snippets of this function still execute repeatedly.
     fn visit_function(&mut self, func: usize, in_loop_ctx: bool) {
-        if !self.visited.insert(func) {
+        if std::mem::replace(&mut self.visited[func], true) {
             return;
         }
-        let body = self.program.functions[func].body.clone();
-        self.visit_block(&body, in_loop_ctx);
+        let program = self.program;
+        self.visit_block(&program.functions[func].body, func, in_loop_ctx);
     }
 
-    fn visit_block(&mut self, block: &Block, in_loop_ctx: bool) {
+    fn visit_block(&mut self, block: &'a Block, func: usize, in_loop_ctx: bool) {
         for stmt in &block.stmts {
             match stmt {
                 Stmt::Loop { id, body, .. } => {
                     let sid = SnippetId::Loop(*id);
-                    if in_loop_ctx && self.eligible.contains(&sid) {
-                        self.chosen.push(sid);
+                    if in_loop_ctx && self.eligible(sid) {
+                        self.chosen.push((sid, func));
                         // Everything inside is covered: mark callee
                         // functions reachable from the subtree.
-                        self.cover_block(body);
+                        let program = self.program;
+                        vsensor_lang::visit_calls(body, &mut |c| {
+                            if let Some(fi) = program.function_index(&c.callee) {
+                                self.cover_function(fi);
+                            }
+                        });
                     } else {
                         // Inside a loop, everything repeats.
-                        self.visit_block(body, true);
+                        self.visit_block(body, func, true);
                     }
                 }
                 Stmt::If {
                     then_blk, else_blk, ..
                 } => {
-                    self.visit_block(then_blk, in_loop_ctx);
-                    self.visit_block(else_blk, in_loop_ctx);
+                    self.visit_block(then_blk, func, in_loop_ctx);
+                    self.visit_block(else_blk, func, in_loop_ctx);
                 }
                 Stmt::Call(c) => {
                     let sid = SnippetId::Call(c.id);
-                    if in_loop_ctx && self.eligible.contains(&sid) {
-                        self.chosen.push(sid);
-                        if let Some(fi) = self.program.function_index(&c.callee) {
+                    let callee = self.program.function_index(&c.callee);
+                    if in_loop_ctx && self.eligible(sid) {
+                        self.chosen.push((sid, func));
+                        if let Some(fi) = callee {
                             self.cover_function(fi);
                         }
-                    } else if let Some(fi) = self.program.function_index(&c.callee) {
+                    } else if let Some(fi) = callee {
                         self.visit_function(fi, in_loop_ctx);
                     }
                 }
@@ -169,23 +168,11 @@ impl Selector<'_> {
         }
     }
 
-    /// Mark every user function called from this subtree (transitively) as
-    /// covered.
-    fn cover_block(&mut self, block: &Block) {
-        let mut callees = Vec::new();
-        vsensor_lang::visit_calls(block, &mut |c| {
-            if let Some(fi) = self.program.function_index(&c.callee) {
-                callees.push(fi);
-            }
-        });
-        for fi in callees {
-            self.cover_function(fi);
-        }
-    }
-
+    /// Mark every user function reachable from `func` (itself included)
+    /// as covered.
     fn cover_function(&mut self, func: usize) {
         for fi in self.identified.callgraph.reachable_from(func) {
-            self.covered.insert(fi);
+            self.covered[fi] = true;
         }
     }
 }

@@ -5,6 +5,10 @@
 //! variability can be judged directly. Local variable names are kept
 //! alongside (see [`UseSet`]) because the intra-procedural judgment
 //! intersects them with the set of variables assigned inside a loop.
+//!
+//! Inside the analysis both halves are `Bits`: names by their dense
+//! per-function slot, symbols by *atom* (see [`crate::deps`]). A
+//! [`UseSet`] is the string form handed out with each verdict.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -54,25 +58,6 @@ impl UseSet {
         UseSet::default()
     }
 
-    /// Union-in another set; returns whether anything changed (for
-    /// fixpoints).
-    pub fn absorb(&mut self, other: &UseSet) -> bool {
-        let before = (self.names.len(), self.symbols.len());
-        self.names.extend(other.names.iter().cloned());
-        self.symbols.extend(other.symbols.iter().cloned());
-        before != (self.names.len(), self.symbols.len())
-    }
-
-    /// Add a single name.
-    pub fn add_name(&mut self, name: impl Into<Name>) -> bool {
-        self.names.insert(name.into())
-    }
-
-    /// Add a single symbol.
-    pub fn add_symbol(&mut self, sym: Symbol) -> bool {
-        self.symbols.insert(sym)
-    }
-
     /// Whether the set contains [`Symbol::Unknown`].
     pub fn has_unknown(&self) -> bool {
         self.symbols.contains(&Symbol::Unknown)
@@ -82,30 +67,80 @@ impl UseSet {
     pub fn has_rank(&self) -> bool {
         self.symbols.contains(&Symbol::Rank)
     }
+}
 
-    /// Iterate parameter indices present.
-    pub fn params(&self) -> impl Iterator<Item = usize> + '_ {
-        self.symbols.iter().filter_map(|s| match s {
-            Symbol::Param(i) => Some(*i),
-            _ => None,
-        })
+/// A growable set of small integers (slots and atoms), combined a word at
+/// a time. The first word is inline, so a set of elements below 64 — the
+/// common case for one function's names and a program's symbols — never
+/// allocates.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Bits {
+    low: u64,
+    high: Vec<u64>,
+}
+
+impl Bits {
+    fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        std::iter::once(self.low).chain(self.high.iter().copied())
     }
 
-    /// Iterate global names present.
-    pub fn globals(&self) -> impl Iterator<Item = &str> {
-        self.symbols.iter().filter_map(|s| match s {
-            Symbol::Global(g) => Some(g.as_str()),
-            _ => None,
-        })
-    }
-
-    /// Whether any name in `self` is also in `assigned`.
-    pub fn intersects_names(&self, assigned: &BTreeSet<Name>) -> bool {
-        if self.names.len() <= assigned.len() {
-            self.names.iter().any(|n| assigned.contains(n))
-        } else {
-            assigned.iter().any(|n| self.names.contains(n))
+    /// Insert `i`; returns whether it was absent.
+    pub fn insert(&mut self, i: u32) -> bool {
+        let (w, bit) = ((i / 64) as usize, 1u64 << (i % 64));
+        if w > self.high.len() {
+            self.high.resize(w, 0);
         }
+        let word = if w == 0 {
+            &mut self.low
+        } else {
+            &mut self.high[w - 1]
+        };
+        let absent = *word & bit == 0;
+        *word |= bit;
+        absent
+    }
+
+    /// Whether `i` is in the set.
+    pub fn contains(&self, i: u32) -> bool {
+        let word = self.words().nth((i / 64) as usize).unwrap_or(0);
+        word & (1u64 << (i % 64)) != 0
+    }
+
+    /// Union `other` into `self`.
+    pub fn union_with(&mut self, other: &Bits) {
+        self.low |= other.low;
+        if other.high.len() > self.high.len() {
+            self.high.resize(other.high.len(), 0);
+        }
+        for (a, b) in self.high.iter_mut().zip(&other.high) {
+            *a |= b;
+        }
+    }
+
+    /// Whether the two sets share an element.
+    pub fn intersects(&self, other: &Bits) -> bool {
+        self.words().zip(other.words()).any(|(a, b)| a & b != 0)
+    }
+
+    /// The elements, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.words().enumerate().flat_map(|(w, mut rest)| {
+            std::iter::from_fn(move || {
+                let bit = (rest != 0).then_some(rest.trailing_zeros())?;
+                rest &= rest - 1;
+                Some(w as u32 * 64 + bit)
+            })
+        })
+    }
+}
+
+impl FromIterator<u32> for Bits {
+    fn from_iter<I: IntoIterator<Item = u32>>(items: I) -> Self {
+        let mut bits = Bits::default();
+        for i in items {
+            bits.insert(i);
+        }
+        bits
     }
 }
 
@@ -114,36 +149,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn absorb_reports_change() {
-        let mut a = UseSet::new();
-        let mut b = UseSet::new();
-        b.add_name("x");
-        b.add_symbol(Symbol::Rank);
-        assert!(a.absorb(&b));
-        assert!(!a.absorb(&b), "second absorb is a no-op");
-        assert!(a.has_rank());
+    fn bits_insert_union_intersect_iterate() {
+        let mut a = Bits::default();
+        assert!(a.insert(3));
+        assert!(!a.insert(3), "second insert is a no-op");
+        assert!(a.insert(130));
+        let mut b = Bits::default();
+        b.insert(64);
+        assert!(!a.intersects(&b));
+        a.union_with(&b);
+        assert!(a.intersects(&b) && a.contains(64) && !a.contains(65));
+        assert_eq!(a.iter().collect::<Vec<_>>(), vec![3, 64, 130]);
+        assert!(!Bits::default().contains(1_000));
     }
 
     #[test]
-    fn queries_filter_symbols() {
+    fn queries_see_symbols() {
         let mut u = UseSet::new();
-        u.add_symbol(Symbol::Param(2));
-        u.add_symbol(Symbol::Param(0));
-        u.add_symbol(Symbol::Global("G".into()));
-        assert_eq!(u.params().collect::<Vec<_>>(), vec![0, 2]);
-        assert_eq!(u.globals().collect::<Vec<_>>(), vec!["G"]);
-        assert!(!u.has_unknown());
-    }
-
-    #[test]
-    fn name_intersection() {
-        let mut u = UseSet::new();
-        u.add_name("a");
-        u.add_name("b");
-        let assigned: BTreeSet<Name> = [Name::new("b")].into();
-        assert!(u.intersects_names(&assigned));
-        let other: BTreeSet<Name> = [Name::new("z")].into();
-        assert!(!u.intersects_names(&other));
+        u.symbols.insert(Symbol::Param(2));
+        u.symbols.insert(Symbol::Global("G".into()));
+        assert!(!u.has_unknown() && !u.has_rank());
+        u.symbols.insert(Symbol::Rank);
+        assert!(u.has_rank());
     }
 
     #[test]

@@ -9,100 +9,100 @@
 use crate::ast::Type;
 use crate::ir::*;
 use crate::lower::is_synthetic_var;
-use std::fmt::Write;
+use std::fmt::{self, Write};
 
 /// Render a whole program as MiniHPC source text.
 pub fn print_program(p: &Program) -> String {
     let mut out = String::new();
-    for g in &p.globals {
-        let init = match g.init {
-            GlobalInit::Int(v) => v.to_string(),
-            GlobalInit::Float(v) => fmt_float(v),
-        };
-        let _ = writeln!(out, "global {} {} = {};", type_name(g.ty), g.name, init);
-    }
-    if !p.globals.is_empty() {
-        out.push('\n');
-    }
-    for (i, f) in p.functions.iter().enumerate() {
-        if i > 0 {
-            out.push('\n');
-        }
-        print_function(f, &mut out);
-    }
+    // Writing into a `String` cannot fail.
+    let _ = write_program(p, &mut out);
     out
 }
 
-/// Render a single function.
-pub fn print_function(f: &Function, out: &mut String) {
-    let params = f
-        .params
-        .iter()
-        .map(|(n, t)| format!("{} {}", type_name(*t), n))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let ret = match f.ret {
-        Some(t) => format!(" -> {}", type_name(t)),
-        None => String::new(),
-    };
-    let _ = writeln!(out, "fn {}({}){} {{", f.name, params, ret);
-    print_block(&f.body, 1, out);
-    out.push_str("}\n");
+/// Emit a whole program into any `fmt::Write` sink: the one printer behind
+/// [`print_program`] and every other consumer of the text. Expressions are
+/// streamed, never built as intermediate strings.
+pub fn write_program(p: &Program, out: &mut impl Write) -> fmt::Result {
+    for g in &p.globals {
+        let (ty, name) = (type_name(g.ty), &g.name);
+        match g.init {
+            GlobalInit::Int(v) => writeln!(out, "global {ty} {name} = {v};")?,
+            GlobalInit::Float(v) => writeln!(out, "global {ty} {name} = {};", Float(v))?,
+        }
+    }
+    if !p.globals.is_empty() {
+        out.write_char('\n')?;
+    }
+    for (i, f) in p.functions.iter().enumerate() {
+        if i > 0 {
+            out.write_char('\n')?;
+        }
+        write_function(f, out)?;
+    }
+    Ok(())
 }
 
-fn indent(level: usize, out: &mut String) {
+/// Emit a single function.
+pub fn write_function(f: &Function, out: &mut impl Write) -> fmt::Result {
+    write!(out, "fn {}(", f.name)?;
+    for (i, (n, t)) in f.params.iter().enumerate() {
+        let sep = if i > 0 { ", " } else { "" };
+        write!(out, "{sep}{} {n}", type_name(*t))?;
+    }
+    match f.ret {
+        Some(t) => writeln!(out, ") -> {} {{", type_name(t))?,
+        None => out.write_str(") {\n")?,
+    }
+    write_block(&f.body, 1, out)?;
+    out.write_str("}\n")
+}
+
+fn indent(level: usize, out: &mut impl Write) -> fmt::Result {
     for _ in 0..level {
-        out.push_str("    ");
+        out.write_str("    ")?;
     }
+    Ok(())
 }
 
-fn print_block(b: &Block, level: usize, out: &mut String) {
+fn write_block(b: &Block, level: usize, out: &mut impl Write) -> fmt::Result {
     for s in &b.stmts {
-        print_stmt(s, level, out);
+        write_stmt(s, level, out)?;
     }
+    Ok(())
 }
 
-fn print_stmt(s: &Stmt, level: usize, out: &mut String) {
-    indent(level, out);
+fn write_stmt(s: &Stmt, level: usize, out: &mut impl Write) -> fmt::Result {
+    indent(level, out)?;
     match s {
-        Stmt::Decl { name, ty, init, .. } => {
-            match init {
-                Some(e) => {
-                    let _ = writeln!(out, "{} {} = {};", type_name(*ty), name, print_expr(e));
-                }
-                None => {
-                    let _ = writeln!(out, "{} {};", type_name(*ty), name);
-                }
-            };
-        }
+        Stmt::Decl { name, ty, init, .. } => match init {
+            Some(e) => writeln!(out, "{} {} = {};", type_name(*ty), name, Prec(e, 0)),
+            None => writeln!(out, "{} {};", type_name(*ty), name),
+        },
         Stmt::ArrayDecl { name, ty, len, .. } => {
-            let _ = writeln!(out, "{} {}[{}];", type_name(*ty), name, print_expr(len));
+            writeln!(out, "{} {}[{}];", type_name(*ty), name, Prec(len, 0))
         }
-        Stmt::Assign { target, value, .. } => {
-            let lhs = match target {
-                LValue::Var(n) => n.to_string(),
-                LValue::Index { name, index } => format!("{}[{}]", name, print_expr(index)),
-            };
-            let _ = writeln!(out, "{} = {};", lhs, print_expr(value));
-        }
+        Stmt::Assign { target, value, .. } => match target {
+            LValue::Var(n) => writeln!(out, "{n} = {};", Prec(value, 0)),
+            LValue::Index { name, index } => {
+                writeln!(out, "{name}[{}] = {};", Prec(index, 0), Prec(value, 0))
+            }
+        },
         Stmt::If {
             cond,
             then_blk,
             else_blk,
             ..
         } => {
-            let _ = writeln!(out, "if ({}) {{", print_expr(cond));
-            print_block(then_blk, level + 1, out);
+            writeln!(out, "if ({}) {{", Prec(cond, 0))?;
+            write_block(then_blk, level + 1, out)?;
+            indent(level, out)?;
             if else_blk.stmts.is_empty() {
-                indent(level, out);
-                out.push_str("}\n");
-            } else {
-                indent(level, out);
-                out.push_str("} else {\n");
-                print_block(else_blk, level + 1, out);
-                indent(level, out);
-                out.push_str("}\n");
+                return out.write_str("}\n");
             }
+            out.write_str("} else {\n")?;
+            write_block(else_blk, level + 1, out)?;
+            indent(level, out)?;
+            out.write_str("}\n")
         }
         Stmt::Loop {
             id,
@@ -114,55 +114,48 @@ fn print_stmt(s: &Stmt, level: usize, out: &mut String) {
             body,
             ..
         } => {
+            let (init, cond, step) = (Prec(init, 0), Prec(cond, 0), Prec(step, 0));
             match kind {
-                LoopKind::For => {
-                    let _ = writeln!(
-                        out,
-                        "for ({var} = {}; {}; {var} = {}) {{ // {id}",
-                        print_expr(init),
-                        print_expr(cond),
-                        print_expr(step),
-                    );
-                }
+                LoopKind::For => writeln!(
+                    out,
+                    "for ({var} = {init}; {cond}; {var} = {step}) {{ // {id}"
+                )?,
                 LoopKind::While => {
                     debug_assert!(is_synthetic_var(var));
-                    let _ = writeln!(out, "while ({}) {{ // {id}", print_expr(cond));
+                    writeln!(out, "while ({cond}) {{ // {id}")?
                 }
             }
-            print_block(body, level + 1, out);
-            indent(level, out);
-            out.push_str("}\n");
+            write_block(body, level + 1, out)?;
+            indent(level, out)?;
+            out.write_str("}\n")
         }
-        Stmt::Call(c) => {
-            let _ = writeln!(out, "{}; // {}", print_call(c), c.id);
-        }
-        Stmt::Return { value, .. } => {
-            match value {
-                Some(e) => {
-                    let _ = writeln!(out, "return {};", print_expr(e));
-                }
-                None => out.push_str("return;\n"),
-            };
-        }
-        Stmt::Break { .. } => out.push_str("break;\n"),
-        Stmt::Continue { .. } => out.push_str("continue;\n"),
-        Stmt::Tick(id) => {
-            let _ = writeln!(out, "vs_tick({});", id.0);
-        }
-        Stmt::Tock(id) => {
-            let _ = writeln!(out, "vs_tock({});", id.0);
-        }
+        Stmt::Call(c) => writeln!(out, "{}; // {}", Call(c), c.id),
+        Stmt::Return { value: Some(e), .. } => writeln!(out, "return {};", Prec(e, 0)),
+        Stmt::Return { value: None, .. } => out.write_str("return;\n"),
+        Stmt::Break { .. } => out.write_str("break;\n"),
+        Stmt::Continue { .. } => out.write_str("continue;\n"),
+        Stmt::Tick(id) => writeln!(out, "vs_tick({});", id.0),
+        Stmt::Tock(id) => writeln!(out, "vs_tock({});", id.0),
     }
 }
 
-fn print_call(c: &CallSite) -> String {
-    let args = c.args.iter().map(print_expr).collect::<Vec<_>>().join(", ");
-    format!("{}({})", c.callee, args)
+/// A call site, streamed.
+struct Call<'c>(&'c CallSite);
+
+impl fmt::Display for Call<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}(", self.0.callee)?;
+        for (i, a) in self.0.args.iter().enumerate() {
+            f.write_str(if i > 0 { ", " } else { "" })?;
+            Prec(a, 0).fmt(f)?;
+        }
+        f.write_char(')')
+    }
 }
 
 /// Render an expression (fully parenthesized where precedence demands it).
 pub fn print_expr(e: &Expr) -> String {
-    prec_expr(e, 0)
+    Prec(e, 0).to_string()
 }
 
 /// Precedence tiers: 1=or, 2=and, 3=cmp, 4=add, 5=mul, 6=unary, 7=atom.
@@ -176,61 +169,69 @@ fn binop_prec(op: BinOp) -> u8 {
     }
 }
 
+/// An operator with the spaces around it.
 fn binop_sym(op: BinOp) -> &'static str {
     match op {
-        BinOp::Add => "+",
-        BinOp::Sub => "-",
-        BinOp::Mul => "*",
-        BinOp::Div => "/",
-        BinOp::Rem => "%",
-        BinOp::Lt => "<",
-        BinOp::Le => "<=",
-        BinOp::Gt => ">",
-        BinOp::Ge => ">=",
-        BinOp::Eq => "==",
-        BinOp::Ne => "!=",
-        BinOp::And => "&&",
-        BinOp::Or => "||",
+        BinOp::Add => " + ",
+        BinOp::Sub => " - ",
+        BinOp::Mul => " * ",
+        BinOp::Div => " / ",
+        BinOp::Rem => " % ",
+        BinOp::Lt => " < ",
+        BinOp::Le => " <= ",
+        BinOp::Gt => " > ",
+        BinOp::Ge => " >= ",
+        BinOp::Eq => " == ",
+        BinOp::Ne => " != ",
+        BinOp::And => " && ",
+        BinOp::Or => " || ",
     }
 }
 
-fn prec_expr(e: &Expr, min_prec: u8) -> String {
-    match e {
-        Expr::Int(v) => v.to_string(),
-        Expr::Float(v) => fmt_float(*v),
-        Expr::Var(n) => n.to_string(),
-        Expr::Index { name, index } => format!("{}[{}]", name, prec_expr(index, 0)),
-        Expr::Unary { op, operand } => {
-            let sym = match op {
-                UnOp::Neg => "-",
-                UnOp::Not => "!",
-            };
-            let s = format!("{}{}", sym, prec_expr(operand, 6));
-            if min_prec > 6 {
-                format!("({s})")
-            } else {
-                s
+/// An expression streamed at a minimum precedence: parenthesized when its
+/// own is lower.
+struct Prec<'e>(&'e Expr, u8);
+
+impl fmt::Display for Prec<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Prec(e, min_prec) = *self;
+        match e {
+            Expr::Int(v) => write!(f, "{v}"),
+            Expr::Float(v) => Float(*v).fmt(f),
+            Expr::Var(n) => f.write_str(n),
+            Expr::Index { name, index } => write!(f, "{name}[{}]", Prec(index, 0)),
+            Expr::Unary { op, operand } => {
+                let sym = match op {
+                    UnOp::Neg => "-",
+                    UnOp::Not => "!",
+                };
+                let operand = Prec(operand, 6);
+                if min_prec > 6 {
+                    write!(f, "({sym}{operand})")
+                } else {
+                    write!(f, "{sym}{operand}")
+                }
             }
-        }
-        Expr::Binary { op, lhs, rhs } => {
-            let p = binop_prec(*op);
-            // Left-associative: the right operand needs strictly higher
-            // precedence; comparisons are non-associative, so both sides
-            // need higher precedence.
-            let lp = if p == 3 { p + 1 } else { p };
-            let s = format!(
-                "{} {} {}",
-                prec_expr(lhs, lp),
-                binop_sym(*op),
-                prec_expr(rhs, p + 1)
-            );
-            if p < min_prec {
-                format!("({s})")
-            } else {
-                s
+            Expr::Binary { op, lhs, rhs } => {
+                let p = binop_prec(*op);
+                // Left-associative: the right operand needs strictly higher
+                // precedence; comparisons are non-associative, so both sides
+                // need higher precedence.
+                let lp = if p == 3 { p + 1 } else { p };
+                let parens = p < min_prec;
+                if parens {
+                    f.write_char('(')?;
+                }
+                Prec(lhs, lp).fmt(f)?;
+                f.write_str(binop_sym(*op))?;
+                Prec(rhs, p + 1).fmt(f)?;
+                if parens {
+                    f.write_char(')')?;
+                }
+                Ok(())
             }
+            Expr::Call(c) => Call(c).fmt(f),
         }
-        Expr::Call(c) => print_call(c),
     }
 }
 
@@ -241,11 +242,18 @@ fn type_name(t: Type) -> &'static str {
     }
 }
 
-fn fmt_float(v: f64) -> String {
-    if v == v.trunc() && v.is_finite() && v.abs() < 1e15 {
-        format!("{v:.1}")
-    } else {
-        format!("{v}")
+/// A float literal: integral values keep one decimal so they re-lex as
+/// floats.
+struct Float(f64);
+
+impl fmt::Display for Float {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let v = self.0;
+        if v == v.trunc() && v.is_finite() && v.abs() < 1e15 {
+            write!(f, "{v:.1}")
+        } else {
+            write!(f, "{v}")
+        }
     }
 }
 
