@@ -73,7 +73,7 @@ const EXPERIMENTS: &[(&str, &str)] = &[
     ("ablations", "Design-choice ablation sweeps"),
     (
         "interp",
-        "Interpreter backend speed: tree-walker vs bytecode VM (BENCH_interp.json)",
+        "Interpreter speed: bytecode VM wall per simulated second (BENCH_interp.json)",
     ),
     (
         "trace",

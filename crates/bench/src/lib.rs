@@ -20,7 +20,7 @@
 //! | [`datavolume`]       | §6.4 — trace volume vs vSensor data volume |
 //! | [`fwq_intrusiveness`]| §1's FWQ critique, quantified |
 //! | [`ablations`]        | design-choice sweeps called out in DESIGN.md |
-//! | [`interp_speed`]     | tree-walker vs bytecode-VM backend speed (`BENCH_interp.json`) |
+//! | [`interp_speed`]     | bytecode-VM wall per simulated second (`BENCH_interp.json`) |
 //! | [`trace_run`]        | traced degraded-transport run → Chrome trace JSON |
 //! | [`perf_gate`]        | the one bench row (`BENCH_*.json`, `BENCH_history.jsonl`), its parser and the CI regression gate |
 //! | [`failstop`]         | node-death localization + WAL crash-recovery equivalence |

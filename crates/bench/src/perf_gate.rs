@@ -19,8 +19,8 @@
 //! * `kind` says what the value is made of. `virtual` figures are
 //!   simulated time — deterministic and machine-independent, so drift
 //!   means the *simulation* changed. `ratio` figures divide two wall
-//!   measurements of the same run (walker→VM speedup, the scaling
-//!   efficiency between adjacent rank counts), so machine speed cancels.
+//!   measurements of the same run (the scaling efficiency between
+//!   adjacent rank counts), so machine speed cancels.
 //!   Both are gated in every mode. `wall` figures compare wall clocks
 //!   across machines and are gated only with `absolute = true`
 //!   (`--check` without `--ratio-only`, on hardware comparable to the
@@ -123,7 +123,7 @@ pub struct BenchRow {
     pub suite: String,
     /// What was measured, `workload/ranks` (`cg-fig21/4`, `simmpi/4096`).
     pub cell: String,
-    /// Which figure of that cell (`vm-speedup`, `p99-hot-ingest`, ...).
+    /// Which figure of that cell (`vm-throughput`, `p99-hot-ingest`, ...).
     pub metric: String,
     /// The measured value.
     pub value: f64,
@@ -540,15 +540,15 @@ mod tests {
         rows(table).into_iter().filter(wanted).collect()
     }
 
-    /// The interp suite's shape: a 5x walker→VM speedup and a VM
-    /// ns-per-simulated-second figure that grows with the rank count.
+    /// The interp suite's shape: a VM ns-per-simulated-second figure
+    /// that grows with the rank count, and the cell's simulated seconds.
     const INTERP: &str = "
-        interp cg-fig21/4  vm-speedup    ratio higher 5.0
-        interp cg-fig21/4  vm-throughput wall  lower  8e10
-        interp cg-fig21/16 vm-speedup    ratio higher 5.0
-        interp cg-fig21/16 vm-throughput wall  lower  32e10
-        interp cg-fig21/64 vm-speedup    ratio higher 5.0
-        interp cg-fig21/64 vm-throughput wall  lower  128e10";
+        interp cg-fig21/4  vm-throughput wall    lower 8e10
+        interp cg-fig21/4  sim-seconds   virtual lower 0.02
+        interp cg-fig21/16 vm-throughput wall    lower 32e10
+        interp cg-fig21/16 sim-seconds   virtual lower 0.021
+        interp cg-fig21/64 vm-throughput wall    lower 128e10
+        interp cg-fig21/64 sim-seconds   virtual lower 0.022";
 
     /// The simmpi suite's shape: flat cost per rank-iteration (wall
     /// throughput independent of scale, every adjacent ratio 1.0) and
@@ -596,8 +596,8 @@ mod tests {
         for (i, r) in jitter.iter_mut().enumerate() {
             r.value *= if i % 2 == 0 { 1.10 } else { 0.90 };
         }
-        // The speedup halves and ns-per-simulated-second doubles.
-        let vm_2x = scaled(scaled(interp(&[4]), "vm-speedup", 0.5), "vm-throughput", 2.0);
+        // ns-per-simulated-second doubles; simulated time does not move.
+        let vm_2x = scaled(interp(&[4]), "vm-throughput", 2.0);
         // Wall throughput at 4,096 ranks drops to a third while 1,024 is
         // untouched: a uniformly slower machine can't produce this shape.
         let collapse = scaled(scaled(simmpi(&curve[..2]), "4096/wall-throughput", 1.0 / 3.0), "scaling-ratio", 1.0 / 3.0);
@@ -611,8 +611,10 @@ mod tests {
             case("identical service", service(), service(), &[], &[], &[]),
             case("identical simmpi", simmpi(&curve), simmpi(&curve), &[], &[], &[]),
             case("noise inside tolerance", interp(&small), jitter, &[], &[], &[]),
-            case("2x VM slowdown: the ratio alone catches it", interp(&[4]), vm_2x,
-                &["cg-fig21/4/vm-speedup", "cg-fig21/4/vm-throughput"], &[], &[]),
+            case("2x VM slowdown fails the absolute gate", interp(&[4]), vm_2x,
+                &["cg-fig21/4/vm-throughput"], &[], &[]),
+            case("simulated-time drift fails in every mode", interp(&[4]), scaled(interp(&[4]), "sim-seconds", 1.5),
+                &["cg-fig21/4/sim-seconds"], &[], &[]),
             case("uniformly 3x slower machine passes --ratio-only", interp(&small), scaled(interp(&small), "vm-throughput", 3.0),
                 &["cg-fig21/4/vm-throughput", "cg-fig21/16/vm-throughput"], &[], &[]),
             case("uniformly 3x slower machine, simmpi", simmpi(&curve[..2]), scaled(simmpi(&curve[..2]), "wall-throughput", 1.0 / 3.0),
@@ -626,15 +628,15 @@ mod tests {
             case("collapsing 4K->16K tail fails despite a healthy 1K->4K head", simmpi(&curve), tail,
                 &["simmpi/16384/scaling-ratio"], &[], &[]),
             case("baseline-only cells are skipped and named", interp(&[4, 16, 64]), interp(&small),
-                &[], &["cg-fig21/64/vm-speedup", "cg-fig21/64/vm-throughput"], &[]),
+                &[], &["cg-fig21/64/vm-throughput", "cg-fig21/64/sim-seconds"], &[]),
             case("baseline-only ranks of a reduced curve", simmpi(&curve), simmpi(&curve[..2]),
                 &[], &["simmpi/16384/virt-throughput", "simmpi/16384/wall-throughput", "simmpi/16384/scaling-ratio"], &[]),
             case("a new cell hard-fails unless allowed", interp(&small), interp(&[4, 16, 64]),
-                &[], &[], &["cg-fig21/64/vm-speedup", "cg-fig21/64/vm-throughput"]),
+                &[], &[], &["cg-fig21/64/vm-throughput", "cg-fig21/64/sim-seconds"]),
             case("a new rank count hard-fails unless allowed", simmpi(&curve[..2]), simmpi(&curve),
                 &[], &[], &["simmpi/16384/virt-throughput", "simmpi/16384/wall-throughput", "simmpi/16384/scaling-ratio"]),
             case("an empty comparison fails", interp(&[4]), interp(&[64]),
-                &[], &["cg-fig21/4/vm-speedup", "cg-fig21/4/vm-throughput"], &["cg-fig21/64/vm-speedup", "cg-fig21/64/vm-throughput"]),
+                &[], &["cg-fig21/4/vm-throughput", "cg-fig21/4/sim-seconds"], &["cg-fig21/64/vm-throughput", "cg-fig21/64/sim-seconds"]),
         ]
     }
 
@@ -693,14 +695,14 @@ mod tests {
 
     #[test]
     fn parser_rejects_malformed_input_and_round_trips_rows() {
-        let good = rows(INTERP)[0].to_json();
+        let good = rows("simmpi simmpi/4096 scaling-ratio ratio higher 5.0")[0].to_json();
         for bad in [
             "not json".to_string(),
             "[]".to_string(),
             "[{".to_string(),
             format!("[{good}}}]"),
             "[{\"suite\": \"interp\", \"cell\": \"cg/4\"}]".to_string(),
-            format!("[{}]", good.replace("ratio", "ratios")),
+            format!("[{}]", good.replace("\"ratio\"", "\"ratios\"")),
             format!("[{}]", good.replace("higher", "up")),
             format!("[{}]", good.replace("5.0", "\"5.0\"")),
         ] {
@@ -730,7 +732,7 @@ mod tests {
         assert_eq!(cells, expected);
         // Old and new runs form one series: cell + metric concatenate to
         // the `workload/ranks/metric` key earlier history files stored.
-        assert_eq!(cells[0].1.key(), "cg-fig21/4/vm-speedup");
+        assert_eq!(cells[0].1.key(), "cg-fig21/4/vm-throughput");
         assert_eq!(next_history_run(&cells), 4);
         assert_eq!(next_history_run(&[]), 0);
         // A ratio-only run files only what it checked.
@@ -837,6 +839,11 @@ mod tests {
         suites.iter().flat_map(read).collect()
     }
 
+    /// Series the gate no longer measures: their history stays in the
+    /// file, and no baseline row exists for them. `vm-speedup` timed the
+    /// tree-walker against the VM while the walker was a product backend.
+    const RETIRED: [&str; 1] = ["vm-speedup"];
+
     #[test]
     fn committed_files_parse_and_every_history_series_has_a_baseline_row() {
         let baselines = committed_baselines();
@@ -845,73 +852,79 @@ mod tests {
         let lines = text.lines().filter(|l| !l.trim().is_empty()).count();
         assert_eq!(
             (history.len(), lines),
-            (330, 330),
+            (376, 376),
             "valid-prefix parsing truncated the history"
         );
         for (_, h) in &history {
-            let base = baselines.iter().find(|b| b.same_series(h));
-            let base = base.unwrap_or_else(|| panic!("no baseline row for {}", h.key()));
-            assert_eq!((base.kind, base.better), (h.kind, h.better), "{}", h.key());
             // Every series keeps its length and its run order.
             let series = history.iter().filter(|(_, o)| o.same_series(h));
             let runs: Vec<u64> = series.map(|(run, _)| *run).collect();
+            assert!(runs.windows(2).all(|w| w[0] < w[1]), "{}", h.key());
+            if RETIRED.contains(&h.metric.as_str()) {
+                assert!(
+                    baselines.iter().all(|b| b.metric != h.metric),
+                    "{}",
+                    h.key()
+                );
+                // Its last run is the parent of the change that retired it.
+                assert_eq!((runs.len(), runs.last()), (17, Some(&18)), "{}", h.key());
+                continue;
+            }
+            let base = baselines.iter().find(|b| b.same_series(h));
+            let base = base.unwrap_or_else(|| panic!("no baseline row for {}", h.key()));
+            assert_eq!((base.kind, base.better), (h.kind, h.better), "{}", h.key());
             assert_eq!(
                 runs.len(),
-                match h.suite.as_str() {
-                    "interp" | "simmpi" => 16,
-                    "service" => 14,
+                match (h.suite.as_str(), h.metric.as_str()) {
+                    // First filed with run 19.
+                    ("interp", "sim-seconds") => 1,
+                    ("interp" | "simmpi", _) => 18,
+                    ("service", _) => 16,
                     // First filed with runs 10 and 11.
-                    _ => 8,
+                    _ => 10,
                 },
                 "{}",
                 h.key()
             );
-            assert!(runs.windows(2).all(|w| w[0] < w[1]), "{}", h.key());
         }
     }
 
     type ParentVerdict = (&'static str, f64, bool, bool, usize, usize, f64, f64);
 
-    /// What the pre-row gate (three parsers, three comparators, two name
-    /// tables) reported on the committed data with the committed baseline
-    /// values as the fresh measurement, captured once at the parent
-    /// commit: `(key, baseline, fixed-band ok, --stats ok, samples,
-    /// regime_len, median, allowed)`. The ranks-64 interp cells were not
-    /// measured (the gate's reduced sweep) and have no history. The simmpi
-    /// rows were captured again, from this gate, when runs 8 and 9 and a
-    /// regenerated `BENCH_simmpi.json` were filed (PR 15), and every row
-    /// when runs 10 (the last commit with a thread backend) and 11 and
-    /// regenerated interp, service and simmpi baselines were (PR 16), and
-    /// again when runs 12 and 13 (the engine behind one lock and its
-    /// parent, baselines untouched) were (PR 18), and when runs 14 and 15
-    /// (the truncating write-ahead log and its parent, baselines
-    /// untouched) were (PR 21).
-    /// Runs 16 and 17 (the slot-based static module and its parent,
-    /// baselines untouched) were filed since, from a faster host: they
-    /// open a new `simmpi/4096/wall-throughput` regime that the committed
-    /// baseline falls 15 % below, so that one absolute `--stats` verdict is
-    /// a fail (ratio-only runs skip wall rows).
+    /// What the gate reports on the committed data with the committed
+    /// baseline values as the fresh measurement: `(key, baseline,
+    /// fixed-band ok, --stats ok, samples, regime_len, median, allowed)`.
+    /// First captured from the pre-row gate (three parsers, three
+    /// comparators, two name tables), then re-captured from this gate each
+    /// time runs were filed or a baseline regenerated. The ranks-64 interp
+    /// cells are not measured (the gate's reduced sweep). Runs 18 and 19
+    /// (the VM as the one executor, and its parent) came with a VM-only
+    /// `BENCH_interp.json`: the interp cells lost their walker→VM speedup
+    /// row (a retired series now) and gained a `sim-seconds` row first
+    /// filed with run 19, so that shallow series keeps its fixed-band
+    /// verdict (`samples` < 5; the zero median and allowance are
+    /// placeholders).
     #[rustfmt::skip]
     const PARENT_VERDICTS: [ParentVerdict; 19] = [
-        ("cg-fig21/4/vm-speedup", 12.742476353229371, true, true, 16, 7, 12.769070711530606, 3.3490548026374114),
-        ("cg-fig21/4/vm-throughput", 5121845951.755823, true, true, 16, 10, 5479174589.089014, 3186796220.9659867),
-        ("cg-fig21/16/vm-speedup", 11.513137925715276, true, true, 16, 9, 13.15011829303878, 2.3350611522678495),
-        ("cg-fig21/16/vm-throughput", 24191980755.892487, true, true, 16, 10, 22006454567.442635, 9207292102.809591),
-        ("ft-fig22/4/vm-speedup", 10.211190494650662, true, true, 16, 9, 10.173805785284546, 1.48356270438525),
-        ("ft-fig22/4/vm-throughput", 5245636342.12357, true, true, 16, 10, 4402294011.176673, 4178698644.434622),
-        ("ft-fig22/16/vm-speedup", 11.343600227470938, true, true, 16, 7, 11.610824300721463, 2.1271976626762052),
-        ("ft-fig22/16/vm-throughput", 10538391897.842829, true, true, 16, 10, 8790977564.365166, 2221721020.6776156),
-        ("service/16/p99-hot-ingest", 200161800.0, true, true, 14, 14, 200161800.0, 2001618.0),
-        ("service/16/p99-steady-ingest", 155302.0, true, true, 14, 7, 155302.0, 1553.02),
-        ("service/16/service-throughput", 3014.4132286850117, true, true, 14, 7, 2762.190848504125, 821.8504937018072),
-        ("simmpi/1024/virt-throughput", 30290854.321401544, true, true, 16, 16, 30290854.321401544, 302908.54321401543),
-        ("simmpi/1024/wall-throughput", 1585238.294031774, true, true, 16, 9, 1515079.4982112925, 377221.7257380048),
-        ("simmpi/4096/virt-throughput", 102637134.54627462, true, true, 16, 16, 102637134.54627462, 1026371.3454627462),
-        ("simmpi/4096/wall-throughput", 1246161.69609726, true, false, 16, 2, 1467231.0425915164, 146723.10425915165),
-        ("simmpi/16384/virt-throughput", 356091986.0829121, true, true, 16, 16, 356091986.0829121, 3560919.860829121),
-        ("simmpi/16384/wall-throughput", 1076014.5047311282, true, true, 16, 9, 1097702.1247368278, 468371.26028323406),
-        ("simmpi/4096/scaling-ratio", 0.7861037049060099, true, true, 16, 16, 0.7597667566790488, 0.20033879562117424),
-        ("simmpi/16384/scaling-ratio", 0.8634629904778808, true, true, 16, 16, 0.8819173416364663, 0.14656207992908898),
+        ("cg-fig21/4/vm-throughput", 6621909025.009828, true, true, 18, 12, 5621026753.2137985, 2495366079.009926),
+        ("cg-fig21/4/sim-seconds", 0.057710674, true, true, 1, 0, 0.0, 0.0),
+        ("cg-fig21/16/vm-throughput", 25937512577.381153, true, true, 18, 12, 22020100832.03907, 9151373431.498934),
+        ("cg-fig21/16/sim-seconds", 0.058969947, true, true, 1, 0, 0.0, 0.0),
+        ("ft-fig22/4/vm-throughput", 5294777322.017859, true, true, 18, 12, 4532144145.506851, 2605548701.3337555),
+        ("ft-fig22/4/sim-seconds", 0.075075833, true, true, 1, 0, 0.0, 0.0),
+        ("ft-fig22/16/vm-throughput", 10355921262.139862, true, true, 18, 12, 8958106336.840942, 2368084708.0601416),
+        ("ft-fig22/16/sim-seconds", 0.150430555, true, true, 1, 0, 0.0, 0.0),
+        ("service/16/p99-hot-ingest", 200161800.0, true, true, 16, 16, 200161800.0, 2001618.0),
+        ("service/16/p99-steady-ingest", 155302.0, true, true, 16, 9, 155302.0, 1553.02),
+        ("service/16/service-throughput", 3014.4132286850117, true, true, 16, 9, 2853.824773921871, 1229.4198671748577),
+        ("simmpi/1024/virt-throughput", 30290854.321401544, true, true, 18, 18, 30290854.321401544, 302908.54321401543),
+        ("simmpi/1024/wall-throughput", 1585238.294031774, true, true, 18, 11, 1531863.585353649, 451873.98852977774),
+        ("simmpi/4096/virt-throughput", 102637134.54627462, true, true, 18, 18, 102637134.54627462, 1026371.3454627462),
+        ("simmpi/4096/wall-throughput", 1246161.69609726, true, true, 18, 11, 1252805.4435864654, 496719.6163450916),
+        ("simmpi/16384/virt-throughput", 356091986.0829121, true, true, 18, 18, 356091986.0829121, 3560919.860829121),
+        ("simmpi/16384/wall-throughput", 1076014.5047311282, true, true, 18, 11, 1054418.6433624101, 307666.3123194368),
+        ("simmpi/4096/scaling-ratio", 0.7861037049060099, true, true, 18, 18, 0.7597667566790488, 0.1426207281001054),
+        ("simmpi/16384/scaling-ratio", 0.8634629904778808, true, true, 18, 18, 0.876966202759746, 0.1761702278715893),
     ];
 
     #[test]
@@ -952,7 +965,12 @@ mod tests {
             apply_history(&mut report, &history);
             for c in &report.checks {
                 let (key, _, _, ok, samples, regime_len, median, allowed) = pinned(c);
-                let s = c.stats.as_ref().expect(key);
+                let Some(s) = c.stats.as_ref() else {
+                    // A shallow series keeps its fixed-band verdict.
+                    assert!(samples < MIN_HISTORY_SAMPLES, "{key}");
+                    assert_eq!(c.ok, ok, "{key}");
+                    continue;
+                };
                 assert_eq!(
                     (c.ok, s.samples, s.regime_len),
                     (ok, samples, regime_len),

@@ -3,8 +3,8 @@
 use std::sync::Arc;
 use vsensor_analysis::{analyze, Analysis, AnalysisConfig, SnippetType};
 use vsensor_interp::{
-    run_instrumented_shared, run_instrumented_sink, run_plain_shared, ExecBackend, InstrumentedRun,
-    RankResult, RunConfig,
+    run_instrumented_shared, run_instrumented_sink, run_plain_shared, InstrumentedRun, RankResult,
+    RunConfig,
 };
 use vsensor_lang::Program;
 use vsensor_runtime::{AnalysisSink, SensorInfo, SensorKind};
@@ -132,7 +132,7 @@ impl Prepared {
         cluster: Arc<cluster_sim::Cluster>,
         sim: simmpi::SimBackend,
     ) -> Vec<RankResult> {
-        run_plain_shared(self.plain.clone(), cluster, ExecBackend::default(), sim)
+        run_plain_shared(self.plain.clone(), cluster, sim)
     }
 
     /// Instrumentation overhead for a given cluster: relative slowdown of

@@ -8,18 +8,18 @@
 //!
 //! Builtins are identified by the [`Builtin`] enum so the bytecode compiler
 //! can resolve a call site to an id once and the VM can dispatch without any
-//! name lookup. The tree-walking interpreter goes through the name-based
-//! [`call_builtin`] wrapper; both paths share [`dispatch`], so the two
-//! backends are behaviorally identical by construction.
+//! name lookup. The differential oracle's tree-walker resolves the name per
+//! call and goes through the same [`dispatch`], so the two are
+//! behaviorally identical by construction.
 
 use crate::machine::{ExecError, Machine};
 use crate::values::Value;
 use cluster_sim::node::Work;
-use simmpi::{Lockstep, Proc, ReduceOp};
+use simmpi::{Proc, ReduceOp};
 use std::ops::DerefMut;
 
 /// Identifier for a builtin function, resolved from its source name once
-/// (at bytecode-compile time or on first lookup in the tree-walker).
+/// (at bytecode-compile time, or per call in the oracle's walker).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Builtin {
     Compute,
@@ -81,29 +81,8 @@ impl Builtin {
     }
 }
 
-/// Dispatch a builtin by name. Returns `None` if the name is not a builtin
-/// (the machine then reports an unknown-function error, matching the
-/// conservative front-end which already treats it as never-fixed).
-///
-/// The tree-walker cannot return to the scheduler from inside its
-/// recursion, so a `Pending` MPI operation parks the rank on the lock-step
-/// host and re-dispatches on resume — the same retry the VM makes.
-pub fn call_builtin(
-    m: &mut Machine<Lockstep<'_>>,
-    name: &str,
-    args: &[Value],
-) -> Option<Result<Value, ExecError>> {
-    let builtin = Builtin::from_name(name)?;
-    loop {
-        if let Some(result) = dispatch(m, builtin, args).transpose() {
-            return Some(result);
-        }
-        m.proc.park();
-    }
-}
-
-/// Execute a resolved builtin. Shared by the tree-walker (via
-/// [`call_builtin`]) and the bytecode VM (which pre-binds the id).
+/// Execute a resolved builtin: the VM's `CallBuiltin` (which pre-binds the
+/// id) and the oracle's walker both call it.
 ///
 /// Returns `Ok(None)` when the builtin's MPI operation is `Pending`: the
 /// caller must suspend the rank and re-dispatch the same builtin on resume
@@ -114,8 +93,9 @@ pub fn call_builtin(
 /// Never inlined: each instantiation has a single caller, and this whole
 /// match pasted into the VM's dispatch loop costs that loop its registers
 /// and layout.
+#[doc(hidden)]
 #[inline(never)]
-pub(crate) fn dispatch<P: DerefMut<Target = Proc>>(
+pub fn dispatch<P: DerefMut<Target = Proc>>(
     m: &mut Machine<P>,
     builtin: Builtin,
     args: &[Value],

@@ -1,7 +1,7 @@
 //! One-time lowering of a [`Program`] to slot-resolved bytecode.
 //!
-//! The tree-walker pays for name resolution (scope-chain hash lookups),
-//! dispatch (matching on tree nodes) and per-call setup (fresh `Env`,
+//! Walking the IR tree pays for name resolution (scope-chain hash lookups),
+//! dispatch (matching on tree nodes) and per-call setup (fresh scopes,
 //! callee lookup by name) on *every* execution of every node. All of that
 //! is decidable once, up front:
 //!
@@ -11,8 +11,11 @@
 //! * runs of per-expression-node unit charges fold into a single
 //!   [`Insn::ChargeUnits`] that the VM replays in O(1).
 //!
-//! The compiled form is executed by `vm::resume_vm`. The contract with the
-//! tree-walker is **bit-identical virtual time**: the walker charges work
+//! The compiled form is executed by `vm::resume_vm`. Its reference
+//! semantics are the tree-walker's — the direct reading of the IR, kept as
+//! the differential oracle in the dev-only `vsensor-oracle` crate; "the
+//! walker" below is that interpreter. The contract with it is
+//! **bit-identical virtual time**: the walker charges work
 //! through `Machine::charge`/`charge_mem`/`charge_bulk`, and the exact
 //! sequence of `Proc::compute` calls (count *and* arguments) determines
 //! both the virtual clock and the deterministic PMU/noise sampling keys.
@@ -37,7 +40,7 @@
 //! produce at that point, emitted after the same charges.
 
 use crate::builtins::Builtin;
-use crate::machine::cost;
+use crate::machine::{cost, ExecError};
 use crate::values::Value;
 use std::collections::HashMap;
 use vsensor_lang::ast::Type;
@@ -268,6 +271,11 @@ pub struct CompiledProgram {
 /// so it gets a sentinel instead of a real index.
 pub(crate) const ENTRY_FN: u32 = u32::MAX;
 
+/// The error of running a program that has no `main`.
+pub(crate) fn no_main() -> ExecError {
+    ExecError::new("program has no `main`")
+}
+
 impl CompiledProgram {
     /// The function executed by the VM entry call, if `main` exists.
     pub(crate) fn entry_fn(&self) -> Option<&CompiledFn> {
@@ -280,12 +288,11 @@ impl CompiledProgram {
 
     /// Resolve a function index stored in a suspended frame ([`ENTRY_FN`]
     /// names the entry function).
-    pub(crate) fn fn_by_index(&self, i: u32) -> &CompiledFn {
+    pub(crate) fn fn_by_index(&self, i: u32) -> Result<&CompiledFn, ExecError> {
         if i == ENTRY_FN {
-            self.entry_fn()
-                .expect("suspended state implies an entry fn")
+            self.entry_fn().ok_or_else(no_main)
         } else {
-            &self.functions[i as usize]
+            Ok(&self.functions[i as usize])
         }
     }
 
@@ -348,21 +355,22 @@ enum Resolved {
     Unbound,
 }
 
-#[derive(Default)]
-struct LoopCtx {
-    breaks: Vec<usize>,
-    continues: Vec<usize>,
-}
-
 struct FnCompiler<'p> {
     fn_map: &'p HashMap<Name, u32>,
     global_map: &'p HashMap<Name, u32>,
     msgs: &'p mut Vec<String>,
     code: Vec<Insn>,
-    /// Lexical scope stack; each scope lists its declarations in order.
-    scopes: Vec<Vec<(Name, u32)>>,
+    /// Every declaration in scope, in declaration order: a name resolves
+    /// to its last entry, so inner scopes and re-declarations shadow.
+    names: Vec<(Name, u32)>,
+    /// Where each open nested scope starts in `names`.
+    scope_starts: Vec<usize>,
     next_slot: u32,
-    loops: Vec<LoopCtx>,
+    /// Open loops (a `break`/`continue` outside every loop traps).
+    loop_depth: u32,
+    /// Pending `break` (`true`) and `continue` jumps, innermost loop last;
+    /// a loop patches and drains the ones it added when it closes.
+    exits: Vec<(usize, bool)>,
     /// Unit (EXPR_NODE) charges accumulated since the last effectful
     /// instruction; folded into one `ChargeUnits` on flush.
     units: u32,
@@ -385,14 +393,16 @@ fn compile_function(
         global_map,
         msgs,
         code: Vec::new(),
-        scopes: vec![Vec::new()],
+        names: Vec::new(),
+        scope_starts: Vec::new(),
         next_slot: arity,
-        loops: Vec::new(),
+        loop_depth: 0,
+        exits: Vec::new(),
         units: 0,
     };
     if bind_params {
         for (i, (name, _)) in f.params.iter().enumerate() {
-            c.scopes[0].push((name.clone(), i as u32));
+            c.names.push((name.clone(), i as u32));
         }
     }
     c.block(&f.body);
@@ -507,6 +517,8 @@ impl FnCompiler<'_> {
     }
 
     fn patch_to(&mut self, at: usize, target: usize) {
+        // Proof: |offset| < 2^31 needs a function of 2^31 32-byte `Insn`s,
+        // 64 GiB of code, which `compile` cannot have allocated.
         let off = i32::try_from(target as i64 - (at as i64 + 1)).expect("jump offset exceeds i32");
         match &mut self.code[at] {
             Insn::Jump(o)
@@ -516,6 +528,7 @@ impl FnCompiler<'_> {
             | Insn::OrShortCircuit(o)
             | Insn::JumpIfFalseCharged { off: o, .. }
             | Insn::CmpLocalImmBr { off: o, .. } => *o = off,
+            // Proof: every `at` comes from a jump-emitting helper above.
             other => unreachable!("patching non-jump instruction {other:?}"),
         }
     }
@@ -548,11 +561,13 @@ impl FnCompiler<'_> {
     // ----- scopes -----
 
     fn push_scope(&mut self) {
-        self.scopes.push(Vec::new());
+        self.scope_starts.push(self.names.len());
     }
 
     fn pop_scope(&mut self) {
-        self.scopes.pop();
+        if let Some(start) = self.scope_starts.pop() {
+            self.names.truncate(start);
+        }
     }
 
     /// Allocate a fresh slot for a declaration at this statement position.
@@ -562,22 +577,15 @@ impl FnCompiler<'_> {
     fn declare(&mut self, name: &Name) -> u32 {
         let slot = self.next_slot;
         self.next_slot += 1;
-        self.scopes
-            .last_mut()
-            .expect("function scope")
-            .push((name.clone(), slot));
+        self.names.push((name.clone(), slot));
         slot
     }
 
     fn resolve(&self, name: &Name) -> Resolved {
-        for scope in self.scopes.iter().rev() {
-            // Reverse within the scope: re-declaration shadows (the
-            // walker's HashMap insert overwrites the earlier binding).
-            for (n, slot) in scope.iter().rev() {
-                if n == name {
-                    return Resolved::Local(*slot);
-                }
-            }
+        // Newest first: an inner scope's binding, and a re-declaration in
+        // the same scope (the walker's map insert overwrites), shadow.
+        if let Some((_, slot)) = self.names.iter().rev().find(|(n, _)| n == name) {
+            return Resolved::Local(*slot);
         }
         match self.global_map.get(name) {
             Some(&g) => Resolved::Global(g),
@@ -698,15 +706,18 @@ impl FnCompiler<'_> {
                 };
                 let start = self.here();
                 let jexit = self.cond_branch(cond, cost::LOOP_ITER as u32);
-                self.loops.push(LoopCtx::default());
+                let first_exit = self.exits.len();
+                self.loop_depth += 1;
                 self.push_scope();
                 self.block(body);
                 self.pop_scope();
-                let ctx = self.loops.pop().expect("loop context");
+                self.loop_depth -= 1;
+                // Nested loops drained theirs, so the rest are this loop's.
+                let exits = self.exits.split_off(first_exit);
                 // `continue` lands on the step (for) or straight back at
                 // the iteration charge (while).
                 let cont = self.here();
-                for at in ctx.continues {
+                for &(at, _) in exits.iter().filter(|(_, is_break)| !is_break) {
                     self.patch_to(at, cont);
                 }
                 if let Some(slot) = var_slot {
@@ -719,7 +730,7 @@ impl FnCompiler<'_> {
                 self.jump_back(start);
                 let end = self.here();
                 self.patch_to(jexit, end);
-                for at in ctx.breaks {
+                for &(at, _) in exits.iter().filter(|(_, is_break)| *is_break) {
                     self.patch_to(at, end);
                 }
                 self.pop_scope();
@@ -737,32 +748,24 @@ impl FnCompiler<'_> {
                 }
                 self.emit_effect(Insn::Return);
             }
-            Stmt::Break { .. } => {
-                if self.loops.is_empty() {
-                    // The walker notices an escaping Break only at function
-                    // scope, but nothing in between charges or observes.
-                    let m = self.msg("`break`/`continue` outside of a loop".to_string());
-                    self.emit_effect(Insn::Trap(m));
-                } else {
-                    let at = self.emit_jump(Insn::Jump);
-                    self.loops.last_mut().expect("loop context").breaks.push(at);
-                }
-            }
-            Stmt::Continue { .. } => {
-                if self.loops.is_empty() {
-                    let m = self.msg("`break`/`continue` outside of a loop".to_string());
-                    self.emit_effect(Insn::Trap(m));
-                } else {
-                    let at = self.emit_jump(Insn::Jump);
-                    self.loops
-                        .last_mut()
-                        .expect("loop context")
-                        .continues
-                        .push(at);
-                }
-            }
+            Stmt::Break { .. } => self.loop_exit(true),
+            Stmt::Continue { .. } => self.loop_exit(false),
             Stmt::Tick(s) => self.emit_effect(Insn::Tick(*s)),
             Stmt::Tock(s) => self.emit_effect(Insn::Tock(*s)),
+        }
+    }
+
+    /// A `break` (`is_break`) or `continue`: a jump the enclosing loop
+    /// patches when it closes.
+    fn loop_exit(&mut self, is_break: bool) {
+        if self.loop_depth == 0 {
+            // The walker notices an escaping Break only at function
+            // scope, but nothing in between charges or observes.
+            let m = self.msg("`break`/`continue` outside of a loop".to_string());
+            self.emit_effect(Insn::Trap(m));
+        } else {
+            let at = self.emit_jump(Insn::Jump);
+            self.exits.push((at, is_break));
         }
     }
 

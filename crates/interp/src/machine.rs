@@ -1,33 +1,35 @@
-//! The interpreter core.
+//! The rank's cost and probe surface.
 //!
-//! One [`Machine`] runs the program for one rank. It owns the variable
-//! environments and a pending-work accumulator: cheap IR operations add a
-//! few work units each, bulk builtins add many, and the accumulator is
-//! converted into virtual time through [`simmpi::Proc::compute`] at
-//! synchronization points (MPI calls, probes, or when a chunk threshold is
-//! reached — so noise windows slice long computations accurately).
+//! One [`Machine`] carries one rank's execution state outside the
+//! interpreter proper: a pending-work accumulator (cheap IR operations add
+//! a few work units each, bulk builtins add many), converted into virtual
+//! time through [`simmpi::Proc::compute`] at synchronization points (MPI
+//! calls, probes, or when a chunk threshold is reached — so noise windows
+//! slice long computations accurately), the sensor harness the probes
+//! feed, and the PMU validation counts.
+//!
+//! The bytecode VM (`vm.rs`) is the one executor that drives it. The
+//! `#[doc(hidden)]` items below are the surface the dev-only
+//! `vsensor-oracle` crate's tree-walker shares with the VM, so the two
+//! charge the same work at the same flush boundaries by construction.
 
-use crate::builtins;
 use crate::validate::ValidationStats;
-use crate::values::{Env, Value};
+use crate::values::Value;
 use cluster_sim::node::Work;
 use cluster_sim::time::VirtualTime;
 use cluster_sim::trace::{self, Category, TraceEvent};
-use simmpi::{Lockstep, Proc};
+use simmpi::Proc;
 use std::fmt;
 use std::ops::DerefMut;
 use std::sync::Arc;
-use vsensor_lang::{
-    BinOp, Block, CallSite, Expr, Function, GlobalInit, LValue, Program, SensorId, Stmt, UnOp,
-};
+use vsensor_lang::{BinOp, SensorId};
 use vsensor_runtime::dynrules::SenseMetrics;
-use vsensor_runtime::transport::{
-    BatchChannel, DirectChannel, RankTransport, TransportConfig, TransportStats,
-};
-use vsensor_runtime::{AnalysisServer, SensorRuntime};
+use vsensor_runtime::transport::{BatchChannel, RankTransport, TransportConfig, TransportStats};
+use vsensor_runtime::SensorRuntime;
 
 /// Work-unit costs of IR operations (1 unit ≈ 1 ns on a healthy node).
-pub(crate) mod cost {
+#[doc(hidden)]
+pub mod cost {
     /// Per evaluated expression node.
     pub const EXPR_NODE: u64 = 1;
     /// Per executed statement.
@@ -67,23 +69,14 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Control flow out of a statement.
-enum Flow {
-    Normal,
-    Return(Value),
-    Break,
-    Continue,
-}
-
-/// The per-rank interpreter, generic over how it holds its rank handle:
-/// the bytecode VM, which returns to the scheduler at every yield point,
-/// owns its `Proc` (`Box<Proc>`, the default); the tree-walker, which
-/// cannot return mid-recursion, runs on simmpi's lock-step host and holds
-/// the host's [`Lockstep`] handle, through which it parks.
+/// One rank's execution state, generic over how it holds its rank handle.
+/// The bytecode VM, which returns to the scheduler at every yield point,
+/// owns its `Proc` (`Box<Proc>`, the default). The parameter exists for
+/// the differential oracle alone: its tree-walker cannot return
+/// mid-recursion, runs on simmpi's lock-step host, and holds the host's
+/// `Lockstep` handle, through which it parks ([`Self::handle`]).
 pub struct Machine<P = Box<Proc>> {
-    program: Arc<Program>,
-    pub(crate) proc: P,
-    globals: Env,
+    proc: P,
     /// Work not yet converted into virtual time: all units, and how many
     /// of them are memory-bound. One running total makes a charge one add
     /// and one compare against the chunk threshold.
@@ -99,7 +92,6 @@ pub struct Machine<P = Box<Proc>> {
     open_senses: Vec<(SensorId, u64)>,
     validation: ValidationStats,
     rand_state: u64,
-    call_depth: usize,
 }
 
 /// Sensor runtime plus the transport endpoint that ships its records to
@@ -116,14 +108,8 @@ pub struct SensorHarness {
 }
 
 impl SensorHarness {
-    /// Harness over the lossless direct channel (the common case: no fault
-    /// injection).
-    pub fn direct(runtime: SensorRuntime, rank: usize, server: Arc<AnalysisServer>) -> Self {
-        Self::with_channel(runtime, rank, Arc::new(DirectChannel::new(server)))
-    }
-
-    /// Harness over an arbitrary channel (fault injection, tests). The
-    /// transport knobs are taken from the runtime's [`RuntimeConfig`].
+    /// Harness over a channel to the analysis sink. The transport knobs
+    /// are taken from the runtime's [`RuntimeConfig`].
     pub fn with_channel(
         runtime: SensorRuntime,
         rank: usize,
@@ -149,20 +135,10 @@ impl SensorHarness {
 impl<P: DerefMut<Target = Proc>> Machine<P> {
     /// Create a machine for one rank. Pass `sensors` for instrumented
     /// runs.
-    pub fn new(program: Arc<Program>, proc: P, sensors: Option<SensorHarness>) -> Self {
-        let mut globals = Env::new();
-        for g in &program.globals {
-            let v = match g.init {
-                GlobalInit::Int(v) => Value::Int(v),
-                GlobalInit::Float(v) => Value::Float(v),
-            };
-            globals.declare(&g.name, v);
-        }
+    pub fn new(proc: P, sensors: Option<SensorHarness>) -> Self {
         let rand_seed = 0x7ea5_0000 ^ proc.rank() as u64;
         Machine {
-            program,
             proc,
-            globals,
             pending_total: 0,
             pending_mem: 0,
             work_flushed: 0,
@@ -171,16 +147,16 @@ impl<P: DerefMut<Target = Proc>> Machine<P> {
             open_senses: Vec::new(),
             validation: ValidationStats::default(),
             rand_state: rand_seed,
-            call_depth: 0,
         }
     }
 
-    /// Flush pending work and collect the run's results. Shared tail of the
-    /// tree-walker (`Machine::run`) and the bytecode VM's task, so both
-    /// interpreters finish a rank identically. Takes `&mut self` because a
-    /// task must keep its `Proc` reachable after completion (the scheduler
-    /// delivers the rank's final sends).
-    pub(crate) fn finalize(&mut self) -> MachineResult {
+    /// Flush pending work and collect the run's results: the tail of the
+    /// VM's task and of the oracle's walker, so both finish a rank
+    /// identically. Takes `&mut self` because a task must keep its `Proc`
+    /// reachable after completion (the scheduler delivers the rank's final
+    /// sends).
+    #[doc(hidden)]
+    pub fn finalize(&mut self) -> MachineResult {
         self.sync_clock();
         let mut end = self.proc.now();
         let mut distribution = Default::default();
@@ -205,6 +181,12 @@ impl<P: DerefMut<Target = Proc>> Machine<P> {
             local_variances,
             transport,
         }
+    }
+
+    /// The rank handle itself — the oracle's walker parks through it.
+    #[doc(hidden)]
+    pub fn handle(&mut self) -> &mut P {
+        &mut self.proc
     }
 
     // ----- accessors used by builtins -----
@@ -264,8 +246,9 @@ impl<P: DerefMut<Target = Proc>> Machine<P> {
         self.charge(work.total());
     }
 
+    #[doc(hidden)]
     #[inline(always)]
-    pub(crate) fn charge(&mut self, units: u64) {
+    pub fn charge(&mut self, units: u64) {
         self.pending_total += units;
         if self.pending_total >= cost::CHUNK {
             self.sync_clock();
@@ -278,7 +261,7 @@ impl<P: DerefMut<Target = Proc>> Machine<P> {
     /// added in one step. The VM's `ChargeUnits` instruction uses this to
     /// fold whole runs of expression-node charges while keeping every
     /// flush boundary — and therefore every `Proc::compute` call — at the
-    /// same work counts as the tree-walker.
+    /// same work counts as `n` separate unit charges.
     #[inline(always)]
     pub(crate) fn charge_units(&mut self, n: u32) {
         let total = self.pending_total + n as u64;
@@ -308,8 +291,9 @@ impl<P: DerefMut<Target = Proc>> Machine<P> {
         }
     }
 
+    #[doc(hidden)]
     #[inline(always)]
-    pub(crate) fn charge_mem(&mut self, mem: u64) {
+    pub fn charge_mem(&mut self, mem: u64) {
         self.pending_total += mem;
         self.pending_mem += mem;
     }
@@ -337,11 +321,13 @@ impl<P: DerefMut<Target = Proc>> Machine<P> {
     // ----- probes -----
     //
     // Never inlined: each instantiation has one caller (the VM's dispatch
-    // loop, the walker's `exec_stmt`), and a probe's body pasted into the
-    // VM loop costs the loop's hot arms their registers and layout.
+    // loop, the oracle walker's statement arm), and a probe's body pasted
+    // into the VM loop costs the loop's hot arms their registers and
+    // layout.
 
+    #[doc(hidden)]
     #[inline(never)]
-    pub(crate) fn on_tick(&mut self, sensor: SensorId) {
+    pub fn on_tick(&mut self, sensor: SensorId) {
         self.sync_clock();
         let now = self.proc.now();
         if let Some(h) = &mut self.sensors {
@@ -363,8 +349,9 @@ impl<P: DerefMut<Target = Proc>> Machine<P> {
         self.open_senses.push((sensor, self.work_total()));
     }
 
+    #[doc(hidden)]
     #[inline(never)]
-    pub(crate) fn on_tock(&mut self, sensor: SensorId) {
+    pub fn on_tock(&mut self, sensor: SensorId) {
         self.sync_clock();
         let now = self.proc.now();
         // Pop the matching open sense (probes are balanced by the
@@ -447,263 +434,6 @@ impl<P: DerefMut<Target = Proc>> Machine<P> {
     }
 }
 
-/// The tree-walking interpreter proper: a recursive evaluator, so it runs
-/// where it can block — on the lock-step host.
-impl Machine<Lockstep<'_>> {
-    /// Execute `main`; returns the finalized sensor state.
-    pub fn run(mut self) -> Result<MachineResult, ExecError> {
-        let main = self
-            .program
-            .function_index("main")
-            .ok_or_else(|| ExecError::new("program has no `main`"))?;
-        // Borrow the function out of the shared program instead of deep
-        // cloning its whole body for the call.
-        let program = Arc::clone(&self.program);
-        self.call_function(&program.functions[main], Vec::new())?;
-        let result = self.finalize();
-        Ok(result)
-    }
-
-    fn call_function(&mut self, func: &Function, args: Vec<Value>) -> Result<Value, ExecError> {
-        if self.call_depth > 256 {
-            return Err(ExecError::new("call depth exceeded (runaway recursion)"));
-        }
-        self.call_depth += 1;
-        self.charge(cost::CALL);
-        let mut env = Env::new();
-        for ((name, _), value) in func.params.iter().zip(args) {
-            env.declare(name, value);
-        }
-        let flow = self.exec_block(&func.body, &mut env)?;
-        self.call_depth -= 1;
-        Ok(match flow {
-            Flow::Return(v) => v,
-            Flow::Normal => Value::Int(0),
-            Flow::Break | Flow::Continue => {
-                return Err(ExecError::new("`break`/`continue` outside of a loop"))
-            }
-        })
-    }
-
-    fn exec_block(&mut self, block: &Block, env: &mut Env) -> Result<Flow, ExecError> {
-        for stmt in &block.stmts {
-            match self.exec_stmt(stmt, env)? {
-                Flow::Normal => {}
-                ret => return Ok(ret),
-            }
-        }
-        Ok(Flow::Normal)
-    }
-
-    fn exec_stmt(&mut self, stmt: &Stmt, env: &mut Env) -> Result<Flow, ExecError> {
-        self.charge(cost::STMT);
-        match stmt {
-            Stmt::Decl { name, ty, init, .. } => {
-                let v = match init {
-                    Some(e) => self.eval(e, env)?,
-                    None => Value::Int(0),
-                };
-                let v = coerce_scalar(v, *ty);
-                env.declare(name, v);
-                Ok(Flow::Normal)
-            }
-            Stmt::ArrayDecl { name, ty, len, .. } => {
-                let n = self
-                    .eval(len, env)?
-                    .as_int()
-                    .ok_or_else(|| ExecError::new("array length must be integer"))?;
-                if n < 0 {
-                    return Err(ExecError::new(format!("negative array length {n}")));
-                }
-                let v = Value::zeroed_array(*ty, n as usize);
-                self.charge_mem(n as u64 / 8);
-                env.declare(name, v);
-                Ok(Flow::Normal)
-            }
-            Stmt::Assign { target, value, .. } => {
-                let v = self.eval(value, env)?;
-                match target {
-                    LValue::Var(name) => {
-                        if !env.set(name, v.clone()) && !self.globals.set(name, v) {
-                            return Err(ExecError::new(format!("assignment to unbound `{name}`")));
-                        }
-                    }
-                    LValue::Index { name, index } => {
-                        let i = self
-                            .eval(index, env)?
-                            .as_int()
-                            .ok_or_else(|| ExecError::new("array index must be integer"))?;
-                        self.charge_mem(cost::ARRAY_MEM);
-                        let slot = env
-                            .get_mut(name)
-                            .or_else(|| self.globals.get_mut(name))
-                            .ok_or_else(|| ExecError::new(format!("unknown array `{name}`")))?;
-                        store_element(slot, i, v)?;
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::If {
-                cond,
-                then_blk,
-                else_blk,
-                ..
-            } => {
-                let c = self.eval(cond, env)?;
-                env.push();
-                let flow = if c.truthy() {
-                    self.exec_block(then_blk, env)
-                } else {
-                    self.exec_block(else_blk, env)
-                };
-                env.pop();
-                flow
-            }
-            Stmt::Loop {
-                var,
-                init,
-                cond,
-                step,
-                body,
-                kind,
-                ..
-            } => {
-                env.push();
-                if *kind == vsensor_lang::LoopKind::For {
-                    let v = self.eval(init, env)?;
-                    env.declare(var, v);
-                }
-                loop {
-                    self.charge(cost::LOOP_ITER);
-                    if !self.eval(cond, env)?.truthy() {
-                        break;
-                    }
-                    env.push();
-                    let flow = self.exec_block(body, env)?;
-                    env.pop();
-                    match flow {
-                        Flow::Return(v) => {
-                            env.pop();
-                            return Ok(Flow::Return(v));
-                        }
-                        Flow::Break => break,
-                        Flow::Normal | Flow::Continue => {}
-                    }
-                    if *kind == vsensor_lang::LoopKind::For {
-                        let v = self.eval(step, env)?;
-                        env.set(var, v);
-                    }
-                }
-                env.pop();
-                Ok(Flow::Normal)
-            }
-            Stmt::Call(c) => {
-                self.eval_call(c, env)?;
-                Ok(Flow::Normal)
-            }
-            Stmt::Return { value, .. } => {
-                let v = match value {
-                    Some(e) => self.eval(e, env)?,
-                    None => Value::Int(0),
-                };
-                Ok(Flow::Return(v))
-            }
-            Stmt::Break { .. } => Ok(Flow::Break),
-            Stmt::Continue { .. } => Ok(Flow::Continue),
-            Stmt::Tick(s) => {
-                self.on_tick(*s);
-                Ok(Flow::Normal)
-            }
-            Stmt::Tock(s) => {
-                self.on_tock(*s);
-                Ok(Flow::Normal)
-            }
-        }
-    }
-
-    fn eval_call(&mut self, c: &CallSite, env: &mut Env) -> Result<Value, ExecError> {
-        let mut args = Vec::with_capacity(c.args.len());
-        for a in &c.args {
-            args.push(self.eval(a, env)?);
-        }
-        if let Some(fi) = self.program.function_index(&c.callee) {
-            // Borrow through a cheap `Arc` bump instead of deep cloning the
-            // callee's body on every call.
-            let program = Arc::clone(&self.program);
-            return self.call_function(&program.functions[fi], args);
-        }
-        match builtins::call_builtin(self, &c.callee, &args) {
-            Some(r) => r,
-            None => Err(ExecError::new(format!(
-                "call to unknown function `{}` at {}",
-                c.callee, c.span
-            ))),
-        }
-    }
-
-    fn eval(&mut self, e: &Expr, env: &mut Env) -> Result<Value, ExecError> {
-        self.charge(cost::EXPR_NODE);
-        match e {
-            Expr::Int(v) => Ok(Value::Int(*v)),
-            Expr::Float(v) => Ok(Value::Float(*v)),
-            Expr::Var(name) => env
-                .get(name)
-                .or_else(|| self.globals.get(name))
-                .cloned()
-                .ok_or_else(|| ExecError::new(format!("unbound variable `{name}`"))),
-            Expr::Index { name, index } => {
-                let i = self
-                    .eval(index, env)?
-                    .as_int()
-                    .ok_or_else(|| ExecError::new("array index must be integer"))?;
-                self.charge_mem(cost::ARRAY_MEM);
-                let arr = env
-                    .get(name)
-                    .or_else(|| self.globals.get(name))
-                    .ok_or_else(|| ExecError::new(format!("unknown array `{name}`")))?;
-                load_element(arr, i)
-            }
-            Expr::Unary { op, operand } => {
-                let v = self.eval(operand, env)?;
-                match op {
-                    UnOp::Neg => match v {
-                        Value::Int(x) => Ok(Value::Int(-x)),
-                        Value::Float(x) => Ok(Value::Float(-x)),
-                        _ => Err(ExecError::new("cannot negate array")),
-                    },
-                    UnOp::Not => Ok(Value::Int(!v.truthy() as i64)),
-                }
-            }
-            Expr::Binary { op, lhs, rhs } => {
-                // Short-circuit logicals.
-                match op {
-                    BinOp::And => {
-                        let l = self.eval(lhs, env)?;
-                        if !l.truthy() {
-                            return Ok(Value::Int(0));
-                        }
-                        let r = self.eval(rhs, env)?;
-                        return Ok(Value::Int(r.truthy() as i64));
-                    }
-                    BinOp::Or => {
-                        let l = self.eval(lhs, env)?;
-                        if l.truthy() {
-                            return Ok(Value::Int(1));
-                        }
-                        let r = self.eval(rhs, env)?;
-                        return Ok(Value::Int(r.truthy() as i64));
-                    }
-                    _ => {}
-                }
-                let l = self.eval(lhs, env)?;
-                let r = self.eval(rhs, env)?;
-                binop(*op, l, r)
-            }
-            Expr::Call(c) => self.eval_call(c, env),
-        }
-    }
-}
-
 /// Result of running one rank.
 #[derive(Clone, Debug)]
 pub struct MachineResult {
@@ -721,7 +451,8 @@ pub struct MachineResult {
     pub transport: TransportStats,
 }
 
-pub(crate) fn coerce_scalar(v: Value, ty: vsensor_lang::ast::Type) -> Value {
+#[doc(hidden)]
+pub fn coerce_scalar(v: Value, ty: vsensor_lang::ast::Type) -> Value {
     match (ty, &v) {
         (vsensor_lang::ast::Type::Int, Value::Float(f)) => Value::Int(*f as i64),
         (vsensor_lang::ast::Type::Float, Value::Int(i)) => Value::Float(*i as f64),
@@ -733,8 +464,9 @@ pub(crate) fn coerce_scalar(v: Value, ty: vsensor_lang::ast::Type) -> Value {
 /// included) with the error construction outlined, so no formatting code
 /// sits in a loop body. A negative `i` wraps past any `Vec` length, so
 /// `get` is the whole bounds check.
+#[doc(hidden)]
 #[inline(always)]
-pub(crate) fn load_element(arr: &Value, i: i64) -> Result<Value, ExecError> {
+pub fn load_element(arr: &Value, i: i64) -> Result<Value, ExecError> {
     match arr {
         Value::IntArray(a) => match a.get(i as usize) {
             Some(x) => Ok(Value::Int(*x)),
@@ -750,8 +482,9 @@ pub(crate) fn load_element(arr: &Value, i: i64) -> Result<Value, ExecError> {
 
 /// Element write; bounds are checked before the stored value's type, as
 /// the error order is part of the walker≡VM contract.
+#[doc(hidden)]
 #[inline(always)]
-pub(crate) fn store_element(slot: &mut Value, i: i64, v: Value) -> Result<(), ExecError> {
+pub fn store_element(slot: &mut Value, i: i64, v: Value) -> Result<(), ExecError> {
     match slot {
         Value::IntArray(a) => store_scalar(a, i, v.as_int(), "storing non-scalar into int array"),
         Value::FloatArray(a) => {
@@ -791,7 +524,10 @@ fn cold_error(message: &'static str) -> ExecError {
     ExecError::new(message)
 }
 
-pub(crate) fn binop(op: BinOp, l: Value, r: Value) -> Result<Value, ExecError> {
+/// A binary operator on two evaluated operands. `&&`/`||` short-circuit
+/// before their right operand is evaluated, so they never get here.
+#[doc(hidden)]
+pub fn binop(op: BinOp, l: Value, r: Value) -> Result<Value, ExecError> {
     use BinOp::*;
     // Promote to float if either side is float.
     if matches!(l, Value::Float(_)) || matches!(r, Value::Float(_)) {
@@ -813,7 +549,7 @@ pub(crate) fn binop(op: BinOp, l: Value, r: Value) -> Result<Value, ExecError> {
             Ge => Value::Int((a >= b) as i64),
             Eq => Value::Int((a == b) as i64),
             Ne => Value::Int((a != b) as i64),
-            And | Or => unreachable!("short-circuited"),
+            And | Or => return Err(short_circuit_in_binop()),
         });
     }
     let (a, b) = (
@@ -844,44 +580,39 @@ pub(crate) fn binop(op: BinOp, l: Value, r: Value) -> Result<Value, ExecError> {
         Ge => Value::Int((a >= b) as i64),
         Eq => Value::Int((a == b) as i64),
         Ne => Value::Int((a != b) as i64),
-        And | Or => unreachable!("short-circuited"),
+        And | Or => return Err(short_circuit_in_binop()),
     })
+}
+
+#[cold]
+#[inline(never)]
+fn short_circuit_in_binop() -> ExecError {
+    ExecError::new("`&&`/`||` reached an eager binary operator")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::{run_plain, RankResult};
     use cluster_sim::ClusterConfig;
-    use simmpi::World;
 
     /// Run an uninstrumented program on `ranks` quiet ranks, returning the
     /// per-rank results.
-    fn run_src(src: &str, ranks: usize) -> Vec<MachineResult> {
-        let program = Arc::new(vsensor_lang::compile(src).unwrap());
-        let cluster = Arc::new(ClusterConfig::quiet(ranks).build());
-        hosted(cluster, move |h| {
-            Machine::new(program.clone(), h, None)
-                .run()
-                .expect("program runs")
-        })
+    fn run_src(src: &str, ranks: usize) -> Vec<RankResult> {
+        let program = vsensor_lang::compile(src).unwrap();
+        run_plain(&program, Arc::new(ClusterConfig::quiet(ranks).build()))
     }
 
-    /// The walker on every rank of `cluster`, hosted; no deaths planned.
-    fn hosted<R: Send + 'static>(
-        cluster: Arc<cluster_sim::Cluster>,
-        program: impl Fn(Lockstep<'_>) -> R + Send + Sync + 'static,
-    ) -> Vec<R> {
-        World::new(cluster).run_hosted(program, |_, _| unreachable!("no deaths planned"))
-    }
-
-    /// The error a single-rank program fails with.
+    /// The error a single-rank program fails with, read from the panic the
+    /// scheduler raises with it.
     fn error_of(src: &str) -> ExecError {
-        let program = Arc::new(vsensor_lang::compile(src).unwrap());
+        let program = vsensor_lang::compile(src).unwrap();
         let cluster = Arc::new(ClusterConfig::quiet(1).build());
-        hosted(cluster, move |h| {
-            Machine::new(program.clone(), h, None).run().unwrap_err()
-        })
-        .remove(0)
+        let payload = std::panic::catch_unwind(|| run_plain(&program, cluster))
+            .expect_err("the program fails");
+        let text = payload.downcast_ref::<String>().expect("a formatted panic");
+        let message = text.strip_prefix("rank 0 panicked: runtime error: ");
+        ExecError::new(message.expect("the rank's runtime error"))
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! [`run_plain`] executes an uninstrumented program (the overhead
 //! baseline); [`run_instrumented`] executes an instrumented one with the
 //! full dynamic module attached — per-rank sensor runtimes, a shared
-//! analysis server, and a final [`VarianceReport`].
+//! analysis server, and a final [`VarianceReport`]. Every rank runs on the
+//! bytecode VM, a resumable task on simmpi's event scheduler.
 
 use crate::bytecode::{self, CompiledProgram};
 use crate::machine::{Machine, MachineResult, SensorHarness};
@@ -11,7 +12,7 @@ use crate::validate::{self, ValidationStats};
 use crate::vm::{self, VmState};
 use cluster_sim::time::{Duration, VirtualTime};
 use cluster_sim::Cluster;
-use simmpi::{Hosted, RankTask, SimBackend, TaskPoll};
+use simmpi::{RankTask, SimBackend, TaskPoll};
 use std::sync::Arc;
 use vsensor_lang::Program;
 use vsensor_runtime::{
@@ -20,17 +21,6 @@ use vsensor_runtime::{
     VarianceAlert, VarianceReport,
 };
 
-/// Which interpreter runs the ranks.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecBackend {
-    /// Slot-resolved bytecode VM (the default: same results, much faster).
-    #[default]
-    Vm,
-    /// The original tree-walking interpreter; kept as the differential
-    /// oracle the VM is validated against.
-    TreeWalker,
-}
-
 /// Configuration for an instrumented run.
 #[derive(Clone)]
 pub struct RunConfig {
@@ -38,8 +28,6 @@ pub struct RunConfig {
     pub runtime: RuntimeConfig,
     /// Active dynamic rule (defaults to constant-expected).
     pub rule: Arc<dyn DynamicRule>,
-    /// Execution engine (defaults to the bytecode VM).
-    pub backend: ExecBackend,
     /// How many workers the event scheduler resumes same-instant ranks on
     /// (results are bit-identical for every count).
     pub sim: SimBackend,
@@ -55,7 +43,6 @@ impl Default for RunConfig {
         RunConfig {
             runtime: RuntimeConfig::default(),
             rule: Arc::new(vsensor_runtime::dynrules::ConstantExpected),
-            backend: ExecBackend::default(),
             sim: SimBackend::default(),
             baseline: None,
         }
@@ -77,12 +64,11 @@ struct VmTask {
 
 impl VmTask {
     fn new(
-        program: Arc<Program>,
         compiled: Arc<CompiledProgram>,
         proc: simmpi::Proc,
         sensors: Option<SensorHarness>,
     ) -> Self {
-        let machine = Machine::new(program, Box::new(proc), sensors);
+        let machine = Machine::new(Box::new(proc), sensors);
         let traced = cluster_sim::trace::enabled(cluster_sim::trace::Category::VM)
             .then(|| (machine.trace_lane(), machine.now()));
         VmTask {
@@ -116,8 +102,8 @@ impl RankTask for VmTask {
                 TaskPoll::Ready(result)
             }
             Ok(false) => TaskPoll::Yielded,
-            // Program errors become a panic the scheduler relabels with
-            // the rank ID.
+            // Proof: a program error is the rank's outcome by contract —
+            // the scheduler relabels this panic `rank N panicked: …`.
             Err(e) => panic!("{e}"),
         }
     }
@@ -127,43 +113,24 @@ impl RankTask for VmTask {
     }
 }
 
-/// Execute `program` on every rank of `cluster` with the chosen
-/// interpreter; `harness` builds each rank's sensor machinery (`None` for a
-/// plain run). The VM is a resumable task; the tree-walker, which cannot
-/// return at a yield point, runs on simmpi's lock-step host. A rank the
-/// fault plan kills reports its accounting up to the death.
+/// Execute `program` on every rank of `cluster`, each rank a VM task;
+/// `harness` builds each rank's sensor machinery (`None` for a plain run).
+/// A rank the fault plan kills reports its accounting up to the death.
 fn run_ranks(
-    program: Arc<Program>,
-    backend: ExecBackend,
+    program: &Program,
     cluster: Arc<Cluster>,
     sim: SimBackend,
     harness: impl Fn(&simmpi::Proc) -> Option<SensorHarness>,
 ) -> Vec<MachineResult> {
-    let world = simmpi::World::new(cluster);
-    match backend {
-        ExecBackend::Vm => {
-            let compiled = Arc::new(bytecode::compile(&program));
-            world.run_event_workers(
-                sim.workers(),
-                |_rank, proc| {
-                    let sensors = harness(&proc);
-                    VmTask::new(program.clone(), compiled.clone(), proc, sensors)
-                },
-                dead_rank_result,
-            )
-        }
-        ExecBackend::TreeWalker => world.run_event_workers(
-            sim.workers(),
-            |_rank, proc| {
-                let (program, sensors) = (program.clone(), harness(&proc));
-                Hosted::new(proc, move |h| {
-                    let machine = Machine::new(program, h, sensors);
-                    machine.run().unwrap_or_else(|e| panic!("{e}"))
-                })
-            },
-            dead_rank_result,
-        ),
-    }
+    let compiled = Arc::new(bytecode::compile(program));
+    simmpi::World::new(cluster).run_event_workers(
+        sim.workers(),
+        |_rank, proc| {
+            let sensors = harness(&proc);
+            VmTask::new(compiled.clone(), proc, sensors)
+        },
+        dead_rank_result,
+    )
 }
 
 /// Per-rank outcome (re-exported view over the machine result).
@@ -197,34 +164,27 @@ impl From<MachineResult> for RankResult {
 }
 
 /// Run an uninstrumented program; returns per-rank results. Panics on
-/// program runtime errors (deterministic, so they reproduce).
-///
-/// Thin wrapper over [`run_plain_shared`]; callers that already hold an
-/// `Arc<Program>` should use that to skip the deep program clone.
+/// program runtime errors (deterministic, so they reproduce) with
+/// `rank N panicked: runtime error: …`.
 pub fn run_plain(program: &Program, cluster: Arc<Cluster>) -> Vec<RankResult> {
-    run_plain_shared(
-        Arc::new(program.clone()),
-        cluster,
-        ExecBackend::default(),
-        SimBackend::default(),
-    )
+    let results = run_ranks(program, cluster, SimBackend::default(), |_| None);
+    results.into_iter().map(RankResult::from).collect()
 }
 
-/// [`run_plain`] without the program clone, on an explicit interpreter
-/// and worker count.
+/// [`run_plain`] on an explicit scheduler worker count.
 pub fn run_plain_shared(
     program: Arc<Program>,
     cluster: Arc<Cluster>,
-    backend: ExecBackend,
     sim: SimBackend,
 ) -> Vec<RankResult> {
-    let results = run_ranks(program, backend, cluster, sim, |_| None);
+    let results = run_ranks(&program, cluster, sim, |_| None);
     results.into_iter().map(RankResult::from).collect()
 }
 
 /// The partial result of a rank that fail-stopped mid-run: accounting up
 /// to the death instant, no sense data past it.
-fn dead_rank_result(death: simmpi::DeathUnwind, task: &mut impl RankTask) -> MachineResult {
+#[doc(hidden)]
+pub fn dead_rank_result(death: simmpi::DeathUnwind, task: &mut impl RankTask) -> MachineResult {
     MachineResult {
         end: death.at,
         stats: task.proc_mut().stats(),
@@ -269,34 +229,43 @@ pub fn run_instrumented(
     run_instrumented_shared(Arc::new(program.clone()), sensors, cluster, config)
 }
 
-/// [`run_instrumented`] without the program clone.
-///
-/// Builds the one server-backed sink — a [`FaultyChannel`] under the
-/// cluster's fault plan, which is the lossless path for a healthy cluster
-/// and kills and recovers the server when the plan schedules a crash — and
-/// hands off to [`run_instrumented_sink`].
+/// [`run_instrumented`] without the program clone: runs on the one
+/// server-backed sink ([`server_sink`]).
 pub fn run_instrumented_shared(
     program: Arc<Program>,
     sensors: Vec<SensorInfo>,
     cluster: Arc<Cluster>,
     config: &RunConfig,
 ) -> InstrumentedRun {
-    let ranks = cluster.ranks();
+    let sink = server_sink(&sensors, &cluster, config);
+    run_instrumented_sink(program, sensors, cluster, config, sink)
+}
+
+/// The sink of a run with a private server: a [`FaultyChannel`] under the
+/// cluster's fault plan, which is the lossless path for a healthy cluster
+/// and kills and recovers the server when the plan schedules a crash.
+#[doc(hidden)]
+pub fn server_sink(
+    sensors: &[SensorInfo],
+    cluster: &Cluster,
+    config: &RunConfig,
+) -> Arc<dyn AnalysisSink> {
+    let (ranks, sensors, runtime) = (cluster.ranks(), sensors.to_vec(), config.runtime.clone());
     let faults = cluster.faults().clone();
-    let runtime = config.runtime.clone();
     // A plan with a server crash gets a durable (WAL-backed) server so
     // the crash can be recovered from.
     let built = if faults.server_crash().is_some() {
-        AnalysisServer::try_new_durable(ranks, sensors.clone(), runtime).map(|(server, _)| server)
+        AnalysisServer::try_new_durable(ranks, sensors, runtime).map(|(server, _)| server)
     } else {
-        AnalysisServer::try_new(ranks, sensors.clone(), runtime)
+        AnalysisServer::try_new(ranks, sensors, runtime)
     };
+    // Proof: `Prepared::run`'s signature has no error path; a rejected
+    // `RuntimeConfig` is a caller bug, reported with its validation text.
     let mut server = built.unwrap_or_else(|e| panic!("invalid runtime configuration: {e}"));
     if let Some((baseline, run_id)) = config.baseline.clone() {
         server.attach_baseline(baseline, run_id);
     }
-    let sink = Arc::new(FaultyChannel::new(Arc::new(server), faults));
-    run_instrumented_sink(program, sensors, cluster, config, sink)
+    Arc::new(FaultyChannel::new(Arc::new(server), faults))
 }
 
 /// Run an instrumented program against an arbitrary [`AnalysisSink`] —
@@ -315,17 +284,37 @@ pub fn run_instrumented_sink(
     config: &RunConfig,
     sink: Arc<dyn AnalysisSink>,
 ) -> InstrumentedRun {
-    let ranks = cluster.ranks();
     let channel: Arc<dyn BatchChannel> = sink.clone();
-    let sensor_count = sensors.len();
-    let harness = |proc: &simmpi::Proc| {
-        let runtime =
-            SensorRuntime::with_rule(sensor_count, config.runtime.clone(), config.rule.clone());
-        let harness = SensorHarness::with_channel(runtime, proc.rank(), channel.clone());
-        Some(harness.with_trace_lane(proc.trace_lane()))
-    };
-    let machine_results = run_ranks(program, config.backend, cluster, config.sim, harness);
+    let harness = |proc: &simmpi::Proc| Some(sensor_harness(config, sensors.len(), &channel, proc));
+    let machine_results = run_ranks(&program, cluster, config.sim, harness);
+    assemble_run(machine_results, config, sink)
+}
+
+/// One rank's sensor runtime and transport endpoint into `channel`.
+#[doc(hidden)]
+pub fn sensor_harness(
+    config: &RunConfig,
+    sensor_count: usize,
+    channel: &Arc<dyn BatchChannel>,
+    proc: &simmpi::Proc,
+) -> SensorHarness {
+    let runtime =
+        SensorRuntime::with_rule(sensor_count, config.runtime.clone(), config.rule.clone());
+    let harness = SensorHarness::with_channel(runtime, proc.rank(), channel.clone());
+    harness.with_trace_lane(proc.trace_lane())
+}
+
+/// Assemble an instrumented run from its per-rank results (one per rank,
+/// in rank order) and the sink they reported into: close the analysis
+/// session and build the report.
+#[doc(hidden)]
+pub fn assemble_run(
+    machine_results: Vec<MachineResult>,
+    config: &RunConfig,
+    sink: Arc<dyn AnalysisSink>,
+) -> InstrumentedRun {
     let rank_results: Vec<RankResult> = machine_results.into_iter().map(RankResult::from).collect();
+    let ranks = rank_results.len();
     // Read the final state through the sink: if a crash fired, the
     // original server object died with its state and this resolves to the
     // recovered (or promoted) instance.

@@ -1,6 +1,5 @@
-//! Runtime values and variable environments.
+//! Runtime values.
 
-use std::collections::HashMap;
 use std::fmt;
 use vsensor_lang::ast::Type;
 
@@ -34,7 +33,8 @@ const _: () = assert!(std::mem::size_of::<crate::bytecode::Insn>() <= 32);
 
 impl Value {
     /// A zeroed array of `len` elements of scalar type `ty`.
-    pub(crate) fn zeroed_array(ty: Type, len: usize) -> Value {
+    #[doc(hidden)]
+    pub fn zeroed_array(ty: Type, len: usize) -> Value {
         match ty {
             Type::Int => Value::IntArray(Box::new(vec![0; len])),
             Type::Float => Value::FloatArray(Box::new(vec![0.0; len])),
@@ -80,65 +80,6 @@ impl fmt::Display for Value {
     }
 }
 
-/// Lexically-scoped variable environment for one function activation.
-///
-/// Scopes are pushed for blocks that introduce bindings (loop bodies bind
-/// the induction variable); lookups walk inner-to-outer, then fall back to
-/// the per-process globals map owned by the machine.
-#[derive(Debug, Default)]
-pub struct Env {
-    scopes: Vec<HashMap<String, Value>>,
-}
-
-impl Env {
-    /// Environment with a single (function-body) scope.
-    pub fn new() -> Self {
-        Env {
-            scopes: vec![HashMap::new()],
-        }
-    }
-
-    /// Enter a nested scope.
-    pub fn push(&mut self) {
-        self.scopes.push(HashMap::new());
-    }
-
-    /// Leave the innermost scope.
-    pub fn pop(&mut self) {
-        self.scopes.pop().expect("scope underflow");
-    }
-
-    /// Declare (or shadow) a variable in the innermost scope.
-    pub fn declare(&mut self, name: &str, value: Value) {
-        self.scopes
-            .last_mut()
-            .expect("at least one scope")
-            .insert(name.to_string(), value);
-    }
-
-    /// Read a variable, innermost scope first.
-    pub fn get(&self, name: &str) -> Option<&Value> {
-        self.scopes.iter().rev().find_map(|s| s.get(name))
-    }
-
-    /// Write an existing variable (innermost binding wins). Returns false
-    /// if the name is unbound here (the caller then tries globals).
-    pub fn set(&mut self, name: &str, value: Value) -> bool {
-        for scope in self.scopes.iter_mut().rev() {
-            if let Some(slot) = scope.get_mut(name) {
-                *slot = value;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Mutable access to a bound value (for array stores).
-    pub fn get_mut(&mut self, name: &str) -> Option<&mut Value> {
-        self.scopes.iter_mut().rev().find_map(|s| s.get_mut(name))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,27 +92,5 @@ mod tests {
         assert!(Value::Int(1).truthy());
         assert!(!Value::Int(0).truthy());
         assert!(!Value::Float(0.0).truthy());
-    }
-
-    #[test]
-    fn scoping_shadows_and_restores() {
-        let mut env = Env::new();
-        env.declare("x", Value::Int(1));
-        env.push();
-        env.declare("x", Value::Int(2));
-        assert_eq!(env.get("x"), Some(&Value::Int(2)));
-        env.pop();
-        assert_eq!(env.get("x"), Some(&Value::Int(1)));
-    }
-
-    #[test]
-    fn set_updates_innermost_binding() {
-        let mut env = Env::new();
-        env.declare("x", Value::Int(1));
-        env.push();
-        assert!(env.set("x", Value::Int(9)));
-        env.pop();
-        assert_eq!(env.get("x"), Some(&Value::Int(9)));
-        assert!(!env.set("missing", Value::Int(0)));
     }
 }

@@ -1,11 +1,12 @@
 //! The slot-resolved bytecode VM.
 //!
-//! Executes a [`CompiledProgram`] against the same [`Machine`] cost/probe
-//! machinery as the tree-walker: charges flow through `Machine::charge` /
+//! The product's one executor. Executes a [`CompiledProgram`] against the
+//! [`Machine`] cost/probe surface: charges flow through `Machine::charge` /
 //! `charge_units` / `charge_mem`, probes through `on_tick`/`on_tock`, and
-//! builtins through the shared dispatch — so virtual time, PMU sampling
-//! keys, sensor records and errors are bit-identical to the walker (see
-//! `tests/vm_equivalence.rs` for the differential suite).
+//! builtins through the shared dispatch. The dev-only `vsensor-oracle`
+//! crate runs a tree-walker over the same surface, and virtual time, PMU
+//! sampling keys, sensor records and errors are bit-identical between the
+//! two (`tests/vm_equivalence.rs` is the differential suite).
 //!
 //! Per-rank execution allocates three growable buffers once — operand
 //! stack, frame stack and a flat locals area — and nothing per iteration:
@@ -65,9 +66,7 @@ impl VmState {
 }
 
 /// Run or resume one rank's VM: the dispatch loop. The `Machine` carries
-/// the rank's clock, cost accumulator and sensor harness; the walker's
-/// `Machine::run` and this function produce bit-identical results.
-/// `Ok(true)` means `main` returned (call `Machine::finalize` for the
+/// the rank's clock, cost accumulator and sensor harness. `Ok(true)` means `main` returned (call `Machine::finalize` for the
 /// result); `Ok(false)` means a blocking builtin is `Pending` — the rank
 /// yielded, and the next call continues bit-identically to an
 /// uninterrupted run.
@@ -84,31 +83,34 @@ pub(crate) fn resume_vm(
     st: &mut VmState,
 ) -> Result<bool, ExecError> {
     if !st.started {
-        let entry = compiled
-            .entry_fn()
-            .ok_or_else(|| ExecError::new("program has no `main`"))?;
-        // The walker's entry call: depth check (trivially passes), then
-        // the CALL charge.
+        let entry = compiled.entry_fn().ok_or_else(bytecode::no_main)?;
+        // The entry call: depth check (trivially passes), then the CALL
+        // charge.
         m.charge(cost::CALL);
         st.locals.resize(entry.n_slots as usize, Value::Int(0));
         st.globals = compiled.globals.clone();
         st.started = true;
     }
 
+    let mut func_idx: u32 = st.func;
+    let mut func = compiled.fn_by_index(func_idx)?;
     let mut stack: Vec<Value> = std::mem::take(&mut st.stack);
     let mut locals: Vec<Value> = std::mem::take(&mut st.locals);
     let mut frames: Vec<Frame> = std::mem::take(&mut st.frames);
     let mut globals: Vec<Value> = std::mem::take(&mut st.globals);
 
-    let mut func_idx: u32 = st.func;
-    let mut func = compiled.fn_by_index(func_idx);
     let mut pc: usize = st.pc;
     let mut locals_base: usize = st.locals_base;
     let mut stack_floor: usize = st.stack_floor;
 
+    // The compiler balances every push with a pop, so an empty stack here
+    // is a compiler bug; it surfaces as a typed error, never a panic.
     macro_rules! pop {
         () => {
-            stack.pop().expect("operand stack underflow")
+            match stack.pop() {
+                Some(v) => v,
+                None => return Err(stack_underflow()),
+            }
         };
     }
 
@@ -183,8 +185,8 @@ pub(crate) fn resume_vm(
                 stack.push(binop_fast(*op, l, r)?);
             }
             Insn::IndexTrap(msg) => {
-                // Unresolvable array name: run the walker's index checks
-                // and memory charge, then its lookup error.
+                // Unresolvable array name: the index check and memory
+                // charge still happen, then the lookup error.
                 index_operand(m, pop!())?;
                 return Err(ExecError::new(compiled.msgs[*msg as usize].clone()));
             }
@@ -283,8 +285,7 @@ pub(crate) fn resume_vm(
             }
             Insn::Call { func: fi, argc } => {
                 // Active calls = entry + suspended frames + the current
-                // function; the walker checks its depth (== that count)
-                // before charging.
+                // function; the depth limit is checked before charging.
                 if frames.len() + 1 > 256 {
                     return Err(ExecError::new("call depth exceeded (runaway recursion)"));
                 }
@@ -338,7 +339,7 @@ pub(crate) fn resume_vm(
                 match frames.pop() {
                     Some(frame) => {
                         func_idx = frame.func;
-                        func = compiled.fn_by_index(func_idx);
+                        func = compiled.fn_by_index(func_idx)?;
                         pc = frame.ret_pc;
                         locals_base = frame.locals_base;
                         stack_floor = frame.stack_floor;
@@ -401,14 +402,21 @@ fn binop_fast(op: vsensor_lang::BinOp, l: Value, r: Value) -> Result<Value, Exec
             Ge => Value::Int((a >= b) as i64),
             Eq => Value::Int((a == b) as i64),
             Ne => Value::Int((a != b) as i64),
-            And | Or => unreachable!("short-circuited"),
+            // Short-circuited before evaluation: `binop` reports it.
+            And | Or => return binop(op, l, r),
         });
     }
     binop(op, l, r)
 }
 
+#[cold]
+#[inline(never)]
+fn stack_underflow() -> ExecError {
+    ExecError::new("operand stack underflow")
+}
+
 /// Copy a variable for the operand stack: scalars inline, arrays through
-/// the (cold) deep clone the walker's environment lookup also performs.
+/// a (cold) deep clone — array variables have value semantics.
 #[inline(always)]
 fn load(v: &Value) -> Value {
     match v {
@@ -418,8 +426,7 @@ fn load(v: &Value) -> Value {
     }
 }
 
-/// Pop-side of an array index: integer check then the memory charge, in
-/// walker order.
+/// Pop-side of an array index: integer check, then the memory charge.
 #[inline]
 fn index_operand(m: &mut Machine, v: Value) -> Result<i64, ExecError> {
     let i = v
@@ -439,304 +446,4 @@ fn local_index(m: &mut Machine, v: &Value) -> Result<i64, ExecError> {
     };
     m.charge_mem(cost::ARRAY_MEM);
     Ok(i)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::run::{run_plain_shared, ExecBackend, RankResult};
-    use cluster_sim::ClusterConfig;
-    use simmpi::{RankTask, SimBackend, TaskPoll, World};
-    use std::sync::Arc;
-
-    /// Run a source program through both interpreters on quiet ranks and
-    /// return (walker, vm) results.
-    fn both(src: &str, ranks: usize) -> (Vec<RankResult>, Vec<RankResult>) {
-        let program = Arc::new(vsensor_lang::compile(src).unwrap());
-        let run = |backend| {
-            let cluster = Arc::new(ClusterConfig::quiet(ranks).build());
-            run_plain_shared(program.clone(), cluster, backend, SimBackend::event())
-        };
-        (run(ExecBackend::TreeWalker), run(ExecBackend::Vm))
-    }
-
-    fn assert_identical(src: &str, ranks: usize) {
-        let (walker, vm) = both(src, ranks);
-        for (w, v) in walker.iter().zip(&vm) {
-            assert_eq!(w.end, v.end, "virtual end time differs for {src}");
-            assert_eq!(w.stats, v.stats, "proc stats differ for {src}");
-        }
-    }
-
-    /// A VM rank whose program error is its output instead of a panic.
-    struct ErrorOfVm {
-        machine: Machine,
-        state: VmState,
-        compiled: Arc<CompiledProgram>,
-    }
-
-    impl RankTask for ErrorOfVm {
-        type Output = ExecError;
-
-        fn resume(&mut self) -> TaskPoll<ExecError> {
-            match resume_vm(&mut self.machine, &self.compiled, &mut self.state) {
-                Ok(true) => panic!("the program was expected to fail"),
-                Ok(false) => TaskPoll::Yielded,
-                Err(e) => TaskPoll::Ready(e),
-            }
-        }
-
-        fn proc_mut(&mut self) -> &mut simmpi::Proc {
-            self.machine.proc()
-        }
-    }
-
-    fn both_errors(src: &str) -> (ExecError, ExecError) {
-        let program = Arc::new(vsensor_lang::compile(src).unwrap());
-        let world = || World::new(Arc::new(ClusterConfig::quiet(1).build()));
-        let walker = {
-            let program = program.clone();
-            world().run_hosted(
-                move |h| Machine::new(program.clone(), h, None).run().unwrap_err(),
-                |_, _| unreachable!("no deaths planned"),
-            )
-        };
-        let compiled = Arc::new(bytecode::compile(&program));
-        let vm = world().run_event(
-            |_, proc| ErrorOfVm {
-                machine: Machine::new(program.clone(), Box::new(proc), None),
-                state: VmState::new(),
-                compiled: compiled.clone(),
-            },
-            |_, _| unreachable!("no deaths planned"),
-        );
-        (walker[0].clone(), vm[0].clone())
-    }
-
-    #[test]
-    fn arithmetic_matches_walker() {
-        assert_identical(
-            r#"
-            fn tri(int n) -> int {
-                int s = 0;
-                for (i = 1; i <= n; i = i + 1) { s = s + i; }
-                return s;
-            }
-            fn main() {
-                int x = tri(100);
-                if (x == 5050) { compute(1000); } else { compute(9); }
-            }
-            "#,
-            1,
-        );
-    }
-
-    #[test]
-    fn break_continue_through_nested_loops() {
-        assert_identical(
-            r#"
-            fn main() {
-                int hits = 0;
-                for (i = 0; i < 20; i = i + 1) {
-                    if (i % 3 == 0) { continue; }
-                    int j = 0;
-                    while (j < 10) {
-                        j = j + 1;
-                        if (j == 4) { continue; }
-                        if (j > 7) { break; }
-                        hits = hits + 1;
-                    }
-                    if (i > 15) { break; }
-                }
-                compute(hits * 100);
-            }
-            "#,
-            1,
-        );
-    }
-
-    #[test]
-    fn short_circuit_evaluation_matches() {
-        // The right-hand sides charge work only when evaluated; any
-        // divergence in short-circuit behavior shifts virtual time.
-        assert_identical(
-            r#"
-            fn costly(int n) -> int { compute(n); return n; }
-            fn main() {
-                int a = 0 && costly(1000);
-                int b = 1 && costly(2000);
-                int c = 1 || costly(4000);
-                int d = 0 || costly(8000);
-                compute(a + b + c + d);
-            }
-            "#,
-            1,
-        );
-    }
-
-    #[test]
-    fn array_type_coercion_matches() {
-        assert_identical(
-            r#"
-            fn main() {
-                int a[8];
-                float f[8];
-                for (i = 0; i < 8; i = i + 1) {
-                    a[i] = i * 1.5;   // float stored into int array
-                    f[i] = i;         // int stored into float array
-                }
-                int x = a[4] + f[5];
-                float y = a[4] + f[5];
-                compute(x + y);
-            }
-            "#,
-            1,
-        );
-    }
-
-    #[test]
-    fn shadowing_matches() {
-        assert_identical(
-            r#"
-            global int x = 100;
-            fn main() {
-                int s = x;          // global: 100
-                if (1) { int x = 5; s = s + x; }
-                s = s + x;          // global again
-                for (x = 0; x < 3; x = x + 1) { s = s + x; }
-                s = s + x;          // global again after loop scope pops
-                int x = 7;          // local shadows global
-                s = s + x;
-                compute(s * 10);
-            }
-            "#,
-            1,
-        );
-    }
-
-    #[test]
-    fn mpi_and_globals_match_across_ranks() {
-        assert_identical(
-            r#"
-            global int COUNTER = 0;
-            fn bump() { COUNTER = COUNTER + 1; }
-            fn main() {
-                int rank = mpi_comm_rank();
-                for (i = 0; i < 10 + rank; i = i + 1) { bump(); }
-                mpi_allreduce_val(8, COUNTER);
-                mpi_barrier();
-            }
-            "#,
-            4,
-        );
-    }
-
-    #[test]
-    fn recursion_depth_error_matches() {
-        let (w, v) = both_errors("fn f(int n) -> int { return f(n + 1); } fn main() { f(0); }");
-        assert_eq!(w, v);
-        assert!(w.message.contains("call depth"));
-    }
-
-    #[test]
-    fn runtime_error_messages_match() {
-        for src in [
-            "fn main() { int x = 0; int y = 5 / x; }",
-            "fn main() { int x = 0; int y = 5 % x; }",
-            "fn main() { int a[4]; a[9] = 1; }",
-            "fn main() { int a[4]; int x = a[0 - 1]; }",
-            "fn main() { x = 1; }",
-            "fn main() { int y = x; }",
-            "fn main() { unknowable(3); }",
-            "fn main() { int x = 1; int y = x[0]; }",
-            "fn main() { int n = 0 - 4; int a[n]; }",
-            "fn main() { int a[8]; int b[2]; int x = a[b]; }",
-            "fn main() { int a[4]; a[0] = 0 - a; }",
-            // The cold side of every element-access arm, fused forms
-            // included: index -1, index == len, a truncated float index, a
-            // scalar indexed, a non-scalar stored.
-            "fn main() { int a[4]; int x = a[4]; }",
-            "fn main() { int a[4]; int x = a[4.9]; }",
-            "fn main() { int a[4]; int k = 0 - 1; int x = a[k]; }",
-            "fn main() { float a[4]; int k = 4; a[k] = 1; }",
-            "fn main() { int a[4]; int b[4]; int i = 4; int j = 0; int x = a[i] + b[j]; }",
-            "fn main() { int a[4]; int b[4]; int i = 0; int j = 0 - 1; int x = a[i] + b[j]; }",
-            "fn main() { int a[4]; int k = 4; int s = 1; s = s + 2 + a[k]; }",
-            "fn main() { int x = 1; int k = 0; x[k] = 2; }",
-            "global int g = 1; fn main() { g[0] = 2; }",
-            "fn main() { int a[4]; int b[2]; a[0] = b; }",
-            "fn main() { float a[4]; int b[2]; int k = 4; a[k] = b; }",
-        ] {
-            let (w, v) = both_errors(src);
-            assert_eq!(w, v, "error mismatch for {src}");
-        }
-    }
-
-    #[test]
-    fn rand_and_wtime_match() {
-        // `rand` advances per-rank deterministic state; `wtime` reads the
-        // virtual clock — both must see identical machine state.
-        assert_identical(
-            r#"
-            fn main() {
-                int acc = 0;
-                for (i = 0; i < 50; i = i + 1) {
-                    int r = rand();
-                    if (r % 2 == 0) { acc = acc + 1; }
-                    compute(100 + r % 64);
-                }
-                int t = wtime();
-                if (t > 0) { acc = acc + 1; }
-                mpi_allreduce_val(8, acc);
-            }
-            "#,
-            2,
-        );
-    }
-
-    #[test]
-    fn chunk_flush_boundaries_match() {
-        // Enough fine-grained work to cross the 1<<16 pending-work chunk
-        // threshold many times purely from unit charges: flush points must
-        // land on the same work counts in both backends.
-        assert_identical(
-            r#"
-            fn main() {
-                int s = 0;
-                for (i = 0; i < 30000; i = i + 1) { s = s + i * 2 - 1; }
-                compute(s % 97);
-            }
-            "#,
-            1,
-        );
-    }
-
-    #[test]
-    fn mixed_mem_and_cpu_charges_match() {
-        // Memory charges don't flush; a unit charge arriving with the
-        // accumulator already above threshold must flush on the next unit
-        // in both backends.
-        assert_identical(
-            r#"
-            fn main() {
-                int a[4096];
-                int s = 0;
-                for (r = 0; r < 40; r = r + 1) {
-                    for (i = 0; i < 4096; i = i + 1) { a[i] = a[i] + i; }
-                    mem_access(30000);
-                    for (i = 0; i < 4096; i = i + 1) { s = s + a[i]; }
-                }
-                compute(s % 1009);
-            }
-            "#,
-            1,
-        );
-    }
-
-    #[test]
-    fn main_with_params_leaves_them_unbound() {
-        let (w, v) = both_errors("global int g = 1; fn main(int q) { int y = q; }");
-        assert_eq!(w, v);
-        assert!(w.message.contains("unbound variable `q`"));
-    }
 }

@@ -14,18 +14,16 @@ fn run_ok(src: &str) {
     run_plain(&program, cluster); // panics inside on error
 }
 
+/// The runtime error a single-rank program fails with, read from the
+/// panic the scheduler raises with it.
 fn run_err(src: &str) -> String {
-    let program = Arc::new(compile(src).unwrap());
+    let program = compile(src).unwrap();
     let cluster = Arc::new(ClusterConfig::quiet(1).build());
-    let errs = simmpi::World::new(cluster).run_hosted(
-        move |h| {
-            vsensor_interp::Machine::new(program.clone(), h, None)
-                .run()
-                .unwrap_err()
-        },
-        |_, _| unreachable!("no deaths planned"),
-    );
-    errs[0].message.clone()
+    let payload =
+        std::panic::catch_unwind(|| run_plain(&program, cluster)).expect_err("the program fails");
+    let text = payload.downcast_ref::<String>().expect("a formatted panic");
+    let message = text.strip_prefix("rank 0 panicked: runtime error: ");
+    message.expect("the rank's runtime error").to_string()
 }
 
 #[test]

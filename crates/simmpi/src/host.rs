@@ -1,6 +1,6 @@
 //! The lock-step host: a rank program that cannot *return* at a yield point
-//! — a plain closure, the tree-walking interpreter — as an ordinary
-//! [`RankTask`].
+//! — a plain closure, or the test-only tree-walking interpreter — as an
+//! ordinary [`RankTask`].
 //!
 //! The program runs on its own OS thread, but only while the scheduler is
 //! inside that rank's `resume`: `resume` hands the rank's [`Proc`] by value

@@ -15,7 +15,8 @@
 //! a global event queue ordered by `(instant, rank)` picks what runs next.
 //! One process simulates the paper's 16,384 ranks. Rank programs written
 //! as plain closures run on the lock-step [`host`]
-//! ([`World::run_hosted`]).
+//! ([`World::run_hosted`]); the product's interpreter, the bytecode VM, is
+//! a `RankTask` of its own and does not use it.
 //!
 //! The API mirrors the MPI subset the paper's applications use: blocking
 //! send/recv, barrier, bcast, reduce, allreduce, allgather, alltoall, plus

@@ -9,16 +9,17 @@
 //! finish." The streaming engine runs detection passes *while* telemetry
 //! arrives, so a monitor thread can drain live [`VarianceAlert`]s and take
 //! interim results while the ranks are still running — this example
-//! launches the run on a worker thread and polls the server, printing each
-//! alert the moment the detection stream emits it.
+//! launches the run on a worker thread, routed into a server it holds a
+//! handle on, and polls that server, printing each alert the moment the
+//! detection stream emits it.
 //!
 //! [`VarianceAlert`]: vsensor_repro::runtime::VarianceAlert
 
 use std::sync::Arc;
 use std::time::Duration as StdDuration;
 use vsensor_repro::cluster_sim::{SlowdownWindow, VirtualTime};
-use vsensor_repro::runtime::record::SensorInfo;
-use vsensor_repro::runtime::{AnalysisServer, RuntimeConfig};
+use vsensor_repro::interp::RunConfig;
+use vsensor_repro::runtime::{AnalysisServer, DirectChannel};
 use vsensor_repro::{scenarios, Pipeline};
 
 fn main() {
@@ -29,9 +30,12 @@ fn main() {
 
     // Build the server ourselves so we can hold a handle while the run is
     // in flight (the Prepared::run convenience owns it otherwise).
-    let sensors: Vec<SensorInfo> = prepared.sensors.clone();
-    let config = RuntimeConfig::default();
-    let server = Arc::new(AnalysisServer::new(ranks, sensors.clone(), config.clone()));
+    let config = RunConfig::default();
+    let server = Arc::new(AnalysisServer::new(
+        ranks,
+        prepared.sensors.clone(),
+        config.runtime.clone(),
+    ));
 
     // A noiser window in the middle of the run.
     let cluster = Arc::new(
@@ -46,25 +50,9 @@ fn main() {
             .build(),
     );
 
-    let program = Arc::new(prepared.analysis.instrumented.program.clone());
     let monitor_server = server.clone();
-    let run_config = config.clone();
     let worker = std::thread::spawn(move || {
-        let world = vsensor_repro::simmpi::World::new(cluster);
-        world.run_hosted(
-            move |h| {
-                let harness = vsensor_repro::interp::machine::SensorHarness::direct(
-                    vsensor_repro::runtime::SensorRuntime::new(sensors.len(), run_config.clone()),
-                    h.rank(),
-                    server.clone(),
-                );
-                vsensor_repro::interp::Machine::new(program.clone(), h, Some(harness))
-                    .run()
-                    .unwrap_or_else(|e| panic!("{e}"))
-                    .end
-            },
-            |_, _| unreachable!("no deaths planned"),
-        )
+        prepared.run_sink(cluster, &config, Arc::new(DirectChannel::new(server)))
     });
 
     // Poll the server while the run progresses: live alerts come from the
@@ -82,10 +70,10 @@ fn main() {
             break;
         }
     }
-    let ends = worker.join().expect("run completes");
-    let run_end = ends.into_iter().max().unwrap();
-    // Closing the session yields the authoritative end-of-run result.
-    let fin = monitor_server.session().close(run_end);
+    let run = worker.join().expect("run completes");
+    let run_end = VirtualTime::ZERO + run.run_time;
+    // The run closed the session: its result is the authoritative one.
+    let fin = &run.server;
     println!(
         "\nrun finished at {run_end}; final report: {} event(s), {:.2} MB received",
         fin.events.len(),

@@ -35,9 +35,7 @@ use std::fmt::Debug;
 use std::sync::Arc;
 use vsensor_repro::cluster_sim::time::VirtualTime;
 use vsensor_repro::cluster_sim::{Cluster, ClusterConfig, FaultPlan, NoiseConfig};
-use vsensor_repro::interp::{
-    run_plain_shared, ExecBackend, InstrumentedRun, RankResult, RunConfig,
-};
+use vsensor_repro::interp::{run_plain_shared, InstrumentedRun, RankResult, RunConfig};
 use vsensor_repro::runtime::record::SensorKind;
 use vsensor_repro::runtime::RuntimeConfig;
 use vsensor_repro::simmpi::SimBackend;
@@ -302,7 +300,6 @@ fn plain_runs_match_at_64_ranks() {
     let ranks = run_plain_shared(
         program,
         Arc::new(ClusterConfig::quiet(64).build()),
-        ExecBackend::Vm,
         SimBackend::event(),
     );
     assert_golden("plain run", fingerprint_plain(&ranks), PLAIN_64);
@@ -329,7 +326,6 @@ fn event_backend_runs_4096_ranks() {
     let results = run_plain_shared(
         program,
         Arc::new(ClusterConfig::quiet(4096).build()),
-        ExecBackend::Vm,
         SimBackend::event(),
     );
     assert_eq!(results.len(), 4096);

@@ -1,38 +1,44 @@
 //! Differential equivalence suite: the bytecode VM must be *bit-identical*
-//! to the tree-walking interpreter on every observable output.
+//! to the tree-walking interpreter (`vsensor-oracle`, test code only) on
+//! every observable output.
 //!
-//! Both backends share the same work-unit cost model and the same
-//! `Machine` side-effect surface (clock, PMU sampling, sensors,
-//! transport), so any divergence — in final virtual times, MPI stats,
-//! sensor record streams, or even the rendered report text — is a
-//! compiler bug, not tolerable drift. Random programs come from an
-//! extended `arb_program` that exercises calls, recursion, arrays,
-//! `while`/`break`/`continue` and every sensor-relevant builtin class.
+//! Both share the same work-unit cost model and the same `Machine`
+//! side-effect surface (clock, PMU sampling, sensors, transport), so any
+//! divergence — in final virtual times, MPI stats, sensor record streams,
+//! or even the rendered report text — is a compiler bug, not tolerable
+//! drift. Random programs come from an extended `arb_program` that
+//! exercises calls, recursion, arrays, `while`/`break`/`continue` and
+//! every sensor-relevant builtin class.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use vsensor_repro::cluster_sim::time::VirtualTime;
 use vsensor_repro::cluster_sim::{Cluster, ClusterConfig, FaultPlan, NoiseConfig};
-use vsensor_repro::interp::{
-    run_plain_shared, ExecBackend, InstrumentedRun, RankResult, RunConfig,
-};
+use vsensor_repro::interp::{run_plain_shared, InstrumentedRun, RankResult, RunConfig};
+use vsensor_repro::lang::Program;
 use vsensor_repro::simmpi::SimBackend;
-use vsensor_repro::{scenarios, Pipeline};
+use vsensor_repro::{scenarios, Pipeline, Prepared};
 
-/// Run one prepared program under a given backend on a fresh cluster
-/// built from the same configuration (clusters hold per-run RNG state,
-/// so each run gets its own identical instance).
-fn run_backend(
-    src: &str,
+/// A plain run: the VM's `run_plain_shared` or the walker's
+/// `vsensor_oracle::run_plain`.
+type PlainRun = fn(Arc<Program>, Arc<Cluster>, SimBackend) -> Vec<RankResult>;
+const WALKER: PlainRun = vsensor_oracle::run_plain;
+const VM: PlainRun = run_plain_shared;
+
+/// Run one prepared program on the walker and on the VM, each on a fresh
+/// cluster built from the same configuration (clusters hold per-run RNG
+/// state, so each run gets its own identical instance).
+fn run_both(
+    prepared: &Prepared,
     make_cluster: &dyn Fn() -> Cluster,
-    backend: ExecBackend,
-) -> InstrumentedRun {
-    let prepared = Pipeline::new().compile(src).expect("program compiles");
-    let config = RunConfig {
-        backend,
-        ..RunConfig::default()
-    };
-    prepared.run(Arc::new(make_cluster()), &config)
+    config: &RunConfig,
+) -> (InstrumentedRun, InstrumentedRun) {
+    let program = Arc::new(prepared.analysis.instrumented.program.clone());
+    let sensors = prepared.sensors.clone();
+    let walker =
+        vsensor_oracle::run_instrumented(program, sensors, Arc::new(make_cluster()), config);
+    let vm = prepared.run(Arc::new(make_cluster()), config);
+    (walker, vm)
 }
 
 /// Assert every observable output of two instrumented runs is identical,
@@ -105,9 +111,29 @@ fn assert_runs_identical(walker: &InstrumentedRun, vm: &InstrumentedRun) {
 }
 
 fn assert_equivalent(src: &str, make_cluster: &dyn Fn() -> Cluster) {
-    let walker = run_backend(src, make_cluster, ExecBackend::TreeWalker);
-    let vm = run_backend(src, make_cluster, ExecBackend::Vm);
+    let prepared = Pipeline::new().compile(src).expect("program compiles");
+    let (walker, vm) = run_both(&prepared, make_cluster, &RunConfig::default());
     assert_runs_identical(&walker, &vm);
+}
+
+/// Plain runs of `program` on both interpreters: per-rank end times and
+/// stats are identical.
+fn assert_plain_identical(program: &Arc<Program>, make_cluster: &dyn Fn() -> Cluster) {
+    let walker = WALKER(
+        program.clone(),
+        Arc::new(make_cluster()),
+        SimBackend::event(),
+    );
+    let vm = VM(
+        program.clone(),
+        Arc::new(make_cluster()),
+        SimBackend::event(),
+    );
+    assert_eq!(walker.len(), vm.len());
+    for (w, v) in walker.iter().zip(&vm) {
+        assert_eq!(w.end, v.end, "final virtual time");
+        assert_eq!(w.stats, v.stats, "proc stats");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -175,16 +201,14 @@ proptest! {
     #[test]
     fn random_programs_match_plain(src in arb_program()) {
         let program = Arc::new(vsensor_repro::lang::compile(&src).unwrap());
-        let walker = run_plain_shared(
+        let walker = WALKER(
             program.clone(),
             Arc::new(ClusterConfig::quiet(2).build()),
-            ExecBackend::TreeWalker,
             Default::default(),
         );
-        let vm = run_plain_shared(
+        let vm = VM(
             program,
             Arc::new(ClusterConfig::quiet(2).build()),
-            ExecBackend::Vm,
             Default::default(),
         );
         prop_assert_eq!(walker.len(), vm.len());
@@ -271,17 +295,13 @@ fn node_death_matches_bitwise() {
         }
     "#;
     let (cluster, runtime) = scenarios::node_death(4, 0, 0.55, 1, 2);
-    let run = |backend| {
-        let prepared = Pipeline::new().compile(SRC).expect("program compiles");
-        let config = RunConfig {
-            backend,
-            runtime: runtime.clone(),
-            ..RunConfig::default()
-        };
-        let cluster = cluster.clone().with_ranks_per_node(2).build();
-        prepared.run(Arc::new(cluster), &config)
+    let prepared = Pipeline::new().compile(SRC).expect("program compiles");
+    let config = RunConfig {
+        runtime,
+        ..RunConfig::default()
     };
-    let (walker, vm) = (run(ExecBackend::TreeWalker), run(ExecBackend::Vm));
+    let make_cluster = || cluster.clone().with_ranks_per_node(2).build();
+    let (walker, vm) = run_both(&prepared, &make_cluster, &config);
     assert_runs_identical(&walker, &vm);
     assert!(walker.ranks[2].stats.died_at.is_some(), "node 1 was killed");
     assert!(walker.ranks[0].stats.shrunk_collectives > 0);
@@ -301,12 +321,12 @@ fn node_death_matches_bitwise() {
 // through the boxed array payload (DESIGN.md §10, "Value layout").
 // ---------------------------------------------------------------------
 
-/// One plain rank under `backend`; a program error comes back as its text
+/// One plain rank under `run`; a program error comes back as its text
 /// (the drivers panic with it, labelled with the rank) instead of unwinding.
-fn run_one(src: &str, backend: ExecBackend) -> Result<RankResult, String> {
+fn run_one(src: &str, run: PlainRun) -> Result<RankResult, String> {
     let program = Arc::new(vsensor_repro::lang::compile(src).expect("program compiles"));
     let cluster = Arc::new(ClusterConfig::quiet(1).build());
-    std::panic::catch_unwind(|| run_plain_shared(program, cluster, backend, SimBackend::event()))
+    std::panic::catch_unwind(|| run(program, cluster, SimBackend::event()))
         .map(|mut ranks| ranks.remove(0))
         .map_err(|payload| {
             let text = payload.downcast_ref::<String>().expect("a formatted panic");
@@ -392,8 +412,8 @@ fn element_access_errors_match_verbatim() {
     ];
     for (body, expected) in cases {
         let src = format!("global int g = 1; fn main() {{ {body} }}");
-        let walker = run_one(&src, ExecBackend::TreeWalker).expect_err(&src);
-        let vm = run_one(&src, ExecBackend::Vm).expect_err(&src);
+        let walker = run_one(&src, WALKER).expect_err(&src);
+        let vm = run_one(&src, VM).expect_err(&src);
         assert_eq!(walker, vm, "error mismatch for {src}");
         assert_eq!(walker, expected, "error text for {src}");
     }
@@ -456,8 +476,8 @@ const ARRAY_SEMANTICS: &[&str] = &[
 #[test]
 fn array_semantics_match_through_the_boxed_payload() {
     for src in ARRAY_SEMANTICS {
-        let walker = run_one(src, ExecBackend::TreeWalker).unwrap_or_else(|e| panic!("{e}: {src}"));
-        let vm = run_one(src, ExecBackend::Vm).unwrap_or_else(|e| panic!("{e}: {src}"));
+        let walker = run_one(src, WALKER).unwrap_or_else(|e| panic!("{e}: {src}"));
+        let vm = run_one(src, VM).unwrap_or_else(|e| panic!("{e}: {src}"));
         assert_eq!(walker.end, vm.end, "virtual end time for {src}");
         assert_eq!(walker.stats, vm.stats, "proc stats for {src}");
     }
@@ -497,15 +517,76 @@ fn arrays_survive_yield_and_resume_on_the_event_scheduler() {
         }
     "#;
     let program = Arc::new(vsensor_repro::lang::compile(src).unwrap());
-    let run = |backend, sim| {
-        let cluster = Arc::new(ClusterConfig::quiet(4).build());
-        run_plain_shared(program.clone(), cluster, backend, sim)
+    let run = |run: PlainRun, sim| {
+        run(
+            program.clone(),
+            Arc::new(ClusterConfig::quiet(4).build()),
+            sim,
+        )
     };
-    let walker = run(ExecBackend::TreeWalker, SimBackend::event());
-    let event = run(ExecBackend::Vm, SimBackend::Event { workers: 2 });
+    let walker = run(WALKER, SimBackend::event());
+    let event = run(VM, SimBackend::Event { workers: 2 });
     assert_eq!(walker.len(), event.len());
     for (w, v) in walker.iter().zip(event.iter()) {
         assert_eq!(w.end, v.end);
         assert_eq!(w.stats, v.stats);
     }
+}
+
+// ---------------------------------------------------------------------
+// Single-rank shapes of the interpreter's three regimes: scalar
+// arithmetic with no builtins, the bulk-builtin CG workload (plain and
+// instrumented), and the interpreted-kernel array loop.
+// ---------------------------------------------------------------------
+
+/// Pure interpreter-bound: scalar arithmetic, no builtins.
+const ARITH: &str = r#"
+    fn main() {
+        int x = 0;
+        for (i = 0; i < 200000; i = i + 1) {
+            x = x + i * 3 - (i / 2);
+            if (x > 1000000) { x = x - 1000000; }
+        }
+    }
+"#;
+
+/// Array-kernel-bound: the interpreted-CG inner loop shape.
+const KERNEL: &str = r#"
+    fn main() {
+        int n = 2000;
+        float x[2000]; float y[2000]; float m[2000];
+        for (k = 0; k < n; k = k + 1) { x[k] = k; m[k] = k + 1; }
+        for (it = 0; it < 40; it = it + 1) {
+            for (k = 0; k < n; k = k + 1) { y[k] = m[k] * x[k] + y[k]; }
+            float s = 0.0;
+            for (k = 0; k < n; k = k + 1) { s = s + x[k] * y[k]; }
+            for (k = 0; k < n; k = k + 1) { x[k] = x[k] + 0.5 * y[k]; }
+        }
+    }
+"#;
+
+#[test]
+fn scalar_arithmetic_shape_matches() {
+    let program = Arc::new(vsensor_repro::lang::compile(ARITH).unwrap());
+    assert_plain_identical(&program, &|| scenarios::quiet(1).build());
+}
+
+#[test]
+fn array_kernel_shape_matches() {
+    let program = Arc::new(vsensor_repro::lang::compile(KERNEL).unwrap());
+    assert_plain_identical(&program, &|| scenarios::quiet(1).build());
+}
+
+#[test]
+fn bulk_builtin_cg_shape_matches_plain_and_instrumented() {
+    let app =
+        vsensor_repro::apps::cg::generate(vsensor_repro::apps::Params::bench().with_iters(600));
+    let prepared = Pipeline::new().prepare(app.compile());
+    assert_plain_identical(&prepared.plain, &|| scenarios::healthy(1).build());
+    let (walker, vm) = run_both(
+        &prepared,
+        &|| scenarios::healthy(1).build(),
+        &RunConfig::default(),
+    );
+    assert_runs_identical(&walker, &vm);
 }

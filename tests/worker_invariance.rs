@@ -16,9 +16,7 @@
 use std::sync::Arc;
 use vsensor_bench::failstop::first_mismatch;
 use vsensor_repro::cluster_sim::{Cluster, ClusterConfig};
-use vsensor_repro::interp::{
-    run_plain_shared, ExecBackend, InstrumentedRun, RankResult, RunConfig,
-};
+use vsensor_repro::interp::{run_plain_shared, InstrumentedRun, RankResult, RunConfig};
 use vsensor_repro::runtime::RuntimeConfig;
 use vsensor_repro::simmpi::SimBackend;
 use vsensor_repro::{scenarios, Pipeline};
@@ -59,7 +57,6 @@ fn run_plain_with_workers(
     run_plain_shared(
         program,
         Arc::new(make_cluster()),
-        ExecBackend::Vm,
         SimBackend::Event { workers },
     )
 }
