@@ -59,7 +59,8 @@ fn bench_server_submit(c: &mut Criterion) {
         })
         .collect();
     g.bench_function("ingest_64_records", |b| {
-        let server = AnalysisServer::new(4, sensors.clone(), RuntimeConfig::default());
+        let server = AnalysisServer::try_new(4, sensors.clone(), RuntimeConfig::default())
+            .expect("valid config");
         let session = server.session();
         let mut slice = 0u64;
         b.iter(|| {

@@ -48,7 +48,8 @@ fn bench_ingest_throughput(c: &mut Criterion) {
     g.sample_size(10);
     for ranks in [64usize, 256, 512] {
         g.bench_function(format!("ingest_16records_{ranks}ranks"), |b| {
-            let server = AnalysisServer::new(ranks, sensors(), RuntimeConfig::default());
+            let server = AnalysisServer::try_new(ranks, sensors(), RuntimeConfig::default())
+                .expect("valid config");
             let session = server.session();
             let mut seq = 0u64;
             b.iter(|| {
@@ -80,7 +81,8 @@ fn bench_detection_cadence(c: &mut Criterion) {
                 let config = RuntimeConfig::default()
                     .with_detect_interval(interval)
                     .expect("interval is positive");
-                let server = AnalysisServer::new(ranks, sensors(), config);
+                let server =
+                    AnalysisServer::try_new(ranks, sensors(), config).expect("valid config");
                 let session = server.session();
                 for seq in 0..batches {
                     let rank = seq as usize % ranks;

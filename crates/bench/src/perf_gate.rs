@@ -852,7 +852,7 @@ mod tests {
         let lines = text.lines().filter(|l| !l.trim().is_empty()).count();
         assert_eq!(
             (history.len(), lines),
-            (376, 376),
+            (406, 406),
             "valid-prefix parsing truncated the history"
         );
         for (_, h) in &history {
@@ -877,11 +877,15 @@ mod tests {
                 runs.len(),
                 match (h.suite.as_str(), h.metric.as_str()) {
                     // First filed with run 19.
-                    ("interp", "sim-seconds") => 1,
-                    ("interp" | "simmpi", _) => 18,
-                    ("service", _) => 16,
+                    ("interp", "sim-seconds") => 3,
+                    // Runs 20 and 21 were filed `--ratio-only`: the wall
+                    // series did not grow.
+                    ("interp", _) | ("simmpi", "wall-throughput") => 18,
+                    ("simmpi", _) => 20,
+                    ("service", "service-throughput") => 16,
+                    ("service", _) => 18,
                     // First filed with runs 10 and 11.
-                    _ => 10,
+                    _ => 12,
                 },
                 "{}",
                 h.key()
@@ -903,28 +907,29 @@ mod tests {
     /// row (a retired series now) and gained a `sim-seconds` row first
     /// filed with run 19, so that shallow series keeps its fixed-band
     /// verdict (`samples` < 5; the zero median and allowance are
-    /// placeholders).
+    /// placeholders). Runs 20 and 21 (one crash story, and its parent) were
+    /// filed `--ratio-only`, so only the virtual and ratio series grew.
     #[rustfmt::skip]
     const PARENT_VERDICTS: [ParentVerdict; 19] = [
         ("cg-fig21/4/vm-throughput", 6621909025.009828, true, true, 18, 12, 5621026753.2137985, 2495366079.009926),
-        ("cg-fig21/4/sim-seconds", 0.057710674, true, true, 1, 0, 0.0, 0.0),
+        ("cg-fig21/4/sim-seconds", 0.057710674, true, true, 3, 0, 0.0, 0.0),
         ("cg-fig21/16/vm-throughput", 25937512577.381153, true, true, 18, 12, 22020100832.03907, 9151373431.498934),
-        ("cg-fig21/16/sim-seconds", 0.058969947, true, true, 1, 0, 0.0, 0.0),
+        ("cg-fig21/16/sim-seconds", 0.058969947, true, true, 3, 0, 0.0, 0.0),
         ("ft-fig22/4/vm-throughput", 5294777322.017859, true, true, 18, 12, 4532144145.506851, 2605548701.3337555),
-        ("ft-fig22/4/sim-seconds", 0.075075833, true, true, 1, 0, 0.0, 0.0),
+        ("ft-fig22/4/sim-seconds", 0.075075833, true, true, 3, 0, 0.0, 0.0),
         ("ft-fig22/16/vm-throughput", 10355921262.139862, true, true, 18, 12, 8958106336.840942, 2368084708.0601416),
-        ("ft-fig22/16/sim-seconds", 0.150430555, true, true, 1, 0, 0.0, 0.0),
-        ("service/16/p99-hot-ingest", 200161800.0, true, true, 16, 16, 200161800.0, 2001618.0),
-        ("service/16/p99-steady-ingest", 155302.0, true, true, 16, 9, 155302.0, 1553.02),
+        ("ft-fig22/16/sim-seconds", 0.150430555, true, true, 3, 0, 0.0, 0.0),
+        ("service/16/p99-hot-ingest", 200161800.0, true, true, 18, 18, 200161800.0, 2001618.0),
+        ("service/16/p99-steady-ingest", 155302.0, true, true, 18, 11, 155302.0, 1553.02),
         ("service/16/service-throughput", 3014.4132286850117, true, true, 16, 9, 2853.824773921871, 1229.4198671748577),
-        ("simmpi/1024/virt-throughput", 30290854.321401544, true, true, 18, 18, 30290854.321401544, 302908.54321401543),
+        ("simmpi/1024/virt-throughput", 30290854.321401544, true, true, 20, 20, 30290854.321401544, 302908.54321401543),
         ("simmpi/1024/wall-throughput", 1585238.294031774, true, true, 18, 11, 1531863.585353649, 451873.98852977774),
-        ("simmpi/4096/virt-throughput", 102637134.54627462, true, true, 18, 18, 102637134.54627462, 1026371.3454627462),
+        ("simmpi/4096/virt-throughput", 102637134.54627462, true, true, 20, 20, 102637134.54627462, 1026371.3454627462),
         ("simmpi/4096/wall-throughput", 1246161.69609726, true, true, 18, 11, 1252805.4435864654, 496719.6163450916),
-        ("simmpi/16384/virt-throughput", 356091986.0829121, true, true, 18, 18, 356091986.0829121, 3560919.860829121),
+        ("simmpi/16384/virt-throughput", 356091986.0829121, true, true, 20, 20, 356091986.0829121, 3560919.860829121),
         ("simmpi/16384/wall-throughput", 1076014.5047311282, true, true, 18, 11, 1054418.6433624101, 307666.3123194368),
-        ("simmpi/4096/scaling-ratio", 0.7861037049060099, true, true, 18, 18, 0.7597667566790488, 0.1426207281001054),
-        ("simmpi/16384/scaling-ratio", 0.8634629904778808, true, true, 18, 18, 0.876966202759746, 0.1761702278715893),
+        ("simmpi/4096/scaling-ratio", 0.7861037049060099, true, true, 20, 20, 0.7682205702302272, 0.12244011487689921),
+        ("simmpi/16384/scaling-ratio", 0.8634629904778808, true, true, 20, 20, 0.8717059486885903, 0.17801946499392082),
     ];
 
     #[test]

@@ -241,9 +241,10 @@ pub fn run_instrumented_shared(
     run_instrumented_sink(program, sensors, cluster, config, sink)
 }
 
-/// The sink of a run with a private server: a [`FaultyChannel`] under the
-/// cluster's fault plan, which is the lossless path for a healthy cluster
-/// and kills and recovers the server when the plan schedules a crash.
+/// The sink of a run with a private server: the one-tenant service route
+/// [`FaultyChannel::new`] builds under the cluster's fault plan — lossless
+/// for a healthy cluster, and a standby promotion when the plan schedules
+/// a server crash.
 #[doc(hidden)]
 pub fn server_sink(
     sensors: &[SensorInfo],
@@ -252,8 +253,8 @@ pub fn server_sink(
 ) -> Arc<dyn AnalysisSink> {
     let (ranks, sensors, runtime) = (cluster.ranks(), sensors.to_vec(), config.runtime.clone());
     let faults = cluster.faults().clone();
-    // A plan with a server crash gets a durable (WAL-backed) server so
-    // the crash can be recovered from.
+    // A plan with a server crash gets a durable (WAL-backed) server, so
+    // its route has a standby to promote.
     let built = if faults.server_crash().is_some() {
         AnalysisServer::try_new_durable(ranks, sensors, runtime).map(|(server, _)| server)
     } else {
@@ -275,8 +276,8 @@ pub fn server_sink(
 ///
 /// The sink is both the transport target for every rank and the source of
 /// the final analysis state: results are read from [`AnalysisSink::server`]
-/// *after* the run, so sinks that swap servers mid-run (crash recovery,
-/// standby promotion) resolve to the live instance.
+/// *after* the run, so a sink that swapped servers mid-run (standby
+/// promotion at a planned crash) resolves to the live instance.
 pub fn run_instrumented_sink(
     program: Arc<Program>,
     sensors: Vec<SensorInfo>,
@@ -317,7 +318,7 @@ pub fn assemble_run(
     let ranks = rank_results.len();
     // Read the final state through the sink: if a crash fired, the
     // original server object died with its state and this resolves to the
-    // recovered (or promoted) instance.
+    // promoted instance.
     let server = sink.server();
 
     let run_time = rank_results

@@ -347,23 +347,22 @@ impl BaselineStore {
             return store;
         }
         let mut rest = &bytes[MAGIC.len()..];
-        while rest.len() >= 8 {
-            let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-            let stored_crc = u32::from_le_bytes(rest[4..8].try_into().unwrap());
-            if rest.len() < 8 + len {
-                break; // torn tail
-            }
-            let payload = &rest[8..8 + len];
+        // Each `None` is a torn tail: keep the healthy prefix only.
+        while let (Some(len), Some(stored_crc)) = (read_le(&mut rest), read_le(&mut rest)) {
+            let Some((payload, next)) = rest.split_at_checked(u32::from_le_bytes(len) as usize)
+            else {
+                break;
+            };
             let mut crc = Crc32::new();
             crc.eat(payload);
-            if crc.finish() != stored_crc {
+            if crc.finish() != u32::from_le_bytes(stored_crc) {
                 break; // corrupted record: keep the healthy prefix only
             }
             let Some(run) = decode_run(payload) else {
                 break;
             };
             store.record_run(run.id, run.groups);
-            rest = &rest[8 + len..];
+            rest = next;
         }
         store
     }
@@ -400,30 +399,28 @@ fn encode_run(run: &RunRecord) -> Vec<u8> {
     buf
 }
 
-fn decode_run(payload: &[u8]) -> Option<RunRecord> {
-    if payload.len() < 12 {
-        return None;
-    }
-    let id = RunId(u64::from_le_bytes(payload[..8].try_into().unwrap()));
-    let count = u32::from_le_bytes(payload[8..12].try_into().unwrap()) as usize;
-    let mut rest = &payload[12..];
-    let mut groups = Vec::with_capacity(count);
+/// Split the next `N` bytes off the front of `bytes` — the one read of the
+/// baseline format; `None` on short input, which the format treats as a
+/// torn record.
+fn read_le<const N: usize>(bytes: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = bytes.split_first_chunk::<N>()?;
+    *bytes = rest;
+    Some(*head)
+}
+
+fn decode_run(mut payload: &[u8]) -> Option<RunRecord> {
+    let id = RunId(u64::from_le_bytes(read_le(&mut payload)?));
+    let count = u32::from_le_bytes(read_le(&mut payload)?) as usize;
+    let mut groups = Vec::with_capacity(count.min(payload.len() / 24));
     for _ in 0..count {
-        if rest.len() < 24 {
-            return None;
-        }
         groups.push(GroupSummary {
-            sensor: SensorId(u32::from_le_bytes(rest[..4].try_into().unwrap())),
-            bucket: Bucket(u32::from_le_bytes(rest[4..8].try_into().unwrap())),
-            mean_perf: f64::from_bits(u64::from_le_bytes(rest[8..16].try_into().unwrap())),
-            records: u64::from_le_bytes(rest[16..24].try_into().unwrap()),
+            sensor: SensorId(u32::from_le_bytes(read_le(&mut payload)?)),
+            bucket: Bucket(u32::from_le_bytes(read_le(&mut payload)?)),
+            mean_perf: f64::from_le_bytes(read_le(&mut payload)?),
+            records: u64::from_le_bytes(read_le(&mut payload)?),
         });
-        rest = &rest[24..];
     }
-    if !rest.is_empty() {
-        return None;
-    }
-    Some(RunRecord { id, groups })
+    payload.is_empty().then_some(RunRecord { id, groups })
 }
 
 /// A baseline store shared between a client, an engine, and (eventually)
@@ -610,6 +607,24 @@ mod tests {
         bytes[third_payload] ^= 0x40;
         let restored = BaselineStore::from_bytes(&bytes);
         assert_eq!(restored.run_count(), 2);
+    }
+
+    #[test]
+    fn a_group_count_the_payload_cannot_hold_is_a_torn_record() {
+        // CRC-valid, but claims 2^32 − 1 groups over one group's bytes: the
+        // decoder must reject it without reserving room for the claim.
+        let mut payload = encode_run(&RunRecord {
+            id: RunId(1),
+            groups: vec![group(7, 0.9)],
+        });
+        payload[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut crc = Crc32::new();
+        crc.eat(&payload);
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc.finish().to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        assert_eq!(BaselineStore::from_bytes(&bytes).run_count(), 0);
     }
 
     #[test]

@@ -676,6 +676,11 @@ impl AnalysisServer {
         self.ranks
     }
 
+    /// The sensor table this server was built for.
+    pub(crate) fn sensors(&self) -> &[SensorInfo] {
+        &self.sensors
+    }
+
     /// Seal the server against further ingest.
     pub(crate) fn close(&self) {
         let st = &mut *self.state.lock();
@@ -1473,11 +1478,12 @@ mod tests {
             keep_record_log: true,
             ..RuntimeConfig::free_probes()
         };
-        AnalysisServer::new(
+        AnalysisServer::try_new(
             ranks,
             vec![sensor_info(0, SensorKind::Computation, true)],
             config,
         )
+        .expect("valid config")
     }
 
     #[test]
@@ -1548,11 +1554,12 @@ mod tests {
 
     #[test]
     fn replay_requires_the_record_log() {
-        let e = AnalysisServer::new(
+        let e = AnalysisServer::try_new(
             1,
             vec![sensor_info(0, SensorKind::Computation, true)],
             RuntimeConfig::free_probes(),
-        );
+        )
+        .expect("valid config");
         assert!(matches!(
             e.replay_result(VirtualTime::from_millis(1)),
             Err(RuntimeError::RecordLogDisabled)
@@ -1771,7 +1778,7 @@ mod tests {
             !rec.tail.is_empty(),
             "some batches arrive after the snapshot"
         );
-        let mut recovered = AnalysisServer::new(4, sensors, config);
+        let mut recovered = AnalysisServer::try_new(4, sensors, config).expect("valid config");
         assert_eq!(recovered.catch_up(&wal, 0), wal.frames());
         assert!(
             !live.control_schedule().is_empty(),
@@ -1794,7 +1801,7 @@ mod tests {
         config.detect_interval = Duration::from_millis(100);
         let (durable, wal) =
             AnalysisServer::try_new_durable(4, sensors.clone(), config.clone()).unwrap();
-        let plain = AnalysisServer::new(4, sensors, config);
+        let plain = AnalysisServer::try_new(4, sensors, config).expect("valid config");
         for (batch, t) in stream {
             durable.ingest(batch.clone(), t).unwrap();
             plain.ingest(batch, t).unwrap();

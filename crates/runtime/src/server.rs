@@ -59,16 +59,6 @@ pub struct IngestStats {
 }
 
 impl AnalysisServer {
-    /// Create a server for `ranks` ranks and the given sensor table.
-    ///
-    /// **Debug/test-only convenience**: panics on an invalid
-    /// configuration. Production callers (anything not a test or example)
-    /// use [`AnalysisServer::try_new`] and handle the error — all in-repo
-    /// non-test call sites do.
-    pub fn new(ranks: usize, sensors: Vec<SensorInfo>, config: RuntimeConfig) -> Self {
-        Self::try_new(ranks, sensors, config).expect("invalid RuntimeConfig")
-    }
-
     /// Create a *durable* server: every arriving batch is appended to an
     /// in-memory [`WriteAheadLog`] before processing (under the engine's
     /// state lock — log order is processing order) and the engine
@@ -304,11 +294,12 @@ mod tests {
     }
 
     fn default_server(ranks: usize) -> AnalysisServer {
-        AnalysisServer::new(
+        AnalysisServer::try_new(
             ranks,
             vec![sensor_info(0, SensorKind::Computation, true)],
             RuntimeConfig::free_probes(),
         )
+        .expect("valid config")
     }
 
     /// Stream loose records through the session API, one batch per call,
@@ -358,11 +349,12 @@ mod tests {
 
     #[test]
     fn rank_dependent_sensor_uses_local_standard() {
-        let s = AnalysisServer::new(
+        let s = AnalysisServer::try_new(
             2,
             vec![sensor_info(0, SensorKind::Computation, false)],
             RuntimeConfig::free_probes(),
-        );
+        )
+        .expect("valid config");
         for slice in 0..1000 {
             send(&s, 0, slice, vec![rec(0, slice, 10)]);
             send(&s, 1, slice, vec![rec(0, slice, 20)]); // legitimately more work
@@ -420,14 +412,15 @@ mod tests {
 
     #[test]
     fn sensor_summary_orders_worst_first() {
-        let s = AnalysisServer::new(
+        let s = AnalysisServer::try_new(
             1,
             vec![
                 sensor_info(0, SensorKind::Computation, true),
                 sensor_info(1, SensorKind::Network, true),
             ],
             RuntimeConfig::free_probes(),
-        );
+        )
+        .expect("valid config");
         for slice in 0..100 {
             // Sensor 0: steady. Sensor 1: degrades over time.
             send(&s, 0, slice * 2, vec![rec(0, slice, 10)]);
@@ -443,14 +436,15 @@ mod tests {
 
     #[test]
     fn matrices_split_by_component() {
-        let s = AnalysisServer::new(
+        let s = AnalysisServer::try_new(
             1,
             vec![
                 sensor_info(0, SensorKind::Computation, true),
                 sensor_info(1, SensorKind::Network, true),
             ],
             RuntimeConfig::free_probes(),
-        );
+        )
+        .expect("valid config");
         send(&s, 0, 0, vec![rec(0, 0, 10), rec(1, 0, 50)]);
         let result = s.session().close(VirtualTime::from_millis(10));
         assert!(result

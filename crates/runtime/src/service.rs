@@ -31,7 +31,12 @@
 //!   replicas ([`AnalysisServer::into_primary`]), and because replay is a
 //!   faithful re-execution of the journaled ingest order, every promoted
 //!   tenant's [`ServerResult`] is bitwise-identical to the crash-free
-//!   run's.
+//!   run's;
+//! - **one crash story** — a run with a private server is a one-tenant
+//!   service around it (`AnalysisService::solo`, what
+//!   [`crate::transport::FaultyChannel::new`] routes into), so a planned
+//!   server crash is always [`AnalysisService::fail_over`]: a standby that
+//!   was never caught up replays the whole log, a cold recovery.
 //!
 //! # What survives a failover
 //!
@@ -61,7 +66,6 @@ use cluster_sim::trace::{self, Category, TraceEvent, SERVER_LANE};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Opaque tenant identity; routing key for every service operation.
@@ -227,6 +231,15 @@ struct TenantShard {
 }
 
 impl TenantShard {
+    fn new(id: TenantId, spec: TenantSpec, live: Option<Arc<AnalysisServer>>) -> Arc<Self> {
+        Arc::new(TenantShard {
+            id,
+            spec,
+            live: RwLock::new(live),
+            ledger: Mutex::new(Ledger::default()),
+        })
+    }
+
     /// The tenant's own journal: the live engine's (durable services only,
     /// once admitted). A promoted replica journals to the same log.
     fn wal(&self) -> Option<Arc<WriteAheadLog>> {
@@ -242,25 +255,33 @@ struct Replica {
 }
 
 impl Replica {
-    /// `prior` — or, for a tenant with no replica yet, the empty engine
-    /// its WAL header describes — caught up with `wal`. The one place a
-    /// replica is built and the one place one reads the log.
+    /// `prior` caught up with `wal` — or, for a tenant with no replica
+    /// yet, [`AnalysisServer::replay_from`] the start of the log (a cold
+    /// standby). The one place a replica is built.
     fn caught_up(
         prior: Option<Replica>,
-        wal: &WriteAheadLog,
+        wal: &Arc<WriteAheadLog>,
         tenant: TenantId,
     ) -> Result<Replica, ServiceError> {
-        let mut replica = match prior {
-            Some(replica) => replica,
-            None => Replica {
-                server: AnalysisServer::empty_for(wal)
-                    .map_err(|source| ServiceError::InvalidTenantConfig { tenant, source })?,
-                cursor: 0,
-            },
+        let (server, cursor) = match prior {
+            Some(Replica { mut server, cursor }) => {
+                let cursor = server.catch_up(wal, cursor);
+                (server, cursor)
+            }
+            None => AnalysisServer::replay_from(wal)
+                .map_err(|source| ServiceError::InvalidTenantConfig { tenant, source })?,
         };
-        replica.cursor = replica.server.catch_up(wal, replica.cursor);
-        Ok(replica)
+        Ok(Replica { server, cursor })
     }
+}
+
+/// The standby side of the service, under one lock: the replicas (present
+/// once [`AnalysisService::attach_standby`] ran) and whether
+/// [`AnalysisService::fail_over`] has promoted them.
+#[derive(Default)]
+struct Standby {
+    replicas: Option<BTreeMap<TenantId, Replica>>,
+    promoted: bool,
 }
 
 /// Observable per-tenant service counters.
@@ -280,10 +301,7 @@ pub struct TenantStats {
 pub struct AnalysisService {
     config: ServiceConfig,
     tenants: Mutex<BTreeMap<TenantId, Arc<TenantShard>>>,
-    /// Standby replicas, present once [`AnalysisService::attach_standby`]
-    /// ran. Promoted wholesale by [`AnalysisService::fail_over`].
-    standby: Mutex<Option<BTreeMap<TenantId, Replica>>>,
-    failed_over: AtomicBool,
+    standby: Mutex<Standby>,
 }
 
 impl AnalysisService {
@@ -292,8 +310,37 @@ impl AnalysisService {
         AnalysisService {
             config,
             tenants: Mutex::new(BTreeMap::new()),
-            standby: Mutex::new(None),
-            failed_over: AtomicBool::new(false),
+            standby: Mutex::new(Standby::default()),
+        }
+    }
+
+    /// A one-tenant service around a private server: tenant 0, spec'd from
+    /// the server's own ranks, sensors and config, with `server` itself
+    /// live (so anything attached to it, a baseline say, stays) and no
+    /// admission budget. Durable iff the server journals, and then with an
+    /// empty standby attached, so a planned crash promotes a replica that
+    /// replays the server's log from the start: a cold recovery.
+    pub(crate) fn solo(server: Arc<AnalysisServer>) -> Self {
+        let durable = server.wal().is_some();
+        let spec = TenantSpec {
+            ranks: server.ranks(),
+            sensors: server.sensors().to_vec(),
+            config: server.config().clone(),
+        };
+        let id = TenantId(0);
+        AnalysisService {
+            config: ServiceConfig {
+                durable,
+                ..ServiceConfig::default()
+            },
+            tenants: Mutex::new(BTreeMap::from([(
+                id,
+                TenantShard::new(id, spec, Some(server)),
+            )])),
+            standby: Mutex::new(Standby {
+                replicas: durable.then(BTreeMap::new),
+                promoted: false,
+            }),
         }
     }
 
@@ -319,15 +366,7 @@ impl AnalysisService {
                 max: self.config.max_tenants,
             });
         }
-        tenants.insert(
-            id,
-            Arc::new(TenantShard {
-                id,
-                spec,
-                live: RwLock::new(None),
-                ledger: Mutex::new(Ledger::default()),
-            }),
-        );
+        tenants.insert(id, TenantShard::new(id, spec, None));
         Ok(())
     }
 
@@ -350,8 +389,8 @@ impl AnalysisService {
             .remove(&tenant)
             .ok_or(ServiceError::UnknownTenant(tenant))?;
         // The standby map is keyed separately; evict the replica too.
-        if let Some(standby) = self.standby.lock().as_mut() {
-            standby.remove(&tenant);
+        if let Some(replicas) = self.standby.lock().replicas.as_mut() {
+            replicas.remove(&tenant);
         }
         if trace::enabled(Category::ENGINE) {
             trace::record(TraceEvent::instant(
@@ -399,6 +438,8 @@ impl AnalysisService {
         } else {
             AnalysisServer::try_new(spec.ranks, spec.sensors, spec.config)
         };
+        // Proof: `register` rejects a spec whose config fails `validate`,
+        // the only error either constructor returns.
         let server = Arc::new(server.expect("tenant config validated at register"));
         *live = Some(server.clone());
         server
@@ -460,6 +501,8 @@ impl AnalysisService {
                 self.live_server(&shard);
                 live = shard.live.read();
             }
+            // Proof: `live_server` just filled the slot, and only a
+            // promotion writes it again — with another server.
             let server = live.as_ref().expect("built above; never cleared");
             server.ingest(batch, arrival)?
         };
@@ -536,16 +579,16 @@ impl AnalysisService {
         if !self.config.durable {
             return Err(ServiceError::NotDurable);
         }
-        let mut standby = self.standby.lock();
-        if standby.is_none() {
-            *standby = Some(BTreeMap::new());
-        }
+        self.standby
+            .lock()
+            .replicas
+            .get_or_insert_with(BTreeMap::new);
         Ok(())
     }
 
     /// Whether a standby is attached.
     pub fn standby_attached(&self) -> bool {
-        self.standby.lock().is_some()
+        self.standby.lock().replicas.is_some()
     }
 
     /// Catch the standby up. Replicas follow checkpoints: each admitted
@@ -554,36 +597,39 @@ impl AnalysisService {
     /// behind it — at most one detection interval, however long ago the
     /// last call was; a caught-up tenant applies nothing.
     pub fn catch_up_standby(&self) -> Result<(), ServiceError> {
-        let mut guard = self.standby.lock();
-        let standby = guard.as_mut().ok_or(ServiceError::NotDurable)?;
+        let mut standby = self.standby.lock();
+        let replicas = standby.replicas.as_mut().ok_or(ServiceError::NotDurable)?;
         let shards: Vec<Arc<TenantShard>> = self.tenants.lock().values().cloned().collect();
         for shard in shards {
             let Some(wal) = shard.wal() else {
                 continue; // not admitted yet: nothing journaled
             };
-            let replica = Replica::caught_up(standby.remove(&shard.id), &wal, shard.id)?;
-            standby.insert(shard.id, replica);
+            let replica = Replica::caught_up(replicas.remove(&shard.id), &wal, shard.id)?;
+            replicas.insert(shard.id, replica);
         }
         Ok(())
     }
 
     /// Whether the primary has been killed and the standby promoted.
     pub fn failed_over(&self) -> bool {
-        self.failed_over.load(Ordering::SeqCst)
+        self.standby.lock().promoted
     }
 
-    /// Kill the primary and promote the standby, once. Every admitted
-    /// tenant's live engine is discarded wholesale (in-memory state dies
-    /// with the process); its replica does a final catch-up from the
-    /// tenant's own WAL, is promoted ([`AnalysisServer::into_primary`])
-    /// and starts journaling. Per-tenant WAL isolation means promoting
-    /// tenant A replays zero bytes of tenant B. Admission ledgers live in
-    /// the front door and survive. With no standby attached this is refused
-    /// ([`ServiceError::NotDurable`]) and marks nothing failed over.
+    /// Kill the primary and promote the standby, once — the one code path
+    /// that replaces a crashed server. Every admitted tenant's live engine
+    /// is discarded wholesale (in-memory state dies with the process); its
+    /// replica does a final catch-up from the tenant's own WAL (a tenant
+    /// with no replica yet replays the whole log), is promoted
+    /// ([`AnalysisServer::into_primary`]) and starts journaling. Per-tenant
+    /// WAL isolation means promoting tenant A replays zero bytes of tenant
+    /// B. Admission ledgers live in the front door and survive. With no
+    /// standby attached this is refused ([`ServiceError::NotDurable`]) and
+    /// marks nothing failed over.
     pub fn fail_over(&self, now: VirtualTime) -> Result<(), ServiceError> {
-        let mut guard = self.standby.lock();
-        let standby = guard.as_mut().ok_or(ServiceError::NotDurable)?;
-        if self.failed_over.swap(true, Ordering::SeqCst) {
+        let mut standby = self.standby.lock();
+        let Standby { replicas, promoted } = &mut *standby;
+        let replicas = replicas.as_mut().ok_or(ServiceError::NotDurable)?;
+        if std::mem::replace(promoted, true) {
             return Ok(()); // already promoted
         }
         if trace::enabled(Category::ENGINE) {
@@ -605,7 +651,7 @@ impl AnalysisService {
             let Some(wal) = live.as_ref().and_then(|s| s.wal().cloned()) else {
                 continue; // never admitted: nothing to lose or promote
             };
-            let replica = Replica::caught_up(standby.remove(&shard.id), &wal, shard.id)?;
+            let replica = Replica::caught_up(replicas.remove(&shard.id), &wal, shard.id)?;
             *live = Some(Arc::new(replica.server.into_primary(&wal)));
             if trace::enabled(Category::ENGINE) {
                 trace::record(TraceEvent::instant(
@@ -622,12 +668,14 @@ impl AnalysisService {
     }
 }
 
-/// The transport-facing route from one tenant's ranks into the service:
-/// a [`BatchChannel`] that consults a [`FaultPlan`] per attempt (drops,
-/// duplicates, delays, corruption, outages — the same dice and the same
-/// fate translation as [`crate::transport::FaultyChannel`]), maps admission refusals to
-/// [`SendOutcome::Busy`], and fires the service failover when the plan
-/// kills the primary.
+/// The transport-facing route from one tenant's ranks into the service,
+/// and the only [`BatchChannel`] the product builds (a run with a private
+/// server is a one-tenant service: [`crate::transport::FaultyChannel::new`]).
+/// It consults a [`FaultPlan`] per attempt — drops, duplicates, delays,
+/// corruption, outages, through the fate translation of
+/// [`crate::transport`] — maps admission refusals to
+/// [`SendOutcome::Busy`], and fires [`AnalysisService::fail_over`] when the
+/// plan kills the primary.
 pub struct TenantChannel {
     service: Arc<AnalysisService>,
     tenant: TenantId,
@@ -650,12 +698,12 @@ impl TenantChannel {
     }
 
     /// The primary dies at its planned instant; the first operation to
-    /// observe that — a send or a control poll — promotes the standby.
+    /// observe that — a send, a control poll or a control ack — promotes
+    /// the standby. A service with no standby (around a server that does
+    /// not journal) has nothing to promote, and the crash passes unseen.
     fn fail_over_if_due(&self, now: VirtualTime) {
-        if let Some(crash_at) = self.plan.server_crash() {
-            if now >= crash_at && !self.service.failed_over() {
-                let _ = self.service.fail_over(crash_at);
-            }
+        if let Some(crash_at) = self.plan.server_crash().filter(|&at| now >= at) {
+            let _ = self.service.fail_over(crash_at);
         }
     }
 }
@@ -683,7 +731,8 @@ impl BatchChannel for TenantChannel {
         transport::faulty_poll_control(&server, &self.plan, rank, now)
     }
 
-    fn ack_control(&self, rank: usize, epoch: u64, _now: VirtualTime) {
+    fn ack_control(&self, rank: usize, epoch: u64, now: VirtualTime) {
+        self.fail_over_if_due(now);
         // Acks ride the poll exchange and are reliable; an unknown tenant
         // surfaces as the typed ServiceError, swallowed here because the
         // channel contract is fire-and-forget.
@@ -692,7 +741,15 @@ impl BatchChannel for TenantChannel {
 }
 
 impl AnalysisSink for TenantChannel {
+    /// The tenant's live server — after a promotion, the promoted one.
+    ///
+    /// # Panics
+    ///
+    /// If the tenant was deregistered: a sink has no error path, and
+    /// reading a run's results through a route to a tenant its caller
+    /// evicted is a caller bug.
     fn server(&self) -> Arc<AnalysisServer> {
+        // Proof: see `# Panics` — only `deregister_tenant` unregisters.
         self.service
             .server(self.tenant)
             .expect("TenantChannel implies a registered tenant")
@@ -924,6 +981,117 @@ mod tests {
                     assert_eq!(a, b, "cell ({rank}, {bin}) of {kind:?} diverged");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn cold_and_hot_standbys_promote_to_the_crash_free_engine() {
+        // `None` never crashes; `Some(hot)` crashes mid-stream, with the
+        // standby caught up after every wave (hot) or never (cold, which is
+        // what a private server's planned crash is). Three detection passes
+        // checkpoint, so both standbys restore a checkpoint on the way.
+        let fingerprint = |crash: Option<bool>| {
+            let svc = AnalysisService::new(ServiceConfig::default().durable());
+            let t = TenantId(0);
+            svc.register(t, spec(2)).unwrap();
+            svc.attach_standby().unwrap();
+            for seq in 0..600u64 {
+                let at = VirtualTime::from_millis(seq + 1);
+                for rank in 0..2 {
+                    svc.ingest(t, batch(rank, seq, at), at).unwrap();
+                }
+                if crash == Some(true) {
+                    svc.catch_up_standby().unwrap();
+                }
+                if crash.is_some() && seq == 450 {
+                    svc.fail_over(at).unwrap();
+                }
+            }
+            assert!(svc.wal(t).unwrap().snapshot_entries() >= 2);
+            assert_eq!(svc.failed_over(), crash.is_some());
+            svc.server(t).unwrap().snapshot_for_tests().fingerprint()
+        };
+        let plain = fingerprint(None);
+        assert_eq!(fingerprint(Some(false)), plain, "cold standby");
+        assert_eq!(fingerprint(Some(true)), plain, "hot standby");
+    }
+
+    #[test]
+    fn the_first_operation_past_the_planned_crash_promotes_poll_or_ack() {
+        // Three sensors, one rank, a budget the stream blows through: the
+        // controller darkens the two heaviest sensors, one epoch each.
+        let config = RuntimeConfig {
+            overhead_budget: 0.01,
+            ..RuntimeConfig::default()
+        };
+        let sensors = (0..3)
+            .map(|id| SensorInfo {
+                sensor: SensorId(id),
+                ..spec(1).sensors.remove(0)
+            })
+            .collect();
+        let spec = TenantSpec {
+            ranks: 1,
+            sensors,
+            config,
+        };
+        // Every 100 ms the rank exchanges control — poll then ack what it
+        // got, or ack what it got last time then poll — and flushes, on a
+        // durable tenant route whose standby is never caught up. Returns
+        // the live server's schedule and stats, and whether the exchange's
+        // first operation at 300 ms promoted the standby.
+        let drive = |plan: FaultPlan, ack_first: bool| {
+            let service = Arc::new(AnalysisService::new(ServiceConfig::default().durable()));
+            service.register(TenantId(0), spec.clone()).unwrap();
+            service.attach_standby().unwrap();
+            let channel = TenantChannel::new(service.clone(), TenantId(0), plan);
+            let (mut received, mut promoted_by_first) = (0, false);
+            for k in 1..=12u64 {
+                let now = VirtualTime::from_millis(100 * k);
+                let before = service.failed_over();
+                let directives = if ack_first {
+                    channel.ack_control(0, received, now);
+                    promoted_by_first |= k == 3 && !before && service.failed_over();
+                    channel.poll_control(0, now)
+                } else {
+                    let directives = channel.poll_control(0, now);
+                    promoted_by_first |= k == 3 && !before && service.failed_over();
+                    directives
+                };
+                for d in directives {
+                    received = received.max(d.epoch);
+                    if !ack_first {
+                        channel.ack_control(0, d.epoch, now);
+                    }
+                }
+                let records = (0..3u32)
+                    .map(|sensor| SliceRecord {
+                        sensor: SensorId(sensor),
+                        slice: k,
+                        avg: Duration::from_micros(10),
+                        count: 4_000 * (3 - sensor),
+                        bucket: Bucket(0),
+                    })
+                    .collect();
+                let batch = TelemetryBatch::new(0, k, now, records);
+                assert_eq!(channel.send(&batch, now, 0), SendOutcome::Acked);
+            }
+            let live = channel.server();
+            (live.control_schedule(), live.stats(), promoted_by_first)
+        };
+        // The crash lands between the flush at 200 ms and the exchange at
+        // 300 ms, before the first directive (issued by the pass at
+        // 400 ms): every epoch is decided by the promoted server.
+        let crash = FaultPlan::none().with_server_crash(VirtualTime::from_millis(250));
+        for ack_first in [false, true] {
+            let (crashed_schedule, crashed_stats, promoted) = drive(crash.clone(), ack_first);
+            let (schedule, stats, never_promoted) = drive(FaultPlan::none(), ack_first);
+            let first = if ack_first { "ack" } else { "poll" };
+            assert!(promoted, "the {first} at 300 ms must fire the crash");
+            assert!(!never_promoted);
+            assert_eq!(schedule.len(), 2, "{first}: {schedule:?}");
+            assert_eq!(crashed_schedule, schedule, "{first}");
+            assert_eq!(crashed_stats, stats, "{first}");
         }
     }
 

@@ -22,6 +22,7 @@ use crate::crc::Crc32;
 use crate::engine::{AnalysisServer, IngestReceipt};
 use crate::error::IngestError;
 use crate::record::SliceRecord;
+use crate::service::{AnalysisService, TenantChannel, TenantId};
 use cluster_sim::fault::{FaultPlan, SendFate};
 use cluster_sim::time::{Duration, VirtualTime};
 use cluster_sim::trace::{self, Category, TraceEvent};
@@ -174,10 +175,12 @@ pub trait BatchChannel: Send + Sync {
 }
 
 /// A [`BatchChannel`] that can also surface the analysis server whose
-/// results the run should be read from — for fault-injecting channels,
-/// the *currently live* server (post-crash: the recovered or promoted
-/// one). The instrumented-run driver is generic over this, so single-server
-/// channels and multi-tenant service routes share one code path.
+/// results the run should be read from: the *currently live* server
+/// (after a planned crash, the promoted standby). The product's one
+/// implementation is [`TenantChannel`] — a run with a private server
+/// routes into a one-tenant service ([`FaultyChannel::new`]) — and the
+/// instrumented-run driver takes any sink, so a harness can wrap or
+/// replace the route.
 pub trait AnalysisSink: BatchChannel {
     /// The server holding this sink's analysis state right now.
     fn server(&self) -> Arc<AnalysisServer>;
@@ -197,10 +200,9 @@ pub(crate) fn ack_of(result: Result<IngestReceipt, IngestError>) -> SendOutcome 
 
 /// One fault-injected telemetry attempt: roll the plan's dice for
 /// `(rank, seq, attempt)` and hand what the fabric lets through to
-/// `ingest` — the one thing that differs between a server-backed channel
-/// and a tenant route. A corrupted copy reaches the target, fails its CRC
-/// check and produces no ack; a duplicated batch arrives `copies` times
-/// and the last arrival's outcome is what the sender sees.
+/// `ingest`, the route's target. A corrupted copy reaches the target,
+/// fails its CRC check and produces no ack; a duplicated batch arrives
+/// `copies` times and the last arrival's outcome is what the sender sees.
 pub(crate) fn deliver(
     plan: &FaultPlan,
     batch: &TelemetryBatch,
@@ -237,7 +239,7 @@ pub(crate) fn deliver(
 /// a loss), corruption delivers a damaged frame the rank's CRC gate will
 /// reject, and duplication returns multiple copies the rank sheds as
 /// stale. Under [`FaultPlan::none`] a due directive is returned exactly
-/// once. Shared by every channel.
+/// once.
 pub(crate) fn faulty_poll_control(
     server: &AnalysisServer,
     plan: &FaultPlan,
@@ -274,141 +276,38 @@ pub(crate) fn faulty_poll_control(
     }
 }
 
-/// The server-backed channel. It consults a [`FaultPlan`] for every
-/// attempt: batches may be dropped, duplicated, delayed (arriving out of
-/// order), corrupted, or refused outright during server outages.
-///
-/// When the plan schedules a server crash *and* the server is durable (see
-/// [`AnalysisServer::try_new_durable`]), the server fail-stops at the
-/// planned instant: the first operation observed at or after it —
-/// telemetry send, control poll or control ack — kills the current server
-/// (its in-memory state is discarded wholesale, exactly like a crashed
-/// process) and replaces it with [`AnalysisServer::recover`]'s
-/// reconstruction from the write-ahead log; delivery then continues as if
-/// nothing happened, and the plan's packet semantics still apply per
-/// attempt, so a crash can overlap other injected faults. A non-durable
-/// server has nothing to recover from and ignores the planned crash.
-pub struct FaultyChannel {
-    server: Arc<AnalysisServer>,
-    plan: FaultPlan,
-    /// Present iff the planned crash can fire: its instant, and the
-    /// recovered server once it has (`None` until then). Holding the lock
-    /// across an operation keeps a kill from racing an ingest into the
-    /// dying server.
-    crash: Option<(VirtualTime, parking_lot::Mutex<Option<Arc<AnalysisServer>>>)>,
-}
+/// The route of a run with a private analysis server. Not a channel type
+/// of its own: a private server is a one-tenant [`AnalysisService`], so
+/// `new` hands back that service's [`TenantChannel`].
+pub enum FaultyChannel {}
 
+// `new` returns the route, not `Self`: the type only names the run's shape.
+#[allow(clippy::new_ret_no_self)]
 impl FaultyChannel {
-    /// Wrap a server with a fault plan.
-    pub fn new(server: Arc<AnalysisServer>, plan: FaultPlan) -> Self {
-        let crash = plan
-            .server_crash()
-            .filter(|_| server.wal().is_some())
-            .map(|at| (at, parking_lot::Mutex::new(None)));
-        FaultyChannel {
-            server,
-            plan,
-            crash,
-        }
-    }
-
-    /// Run one channel operation against the live server, firing the
-    /// planned crash first if `now` reached it.
-    fn with_live<R>(&self, now: VirtualTime, op: impl FnOnce(&AnalysisServer) -> R) -> R {
-        let Some((crash_at, recovered)) = &self.crash else {
-            return op(&self.server);
-        };
-        let mut recovered = recovered.lock();
-        if recovered.is_none() && now >= *crash_at {
-            *recovered = Some(Arc::new(self.kill_and_recover(*crash_at, now)));
-        }
-        op(recovered.as_deref().unwrap_or(&self.server))
-    }
-
-    /// Kill → recover. The old server's in-memory state dies with it; the
-    /// WAL is the only survivor.
-    fn kill_and_recover(&self, crash_at: VirtualTime, now: VirtualTime) -> AnalysisServer {
-        let wal = self
-            .server
-            .wal()
-            .expect("a planned crash is armed only for a durable server");
-        let trace_wal = |name: &'static str, at: VirtualTime| {
-            if trace::enabled(Category::ENGINE) {
-                trace::record(TraceEvent::instant(
-                    Category::ENGINE,
-                    name,
-                    trace::SERVER_LANE,
-                    at.as_nanos(),
-                    wal.batch_entries() as u64,
-                    wal.snapshot_entries() as u64,
-                ));
-            }
-        };
-        trace_wal("server_crash", crash_at);
-        let recovered = AnalysisServer::recover(wal).expect("WAL header was validated at creation");
-        trace_wal("server_recover", now);
-        recovered
+    /// Route telemetry into `server` under `plan`: every attempt meets the
+    /// plan's dice (drops, duplicates, delays, corruption, outages). When
+    /// the plan schedules a server crash and `server` journals (see
+    /// [`AnalysisServer::try_new_durable`]), the first operation at or past
+    /// the instant — send, control poll or control ack — fires
+    /// [`AnalysisService::fail_over`]: the server's in-memory state dies
+    /// wholesale and a standby replayed from its log from the start takes
+    /// over. A server that does not journal ignores the planned crash.
+    pub fn new(server: Arc<AnalysisServer>, plan: FaultPlan) -> TenantChannel {
+        TenantChannel::new(Arc::new(AnalysisService::solo(server)), TenantId(0), plan)
     }
 }
 
-impl BatchChannel for FaultyChannel {
-    fn send(&self, batch: &TelemetryBatch, now: VirtualTime, attempt: u32) -> SendOutcome {
-        self.with_live(now, |server| {
-            deliver(&self.plan, batch, now, attempt, |b, arrival| {
-                ack_of(server.ingest(b, arrival))
-            })
-        })
-    }
-
-    fn poll_control(&self, rank: usize, now: VirtualTime) -> Vec<ControlDirective> {
-        self.with_live(now, |server| {
-            faulty_poll_control(server, &self.plan, rank, now)
-        })
-    }
-
-    fn ack_control(&self, rank: usize, epoch: u64, now: VirtualTime) {
-        self.with_live(now, |server| server.control_ack(rank, epoch));
-    }
-}
-
-impl AnalysisSink for FaultyChannel {
-    /// The currently-live server — after the crash fired, the recovered
-    /// one.
-    fn server(&self) -> Arc<AnalysisServer> {
-        let recovered = self.crash.as_ref().and_then(|(_, r)| r.lock().clone());
-        recovered.unwrap_or_else(|| self.server.clone())
-    }
-}
-
-/// The lossless channel: a [`FaultyChannel`] under [`FaultPlan::none`] —
+/// The lossless route: [`FaultyChannel`] under [`FaultPlan::none`] —
 /// every batch is ingested immediately and acked, every due directive is
 /// delivered exactly once.
-pub struct DirectChannel(FaultyChannel);
+pub enum DirectChannel {}
 
+// As for `FaultyChannel`.
+#[allow(clippy::new_ret_no_self)]
 impl DirectChannel {
-    /// Wrap a server.
-    pub fn new(server: Arc<AnalysisServer>) -> Self {
-        DirectChannel(FaultyChannel::new(server, FaultPlan::none()))
-    }
-}
-
-impl BatchChannel for DirectChannel {
-    fn send(&self, batch: &TelemetryBatch, now: VirtualTime, attempt: u32) -> SendOutcome {
-        self.0.send(batch, now, attempt)
-    }
-
-    fn poll_control(&self, rank: usize, now: VirtualTime) -> Vec<ControlDirective> {
-        self.0.poll_control(rank, now)
-    }
-
-    fn ack_control(&self, rank: usize, epoch: u64, now: VirtualTime) {
-        self.0.ack_control(rank, epoch, now);
-    }
-}
-
-impl AnalysisSink for DirectChannel {
-    fn server(&self) -> Arc<AnalysisServer> {
-        self.0.server()
+    /// Route telemetry into `server`, losslessly.
+    pub fn new(server: Arc<AnalysisServer>) -> TenantChannel {
+        FaultyChannel::new(server, FaultPlan::none())
     }
 }
 
@@ -605,6 +504,7 @@ impl RankTransport {
             self.stats.batches_enqueued += 1;
             self.queue.push_back(batch);
             while self.queue.len() > self.cfg.buffer_capacity {
+                // Proof: the loop guard holds `len > capacity >= 0`.
                 let victim = self.queue.pop_front().expect("len checked");
                 self.stats.dropped_overflow += 1;
                 self.stats.records_dropped += victim.records.len() as u64;
@@ -793,7 +693,6 @@ mod tests {
     use super::*;
     use crate::dynrules::Bucket;
     use crate::record::{SensorInfo, SensorKind};
-    use crate::service::{AnalysisService, TenantChannel, TenantId};
     use cluster_sim::fault::FaultConfig;
     use vsensor_lang::SensorId;
 
@@ -817,11 +716,10 @@ mod tests {
     }
 
     fn server(ranks: usize) -> Arc<AnalysisServer> {
-        Arc::new(AnalysisServer::new(
-            ranks,
-            sensors(),
-            RuntimeConfig::free_probes(),
-        ))
+        Arc::new(
+            AnalysisServer::try_new(ranks, sensors(), RuntimeConfig::free_probes())
+                .expect("valid config"),
+        )
     }
 
     #[test]
@@ -968,9 +866,10 @@ mod tests {
         Backpressure,
     }
 
-    /// Ingests a target has seen: every ingest that gets past the closed
+    /// Ingests the tenant has seen: every ingest that gets past the closed
     /// gate leaves exactly one mark in one of these counters.
-    fn marks(server: &AnalysisServer, service: Option<&AnalysisService>) -> u64 {
+    fn marks(service: &AnalysisService) -> u64 {
+        let server = service.server(TenantId(0)).unwrap();
         let delivery = server.interim(VirtualTime::from_secs(1)).delivery;
         server.stats().batches
             + server.stats().malformed
@@ -978,11 +877,11 @@ mod tests {
                 .iter()
                 .map(|d| d.duplicates + d.corrupt)
                 .sum::<u64>()
-            + service.map_or(0, |s| s.stats(TenantId(0)).unwrap().backpressured)
+            + service.stats(TenantId(0)).unwrap().backpressured
     }
 
     #[test]
-    fn every_fate_and_ingest_outcome_maps_to_one_send_outcome_on_both_targets() {
+    fn every_fate_and_ingest_outcome_maps_to_one_send_outcome() {
         use crate::service::{ServiceConfig, TenantSpec};
         let now = VirtualTime::from_millis(1);
         let stall_end = VirtualTime::from_millis(10);
@@ -1014,137 +913,63 @@ mod tests {
             ),
             (rates(0.0, 1.0), now, 1, Some(SendOutcome::NoAck)),
         ];
-        let outcomes = [
-            (Meets::Accepted, SendOutcome::Acked),
-            (Meets::Duplicate, SendOutcome::Acked),
-            (Meets::Corrupt, SendOutcome::NoAck),
-            (Meets::Malformed, SendOutcome::Acked),
-            (Meets::Closed, SendOutcome::Acked),
-        ];
-        for tenant in [false, true] {
-            for (plan, arrival, ingests, fate_decides) in &fates {
-                let refused = SendOutcome::Busy {
-                    retry_after: window - arrival.since(VirtualTime::ZERO),
+        for (plan, arrival, ingests, fate_decides) in &fates {
+            let refused = SendOutcome::Busy {
+                retry_after: window - arrival.since(VirtualTime::ZERO),
+            };
+            let outcomes = [
+                (Meets::Accepted, SendOutcome::Acked),
+                (Meets::Duplicate, SendOutcome::Acked),
+                (Meets::Corrupt, SendOutcome::NoAck),
+                (Meets::Malformed, SendOutcome::Acked),
+                (Meets::Closed, SendOutcome::Acked),
+                (Meets::Backpressure, refused),
+            ];
+            for (meets, delivered) in outcomes {
+                let good = TelemetryBatch::new(0, 0, now, vec![rec(0, 0)]);
+                let batch = match meets {
+                    Meets::Corrupt => good.corrupted_copy(),
+                    Meets::Malformed => TelemetryBatch::new(7, 0, now, vec![rec(0, 0)]),
+                    _ => good.clone(),
                 };
-                // Only admission control refuses: no server-target row.
-                let backpressure = tenant.then_some((Meets::Backpressure, refused));
-                for (meets, delivered) in outcomes.iter().copied().chain(backpressure) {
-                    let good = TelemetryBatch::new(0, 0, now, vec![rec(0, 0)]);
-                    let batch = match meets {
-                        Meets::Corrupt => good.corrupted_copy(),
-                        Meets::Malformed => TelemetryBatch::new(7, 0, now, vec![rec(0, 0)]),
-                        _ => good.clone(),
-                    };
-                    let service = tenant.then(|| {
-                        let budget = u32::from(meets == Meets::Backpressure);
-                        let config = ServiceConfig::default()
-                            .with_batch_budget(budget)
-                            .with_budget_window(window);
-                        let service = Arc::new(AnalysisService::new(config));
-                        let spec = TenantSpec {
-                            ranks: 1,
-                            sensors: sensors(),
-                            config: RuntimeConfig::free_probes(),
-                        };
-                        service.register(TenantId(0), spec).unwrap();
-                        service
-                    });
-                    let live = match &service {
-                        Some(service) => service.server(TenantId(0)).unwrap(),
-                        None => server(1),
-                    };
-                    let channel: Box<dyn BatchChannel> = match &service {
-                        Some(service) => Box::new(TenantChannel::new(
-                            service.clone(),
-                            TenantId(0),
-                            plan.clone(),
-                        )),
-                        None => Box::new(FaultyChannel::new(live.clone(), plan.clone())),
-                    };
-                    match (meets, &service) {
-                        (Meets::Duplicate, _) => drop(live.ingest(good, now)),
-                        (Meets::Closed, _) => drop(live.session().close(stall_end)),
-                        // Use up rank 0's whole share of the window.
-                        (Meets::Backpressure, Some(service)) => {
-                            let spent = TelemetryBatch::new(0, 9, now, vec![rec(0, 9)]);
-                            service.ingest(TenantId(0), spent, now).unwrap();
-                        }
-                        _ => {}
+                let budget = u32::from(meets == Meets::Backpressure);
+                let config = ServiceConfig::default()
+                    .with_batch_budget(budget)
+                    .with_budget_window(window);
+                let service = Arc::new(AnalysisService::new(config));
+                let spec = TenantSpec {
+                    ranks: 1,
+                    sensors: sensors(),
+                    config: RuntimeConfig::free_probes(),
+                };
+                service.register(TenantId(0), spec).unwrap();
+                let live = service.server(TenantId(0)).unwrap();
+                let channel = TenantChannel::new(service.clone(), TenantId(0), plan.clone());
+                match meets {
+                    Meets::Duplicate => drop(live.ingest(good, now)),
+                    Meets::Closed => drop(live.session().close(stall_end)),
+                    // Use up rank 0's whole share of the window.
+                    Meets::Backpressure => {
+                        let spent = TelemetryBatch::new(0, 9, now, vec![rec(0, 9)]);
+                        service.ingest(TenantId(0), spent, now).unwrap();
                     }
-                    let before = marks(&live, service.as_deref());
-                    let got = channel.send(&batch, now, 0);
-                    let seen = marks(&live, service.as_deref()) - before;
-                    let case = format!("tenant={tenant} {plan:?} meets {meets:?}");
-                    assert_eq!(got, fate_decides.unwrap_or(delivered), "{case}");
-                    let expected = if meets == Meets::Closed { 0 } else { *ingests };
-                    assert_eq!(seen, expected, "ingest count: {case}");
-                    if meets == Meets::Accepted && *ingests > 0 && fate_decides.is_none() {
-                        // Copies arrive at now + delay, and only one counts.
-                        let d = &live.interim(stall_end).delivery[0];
-                        assert_eq!((d.accepted, d.duplicates), (1, ingests - 1), "{case}");
-                        assert_eq!(d.mean_latency, arrival.since(now), "{case}");
-                    }
+                    _ => {}
+                }
+                let before = marks(&service);
+                let got = channel.send(&batch, now, 0);
+                let seen = marks(&service) - before;
+                let case = format!("{plan:?} meets {meets:?}");
+                assert_eq!(got, fate_decides.unwrap_or(delivered), "{case}");
+                let expected = if meets == Meets::Closed { 0 } else { *ingests };
+                assert_eq!(seen, expected, "ingest count: {case}");
+                if meets == Meets::Accepted && *ingests > 0 && fate_decides.is_none() {
+                    // Copies arrive at now + delay, and only one counts.
+                    let d = &live.interim(stall_end).delivery[0];
+                    assert_eq!((d.accepted, d.duplicates), (1, ingests - 1), "{case}");
+                    assert_eq!(d.mean_latency, arrival.since(now), "{case}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn a_control_poll_can_be_the_first_operation_to_observe_the_planned_crash() {
-        // Three sensors, one rank, a budget the stream blows through: the
-        // controller darkens the two heaviest sensors, one epoch each.
-        let config = RuntimeConfig {
-            overhead_budget: 0.01,
-            ..RuntimeConfig::default()
-        };
-        let table: Vec<SensorInfo> = (0..3)
-            .map(|id| SensorInfo {
-                sensor: SensorId(id),
-                ..sensors().remove(0)
-            })
-            .collect();
-        // The rank polls, acks what it got, then flushes — every 100 ms.
-        // Returns the live server's schedule and whether the poll at
-        // 300 ms swapped the server out.
-        let drive = |plan: FaultPlan| {
-            let (server, _wal) =
-                AnalysisServer::try_new_durable(1, table.clone(), config.clone()).unwrap();
-            let first = Arc::new(server);
-            let channel = FaultyChannel::new(first.clone(), plan);
-            let mut swapped_by_poll = false;
-            for k in 1..=12u64 {
-                let now = VirtualTime::from_millis(100 * k);
-                let was_first = Arc::ptr_eq(&channel.server(), &first);
-                let directives = channel.poll_control(0, now);
-                if k == 3 {
-                    swapped_by_poll = was_first && !Arc::ptr_eq(&channel.server(), &first);
-                }
-                for d in directives {
-                    channel.ack_control(0, d.epoch, now);
-                }
-                let records = (0..3u32)
-                    .map(|sensor| SliceRecord {
-                        count: 4_000 * (3 - sensor),
-                        ..rec(sensor, k)
-                    })
-                    .collect();
-                let batch = TelemetryBatch::new(0, k, now, records);
-                assert_eq!(channel.send(&batch, now, 0), SendOutcome::Acked);
-            }
-            let live = channel.server();
-            (live.control_schedule(), live.stats(), swapped_by_poll)
-        };
-        // The crash lands between the flush at 200 ms and the poll at
-        // 300 ms, before the first directive (issued by the pass at
-        // 400 ms): every epoch is decided by the recovered server.
-        let crash = FaultPlan::none().with_server_crash(VirtualTime::from_millis(250));
-        let (crashed_schedule, crashed_stats, swapped_by_poll) = drive(crash);
-        let (schedule, stats, never_swapped) = drive(FaultPlan::none());
-        assert!(swapped_by_poll, "the poll at 300 ms must fire the crash");
-        assert!(!never_swapped);
-        assert_eq!(schedule.len(), 2, "{schedule:?}");
-        assert_eq!(crashed_schedule, schedule);
-        assert_eq!(crashed_stats, stats);
     }
 
     #[test]

@@ -227,30 +227,6 @@ impl WriteAheadLog {
             cursor: log.base + end,
         }
     }
-
-    /// Damage injector: flip a bit in the payload of the last batch frame
-    /// without restamping the frame CRC — a corrupted-at-rest tail.
-    #[doc(hidden)]
-    pub fn corrupt_tail_record(&self) {
-        let mut log = self.log.lock();
-        let frame = log
-            .frames
-            .iter_mut()
-            .rev()
-            .find(|f| matches!(f.entry, WalEntry::Batch { .. }))
-            .expect("no batch frame to corrupt");
-        if let WalEntry::Batch { batch, .. } = &mut frame.entry {
-            batch.crc ^= 1;
-        }
-    }
-
-    /// Damage injector: mark the last frame torn, as if the process died
-    /// mid-write and only the frame header reached the log.
-    #[doc(hidden)]
-    pub fn truncate_mid_record(&self) {
-        let mut log = self.log.lock();
-        log.frames.last_mut().expect("no frame to tear").torn = true;
-    }
 }
 
 #[cfg(test)]
@@ -292,6 +268,28 @@ mod tests {
         /// Frames currently held in memory.
         fn retained(&self) -> usize {
             self.log.lock().frames.len()
+        }
+
+        /// Damage injector: flip a bit in the payload of the last batch frame
+        /// without restamping the frame CRC — a corrupted-at-rest tail.
+        fn corrupt_tail_record(&self) {
+            let mut log = self.log.lock();
+            let frame = log
+                .frames
+                .iter_mut()
+                .rev()
+                .find(|f| matches!(f.entry, WalEntry::Batch { .. }))
+                .expect("no batch frame to corrupt");
+            if let WalEntry::Batch { batch, .. } = &mut frame.entry {
+                batch.crc ^= 1;
+            }
+        }
+
+        /// Damage injector: mark the last frame torn, as if the process died
+        /// mid-write and only the frame header reached the log.
+        fn truncate_mid_record(&self) {
+            let mut log = self.log.lock();
+            log.frames.last_mut().expect("no frame to tear").torn = true;
         }
     }
 

@@ -64,7 +64,7 @@ fn thousands_of_sensors_work() {
 
 #[test]
 fn server_with_no_sensors_finalizes_empty() {
-    let s = AnalysisServer::new(4, Vec::new(), RuntimeConfig::default());
+    let s = AnalysisServer::try_new(4, Vec::new(), RuntimeConfig::default()).expect("valid config");
     let r = s.session().close(VirtualTime::from_secs(1));
     assert!(r.events.is_empty());
     assert!(r.sensor_summary.is_empty());
@@ -73,7 +73,8 @@ fn server_with_no_sensors_finalizes_empty() {
 
 #[test]
 fn server_tolerates_far_future_slices() {
-    let s = AnalysisServer::new(1, vec![info(0)], RuntimeConfig::default());
+    let s =
+        AnalysisServer::try_new(1, vec![info(0)], RuntimeConfig::default()).expect("valid config");
     send(
         &s,
         0,
@@ -94,7 +95,8 @@ fn server_tolerates_far_future_slices() {
 
 #[test]
 fn server_handles_many_buckets() {
-    let s = AnalysisServer::new(1, vec![info(0)], RuntimeConfig::default());
+    let s =
+        AnalysisServer::try_new(1, vec![info(0)], RuntimeConfig::default()).expect("valid config");
     for b in 0..500u32 {
         send(
             &s,
@@ -150,7 +152,8 @@ fn duplicate_submissions_only_tighten_standards() {
     // Replaying the same data twice (under fresh sequence numbers, so it
     // passes the duplicate filter) must not create variance where none
     // exists (idempotent standards, doubled counts).
-    let s = AnalysisServer::new(1, vec![info(0)], RuntimeConfig::default());
+    let s =
+        AnalysisServer::try_new(1, vec![info(0)], RuntimeConfig::default()).expect("valid config");
     let batch: Vec<SliceRecord> = (0..50)
         .map(|i| SliceRecord {
             sensor: SensorId(0),
@@ -171,7 +174,8 @@ fn duplicate_submissions_only_tighten_standards() {
 fn replayed_sequence_numbers_are_dropped_as_duplicates() {
     // The same (rank, seq) arriving twice — a transport retry — must be
     // acknowledged but counted only once.
-    let s = AnalysisServer::new(1, vec![info(0)], RuntimeConfig::default());
+    let s =
+        AnalysisServer::try_new(1, vec![info(0)], RuntimeConfig::default()).expect("valid config");
     let records = vec![SliceRecord {
         sensor: SensorId(0),
         slice: 0,

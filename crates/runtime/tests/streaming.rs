@@ -37,7 +37,8 @@ fn rec(slice: u64, avg_us: u64) -> SliceRecord {
 fn receipts_route_ranks_across_shards() {
     // The virtual server models four ingest workers: `rank % 4` names the
     // one a batch is charged to.
-    let s = AnalysisServer::new(10, sensors(1), RuntimeConfig::default());
+    let s =
+        AnalysisServer::try_new(10, sensors(1), RuntimeConfig::default()).expect("valid config");
     let session = s.session();
     for rank in 0..10usize {
         let t = VirtualTime::from_micros(rank as u64);
@@ -57,7 +58,7 @@ fn receipts_route_ranks_across_shards() {
 
 #[test]
 fn typed_errors_name_the_failure() {
-    let s = AnalysisServer::new(2, sensors(1), RuntimeConfig::default());
+    let s = AnalysisServer::try_new(2, sensors(1), RuntimeConfig::default()).expect("valid config");
     let t = VirtualTime::ZERO;
 
     let oob = s
@@ -99,7 +100,7 @@ fn slow_rank_raises_an_alert_before_close() {
         .with_detect_interval(Duration::from_millis(50))
         .unwrap();
     let threshold = config.variance_threshold;
-    let s = AnalysisServer::new(4, sensors(1), config);
+    let s = AnalysisServer::try_new(4, sensors(1), config).expect("valid config");
     let session = s.session();
     let mut live = Vec::new();
     for seq in 0..1200u64 {
@@ -160,7 +161,7 @@ fn builder_validation_rejects_bad_knobs() {
 #[test]
 fn interim_close_and_replay_agree_on_a_healthy_stream() {
     let config = RuntimeConfig::default().with_record_log(true);
-    let s = AnalysisServer::new(2, sensors(1), config);
+    let s = AnalysisServer::try_new(2, sensors(1), config).expect("valid config");
     let session = s.session();
     for seq in 0..200u64 {
         for rank in 0..2usize {
@@ -247,7 +248,7 @@ fn concurrent_ingest_of_disjoint_ranks_equals_serial_ingest() {
         )
     };
 
-    let serial = AnalysisServer::new(RANKS, sensors(1), config.clone());
+    let serial = AnalysisServer::try_new(RANKS, sensors(1), config.clone()).expect("valid config");
     for chunk in 0..CHUNKS {
         for thread in 0..THREADS {
             for (b, at) in deliveries(thread, chunk) {
@@ -265,7 +266,7 @@ fn concurrent_ingest_of_disjoint_ranks_equals_serial_ingest() {
     assert!(d.out_of_order > 0);
 
     for round in 0..20 {
-        let s = AnalysisServer::new(RANKS, sensors(1), config.clone());
+        let s = AnalysisServer::try_new(RANKS, sensors(1), config.clone()).expect("valid config");
         // Every thread enters every chunk together, so ingests genuinely
         // overlap and no rank runs a chunk of virtual time ahead.
         let gate = std::sync::Barrier::new(THREADS);

@@ -31,11 +31,10 @@ fn main() {
     // Build the server ourselves so we can hold a handle while the run is
     // in flight (the Prepared::run convenience owns it otherwise).
     let config = RunConfig::default();
-    let server = Arc::new(AnalysisServer::new(
-        ranks,
-        prepared.sensors.clone(),
-        config.runtime.clone(),
-    ));
+    let server = Arc::new(
+        AnalysisServer::try_new(ranks, prepared.sensors.clone(), config.runtime.clone())
+            .expect("valid config"),
+    );
 
     // A noiser window in the middle of the run.
     let cluster = Arc::new(
