@@ -852,7 +852,7 @@ mod tests {
         let lines = text.lines().filter(|l| !l.trim().is_empty()).count();
         assert_eq!(
             (history.len(), lines),
-            (406, 406),
+            (452, 452),
             "valid-prefix parsing truncated the history"
         );
         for (_, h) in &history {
@@ -877,15 +877,15 @@ mod tests {
                 runs.len(),
                 match (h.suite.as_str(), h.metric.as_str()) {
                     // First filed with run 19.
-                    ("interp", "sim-seconds") => 3,
+                    ("interp", "sim-seconds") => 5,
                     // Runs 20 and 21 were filed `--ratio-only`: the wall
-                    // series did not grow.
-                    ("interp", _) | ("simmpi", "wall-throughput") => 18,
-                    ("simmpi", _) => 20,
-                    ("service", "service-throughput") => 16,
-                    ("service", _) => 18,
+                    // series skipped them.
+                    ("interp", _) | ("simmpi", "wall-throughput") => 20,
+                    ("simmpi", _) => 22,
+                    ("service", "service-throughput") => 18,
+                    ("service", _) => 20,
                     // First filed with runs 10 and 11.
-                    _ => 12,
+                    _ => 14,
                 },
                 "{}",
                 h.key()
@@ -905,31 +905,32 @@ mod tests {
     /// (the VM as the one executor, and its parent) came with a VM-only
     /// `BENCH_interp.json`: the interp cells lost their walker→VM speedup
     /// row (a retired series now) and gained a `sim-seconds` row first
-    /// filed with run 19, so that shallow series keeps its fixed-band
-    /// verdict (`samples` < 5; the zero median and allowance are
-    /// placeholders). Runs 20 and 21 (one crash story, and its parent) were
-    /// filed `--ratio-only`, so only the virtual and ratio series grew.
+    /// filed with run 19. Runs 20 and 21 (one crash story, and its parent)
+    /// were filed `--ratio-only`, so only the virtual and ratio series
+    /// grew. Runs 22 and 23 (bytes per rank, and its parent) were filed
+    /// with their wall rows, and brought the `sim-seconds` series to the
+    /// five samples the history verdict needs.
     #[rustfmt::skip]
     const PARENT_VERDICTS: [ParentVerdict; 19] = [
-        ("cg-fig21/4/vm-throughput", 6621909025.009828, true, true, 18, 12, 5621026753.2137985, 2495366079.009926),
-        ("cg-fig21/4/sim-seconds", 0.057710674, true, true, 3, 0, 0.0, 0.0),
-        ("cg-fig21/16/vm-throughput", 25937512577.381153, true, true, 18, 12, 22020100832.03907, 9151373431.498934),
-        ("cg-fig21/16/sim-seconds", 0.058969947, true, true, 3, 0, 0.0, 0.0),
-        ("ft-fig22/4/vm-throughput", 5294777322.017859, true, true, 18, 12, 4532144145.506851, 2605548701.3337555),
-        ("ft-fig22/4/sim-seconds", 0.075075833, true, true, 3, 0, 0.0, 0.0),
-        ("ft-fig22/16/vm-throughput", 10355921262.139862, true, true, 18, 12, 8958106336.840942, 2368084708.0601416),
-        ("ft-fig22/16/sim-seconds", 0.150430555, true, true, 3, 0, 0.0, 0.0),
-        ("service/16/p99-hot-ingest", 200161800.0, true, true, 18, 18, 200161800.0, 2001618.0),
-        ("service/16/p99-steady-ingest", 155302.0, true, true, 18, 11, 155302.0, 1553.02),
-        ("service/16/service-throughput", 3014.4132286850117, true, true, 16, 9, 2853.824773921871, 1229.4198671748577),
-        ("simmpi/1024/virt-throughput", 30290854.321401544, true, true, 20, 20, 30290854.321401544, 302908.54321401543),
-        ("simmpi/1024/wall-throughput", 1585238.294031774, true, true, 18, 11, 1531863.585353649, 451873.98852977774),
-        ("simmpi/4096/virt-throughput", 102637134.54627462, true, true, 20, 20, 102637134.54627462, 1026371.3454627462),
-        ("simmpi/4096/wall-throughput", 1246161.69609726, true, true, 18, 11, 1252805.4435864654, 496719.6163450916),
-        ("simmpi/16384/virt-throughput", 356091986.0829121, true, true, 20, 20, 356091986.0829121, 3560919.860829121),
-        ("simmpi/16384/wall-throughput", 1076014.5047311282, true, true, 18, 11, 1054418.6433624101, 307666.3123194368),
-        ("simmpi/4096/scaling-ratio", 0.7861037049060099, true, true, 20, 20, 0.7682205702302272, 0.12244011487689921),
-        ("simmpi/16384/scaling-ratio", 0.8634629904778808, true, true, 20, 20, 0.8717059486885903, 0.17801946499392082),
+        ("cg-fig21/4/vm-throughput", 6621909025.009828, true, true, 20, 14, 5479174589.089014, 2947923364.5529785),
+        ("cg-fig21/4/sim-seconds", 0.057710674, true, true, 5, 5, 0.057710674, 0.0005771067399999999),
+        ("cg-fig21/16/vm-throughput", 25937512577.381153, true, true, 20, 14, 21796278034.640255, 11056524616.494904),
+        ("cg-fig21/16/sim-seconds", 0.058969947, true, true, 5, 5, 0.058969947, 0.00058969947),
+        ("ft-fig22/4/vm-throughput", 5294777322.017859, true, true, 20, 14, 4402294011.176673, 4106717687.5519996),
+        ("ft-fig22/4/sim-seconds", 0.075075833, true, true, 5, 5, 0.075075833, 0.00075075833),
+        ("ft-fig22/16/vm-throughput", 10355921262.139862, true, true, 20, 14, 8790977564.365166, 2813886562.908047),
+        ("ft-fig22/16/sim-seconds", 0.150430555, true, true, 5, 5, 0.150430555, 0.00150430555),
+        ("service/16/p99-hot-ingest", 200161800.0, true, true, 20, 20, 200161800.0, 2001618.0),
+        ("service/16/p99-steady-ingest", 155302.0, true, true, 20, 13, 155302.0, 1553.02),
+        ("service/16/service-throughput", 3014.4132286850117, true, true, 18, 11, 3011.8709524315414, 1726.8143575985032),
+        ("simmpi/1024/virt-throughput", 30290854.321401544, true, true, 22, 22, 30290854.321401544, 302908.54321401543),
+        ("simmpi/1024/wall-throughput", 1585238.294031774, true, true, 20, 13, 1602361.7100751556, 600461.3567629906),
+        ("simmpi/4096/virt-throughput", 102637134.54627462, true, true, 22, 22, 102637134.54627462, 1026371.3454627462),
+        ("simmpi/4096/wall-throughput", 1246161.69609726, true, true, 20, 13, 1276746.5074383954, 712619.3637453956),
+        ("simmpi/16384/virt-throughput", 356091986.0829121, true, true, 22, 22, 356091986.0829121, 3560919.860829121),
+        ("simmpi/16384/wall-throughput", 1076014.5047311282, true, true, 20, 14, 1076060.384049619, 436009.7805240781),
+        ("simmpi/4096/scaling-ratio", 0.7861037049060099, true, true, 22, 22, 0.7682205702302272, 0.11003754728159787),
+        ("simmpi/16384/scaling-ratio", 0.8634629904778808, true, true, 22, 22, 0.876966202759746, 0.15462290693623443),
     ];
 
     #[test]

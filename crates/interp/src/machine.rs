@@ -86,8 +86,9 @@ pub struct Machine<P = Box<Proc>> {
     /// since machine start (see [`Self::work_total`]).
     work_flushed: u64,
     miss_rate: f64,
-    /// Sensor machinery; absent for plain (uninstrumented) runs.
-    sensors: Option<SensorHarness>,
+    /// Sensor machinery; absent for plain (uninstrumented) runs and after
+    /// [`Self::finalize`]. Boxed, so a plain rank pays one pointer for it.
+    sensors: Option<Box<SensorHarness>>,
     /// Open senses: (sensor, work counter at tick).
     open_senses: Vec<(SensorId, u64)>,
     validation: ValidationStats,
@@ -95,7 +96,10 @@ pub struct Machine<P = Box<Proc>> {
 }
 
 /// Sensor runtime plus the transport endpoint that ships its records to
-/// the shared analysis server.
+/// the shared analysis server. It is most of an instrumented rank's bytes
+/// (the outbox, pooled record buffers, per-sensor state and the channel
+/// handle), so a [`Machine`] boxes it and drops it once the rank's final
+/// flush is done.
 pub struct SensorHarness {
     /// Per-rank dynamic module.
     pub runtime: SensorRuntime,
@@ -143,7 +147,7 @@ impl<P: DerefMut<Target = Proc>> Machine<P> {
             pending_mem: 0,
             work_flushed: 0,
             miss_rate: 0.0,
-            sensors,
+            sensors: sensors.map(Box::new),
             open_senses: Vec::new(),
             validation: ValidationStats::default(),
             rand_state: rand_seed,
@@ -154,7 +158,9 @@ impl<P: DerefMut<Target = Proc>> Machine<P> {
     /// VM's task and of the oracle's walker, so both finish a rank
     /// identically. Takes `&mut self` because a task must keep its `Proc`
     /// reachable after completion (the scheduler delivers the rank's final
-    /// sends).
+    /// sends). Everything else a finished rank held is released here: the
+    /// sensor harness is dropped after its final flush, so the scheduler
+    /// keeps only the rank's result until the last rank ends.
     #[doc(hidden)]
     pub fn finalize(&mut self) -> MachineResult {
         self.sync_clock();
@@ -162,7 +168,8 @@ impl<P: DerefMut<Target = Proc>> Machine<P> {
         let mut distribution = Default::default();
         let mut local_variances = 0;
         let mut transport = TransportStats::default();
-        if let Some(h) = &mut self.sensors {
+        self.open_senses = Vec::new();
+        if let Some(mut h) = self.sensors.take() {
             let batch_tail = h.runtime.finish(end);
             distribution = h.runtime.distribution().clone();
             local_variances = h.runtime.local_variances();

@@ -8,11 +8,12 @@
 //! sampling keys, sensor records and errors are bit-identical between the
 //! two (`tests/vm_equivalence.rs` is the differential suite).
 //!
-//! Per-rank execution allocates three growable buffers once — operand
-//! stack, frame stack and a flat locals area — and nothing per iteration:
-//! variable access is a slot index off the current frame base, calls push
-//! a frame and extend the locals area, and array values move by `Value`
-//! moves on the operand stack.
+//! Per-rank execution keeps three growable buffers — operand stack, frame
+//! stack and a flat locals area — and grows them to need once, never per
+//! iteration: variable access is a slot index off the current frame base,
+//! calls push a frame and extend the locals area, and array values move by
+//! `Value` moves on the operand stack. The buffers are dropped when `main`
+//! returns, so a finished rank holds none of them.
 
 use crate::builtins;
 use crate::bytecode::{self, CompiledProgram, Insn};
@@ -49,12 +50,15 @@ pub(crate) struct VmState {
 }
 
 impl VmState {
-    /// Fresh state, positioned before the entry call.
+    /// Fresh state, positioned before the entry call. It reserves nothing:
+    /// with thousands of simulated ranks per process, a fixed reservation
+    /// costs more than the handful of slots a program uses, and the
+    /// buffers grow to the program's need in the first iteration.
     pub(crate) fn new() -> Self {
         VmState {
-            stack: Vec::with_capacity(32),
-            locals: Vec::with_capacity(64),
-            frames: Vec::with_capacity(16),
+            stack: Vec::new(),
+            locals: Vec::new(),
+            frames: Vec::new(),
             globals: Vec::new(),
             func: bytecode::ENTRY_FN,
             pc: 0,
@@ -354,10 +358,7 @@ pub(crate) fn resume_vm(
             Insn::Trap(msg) => return Err(ExecError::new(compiled.msgs[*msg as usize].clone())),
         }
     }
-    st.stack = stack;
-    st.locals = locals;
-    st.frames = frames;
-    st.globals = globals;
+    // `main` returned: the buffers drop here, so a finished rank keeps none.
     Ok(true)
 }
 

@@ -49,8 +49,8 @@ impl<'s> Lexer<'s> {
             };
             let kind = match c {
                 b'0'..=b'9' => self.number()?,
-                b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.ident(),
-                _ => self.operator()?,
+                b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.ident()?,
+                _ => self.operator(c)?,
             };
             let span = Span::new(start as u32, self.pos as u32, line, col);
             self.tokens.push(Token { kind, span });
@@ -148,7 +148,7 @@ impl<'s> Lexer<'s> {
                 self.bump();
             }
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ascii digits");
+        let text = self.text(start, span)?;
         if is_float {
             text.parse::<f64>()
                 .map(TokenKind::Float)
@@ -160,21 +160,34 @@ impl<'s> Lexer<'s> {
         }
     }
 
-    fn ident(&mut self) -> TokenKind {
+    fn ident(&mut self) -> Result<TokenKind> {
         let start = self.pos;
+        let span = self.here();
         while matches!(
             self.peek(),
             Some(b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_')
         ) {
             self.bump();
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ascii ident");
-        TokenKind::keyword(text).unwrap_or_else(|| TokenKind::Ident(self.interner.intern(text)))
+        let text = self.text(start, span)?;
+        Ok(
+            TokenKind::keyword(text)
+                .unwrap_or_else(|| TokenKind::Ident(self.interner.intern(text))),
+        )
     }
 
-    fn operator(&mut self) -> Result<TokenKind> {
+    /// The source from `start` to the cursor. Literals and identifiers
+    /// scan ASCII bytes only, so this never fails; the error stands in for
+    /// a panic.
+    fn text(&self, start: usize, span: Span) -> Result<&'s str> {
+        std::str::from_utf8(&self.src[start..self.pos])
+            .map_err(|_| LangError::lex("non-ASCII token", span))
+    }
+
+    /// The operator starting with `c`, the byte under the cursor.
+    fn operator(&mut self, c: u8) -> Result<TokenKind> {
         let span = self.here();
-        let c = self.bump().expect("peeked before call");
+        self.bump();
         let two = |this: &mut Self, next: u8, yes: TokenKind, no: TokenKind| {
             if this.peek() == Some(next) {
                 this.bump();

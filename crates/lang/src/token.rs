@@ -125,17 +125,11 @@ impl TokenKind {
 
     /// Short human-readable name for diagnostics.
     pub fn describe(&self) -> String {
-        match self {
-            TokenKind::Int(v) => format!("integer `{v}`"),
-            TokenKind::Float(v) => format!("float `{v}`"),
-            TokenKind::Ident(s) => format!("identifier `{s}`"),
-            TokenKind::Eof => "end of input".to_string(),
-            other => format!("`{}`", other.symbol()),
-        }
-    }
-
-    fn symbol(&self) -> &'static str {
-        match self {
+        let symbol = match self {
+            TokenKind::Int(v) => return format!("integer `{v}`"),
+            TokenKind::Float(v) => return format!("float `{v}`"),
+            TokenKind::Ident(s) => return format!("identifier `{s}`"),
+            TokenKind::Eof => return "end of input".to_string(),
             TokenKind::Fn => "fn",
             TokenKind::Global => "global",
             TokenKind::KwInt => "int",
@@ -171,8 +165,8 @@ impl TokenKind {
             TokenKind::AndAnd => "&&",
             TokenKind::OrOr => "||",
             TokenKind::Bang => "!",
-            _ => unreachable!("symbol() called on non-symbol token"),
-        }
+        };
+        format!("`{symbol}`")
     }
 }
 

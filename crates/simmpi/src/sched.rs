@@ -630,24 +630,27 @@ impl EventQueue {
     }
 }
 
-/// Raw-pointer handle that lets scoped workers take `&mut tasks[rank]`
-/// for *disjoint* ranks. SAFETY: the dispatch loop guarantees each due
-/// rank appears exactly once across all workers' chunks.
-struct TaskPtr<T>(*mut T);
-impl<T> Clone for TaskPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for TaskPtr<T> {}
-unsafe impl<T: Send> Send for TaskPtr<T> {}
-
 /// Minimum number of same-instant tasks before parallel dispatch pays for
 /// its synchronization; below this the phase resumes serially even with
 /// `workers > 1`.
 const PAR_MIN: usize = 256;
 
-type ResumeOutcome<O> = Result<TaskPoll<O>, Box<dyn Any + Send>>;
+/// What one resume hands the commit step: `Ready(())` means the rank's
+/// output already sits in its slot of the run's outputs.
+type ResumeOutcome = Result<TaskPoll<()>, Box<dyn Any + Send>>;
+
+/// Resume `task` to its next yield point. A finished rank's output moves
+/// straight into `output`, so each output exists once — the phase buffer
+/// carries only the outcome.
+fn resume_into<T: RankTask>(task: &mut T, output: &mut Option<T::Output>) -> ResumeOutcome {
+    std::panic::catch_unwind(AssertUnwindSafe(|| match task.resume() {
+        TaskPoll::Ready(out) => {
+            *output = Some(out);
+            TaskPoll::Ready(())
+        }
+        TaskPoll::Yielded => TaskPoll::Yielded,
+    }))
+}
 
 impl World {
     /// Run every rank as a resumable task on the event-driven virtual-time
@@ -699,7 +702,7 @@ impl World {
         let mut finished = vec![false; size];
         let mut q = EventQueue::new(size);
         let mut live = size;
-        let mut results: Vec<Option<ResumeOutcome<T::Output>>> = Vec::new();
+        let mut results: Vec<Option<ResumeOutcome>> = Vec::new();
 
         // Phase accounting for `repro simmpi --profile`. Aggregates are
         // recorded as a handful of SCHED trace events at run end, so the
@@ -745,43 +748,49 @@ impl World {
             results.resize_with(due.len(), || None);
             if workers > 1 && due.len() >= PAR_MIN && trace::mask().bits() == 0 {
                 let chunk = due.len().div_ceil(workers);
-                let tasks_ptr = TaskPtr(tasks.as_mut_ptr());
+                // `due` is ascending, so consecutive chunks own disjoint
+                // rank windows: each worker gets its window of the tasks
+                // and of the outputs as plain sub-slices.
+                let (mut tasks_rest, mut outputs_rest) = (&mut tasks[..], &mut outputs[..]);
+                let mut base = 0;
                 std::thread::scope(|s| {
                     for (due_chunk, res_chunk) in due.chunks(chunk).zip(results.chunks_mut(chunk)) {
+                        let Some(&last) = due_chunk.last() else {
+                            continue;
+                        };
+                        let (window_tasks, rest) =
+                            std::mem::take(&mut tasks_rest).split_at_mut(last + 1 - base);
+                        tasks_rest = rest;
+                        let (window_outputs, rest) =
+                            std::mem::take(&mut outputs_rest).split_at_mut(last + 1 - base);
+                        outputs_rest = rest;
+                        let window_base = std::mem::replace(&mut base, last + 1);
                         s.spawn(move || {
-                            // Capture the Send wrapper, not its raw field.
-                            let tasks_ptr = tasks_ptr;
                             for (slot, &rank) in res_chunk.iter_mut().zip(due_chunk) {
-                                // SAFETY: due ranks are distinct and each
-                                // appears in exactly one chunk, so this is
-                                // the only `&mut tasks[rank]` alive.
-                                let task = unsafe { &mut *tasks_ptr.0.add(rank) };
-                                *slot = Some(std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                    task.resume()
-                                })));
+                                let i = rank - window_base;
+                                *slot =
+                                    Some(resume_into(&mut window_tasks[i], &mut window_outputs[i]));
                             }
                         });
                     }
                 });
             } else {
                 for (slot, &rank) in results.iter_mut().zip(&due) {
-                    let task = &mut tasks[rank];
-                    *slot = Some(std::panic::catch_unwind(AssertUnwindSafe(|| task.resume())));
+                    *slot = Some(resume_into(&mut tasks[rank], &mut outputs[rank]));
                 }
             }
             if let Some(t) = t_resume {
                 resume_ns += t.elapsed().as_nanos() as u64;
             }
 
-            // Commit phase, ascending rank order (`due` is sorted): apply
-            // outputs, deliver sends, register waits, mark deaths. This is
-            // the only place one rank's effects reach another.
+            // Commit phase, ascending rank order (`due` is sorted): retire
+            // finished ranks, deliver sends, register waits, mark deaths.
+            // This is the only place one rank's effects reach another.
             let t_commit = profiling.then(Instant::now);
             let mut deaths = false;
             for (slot, &rank) in results.iter_mut().zip(&due) {
                 match slot.take().expect("every due rank was resumed") {
-                    Ok(TaskPoll::Ready(out)) => {
-                        outputs[rank] = Some(out);
+                    Ok(TaskPoll::Ready(())) => {
                         finished[rank] = true;
                         live -= 1;
                         q.deliver(&mut tasks, rank);
