@@ -7,6 +7,7 @@ use cluster_sim::node::Work;
 use cluster_sim::time::{Duration, VirtualTime};
 use cluster_sim::ClusterConfig;
 use criterion::{criterion_group, criterion_main, Criterion};
+use simmpi::{Proc, RankTask, TaskPoll, World};
 use std::sync::Arc;
 use vsensor_lang::SensorId;
 use vsensor_runtime::dynrules::{Bucket, SenseMetrics};
@@ -82,6 +83,31 @@ fn bench_server_submit(c: &mut Criterion) {
     g.finish();
 }
 
+/// A rank that enters `left` barriers back to back, re-polling the pending
+/// one on every resume.
+struct Barriers {
+    proc: Proc,
+    left: u32,
+}
+
+impl RankTask for Barriers {
+    type Output = VirtualTime;
+
+    fn resume(&mut self) -> TaskPoll<VirtualTime> {
+        while self.left > 0 {
+            if self.proc.barrier().is_pending() {
+                return TaskPoll::Yielded;
+            }
+            self.left -= 1;
+        }
+        TaskPoll::Ready(self.proc.now())
+    }
+
+    fn proc_mut(&mut self) -> &mut Proc {
+        &mut self.proc
+    }
+}
+
 fn bench_collectives(c: &mut Criterion) {
     let mut g = c.benchmark_group("micro/simmpi");
     g.sample_size(10);
@@ -89,13 +115,8 @@ fn bench_collectives(c: &mut Criterion) {
         g.bench_function(format!("barrier_x100_{ranks}ranks"), |b| {
             let cluster = Arc::new(ClusterConfig::quiet(ranks).build());
             b.iter(|| {
-                simmpi::World::new(cluster.clone()).run_hosted(
-                    |mut h| {
-                        for _ in 0..100 {
-                            h.wait(|p| p.barrier());
-                        }
-                        h.now()
-                    },
+                World::new(cluster.clone()).run_event(
+                    |_, proc| Barriers { proc, left: 100 },
                     |_, _| unreachable!("no deaths planned"),
                 )
             });

@@ -335,13 +335,17 @@ pub fn record(ev: TraceEvent) {
         return;
     }
     LOCAL.with(|local| {
-        let mut local = local.borrow_mut();
-        if local.0 != sid || local.1.is_none() {
+        let (owner, buf) = &mut *local.borrow_mut();
+        if *owner != sid {
+            *owner = sid;
+            *buf = None;
+        }
+        let buf = buf.get_or_insert_with(|| {
             let buf = Arc::new(ThreadBuf::new(CAPACITY.load(Ordering::Relaxed)));
             registry().lock().push(Arc::clone(&buf));
-            *local = (sid, Some(buf));
-        }
-        local.1.as_ref().expect("registered above").push(ev);
+            buf
+        });
+        buf.push(ev);
     });
 }
 

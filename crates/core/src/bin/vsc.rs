@@ -135,10 +135,14 @@ fn main() {
                 Some("io") => SensorKind::Io,
                 _ => SensorKind::Computation,
             };
+            let matrix = run.server.matrix(kind).unwrap_or_else(|e| {
+                eprintln!("vsc: {e}");
+                exit(2);
+            });
             println!(
                 "{}",
                 render_ansi(
-                    run.server.matrix(kind).expect("component matrix"),
+                    matrix,
                     &format!("{} performance matrix", kind.label()),
                     &HeatmapOptions {
                         white_at: run_config.runtime.variance_threshold,

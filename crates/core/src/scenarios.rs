@@ -80,10 +80,16 @@ pub fn paper_noise_injection(total_virtual_secs: u64) -> ClusterConfig {
 /// variance threshold sitting above the bad node's `mem_perf` normalized
 /// score, so the detection stream flags the node *while the run is still
 /// in flight* instead of waiting for the end-of-run report.
+///
+/// # Panics
+///
+/// If `mem_perf <= -0.15` (the threshold `mem_perf + 0.15`, capped at
+/// `0.95`, must lie in `(0, 1]`); the scenarios use `0.55`.
 pub fn live_bad_node(ranks: usize, node: usize, mem_perf: f64) -> (ClusterConfig, RuntimeConfig) {
     let runtime = RuntimeConfig::default()
         .with_variance_threshold((mem_perf + 0.15).min(0.95))
-        .expect("threshold stays in (0, 1]")
+        .expect("mem_perf > -0.15 keeps the threshold in (0, 1]")
+        // Proof: a constant 100 ms interval is positive.
         .with_detect_interval(Duration::from_millis(100))
         .expect("interval is positive");
     (bad_node(ranks, node, mem_perf), runtime)
@@ -161,6 +167,11 @@ pub fn server_crash_recovery(
 /// `budget` (a fraction of elapsed virtual time) by switching individual
 /// v-sensors dark — while the surviving telemetry still localizes the bad
 /// node. `tests/control_loop.rs` asserts both halves of that bargain.
+///
+/// # Panics
+///
+/// If `budget` is outside `[0, 1)` (`0` disarms the control plane), and
+/// as [`live_bad_node`] does for `mem_perf`.
 pub fn overhead_budgeted(
     ranks: usize,
     node: usize,
@@ -170,7 +181,7 @@ pub fn overhead_budgeted(
     let (cluster, runtime) = live_bad_node(ranks, node, mem_perf);
     let runtime = runtime
         .with_overhead_budget(budget)
-        .expect("budget stays in [0, 1)");
+        .expect("budget lies in [0, 1)");
     (cluster, runtime)
 }
 
@@ -181,6 +192,12 @@ pub fn overhead_budgeted(
 /// The budget is set high enough that nothing goes dark: this scenario
 /// isolates the escalation half of the control loop.
 ///
+/// # Panics
+///
+/// If `fine_us` does not evenly divide the 1000 µs coarse slice (`1`,
+/// `250` and `500` do; `0` and `300` do not), and as [`live_bad_node`]
+/// does for `mem_perf`.
+///
 /// [`VarianceAlert`]: vsensor_runtime::VarianceAlert
 pub fn alert_escalation(
     ranks: usize,
@@ -190,10 +207,11 @@ pub fn alert_escalation(
 ) -> (ClusterConfig, RuntimeConfig) {
     let (cluster, runtime) = live_bad_node(ranks, node, mem_perf);
     let runtime = runtime
+        // Proof: the constant 0.9 lies in [0, 1).
         .with_overhead_budget(0.9)
         .expect("permissive budget arms the control plane without darkening")
         .with_escalation_slice(Duration::from_micros(fine_us))
-        .expect("fine slice divides the 1000us coarse slice");
+        .expect("fine_us divides the 1000us coarse slice");
     (cluster, runtime)
 }
 
@@ -309,6 +327,8 @@ pub fn multi_tenant_skewed(
             if hot {
                 let base = runtime.batch_interval;
                 runtime = runtime
+                    // Proof: the default 100 ms interval over a constant
+                    // rate of 8 stays positive.
                     .with_batch_interval(Duration::from_nanos(
                         base.as_nanos() / HOT_TENANT_RATE as u64,
                     ))
@@ -318,7 +338,8 @@ pub fn multi_tenant_skewed(
                     // admission backlog: overflow shedding would discard
                     // whichever batches lost the cross-rank admission
                     // race, making the surviving record set — and the
-                    // final matrix bits — interleaving-dependent.
+                    // final matrix bits — interleaving-dependent. Proof:
+                    // the constant 256 is at least 1.
                     .with_buffer_capacity(256)
                     .expect("capacity is positive");
             }
@@ -509,6 +530,18 @@ mod tests {
         assert_eq!(runtime.escalation_subdiv(), 4, "1000us / 250us");
         // The permissive budget exists to arm the loop, not to darken.
         assert!(runtime.overhead_budget > 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "fine_us divides the 1000us coarse slice")]
+    fn alert_escalation_panics_on_a_non_dividing_fine_slice() {
+        alert_escalation(16, 2, 0.55, 300);
+    }
+
+    #[test]
+    #[should_panic(expected = "budget lies in [0, 1)")]
+    fn overhead_budgeted_panics_outside_the_budget_range() {
+        overhead_budgeted(16, 2, 0.55, 1.0);
     }
 
     #[test]

@@ -73,8 +73,8 @@ impl std::error::Error for ExecError {}
 /// The bytecode VM, which returns to the scheduler at every yield point,
 /// owns its `Proc` (`Box<Proc>`, the default). The parameter exists for
 /// the differential oracle alone: its tree-walker cannot return
-/// mid-recursion, runs on simmpi's lock-step host, and holds the host's
-/// `Lockstep` handle, through which it parks ([`Self::handle`]).
+/// mid-recursion, runs on the oracle's own lock-step host, and holds that
+/// host's `Lockstep` handle, through which it parks ([`Self::handle`]).
 pub struct Machine<P = Box<Proc>> {
     proc: P,
     /// Work not yet converted into virtual time: all units, and how many

@@ -11,13 +11,16 @@
 //! "equivalent" means the same charges at the same flush boundaries.
 //!
 //! A recursive evaluator cannot return to the scheduler at a yield point,
-//! so each rank runs on simmpi's lock-step host. The crate is
-//! `publish = false` and only ever a `[dev-dependencies]` entry.
+//! so each rank runs on the lock-step [`host`], which also carries
+//! closure-style rank programs for tests of simmpi's MPI semantics. The
+//! crate is `publish = false` and only ever a `[dev-dependencies]` entry.
 
+pub mod host;
 mod walker;
 
 use cluster_sim::Cluster;
-use simmpi::{Hosted, SimBackend, World};
+use host::Hosted;
+use simmpi::{SimBackend, World};
 use std::sync::Arc;
 use vsensor_interp::machine::{MachineResult, SensorHarness};
 use vsensor_interp::run::{assemble_run, dead_rank_result, sensor_harness, server_sink};
@@ -79,6 +82,7 @@ mod tests {
 
     use super::*;
     use cluster_sim::ClusterConfig;
+    use host::run_hosted;
     use vsensor_interp::ExecError;
 
     /// Run a source program through both interpreters on quiet ranks and
@@ -104,10 +108,11 @@ mod tests {
     /// scheduler raises with it.
     fn both_errors(src: &str) -> (ExecError, ExecError) {
         let program = Arc::new(vsensor_lang::compile(src).unwrap());
-        let world = || World::new(Arc::new(ClusterConfig::quiet(1).build()));
+        let world = World::new(Arc::new(ClusterConfig::quiet(1).build()));
         let walker = {
             let program = program.clone();
-            world().run_hosted(
+            run_hosted(
+                &world,
                 move |h| Walker::new(program.clone(), h, None).run().unwrap_err(),
                 |_, _| unreachable!("no deaths planned"),
             )

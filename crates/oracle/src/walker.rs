@@ -6,10 +6,10 @@
 //! and keeps only what a tree-walk needs on top: a scope-chain environment
 //! per call, the per-rank globals by name, and the call depth. A recursive
 //! evaluator cannot return to the scheduler mid-recursion, so it runs on
-//! simmpi's lock-step host and parks there whenever a builtin's MPI
+//! the crate's lock-step host and parks there whenever a builtin's MPI
 //! operation is `Pending`, then re-dispatches the same builtin.
 
-use simmpi::Lockstep;
+use crate::host::Lockstep;
 use std::collections::HashMap;
 use std::sync::Arc;
 use vsensor_interp::builtins::{self, Builtin};

@@ -116,7 +116,9 @@ pub struct CollectiveSlot {
     /// count alive members against the death board).
     members: Vec<usize>,
     arrived: usize,
-    op: Option<CollectiveOp>,
+    /// The open rendezvous' operation, set by its first arriver (stale
+    /// while `arrived == 0`).
+    op: CollectiveOp,
     bytes: u64,
     max_entry: VirtualTime,
     acc: i64,
@@ -157,7 +159,7 @@ impl CollectiveSlot {
         debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
         CollectiveSlot {
             arrived: 0,
-            op: None,
+            op: CollectiveOp::Barrier,
             bytes: 0,
             max_entry: VirtualTime::ZERO,
             acc: 0,
@@ -197,14 +199,14 @@ impl CollectiveSlot {
     /// arriver on the operation or byte count; the slot is left unchanged.
     pub fn register(&mut self, entry: CollectiveEntry) -> Result<(), CollectiveError> {
         if self.arrived == 0 {
-            self.op = Some(entry.op);
+            self.op = entry.op;
             self.bytes = entry.bytes;
             self.rop = entry.rop;
             self.acc = entry.rop.identity();
             self.max_entry = VirtualTime::ZERO;
-        } else if self.op != Some(entry.op) || self.bytes != entry.bytes {
+        } else if self.op != entry.op || self.bytes != entry.bytes {
             return Err(CollectiveError::Mismatch {
-                expected_op: self.op.expect("first arriver set the op"),
+                expected_op: self.op,
                 got_op: entry.op,
                 expected_bytes: self.bytes,
                 got_bytes: entry.bytes,
@@ -234,16 +236,15 @@ impl CollectiveSlot {
         if self.arrived == 0 || self.arrived < self.alive_now(board) {
             return None;
         }
-        let op = self.op.expect("op set while the rendezvous is open");
         let missing = (self.members.len() - self.arrived) as u32;
-        let mut cost = cluster.collective_cost(op, self.arrived, self.bytes, self.max_entry);
+        let mut cost = cluster.collective_cost(self.op, self.arrived, self.bytes, self.max_entry);
         if missing > 0 {
             cost += cluster.faults().death_timeout();
         }
         self.arrived = 0;
         Some(CollectiveResult {
             exit: self.max_entry + cost,
-            value: match op {
+            value: match self.op {
                 CollectiveOp::Bcast => self.bcast_val,
                 _ => self.acc,
             },
@@ -253,7 +254,7 @@ impl CollectiveSlot {
 
     /// `(operation, arrived, required)` of the open rendezvous, for the
     /// scheduler's deadlock report.
-    pub(crate) fn progress(&mut self, board: &DeathBoard) -> (Option<CollectiveOp>, usize, usize) {
+    pub(crate) fn progress(&mut self, board: &DeathBoard) -> (CollectiveOp, usize, usize) {
         (self.op, self.arrived, self.alive_now(board))
     }
 }

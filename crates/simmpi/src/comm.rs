@@ -99,13 +99,11 @@ impl SplitSlot {
         let cost = cluster.collective_cost(CollectiveOp::Barrier, procs, 0, self.max_entry);
         let mut by_color: Vec<(i64, usize)> = self.colors.iter().copied().zip(0..).collect();
         by_color.sort_unstable();
-        let mut comms: Vec<(u64, Vec<usize>)> = Vec::new();
-        for (i, &(color, rank)) in by_color.iter().enumerate() {
-            if i == 0 || by_color[i - 1].0 != color {
-                comms.push((self.next_comm_id + comms.len() as u64, Vec::new()));
-            }
-            comms.last_mut().expect("pushed above").1.push(rank);
-        }
+        let comms: Vec<(u64, Vec<usize>)> = by_color
+            .chunk_by(|a, b| a.0 == b.0)
+            .zip(self.next_comm_id..)
+            .map(|(group, id)| (id, group.iter().map(|&(_, rank)| rank).collect()))
+            .collect();
         self.next_comm_id += comms.len() as u64;
         self.arrived = 0;
         Some((self.max_entry + cost, comms))
@@ -114,107 +112,5 @@ impl SplitSlot {
     /// `(arrived, required)` for the scheduler's deadlock report.
     pub(crate) fn progress(&self) -> (usize, usize) {
         (self.arrived, self.colors.len())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::{ReduceOp, World};
-    use cluster_sim::ClusterConfig;
-    use std::sync::Arc;
-
-    fn quiet_world(ranks: usize) -> World {
-        World::new(Arc::new(ClusterConfig::quiet(ranks).build()))
-    }
-
-    #[test]
-    fn split_forms_expected_groups() {
-        let w = quiet_world(6);
-        let infos = w.hosted(|mut h| {
-            let comm = h.wait(|p| p.split((p.rank() % 2) as i64));
-            (comm.size(), comm.rank(), comm.members().to_vec())
-        });
-        // Even ranks form {0,2,4}, odd {1,3,5}.
-        assert_eq!(infos[0], (3, 0, vec![0, 2, 4]));
-        assert_eq!(infos[2], (3, 1, vec![0, 2, 4]));
-        assert_eq!(infos[1], (3, 0, vec![1, 3, 5]));
-        assert_eq!(infos[5], (3, 2, vec![1, 3, 5]));
-    }
-
-    #[test]
-    fn subcomm_allreduce_sums_only_members() {
-        let w = quiet_world(6);
-        let sums = w.hosted(|mut h| {
-            let comm = h.wait(|p| p.split((p.rank() % 2) as i64));
-            h.wait(|p| p.comm_allreduce(&comm, 8, p.rank() as i64, ReduceOp::Sum))
-        });
-        assert_eq!(sums, vec![6, 9, 6, 9, 6, 9]); // 0+2+4 and 1+3+5
-    }
-
-    #[test]
-    fn subcomm_barrier_synchronizes_members_only() {
-        let w = quiet_world(4);
-        let ends = w.hosted(|mut h| {
-            let comm = h.wait(|p| p.split((p.rank() / 2) as i64));
-            // One member of each group computes longer.
-            if h.rank() % 2 == 0 {
-                h.compute(cluster_sim::node::Work::cpu(100_000), 0.0);
-            }
-            h.wait(|p| p.comm_barrier(&comm));
-            h.now()
-        });
-        assert_eq!(ends[0], ends[1], "group {{0,1}} aligned");
-        assert_eq!(ends[2], ends[3], "group {{2,3}} aligned");
-    }
-
-    #[test]
-    fn repeated_splits_get_distinct_ids() {
-        let w = quiet_world(4);
-        let ids = w.hosted(|mut h| {
-            let a = h.wait(|p| p.split(0)); // everyone together
-            let b = h.wait(|p| p.split((p.rank() % 2) as i64));
-            let c = h.wait(|p| p.split(0));
-            (a.id(), b.id(), c.id())
-        });
-        // All ranks agree on each split's IDs, and IDs never repeat.
-        assert!(ids.iter().all(|&(a, _, _)| a == ids[0].0));
-        assert!(ids.iter().all(|&(_, _, c)| c == ids[0].2));
-        assert_ne!(ids[0].0, ids[0].2);
-        assert_ne!(ids[0].1, ids[1].1, "different colors → different comms");
-    }
-
-    #[test]
-    fn subcomm_alltoall_uses_member_count() {
-        // An alltoall over half the ranks must cost less than over all.
-        let w = quiet_world(8);
-        let t_sub = w.hosted(|mut h| {
-            let comm = h.wait(|p| p.split((p.rank() % 2) as i64));
-            h.wait(|p| p.comm_alltoall(&comm, 1 << 16));
-            h.now()
-        });
-        let w2 = quiet_world(8);
-        let t_world = w2.hosted(|mut h| {
-            h.wait(|p| p.alltoall(1 << 16));
-            h.now()
-        });
-        assert!(t_sub[0] < t_world[0], "{} vs {}", t_sub[0], t_world[0]);
-    }
-
-    #[test]
-    fn fts_row_column_transpose_pattern() {
-        // The FT pattern: a 2D grid of ranks, alltoall within rows, then
-        // within columns.
-        let w = quiet_world(4); // 2x2 grid
-        let ends = w.hosted(|mut h| {
-            let row = h.wait(|p| p.split((p.rank() / 2) as i64));
-            let col = h.wait(|p| p.split((p.rank() % 2) as i64));
-            for _ in 0..10 {
-                h.wait(|p| p.comm_alltoall(&row, 4096));
-                h.compute(cluster_sim::node::Work::cpu(5_000), 0.0);
-                h.wait(|p| p.comm_alltoall(&col, 4096));
-            }
-            h.now()
-        });
-        assert!(ends.iter().all(|e| e.as_nanos() > 0));
     }
 }

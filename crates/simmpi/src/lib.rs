@@ -13,10 +13,9 @@
 //! [`RankTask`], every blocking [`Proc`] operation is a yield point
 //! returning [`Poll`] — `Pending` means "yield and re-poll on resume" — and
 //! a global event queue ordered by `(instant, rank)` picks what runs next.
-//! One process simulates the paper's 16,384 ranks. Rank programs written
-//! as plain closures run on the lock-step [`host`]
-//! ([`World::run_hosted`]); the product's interpreter, the bytecode VM, is
-//! a `RankTask` of its own and does not use it.
+//! One process simulates the paper's 16,384 ranks. There is one way to run
+//! a rank: implement [`RankTask`] — the product's interpreter, the
+//! bytecode VM, is one, and so is the hand-written task below.
 //!
 //! The API mirrors the MPI subset the paper's applications use: blocking
 //! send/recv, barrier, bcast, reduce, allreduce, allgather, alltoall, plus
@@ -33,17 +32,42 @@
 //!
 //! ```
 //! use std::sync::Arc;
+//! use cluster_sim::node::Work;
+//! use cluster_sim::time::VirtualTime;
 //! use cluster_sim::ClusterConfig;
-//! use simmpi::World;
+//! use simmpi::{Poll, Proc, RankTask, TaskPoll, World};
+//!
+//! /// Unequal work, then a barrier. The barrier is a yield point: the task
+//! /// returns `Yielded` while it is pending and re-polls it when resumed.
+//! struct WorkThenBarrier {
+//!     proc: Proc,
+//!     worked: bool,
+//! }
+//!
+//! impl RankTask for WorkThenBarrier {
+//!     type Output = VirtualTime;
+//!
+//!     fn resume(&mut self) -> TaskPoll<VirtualTime> {
+//!         if !self.worked {
+//!             let work = Work::cpu(1_000 * (self.proc.rank() as u64 + 1));
+//!             self.proc.compute(work, 0.0);
+//!             self.worked = true;
+//!         }
+//!         match self.proc.barrier() {
+//!             Poll::Ready(()) => TaskPoll::Ready(self.proc.now()),
+//!             Poll::Pending => TaskPoll::Yielded,
+//!         }
+//!     }
+//!
+//!     fn proc_mut(&mut self) -> &mut Proc {
+//!         &mut self.proc
+//!     }
+//! }
 //!
 //! let cluster = Arc::new(ClusterConfig::quiet(4).build());
-//! let finals = World::new(cluster).run_hosted(
-//!     |mut h| {
-//!         h.compute(cluster_sim::node::Work::cpu(1_000), 0.0);
-//!         h.wait(|p| p.barrier());
-//!         h.now()
-//!     },
-//!     |_death, _proc| unreachable!("no deaths planned"),
+//! let finals = World::new(cluster).run_event(
+//!     |_rank, proc| WorkThenBarrier { proc, worked: false },
+//!     |_death, _task| unreachable!("no deaths planned"),
 //! );
 //! // All ranks leave the barrier at the same virtual instant.
 //! assert!(finals.iter().all(|t| *t == finals[0]));
@@ -53,7 +77,6 @@ pub mod collectives;
 pub mod comm;
 pub mod death;
 pub mod heap;
-pub mod host;
 pub mod nonblocking;
 pub mod p2p;
 pub mod proc;
@@ -64,7 +87,6 @@ pub mod world;
 pub use collectives::{CollectiveError, ReduceOp};
 pub use comm::Comm;
 pub use death::DeathUnwind;
-pub use host::{Hosted, Lockstep};
 pub use nonblocking::{RecvRequest, SendRequest};
 pub use p2p::{RecvInfo, ANY_SOURCE, ANY_TAG};
 pub use proc::Proc;

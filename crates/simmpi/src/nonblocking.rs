@@ -49,110 +49,3 @@ impl SendRequest {
 
 /// Completion info re-exported for convenience.
 pub type Completion = RecvInfo;
-
-#[cfg(test)]
-mod tests {
-    use crate::World;
-    use cluster_sim::node::Work;
-    use cluster_sim::ClusterConfig;
-    use std::sync::Arc;
-
-    fn quiet_world(ranks: usize) -> World {
-        World::new(Arc::new(ClusterConfig::quiet(ranks).build()))
-    }
-
-    #[test]
-    fn overlap_hides_transfer_time() {
-        // Receiver posts early, computes while the (large) message is in
-        // flight, then waits: the wait is cheaper than a blocking recv
-        // issued after the compute.
-        let w = quiet_world(2);
-        let ends = w.hosted(|mut h| {
-            if h.rank() == 0 {
-                h.send(1, 10 << 20, 5, 0); // ~1 MB/ms at 10 B/ns => ~1 ms
-                h.now()
-            } else {
-                let req = h.irecv(0, 5);
-                h.compute(Work::cpu(2_000_000), 0.0); // 2 ms of useful work
-                let info = h.wait(|p| p.wait(req));
-                assert_eq!(info.src, 0);
-                h.now()
-            }
-        });
-        // The transfer (≈1 ms) is fully hidden behind the 2 ms compute.
-        let receiver_end = ends[1].as_nanos();
-        assert!(
-            receiver_end < 2_200_000,
-            "transfer should overlap compute: {receiver_end}ns"
-        );
-    }
-
-    #[test]
-    fn nonblocking_matches_blocking_modulo_call_overhead() {
-        // Under the eager protocol the transfer starts at send time either
-        // way, so early posting and late blocking receive complete at the
-        // same virtual instant — the nonblocking version pays only one
-        // extra library-call overhead for the separate post.
-        let w = quiet_world(2);
-        let ends = w.hosted(|mut h| {
-            if h.rank() == 0 {
-                h.send(1, 10 << 20, 5, 0);
-            } else {
-                h.compute(Work::cpu(2_000_000), 0.0);
-                h.wait(|p| p.recv(0, 5));
-            }
-            h.now()
-        });
-        let w2 = quiet_world(2);
-        let ends_nb = w2.hosted(|mut h| {
-            if h.rank() == 0 {
-                h.send(1, 10 << 20, 5, 0);
-            } else {
-                let req = h.irecv(0, 5);
-                h.compute(Work::cpu(2_000_000), 0.0);
-                h.wait(|p| p.wait(req));
-            }
-            h.now()
-        });
-        let slack = crate::proc::MPI_CALL_OVERHEAD.as_nanos() * 2;
-        assert!(
-            ends_nb[1].as_nanos() <= ends[1].as_nanos() + slack,
-            "{} vs {}",
-            ends_nb[1],
-            ends[1]
-        );
-    }
-
-    #[test]
-    fn waitall_completes_in_post_order() {
-        let w = quiet_world(3);
-        let sums = w.hosted(|mut h| {
-            if h.rank() == 0 {
-                let r1 = h.irecv(1, 1);
-                let r2 = h.irecv(2, 2);
-                let infos = h.wait(|p| p.waitall(&[r1, r2]));
-                infos.iter().map(|i| i.value).sum::<i64>()
-            } else {
-                let me = h.rank() as i64;
-                h.send(0, 64, me, me * 100);
-                0
-            }
-        });
-        assert_eq!(sums[0], 300);
-    }
-
-    #[test]
-    fn isend_handle_reports_injection_time() {
-        let w = quiet_world(2);
-        w.hosted(|mut h| {
-            if h.rank() == 0 {
-                h.compute(Work::cpu(500), 0.0);
-                let req = h.isend(1, 128, 9, 7);
-                assert!(req.injected_at().as_nanos() >= 500);
-                h.wait_send(req);
-            } else {
-                assert_eq!(h.wait(|p| p.recv(0, 9)).value, 7);
-            }
-        });
-    }
-}

@@ -400,6 +400,8 @@ impl Proc {
     }
 
     fn resumed_into_wrong_op(&self, latched: PendingOp) -> ! {
+        // Proof: a mismatched retry breaks the `RankTask` contract; the
+        // scheduler reports it as the run's documented `rank N panicked`.
         panic!(
             "rank {}: resumed into a different op than it yielded on ({latched:?})",
             self.rank

@@ -170,8 +170,11 @@ pub enum TaskPoll<T> {
 /// (`Ready`) or a blocking `Proc` operation returns [`Poll::Pending`]
 /// (`Yielded`). A yielded task must be re-entrant: the next `resume` must
 /// re-poll the *same* operation with the same arguments (the `Proc` keeps
-/// the latched entry state and panics on a mismatched retry). Programs
-/// that cannot return mid-way run on [`crate::host::Hosted`].
+/// the latched entry state and panics on a mismatched retry), and a task
+/// yields only on a `Pending` operation (one that yields with nothing
+/// latched is never resumed, so the run ends in the deadlock report).
+/// This is the one way to run a rank: the bytecode VM meets the contract
+/// by snapshotting its frames and rewinding onto the pending builtin.
 pub trait RankTask {
     /// The rank program's result type.
     type Output;
@@ -262,10 +265,14 @@ impl GroupTable {
     fn collective(&mut self, key: GroupKey) -> &mut Rendezvous<CollectiveSlot> {
         match key {
             GroupKey::World => &mut self.world,
+            // Proof: a `Comm` is minted only by a completed split, which
+            // inserts its rendezvous first; only one smuggled in from
+            // another run can miss (a documented panic of the run).
             GroupKey::Comm(id) => self
                 .comms
                 .get_mut(&id)
                 .unwrap_or_else(|| panic!("communicator {id} is not of this world")),
+            // Proof: every caller routes `Split` to `self.split` first.
             GroupKey::Split => unreachable!("the split rendezvous is not a collective slot"),
         }
     }
@@ -446,11 +453,13 @@ impl EventQueue {
 
     /// Commit a yield: register what the rank latched with the state it
     /// waits on, and queue its wake-up if the completion instant is
-    /// already known.
+    /// already known. A yield with nothing latched breaks the `RankTask`
+    /// contract: the rank stays unqueued and not waiting, so the deadlock
+    /// report names it.
     fn classify(&mut self, rank: usize, cluster: &Cluster, proc: &mut Proc) {
-        let pending = proc
-            .pending()
-            .unwrap_or_else(|| panic!("rank {rank} yielded with no pending operation"));
+        let Some(pending) = proc.pending() else {
+            return;
+        };
         let key = match pending {
             PendingOp::Recv { src, tag, .. } => {
                 // The clock froze at post time when the op latched.
@@ -465,6 +474,8 @@ impl EventQueue {
             }
             PendingOp::Collective { key, entry, .. } => {
                 let slot = &mut self.groups.collective(key).slot;
+                // Proof: ranks disagreeing on a collective is a program
+                // error, a documented panic of the run.
                 slot.register(entry)
                     .unwrap_or_else(|e| panic!("rank {rank}: {e}"));
                 key
@@ -622,10 +633,10 @@ impl EventQueue {
             Some(Waiting::Group(key)) => {
                 let (op, arrived, required) =
                     self.groups.collective(key).slot.progress(&self.board);
-                let op = op.map_or("collective".to_string(), |op| format!("{op:?}"));
-                format!("rank {rank}: {op} on {key:?} with {arrived}/{required} ranks arrived")
+                format!("rank {rank}: {op:?} on {key:?} with {arrived}/{required} ranks arrived")
             }
-            None => format!("rank {rank}: not waiting"),
+            // Every other unfinished rank is queued or waits on something.
+            None => format!("rank {rank}: yielded with no pending operation"),
         }
     }
 }
@@ -677,9 +688,12 @@ impl World {
     /// # Panics
     ///
     /// With `"rank N panicked: ..."` if a task panics with a non-death
-    /// payload, and with a deadlock report naming what the first blocked
-    /// ranks wait on if the event queue drains while unfinished tasks
-    /// remain.
+    /// payload (a mismatched retry of a latched operation included), with
+    /// `"rank N: collective mismatch ..."` if ranks disagree on a
+    /// collective, with `"communicator N is not of this world"` if a rank
+    /// passes a communicator from another run, and with a deadlock report
+    /// naming what the first blocked ranks wait on if the event queue
+    /// drains while unfinished tasks remain.
     pub fn run_event_workers<T, F, D>(
         &self,
         workers: usize,
@@ -725,6 +739,7 @@ impl World {
                     .take(8)
                     .map(|r| q.describe_wait(&mut tasks, r))
                     .collect();
+                // Proof: the documented deadlock report of the run.
                 panic!(
                     "simmpi deadlock: event queue is empty with {live} rank(s) still \
                      blocked; the first {} wait on:\n  {}",
@@ -789,6 +804,7 @@ impl World {
             let t_commit = profiling.then(Instant::now);
             let mut deaths = false;
             for (slot, &rank) in results.iter_mut().zip(&due) {
+                // Proof: the resume step filled one slot per due rank.
                 match slot.take().expect("every due rank was resumed") {
                     Ok(TaskPoll::Ready(())) => {
                         finished[rank] = true;
@@ -816,6 +832,7 @@ impl World {
                                 .map(String::as_str)
                                 .or_else(|| payload.downcast_ref::<&str>().copied())
                                 .unwrap_or("<non-string panic>");
+                            // Proof: the documented `rank N panicked` of the run.
                             panic!("rank {rank} panicked: {msg}");
                         }
                     }
@@ -856,6 +873,8 @@ impl World {
                 ));
             }
         }
+        // Proof: `live` reached 0, and every rank that left it stored its
+        // output (`resume_into` on `Ready`, `on_death` on a death).
         outputs
             .into_iter()
             .map(|o| o.expect("every rank produced an output"))
@@ -866,105 +885,12 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::host::Lockstep;
-    use crate::{ProcStats, ReduceOp};
     use cluster_sim::node::Work;
     use cluster_sim::ClusterConfig;
     use std::sync::Arc;
 
     fn quiet_world(ranks: usize) -> World {
         World::new(Arc::new(ClusterConfig::quiet(ranks).build()))
-    }
-
-    /// A hand-rolled resumable task: a ring pass, an allreduce and a
-    /// barrier written as an explicit state machine (what the interp
-    /// crate's VM does generically).
-    struct RingTask {
-        proc: Proc,
-        state: u8,
-        got: i64,
-        sum: i64,
-    }
-
-    type RingOutput = (i64, i64, VirtualTime, ProcStats);
-
-    impl RankTask for RingTask {
-        type Output = RingOutput;
-
-        fn resume(&mut self) -> TaskPoll<RingOutput> {
-            let p = &mut self.proc;
-            let n = p.size();
-            let next = (p.rank() + 1) % n;
-            let prev = (p.rank() + n - 1) % n;
-            loop {
-                let polled = match self.state {
-                    0 => {
-                        if p.rank() == 0 {
-                            p.send(next, 8, 0, 5);
-                        }
-                        Poll::Ready(())
-                    }
-                    1 => p.recv(prev, 0).map(|info| self.got = info.value),
-                    2 => {
-                        if p.rank() != 0 {
-                            p.send(next, 8, 0, self.got * 2);
-                        }
-                        Poll::Ready(())
-                    }
-                    3 => p
-                        .allreduce(8, self.got, ReduceOp::Sum)
-                        .map(|sum| self.sum = sum),
-                    4 => p.barrier(),
-                    _ => return TaskPoll::Ready((self.got, self.sum, p.now(), p.stats())),
-                };
-                if polled.is_pending() {
-                    return TaskPoll::Yielded;
-                }
-                self.state += 1;
-            }
-        }
-
-        fn proc_mut(&mut self) -> &mut Proc {
-            &mut self.proc
-        }
-    }
-
-    /// [`RingTask`]'s program as a plain closure on the lock-step host.
-    fn ring_closure(mut h: Lockstep<'_>) -> RingOutput {
-        let n = h.size();
-        let next = (h.rank() + 1) % n;
-        let prev = (h.rank() + n - 1) % n;
-        let got = if h.rank() == 0 {
-            h.send(next, 8, 0, 5);
-            h.wait(|p| p.recv(prev, 0)).value
-        } else {
-            let v = h.wait(|p| p.recv(prev, 0)).value;
-            h.send(next, 8, 0, v * 2);
-            v
-        };
-        let sum = h.wait(|p| p.allreduce(8, got, ReduceOp::Sum));
-        h.wait(|p| p.barrier());
-        (got, sum, h.now(), h.stats())
-    }
-
-    /// The lock-step host adds nothing: the same program as a state machine
-    /// and as a hosted closure yields identical values, instants and stats.
-    #[test]
-    fn hosted_closure_matches_state_machine() {
-        let machine = quiet_world(3).run_event(
-            |_, proc| RingTask {
-                proc,
-                state: 0,
-                got: 0,
-                sum: 0,
-            },
-            |_, _| unreachable!("no deaths planned"),
-        );
-        let hosted = quiet_world(3).hosted(ring_closure);
-        assert_eq!(machine, hosted);
-        let values: Vec<(i64, i64)> = hosted.iter().map(|o| (o.0, o.1)).collect();
-        assert_eq!(values, vec![(20, 35), (5, 35), (10, 35)]);
-        assert!(hosted.iter().all(|o| o.2 == hosted[0].2), "barrier aligns");
     }
 
     /// A generic driver: re-runs a closure-based "program counter" task.
@@ -985,6 +911,14 @@ mod tests {
 
         fn proc_mut(&mut self) -> &mut Proc {
             &mut self.proc
+        }
+    }
+
+    /// A completed operation finishes the task; a pending one yields it.
+    fn finish<T>(polled: Poll<T>) -> TaskPoll<T> {
+        match polled {
+            Poll::Ready(value) => TaskPoll::Ready(value),
+            Poll::Pending => TaskPoll::Yielded,
         }
     }
 
@@ -1052,61 +986,16 @@ mod tests {
         assert_eq!(totals[0], 60);
     }
 
-    #[test]
-    fn failstop_degrades_recv_identically_on_the_host() {
-        let world = || {
-            World::new(Arc::new(
-                ClusterConfig::quiet(2)
-                    .with_faults(
-                        cluster_sim::FaultPlan::none()
-                            .with_rank_death(0, VirtualTime::from_micros(1)),
-                    )
-                    .build(),
-            ))
-        };
-        let hosted = world().run_hosted(
-            |mut h| {
-                if h.rank() == 0 {
-                    h.compute(Work::cpu(10_000), 0.0);
-                    h.compute(Work::cpu(10_000), 0.0);
-                    None
-                } else {
-                    Some((h.wait(|p| p.recv(0, 7)), h.stats()))
-                }
-            },
-            |_death, _proc| None,
-        );
-        let machine = world().run_event(
-            |_, proc| StepTask {
-                proc,
-                step: |p: &mut Proc| {
-                    if p.rank() == 0 {
-                        p.compute(Work::cpu(10_000), 0.0);
-                        p.compute(Work::cpu(10_000), 0.0);
-                        TaskPoll::Ready(None)
-                    } else {
-                        match p.recv(0, 7) {
-                            Poll::Ready(info) => TaskPoll::Ready(Some((info, p.stats()))),
-                            Poll::Pending => TaskPoll::Yielded,
-                        }
-                    }
-                },
-            },
-            |_death, _task| None,
-        );
-        assert_eq!(hosted, machine);
-        let (info, stats) = machine[1].unwrap();
-        assert_eq!(stats.peer_dead_recvs, 1);
-        assert_eq!(info.bytes, 0);
-    }
-
     /// The panic message of a run expected to fail, and how long it took.
-    fn failure_of<R: Send + 'static>(
-        world: World,
-        program: impl Fn(Lockstep<'_>) -> R + Send + Sync + 'static,
-    ) -> String {
+    fn failure_of<T, F>(world: World, make: F) -> String
+    where
+        T: RankTask + Send,
+        T::Output: Send,
+        F: FnMut(usize, Proc) -> T,
+    {
         let started = Instant::now();
-        let payload = std::panic::catch_unwind(AssertUnwindSafe(|| world.hosted(program)))
+        let run = || world.run_event(make, |_, _| unreachable!("no deaths planned"));
+        let payload = std::panic::catch_unwind(AssertUnwindSafe(run))
             .err()
             .expect("the run must fail");
         assert!(
@@ -1122,9 +1011,9 @@ mod tests {
     #[test]
     fn deadlock_report_names_the_receives() {
         // Both ranks receive first: nobody ever sends.
-        let msg = failure_of(quiet_world(2), |mut h| {
-            let peer = 1 - h.rank();
-            h.wait(|p| p.recv(peer, 9)).value
+        let msg = failure_of(quiet_world(2), |_, proc| StepTask {
+            proc,
+            step: |p: &mut Proc| finish(p.recv(1 - p.rank(), 9).map(|info| info.value)),
         });
         assert!(msg.contains("simmpi deadlock"), "{msg}");
         assert!(msg.contains("2 rank(s) still blocked"), "{msg}");
@@ -1136,10 +1025,12 @@ mod tests {
     #[test]
     fn deadlock_report_names_the_barrier_and_who_arrived() {
         // Rank 2 never enters the barrier the other two wait in.
-        let msg = failure_of(quiet_world(3), |mut h| {
-            if h.rank() != 2 {
-                h.wait(|p| p.barrier());
-            }
+        let msg = failure_of(quiet_world(3), |_, proc| StepTask {
+            proc,
+            step: |p: &mut Proc| match p.rank() {
+                2 => TaskPoll::Ready(()),
+                _ => finish(p.barrier()),
+            },
         });
         assert!(msg.contains("2 rank(s) still blocked"), "{msg}");
         assert!(
@@ -1148,42 +1039,43 @@ mod tests {
         );
     }
 
-    /// A hosted closure's own panic surfaces labelled with its rank, and
-    /// every rank thread — the panicking one and the parked ones — is gone
-    /// by the time the run's panic reaches the caller.
+    /// A task that yields with nothing latched is never resumed; the
+    /// deadlock report names it instead of the run hanging.
     #[test]
-    fn hosted_panic_is_labelled_and_leaves_no_thread_behind() {
-        let alive = Arc::new(());
-        let held = alive.clone();
-        let msg = failure_of(quiet_world(4), move |mut h| {
-            // Lives on the rank thread's stack for as long as it runs.
-            let _on_stack = held.clone();
-            if h.rank() == 1 {
-                h.compute(Work::cpu(50_000), 0.0);
-                panic!("boom");
-            }
-            h.wait(|p| p.barrier());
+    fn deadlock_report_names_a_yield_with_nothing_pending() {
+        let msg = failure_of(quiet_world(2), |_, proc| StepTask {
+            proc,
+            step: |p: &mut Proc| match p.rank() {
+                0 => TaskPoll::Yielded,
+                _ => TaskPoll::Ready(()),
+            },
         });
-        assert!(msg.contains("rank 1 panicked: boom"), "{msg}");
-        assert_eq!(
-            Arc::strong_count(&alive),
-            1,
-            "a rank thread outlived the run"
+        assert!(msg.contains("1 rank(s) still blocked"), "{msg}");
+        assert!(
+            msg.contains("rank 0: yielded with no pending operation"),
+            "{msg}"
         );
     }
 
-    /// Three barrier rounds with rank-dependent compute in between.
-    fn barrier_rounds(mut h: Lockstep<'_>) -> VirtualTime {
-        for _ in 0..3 {
-            let work = Work::cpu(100 + h.rank() as u64);
-            h.compute(work, 0.0);
-            h.wait(|p| p.barrier());
-        }
-        h.now()
+    /// A task's own panic surfaces labelled with its rank, while its peers
+    /// are parked in a barrier.
+    #[test]
+    fn task_panic_is_labelled() {
+        let msg = failure_of(quiet_world(4), |_, proc| StepTask {
+            proc,
+            step: |p: &mut Proc| {
+                if p.rank() == 1 {
+                    p.compute(Work::cpu(50_000), 0.0);
+                    panic!("boom");
+                }
+                finish(p.barrier())
+            },
+        });
+        assert!(msg.contains("rank 1 panicked: boom"), "{msg}");
     }
 
-    /// The same rounds as a yielding task, for rank counts that should not
-    /// cost a thread each.
+    /// Three barrier rounds with rank-dependent compute in between, as a
+    /// yielding task.
     fn barrier_rounds_task(proc: Proc) -> impl RankTask<Output = VirtualTime> + Send {
         let mut rounds_started = 0u64;
         StepTask {
@@ -1210,11 +1102,6 @@ mod tests {
             quiet_world(2048).run_event(|_, proc| barrier_rounds_task(proc), |_, _| unreachable!());
         assert!(ends.iter().all(|t| *t == ends[0]));
         assert!(ends[0] > VirtualTime::ZERO);
-        // ... and a hosted world computes the very same instants.
-        let small = quiet_world(16);
-        let hosted = small.hosted(barrier_rounds);
-        let machine = small.run_event(|_, proc| barrier_rounds_task(proc), |_, _| unreachable!());
-        assert_eq!(hosted, machine);
     }
 
     /// 2,048 ranks on 1 vs 4 workers: the due sets exceed `PAR_MIN`, so

@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
+use vsensor_oracle::host::run_hosted;
 use vsensor_repro::cluster_sim::node::Work;
 use vsensor_repro::cluster_sim::time::{Duration, VirtualTime};
 use vsensor_repro::cluster_sim::{ClusterConfig, NoiseConfig, SlowdownWindow};
@@ -134,7 +135,8 @@ proptest! {
 
 // ---------------------------------------------------------------------
 // simmpi: allreduce agrees with a sequential fold for arbitrary inputs,
-// and virtual completion times are deterministic across repeated runs.
+// and virtual completion times are deterministic across repeated runs
+// (closure-style rank programs on the oracle's lock-step host).
 // ---------------------------------------------------------------------
 
 proptest! {
@@ -146,7 +148,8 @@ proptest! {
         let cluster = Arc::new(ClusterConfig::quiet(n).build());
         let values = Arc::new(values);
         let expected: i64 = values.iter().sum();
-        let sums = World::new(cluster).run_hosted(
+        let sums = run_hosted(
+            &World::new(cluster),
             move |mut h| h.wait(|p| p.allreduce(8, values[p.rank()], ReduceOp::Sum)),
             |_, _| unreachable!("no deaths planned"),
         );
@@ -161,7 +164,8 @@ proptest! {
             Arc::new(cfg.build())
         };
         let run = |cluster: Arc<vsensor_repro::cluster_sim::Cluster>| {
-            World::new(cluster).run_hosted(
+            run_hosted(
+                &World::new(cluster),
                 |mut h| {
                     for i in 0..20 {
                         h.compute(Work::cpu(500 + i * 37), 0.0);
