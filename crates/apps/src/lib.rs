@@ -91,10 +91,15 @@ pub struct AppSpec {
 }
 
 impl AppSpec {
-    /// Compile the source to IR (panics on generator bugs — the sources
-    /// are produced by this crate, so failure is a bug here, not user
-    /// error).
+    /// Compile the source to IR.
+    ///
+    /// # Panics
+    ///
+    /// If the source does not compile — a generator bug: the sources are
+    /// produced by this crate, so failure is a bug here, not user error.
     pub fn compile(&self) -> vsensor_lang::Program {
+        // Proof: `Params` only splices integers into fixed templates, and
+        // `all_apps_compile` compiles every generator at every preset.
         vsensor_lang::compile(&self.source)
             .unwrap_or_else(|e| panic!("{} failed to compile: {e}\n{}", self.name, self.source))
     }
@@ -137,13 +142,16 @@ mod tests {
 
     #[test]
     fn all_apps_compile() {
-        for app in all_apps(Params::test()) {
-            let program = app.compile();
-            assert!(
-                program.function("main").is_some(),
-                "{} needs main",
-                app.name
-            );
+        for p in [Params::test(), Params::bench(), Params::full()] {
+            let btio = app_by_name("btio", p).expect("btio is listed");
+            for app in all_apps(p).into_iter().chain([btio]) {
+                let program = app.compile();
+                assert!(
+                    program.function("main").is_some(),
+                    "{} needs main",
+                    app.name
+                );
+            }
         }
     }
 

@@ -35,18 +35,18 @@ pub struct FwqProbe {
 impl FwqProbe {
     /// Sample the node's performance over `[start, end)`.
     ///
-    /// Runs a quantum every `period`, using a rank on the target node.
+    /// Runs a quantum every `period`, using a rank on the target node. A
+    /// node that hosts no rank has nothing to run the quantum on, and
+    /// yields no samples.
     pub fn sample(
         &self,
         cluster: &Cluster,
         start: VirtualTime,
         end: VirtualTime,
     ) -> Vec<FwqSample> {
-        let rank = cluster
-            .topology()
-            .ranks_on(self.node)
-            .next()
-            .expect("node hosts at least one rank");
+        let Some(rank) = cluster.topology().ranks_on(self.node).next() else {
+            return Vec::new();
+        };
         let mut out = Vec::new();
         let mut t = start;
         let mut key = 0xF90u64;
@@ -152,6 +152,16 @@ mod tests {
         let hi = heavy.interference(VirtualTime::ZERO, VirtualTime::from_secs(1));
         assert!(hi.factor > li.factor);
         assert!(li.factor >= 1.0);
+    }
+
+    #[test]
+    fn a_node_without_ranks_yields_no_samples() {
+        // Four ranks all fit on node 0: node 1 hosts none.
+        let cluster = ClusterConfig::quiet(4).build();
+        assert_eq!(cluster.topology().ranks_on(1).len(), 0);
+        let empty = FwqProbe { node: 1, ..probe() };
+        let samples = empty.sample(&cluster, VirtualTime::ZERO, VirtualTime::from_millis(10));
+        assert!(samples.is_empty());
     }
 
     #[test]

@@ -206,8 +206,9 @@ pub struct InstrumentedRun {
     /// Live alerts the detection stream emitted mid-run, in emission
     /// order (also embedded in `report.alerts`).
     pub alerts: Vec<VarianceAlert>,
-    /// The analysis server, still holding its accumulators — lets callers
-    /// run [`AnalysisServer::replay_result`] cross-checks after the run.
+    /// The analysis server the run ended on, still holding its
+    /// accumulators, fail-stop verdicts and control schedule — what
+    /// callers query after the run.
     pub analysis: Arc<AnalysisServer>,
     /// Wall (virtual) time of the run: max over ranks.
     pub run_time: Duration,

@@ -1,5 +1,6 @@
-//! The differential oracle for the bytecode VM: a tree-walking MiniHPC
-//! interpreter, test code only.
+//! Test-only differential oracles, two of them: the tree-walking MiniHPC
+//! interpreter the bytecode VM must match bit for bit, and the record-log
+//! [`replay`] the streaming engine's results must match.
 //!
 //! The product runs every program on `vsensor-interp`'s bytecode VM. This
 //! crate keeps the interpreter the VM was derived from — a recursive walk
@@ -12,10 +13,18 @@
 //!
 //! A recursive evaluator cannot return to the scheduler at a yield point,
 //! so each rank runs on the lock-step [`host`], which also carries
-//! closure-style rank programs for tests of simmpi's MPI semantics. The
-//! crate is `publish = false` and only ever a `[dev-dependencies]` entry.
+//! closure-style rank programs for tests of simmpi's MPI semantics.
+//!
+//! The analysis server folds records into accumulators and keeps none of
+//! them. [`replay`] keeps the seed's batch-at-end algorithm instead, fed by
+//! the records a [`replay::Recorder`] sink captures as the run sends them,
+//! and states the tolerance streaming and replay agree to.
+//!
+//! The crate is `publish = false` and only ever a `[dev-dependencies]`
+//! entry.
 
 pub mod host;
+pub mod replay;
 mod walker;
 
 use cluster_sim::Cluster;

@@ -150,8 +150,6 @@ struct RunRecord {
 pub struct BaselineStore {
     /// Runs in recording order, deduplicated by id (re-record replaces).
     runs: Vec<RunRecord>,
-    /// Change-point verdict policy for [`analyze`](Self::analyze).
-    policy: ShiftPolicy,
     /// Runs a group needs before adaptive thresholds / change-point
     /// verdicts replace fixed-threshold behavior.
     min_history: usize,
@@ -176,15 +174,8 @@ impl BaselineStore {
     pub fn new() -> Self {
         BaselineStore {
             runs: Vec::new(),
-            policy: ShiftPolicy::default(),
             min_history: 5,
         }
-    }
-
-    /// Override the shift-verdict policy (tests tighten `min_rel_shift`).
-    pub fn with_policy(mut self, policy: ShiftPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Runs of history a group must have before statistics replace fixed
@@ -275,7 +266,7 @@ impl BaselineStore {
                 continue; // shallow history: fixed thresholds only
             }
             series.push(g.mean_perf);
-            if let Some(cp) = stats::detect_shift(&series, &self.policy) {
+            if let Some(cp) = stats::detect_shift(&series, &ShiftPolicy::default()) {
                 // Step vs drift: does one adjacent worsening drop carry at
                 // least half of the total shift?
                 let total = cp.before_mean - cp.after_mean;

@@ -53,13 +53,6 @@ pub struct RuntimeConfig {
     ///
     /// [`VarianceAlert`]: crate::engine::VarianceAlert
     pub detect_interval: Duration,
-    /// Retain the raw record log so [`AnalysisServer::replay_result`] can
-    /// cross-check the streaming accumulators against the seed's
-    /// batch-at-end algorithm. Off by default — the record log is exactly
-    /// the unbounded memory the streaming engine exists to avoid.
-    ///
-    /// [`AnalysisServer::replay_result`]: crate::engine::AnalysisServer::replay_result
-    pub keep_record_log: bool,
     /// Liveness timeout in detection intervals: a rank that has sent at
     /// least one batch and then stays silent for this many consecutive
     /// [`Self::detect_interval`]s is declared dead (fail-stop) by the
@@ -102,7 +95,6 @@ impl Default for RuntimeConfig {
             backoff_base: Duration::from_millis(2),
             send_overhead: Duration::from_micros(2),
             detect_interval: Duration::from_millis(200),
-            keep_record_log: false,
             liveness_intervals: 3,
             overhead_budget: 0.0,
             escalation_slice: Duration::from_micros(250),
@@ -195,12 +187,6 @@ impl RuntimeConfig {
         self.buffer_capacity = capacity;
         at_least_one("buffer_capacity", capacity as u64)?;
         Ok(self)
-    }
-
-    /// Retain the raw record log for replay cross-checks (costs memory).
-    pub fn with_record_log(mut self, keep: bool) -> Self {
-        self.keep_record_log = keep;
-        self
     }
 
     /// Set the liveness timeout in detection intervals. Must be at least 1.

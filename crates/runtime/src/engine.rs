@@ -50,11 +50,10 @@
 
 use crate::baseline::{CrossRunFinding, GroupSummary, RegimeChange, RunId, SharedBaseline};
 use crate::config::RuntimeConfig;
-use crate::control::{ControlDirective, ControlEpoch, ControlStats, Controller};
+use crate::control::{ControlDirective, ControlEpoch, Controller};
 use crate::detect::{detect_events, VarianceEvent};
 use crate::dynrules::Bucket;
 use crate::error::{IngestError, RuntimeError};
-use crate::history::normalized;
 use crate::matrix::PerformanceMatrix;
 use crate::record::{SensorInfo, SensorKind, SliceRecord};
 use crate::server::{DeliveryQuality, IngestStats, SensorSummary, ServerResult};
@@ -125,8 +124,9 @@ impl GroupAcc {
 
     /// Recover `(Σ normalized(std, avgᵢ), count)` for the group's final
     /// standard. `std` is the minimum over the group's own observations,
-    /// so `std/avgᵢ ≤ 1` always and the clamp in [`normalized`] never
-    /// binds; zero observations normalize to exactly 1.0.
+    /// so `std/avgᵢ ≤ 1` always and the clamp in
+    /// [`crate::history::normalized`] never binds; zero observations
+    /// normalize to exactly 1.0.
     fn fold(&self, std: Duration) -> (f64, u32) {
         (
             std.as_nanos() as f64 * self.inv_sum + self.zeros as f64,
@@ -482,10 +482,6 @@ pub(crate) struct EngineState {
     pending: Vec<VarianceAlert>,
     /// Every event ever alerted, for overlap dedup.
     emitted: Vec<VarianceEvent>,
-    /// Raw record log, kept only when `keep_record_log` is set, so
-    /// [`AnalysisServer::replay_result`] can cross-check the accumulators
-    /// against the seed's batch-at-end algorithm.
-    log: Option<Vec<(usize, SliceRecord)>>,
     /// Latest batch arrival per rank (`None` = never heard from).
     last_arrival: Vec<Option<VirtualTime>>,
     /// Fail-stop beliefs per rank: `(death instant, how we found out)`.
@@ -592,7 +588,6 @@ impl AnalysisServer {
             detect_clock: BusyClock::new(),
             pending: Vec::new(),
             emitted: Vec::new(),
-            log: config.keep_record_log.then(Vec::new),
             last_arrival: vec![None; ranks],
             deaths: vec![None; ranks],
             control: config
@@ -656,10 +651,11 @@ impl AnalysisServer {
     /// The detection threshold for one sensor kind: the history-derived
     /// adaptive cut when a baseline with enough runs is attached, the
     /// fixed `variance_threshold` knob otherwise. Used identically by the
-    /// streaming passes, `interim`, and `replay_result`, so the
-    /// streaming/replay bitwise equivalence holds with or without a
-    /// baseline.
-    fn threshold_for(&self, kind: SensorKind) -> f64 {
+    /// streaming passes and `interim`; public (hidden) so that
+    /// `vsensor-oracle`'s record-log replay detects with the same cut, and
+    /// streaming/replay equivalence holds with or without a baseline.
+    #[doc(hidden)]
+    pub fn threshold_for(&self, kind: SensorKind) -> f64 {
         self.cross_run
             .as_ref()
             .and_then(|c| c.thresholds[kind])
@@ -786,16 +782,6 @@ impl AnalysisServer {
         self.state.lock().stats()
     }
 
-    /// `(hot, frozen)` resident bin counts across all ranks — what the
-    /// eviction-bound tests measure.
-    #[doc(hidden)]
-    pub fn cell_stats(&self) -> (usize, usize) {
-        let st = self.state.lock();
-        st.cells.iter().fold((0, 0), |(hot, frozen), c| {
-            (hot + c.hot.len(), frozen + c.frozen.len())
-        })
-    }
-
     /// Fold one record into the standards, cells, and summary
     /// accumulators. Returns false (and counts malformed) for records
     /// naming unknown sensors — a corrupted or hostile batch must never
@@ -818,32 +804,7 @@ impl AnalysisServer {
         if let Some(cells) = st.cells.get_mut(rank) {
             cells.absorb(bin, key, rec.avg, EVICTION_LAG_BINS);
         }
-        if let Some(log) = &mut st.log {
-            log.push((rank, rec));
-        }
         true
-    }
-
-    /// Direct test-only path: no sequence numbers, no dedup, no delivery
-    /// bookkeeping — retransmitted data only tightens standards.
-    #[cfg(test)]
-    pub(crate) fn submit(&self, rank: usize, batch: Vec<SliceRecord>) {
-        if batch.is_empty() {
-            return;
-        }
-        let st = &mut *self.state.lock();
-        st.bytes += BATCH_HEADER_BYTES + batch.len() as u64 * SliceRecord::WIRE_BYTES;
-        st.batches += 1;
-        let mut absorbed = 0u64;
-        for rec in batch {
-            if self.absorb_record(st, rank, rec) {
-                absorbed += 1;
-            }
-        }
-        st.records += absorbed;
-        let worker = &mut st.workers[rank % INGEST_WORKERS];
-        worker.batches += 1;
-        worker.records += absorbed;
     }
 
     /// Sequence-numbered streaming ingest: verify, journal, dedup, absorb,
@@ -1165,19 +1126,17 @@ impl AnalysisServer {
         }
     }
 
-    /// Package matrices and per-sensor `(Σ normalized, records)` sums into
-    /// a [`ServerResult`]: detect and order the events, order the sensor
+    /// Build the full result over `[0, up_to)` from the accumulators:
+    /// fold the matrices, detect and order the events, order the sensor
     /// summary worst first, and attach the state's delivery, volume, load,
-    /// death, cross-run and control views. Shared by the streaming read
-    /// and the replay oracle, which differ in how they *compute* matrices
-    /// and sums, not in how a result is assembled from them.
-    fn result(
-        &self,
-        st: &EngineState,
-        matrices: KindMap<PerformanceMatrix>,
-        per_sensor: impl IntoIterator<Item = (SensorId, (f64, u64))>,
-        records: usize,
-    ) -> ServerResult {
+    /// death, cross-run and control views. Non-destructive, callable while
+    /// ranks are still streaming: §2's workflow updates the report
+    /// *periodically while the program runs* — this is that read, and the
+    /// close-time read too.
+    pub fn interim(&self, up_to: VirtualTime) -> ServerResult {
+        let st = &*self.state.lock();
+        let bins = (self.config.matrix_bin(up_to).saturating_add(1)) as usize;
+        let matrices = self.fold_matrices(st, bins);
         // (A server built for zero ranks has empty matrices: no events.)
         let mut events = Vec::new();
         for kind in SensorKind::ALL {
@@ -1188,7 +1147,8 @@ impl AnalysisServer {
         events.sort_by(|a, b| {
             (a.start_bin, a.first_rank, a.kind).cmp(&(b.start_bin, b.first_rank, b.kind))
         });
-        let mut sensor_summary: Vec<SensorSummary> = per_sensor
+        let mut sensor_summary: Vec<SensorSummary> = self
+            .summarize(st, |sensor, _| sensor)
             .into_iter()
             .map(|(sensor, (sum, n))| SensorSummary {
                 sensor,
@@ -1210,7 +1170,7 @@ impl AnalysisServer {
             sensor_summary,
             bytes_received: stats.bytes_received,
             batches: stats.batches,
-            records,
+            records: st.records as usize,
             delivery: st
                 .delivery
                 .iter()
@@ -1225,77 +1185,9 @@ impl AnalysisServer {
         }
     }
 
-    /// Build the full result over `[0, up_to)` from the accumulators.
-    /// Non-destructive, callable while ranks are still streaming: §2's
-    /// workflow updates the report *periodically while the program runs* —
-    /// this is that read, and the close-time read too.
-    pub fn interim(&self, up_to: VirtualTime) -> ServerResult {
-        let st = &*self.state.lock();
-        let bins = (self.config.matrix_bin(up_to).saturating_add(1)) as usize;
-        let matrices = self.fold_matrices(st, bins);
-        let per_sensor = self.summarize(st, |sensor, _| sensor);
-        self.result(st, matrices, per_sensor, st.records as usize)
-    }
-
     /// Server-side processing load (worker busy clocks, detection cost).
     pub fn load(&self) -> ServerLoad {
         self.state.lock().load()
-    }
-
-    /// Recompute the result with the seed's batch-at-end algorithm from
-    /// the raw record log — the independent oracle the equivalence tests
-    /// compare the streaming accumulators against. Requires
-    /// `keep_record_log`.
-    pub fn replay_result(&self, run_end: VirtualTime) -> Result<ServerResult, RuntimeError> {
-        let st = &*self.state.lock();
-        let records = st.log.as_ref().ok_or(RuntimeError::RecordLogDisabled)?;
-
-        // Standards, exactly as the seed's absorb_record built them.
-        let mut global_std: HashMap<GroupKey, Duration> = HashMap::new();
-        let mut local_std: HashMap<(SensorId, Bucket, usize), Duration> = HashMap::new();
-        for (rank, rec) in records {
-            let info = &self.sensors[rec.sensor.0 as usize];
-            if info.process_invariant {
-                let e = global_std
-                    .entry((rec.sensor, rec.bucket))
-                    .or_insert(rec.avg);
-                if rec.avg < *e {
-                    *e = rec.avg;
-                }
-            } else {
-                let e = local_std
-                    .entry((rec.sensor, rec.bucket, *rank))
-                    .or_insert(rec.avg);
-                if rec.avg < *e {
-                    *e = rec.avg;
-                }
-            }
-        }
-
-        // Matrices and per-sensor sums, per-record in log order — the
-        // seed's finalize loop.
-        let bins = (self.config.matrix_bin(run_end).saturating_add(1)) as usize;
-        let mut matrices = KindMap::build(|_| {
-            PerformanceMatrix::new(self.ranks, bins, self.config.matrix_resolution)
-        });
-        let slice_per_bin = self.config.slices_per_bin();
-        let mut per_sensor: HashMap<SensorId, (f64, u64)> = HashMap::new();
-        for (rank, rec) in records {
-            let info = &self.sensors[rec.sensor.0 as usize];
-            let std = if info.process_invariant {
-                global_std.get(&(rec.sensor, rec.bucket)).copied()
-            } else {
-                local_std.get(&(rec.sensor, rec.bucket, *rank)).copied()
-            };
-            let Some(std) = std else { continue };
-            let perf = normalized(std, rec.avg);
-            matrices[info.kind].add(*rank, rec.slice / slice_per_bin, perf);
-            let e = per_sensor.entry(rec.sensor).or_insert((0.0, 0));
-            e.0 += perf;
-            e.1 += 1;
-        }
-        self.mask_dead(st, &mut matrices);
-        Ok(self.result(st, matrices, per_sensor, records.len()))
     }
 
     // ------------------------------------------------------------------
@@ -1351,11 +1243,6 @@ impl AnalysisServer {
     /// Record that `rank` acknowledged every epoch up to `epoch`.
     pub fn control_ack(&self, rank: usize, epoch: u64) {
         self.with_control(|c| c.ack(rank, epoch));
-    }
-
-    /// Control-plane counters (`None` when the control plane is off).
-    pub fn control_stats(&self) -> Option<ControlStats> {
-        self.with_control(|c| c.stats())
     }
 
     /// The issued-epoch log in decision order — what the crash-recovery
@@ -1425,7 +1312,6 @@ impl EngineSnapshot {
         fold(s.detect_clock.busy_time().as_nanos());
         fold(s.pending.len() as u64);
         fold(s.emitted.len() as u64);
-        fold(s.log.as_ref().map_or(u64::MAX, |l| l.len() as u64));
         fold(s.deaths.iter().flatten().count() as u64);
         for a in &s.last_arrival {
             fold(a.map_or(0, |t| t.as_nanos() + 1));
@@ -1452,6 +1338,7 @@ impl EngineSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::normalized;
     use proptest::prelude::*;
 
     fn sensor_info(id: u32, kind: SensorKind, invariant: bool) -> SensorInfo {
@@ -1474,14 +1361,10 @@ mod tests {
     }
 
     fn engine(ranks: usize) -> AnalysisServer {
-        let config = RuntimeConfig {
-            keep_record_log: true,
-            ..RuntimeConfig::free_probes()
-        };
         AnalysisServer::try_new(
             ranks,
             vec![sensor_info(0, SensorKind::Computation, true)],
-            config,
+            RuntimeConfig::free_probes(),
         )
         .expect("valid config")
     }
@@ -1520,50 +1403,6 @@ mod tests {
             (*bin, groups.len(), groups[0].0, groups[0].1.count),
             (3, 1, key, 2)
         );
-    }
-
-    #[test]
-    fn streaming_fold_matches_replay_oracle() {
-        let e = engine(4);
-        for rank in 0..4 {
-            for slice in 0..600u64 {
-                let avg = if rank == 2 && (200..400).contains(&slice) {
-                    40
-                } else {
-                    10 + (slice % 3)
-                };
-                e.submit(rank, vec![rec(0, slice, avg)]);
-            }
-        }
-        let end = VirtualTime::from_millis(600);
-        let streamed = e.interim(end);
-        let replayed = e.replay_result(end).unwrap();
-        assert_eq!(streamed.events, replayed.events);
-        assert_eq!(streamed.records, replayed.records);
-        let sm = &streamed.matrices[&SensorKind::Computation];
-        let rm = &replayed.matrices[&SensorKind::Computation];
-        for rank in 0..4 {
-            for bin in 0..sm.bins() {
-                let (ss, sc) = sm.cell_raw(rank, bin).unwrap();
-                let (rs, rc) = rm.cell_raw(rank, bin).unwrap();
-                assert_eq!(sc, rc);
-                assert!((ss - rs).abs() <= 1e-9 * rs.abs().max(1.0), "{ss} vs {rs}");
-            }
-        }
-    }
-
-    #[test]
-    fn replay_requires_the_record_log() {
-        let e = AnalysisServer::try_new(
-            1,
-            vec![sensor_info(0, SensorKind::Computation, true)],
-            RuntimeConfig::free_probes(),
-        )
-        .expect("valid config");
-        assert!(matches!(
-            e.replay_result(VirtualTime::from_millis(1)),
-            Err(RuntimeError::RecordLogDisabled)
-        ));
     }
 
     #[test]
@@ -1682,7 +1521,6 @@ mod tests {
     ) {
         use crate::transport::DeathNotice;
         let config = RuntimeConfig {
-            keep_record_log: true,
             overhead_budget: 0.02,
             batch_interval: Duration::from_micros(100),
             ..RuntimeConfig::default()

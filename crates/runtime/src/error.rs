@@ -32,9 +32,6 @@ pub enum RuntimeError {
         /// What was wrong with it.
         message: String,
     },
-    /// The record log was not retained (`RuntimeConfig::keep_record_log`
-    /// is off), so a replay cross-check cannot run.
-    RecordLogDisabled,
 }
 
 impl fmt::Display for RuntimeError {
@@ -48,9 +45,6 @@ impl fmt::Display for RuntimeError {
             }
             RuntimeError::InvalidConfig { field, message } => {
                 write!(f, "invalid config `{field}`: {message}")
-            }
-            RuntimeError::RecordLogDisabled => {
-                write!(f, "record log disabled; enable `keep_record_log` to replay")
             }
         }
     }

@@ -586,11 +586,6 @@ impl AnalysisService {
         Ok(())
     }
 
-    /// Whether a standby is attached.
-    pub fn standby_attached(&self) -> bool {
-        self.standby.lock().replicas.is_some()
-    }
-
     /// Catch the standby up. Replicas follow checkpoints: each admitted
     /// tenant's replica (built on its first catch-up) restores the newest
     /// checkpoint journaled since its cursor and re-ingests the batches

@@ -285,11 +285,6 @@ impl SensorRuntime {
         }
     }
 
-    /// The rank-side directive acceptance state.
-    pub fn directive_gate(&self) -> &DirectiveGate {
-        &self.gate
-    }
-
     /// Highest control epoch applied so far (0 = none).
     pub fn applied_epoch(&self) -> u64 {
         self.gate.epoch()

@@ -158,30 +158,6 @@ fn builder_validation_rejects_bad_knobs() {
     assert!(AnalysisServer::try_new(2, sensors(1), config).is_err());
 }
 
-#[test]
-fn interim_close_and_replay_agree_on_a_healthy_stream() {
-    let config = RuntimeConfig::default().with_record_log(true);
-    let s = AnalysisServer::try_new(2, sensors(1), config).expect("valid config");
-    let session = s.session();
-    for seq in 0..200u64 {
-        for rank in 0..2usize {
-            let t = VirtualTime::from_micros(seq * 1000);
-            session
-                .ingest(TelemetryBatch::new(rank, seq, t, vec![rec(seq, 10)]), t)
-                .unwrap();
-        }
-    }
-    let end = VirtualTime::from_micros(200 * 1000);
-    let interim = s.interim(end);
-    let replay = s.replay_result(end).expect("record log enabled");
-    let closed = s.session().close(end);
-    assert!(closed.events.is_empty());
-    assert_eq!(interim.events, closed.events);
-    assert_eq!(replay.events, closed.events);
-    assert_eq!(interim.records, closed.records);
-    assert_eq!(replay.records, closed.records);
-}
-
 /// The server's `Sync` contract: batches of *different* ranks ingested from
 /// several host threads at once leave the same state as any serial order.
 /// Each rank's own delivery order is fixed (its thread), so everything

@@ -1,28 +1,44 @@
 //! Streaming ⇄ batch equivalence: the incremental engine must
 //! reach the same conclusions as a classical replay over the raw record
 //! stream, on the paper's two case studies (the Figure 21 bad node and
-//! the Figure 22 network degradation) at smoke scale.
+//! the Figure 22 network degradation) at smoke scale, and on the bad node
+//! under composed transport faults with and without a server fail-over.
 //!
-//! Runs keep the engine's optional record log (`with_record_log(true)`)
-//! so [`AnalysisServer::replay_result`] can act as the oracle: it refolds
-//! every raw record the way the pre-streaming server did. Events must
-//! match exactly; matrix cells may differ only by float-summation
-//! reassociation (≤ 1e-9 relative).
+//! Each run's sink is the product's private-server route wrapped in the
+//! oracle's [`Recorder`], which keeps every record the engine accepted, so
+//! [`replay`] can refold them the way the pre-streaming server did.
+//! Events must match exactly; matrix cells may differ only by
+//! float-summation reassociation (≤ 1e-9 relative) — the contract stated
+//! in `vsensor_oracle::replay`.
 
 use std::sync::Arc;
+use vsensor_oracle::replay::{replay, Recorder};
 use vsensor_repro::apps::{cg, ft, Params};
-use vsensor_repro::cluster_sim::{Duration, NetworkConfig, VirtualTime};
+use vsensor_repro::cluster_sim::{
+    Cluster, Duration, FaultConfig, FaultPlan, NetworkConfig, VirtualTime,
+};
+use vsensor_repro::interp::run::server_sink;
 use vsensor_repro::interp::{InstrumentedRun, RunConfig};
 use vsensor_repro::runtime::record::SensorKind;
-use vsensor_repro::{scenarios, Pipeline};
+use vsensor_repro::runtime::{AnalysisSink, DeliveryQuality};
+use vsensor_repro::{scenarios, Pipeline, Prepared};
+
+/// The private-server sink a run of `prepared` on `cluster` uses, wrapped
+/// in a [`Recorder`].
+fn recorder(prepared: &Prepared, cluster: &Cluster, config: &RunConfig) -> Arc<Recorder> {
+    let sink = server_sink(&prepared.sensors, cluster, config);
+    Arc::new(Recorder::new(sink, &prepared.sensors))
+}
 
 /// Streaming result vs. record-log replay: events exact, cells ≤ 1e-9.
-fn assert_matches_replay(run: &InstrumentedRun) {
+fn assert_matches_replay(prepared: &Prepared, run: &InstrumentedRun, recorder: &Recorder) {
     let run_end = VirtualTime::ZERO + run.run_time;
-    let oracle = run
-        .analysis
-        .replay_result(run_end)
-        .expect("run was configured with the record log");
+    let oracle = replay(
+        &run.analysis,
+        &prepared.sensors,
+        &recorder.records(),
+        run_end,
+    );
     assert_eq!(
         run.server.events.len(),
         oracle.events.len(),
@@ -78,25 +94,26 @@ fn assert_matches_replay(run: &InstrumentedRun) {
     }
 }
 
-fn bad_node_run() -> InstrumentedRun {
-    let prepared = Pipeline::new().prepare(cg::generate(Params::test().with_iters(300)).compile());
-    let cluster = Arc::new(
-        scenarios::bad_node(16, 2, 0.55)
-            .with_ranks_per_node(4)
-            .build(),
-    );
-    let mut config = RunConfig::default();
-    config.runtime = config
-        .runtime
-        .with_variance_threshold(0.7)
-        .unwrap()
-        .with_record_log(true);
-    prepared.run(cluster, &config)
+fn bad_node_prepared() -> Prepared {
+    Pipeline::new().prepare(cg::generate(Params::test().with_iters(300)).compile())
+}
+
+fn bad_node_cluster(faults: FaultPlan) -> Cluster {
+    scenarios::bad_node(16, 2, 0.55)
+        .with_ranks_per_node(4)
+        .with_faults(faults)
+        .build()
 }
 
 #[test]
 fn fig21_bad_node_streaming_equals_replay() {
-    assert_matches_replay(&bad_node_run());
+    let mut config = RunConfig::default();
+    config.runtime = config.runtime.with_variance_threshold(0.7).unwrap();
+    let prepared = bad_node_prepared();
+    let cluster = bad_node_cluster(FaultPlan::none());
+    let rec = recorder(&prepared, &cluster, &config);
+    let run = prepared.run_sink(Arc::new(cluster), &config, rec.clone());
+    assert_matches_replay(&prepared, &run, &rec);
 }
 
 #[test]
@@ -114,13 +131,66 @@ fn fig22_network_degradation_streaming_equals_replay() {
         VirtualTime::ZERO + t.mul_f64(3.0),
         8.0,
     );
+    let cluster = scenarios::healthy(8).with_network(network).build();
+    let config = RunConfig::default();
+    let rec = recorder(&prepared, &cluster, &config);
+    let run = prepared.run_sink(Arc::new(cluster), &config, rec.clone());
+    assert_matches_replay(&prepared, &run, &rec);
+}
+
+/// The bad node at a 1 ms batch cadence under every per-message fault at
+/// once — drops, duplicates, delays that reorder, corruption — with an
+/// optional server crash; asserts the faults really fired (and the crash
+/// really promoted the standby) before holding streaming to replay.
+fn composed_faults_match_replay(seed: u64, crash_at: Option<VirtualTime>) {
+    let mut plan = FaultPlan::new(FaultConfig {
+        drop_rate: 0.1,
+        duplicate_rate: 0.1,
+        delay_rate: 0.1,
+        max_delay: Duration::from_millis(3),
+        corrupt_rate: 0.05,
+        seed,
+    });
+    if let Some(at) = crash_at {
+        plan = plan.with_server_crash(at);
+    }
     let mut config = RunConfig::default();
-    config.runtime = config.runtime.with_record_log(true);
-    let run = prepared.run(
-        Arc::new(scenarios::healthy(8).with_network(network).build()),
-        &config,
+    config.runtime = config
+        .runtime
+        .with_variance_threshold(0.7)
+        .and_then(|c| c.with_batch_interval(Duration::from_millis(1)))
+        .and_then(|c| c.with_detect_interval(Duration::from_millis(5)))
+        .unwrap();
+    let prepared = bad_node_prepared();
+    let cluster = bad_node_cluster(plan);
+    let rec = recorder(&prepared, &cluster, &config);
+    let first = rec.server();
+    let run = prepared.run_sink(Arc::new(cluster), &config, rec.clone());
+
+    let total = |f: fn(&DeliveryQuality) -> u64| -> u64 { run.server.delivery.iter().map(f).sum() };
+    assert!(total(|d| d.duplicates) > 0, "no duplicate arrived");
+    assert!(total(|d| d.corrupt) > 0, "no corrupt copy arrived");
+    assert!(
+        total(|d| d.out_of_order) > 0,
+        "no batch arrived out of order"
     );
-    assert_matches_replay(&run);
+    if crash_at.is_some() {
+        assert!(
+            !Arc::ptr_eq(&rec.server(), &first),
+            "the crash must promote the standby"
+        );
+    }
+    assert_matches_replay(&prepared, &run, &rec);
+}
+
+#[test]
+fn composed_faults_streaming_equals_replay() {
+    composed_faults_match_replay(7, None);
+}
+
+#[test]
+fn composed_faults_and_failover_streaming_equals_replay() {
+    composed_faults_match_replay(11, Some(VirtualTime::from_millis(10)));
 }
 
 #[test]
