@@ -813,12 +813,16 @@ impl AnalysisServer {
     /// [`crate::server::IngestSession::ingest`].
     pub(crate) fn ingest(
         &self,
-        batch: TelemetryBatch,
+        batch: &TelemetryBatch,
         arrival: VirtualTime,
     ) -> Result<IngestReceipt, IngestError> {
-        // The CRC pass is the one expensive step and reads no engine
-        // state: it runs in front of the lock, so ingests from several
-        // host threads still overlap there.
+        // The CRC pass reads no engine state: it runs in front of the
+        // lock, so ingests from several host threads still overlap there.
+        // It stays even though every in-process sender has just stamped
+        // the batch: a damaged copy (a `FaultPlan` corruption die, or such
+        // a copy the WAL logged and a standby replays) is rejected here
+        // and nowhere else, and counted per rank. With the table fold it
+        // costs what the stamp costs, a fraction of the absorb loop below.
         let intact = batch.verify();
         let st = &mut *self.state.lock();
         if st.closed {
@@ -899,7 +903,7 @@ impl AnalysisServer {
         }
         let bytes = BATCH_HEADER_BYTES + batch.records.len() as u64 * SliceRecord::WIRE_BYTES;
         let mut absorbed = 0u64;
-        for rec in batch.records {
+        for &rec in &batch.records {
             if self.absorb_record(st, rank, rec) {
                 absorbed += 1;
             }
@@ -1413,7 +1417,7 @@ mod tests {
             let t = VirtualTime::from_millis(t_ms);
             let batch = TelemetryBatch::new(rank, seq[rank], t, vec![rec(0, slice, avg_us)]);
             seq[rank] += 1;
-            e.ingest(batch, t).unwrap();
+            e.ingest(&batch, t).unwrap();
         };
         // Rank 1 is 3x slower throughout; arrivals advance virtual time
         // past several detect intervals (default 200 ms).
@@ -1446,7 +1450,7 @@ mod tests {
             let mut b = batch_at(rank, seqs[rank], t, 10);
             seqs[rank] += 1;
             b.death_notice = notice;
-            e.ingest(b, t).unwrap();
+            e.ingest(&b, t).unwrap();
         };
         for ms in 0..300 {
             for rank in 0..4 {
@@ -1487,7 +1491,7 @@ mod tests {
         let mut seqs = [0u64; 2];
         let mut send = |rank: usize, t_ms: u64| {
             let t = VirtualTime::from_millis(t_ms);
-            e.ingest(batch_at(rank, seqs[rank], t, 10), t).unwrap();
+            e.ingest(&batch_at(rank, seqs[rank], t, 10), t).unwrap();
             seqs[rank] += 1;
         };
         // Rank 1 goes silent after 100 ms; rank 0 keeps the clock moving.
@@ -1606,7 +1610,7 @@ mod tests {
         for (batch, t) in stream {
             // Rank 1's batch 200 arriving at 205 ms is late, not a duplicate.
             let duplicate = (batch.seq, t) == (100, VirtualTime::from_millis(205));
-            assert_eq!(live.ingest(batch, t).unwrap().duplicate, duplicate);
+            assert_eq!(live.ingest(&batch, t).unwrap().duplicate, duplicate);
         }
         assert!(wal.snapshot_entries() >= 1, "detect passes must checkpoint");
         // Crash-recover: fresh engine + last snapshot + tail replay.
@@ -1641,8 +1645,8 @@ mod tests {
             AnalysisServer::try_new_durable(4, sensors.clone(), config.clone()).unwrap();
         let plain = AnalysisServer::try_new(4, sensors, config).expect("valid config");
         for (batch, t) in stream {
-            durable.ingest(batch.clone(), t).unwrap();
-            plain.ingest(batch, t).unwrap();
+            durable.ingest(&batch, t).unwrap();
+            plain.ingest(&batch, t).unwrap();
             let recovered = AnalysisServer::recover(&wal).unwrap();
             assert_bitwise_equal(&plain, &recovered, t + Duration::from_millis(1));
         }
@@ -1655,7 +1659,7 @@ mod tests {
         e.close();
         let batch = TelemetryBatch::new(0, 0, VirtualTime::ZERO, vec![rec(0, 0, 10)]);
         assert!(matches!(
-            e.ingest(batch, VirtualTime::ZERO),
+            e.ingest(&batch, VirtualTime::ZERO),
             Err(IngestError::Closed)
         ));
     }
@@ -1667,7 +1671,7 @@ mod tests {
         let t = VirtualTime::from_millis(1);
         for rank in 0..8 {
             let batch = TelemetryBatch::new(rank, 0, t, vec![rec(0, 0, 10), rec(0, 1, 10)]);
-            assert_eq!(e.ingest(batch, t).unwrap().shard, rank % INGEST_WORKERS);
+            assert_eq!(e.ingest(&batch, t).unwrap().shard, rank % INGEST_WORKERS);
         }
         let load = e.load();
         assert_eq!(load.shards.len(), INGEST_WORKERS);

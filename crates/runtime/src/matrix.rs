@@ -30,7 +30,9 @@ pub struct PerformanceMatrix {
     bins: usize,
     resolution: Duration,
     /// Row-major `[rank][bin]`: sum of normalized perf and count, so cells
-    /// average incrementally.
+    /// average incrementally. Both stay empty until the first observation
+    /// lands, so a kind with no sensors (most programs do no I/O) costs
+    /// no cells in a result.
     sums: Vec<f64>,
     counts: Vec<u32>,
     /// Per rank: first bin from which the rank is dead, if it fail-stopped.
@@ -44,8 +46,8 @@ impl PerformanceMatrix {
             ranks,
             bins,
             resolution,
-            sums: vec![0.0; ranks * bins],
-            counts: vec![0; ranks * bins],
+            sums: Vec::new(),
+            counts: Vec::new(),
             dead_from: vec![None; ranks],
         }
     }
@@ -102,6 +104,10 @@ impl PerformanceMatrix {
         if rank >= self.ranks || bin >= self.bins || count == 0 {
             return;
         }
+        if self.counts.is_empty() {
+            self.sums = vec![0.0; self.ranks * self.bins];
+            self.counts = vec![0; self.ranks * self.bins];
+        }
         let i = rank * self.bins + bin;
         self.sums[i] += sum;
         self.counts[i] += count;
@@ -115,10 +121,9 @@ impl PerformanceMatrix {
             return None;
         }
         let i = rank * self.bins + bin;
-        if self.counts[i] == 0 {
-            None
-        } else {
-            Some(self.sums[i] / self.counts[i] as f64)
+        match self.counts.get(i) {
+            None | Some(0) => None,
+            Some(&n) => Some(self.sums[i] / n as f64),
         }
     }
 
@@ -145,7 +150,7 @@ impl PerformanceMatrix {
             return None;
         }
         let i = rank * self.bins + bin;
-        Some((self.sums[i], self.counts[i]))
+        Some(self.counts.get(i).map_or((0.0, 0), |&n| (self.sums[i], n)))
     }
 
     /// Mean performance over all populated, non-dead cells (1.0 =
@@ -193,7 +198,7 @@ impl PerformanceMatrix {
     /// count as unfilled).
     pub fn fill_ratio(&self) -> f64 {
         if self.counts.is_empty() {
-            return 0.0;
+            return 0.0; // nothing observed, or no cells at all
         }
         let mut filled = 0usize;
         for rank in 0..self.ranks {
@@ -318,5 +323,18 @@ mod tests {
         assert_eq!(m.mean(), 1.0);
         assert_eq!(m.fraction_below(0.5), 0.0);
         assert_eq!(m.fill_ratio(), 0.0);
+        assert_eq!(m.cell(1, 1), None);
+        assert_eq!(m.cell_state(1, 1), CellState::Empty);
+        assert_eq!(
+            m.cell_raw(1, 1),
+            Some((0.0, 0)),
+            "in-grid cells read as empty"
+        );
+        assert_eq!(m.cell_raw(3, 0), None);
+        assert_eq!(m.to_csv(), "rank,bin,time_s,perf\n");
+        assert!(
+            m.sums.is_empty() && m.counts.is_empty(),
+            "no cells until one is written"
+        );
     }
 }

@@ -72,9 +72,23 @@ pub struct SliceRecord {
 }
 
 impl SliceRecord {
-    /// Serialized size in bytes, used to account the server's data volume
-    /// (§6.4 compares vSensor's 8.8 MB against ITAC's 501.5 MB).
+    /// Serialized size in bytes: the length of [`Self::to_wire`], also
+    /// used to account the server's data volume (§6.4 compares vSensor's
+    /// 8.8 MB against ITAC's 501.5 MB).
     pub const WIRE_BYTES: u64 = 4 + 8 + 8 + 4 + 4;
+
+    /// The record's one serialisation: sensor, slice, average (ns), count
+    /// and bucket, each little-endian, in that order. The batch CRC folds
+    /// exactly these bytes.
+    pub fn to_wire(&self) -> [u8; Self::WIRE_BYTES as usize] {
+        let mut w = [0u8; Self::WIRE_BYTES as usize];
+        w[0..4].copy_from_slice(&self.sensor.0.to_le_bytes());
+        w[4..12].copy_from_slice(&self.slice.to_le_bytes());
+        w[12..20].copy_from_slice(&self.avg.as_nanos().to_le_bytes());
+        w[20..24].copy_from_slice(&self.count.to_le_bytes());
+        w[24..28].copy_from_slice(&self.bucket.0.to_le_bytes());
+        w
+    }
 }
 
 #[cfg(test)]
@@ -94,5 +108,18 @@ mod tests {
         // A record is a handful of scalars — small enough that thousands
         // of ranks batching them stay in the KB/s range.
         const { assert!(SliceRecord::WIRE_BYTES <= 32) };
+    }
+
+    #[test]
+    fn wire_layout_is_little_endian_fields_in_order() {
+        let r = SliceRecord {
+            sensor: SensorId(0x0403_0201),
+            slice: 0x0C0B_0A09_0807_0605,
+            avg: Duration::from_nanos(0x1413_1211_100F_0E0D),
+            count: 0x1817_1615,
+            bucket: Bucket(0x1C1B_1A19),
+        };
+        let expected: Vec<u8> = (1..=28).collect();
+        assert_eq!(r.to_wire().as_slice(), expected.as_slice());
     }
 }

@@ -126,7 +126,7 @@ impl AnalysisServer {
             self.restore(snapshot);
         }
         for (batch, arrival) in replay.tail {
-            let _ = self.ingest(batch, arrival);
+            let _ = self.ingest(&batch, arrival);
         }
         replay.cursor
     }
@@ -161,7 +161,7 @@ impl IngestSession<'_> {
         batch: TelemetryBatch,
         arrival: VirtualTime,
     ) -> Result<IngestReceipt, IngestError> {
-        self.server.ingest(batch, arrival)
+        self.server.ingest(&batch, arrival)
     }
 
     /// Drain detection-stream alerts emitted since the last poll (by any

@@ -456,7 +456,7 @@ impl AnalysisService {
     pub fn ingest(
         &self,
         tenant: TenantId,
-        batch: TelemetryBatch,
+        batch: &TelemetryBatch,
         arrival: VirtualTime,
     ) -> Result<IngestReceipt, IngestError> {
         let Some(shard) = self.shard(tenant) else {
@@ -808,7 +808,7 @@ mod tests {
         let err = svc
             .ingest(
                 TenantId(9),
-                batch(0, 0, VirtualTime::ZERO),
+                &batch(0, 0, VirtualTime::ZERO),
                 VirtualTime::ZERO,
             )
             .unwrap_err();
@@ -874,9 +874,9 @@ mod tests {
         let t = TenantId(0);
         svc.register(t, spec(1)).unwrap();
         let at = VirtualTime::from_micros(10);
-        svc.ingest(t, batch(0, 0, at), at).unwrap();
-        svc.ingest(t, batch(0, 1, at), at).unwrap();
-        let err = svc.ingest(t, batch(0, 2, at), at).unwrap_err();
+        svc.ingest(t, &batch(0, 0, at), at).unwrap();
+        svc.ingest(t, &batch(0, 1, at), at).unwrap();
+        let err = svc.ingest(t, &batch(0, 2, at), at).unwrap_err();
         assert!(err.is_retryable(), "backpressure must be retryable");
         let IngestError::Backpressure {
             tenant,
@@ -890,7 +890,7 @@ mod tests {
         assert_eq!(retry_after, Duration::from_micros(90));
         // After the window rolls over, the same tenant is admitted again.
         let later = at + retry_after;
-        svc.ingest(t, batch(0, 2, later), later).unwrap();
+        svc.ingest(t, &batch(0, 2, later), later).unwrap();
         let stats = svc.stats(t).unwrap();
         assert_eq!(stats.accepted, 3);
         assert_eq!(stats.backpressured, 1);
@@ -908,12 +908,12 @@ mod tests {
         svc.register(hot, spec(1)).unwrap();
         svc.register(calm, spec(1)).unwrap();
         let at = VirtualTime::from_micros(1);
-        svc.ingest(hot, batch(0, 0, at), at).unwrap();
+        svc.ingest(hot, &batch(0, 0, at), at).unwrap();
         for seq in 1..5 {
-            assert!(svc.ingest(hot, batch(0, seq, at), at).is_err());
+            assert!(svc.ingest(hot, &batch(0, seq, at), at).is_err());
         }
         // The neighbor's budget is its own.
-        svc.ingest(calm, batch(0, 0, at), at).unwrap();
+        svc.ingest(calm, &batch(0, 0, at), at).unwrap();
         assert_eq!(svc.stats(calm).unwrap().backpressured, 0);
         assert_eq!(svc.stats(hot).unwrap().backpressured, 4);
     }
@@ -926,9 +926,9 @@ mod tests {
         svc.register(a, spec(1)).unwrap();
         svc.register(b, spec(1)).unwrap();
         let at = VirtualTime::from_micros(5);
-        svc.ingest(a, batch(0, 0, at), at).unwrap();
-        svc.ingest(a, batch(0, 1, at), at).unwrap();
-        svc.ingest(b, batch(0, 0, at), at).unwrap();
+        svc.ingest(a, &batch(0, 0, at), at).unwrap();
+        svc.ingest(a, &batch(0, 1, at), at).unwrap();
+        svc.ingest(b, &batch(0, 0, at), at).unwrap();
         // One journal per tenant, each holding only its own batches.
         assert_eq!(svc.wal(a).unwrap().batch_entries(), 2);
         assert_eq!(svc.wal(b).unwrap().batch_entries(), 1);
@@ -949,7 +949,7 @@ mod tests {
             for seq in 0..20u64 {
                 let at = VirtualTime::from_micros(50 * (seq + 1));
                 for rank in 0..2 {
-                    svc.ingest(t, batch(rank, seq, at), at).unwrap();
+                    svc.ingest(t, &batch(rank, seq, at), at).unwrap();
                 }
                 if seq == 7 {
                     svc.catch_up_standby().unwrap();
@@ -993,7 +993,7 @@ mod tests {
             for seq in 0..600u64 {
                 let at = VirtualTime::from_millis(seq + 1);
                 for rank in 0..2 {
-                    svc.ingest(t, batch(rank, seq, at), at).unwrap();
+                    svc.ingest(t, &batch(rank, seq, at), at).unwrap();
                 }
                 if crash == Some(true) {
                     svc.catch_up_standby().unwrap();
@@ -1109,19 +1109,19 @@ mod tests {
         let t = TenantId(0);
         svc.register(t, spec(1)).unwrap();
         let at = VirtualTime::from_micros(5);
-        svc.ingest(t, batch(0, 0, at), at).unwrap();
+        svc.ingest(t, &batch(0, 0, at), at).unwrap();
         assert_eq!(svc.wal(t).unwrap().batch_entries(), 1);
         svc.deregister_tenant(t).unwrap();
         // The engine and journal are gone; ingest sees no tenant at all.
         assert!(svc.server(t).is_none());
         assert!(svc.wal(t).is_none());
         assert_eq!(
-            svc.ingest(t, batch(0, 1, at), at).unwrap_err(),
+            svc.ingest(t, &batch(0, 1, at), at).unwrap_err(),
             IngestError::UnknownTenant(t)
         );
         // Re-registering the same id starts from a clean slate.
         svc.register(t, spec(1)).unwrap();
-        svc.ingest(t, batch(0, 0, at), at).unwrap();
+        svc.ingest(t, &batch(0, 0, at), at).unwrap();
         assert_eq!(svc.wal(t).unwrap().batch_entries(), 1);
     }
 
@@ -1134,8 +1134,8 @@ mod tests {
         svc.register(b, spec(1)).unwrap();
         svc.attach_standby().unwrap();
         let at = VirtualTime::from_micros(5);
-        svc.ingest(a, batch(0, 0, at), at).unwrap();
-        svc.ingest(b, batch(0, 0, at), at).unwrap();
+        svc.ingest(a, &batch(0, 0, at), at).unwrap();
+        svc.ingest(b, &batch(0, 0, at), at).unwrap();
         svc.catch_up_standby().unwrap();
         svc.deregister_tenant(a).unwrap();
         // Promotion after the eviction only touches the surviving tenant.
@@ -1158,7 +1158,7 @@ mod tests {
         let svc = AnalysisService::new(ServiceConfig::default().durable());
         svc.register(TenantId(0), spec(1)).unwrap();
         let at = VirtualTime::from_micros(5);
-        svc.ingest(TenantId(0), batch(0, 0, at), at).unwrap();
+        svc.ingest(TenantId(0), &batch(0, 0, at), at).unwrap();
         for _ in 0..2 {
             assert_eq!(svc.fail_over(at), Err(ServiceError::NotDurable));
             assert!(!svc.failed_over());

@@ -193,10 +193,10 @@ impl SensorRuntime {
     }
 
     /// Take the buffered records for transmission, installing `recycled`
-    /// (an empty buffer, typically from the transport's batch pool — see
-    /// `RankTransport::recycled_buffer`) as the new outbox so steady-state
-    /// flushing reuses allocations instead of growing a fresh `Vec` per
-    /// batch.
+    /// (an empty buffer, typically `RankTransport::recycled_buffer`, sized
+    /// by the largest batch that transport has sent) as the new outbox,
+    /// so a steady flush cadence fills it without growing it record by
+    /// record.
     pub fn take_batch_into(
         &mut self,
         now: VirtualTime,

@@ -109,17 +109,24 @@ impl TelemetryBatch {
     }
 }
 
-/// CRC-32 over the batch header and each record's wire fields.
+/// Records serialised per CRC call in [`checksum`].
+const CHECKSUM_CHUNK: usize = 16;
+
+/// CRC-32 over the batch header and each record's wire bytes
+/// ([`SliceRecord::to_wire`]). Records are serialised sixteen at a time
+/// into a stack buffer and folded in one call, so the fold runs over long
+/// runs of bytes instead of one short call per field.
 fn checksum(rank: usize, seq: u64, records: &[SliceRecord]) -> u32 {
+    const WIRE: usize = SliceRecord::WIRE_BYTES as usize;
     let mut crc = Crc32::new();
     crc.eat(&(rank as u64).to_le_bytes());
     crc.eat(&seq.to_le_bytes());
-    for r in records {
-        crc.eat(&r.sensor.0.to_le_bytes());
-        crc.eat(&r.slice.to_le_bytes());
-        crc.eat(&r.avg.as_nanos().to_le_bytes());
-        crc.eat(&r.count.to_le_bytes());
-        crc.eat(&r.bucket.0.to_le_bytes());
+    let mut buf = [0u8; CHECKSUM_CHUNK * WIRE];
+    for chunk in records.chunks(CHECKSUM_CHUNK) {
+        for (slot, r) in buf.chunks_exact_mut(WIRE).zip(chunk) {
+            slot.copy_from_slice(&r.to_wire());
+        }
+        crc.eat(&buf[..chunk.len() * WIRE]);
     }
     crc.finish()
 }
@@ -203,12 +210,14 @@ pub(crate) fn ack_of(result: Result<IngestReceipt, IngestError>) -> SendOutcome 
 /// `ingest`, the route's target. A corrupted copy reaches the target,
 /// fails its CRC check and produces no ack; a duplicated batch arrives
 /// `copies` times and the last arrival's outcome is what the sender sees.
+/// Every arrival borrows the sender's batch — no copy clones the records;
+/// only a corrupted copy is built, since its stamp must differ.
 pub(crate) fn deliver(
     plan: &FaultPlan,
     batch: &TelemetryBatch,
     now: VirtualTime,
     attempt: u32,
-    ingest: impl Fn(TelemetryBatch, VirtualTime) -> SendOutcome,
+    ingest: impl Fn(&TelemetryBatch, VirtualTime) -> SendOutcome,
 ) -> SendOutcome {
     match plan.fate(batch.rank, batch.seq, attempt, now) {
         SendFate::Unreachable => SendOutcome::Unreachable,
@@ -220,12 +229,12 @@ pub(crate) fn deliver(
         } => {
             let arrival = now + delay;
             if corrupt {
-                ingest(batch.corrupted_copy(), arrival);
+                ingest(&batch.corrupted_copy(), arrival);
                 return SendOutcome::NoAck;
             }
             let mut outcome = SendOutcome::NoAck;
             for _ in 0..copies.max(1) {
-                outcome = ingest(batch.clone(), arrival);
+                outcome = ingest(batch, arrival);
             }
             outcome
         }
@@ -390,11 +399,6 @@ impl TransportStats {
     }
 }
 
-/// Record buffers kept for reuse per endpoint. Small on purpose: the
-/// steady state is one in-flight batch per rank, and the pool only needs
-/// to cover the retry window.
-const RECORD_POOL_CAP: usize = 8;
-
 /// A batch sent but not yet acknowledged.
 struct Pending {
     batch: TelemetryBatch,
@@ -428,13 +432,9 @@ pub struct RankTransport {
     circuit_open_until: VirtualTime,
     /// Death gossip to piggyback on every batch created from now on.
     death_notice: Option<DeathNotice>,
-    /// Record buffers reclaimed from acked/dropped batches, handed back to
-    /// the sensor runtime via [`RankTransport::recycled_buffer`] so the
-    /// flush hot path stops allocating once the pipeline warms up. Pure
-    /// allocation reuse: buffers are cleared on reclaim and every batch's
-    /// contents are rewritten from scratch, so pooling cannot perturb the
-    /// simulation.
-    record_pool: Vec<Vec<SliceRecord>>,
+    /// Records in the largest batch enqueued so far: the capacity of the
+    /// next [`RankTransport::recycled_buffer`].
+    largest_batch: usize,
     stats: TransportStats,
 }
 
@@ -451,27 +451,19 @@ impl RankTransport {
             pending: Vec::new(),
             circuit_open_until: VirtualTime::ZERO,
             death_notice: None,
-            record_pool: Vec::new(),
+            largest_batch: 0,
             stats: TransportStats::default(),
         }
     }
 
-    /// Pop a cleared record buffer reclaimed from a completed batch (or a
-    /// fresh one while the pool is cold). The sensor runtime refills its
-    /// outbox from here so steady-state flushing recycles a small set of
-    /// allocations instead of growing a new `Vec` per batch — at paper
-    /// scale (16K ranks × hundreds of flushes) that churn dominates the
-    /// flush path.
+    /// An empty record buffer for the next batch, with room for as many
+    /// records as the largest batch this endpoint has sent. The sensor
+    /// runtime installs it as its outbox, so a steady flush cadence fills
+    /// it without reallocating. There is no pool: a batch's buffer is
+    /// freed once the batch is acknowledged or dropped, so an idle rank
+    /// holds no record buffer beyond its outbox.
     pub fn recycled_buffer(&mut self) -> Vec<SliceRecord> {
-        self.record_pool.pop().unwrap_or_default()
-    }
-
-    /// Return a finished batch's buffer to the pool.
-    fn reclaim(&mut self, mut records: Vec<SliceRecord>) {
-        if self.record_pool.len() < RECORD_POOL_CAP && records.capacity() > 0 {
-            records.clear();
-            self.record_pool.push(records);
-        }
+        Vec::with_capacity(self.largest_batch)
     }
 
     /// Move this endpoint's trace events to a different lane (builder
@@ -498,6 +490,7 @@ impl RankTransport {
     /// machinery. Returns the virtual cost to charge to the rank's clock.
     pub fn enqueue(&mut self, records: Vec<SliceRecord>, now: VirtualTime) -> Duration {
         if !records.is_empty() {
+            self.largest_batch = self.largest_batch.max(records.len());
             let mut batch = TelemetryBatch::new(self.rank, self.next_seq, now, records);
             batch.death_notice = self.death_notice;
             self.next_seq += 1;
@@ -509,7 +502,6 @@ impl RankTransport {
                 self.stats.dropped_overflow += 1;
                 self.stats.records_dropped += victim.records.len() as u64;
                 trace_instant(self.lane, "drop", now, victim.seq, 0);
-                self.reclaim(victim.records);
             }
         }
         self.pump(now)
@@ -583,13 +575,11 @@ impl RankTransport {
             self.stats.dropped_exhausted += 1;
             self.stats.records_dropped += batch.records.len() as u64;
             trace_instant(self.lane, "drop", cursor, batch.seq, 0);
-            self.reclaim(batch.records);
         }
         for p in std::mem::take(&mut self.pending) {
             self.stats.dropped_exhausted += 1;
             self.stats.records_dropped += p.batch.records.len() as u64;
             trace_instant(self.lane, "drop", cursor, p.batch.seq, p.attempts as u64);
-            self.reclaim(p.batch.records);
         }
         cost
     }
@@ -624,7 +614,6 @@ impl RankTransport {
             SendOutcome::Acked => {
                 self.stats.acked += 1;
                 trace_instant(self.lane, "ack", now, batch.seq, attempts as u64);
-                self.reclaim(batch.records);
             }
             SendOutcome::NoAck => {
                 trace_instant(self.lane, "noack", now, batch.seq, attempts as u64);
@@ -670,7 +659,6 @@ impl RankTransport {
             self.stats.dropped_exhausted += 1;
             self.stats.records_dropped += batch.records.len() as u64;
             trace_instant(self.lane, "drop", at, batch.seq, attempts as u64);
-            self.reclaim(batch.records);
         } else {
             self.pending.push(Pending {
                 batch,
@@ -946,12 +934,12 @@ mod tests {
                 let live = service.server(TenantId(0)).unwrap();
                 let channel = TenantChannel::new(service.clone(), TenantId(0), plan.clone());
                 match meets {
-                    Meets::Duplicate => drop(live.ingest(good, now)),
+                    Meets::Duplicate => drop(live.ingest(&good, now)),
                     Meets::Closed => drop(live.session().close(stall_end)),
                     // Use up rank 0's whole share of the window.
                     Meets::Backpressure => {
                         let spent = TelemetryBatch::new(0, 9, now, vec![rec(0, 9)]);
-                        service.ingest(TenantId(0), spent, now).unwrap();
+                        service.ingest(TenantId(0), &spent, now).unwrap();
                     }
                     _ => {}
                 }
@@ -1058,39 +1046,26 @@ mod tests {
     }
 
     #[test]
-    fn acked_buffers_return_to_the_pool() {
+    fn recycled_buffer_is_sized_by_the_largest_batch() {
         let s = server(1);
         let mut t = RankTransport::new(
             0,
             Arc::new(DirectChannel::new(s)),
             TransportConfig::default(),
         );
-        t.enqueue(vec![rec(0, 0), rec(0, 1)], VirtualTime::ZERO);
-        let buf = t.recycled_buffer();
-        assert!(buf.is_empty(), "recycled buffers arrive cleared");
-        assert!(buf.capacity() >= 2, "the acked batch's allocation survives");
-        assert_eq!(
-            t.recycled_buffer().capacity(),
-            0,
-            "pool is drained after one take"
-        );
-    }
-
-    #[test]
-    fn dropped_buffers_return_to_the_pool() {
-        // 100% loss: the batch exhausts its budget and is dropped — its
-        // buffer must still be reclaimed.
-        let s = server(1);
-        let plan = FaultPlan::lossy(1.0, 1);
-        let cfg = TransportConfig {
-            retry_budget: 2,
-            ..TransportConfig::default()
-        };
-        let mut t = RankTransport::new(0, Arc::new(FaultyChannel::new(s, plan)), cfg);
-        t.enqueue(vec![rec(0, 0), rec(0, 1), rec(0, 2)], VirtualTime::ZERO);
-        t.finish(Vec::new(), VirtualTime::from_millis(1));
-        assert_eq!(t.stats().dropped_exhausted, 1);
-        assert!(t.recycled_buffer().capacity() >= 3);
+        assert_eq!(t.recycled_buffer().capacity(), 0, "nothing sent yet");
+        let sizes = [3u64, 7, 2];
+        for (i, &n) in sizes.iter().enumerate() {
+            let at = VirtualTime::from_millis(i as u64);
+            t.enqueue((0..n).map(|s| rec(0, s)).collect(), at);
+            let buf = t.recycled_buffer();
+            assert!(buf.is_empty(), "a fresh buffer holds no records");
+            let largest = *sizes[..=i].iter().max().unwrap() as usize;
+            assert!(buf.capacity() >= largest, "after batch {i}");
+        }
+        // An empty flush sends nothing and leaves the size alone.
+        t.enqueue(Vec::new(), VirtualTime::from_millis(9));
+        assert!(t.recycled_buffer().capacity() >= 7);
     }
 
     #[test]

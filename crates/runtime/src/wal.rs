@@ -107,7 +107,7 @@ struct Log {
 /// Frame checksum for one entry. For batches this covers the wire header,
 /// the arrival instant and the payload's own CRC (so a bit-flip anywhere
 /// in the stored record surfaces); snapshots fold their fingerprint.
-fn entry_crc(entry: &WalEntry) -> u32 {
+pub(crate) fn entry_crc(entry: &WalEntry) -> u32 {
     let mut crc = Crc32::new();
     match entry {
         WalEntry::Batch { batch, arrival } => {
@@ -362,7 +362,7 @@ mod tests {
             // A checkpoint that has absorbed batch 0, so that it is
             // distinguishable from an empty engine.
             let absorbed = engine(&wal);
-            absorbed.ingest(batch(0), t).unwrap();
+            absorbed.ingest(&batch(0), t).unwrap();
             let retained = absorbed.snapshot_for_tests().fingerprint();
             if truncated {
                 wal.append_batch(batch(0), t);
@@ -469,7 +469,7 @@ mod tests {
         fn ingest_one(&mut self) {
             let t = VirtualTime::from_millis(self.next);
             let b = TelemetryBatch::new(0, self.next, t, batch(self.next).records);
-            self.live.ingest(b, t).unwrap();
+            self.live.ingest(&b, t).unwrap();
             self.next += 1;
         }
 

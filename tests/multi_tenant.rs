@@ -245,7 +245,7 @@ fn promotion_under_concurrent_ingest_loses_no_journaled_batch() {
                             bucket: Bucket(0),
                         }];
                         let batch = TelemetryBatch::new(rank, seq, at, records);
-                        service.ingest(tenant, batch, at).unwrap();
+                        service.ingest(tenant, &batch, at).unwrap();
                     }
                 });
             }
