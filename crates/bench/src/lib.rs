@@ -3,8 +3,7 @@
 //!
 //! Each module reproduces one artifact and returns a structured result
 //! whose `Display`/`render` output mirrors the rows/series the paper
-//! reports. The `repro` binary drives them from the command line; the
-//! criterion benches in `benches/` time their kernels.
+//! reports. The `repro` binary drives them from the command line.
 //!
 //! | module | paper artifact |
 //! |--------|----------------|

@@ -187,11 +187,6 @@ impl Cluster {
         self.topology.ranks()
     }
 
-    /// Spec of the node hosting `rank`.
-    pub fn node_spec_of(&self, rank: usize) -> &NodeSpec {
-        &self.nodes[self.topology.node_of(rank)]
-    }
-
     /// Virtual time consumed by `rank` performing `work` starting at
     /// `start` with the given cache-miss rate. Integrates node factors and
     /// every noise source. `sample_key` decorrelates jitter; pass a

@@ -48,15 +48,6 @@ impl NodeSpec {
         }
     }
 
-    /// A node whose CPU runs at `perf` of normal speed.
-    pub fn slow_cpu(perf: f64) -> Self {
-        assert!(perf > 0.0, "cpu performance must be positive");
-        NodeSpec {
-            cpu_factor: 1.0 / perf,
-            ..NodeSpec::default()
-        }
-    }
-
     /// Noise-free time to execute `work` on this node.
     ///
     /// `miss_rate` is the current cache-miss rate in `[0, 1]`; misses shift

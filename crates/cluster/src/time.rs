@@ -70,28 +70,23 @@ impl Duration {
     }
 
     /// Construct from nanoseconds.
-    pub fn from_nanos(ns: u64) -> Self {
+    pub const fn from_nanos(ns: u64) -> Self {
         Duration(ns)
     }
 
     /// Construct from microseconds.
-    pub fn from_micros(us: u64) -> Self {
+    pub const fn from_micros(us: u64) -> Self {
         Duration(us * 1_000)
     }
 
     /// Construct from milliseconds.
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         Duration(ms * 1_000_000)
     }
 
     /// Construct from seconds.
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         Duration(s * 1_000_000_000)
-    }
-
-    /// Construct from fractional seconds (rounds to nanoseconds).
-    pub fn from_secs_f64(s: f64) -> Self {
-        Duration(round_to_u64(s * 1e9))
     }
 
     /// Scale by a float factor (rounds to nanoseconds).

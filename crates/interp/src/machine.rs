@@ -97,9 +97,9 @@ pub struct Machine<P = Box<Proc>> {
 
 /// Sensor runtime plus the transport endpoint that ships its records to
 /// the shared analysis server. It is most of an instrumented rank's bytes
-/// (the outbox, pooled record buffers, per-sensor state and the channel
-/// handle), so a [`Machine`] boxes it and drops it once the rank's final
-/// flush is done.
+/// (the outbox, the transport's unacked batches, per-sensor state and the
+/// channel handle), so a [`Machine`] boxes it and drops it once the
+/// rank's final flush is done.
 pub struct SensorHarness {
     /// Per-rank dynamic module.
     pub runtime: SensorRuntime,

@@ -359,7 +359,7 @@ pub fn assemble_run(
         run_time,
         ranks,
         server_bytes: server_result.bytes_received,
-        bin_width: config.runtime.matrix_resolution,
+        bin_width: config.runtime.matrix_bin_width(),
         component_means,
         worst_sensors: server_result
             .sensor_summary

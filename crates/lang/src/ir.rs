@@ -356,13 +356,6 @@ impl Expr {
             }
         }
     }
-
-    /// True if the expression contains no call sites.
-    pub fn is_call_free(&self) -> bool {
-        let mut any = false;
-        self.visit_calls(&mut |_| any = true);
-        !any
-    }
 }
 
 /// Unary operators.

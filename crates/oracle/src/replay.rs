@@ -166,7 +166,7 @@ pub fn replay(
     let mut matrices: HashMap<SensorKind, PerformanceMatrix> = SensorKind::ALL
         .into_iter()
         .map(|kind| {
-            let matrix = PerformanceMatrix::new(server.ranks(), bins, config.matrix_resolution);
+            let matrix = PerformanceMatrix::new(server.ranks(), bins, config.matrix_bin_width());
             (kind, matrix)
         })
         .collect();

@@ -15,11 +15,6 @@ use cluster_sim::time::Duration;
 pub struct RuntimeConfig {
     /// Smoothing time-slice width (§5.1; 1000 µs default).
     pub slice: Duration,
-    /// Senses shorter than this get their sensor throttled off (§5.3's
-    /// "turn off the analysis for v-sensors that are too short").
-    pub min_sense_duration: Duration,
-    /// How many senses to observe before making a throttling decision.
-    pub throttle_probation: u32,
     /// Normalized performance below this is reported as variance (the
     /// matrix figures paint < 0.5 white).
     pub variance_threshold: f64,
@@ -34,18 +29,15 @@ pub struct RuntimeConfig {
     /// period (§5.4's batching).
     pub batch_interval: Duration,
     /// Time resolution of the performance matrix (Figure 14 uses 200 ms).
+    /// A column spans whole slices: the resolution rounds down to a
+    /// multiple of [`Self::slice`], and to one slice at the least.
     pub matrix_resolution: Duration,
-    /// How long the telemetry transport waits for a batch acknowledgement
-    /// before scheduling a retry.
-    pub batch_timeout: Duration,
     /// Maximum transmission attempts per batch (first send + retries);
     /// exhausted batches are dropped and counted, never blocked on.
     pub retry_budget: u32,
     /// Unsent/unacked batches buffered per rank; overflow drops the
     /// *oldest* batch (fresh telemetry beats stale under backpressure).
     pub buffer_capacity: usize,
-    /// Base of the exponential retry backoff (doubled per failed attempt).
-    pub backoff_base: Duration,
     /// Virtual cost charged to the rank's clock per transmission attempt.
     pub send_overhead: Duration,
     /// How often (in virtual arrival time) the streaming engine runs an
@@ -81,18 +73,14 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             slice: Duration::from_micros(1000),
-            min_sense_duration: Duration::from_nanos(400),
-            throttle_probation: 64,
             variance_threshold: 0.5,
             probe_overhead: Duration::from_nanos(60),
             analysis_overhead: Duration::from_nanos(250),
             disabled_overhead: Duration::from_nanos(10),
             batch_interval: Duration::from_millis(100),
             matrix_resolution: Duration::from_millis(200),
-            batch_timeout: Duration::from_millis(5),
             retry_budget: 4,
             buffer_capacity: 32,
-            backoff_base: Duration::from_millis(2),
             send_overhead: Duration::from_micros(2),
             detect_interval: Duration::from_millis(200),
             liveness_intervals: 3,
@@ -120,14 +108,24 @@ impl RuntimeConfig {
         t.as_nanos() / self.slice.as_nanos().max(1)
     }
 
-    /// Matrix column index containing a virtual instant.
+    /// Matrix column index containing a virtual instant: the column of
+    /// the instant's slice. Records are binned by their slice, so an
+    /// instant and a record starting in its slice share a column even
+    /// when the resolution is not a whole number of slices.
     pub fn matrix_bin(&self, t: cluster_sim::time::VirtualTime) -> u64 {
-        t.as_nanos() / self.matrix_resolution.as_nanos().max(1)
+        self.slice_index(t) / self.slices_per_bin()
     }
 
-    /// Smoothing slices per matrix bin.
+    /// Smoothing slices per matrix bin (the resolution rounded down to
+    /// whole slices, at least one).
     pub fn slices_per_bin(&self) -> u64 {
         (self.matrix_resolution.as_nanos() / self.slice.as_nanos().max(1)).max(1)
+    }
+
+    /// Width of one matrix column: [`Self::slices_per_bin`] slices. Equals
+    /// [`Self::matrix_resolution`] when that is a multiple of the slice.
+    pub fn matrix_bin_width(&self) -> Duration {
+        Duration::from_nanos(self.slices_per_bin() * self.slice.as_nanos())
     }
 
     /// Whether the server→rank control plane is active.
@@ -255,9 +253,10 @@ impl RuntimeConfig {
         self.check_variance_threshold()?;
         positive("detect_interval", self.detect_interval)?;
         // The controller divides by the batch interval; the transport
-        // needs room for the batch it was just handed.
+        // needs room for the batch it was just handed and one send of it.
         positive("batch_interval", self.batch_interval)?;
         at_least_one("buffer_capacity", self.buffer_capacity as u64)?;
+        at_least_one("retry_budget", self.retry_budget as u64)?;
         at_least_one("liveness_intervals", self.liveness_intervals as u64)?;
         self.check_overhead_budget()?;
         // With the control plane off, escalation can never fire: the
@@ -446,5 +445,12 @@ mod tests {
         };
         let err = bad.validate().unwrap_err();
         assert!(err.to_string().contains("buffer_capacity"), "{err}");
+        // A batch needs at least its first send.
+        let bad = RuntimeConfig {
+            retry_budget: 0,
+            ..Default::default()
+        };
+        let err = bad.validate().unwrap_err();
+        assert!(err.to_string().contains("retry_budget"), "{err}");
     }
 }

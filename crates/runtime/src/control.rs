@@ -51,7 +51,8 @@
 use crate::config::RuntimeConfig;
 use crate::crc::Crc32;
 use crate::record::SliceRecord;
-use cluster_sim::time::{Duration, VirtualTime};
+use crate::transport::backoff;
+use cluster_sim::time::VirtualTime;
 
 /// Sequence-namespace base for control-directive fault dice. Telemetry
 /// batches roll `FaultPlan::fate(rank, seq, attempt, at)` with the
@@ -474,7 +475,7 @@ impl Controller {
             return None;
         }
         p.attempts += 1;
-        p.next_attempt_at = now + backoff(&self.config, p.attempts);
+        p.next_attempt_at = now + backoff(p.attempts);
         Some((p.directive.clone(), p.attempts))
     }
 
@@ -571,16 +572,11 @@ impl Controller {
     }
 }
 
-/// Exponential retry backoff, capped like the telemetry transport's.
-fn backoff(config: &RuntimeConfig, attempts: u32) -> Duration {
-    let shift = attempts.saturating_sub(1).min(16);
-    Duration::from_nanos(config.backoff_base.as_nanos() << shift)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dynrules::Bucket;
+    use cluster_sim::time::Duration;
     use vsensor_lang::SensorId;
 
     fn cfg(budget: f64) -> RuntimeConfig {
@@ -700,7 +696,7 @@ mod tests {
         let (d, attempt) = c.begin_attempt(0, t).expect("pending and due");
         assert_eq!((d.epoch, attempt), (1, 1));
         c.delivery_lost(0);
-        // Not due again until one backoff_base later.
+        // Not due again until one `BACKOFF_BASE` later.
         assert!(c.begin_attempt(0, t).is_none());
         let retry_at = t + Duration::from_millis(2);
         let (_, attempt) = c.begin_attempt(0, retry_at).expect("retry due");

@@ -1098,7 +1098,7 @@ impl AnalysisServer {
     /// are mask-marked from their death bin onward.
     fn fold_matrices(&self, st: &EngineState, bins: usize) -> KindMap<PerformanceMatrix> {
         let mut matrices = KindMap::build(|_| {
-            PerformanceMatrix::new(self.ranks, bins, self.config.matrix_resolution)
+            PerformanceMatrix::new(self.ranks, bins, self.config.matrix_bin_width())
         });
         for (rank, cells) in st.cells.iter().enumerate() {
             for (bin, groups) in cells.bins() {
@@ -1434,6 +1434,45 @@ mod tests {
         let load = e.load();
         assert!(load.detect_passes >= 1);
         assert!(load.detect_busy.as_nanos() > 0);
+    }
+
+    #[test]
+    fn every_record_lands_in_the_column_of_its_slice() {
+        // Resolutions that are not a whole number of 1 ms slices: 1.5 ms
+        // rounds down to one slice per column, and 0.5 ms up to one. One
+        // record per slice, slices 0..30, each in a column of its own.
+        for resolution_us in [1500, 500] {
+            let config = RuntimeConfig {
+                matrix_resolution: Duration::from_micros(resolution_us),
+                ..RuntimeConfig::free_probes()
+            };
+            let e = AnalysisServer::try_new(
+                1,
+                vec![sensor_info(0, SensorKind::Computation, true)],
+                config.clone(),
+            )
+            .expect("valid config");
+            for slice in 0..30u64 {
+                let t = VirtualTime::from_millis(slice);
+                let batch = TelemetryBatch::new(0, slice, t, vec![rec(0, slice, 10)]);
+                e.ingest(&batch, t).unwrap();
+            }
+            let result = e.interim(VirtualTime::from_millis(30));
+            let m = result.matrix(SensorKind::Computation).unwrap();
+            assert_eq!(m.resolution(), config.matrix_bin_width());
+            let mut placed = 0;
+            for slice in 0..30u64 {
+                let bin = config.matrix_bin(VirtualTime::from_millis(slice)) as usize;
+                let (_, count) = m.cell_raw(0, bin).expect("column inside the matrix");
+                assert_eq!(count, 1, "slice {slice} at {resolution_us} us");
+                placed += count;
+            }
+            let total: u32 = (0..m.bins())
+                .filter_map(|b| m.cell_raw(0, b))
+                .map(|c| c.1)
+                .sum();
+            assert_eq!((placed, total), (30, 30), "at {resolution_us} us");
+        }
     }
 
     fn batch_at(rank: usize, seq: u64, t: VirtualTime, avg_us: u64) -> TelemetryBatch {

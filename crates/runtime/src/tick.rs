@@ -9,8 +9,9 @@
 //! nested sensors are never instrumented (§4).
 //!
 //! §5.3's runtime throttling is implemented here: a sensor whose senses are
-//! consistently shorter than `min_sense_duration` after a probation period
-//! is disabled, and its probes degrade to a near-free check.
+//! consistently shorter than [`MIN_SENSE_DURATION`] after a probation of
+//! [`THROTTLE_PROBATION`] senses is disabled, and its probes degrade to a
+//! near-free check.
 
 use crate::config::RuntimeConfig;
 use crate::control::{ControlDirective, DirectiveGate, DirectiveVerdict};
@@ -27,6 +28,13 @@ use vsensor_lang::SensorId;
 const OFF_THROTTLED: u8 = 1;
 /// The analysis server commanded the sensor dark (control plane).
 const OFF_SERVER: u8 = 1 << 1;
+
+/// Senses shorter than this count against their sensor (§5.3's "turn off
+/// the analysis for v-sensors that are too short").
+const MIN_SENSE_DURATION: Duration = Duration::from_nanos(400);
+/// Senses observed before the throttling decision: a sensor whose first
+/// `THROTTLE_PROBATION` senses are mostly short is turned off.
+const THROTTLE_PROBATION: u32 = 64;
 
 /// Per-sensor dynamic state.
 #[derive(Clone, Debug)]
@@ -156,10 +164,10 @@ impl SensorRuntime {
         // Throttling (§5.3): during probation, count short senses; if the
         // sensor is dominated by them, turn it off.
         st.senses += 1;
-        if duration < self.config.min_sense_duration {
+        if duration < MIN_SENSE_DURATION {
             st.short_senses += 1;
         }
-        if st.senses == self.config.throttle_probation && st.short_senses * 2 > st.senses {
+        if st.senses == THROTTLE_PROBATION && st.short_senses * 2 > st.senses {
             st.off |= OFF_THROTTLED;
         }
 
@@ -347,12 +355,11 @@ mod tests {
 
     #[test]
     fn short_sensor_gets_throttled() {
-        let mut cfg = free();
-        cfg.min_sense_duration = Duration::from_nanos(1000);
-        cfg.throttle_probation = 8;
-        let mut rt = SensorRuntime::new(1, cfg);
-        // All senses are 100 ns — far below the 1 us minimum.
-        run_senses(&mut rt, SensorId(0), 10, 100, 100);
+        let mut rt = SensorRuntime::new(1, free());
+        // A probation's worth of 100 ns senses — far below the 400 ns
+        // minimum.
+        let n = u64::from(THROTTLE_PROBATION) + 2;
+        run_senses(&mut rt, SensorId(0), n, 100, 100);
         assert!(rt.is_disabled(SensorId(0)));
         // Disabled probes cost only the cheap check.
         let out = rt.tick(SensorId(0), VirtualTime::from_secs(1));
@@ -361,11 +368,9 @@ mod tests {
 
     #[test]
     fn long_sensor_stays_enabled() {
-        let mut cfg = free();
-        cfg.min_sense_duration = Duration::from_nanos(1000);
-        cfg.throttle_probation = 8;
-        let mut rt = SensorRuntime::new(1, cfg);
-        run_senses(&mut rt, SensorId(0), 100, 50_000, 1000);
+        let mut rt = SensorRuntime::new(1, free());
+        let n = u64::from(THROTTLE_PROBATION) + 36;
+        run_senses(&mut rt, SensorId(0), n, 50_000, 1000);
         assert!(!rt.is_disabled(SensorId(0)));
     }
 
@@ -471,11 +476,9 @@ mod tests {
 
     #[test]
     fn throttle_and_server_bits_are_independent() {
-        let mut cfg = free();
-        cfg.min_sense_duration = Duration::from_nanos(1000);
-        cfg.throttle_probation = 8;
-        let mut rt = SensorRuntime::new(1, cfg);
-        run_senses(&mut rt, SensorId(0), 10, 100, 100);
+        let mut rt = SensorRuntime::new(1, free());
+        let n = u64::from(THROTTLE_PROBATION) + 2;
+        run_senses(&mut rt, SensorId(0), n, 100, 100);
         assert!(rt.is_disabled(SensorId(0)), "throttled");
         assert!(!rt.is_server_disabled(SensorId(0)));
         // A server re-enable (empty dark set) must not clear the throttle.

@@ -112,6 +112,21 @@ impl TelemetryBatch {
 /// Records serialised per CRC call in [`checksum`].
 const CHECKSUM_CHUNK: usize = 16;
 
+/// How long a sender waits for a batch acknowledgement before it
+/// schedules a retry.
+const ACK_TIMEOUT: Duration = Duration::from_millis(5);
+
+/// Base of the exponential retry backoff, doubled per failed attempt.
+const BACKOFF_BASE: Duration = Duration::from_millis(2);
+
+/// Exponential retry backoff: `BACKOFF_BASE × 2^(attempts-1)`, capped to
+/// avoid overflow on absurd budgets. Telemetry batches and control
+/// directives both space their retries by it.
+pub(crate) fn backoff(attempts: u32) -> Duration {
+    let shift = attempts.saturating_sub(1).min(16);
+    Duration::from_nanos(BACKOFF_BASE.as_nanos() << shift)
+}
+
 /// CRC-32 over the batch header and each record's wire bytes
 /// ([`SliceRecord::to_wire`]). Records are serialised sixteen at a time
 /// into a stack buffer and folded in one call, so the fold runs over long
@@ -327,10 +342,6 @@ pub struct TransportConfig {
     pub buffer_capacity: usize,
     /// Maximum transmission attempts per batch (first send + retries).
     pub retry_budget: u32,
-    /// Ack timeout before a retry is scheduled.
-    pub batch_timeout: Duration,
-    /// Base of the exponential backoff, doubled per failed attempt.
-    pub backoff_base: Duration,
     /// Virtual cost charged per transmission attempt.
     pub send_overhead: Duration,
 }
@@ -341,8 +352,6 @@ impl TransportConfig {
         TransportConfig {
             buffer_capacity: cfg.buffer_capacity.max(1),
             retry_budget: cfg.retry_budget.max(1),
-            batch_timeout: cfg.batch_timeout,
-            backoff_base: cfg.backoff_base,
             send_overhead: cfg.send_overhead,
         }
     }
@@ -617,15 +626,15 @@ impl RankTransport {
             }
             SendOutcome::NoAck => {
                 trace_instant(self.lane, "noack", now, batch.seq, attempts as u64);
-                let at = now + self.cfg.batch_timeout + self.backoff(attempts);
+                let at = now + ACK_TIMEOUT + backoff(attempts);
                 self.schedule_retry(batch, attempts, at);
             }
             SendOutcome::Unreachable => {
                 self.stats.unreachable_errors += 1;
                 trace_instant(self.lane, "unreachable", now, batch.seq, attempts as u64);
-                let backoff = self.backoff(attempts);
-                self.circuit_open_until = self.circuit_open_until.max(now + backoff);
-                self.schedule_retry(batch, attempts, now + backoff);
+                let at = now + backoff(attempts);
+                self.circuit_open_until = self.circuit_open_until.max(at);
+                self.schedule_retry(batch, attempts, at);
             }
             SendOutcome::Busy { retry_after } => {
                 self.stats.backpressured += 1;
@@ -642,7 +651,7 @@ impl RankTransport {
                 // engine's floating-point accumulation bitwise
                 // reproducible. (Dropping or reordering here would make
                 // the result depend on which rank won the admission race.)
-                let at = now + retry_after + self.backoff(attempts);
+                let at = now + retry_after + backoff(attempts);
                 self.circuit_open_until = self.circuit_open_until.max(at);
                 self.pending.push(Pending {
                     batch,
@@ -666,13 +675,6 @@ impl RankTransport {
                 next_retry_at: at,
             });
         }
-    }
-
-    /// Exponential backoff: `backoff_base × 2^(attempts-1)`, capped to
-    /// avoid overflow on absurd budgets.
-    fn backoff(&self, attempts: u32) -> Duration {
-        let shift = (attempts.saturating_sub(1)).min(16);
-        Duration::from_nanos(self.cfg.backoff_base.as_nanos() << shift)
     }
 }
 
@@ -1070,13 +1072,8 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially() {
-        let cfg = TransportConfig {
-            backoff_base: Duration::from_millis(2),
-            ..TransportConfig::default()
-        };
-        let t = RankTransport::new(0, Arc::new(DirectChannel::new(server(1))), cfg);
-        assert_eq!(t.backoff(1).as_nanos(), 2_000_000);
-        assert_eq!(t.backoff(2).as_nanos(), 4_000_000);
-        assert_eq!(t.backoff(5).as_nanos(), 32_000_000);
+        assert_eq!(backoff(1).as_nanos(), 2_000_000);
+        assert_eq!(backoff(2).as_nanos(), 4_000_000);
+        assert_eq!(backoff(5).as_nanos(), 32_000_000);
     }
 }

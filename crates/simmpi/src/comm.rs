@@ -33,11 +33,6 @@ impl Comm {
         self.my_index
     }
 
-    /// Translate a communicator-local index to a world rank.
-    pub fn world_rank(&self, local: usize) -> usize {
-        self.members[local]
-    }
-
     /// The member world ranks.
     pub fn members(&self) -> &[usize] {
         &self.members

@@ -1,18 +1,18 @@
 //! Four-ary min-heap for the event scheduler's run queue.
 //!
 //! Once group wake-ups are batched (see [`crate::sched`]), the run queue
-//! only carries per-rank wake-ups: compute slices and p2p receives. The
-//! `schedheap` microbenchmark in the bench crate measures three
-//! candidates on that access pattern — the old
-//! `BinaryHeap<Reverse<(VirtualTime, usize, u64)>>`, this four-ary heap,
-//! and a bucketed calendar queue. The calendar queue loses by 30–100×
-//! (the schedule's instants cluster so tightly that bucket scans
-//! dominate); the four-ary heap and the binary heap are within a few
-//! percent of each other at 4,096–16,384 entries (the whole queue fits
-//! in L2, so the four-ary layout's cache advantage doesn't bite yet).
-//! The four-ary heap is kept for its halved depth — the gap widens in
-//! its favor as worlds outgrow cache — and for the tighter contract
-//! below (generation excluded from the ordering key). See DESIGN.md §14.
+//! only carries per-rank wake-ups: compute slices and p2p receives. When
+//! the scheduler was flattened, three candidates were measured on that
+//! access pattern — the old `BinaryHeap<Reverse<(VirtualTime, usize,
+//! u64)>>`, this four-ary heap, and a bucketed calendar queue. The
+//! calendar queue loses by 30–100× (the schedule's instants cluster so
+//! tightly that bucket scans dominate); the four-ary heap and the binary
+//! heap are within a few percent of each other at 4,096–16,384 entries
+//! (the whole queue fits in L2, so the four-ary layout's cache advantage
+//! doesn't bite yet). The four-ary heap is kept for its halved depth —
+//! the gap widens in its favor as worlds outgrow cache — and for the
+//! tighter contract below (generation excluded from the ordering key).
+//! See DESIGN.md §14.
 //!
 //! Ordering is by `(at, rank)` only. The generation is payload: the
 //! scheduler's staleness check (`gen != gens[rank]`) makes popping two
@@ -49,26 +49,11 @@ pub struct FourAryHeap {
 }
 
 impl FourAryHeap {
-    /// An empty heap.
-    pub fn new() -> Self {
-        FourAryHeap { items: Vec::new() }
-    }
-
     /// An empty heap with room for `cap` entries.
     pub fn with_capacity(cap: usize) -> Self {
         FourAryHeap {
             items: Vec::with_capacity(cap),
         }
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the heap is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
     }
 
     /// The minimum entry, if any.
@@ -158,7 +143,7 @@ mod tests {
 
     #[test]
     fn pops_in_instant_then_rank_order() {
-        let mut h = FourAryHeap::new();
+        let mut h = FourAryHeap::default();
         for entry in [e(30, 1, 0), e(10, 2, 0), e(10, 0, 0), e(20, 5, 0)] {
             h.push(entry);
         }
@@ -166,7 +151,7 @@ mod tests {
             .map(|x| (x.at.0, x.rank))
             .collect();
         assert_eq!(order, vec![(10, 0), (10, 2), (20, 5), (30, 1)]);
-        assert!(h.is_empty());
+        assert!(h.peek().is_none());
     }
 
     #[test]
@@ -174,7 +159,7 @@ mod tests {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
         // Deterministic xorshift stream; interleave pushes and pops.
-        let mut h = FourAryHeap::new();
+        let mut h = FourAryHeap::default();
         let mut oracle: BinaryHeap<Reverse<(VirtualTime, u32, u64)>> = BinaryHeap::new();
         let mut x = 0x9E3779B97F4A7C15u64;
         for step in 0..10_000u64 {
@@ -195,7 +180,7 @@ mod tests {
                 // multiset consistent by requiring the key to match exactly.
                 assert_eq!((got.at, got.rank), (at, rank), "step {step}");
             }
-            assert_eq!(h.len(), oracle.len());
+            assert_eq!(h.items.len(), oracle.len());
         }
     }
 }

@@ -76,7 +76,7 @@
 pub mod collectives;
 pub mod comm;
 pub mod death;
-pub mod heap;
+mod heap;
 pub mod nonblocking;
 pub mod p2p;
 pub mod proc;

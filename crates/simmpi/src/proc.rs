@@ -328,12 +328,6 @@ impl Proc {
         self.clock += d;
     }
 
-    /// Charge `d` against the compute account without noise modelling.
-    pub fn charge_compute(&mut self, d: Duration) {
-        self.clock += d;
-        self.stats.compute_time += d;
-    }
-
     /// Blocking send of `bytes` with `tag` and scalar `value` to `dest`.
     pub fn send(&mut self, dest: usize, bytes: u64, tag: i64, value: i64) {
         assert!(dest < self.size, "send to rank {dest} out of range");
@@ -695,25 +689,6 @@ impl Proc {
                 value,
                 rop: op,
                 is_root: false,
-            },
-        )
-        .map(|r| r.value)
-    }
-
-    /// Broadcast over a sub-communicator from the member with local index
-    /// `root`. A yield point.
-    pub fn comm_bcast(&mut self, comm: &Comm, root: usize, bytes: u64, value: i64) -> Poll<i64> {
-        let at = self.clock + MPI_CALL_OVERHEAD;
-        let is_root = comm.rank() == root;
-        self.sub_collective(
-            comm,
-            CollectiveEntry {
-                op: CollectiveOp::Bcast,
-                bytes,
-                at,
-                value,
-                rop: ReduceOp::Sum,
-                is_root,
             },
         )
         .map(|r| r.value)

@@ -40,9 +40,9 @@
 //!   instead of rescanning every open rendezvous.
 //! * **Group wake-ups are batched.** A completed rendezvous contributes
 //!   one batch (O(1) heap-equivalent work), not `p` heap pushes.
-//! * **The run queue is a four-ary heap** ([`crate::heap::FourAryHeap`]),
-//!   half the depth of the old binary heap on the pop-heavy schedule (see
-//!   the `schedheap` microbenchmark in the bench crate).
+//! * **The run queue is a four-ary heap** (`heap::FourAryHeap`), half the
+//!   depth of the old binary heap on the pop-heavy schedule (the
+//!   measurement is recorded in DESIGN.md §14).
 //!
 //! # Determinism and the worker contract
 //!
