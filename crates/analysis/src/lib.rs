@@ -45,7 +45,6 @@
 
 pub mod callgraph;
 pub mod deps;
-pub mod estimate;
 pub mod explain;
 pub mod externs;
 pub mod identify;
@@ -69,7 +68,7 @@ use vsensor_lang::Program;
 pub struct AnalysisConfig {
     /// Extern function behaviour models (defaults cover libc + MPI).
     pub externs: ExternModels,
-    /// Selection rules (§4): max depth, granularity.
+    /// Selection rules (§4): max depth.
     pub selection: SelectionRules,
     /// Static rule: treat the communication destination as part of the
     /// workload (off by default — §3.1 lists it as an optional user rule).

@@ -24,24 +24,11 @@ pub struct SelectionRules {
     /// be instrumented; the paper's `max-depth` knob. Depth 0 is an
     /// outermost loop.
     pub max_depth: usize,
-    /// If set, only sensors with process-invariant workload are selected
-    /// (pure inter-process mode). Off by default: rank-dependent sensors
-    /// still support intra-process history comparison.
-    pub require_process_invariant: bool,
-    /// Skip snippets whose statically-estimated per-execution work (in
-    /// abstract units ≈ ns) falls below this. 0 disables the filter —
-    /// the §4 granularity estimate; runtime throttling remains the
-    /// authoritative mechanism either way.
-    pub min_estimated_work: u64,
 }
 
 impl Default for SelectionRules {
     fn default() -> Self {
-        SelectionRules {
-            max_depth: 3,
-            require_process_invariant: false,
-            min_estimated_work: 0,
-        }
+        SelectionRules { max_depth: 3 }
     }
 }
 
@@ -57,13 +44,10 @@ pub fn select(program: &Program, identified: &Identified, rules: &SelectionRules
     let Some(main_idx) = program.function_index("main") else {
         return Selection::default();
     };
-    let estimates = (rules.min_estimated_work > 0)
-        .then(|| crate::estimate::estimate(program, &identified.callgraph));
     let mut sel = Selector {
         program,
         identified,
         rules,
-        estimates,
         chosen: Vec::new(),
         visited: vec![false; program.functions.len()],
         covered: vec![false; program.functions.len()],
@@ -87,7 +71,6 @@ struct Selector<'a> {
     program: &'a Program,
     identified: &'a Identified,
     rules: &'a SelectionRules,
-    estimates: Option<crate::estimate::WorkEstimates>,
     /// Chosen snippets with the function each lives in.
     chosen: Vec<(SnippetId, usize)>,
     visited: Vec<bool>,
@@ -102,16 +85,9 @@ impl<'a> Selector<'a> {
     /// in a helper called from main's time loop repeats inter-procedurally)
     /// and is decided during the walk.
     fn eligible(&self, id: SnippetId) -> bool {
-        let rules = self.rules;
-        let big_enough = |est: &crate::estimate::WorkEstimates| {
-            est.snippet(id).unwrap_or(u64::MAX) >= rules.min_estimated_work
-        };
-        self.identified.verdict(id).is_some_and(|v| {
-            v.globally_fixed
-                && v.snippet.depth < rules.max_depth
-                && (!rules.require_process_invariant || v.fixed_across_processes)
-                && self.estimates.as_ref().is_none_or(big_enough)
-        })
+        self.identified
+            .verdict(id)
+            .is_some_and(|v| v.globally_fixed && v.snippet.depth < self.rules.max_depth)
     }
 
     /// Visit a function's body. `in_loop_ctx` is true when every call path
@@ -225,13 +201,7 @@ mod tests {
         let (_, deep) = run_select(src, &SelectionRules::default());
         assert_eq!(deep.chosen.len(), 1);
         // With max_depth 2, depth-2 snippets are barred.
-        let (_, shallow) = run_select(
-            src,
-            &SelectionRules {
-                max_depth: 2,
-                ..Default::default()
-            },
-        );
+        let (_, shallow) = run_select(src, &SelectionRules { max_depth: 2 });
         assert!(shallow.chosen.is_empty());
     }
 
@@ -302,36 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn process_invariance_filter() {
-        let src = r#"
-            fn main() {
-                int r = mpi_comm_rank();
-                for (n = 0; n < 100; n = n + 1) {
-                    for (k = 0; k < 10; k = k + 1) {
-                        if (r % 2 == 1) { compute(64); }
-                    }
-                    for (j = 0; j < 10; j = j + 1) { compute(64); }
-                }
-            }
-        "#;
-        let (_, all) = run_select(src, &SelectionRules::default());
-        // The rank-gated k loop and the j loop.
-        assert_eq!(all.chosen.len(), 2, "{all:?}");
-        assert!(matches!(all.chosen[0], SnippetId::Loop(_)));
-        let (_, only_inv) = run_select(
-            src,
-            &SelectionRules {
-                require_process_invariant: true,
-                ..Default::default()
-            },
-        );
-        // The k loop is rank-dependent, so selection descends into it and
-        // picks the process-invariant `compute(64)` call instead.
-        assert_eq!(only_inv.chosen.len(), 2, "{only_inv:?}");
-        assert!(matches!(only_inv.chosen[0], SnippetId::Call(_)));
-    }
-
-    #[test]
     fn top_level_loop_in_callee_repeats_through_the_call_chain() {
         // kernel's j loop has no enclosing loop *in its function*, but
         // kernel is only reached from main's time loop — the snippet
@@ -375,30 +315,6 @@ mod tests {
         );
         assert_eq!(sel.chosen.len(), 1, "{sel:?}");
         assert!(matches!(sel.chosen[0], SnippetId::Call(_)));
-    }
-
-    #[test]
-    fn min_estimated_work_filters_tiny_sensors() {
-        let src = r#"
-            fn main() {
-                for (n = 0; n < 100; n = n + 1) {
-                    for (a = 0; a < 4; a = a + 1) { compute(10); }    // ~tiny
-                    for (b = 0; b < 64; b = b + 1) { compute(5000); } // big
-                }
-            }
-        "#;
-        let (_, all) = run_select(src, &SelectionRules::default());
-        assert_eq!(all.chosen.len(), 2);
-        let (_, filtered) = run_select(
-            src,
-            &SelectionRules {
-                min_estimated_work: 10_000,
-                ..Default::default()
-            },
-        );
-        assert_eq!(filtered.chosen.len(), 1, "{filtered:?}");
-        // The surviving sensor is the big loop (LoopId 2).
-        assert!(matches!(filtered.chosen[0], SnippetId::Loop(l) if l.0 == 2));
     }
 
     #[test]

@@ -67,10 +67,7 @@ pub fn depth_sweep(effort: Effort, depths: &[usize]) -> Vec<DepthRow> {
         .iter()
         .map(|&d| {
             let config = AnalysisConfig {
-                selection: SelectionRules {
-                    max_depth: d,
-                    ..Default::default()
-                },
+                selection: SelectionRules { max_depth: d },
                 ..Default::default()
             };
             let prepared = Pipeline::new().with_config(config).prepare(app.compile());

@@ -20,9 +20,8 @@ pub struct ClusterConfig {
     pub ranks: usize,
     /// Ranks per node.
     pub ranks_per_node: usize,
-    /// Default node spec, used for every node without an override.
-    pub default_node: NodeSpec,
-    /// Per-node overrides (node id, spec) — e.g. one bad node.
+    /// Per-node overrides (node id, spec) — e.g. one bad node. Every other
+    /// node is [`NodeSpec::healthy`].
     pub node_overrides: Vec<(usize, NodeSpec)>,
     /// Background OS noise.
     pub noise: NoiseConfig,
@@ -46,7 +45,6 @@ impl ClusterConfig {
         ClusterConfig {
             ranks,
             ranks_per_node: 24,
-            default_node: NodeSpec::default(),
             node_overrides: Vec::new(),
             noise: NoiseConfig::default(),
             injected: Vec::new(),
@@ -106,7 +104,7 @@ impl ClusterConfig {
     /// Finalize into an immutable [`Cluster`].
     pub fn build(self) -> Cluster {
         let topology = Topology::block(self.ranks, self.ranks_per_node);
-        let mut nodes = vec![self.default_node; topology.node_count()];
+        let mut nodes = vec![NodeSpec::healthy(); topology.node_count()];
         for (id, spec) in self.node_overrides {
             assert!(id < nodes.len(), "node override {id} out of range");
             nodes[id] = spec;

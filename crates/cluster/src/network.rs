@@ -20,30 +20,22 @@ pub struct DegradationWindow {
     pub factor: f64,
 }
 
-/// Static network parameters.
-#[derive(Clone, Debug, PartialEq)]
+/// One-way small-message latency between nodes.
+const LATENCY: Duration = Duration::from_micros(1);
+/// Bandwidth in bytes per nanosecond (1.0 = 1 GB/s ≈ 0.93 GiB/s;
+/// Tianhe-2's TH Express-2 is on the order of 10).
+const BANDWIDTH_BYTES_PER_NS: f64 = 10.0;
+/// Share of [`LATENCY`] a message pays when both endpoints sit on one
+/// node (intra-node messages skip the wire).
+const INTRA_NODE_DISCOUNT: f64 = 0.2;
+
+/// The network's time-varying part: the windows during which it runs
+/// slower. The static costs are this module's constants: 1 µs latency
+/// between nodes (a fifth of it within a node) and 10 bytes per ns.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct NetworkConfig {
-    /// One-way small-message latency.
-    pub latency: Duration,
-    /// Bandwidth in bytes per nanosecond (1.0 = 1 GB/s ≈ 0.93 GiB/s;
-    /// Tianhe-2's TH Express-2 is on the order of 10).
-    pub bandwidth_bytes_per_ns: f64,
-    /// Extra per-node-pair latency when the endpoints sit on different
-    /// nodes (intra-node messages skip the wire).
-    pub intra_node_discount: f64,
     /// Degradation windows.
     pub degradations: Vec<DegradationWindow>,
-}
-
-impl Default for NetworkConfig {
-    fn default() -> Self {
-        NetworkConfig {
-            latency: Duration::from_micros(1),
-            bandwidth_bytes_per_ns: 10.0,
-            intra_node_discount: 0.2,
-            degradations: Vec::new(),
-        }
-    }
 }
 
 impl NetworkConfig {
@@ -70,12 +62,11 @@ impl NetworkConfig {
     /// Time for one point-to-point message of `bytes` bytes posted at `t`.
     pub fn p2p_cost(&self, bytes: u64, same_node: bool, t: VirtualTime) -> Duration {
         let lat = if same_node {
-            self.latency.mul_f64(self.intra_node_discount)
+            LATENCY.mul_f64(INTRA_NODE_DISCOUNT)
         } else {
-            self.latency
+            LATENCY
         };
-        let transfer =
-            Duration::from_nanos(ceil_to_u64(bytes as f64 / self.bandwidth_bytes_per_ns));
+        let transfer = Duration::from_nanos(ceil_to_u64(bytes as f64 / BANDWIDTH_BYTES_PER_NS));
         (lat + transfer).mul_f64(self.factor_at(t))
     }
 
@@ -91,8 +82,8 @@ impl NetworkConfig {
     ) -> Duration {
         let p = procs.max(1) as f64;
         let log_p = p.log2().ceil().max(1.0);
-        let lat = self.latency.as_nanos() as f64;
-        let per_byte = 1.0 / self.bandwidth_bytes_per_ns;
+        let lat = LATENCY.as_nanos() as f64;
+        let per_byte = 1.0 / BANDWIDTH_BYTES_PER_NS;
         let b = bytes as f64;
         let ns = match op {
             // Dissemination barrier: ceil(log2 P) rounds of small messages.

@@ -10,25 +10,18 @@ use crate::time::{round_to_u64, Duration};
 
 /// Static performance description of one node.
 ///
-/// A factor of `1.0` means one work unit costs one virtual nanosecond;
-/// larger factors are slower hardware.
+/// One CPU work unit costs one virtual nanosecond on every node; memory
+/// work costs `mem_factor` nanoseconds per unit, so a factor of `1.0` is
+/// a healthy node and larger factors are slower memory.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NodeSpec {
-    /// Multiplier for CPU work units.
-    pub cpu_factor: f64,
     /// Multiplier for memory work units.
     pub mem_factor: f64,
-    /// Cores per node (used by topology bookkeeping and reports).
-    pub cores: u32,
 }
 
 impl Default for NodeSpec {
     fn default() -> Self {
-        NodeSpec {
-            cpu_factor: 1.0,
-            mem_factor: 1.0,
-            cores: 24, // Tianhe-2 nodes have 2 × 12-core Xeon E5-2692 v2
-        }
+        NodeSpec { mem_factor: 1.0 }
     }
 }
 
@@ -44,7 +37,6 @@ impl NodeSpec {
         assert!(perf > 0.0, "memory performance must be positive");
         NodeSpec {
             mem_factor: 1.0 / perf,
-            ..NodeSpec::default()
         }
     }
 
@@ -57,7 +49,7 @@ impl NodeSpec {
         debug_assert!((0.0..=1.0).contains(&miss_rate));
         // Each missing fraction of CPU work pays an extra memory access.
         const MISS_PENALTY: f64 = 3.0;
-        let cpu_ns = work.cpu as f64 * self.cpu_factor;
+        let cpu_ns = work.cpu as f64;
         let mem_ns =
             (work.mem as f64 + work.cpu as f64 * miss_rate * MISS_PENALTY) * self.mem_factor;
         Duration::from_nanos(round_to_u64(cpu_ns + mem_ns))

@@ -62,7 +62,6 @@ fn main() {
     if let Some(d) = opt("--max-depth") {
         config.selection = SelectionRules {
             max_depth: d.parse().unwrap_or_else(|_| usage()),
-            ..Default::default()
         };
     }
 

@@ -370,18 +370,18 @@ pub fn multi_tenant_skewed(
 
 /// Service knobs matching [`multi_tenant_skewed`]: durable (standby
 /// failover needs per-tenant WALs), admission budget of
-/// `5 × ranks_per_tenant` batches per 100 ms window. The service splits
-/// a tenant's budget evenly per rank (5 each here), so a 1× tenant's
-/// rank — one periodic flush per window, plus the end-of-run flush and
-/// the occasional lossy-transport resend landing in the same window —
-/// never exhausts its share, while each of the [`HOT_TENANT_RATE`]× hot
+/// `5 × ranks_per_tenant` batches per 100 ms admission window (the
+/// service's `BUDGET_WINDOW`). The service splits a tenant's budget
+/// evenly per rank (5 each here), so a 1× tenant's rank — one periodic
+/// flush per window, plus the end-of-run flush and the occasional
+/// lossy-transport resend landing in the same window — never exhausts
+/// its share, while each of the [`HOT_TENANT_RATE`]× hot
 /// tenant's ranks flushes 8 per window and gets
 /// `IngestError::Backpressure` for the overshoot.
 pub fn multi_tenant_service(tenants: usize, ranks_per_tenant: usize) -> ServiceConfig {
     ServiceConfig::default()
         .with_max_tenants(tenants)
         .with_batch_budget(5 * ranks_per_tenant as u32)
-        .with_budget_window(Duration::from_millis(100))
         .durable()
 }
 

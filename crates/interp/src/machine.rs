@@ -24,7 +24,9 @@ use std::ops::DerefMut;
 use std::sync::Arc;
 use vsensor_lang::{BinOp, SensorId};
 use vsensor_runtime::dynrules::SenseMetrics;
-use vsensor_runtime::transport::{BatchChannel, RankTransport, TransportConfig, TransportStats};
+use vsensor_runtime::transport::{
+    BatchChannel, RankTransport, TransportConfig, TransportStats, SEND_COST,
+};
 use vsensor_runtime::SensorRuntime;
 
 /// Work-unit costs of IR operations (1 unit ≈ 1 ns on a healthy node).
@@ -430,7 +432,7 @@ impl<P: DerefMut<Target = Proc>> Machine<P> {
                 let channel = h.transport.channel().clone();
                 let mut cost = cluster_sim::time::Duration::ZERO;
                 for directive in channel.poll_control(rank, now) {
-                    cost += h.runtime.config().send_overhead;
+                    cost += SEND_COST;
                     if let Some(epoch) = h.runtime.apply_directive(&directive) {
                         channel.ack_control(rank, epoch, now);
                     }

@@ -58,7 +58,7 @@ fn stream(
 #[test]
 fn streaming_fold_matches_replay_oracle() {
     let sensors = sensors();
-    let e = AnalysisServer::try_new(4, sensors.clone(), RuntimeConfig::free_probes())
+    let e = AnalysisServer::try_new(4, sensors.clone(), RuntimeConfig::default())
         .expect("valid config");
     let records = stream(&e, 4, 600, |rank, slice| {
         if rank == 2 && (200..400).contains(&slice) {

@@ -18,13 +18,6 @@ pub struct RuntimeConfig {
     /// Normalized performance below this is reported as variance (the
     /// matrix figures paint < 0.5 white).
     pub variance_threshold: f64,
-    /// Virtual cost charged per Tick or Tock probe call.
-    pub probe_overhead: Duration,
-    /// Extra virtual cost when a probe finalizes a slice and runs the
-    /// on-line analysis.
-    pub analysis_overhead: Duration,
-    /// Virtual cost of a probe hitting a throttled (disabled) sensor.
-    pub disabled_overhead: Duration,
     /// Ranks flush their record buffers to the analysis server at this
     /// period (§5.4's batching).
     pub batch_interval: Duration,
@@ -38,8 +31,6 @@ pub struct RuntimeConfig {
     /// Unsent/unacked batches buffered per rank; overflow drops the
     /// *oldest* batch (fresh telemetry beats stale under backpressure).
     pub buffer_capacity: usize,
-    /// Virtual cost charged to the rank's clock per transmission attempt.
-    pub send_overhead: Duration,
     /// How often (in virtual arrival time) the streaming engine runs an
     /// incremental detection pass and emits new [`VarianceAlert`]s.
     ///
@@ -74,14 +65,10 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             slice: Duration::from_micros(1000),
             variance_threshold: 0.5,
-            probe_overhead: Duration::from_nanos(60),
-            analysis_overhead: Duration::from_nanos(250),
-            disabled_overhead: Duration::from_nanos(10),
             batch_interval: Duration::from_millis(100),
             matrix_resolution: Duration::from_millis(200),
             retry_budget: 4,
             buffer_capacity: 32,
-            send_overhead: Duration::from_micros(2),
             detect_interval: Duration::from_millis(200),
             liveness_intervals: 3,
             overhead_budget: 0.0,
@@ -91,18 +78,6 @@ impl Default for RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// A configuration with probes that cost nothing — for unit tests that
-    /// check arithmetic exactly.
-    pub fn free_probes() -> Self {
-        RuntimeConfig {
-            probe_overhead: Duration::ZERO,
-            analysis_overhead: Duration::ZERO,
-            disabled_overhead: Duration::ZERO,
-            send_overhead: Duration::ZERO,
-            ..Default::default()
-        }
-    }
-
     /// Slice index containing a virtual instant.
     pub fn slice_index(&self, t: cluster_sim::time::VirtualTime) -> u64 {
         t.as_nanos() / self.slice.as_nanos().max(1)

@@ -51,7 +51,8 @@
 use crate::config::RuntimeConfig;
 use crate::crc::Crc32;
 use crate::record::SliceRecord;
-use crate::transport::backoff;
+use crate::tick::{ANALYSIS_COST, PROBE_COST};
+use crate::transport::{backoff, SEND_COST};
 use cluster_sim::time::VirtualTime;
 
 /// Sequence-namespace base for control-directive fault dice. Telemetry
@@ -327,10 +328,10 @@ impl Controller {
         let Some(rc) = self.ranks.get_mut(rank) else {
             return;
         };
-        let probe = self.config.probe_overhead.as_nanos();
-        let analysis = self.config.analysis_overhead.as_nanos();
+        let probe = PROBE_COST.as_nanos();
+        let analysis = ANALYSIS_COST.as_nanos();
         rc.batches += 1;
-        rc.cost_ns += self.config.send_overhead.as_nanos();
+        rc.cost_ns += SEND_COST.as_nanos();
         for r in records {
             rc.records += 1;
             // Each sense is one tick + one tock probe; each finished

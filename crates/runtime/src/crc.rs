@@ -201,8 +201,8 @@ mod tests {
                 location: format!("pin:{s}"),
             })
             .collect();
-        let server = AnalysisServer::try_new(4, sensors, RuntimeConfig::free_probes())
-            .expect("valid config");
+        let server =
+            AnalysisServer::try_new(4, sensors, RuntimeConfig::default()).expect("valid config");
         server
             .session()
             .ingest(batch, arrival)

@@ -95,7 +95,7 @@ pub fn detect_events(
         let mut open: Option<Run> = None;
         let mut gap = 0usize;
         for bin in 0..matrix.bins() {
-            let below_perf = matrix.cell(rank, bin).filter(|&p| p <= threshold);
+            let below_perf = matrix.cell(rank, bin).filter(|&p| p < threshold);
             if let Some(perf) = below_perf {
                 match &mut open {
                     Some(run) => {
@@ -244,6 +244,26 @@ mod tests {
         assert_eq!(events.len(), 1, "{events:?}");
         assert_eq!(events[0].start_bin, 2);
         assert_eq!(events[0].end_bin, 7);
+    }
+
+    #[test]
+    fn cells_at_exactly_the_threshold_are_not_variance() {
+        // "Below the threshold" is strict everywhere: the rank-side tock,
+        // the event detector and the matrix's below-fraction agree.
+        let mut m = PerformanceMatrix::new(4, 10, Duration::from_millis(200));
+        for r in 0..4 {
+            for b in 0..10u64 {
+                let at_threshold = r == 1 && (b == 3 || b == 4);
+                m.add(r, b, if at_threshold { 0.5 } else { 1.0 });
+            }
+        }
+        let events = detect_events(&m, SensorKind::Computation, 0.5).unwrap();
+        assert!(events.is_empty(), "{events:?}");
+        assert_eq!(m.fraction_below(0.5), 0.0);
+        // With the threshold a hair higher, the same two cells are one event.
+        let events = detect_events(&m, SensorKind::Computation, 0.5 + 1e-9).unwrap();
+        assert_eq!(events.len(), 1, "{events:?}");
+        assert_eq!(m.fraction_below(0.5 + 1e-9), 2.0 / 40.0);
     }
 
     #[test]

@@ -610,7 +610,7 @@ impl AnalysisServer {
     /// before it mutates the state (under the state lock, so log order is
     /// processing order), and detection passes append checkpoints. Takes
     /// the server by value, so it happens before the server is shared.
-    pub fn into_primary(mut self, wal: &Arc<WriteAheadLog>) -> Self {
+    pub(crate) fn into_primary(mut self, wal: &Arc<WriteAheadLog>) -> Self {
         self.wal = Some(wal.clone());
         self
     }
@@ -1226,7 +1226,7 @@ impl AnalysisServer {
     /// Begin one delivery attempt of `rank`'s pending control directive,
     /// if one is due at `now`. Returns the directive and the attempt
     /// number (1-based, feeds the fault dice).
-    pub fn control_begin_attempt(
+    pub(crate) fn control_begin_attempt(
         &self,
         rank: usize,
         now: VirtualTime,
@@ -1235,17 +1235,17 @@ impl AnalysisServer {
     }
 
     /// Record that the fault dice destroyed a begun attempt.
-    pub fn control_delivery_lost(&self, rank: usize) {
+    pub(crate) fn control_delivery_lost(&self, rank: usize) {
         self.with_control(|c| c.delivery_lost(rank));
     }
 
     /// Record that the fault dice delayed a begun attempt until `until`.
-    pub fn control_delay(&self, rank: usize, until: VirtualTime) {
+    pub(crate) fn control_delay(&self, rank: usize, until: VirtualTime) {
         self.with_control(|c| c.delay_delivery(rank, until));
     }
 
     /// Record that `rank` acknowledged every epoch up to `epoch`.
-    pub fn control_ack(&self, rank: usize, epoch: u64) {
+    pub(crate) fn control_ack(&self, rank: usize, epoch: u64) {
         self.with_control(|c| c.ack(rank, epoch));
     }
 
@@ -1368,7 +1368,7 @@ mod tests {
         AnalysisServer::try_new(
             ranks,
             vec![sensor_info(0, SensorKind::Computation, true)],
-            RuntimeConfig::free_probes(),
+            RuntimeConfig::default(),
         )
         .expect("valid config")
     }
@@ -1444,7 +1444,7 @@ mod tests {
         for resolution_us in [1500, 500] {
             let config = RuntimeConfig {
                 matrix_resolution: Duration::from_micros(resolution_us),
-                ..RuntimeConfig::free_probes()
+                ..RuntimeConfig::default()
             };
             let e = AnalysisServer::try_new(
                 1,

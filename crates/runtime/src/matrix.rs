@@ -181,7 +181,7 @@ impl PerformanceMatrix {
             for bin in 0..self.bins {
                 if let Some(p) = self.cell(rank, bin) {
                     n += 1;
-                    if p <= threshold {
+                    if p < threshold {
                         below += 1;
                     }
                 }

@@ -297,7 +297,7 @@ mod tests {
         AnalysisServer::try_new(
             ranks,
             vec![sensor_info(0, SensorKind::Computation, true)],
-            RuntimeConfig::free_probes(),
+            RuntimeConfig::default(),
         )
         .expect("valid config")
     }
@@ -352,7 +352,7 @@ mod tests {
         let s = AnalysisServer::try_new(
             2,
             vec![sensor_info(0, SensorKind::Computation, false)],
-            RuntimeConfig::free_probes(),
+            RuntimeConfig::default(),
         )
         .expect("valid config");
         for slice in 0..1000 {
@@ -418,7 +418,7 @@ mod tests {
                 sensor_info(0, SensorKind::Computation, true),
                 sensor_info(1, SensorKind::Network, true),
             ],
-            RuntimeConfig::free_probes(),
+            RuntimeConfig::default(),
         )
         .expect("valid config");
         for slice in 0..100 {
@@ -442,7 +442,7 @@ mod tests {
                 sensor_info(0, SensorKind::Computation, true),
                 sensor_info(1, SensorKind::Network, true),
             ],
-            RuntimeConfig::free_probes(),
+            RuntimeConfig::default(),
         )
         .expect("valid config");
         send(&s, 0, 0, vec![rec(0, 0, 10), rec(1, 0, 50)]);
@@ -516,7 +516,7 @@ mod tests {
     fn durable_server_recovers_to_the_same_result() {
         let sensors = vec![sensor_info(0, SensorKind::Computation, true)];
         let (live, wal) =
-            AnalysisServer::try_new_durable(2, sensors, RuntimeConfig::free_probes()).unwrap();
+            AnalysisServer::try_new_durable(2, sensors, RuntimeConfig::default()).unwrap();
         // Millisecond arrivals cross several default 200 ms detect
         // intervals, so the engine checkpoints mid-run.
         for slice in 0..800u64 {
@@ -570,7 +570,7 @@ mod tests {
     fn invalid_config_fails_at_construction() {
         let bad = RuntimeConfig {
             buffer_capacity: 0,
-            ..RuntimeConfig::free_probes()
+            ..RuntimeConfig::default()
         };
         let err = AnalysisServer::try_new(1, Vec::new(), bad).err().unwrap();
         assert!(

@@ -28,7 +28,7 @@
 //!   the replica has not passed and re-ingests the batches behind it, at
 //!   most one detection interval (`AnalysisServer::catch_up`, the same read
 //!   [`AnalysisServer::recover`] does); killing the primary promotes the
-//!   replicas ([`AnalysisServer::into_primary`]), and because replay is a
+//!   replicas (`AnalysisServer::into_primary`), and because replay is a
 //!   faithful re-execution of the journaled ingest order, every promoted
 //!   tenant's [`ServerResult`] is bitwise-identical to the crash-free
 //!   run's;
@@ -90,16 +90,17 @@ pub struct TenantSpec {
     pub config: RuntimeConfig,
 }
 
+/// Length of the admission window a tenant's batch budget applies to.
+pub(crate) const BUDGET_WINDOW: Duration = Duration::from_millis(100);
+
 /// Service-level tunables.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Maximum tenants admitted; registration past this is refused.
     pub max_tenants: usize,
-    /// Batches each tenant may ingest per admission window; 0 disables
-    /// admission control (unlimited).
+    /// Batches each tenant may ingest per 100 ms admission window
+    /// (`BUDGET_WINDOW`); 0 disables admission control (unlimited).
     pub tenant_batch_budget: u32,
-    /// Length of the admission window the budget applies to.
-    pub budget_window: Duration,
     /// Whether each tenant journals to its own write-ahead log. Required
     /// for standby failover.
     pub durable: bool,
@@ -110,7 +111,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             max_tenants: 64,
             tenant_batch_budget: 0,
-            budget_window: Duration::from_millis(100),
             durable: false,
         }
     }
@@ -126,12 +126,6 @@ impl ServiceConfig {
     /// Set the per-tenant batch budget per window (builder style).
     pub fn with_batch_budget(mut self, budget: u32) -> Self {
         self.tenant_batch_budget = budget;
-        self
-    }
-
-    /// Set the admission-window length (builder style).
-    pub fn with_budget_window(mut self, window: Duration) -> Self {
-        self.budget_window = window;
         self
     }
 
@@ -464,7 +458,7 @@ impl AnalysisService {
         };
         let budget = self.config.tenant_batch_budget;
         if budget > 0 {
-            let window_ns = self.config.budget_window.as_nanos().max(1);
+            let window_ns = BUDGET_WINDOW.as_nanos();
             // Each rank gets an even share of the tenant's window budget
             // and its own window cursor; see [`Ledger::rank_windows`].
             let share = (budget / shard.spec.ranks.max(1) as u32).max(1);
@@ -615,7 +609,7 @@ impl AnalysisService {
     /// is discarded wholesale (in-memory state dies with the process); its
     /// replica does a final catch-up from the tenant's own WAL (a tenant
     /// with no replica yet replays the whole log), is promoted
-    /// ([`AnalysisServer::into_primary`]) and starts journaling. Per-tenant
+    /// (`AnalysisServer::into_primary`) and starts journaling. Per-tenant
     /// WAL isolation means promoting tenant A replays zero bytes of tenant
     /// B. Admission ledgers live in the front door and survive. With no
     /// standby attached this is refused ([`ServiceError::NotDurable`]) and
@@ -767,7 +761,7 @@ mod tests {
                 process_invariant: true,
                 location: "test:0".into(),
             }],
-            config: RuntimeConfig::free_probes(),
+            config: RuntimeConfig::default(),
         }
     }
 
@@ -865,12 +859,7 @@ mod tests {
 
     #[test]
     fn over_budget_tenant_gets_retryable_backpressure_with_rollover_hint() {
-        let window = Duration::from_micros(100);
-        let svc = AnalysisService::new(
-            ServiceConfig::default()
-                .with_batch_budget(2)
-                .with_budget_window(window),
-        );
+        let svc = AnalysisService::new(ServiceConfig::default().with_batch_budget(2));
         let t = TenantId(0);
         svc.register(t, spec(1)).unwrap();
         let at = VirtualTime::from_micros(10);
@@ -886,8 +875,9 @@ mod tests {
             panic!("expected backpressure, got {err}");
         };
         assert_eq!(tenant, t);
-        // Window is [0, 100us); arrival at 10us → rolls over in 90us.
-        assert_eq!(retry_after, Duration::from_micros(90));
+        // Window is [0, BUDGET_WINDOW); arrival at 10us → rolls over
+        // 10us before its end.
+        assert_eq!(retry_after, BUDGET_WINDOW - Duration::from_micros(10));
         // After the window rolls over, the same tenant is admitted again.
         let later = at + retry_after;
         svc.ingest(t, &batch(0, 2, later), later).unwrap();
@@ -898,11 +888,7 @@ mod tests {
 
     #[test]
     fn hot_tenant_budget_does_not_touch_its_neighbor() {
-        let svc = AnalysisService::new(
-            ServiceConfig::default()
-                .with_batch_budget(1)
-                .with_budget_window(Duration::from_millis(1)),
-        );
+        let svc = AnalysisService::new(ServiceConfig::default().with_batch_budget(1));
         let hot = TenantId(0);
         let calm = TenantId(1);
         svc.register(hot, spec(1)).unwrap();

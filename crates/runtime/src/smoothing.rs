@@ -112,7 +112,7 @@ mod tests {
     use super::*;
 
     fn cfg() -> RuntimeConfig {
-        RuntimeConfig::free_probes()
+        RuntimeConfig::default()
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! records for the next batch flush to the analysis server. Both probes
 //! report their own virtual cost so the caller can charge it to the rank's
 //! clock — the probes are *not* fixed-workload code, which is exactly why
-//! nested sensors are never instrumented (§4).
+//! nested sensors are never instrumented (§4). The costs are the constants
+//! `PROBE_COST`, `ANALYSIS_COST` and `DISABLED_PROBE_COST`; the control
+//! plane's observed-cost model reads the same ones.
 //!
 //! §5.3's runtime throttling is implemented here: a sensor whose senses are
 //! consistently shorter than [`MIN_SENSE_DURATION`] after a probation of
@@ -28,6 +30,15 @@ use vsensor_lang::SensorId;
 const OFF_THROTTLED: u8 = 1;
 /// The analysis server commanded the sensor dark (control plane).
 const OFF_SERVER: u8 = 1 << 1;
+
+/// Virtual cost of one Tick or Tock probe call.
+pub(crate) const PROBE_COST: Duration = Duration::from_nanos(60);
+/// Extra virtual cost when a probe closes a slice and runs the on-line
+/// analysis.
+pub(crate) const ANALYSIS_COST: Duration = Duration::from_nanos(250);
+/// Virtual cost of a probe on a disabled (throttled or server-dark)
+/// sensor: the one check that finds it off.
+pub(crate) const DISABLED_PROBE_COST: Duration = Duration::from_nanos(10);
 
 /// Senses shorter than this count against their sensor (§5.3's "turn off
 /// the analysis for v-sensors that are too short").
@@ -128,13 +139,11 @@ impl SensorRuntime {
         let st = &mut self.states[sensor.0 as usize];
         if st.off != 0 {
             return ProbeOutcome {
-                cost: self.config.disabled_overhead,
+                cost: DISABLED_PROBE_COST,
             };
         }
         st.open_since = Some(now);
-        ProbeOutcome {
-            cost: self.config.probe_overhead,
-        }
+        ProbeOutcome { cost: PROBE_COST }
     }
 
     /// End a sense. `metrics` carries the dynamic-rule inputs observed
@@ -149,14 +158,14 @@ impl SensorRuntime {
         let st = &mut self.states[sensor.0 as usize];
         if st.off != 0 {
             return ProbeOutcome {
-                cost: self.config.disabled_overhead,
+                cost: DISABLED_PROBE_COST,
             };
         }
         let Some(start) = st.open_since.take() else {
             // Unmatched tock — tolerated (e.g. sensor disabled between the
             // probes), costs only the check.
             return ProbeOutcome {
-                cost: self.config.disabled_overhead,
+                cost: DISABLED_PROBE_COST,
             };
         };
         let duration = now.since(start);
@@ -177,10 +186,10 @@ impl SensorRuntime {
         let finished = st
             .aggregator
             .add_subdivided(&self.config, start, duration, bucket, subdiv);
-        let mut cost = self.config.probe_overhead;
+        let mut cost = PROBE_COST;
         if let Some(rec) = finished {
             // On-line analysis runs once per closed slice.
-            cost += self.config.analysis_overhead;
+            cost += ANALYSIS_COST;
             let perf = self.history.observe(&rec);
             if perf < self.config.variance_threshold {
                 self.local_variances += 1;
@@ -303,10 +312,6 @@ impl SensorRuntime {
 mod tests {
     use super::*;
 
-    fn free() -> RuntimeConfig {
-        RuntimeConfig::free_probes()
-    }
-
     fn run_senses(
         rt: &mut SensorRuntime,
         sensor: SensorId,
@@ -326,7 +331,7 @@ mod tests {
 
     #[test]
     fn records_flow_to_outbox() {
-        let mut rt = SensorRuntime::new(1, free());
+        let mut rt = SensorRuntime::new(1, RuntimeConfig::default());
         // 10 us senses, 90 us gaps → 10 per 1000 us slice.
         let end = run_senses(&mut rt, SensorId(0), 100, 10_000, 90_000);
         let batch = rt.take_batch(end);
@@ -344,18 +349,27 @@ mod tests {
     fn probe_costs_are_charged() {
         let mut rt = SensorRuntime::new(1, RuntimeConfig::default());
         let c1 = rt.tick(SensorId(0), VirtualTime::ZERO);
-        assert_eq!(c1.cost, RuntimeConfig::default().probe_overhead);
+        assert_eq!(c1.cost, PROBE_COST);
+        // The tock opens slice 0 and closes nothing: one probe.
         let c2 = rt.tock(
             SensorId(0),
             VirtualTime::from_micros(50),
             SenseMetrics::default(),
         );
-        assert!(c2.cost >= RuntimeConfig::default().probe_overhead);
+        assert_eq!(c2.cost, PROBE_COST);
+        // A tock in slice 1 closes slice 0 and runs the on-line analysis.
+        rt.tick(SensorId(0), VirtualTime::from_micros(1100));
+        let c3 = rt.tock(
+            SensorId(0),
+            VirtualTime::from_micros(1150),
+            SenseMetrics::default(),
+        );
+        assert_eq!(c3.cost, PROBE_COST + ANALYSIS_COST);
     }
 
     #[test]
     fn short_sensor_gets_throttled() {
-        let mut rt = SensorRuntime::new(1, free());
+        let mut rt = SensorRuntime::new(1, RuntimeConfig::default());
         // A probation's worth of 100 ns senses — far below the 400 ns
         // minimum.
         let n = u64::from(THROTTLE_PROBATION) + 2;
@@ -363,12 +377,12 @@ mod tests {
         assert!(rt.is_disabled(SensorId(0)));
         // Disabled probes cost only the cheap check.
         let out = rt.tick(SensorId(0), VirtualTime::from_secs(1));
-        assert_eq!(out.cost, Duration::ZERO); // free_probes config
+        assert_eq!(out.cost, DISABLED_PROBE_COST);
     }
 
     #[test]
     fn long_sensor_stays_enabled() {
-        let mut rt = SensorRuntime::new(1, free());
+        let mut rt = SensorRuntime::new(1, RuntimeConfig::default());
         let n = u64::from(THROTTLE_PROBATION) + 36;
         run_senses(&mut rt, SensorId(0), n, 50_000, 1000);
         assert!(!rt.is_disabled(SensorId(0)));
@@ -376,7 +390,7 @@ mod tests {
 
     #[test]
     fn variance_counted_when_slowdown_appears() {
-        let mut rt = SensorRuntime::new(1, free());
+        let mut rt = SensorRuntime::new(1, RuntimeConfig::default());
         // Fast phase: 10 us senses.
         let t1 = run_senses(&mut rt, SensorId(0), 200, 10_000, 0);
         // Slow phase: same sensor suddenly takes 30 us (3x).
@@ -393,7 +407,11 @@ mod tests {
     #[test]
     fn dynamic_rule_splits_groups() {
         use crate::dynrules::CacheMissBuckets;
-        let mut rt = SensorRuntime::with_rule(1, free(), Arc::new(CacheMissBuckets::high_low(0.5)));
+        let mut rt = SensorRuntime::with_rule(
+            1,
+            RuntimeConfig::default(),
+            Arc::new(CacheMissBuckets::high_low(0.5)),
+        );
         let mut t = VirtualTime::ZERO;
         // Alternate slices of low-miss (fast) and high-miss (slow) senses.
         for phase in 0..10 {
@@ -425,7 +443,7 @@ mod tests {
     fn without_rule_high_miss_is_false_positive() {
         // Figure 13 case 1: same workload, no grouping → the high-miss
         // slices look like variance.
-        let mut rt = SensorRuntime::new(1, free());
+        let mut rt = SensorRuntime::new(1, RuntimeConfig::default());
         let mut t = VirtualTime::ZERO;
         for phase in 0..10 {
             let dur = if phase % 2 == 0 { 10_000u64 } else { 30_000 };
@@ -441,8 +459,10 @@ mod tests {
 
     #[test]
     fn flush_due_honours_interval() {
-        let mut cfg = free();
-        cfg.batch_interval = Duration::from_millis(10);
+        let cfg = RuntimeConfig {
+            batch_interval: Duration::from_millis(10),
+            ..Default::default()
+        };
         let mut rt = SensorRuntime::new(1, cfg);
         // 300 senses x 100 us = 30 ms of virtual time, past the interval.
         let end = run_senses(&mut rt, SensorId(0), 300, 10_000, 90_000);
@@ -454,7 +474,7 @@ mod tests {
 
     #[test]
     fn server_directive_disables_and_reenables() {
-        let mut rt = SensorRuntime::new(2, free());
+        let mut rt = SensorRuntime::new(2, RuntimeConfig::default());
         let dark = ControlDirective::new(0, 1, vec![SensorId(1).0], 1);
         assert_eq!(rt.apply_directive(&dark), Some(1));
         assert!(!rt.is_disabled(SensorId(0)));
@@ -462,8 +482,8 @@ mod tests {
         assert!(rt.is_server_disabled(SensorId(1)));
         // Dark probes cost only the cheap check and drop the sense.
         let out = rt.tick(SensorId(1), VirtualTime::ZERO);
-        assert_eq!(out.cost, Duration::ZERO); // free_probes config
-                                              // A newer directive with an empty dark set re-enables.
+        assert_eq!(out.cost, DISABLED_PROBE_COST);
+        // A newer directive with an empty dark set re-enables.
         let light = ControlDirective::new(0, 2, vec![], 1);
         assert_eq!(rt.apply_directive(&light), Some(2));
         assert!(!rt.is_disabled(SensorId(1)));
@@ -476,7 +496,7 @@ mod tests {
 
     #[test]
     fn throttle_and_server_bits_are_independent() {
-        let mut rt = SensorRuntime::new(1, free());
+        let mut rt = SensorRuntime::new(1, RuntimeConfig::default());
         let n = u64::from(THROTTLE_PROBATION) + 2;
         run_senses(&mut rt, SensorId(0), n, 100, 100);
         assert!(rt.is_disabled(SensorId(0)), "throttled");
@@ -488,7 +508,7 @@ mod tests {
 
     #[test]
     fn escalated_subdiv_emits_finer_records() {
-        let mut rt = SensorRuntime::new(1, free());
+        let mut rt = SensorRuntime::new(1, RuntimeConfig::default());
         rt.apply_directive(&ControlDirective::new(0, 1, vec![], 4));
         // 16 senses at 125 us spacing → 8 fine (250 us) records instead of
         // the 2 coarse ones, all stamped with coarse slice indices.
@@ -508,8 +528,10 @@ mod tests {
 
     #[test]
     fn control_poll_rides_batch_cadence_only_when_enabled() {
-        let mut cfg = free();
-        cfg.batch_interval = Duration::from_millis(10);
+        let cfg = RuntimeConfig {
+            batch_interval: Duration::from_millis(10),
+            ..Default::default()
+        };
         let mut rt = SensorRuntime::new(1, cfg.clone());
         // Control plane off by default: never due.
         assert!(!rt.control_poll_due(VirtualTime::from_secs(1)));
@@ -527,13 +549,13 @@ mod tests {
 
     #[test]
     fn unmatched_tock_is_tolerated() {
-        let mut rt = SensorRuntime::new(1, free());
+        let mut rt = SensorRuntime::new(1, RuntimeConfig::default());
         let out = rt.tock(
             SensorId(0),
             VirtualTime::from_micros(5),
             SenseMetrics::default(),
         );
-        assert_eq!(out.cost, Duration::ZERO);
+        assert_eq!(out.cost, DISABLED_PROBE_COST);
         assert_eq!(rt.distribution().sense_count, 0);
     }
 }

@@ -11,7 +11,7 @@
 //! is strictly better than blocking an MPI rank or growing without bound.
 //!
 //! Everything is charged to the virtual clock: each transmission attempt
-//! costs [`RuntimeConfig::send_overhead`], and retry scheduling runs on
+//! costs [`SEND_COST`], and retry scheduling runs on
 //! virtual timestamps, so fault injection perturbs the simulated run
 //! exactly as a real lossy network would perturb a real one — while the
 //! whole simulation stays deterministic.
@@ -335,6 +335,10 @@ impl DirectChannel {
     }
 }
 
+/// Virtual cost charged to the sending rank's clock per transmission
+/// attempt, and per control directive a rank receives.
+pub const SEND_COST: Duration = Duration::from_micros(2);
+
 /// Transport tunables, extracted from [`RuntimeConfig`].
 #[derive(Clone, Debug)]
 pub struct TransportConfig {
@@ -342,8 +346,6 @@ pub struct TransportConfig {
     pub buffer_capacity: usize,
     /// Maximum transmission attempts per batch (first send + retries).
     pub retry_budget: u32,
-    /// Virtual cost charged per transmission attempt.
-    pub send_overhead: Duration,
 }
 
 impl TransportConfig {
@@ -352,7 +354,6 @@ impl TransportConfig {
         TransportConfig {
             buffer_capacity: cfg.buffer_capacity.max(1),
             retry_budget: cfg.retry_budget.max(1),
-            send_overhead: cfg.send_overhead,
         }
     }
 }
@@ -660,7 +661,7 @@ impl RankTransport {
                 });
             }
         }
-        self.cfg.send_overhead
+        SEND_COST
     }
 
     fn schedule_retry(&mut self, batch: TelemetryBatch, attempts: u32, at: VirtualTime) {
@@ -707,7 +708,7 @@ mod tests {
 
     fn server(ranks: usize) -> Arc<AnalysisServer> {
         Arc::new(
-            AnalysisServer::try_new(ranks, sensors(), RuntimeConfig::free_probes())
+            AnalysisServer::try_new(ranks, sensors(), RuntimeConfig::default())
                 .expect("valid config"),
         )
     }
@@ -731,7 +732,7 @@ mod tests {
         let cfg = TransportConfig::default();
         let mut t = RankTransport::new(0, Arc::new(DirectChannel::new(s.clone())), cfg);
         let cost = t.enqueue(vec![rec(0, 0), rec(0, 1)], VirtualTime::ZERO);
-        assert_eq!(cost, TransportConfig::default().send_overhead);
+        assert_eq!(cost, SEND_COST);
         assert_eq!(t.stats().acked, 1);
         assert_eq!(t.in_flight(), 0);
         assert_eq!(s.stats().records, 2);
@@ -872,10 +873,10 @@ mod tests {
 
     #[test]
     fn every_fate_and_ingest_outcome_maps_to_one_send_outcome() {
-        use crate::service::{ServiceConfig, TenantSpec};
+        use crate::service::{ServiceConfig, TenantSpec, BUDGET_WINDOW};
+        // Both arrivals fall in the first admission window.
         let now = VirtualTime::from_millis(1);
         let stall_end = VirtualTime::from_millis(10);
-        let window = Duration::from_secs(1);
         let rates = |dup: f64, corrupt: f64| {
             FaultPlan::new(FaultConfig {
                 duplicate_rate: dup,
@@ -905,7 +906,7 @@ mod tests {
         ];
         for (plan, arrival, ingests, fate_decides) in &fates {
             let refused = SendOutcome::Busy {
-                retry_after: window - arrival.since(VirtualTime::ZERO),
+                retry_after: BUDGET_WINDOW - arrival.since(VirtualTime::ZERO),
             };
             let outcomes = [
                 (Meets::Accepted, SendOutcome::Acked),
@@ -923,14 +924,12 @@ mod tests {
                     _ => good.clone(),
                 };
                 let budget = u32::from(meets == Meets::Backpressure);
-                let config = ServiceConfig::default()
-                    .with_batch_budget(budget)
-                    .with_budget_window(window);
+                let config = ServiceConfig::default().with_batch_budget(budget);
                 let service = Arc::new(AnalysisService::new(config));
                 let spec = TenantSpec {
                     ranks: 1,
                     sensors: sensors(),
-                    config: RuntimeConfig::free_probes(),
+                    config: RuntimeConfig::default(),
                 };
                 service.register(TenantId(0), spec).unwrap();
                 let live = service.server(TenantId(0)).unwrap();

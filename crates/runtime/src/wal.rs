@@ -245,7 +245,7 @@ mod tests {
                 process_invariant: true,
                 location: "test:0".into(),
             }],
-            config: RuntimeConfig::free_probes(),
+            config: RuntimeConfig::default(),
         }
     }
 

@@ -34,7 +34,7 @@ fn zero_sensor_runtime_is_inert() {
 
 #[test]
 fn zero_duration_senses_are_handled() {
-    let mut rt = SensorRuntime::new(1, RuntimeConfig::free_probes());
+    let mut rt = SensorRuntime::new(1, RuntimeConfig::default());
     let t = VirtualTime::from_micros(5);
     for _ in 0..100 {
         rt.tick(SensorId(0), t);
@@ -48,7 +48,7 @@ fn zero_duration_senses_are_handled() {
 #[test]
 fn thousands_of_sensors_work() {
     let n = 2000usize;
-    let mut rt = SensorRuntime::new(n, RuntimeConfig::free_probes());
+    let mut rt = SensorRuntime::new(n, RuntimeConfig::default());
     let mut t = VirtualTime::ZERO;
     for round in 0..3 {
         for s in 0..n {
@@ -120,7 +120,7 @@ fn interleaved_ticks_of_different_sensors_are_independent() {
     // Nested/overlapping senses of *different* sensors (outer sensor
     // containing inner) must both record, matching the instrumentation
     // shape Tick(a) Tick(b) Tock(b) Tock(a).
-    let mut rt = SensorRuntime::new(2, RuntimeConfig::free_probes());
+    let mut rt = SensorRuntime::new(2, RuntimeConfig::default());
     let mut t = VirtualTime::ZERO;
     for _ in 0..200 {
         rt.tick(SensorId(0), t);

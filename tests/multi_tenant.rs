@@ -224,7 +224,7 @@ fn promotion_under_concurrent_ingest_loses_no_journaled_batch() {
                 process_invariant: true,
                 location: "test:0".into(),
             }],
-            config: RuntimeConfig::free_probes(),
+            config: RuntimeConfig::default(),
         };
         service.register(tenant, spec).unwrap();
         service.attach_standby().unwrap();

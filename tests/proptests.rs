@@ -110,7 +110,7 @@ proptest! {
     fn smoothing_conserves_counts_and_bounds_averages(
         durations_us in proptest::collection::vec(1u64..5_000, 1..200),
     ) {
-        let config = RuntimeConfig::free_probes();
+        let config = RuntimeConfig::default();
         let mut agg = SliceAggregator::new(SensorId(0));
         let mut t = VirtualTime::ZERO;
         let mut records = Vec::new();

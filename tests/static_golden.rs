@@ -14,13 +14,10 @@
 //! nested value calls, rank-addressed sends, a callee that writes a
 //! global, and recursion. The generated
 //! programs run under the default configuration and under one with the
-//! communication-destination rule, process-invariant selection and a
-//! work-estimate floor.
+//! communication-destination rule, each pinned by its own constant.
 
 use std::fmt::Write as _;
-use vsensor_repro::analysis::{
-    explain, identify, instrument, report, select, AnalysisConfig, SelectionRules,
-};
+use vsensor_repro::analysis::{explain, identify, instrument, report, select, AnalysisConfig};
 use vsensor_repro::apps::{all_apps, btio, cg, ft, Params};
 use vsensor_repro::lang::{compile, printer};
 
@@ -236,16 +233,15 @@ fn example_programs() {
 fn generated_programs() {
     let mut rng = Rng(0x5eed_0f57_a71c);
     let sources: Vec<String> = (0..96).map(|_| generated_program(&mut rng)).collect();
-    let strict = AnalysisConfig {
+    let got = fingerprint(&sources, &[AnalysisConfig::default()]);
+    assert_eq!(got, 0x1a83_4b80_7718_d6c7, "generated corpus: {got:#018x}");
+    let dest = AnalysisConfig {
         comm_dest_matters: true,
-        selection: SelectionRules {
-            require_process_invariant: true,
-            min_estimated_work: 1_000,
-            ..SelectionRules::default()
-        },
         ..AnalysisConfig::default()
     };
-    let configs = [AnalysisConfig::default(), strict];
-    let got = fingerprint(&sources, &configs);
-    assert_eq!(got, 0xbf57_a9a0_75cb_b6e6, "generated corpus: {got:#018x}");
+    let got = fingerprint(&sources, &[dest]);
+    assert_eq!(
+        got, 0x2121_0117_c7e1_118f,
+        "generated corpus, comm_dest_matters: {got:#018x}"
+    );
 }

@@ -118,8 +118,7 @@ fn stream(plan: FaultPlan) -> Stream {
         })
         .collect();
     let server = Arc::new(
-        AnalysisServer::try_new(RANKS, sensors, RuntimeConfig::free_probes())
-            .expect("valid config"),
+        AnalysisServer::try_new(RANKS, sensors, RuntimeConfig::default()).expect("valid config"),
     );
     let route = Arc::new(FaultyChannel::new(server.clone(), plan));
     let mut transports: Vec<RankTransport> = (0..RANKS)
