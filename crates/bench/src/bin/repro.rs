@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! repro [--smoke] [--out DIR] [--ranks N] [--check [--ratio-only]] [--profile] [experiment...]
+//! repro [--smoke] [--out DIR] [--ranks N] [--check [--ratio-only]] [experiment...]
 //! repro gate [--stats] [--ratio-only] [--history PATH] [--allow-new-cells]
 //! repro --list
 //! ```
@@ -42,11 +42,6 @@
 //! are missing from the committed baseline (the intended flag when
 //! regenerating a baseline that grew a cell); without it, a new
 //! unmeasured cell fails the gate hard.
-//!
-//! `repro simmpi --profile`
-//! prints the event scheduler's per-phase wall breakdown (due-set
-//! selection and heap ops, task execution, effect commit, collective
-//! completion) for one run at `--ranks` (default 4,096).
 
 use cluster_sim::time::Duration;
 use std::path::PathBuf;
@@ -120,7 +115,6 @@ fn main() {
     };
     let check = args.iter().any(|a| a == "--check");
     let ratio_only = args.iter().any(|a| a == "--ratio-only");
-    let profile = args.iter().any(|a| a == "--profile");
     let stats = args.iter().any(|a| a == "--stats");
     let allow_new_cells = args.iter().any(|a| a == "--allow-new-cells");
     let history_arg: Option<&String> = args
@@ -313,21 +307,8 @@ fn main() {
             std::process::exit(1);
         }
     }
-    if want("simmpi") && profile {
-        section("simmpi");
-        // Per-phase wall breakdown of the event scheduler's dispatch
-        // loop, from the SCHED trace category: where does a
-        // rank-iteration's wall time go — heap ops, task execution,
-        // effect commit, or collective completion?
-        let ranks = ranks_override.unwrap_or(match effort {
-            Effort::Smoke => 256,
-            Effort::Paper => 4096,
-        });
-        println!("{}", simmpi_scale::profile(ranks).render());
-    }
     for suite in &SUITES {
-        let run = want(suite.0) && !(profile && suite.0 == "simmpi");
-        if run && run_gate(suite, check, &ctx).is_some_and(|report| !report.passed()) {
+        if want(suite.0) && run_gate(suite, check, &ctx).is_some_and(|report| !report.passed()) {
             std::process::exit(1);
         }
     }

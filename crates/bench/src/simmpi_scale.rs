@@ -183,86 +183,6 @@ fn measure(prepared: &Prepared, ranks: usize) -> ScaleRow {
     }
 }
 
-/// Per-phase scheduler profile of one event-backend run — the data
-/// behind `repro simmpi --profile`. The event scheduler's dispatch loop
-/// accounts its four phases (due-set selection incl. heap ops, task
-/// resumption, effect commit, collective completion) into the SCHED
-/// trace category; this surfaces where a scaling regression lives
-/// without reaching for an external profiler.
-pub struct ScaleProfile {
-    /// Simulated MPI ranks.
-    pub ranks: usize,
-    /// Scheduler phases (distinct dispatch instants) the run executed.
-    pub phases: u64,
-    /// Total task resumptions across all phases.
-    pub resumed: u64,
-    /// Wall nanoseconds for the whole run.
-    pub wall_ns: u64,
-    /// `(phase name, wall ns)` as recorded by the scheduler.
-    pub phase_ns: Vec<(&'static str, u64)>,
-}
-
-impl ScaleProfile {
-    /// Human-readable breakdown table.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "simmpi scheduler profile: {} ranks, {} dispatch phases, {} resumptions",
-            self.ranks, self.phases, self.resumed
-        );
-        let _ = writeln!(out, "{:>20} {:>12} {:>8}", "phase", "wall(ms)", "share");
-        let accounted: u64 = self.phase_ns.iter().map(|(_, ns)| ns).sum();
-        for (name, ns) in &self.phase_ns {
-            let _ = writeln!(
-                out,
-                "{:>20} {:>12.2} {:>7.1}%",
-                name,
-                *ns as f64 / 1e6,
-                *ns as f64 * 100.0 / (self.wall_ns as f64).max(1.0),
-            );
-        }
-        let _ = writeln!(
-            out,
-            "{:>20} {:>12.2} {:>7.1}%  (task construction, output collection)",
-            "other",
-            self.wall_ns.saturating_sub(accounted) as f64 / 1e6,
-            self.wall_ns.saturating_sub(accounted) as f64 * 100.0 / (self.wall_ns as f64).max(1.0),
-        );
-        let _ = writeln!(out, "{:>20} {:>12.2}", "total", self.wall_ns as f64 / 1e6);
-        out
-    }
-}
-
-/// Run the scaling workload once at `ranks` with the SCHED trace category
-/// enabled and aggregate the scheduler's phase accounting. Tracing forces
-/// serial dispatch (trace buffers are per-thread), so the profile always
-/// describes the single-worker loop.
-pub fn profile(ranks: usize) -> ScaleProfile {
-    use cluster_sim::trace::{Category, TraceSession};
-    let prepared = workload();
-    let session = TraceSession::start(Category::SCHED);
-    let cluster = Arc::new(scenarios::quiet(ranks).build());
-    let started = Instant::now();
-    let _ = prepared.run_plain_on(cluster, SimBackend::event());
-    let wall_ns = started.elapsed().as_nanos() as u64;
-    let trace = session.finish();
-    let mut phase_ns = Vec::new();
-    let (mut phases, mut resumed) = (0u64, 0u64);
-    for ev in trace.of(Category::SCHED) {
-        phase_ns.push((ev.name, ev.dur));
-        phases = phases.max(ev.a);
-        resumed = resumed.max(ev.b);
-    }
-    ScaleProfile {
-        ranks,
-        phases,
-        resumed,
-        wall_ns,
-        phase_ns,
-    }
-}
-
 /// Run the sweep at the default rank curve for the effort level. Paper
 /// effort records the committed 1,024 → 16,384 curve.
 pub fn run(effort: Effort) -> ScaleResult {

@@ -51,7 +51,8 @@ impl Category {
     pub const VM: Category = Category(1 << 5);
     /// Event-scheduler phase accounting (queue ops, task execution,
     /// collective completion) — aggregate wall-time events recorded once
-    /// per run by the event backend for `repro simmpi --profile`.
+    /// per run by the event backend, read by the benchmark's
+    /// `ring8k-sched` workload (`perf/`, the `simmpi.*_ms` layers).
     pub const SCHED: Category = Category(1 << 6);
     /// Every category.
     pub const ALL: Category = Category(0x7f);

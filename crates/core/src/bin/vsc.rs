@@ -32,16 +32,37 @@ fn usage() -> ! {
     exit(2)
 }
 
+/// Flags that take a value: the argument after one is its value, never FILE.
+const VALUE_FLAGS: &[&str] = &[
+    "--max-depth",
+    "--ranks",
+    "--scenario",
+    "--threshold",
+    "--matrix",
+    "--sim",
+];
+
+/// FILE: the first argument that is neither a flag nor a flag's value.
+fn file_arg(rest: &[String]) -> Option<&String> {
+    let mut args = rest.iter();
+    while let Some(a) = args.next() {
+        if !a.starts_with("--") {
+            return Some(a);
+        }
+        if VALUE_FLAGS.contains(&a.as_str()) {
+            args.next();
+        }
+    }
+    None
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (cmd, rest) = match args.split_first() {
         Some((c, r)) => (c.as_str(), r.to_vec()),
         None => usage(),
     };
-    let file = rest
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .unwrap_or_else(|| usage());
+    let file = file_arg(&rest).unwrap_or_else(|| usage());
     let source = std::fs::read_to_string(file).unwrap_or_else(|e| {
         eprintln!("vsc: cannot read {file}: {e}");
         exit(1);
@@ -105,6 +126,9 @@ fn main() {
             let ranks: usize = opt("--ranks")
                 .map(|r| r.parse().unwrap_or_else(|_| usage()))
                 .unwrap_or(16);
+            if ranks == 0 {
+                usage();
+            }
             let scenario = opt("--scenario").unwrap_or_else(|| "healthy".into());
             let cluster = match scenario.as_str() {
                 "quiet" => scenarios::quiet(ranks),

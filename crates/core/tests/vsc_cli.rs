@@ -3,17 +3,22 @@
 
 use std::process::Command;
 
-/// `vsc run` on the stencil example at 4 ranks, plus `extra` arguments.
-fn vsc_run_with(extra: &[&str]) -> std::process::Output {
-    let program = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../examples/programs/stencil.mh"
-    );
+const STENCIL: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../examples/programs/stencil.mh"
+);
+
+/// The `vsc` binary with `args`.
+fn vsc(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_vsc"))
-        .args(["run", program, "--ranks", "4"])
-        .args(extra)
+        .args(args)
         .output()
         .expect("vsc runs")
+}
+
+/// `vsc run` on the stencil example at 4 ranks, plus `extra` arguments.
+fn vsc_run_with(extra: &[&str]) -> std::process::Output {
+    vsc(&[&["run", STENCIL, "--ranks", "4"], extra].concat())
 }
 
 fn vsc_run(threshold: &str) -> std::process::Output {
@@ -57,4 +62,39 @@ fn sim_flag_takes_worker_counts_only() {
             "usage still offers threads: {stderr}"
         );
     }
+}
+
+/// FILE is the first argument that is neither a flag nor a flag's value,
+/// so flags may come before it as well as after it.
+#[test]
+fn file_may_follow_flags_that_take_values() {
+    let after = vsc(&["run", STENCIL, "--ranks", "4", "--scenario", "quiet"]);
+    assert!(
+        after.status.success(),
+        "{}",
+        String::from_utf8_lossy(&after.stderr)
+    );
+    let before = vsc(&["run", "--ranks", "4", "--scenario", "quiet", STENCIL]);
+    let stderr = String::from_utf8_lossy(&before.stderr);
+    assert!(before.status.success(), "{stderr}");
+    assert_eq!(before.stdout, after.stdout, "flag order changed the report");
+    let mixed = vsc(&["analyze", "--max-depth", "3", STENCIL, "--explain"]);
+    assert!(
+        mixed.status.success(),
+        "{}",
+        String::from_utf8_lossy(&mixed.stderr)
+    );
+    // A flag's value alone is no FILE.
+    let missing = vsc(&["run", "--ranks", "8"]);
+    assert_eq!(missing.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&missing.stderr).starts_with("usage:"));
+}
+
+#[test]
+fn zero_ranks_is_a_usage_error() {
+    let out = vsc(&["run", STENCIL, "--ranks", "0"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("usage:"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no matrix for a zero-rank run");
 }

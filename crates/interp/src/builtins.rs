@@ -15,7 +15,7 @@
 use crate::machine::{ExecError, Machine};
 use crate::values::Value;
 use cluster_sim::node::Work;
-use simmpi::{Proc, ReduceOp};
+use simmpi::Proc;
 use std::ops::DerefMut;
 
 /// Identifier for a builtin function, resolved from its source name once
@@ -200,10 +200,7 @@ pub fn dispatch<P: DerefMut<Target = Proc>>(
             let root = int_arg(args, 0)?;
             let bytes = int_arg(args, 1)?;
             m.sync_clock();
-            match m
-                .proc()
-                .reduce(root as usize, bytes.max(0) as u64, 0, ReduceOp::Sum)
-            {
+            match m.proc().reduce(root as usize, bytes.max(0) as u64, 0) {
                 Poll::Ready(v) => Ok(Some(Value::Int(v))),
                 Poll::Pending => Ok(None),
             }
@@ -211,7 +208,7 @@ pub fn dispatch<P: DerefMut<Target = Proc>>(
         Builtin::MpiAllreduce => {
             let bytes = int_arg(args, 0)?;
             m.sync_clock();
-            match m.proc().allreduce(bytes.max(0) as u64, 0, ReduceOp::Sum) {
+            match m.proc().allreduce(bytes.max(0) as u64, 0) {
                 Poll::Ready(v) => Ok(Some(Value::Int(v))),
                 Poll::Pending => Ok(None),
             }
@@ -220,10 +217,7 @@ pub fn dispatch<P: DerefMut<Target = Proc>>(
             let bytes = int_arg(args, 0)?;
             let value = int_arg(args, 1)?;
             m.sync_clock();
-            match m
-                .proc()
-                .allreduce(bytes.max(0) as u64, value, ReduceOp::Sum)
-            {
+            match m.proc().allreduce(bytes.max(0) as u64, value) {
                 Poll::Ready(v) => Ok(Some(Value::Int(v))),
                 Poll::Pending => Ok(None),
             }

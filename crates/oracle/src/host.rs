@@ -196,7 +196,7 @@ mod tests {
     use cluster_sim::node::Work;
     use cluster_sim::time::VirtualTime;
     use cluster_sim::ClusterConfig;
-    use simmpi::{ProcStats, ReduceOp};
+    use simmpi::ProcStats;
     use std::time::{Duration, Instant};
 
     fn quiet_world(ranks: usize) -> World {
@@ -268,9 +268,7 @@ mod tests {
                         }
                         Poll::Ready(())
                     }
-                    3 => p
-                        .allreduce(8, self.got, ReduceOp::Sum)
-                        .map(|sum| self.sum = sum),
+                    3 => p.allreduce(8, self.got).map(|sum| self.sum = sum),
                     4 => p.barrier(),
                     _ => return TaskPoll::Ready((self.got, self.sum, p.now(), p.stats())),
                 };
@@ -299,7 +297,7 @@ mod tests {
             h.send(next, 8, 0, v * 2);
             v
         };
-        let sum = h.wait(|p| p.allreduce(8, got, ReduceOp::Sum));
+        let sum = h.wait(|p| p.allreduce(8, got));
         h.wait(|p| p.barrier());
         (got, sum, h.now(), h.stats())
     }

@@ -1,12 +1,12 @@
 //! simmpi's MPI semantics, tested through closure-style rank programs on
-//! the lock-step host: point-to-point and collectives on the world,
-//! fail-stop survivors, sub-communicators and nonblocking operations.
+//! the lock-step host: point-to-point and collectives on the world, and
+//! fail-stop survivors.
 //! Blocking operations go through `h.wait`, e.g. `h.wait(|p| p.recv(prev, 7))`.
 
 use cluster_sim::node::Work;
 use cluster_sim::time::VirtualTime;
 use cluster_sim::{ClusterConfig, NodeSpec};
-use simmpi::{ReduceOp, World, ANY_SOURCE, ANY_TAG};
+use simmpi::{World, ANY_SOURCE, ANY_TAG};
 use std::sync::Arc;
 use vsensor_oracle::host::{run_hosted, Lockstep};
 
@@ -86,9 +86,7 @@ fn barrier_equalizes_clocks() {
 #[test]
 fn allreduce_results_agree() {
     let w = quiet_world(5);
-    let sums = hosted(&w, |mut h| {
-        h.wait(|p| p.allreduce(8, p.rank() as i64, ReduceOp::Sum))
-    });
+    let sums = hosted(&w, |mut h| h.wait(|p| p.allreduce(8, p.rank() as i64)));
     assert_eq!(sums, vec![10; 5]);
 }
 
@@ -269,198 +267,4 @@ fn predeath_sends_still_deliver() {
         |_death, _p| -1,
     );
     assert_eq!(outs, vec![-1, 42]);
-}
-
-// ---------------------------------------------------------------------
-// Sub-communicators (`MPI_Comm_split`).
-// ---------------------------------------------------------------------
-
-#[test]
-fn split_forms_expected_groups() {
-    let w = quiet_world(6);
-    let infos = hosted(&w, |mut h| {
-        let comm = h.wait(|p| p.split((p.rank() % 2) as i64));
-        (comm.size(), comm.rank(), comm.members().to_vec())
-    });
-    // Even ranks form {0,2,4}, odd {1,3,5}.
-    assert_eq!(infos[0], (3, 0, vec![0, 2, 4]));
-    assert_eq!(infos[2], (3, 1, vec![0, 2, 4]));
-    assert_eq!(infos[1], (3, 0, vec![1, 3, 5]));
-    assert_eq!(infos[5], (3, 2, vec![1, 3, 5]));
-}
-
-#[test]
-fn subcomm_allreduce_sums_only_members() {
-    let w = quiet_world(6);
-    let sums = hosted(&w, |mut h| {
-        let comm = h.wait(|p| p.split((p.rank() % 2) as i64));
-        h.wait(|p| p.comm_allreduce(&comm, 8, p.rank() as i64, ReduceOp::Sum))
-    });
-    assert_eq!(sums, vec![6, 9, 6, 9, 6, 9]); // 0+2+4 and 1+3+5
-}
-
-#[test]
-fn subcomm_barrier_synchronizes_members_only() {
-    let w = quiet_world(4);
-    let ends = hosted(&w, |mut h| {
-        let comm = h.wait(|p| p.split((p.rank() / 2) as i64));
-        // One member of each group computes longer.
-        if h.rank() % 2 == 0 {
-            h.compute(Work::cpu(100_000), 0.0);
-        }
-        h.wait(|p| p.comm_barrier(&comm));
-        h.now()
-    });
-    assert_eq!(ends[0], ends[1], "group {{0,1}} aligned");
-    assert_eq!(ends[2], ends[3], "group {{2,3}} aligned");
-}
-
-#[test]
-fn repeated_splits_get_distinct_ids() {
-    let w = quiet_world(4);
-    let ids = hosted(&w, |mut h| {
-        let a = h.wait(|p| p.split(0)); // everyone together
-        let b = h.wait(|p| p.split((p.rank() % 2) as i64));
-        let c = h.wait(|p| p.split(0));
-        (a.id(), b.id(), c.id())
-    });
-    // All ranks agree on each split's IDs, and IDs never repeat.
-    assert!(ids.iter().all(|&(a, _, _)| a == ids[0].0));
-    assert!(ids.iter().all(|&(_, _, c)| c == ids[0].2));
-    assert_ne!(ids[0].0, ids[0].2);
-    assert_ne!(ids[0].1, ids[1].1, "different colors → different comms");
-}
-
-#[test]
-fn subcomm_alltoall_uses_member_count() {
-    // An alltoall over half the ranks must cost less than over all.
-    let w = quiet_world(8);
-    let t_sub = hosted(&w, |mut h| {
-        let comm = h.wait(|p| p.split((p.rank() % 2) as i64));
-        h.wait(|p| p.comm_alltoall(&comm, 1 << 16));
-        h.now()
-    });
-    let w2 = quiet_world(8);
-    let t_world = hosted(&w2, |mut h| {
-        h.wait(|p| p.alltoall(1 << 16));
-        h.now()
-    });
-    assert!(t_sub[0] < t_world[0], "{} vs {}", t_sub[0], t_world[0]);
-}
-
-#[test]
-fn fts_row_column_transpose_pattern() {
-    // The FT pattern: a 2D grid of ranks, alltoall within rows, then
-    // within columns.
-    let w = quiet_world(4); // 2x2 grid
-    let ends = hosted(&w, |mut h| {
-        let row = h.wait(|p| p.split((p.rank() / 2) as i64));
-        let col = h.wait(|p| p.split((p.rank() % 2) as i64));
-        for _ in 0..10 {
-            h.wait(|p| p.comm_alltoall(&row, 4096));
-            h.compute(Work::cpu(5_000), 0.0);
-            h.wait(|p| p.comm_alltoall(&col, 4096));
-        }
-        h.now()
-    });
-    assert!(ends.iter().all(|e| e.as_nanos() > 0));
-}
-
-// ---------------------------------------------------------------------
-// Nonblocking point-to-point.
-// ---------------------------------------------------------------------
-
-#[test]
-fn overlap_hides_transfer_time() {
-    // Receiver posts early, computes while the (large) message is in
-    // flight, then waits: the wait is cheaper than a blocking recv
-    // issued after the compute.
-    let w = quiet_world(2);
-    let ends = hosted(&w, |mut h| {
-        if h.rank() == 0 {
-            h.send(1, 10 << 20, 5, 0); // ~1 MB/ms at 10 B/ns => ~1 ms
-            h.now()
-        } else {
-            let req = h.irecv(0, 5);
-            h.compute(Work::cpu(2_000_000), 0.0); // 2 ms of useful work
-            let info = h.wait(|p| p.wait(req));
-            assert_eq!(info.src, 0);
-            h.now()
-        }
-    });
-    // The transfer (≈1 ms) is fully hidden behind the 2 ms compute.
-    let receiver_end = ends[1].as_nanos();
-    assert!(
-        receiver_end < 2_200_000,
-        "transfer should overlap compute: {receiver_end}ns"
-    );
-}
-
-#[test]
-fn nonblocking_matches_blocking_modulo_call_overhead() {
-    // Under the eager protocol the transfer starts at send time either
-    // way, so early posting and late blocking receive complete at the
-    // same virtual instant — the nonblocking version pays only one
-    // extra library-call overhead for the separate post.
-    let w = quiet_world(2);
-    let ends = hosted(&w, |mut h| {
-        if h.rank() == 0 {
-            h.send(1, 10 << 20, 5, 0);
-        } else {
-            h.compute(Work::cpu(2_000_000), 0.0);
-            h.wait(|p| p.recv(0, 5));
-        }
-        h.now()
-    });
-    let w2 = quiet_world(2);
-    let ends_nb = hosted(&w2, |mut h| {
-        if h.rank() == 0 {
-            h.send(1, 10 << 20, 5, 0);
-        } else {
-            let req = h.irecv(0, 5);
-            h.compute(Work::cpu(2_000_000), 0.0);
-            h.wait(|p| p.wait(req));
-        }
-        h.now()
-    });
-    let slack = simmpi::proc::MPI_CALL_OVERHEAD.as_nanos() * 2;
-    assert!(
-        ends_nb[1].as_nanos() <= ends[1].as_nanos() + slack,
-        "{} vs {}",
-        ends_nb[1],
-        ends[1]
-    );
-}
-
-#[test]
-fn waitall_completes_in_post_order() {
-    let w = quiet_world(3);
-    let sums = hosted(&w, |mut h| {
-        if h.rank() == 0 {
-            let r1 = h.irecv(1, 1);
-            let r2 = h.irecv(2, 2);
-            let infos = h.wait(|p| p.waitall(&[r1, r2]));
-            infos.iter().map(|i| i.value).sum::<i64>()
-        } else {
-            let me = h.rank() as i64;
-            h.send(0, 64, me, me * 100);
-            0
-        }
-    });
-    assert_eq!(sums[0], 300);
-}
-
-#[test]
-fn isend_handle_reports_injection_time() {
-    let w = quiet_world(2);
-    hosted(&w, |mut h| {
-        if h.rank() == 0 {
-            h.compute(Work::cpu(500), 0.0);
-            let req = h.isend(1, 128, 9, 7);
-            assert!(req.injected_at().as_nanos() >= 500);
-            h.wait_send(req);
-        } else {
-            assert_eq!(h.wait(|p| p.recv(0, 9)).value, 7);
-        }
-    });
 }

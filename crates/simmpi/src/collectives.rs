@@ -1,22 +1,22 @@
 //! Collective operations.
 //!
-//! One rendezvous slot synchronizes all ranks of a communicator. Each rank
+//! One rendezvous slot synchronizes all ranks of the world. Each rank
 //! enters with its virtual clock (and an optional scalar contribution); the
-//! slot keeps a running `max(entries)` and reduction fold, and once every
-//! alive member has entered, [`CollectiveSlot::try_complete`] computes the
-//! common exit time `max(entries) + cost(op, procs, bytes)` and the reduced
-//! value. MPI requires all ranks to call collectives in the same order,
-//! which is what makes one slot per communicator sufficient; the slot
+//! slot keeps a running `max(entries)` and sum, and once every alive rank
+//! has entered, [`CollectiveSlot::try_complete`] computes the common exit
+//! time `max(entries) + cost(op, procs, bytes)` and the reduced value.
+//! Every reduction is a sum. MPI requires all ranks to call collectives in
+//! the same order, which is what makes one slot sufficient; the slot
 //! checks that the op/byte arguments of all ranks agree and reports
 //! disagreement as a typed [`CollectiveError::Mismatch`].
 //!
-//! Slots are plain data owned by the scheduler: ranks latch their entry
+//! The slot is plain data owned by the scheduler: ranks latch their entry
 //! while they run, and the control thread registers it when it commits the
 //! yield (see [`crate::sched`]).
 //!
 //! Fail-stop deaths shrink the membership: a collective completes once
-//! every *alive* member has entered (ULFM-style), charging the plan's
-//! death-detection timeout on top of the normal cost whenever members are
+//! every *alive* rank has entered (ULFM-style), charging the plan's
+//! death-detection timeout on top of the normal cost whenever ranks are
 //! missing, and reporting how many were missing in the result. Survivors
 //! therefore keep making progress — and keep emitting telemetry — after a
 //! peer dies, which is exactly what lets the analysis side localize the
@@ -29,35 +29,6 @@ use std::fmt;
 
 use crate::death::DeathBoard;
 
-/// Reduction operators for `reduce`/`allreduce`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReduceOp {
-    /// Sum of contributions.
-    Sum,
-    /// Minimum contribution.
-    Min,
-    /// Maximum contribution.
-    Max,
-}
-
-impl ReduceOp {
-    fn identity(self) -> i64 {
-        match self {
-            ReduceOp::Sum => 0,
-            ReduceOp::Min => i64::MAX,
-            ReduceOp::Max => i64::MIN,
-        }
-    }
-
-    fn fold(self, a: i64, b: i64) -> i64 {
-        match self {
-            ReduceOp::Sum => a.wrapping_add(b),
-            ReduceOp::Min => a.min(b),
-            ReduceOp::Max => a.max(b),
-        }
-    }
-}
-
 /// What one rank passes into a collective.
 #[derive(Clone, Copy, Debug)]
 pub struct CollectiveEntry {
@@ -67,10 +38,8 @@ pub struct CollectiveEntry {
     pub bytes: u64,
     /// Caller's virtual clock on entry.
     pub at: VirtualTime,
-    /// Scalar contribution (reductions and bcast payloads).
+    /// Scalar contribution (summed by reductions; the payload of bcast).
     pub value: i64,
-    /// Reduction operator (ignored for non-reductions).
-    pub rop: ReduceOp,
     /// Whether this rank's `value` is the broadcast payload (root).
     pub is_root: bool,
 }
@@ -109,28 +78,20 @@ impl fmt::Display for CollectiveError {
 
 impl std::error::Error for CollectiveError {}
 
-/// The rendezvous state of one communicator.
+/// The rendezvous state of the world's collectives.
 #[derive(Debug)]
 pub struct CollectiveSlot {
-    /// World ranks belonging to this communicator, ascending (used to
-    /// count alive members against the death board).
-    members: Vec<usize>,
+    /// World size: the membership before any death.
+    procs: usize,
     arrived: usize,
     /// The open rendezvous' operation, set by its first arriver (stale
     /// while `arrived == 0`).
     op: CollectiveOp,
     bytes: u64,
     max_entry: VirtualTime,
+    /// Running sum of the contributions.
     acc: i64,
-    rop: ReduceOp,
     bcast_val: i64,
-    /// Alive members as of the last death-log drain. Maintained by delta
-    /// ([`DeathBoard::deaths_since`]) instead of rescanning `members`, so
-    /// checking "has everyone alive arrived?" is O(1) + O(new deaths).
-    alive: usize,
-    /// Cursor into the death board's log; deaths at positions ≥ this have
-    /// not yet been folded into `alive`.
-    deaths_seen: usize,
 }
 
 /// A completed collective: common exit time plus the combined value
@@ -147,45 +108,23 @@ pub struct CollectiveResult {
 }
 
 impl CollectiveSlot {
-    /// Create a slot for the world communicator's first `procs` ranks.
+    /// Create a slot for a world of `procs` ranks.
     pub fn new(procs: usize) -> Self {
-        Self::with_members((0..procs).collect())
-    }
-
-    /// Create a slot for an explicit member list (sub-communicators). The
-    /// list must be sorted ascending (world and split communicators both
-    /// are); the death-log fold binary-searches it.
-    pub fn with_members(members: Vec<usize>) -> Self {
-        debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
         CollectiveSlot {
+            procs,
             arrived: 0,
             op: CollectiveOp::Barrier,
             bytes: 0,
             max_entry: VirtualTime::ZERO,
             acc: 0,
-            rop: ReduceOp::Sum,
             bcast_val: 0,
-            // Start from "all alive" with the log cursor at zero: the
-            // first drain folds in any deaths that predate this slot
-            // (sub-communicators are created by a split, possibly after
-            // ranks have already died).
-            alive: members.len(),
-            deaths_seen: 0,
-            members,
         }
     }
 
-    /// Current alive-member count, folding any deaths logged since the
-    /// last call into the slot's counter: a death costs one binary search
-    /// per open slot instead of a rescan of every member of every slot.
-    fn alive_now(&mut self, board: &DeathBoard) -> usize {
-        let (members, alive) = (&self.members, &mut self.alive);
-        self.deaths_seen = board.deaths_since(self.deaths_seen, |dead| {
-            if members.binary_search(&dead).is_ok() {
-                *alive -= 1;
-            }
-        });
-        self.alive.max(1)
+    /// Ranks still alive, read off the death board's count: O(1), however
+    /// many ranks have died.
+    fn alive_now(&self, board: &DeathBoard) -> usize {
+        self.procs.saturating_sub(board.deaths()).max(1)
     }
 
     /// Register one member's arrival in the open rendezvous. Never
@@ -201,8 +140,7 @@ impl CollectiveSlot {
         if self.arrived == 0 {
             self.op = entry.op;
             self.bytes = entry.bytes;
-            self.rop = entry.rop;
-            self.acc = entry.rop.identity();
+            self.acc = 0;
             self.max_entry = VirtualTime::ZERO;
         } else if self.op != entry.op || self.bytes != entry.bytes {
             return Err(CollectiveError::Mismatch {
@@ -214,7 +152,7 @@ impl CollectiveSlot {
         }
         self.arrived += 1;
         self.max_entry = self.max_entry.max(entry.at);
-        self.acc = self.rop.fold(self.acc, entry.value);
+        self.acc = self.acc.wrapping_add(entry.value);
         if entry.is_root {
             self.bcast_val = entry.value;
         }
@@ -226,8 +164,7 @@ impl CollectiveSlot {
     /// inside a collective cannot die (deaths fire from a rank's own code),
     /// so every arrival is from a live member: arrived == alive ⇒ all
     /// alive members are in, and the rendezvous — possibly shrunk —
-    /// completes. The check is O(1) amortized: a counter compare, plus a
-    /// death-log delta fold.
+    /// completes. The check is O(1): a compare against the death count.
     pub fn try_complete(
         &mut self,
         cluster: &Cluster,
@@ -236,7 +173,7 @@ impl CollectiveSlot {
         if self.arrived == 0 || self.arrived < self.alive_now(board) {
             return None;
         }
-        let missing = (self.members.len() - self.arrived) as u32;
+        let missing = (self.procs - self.arrived) as u32;
         let mut cost = cluster.collective_cost(self.op, self.arrived, self.bytes, self.max_entry);
         if missing > 0 {
             cost += cluster.faults().death_timeout();
@@ -254,7 +191,7 @@ impl CollectiveSlot {
 
     /// `(operation, arrived, required)` of the open rendezvous, for the
     /// scheduler's deadlock report.
-    pub(crate) fn progress(&mut self, board: &DeathBoard) -> (CollectiveOp, usize, usize) {
+    pub(crate) fn progress(&self, board: &DeathBoard) -> (CollectiveOp, usize, usize) {
         (self.op, self.arrived, self.alive_now(board))
     }
 }
@@ -270,7 +207,6 @@ mod tests {
             bytes: 0,
             at: VirtualTime(at_ns),
             value,
-            rop: ReduceOp::Sum,
             is_root: false,
         }
     }
@@ -312,18 +248,13 @@ mod tests {
     }
 
     #[test]
-    fn reductions_fold_contributions() {
-        for (rop, expect) in [(ReduceOp::Sum, 15), (ReduceOp::Min, 2), (ReduceOp::Max, 9)] {
-            let entries = [2i64, 9, 4]
-                .iter()
-                .map(|&v| CollectiveEntry {
-                    rop,
-                    ..entry(CollectiveOp::Allreduce, 0, v)
-                })
-                .collect();
-            let r = run_collective(3, entries, &DeathBoard::new(3)).unwrap();
-            assert_eq!(r.value, expect);
-        }
+    fn allreduce_sums_contributions() {
+        let entries = [2i64, 9, 4]
+            .iter()
+            .map(|&v| entry(CollectiveOp::Allreduce, 0, v))
+            .collect();
+        let r = run_collective(3, entries, &DeathBoard::new(3)).unwrap();
+        assert_eq!(r.value, 15);
     }
 
     #[test]

@@ -52,12 +52,9 @@ pub(crate) fn silence_death_panics() {
 #[derive(Debug)]
 pub struct DeathBoard {
     dead: Vec<bool>,
-    /// Append-only log of dead ranks, in the order their flags flipped.
-    /// Consumers keep a cursor into this log and fold only the *new*
-    /// deaths into local alive counters ([`Self::deaths_since`]), turning
-    /// "how many members are still alive" from an O(members) rescan into
-    /// an O(deaths delta) update.
-    log: Vec<usize>,
+    /// Flags flipped so far: the world collective counts its alive ranks
+    /// off this instead of rescanning the flags.
+    deaths: usize,
 }
 
 impl DeathBoard {
@@ -65,44 +62,33 @@ impl DeathBoard {
     pub fn new(ranks: usize) -> Self {
         DeathBoard {
             dead: vec![false; ranks],
-            log: Vec::new(),
+            deaths: 0,
         }
     }
 
-    /// Mark `rank` dead. Idempotent: only the first call appends to the
-    /// death log, so counters folding the log never double-count.
+    /// Mark `rank` dead. Idempotent: only the first call counts, so the
+    /// death count never double-counts.
     pub fn mark_dead(&mut self, rank: usize) {
         if let Some(flag) = self.dead.get_mut(rank) {
             if !std::mem::replace(flag, true) {
-                self.log.push(rank);
+                self.deaths += 1;
             }
         }
     }
 
-    /// Feed every death recorded after log position `cursor` to `f` and
-    /// return the new cursor.
-    pub fn deaths_since(&self, cursor: usize, f: impl FnMut(usize)) -> usize {
-        self.log[cursor..].iter().copied().for_each(f);
-        self.log.len()
-    }
-
-    /// Whether `rank` has fail-stopped.
-    pub fn is_dead(&self, rank: usize) -> bool {
-        self.dead.get(rank).is_some_and(|&d| d)
-    }
-
-    /// Whether every rank except `rank` is dead.
-    pub fn all_peers_dead(&self, rank: usize) -> bool {
-        self.dead.iter().enumerate().all(|(r, &d)| r == rank || d)
+    /// How many ranks have fail-stopped.
+    pub fn deaths(&self) -> usize {
+        self.deaths
     }
 
     /// Is the peer side of `me`'s receive from `src` gone for good
     /// ([`crate::ANY_SOURCE`]: every possible sender)?
     pub fn peer_gone(&self, me: usize, src: usize) -> bool {
         if src == crate::p2p::ANY_SOURCE {
-            self.all_peers_dead(me)
+            // Every rank but `me` is dead.
+            self.deaths + usize::from(!self.dead[me]) == self.dead.len()
         } else {
-            self.is_dead(src)
+            self.dead.get(src).is_some_and(|&d| d)
         }
     }
 }
@@ -114,32 +100,26 @@ mod tests {
     #[test]
     fn board_tracks_membership() {
         let mut b = DeathBoard::new(4);
-        assert!(!b.is_dead(1));
+        assert!(!b.peer_gone(0, 1));
         b.mark_dead(1);
         b.mark_dead(3);
-        assert!(b.is_dead(1));
         assert!(b.peer_gone(0, 1) && !b.peer_gone(0, 2));
-        assert!(!b.all_peers_dead(0));
+        assert!(!b.peer_gone(0, crate::p2p::ANY_SOURCE));
         b.mark_dead(2);
         assert!(b.peer_gone(0, crate::p2p::ANY_SOURCE));
+        // A dead receiver's own flag does not count as a peer.
+        assert!(!b.peer_gone(1, crate::p2p::ANY_SOURCE));
     }
 
     #[test]
-    fn death_log_is_idempotent_and_cursored() {
+    fn death_count_is_idempotent() {
         let mut b = DeathBoard::new(8);
         b.mark_dead(5);
-        b.mark_dead(5); // duplicate: must not re-log
+        b.mark_dead(5); // duplicate: must not re-count
         b.mark_dead(2);
-        let mut seen = Vec::new();
-        let cur = b.deaths_since(0, |r| seen.push(r));
-        assert_eq!(seen, vec![5, 2]);
-        assert_eq!(cur, 2);
-        // Nothing new: cursor unchanged, no callbacks.
-        let cur2 = b.deaths_since(cur, |_| panic!("no new deaths"));
-        assert_eq!(cur2, 2);
+        assert_eq!(b.deaths(), 2);
         b.mark_dead(7);
-        let mut tail = Vec::new();
-        assert_eq!(b.deaths_since(cur2, |r| tail.push(r)), 3);
-        assert_eq!(tail, vec![7]);
+        b.mark_dead(9); // out of range: ignored
+        assert_eq!(b.deaths(), 3);
     }
 }

@@ -17,9 +17,10 @@
 //! a rank: implement [`RankTask`] — the product's interpreter, the
 //! bytecode VM, is one, and so is the hand-written task below.
 //!
-//! The API mirrors the MPI subset the paper's applications use: blocking
-//! send/recv, barrier, bcast, reduce, allreduce, allgather, alltoall, plus
-//! simple I/O calls that charge filesystem time.
+//! The API mirrors the MPI subset the paper's applications use, and no
+//! more: blocking send/recv/sendrecv, and barrier, bcast, reduce,
+//! allreduce, allgather and alltoall over the whole world (every reduction
+//! is a sum), plus simple I/O calls that charge filesystem time.
 //!
 //! Fail-stop faults: a [`cluster_sim::FaultPlan`] can kill ranks (or whole
 //! nodes) mid-run. A dying rank halts via [`DeathUnwind`], which the
@@ -74,20 +75,16 @@
 //! ```
 
 pub mod collectives;
-pub mod comm;
 pub mod death;
 mod heap;
-pub mod nonblocking;
 pub mod p2p;
 pub mod proc;
 pub mod sched;
 pub mod stats;
 pub mod world;
 
-pub use collectives::{CollectiveError, ReduceOp};
-pub use comm::Comm;
+pub use collectives::CollectiveError;
 pub use death::DeathUnwind;
-pub use nonblocking::{RecvRequest, SendRequest};
 pub use p2p::{RecvInfo, ANY_SOURCE, ANY_TAG};
 pub use proc::Proc;
 pub use sched::{Poll, RankTask, SimBackend, TaskPoll};

@@ -5,8 +5,7 @@
 //! cluster model, and tallies [`crate::ProcStats`]. All MPI entry points
 //! charge a small fixed software overhead, like real MPI library calls.
 
-use crate::collectives::{CollectiveEntry, CollectiveResult, ReduceOp};
-use crate::comm::Comm;
+use crate::collectives::{CollectiveEntry, CollectiveResult};
 use crate::death::DeathUnwind;
 use crate::p2p::{Mailbox, Message, RecvInfo};
 use crate::sched::Poll;
@@ -33,18 +32,6 @@ fn collective_name(op: CollectiveOp) -> &'static str {
 /// Fixed software overhead charged on entry to every MPI call.
 pub const MPI_CALL_OVERHEAD: Duration = Duration(120);
 
-/// Identifies the rendezvous a pending collective belongs to, so the
-/// scheduler can register the arrival and route the release.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) enum GroupKey {
-    /// The world collective slot.
-    World,
-    /// A sub-communicator slot, by communicator ID.
-    Comm(u64),
-    /// The `comm_split` rendezvous.
-    Split,
-}
-
 /// The operation a rank latched on its first (yielding) poll. Entry effects
 /// on the rank itself (fail-stop gate, call overhead) already happened;
 /// the scheduler reads the latch to register the wait when it commits the
@@ -59,17 +46,10 @@ pub(crate) enum PendingOp {
         tag: i64,
         start: VirtualTime,
     },
-    /// Arrived at a collective on `key`, waiting for the last arriver.
+    /// Arrived at a world collective, waiting for the last arriver.
     Collective {
-        key: GroupKey,
         start: VirtualTime,
         entry: CollectiveEntry,
-    },
-    /// Arrived at a communicator split with `color` at instant `at`.
-    Split {
-        start: VirtualTime,
-        color: i64,
-        at: VirtualTime,
     },
 }
 
@@ -79,9 +59,6 @@ pub(crate) enum PendingOp {
 pub(crate) enum Wake {
     /// The collective it arrived at completed.
     Collective(CollectiveResult),
-    /// The split it arrived at completed: its communicator and the common
-    /// exit instant.
-    Split(Comm, VirtualTime),
     /// The awaited peer fail-stopped with no match in flight: the receive
     /// completes degraded at this instant.
     PeerDead(VirtualTime),
@@ -90,8 +67,8 @@ pub(crate) enum Wake {
 /// A rank's communication state. During a resume the rank reads and writes
 /// only this (and the rest of its own `Proc`); everything another rank can
 /// observe moves through the control thread between resumes — it drains
-/// `outbox` into the receivers' `inbox`es, registers `pending` with the
-/// rendezvous it names, and leaves the outcome in `wake`.
+/// `outbox` into the receivers' `inbox`es, registers a pending collective
+/// with the world's rendezvous, and leaves the outcome in `wake`.
 #[derive(Debug, Default)]
 struct CommState {
     pending: Option<PendingOp>,
@@ -99,8 +76,6 @@ struct CommState {
     outbox: Vec<(usize, Message)>,
     inbox: Mailbox,
     wake: Option<Wake>,
-    /// Completed sub-receives of an in-progress `waitall`.
-    waitall_done: Vec<RecvInfo>,
 }
 
 /// One rank's execution context.
@@ -361,16 +336,13 @@ impl Proc {
     /// A yield point: returns [`Poll::Pending`] until the matching message
     /// (or the peer's death) resolves the wait — re-call with the same
     /// arguments when resumed.
+    ///
+    /// The first call latches the entry effects (fail-stop gate, call
+    /// overhead) and yields — a not-yet-resumed rank with an earlier clock
+    /// could still send an earlier-arriving match, so completing greedily
+    /// here would pick the wrong message. Retries take the best match from
+    /// the inbox, or degrade if the scheduler reported the peer dead.
     pub fn recv(&mut self, src: usize, tag: i64) -> Poll<RecvInfo> {
-        self.poll_recv(src, tag, "recv")
-    }
-
-    /// First call latches the entry effects (fail-stop gate, call overhead)
-    /// and yields — a not-yet-resumed rank with an earlier clock could still
-    /// send an earlier-arriving match, so completing greedily here would
-    /// pick the wrong message. Retries take the best match from the inbox,
-    /// or degrade if the scheduler reported the peer dead.
-    fn poll_recv(&mut self, src: usize, tag: i64, name: &'static str) -> Poll<RecvInfo> {
         let start = match self.comm.pending {
             None => {
                 self.failstop_check();
@@ -384,7 +356,7 @@ impl Proc {
         };
         if let Some(msg) = self.comm.inbox.take_matching(src, tag) {
             self.comm.pending = None;
-            return Poll::Ready(self.finish_recv(start, name, msg));
+            return Poll::Ready(self.finish_recv(start, msg));
         }
         if let Some(Wake::PeerDead(due)) = self.comm.wake.take() {
             self.comm.pending = None;
@@ -403,11 +375,11 @@ impl Proc {
     }
 
     /// Receive completion: clock, stats, trace.
-    fn finish_recv(&mut self, start: VirtualTime, name: &'static str, msg: Message) -> RecvInfo {
+    fn finish_recv(&mut self, start: VirtualTime, msg: Message) -> RecvInfo {
         self.clock = self.clock.max(msg.arrives_at);
         self.stats.mpi_time += self.clock - start;
         self.stats.msgs_received += 1;
-        self.trace_span(Category::MPI, name, start, msg.bytes, msg.src as u64);
+        self.trace_span(Category::MPI, "recv", start, msg.bytes, msg.src as u64);
         RecvInfo {
             src: msg.src,
             tag: msg.tag,
@@ -415,59 +387,6 @@ impl Proc {
             value: msg.value,
             completed_at: self.clock,
         }
-    }
-
-    /// Nonblocking send: identical timing to [`Self::send`] (eager
-    /// injection), returning a handle for MPI-style code shape.
-    pub fn isend(
-        &mut self,
-        dest: usize,
-        bytes: u64,
-        tag: i64,
-        value: i64,
-    ) -> crate::nonblocking::SendRequest {
-        self.send(dest, bytes, tag, value);
-        crate::nonblocking::SendRequest {
-            injected_at: self.clock,
-        }
-    }
-
-    /// Complete a nonblocking send (free under the eager protocol).
-    pub fn wait_send(&mut self, req: crate::nonblocking::SendRequest) {
-        let _ = req;
-    }
-
-    /// Post a nonblocking receive. Complete it with [`Self::wait`]; work
-    /// done between post and wait overlaps the transfer.
-    pub fn irecv(&mut self, src: usize, tag: i64) -> crate::nonblocking::RecvRequest {
-        self.failstop_check();
-        self.clock += MPI_CALL_OVERHEAD;
-        self.stats.mpi_time += MPI_CALL_OVERHEAD;
-        crate::nonblocking::RecvRequest {
-            src,
-            tag,
-            posted_at: self.clock,
-        }
-    }
-
-    /// Complete a posted receive; completes at `max(now, arrival)` in
-    /// virtual time. A yield point, like [`Self::recv`].
-    pub fn wait(&mut self, req: crate::nonblocking::RecvRequest) -> Poll<RecvInfo> {
-        self.poll_recv(req.src, req.tag, "wait")
-    }
-
-    /// Complete several receives, in order. A yield point; partial progress
-    /// is kept across polls (requests are `Copy`, so re-submitting the same
-    /// slice is free).
-    pub fn waitall(&mut self, reqs: &[crate::nonblocking::RecvRequest]) -> Poll<Vec<RecvInfo>> {
-        while self.comm.waitall_done.len() < reqs.len() {
-            let req = reqs[self.comm.waitall_done.len()];
-            match self.poll_recv(req.src, req.tag, "wait") {
-                Poll::Ready(info) => self.comm.waitall_done.push(info),
-                Poll::Pending => return Poll::Pending,
-            }
-        }
-        Poll::Ready(std::mem::take(&mut self.comm.waitall_done))
     }
 
     /// Combined send+recv (exchange pattern used by stencil codes). A yield
@@ -483,35 +402,38 @@ impl Proc {
         if self.comm.pending.is_none() {
             self.send(dest, send_bytes, tag, value);
         }
-        self.poll_recv(src, tag, "recv")
+        self.recv(src, tag)
     }
 
-    /// Rendezvous on the world slot (`comm == None`) or a sub-communicator
-    /// slot. The first call latches the arrival and yields — even the last
-    /// arriver: the scheduler registers the arrival when it commits the
-    /// yield and completes the rendezvous only after the whole dispatch
-    /// phase has committed, so same-instant members can never be stranded
-    /// by a completion racing their registration. The retry applies the
-    /// result the scheduler handed over.
-    fn group_collective(
+    /// Rendezvous on the world slot for `op`. The first call latches the
+    /// arrival and yields — even the last arriver: the scheduler registers
+    /// the arrival when it commits the yield and completes the rendezvous
+    /// only after the whole dispatch phase has committed, so same-instant
+    /// ranks can never be stranded by a completion racing their
+    /// registration. The retry applies the result the scheduler handed
+    /// over.
+    fn collective(
         &mut self,
-        comm: Option<&Comm>,
-        entry: CollectiveEntry,
+        op: CollectiveOp,
+        bytes: u64,
+        value: i64,
+        is_root: bool,
     ) -> Poll<CollectiveResult> {
-        let key = comm.map_or(GroupKey::World, |c| GroupKey::Comm(c.id()));
         match self.comm.pending {
             None => {
                 self.failstop_check();
                 let start = self.clock;
-                self.comm.pending = Some(PendingOp::Collective { key, start, entry });
+                let entry = CollectiveEntry {
+                    op,
+                    bytes,
+                    at: self.clock + MPI_CALL_OVERHEAD,
+                    value,
+                    is_root,
+                };
+                self.comm.pending = Some(PendingOp::Collective { start, entry });
                 Poll::Pending
             }
-            Some(PendingOp::Collective {
-                key: k,
-                start,
-                entry: latched,
-            }) => {
-                debug_assert_eq!(k, key, "resumed into a different collective");
+            Some(PendingOp::Collective { start, entry }) => {
                 let Some(Wake::Collective(res)) = self.comm.wake.take() else {
                     return Poll::Pending;
                 };
@@ -522,193 +444,54 @@ impl Proc {
                 if res.missing > 0 {
                     self.stats.shrunk_collectives += 1;
                 }
-                let sub = comm.is_some() as u64;
-                let name = collective_name(latched.op);
-                self.trace_span(Category::MPI, name, start, latched.bytes, sub);
+                let name = collective_name(entry.op);
+                self.trace_span(Category::MPI, name, start, entry.bytes, 0);
                 Poll::Ready(res)
             }
             Some(other) => self.resumed_into_wrong_op(other),
         }
     }
 
-    fn collective(&mut self, entry: CollectiveEntry) -> Poll<CollectiveResult> {
-        self.group_collective(None, entry)
-    }
-
     /// Barrier across all ranks. A yield point.
     pub fn barrier(&mut self) -> Poll<()> {
-        let at = self.clock + MPI_CALL_OVERHEAD;
-        self.collective(CollectiveEntry {
-            op: CollectiveOp::Barrier,
-            bytes: 0,
-            at,
-            value: 0,
-            rop: ReduceOp::Sum,
-            is_root: false,
-        })
-        .map(|_| ())
+        self.collective(CollectiveOp::Barrier, 0, 0, false)
+            .map(|_| ())
     }
 
     /// Broadcast `value` (and `bytes` of modelled payload) from `root`. A
     /// yield point.
     pub fn bcast(&mut self, root: usize, bytes: u64, value: i64) -> Poll<i64> {
-        let at = self.clock + MPI_CALL_OVERHEAD;
-        self.collective(CollectiveEntry {
-            op: CollectiveOp::Bcast,
-            bytes,
-            at,
-            value,
-            rop: ReduceOp::Sum,
-            is_root: self.rank == root,
-        })
-        .map(|r| r.value)
+        let is_root = self.rank == root;
+        self.collective(CollectiveOp::Bcast, bytes, value, is_root)
+            .map(|r| r.value)
     }
 
-    /// All-reduce `value` with `op` over all ranks. A yield point.
-    pub fn allreduce(&mut self, bytes: u64, value: i64, op: ReduceOp) -> Poll<i64> {
-        let at = self.clock + MPI_CALL_OVERHEAD;
-        self.collective(CollectiveEntry {
-            op: CollectiveOp::Allreduce,
-            bytes,
-            at,
-            value,
-            rop: op,
-            is_root: false,
-        })
-        .map(|r| r.value)
+    /// All-reduce: the sum of every rank's `value`. A yield point.
+    pub fn allreduce(&mut self, bytes: u64, value: i64) -> Poll<i64> {
+        self.collective(CollectiveOp::Allreduce, bytes, value, false)
+            .map(|r| r.value)
     }
 
-    /// Reduce to `root`; every rank gets the value back (the simulator does
-    /// not model the asymmetry of who holds the result). A yield point.
-    pub fn reduce(&mut self, root: usize, bytes: u64, value: i64, op: ReduceOp) -> Poll<i64> {
-        let at = self.clock + MPI_CALL_OVERHEAD;
-        self.collective(CollectiveEntry {
-            op: CollectiveOp::Reduce,
-            bytes,
-            at,
-            value,
-            rop: op,
-            is_root: self.rank == root,
-        })
-        .map(|r| r.value)
+    /// Reduce (sum) to `root`; every rank gets the value back (the
+    /// simulator does not model the asymmetry of who holds the result). A
+    /// yield point.
+    pub fn reduce(&mut self, root: usize, bytes: u64, value: i64) -> Poll<i64> {
+        let is_root = self.rank == root;
+        self.collective(CollectiveOp::Reduce, bytes, value, is_root)
+            .map(|r| r.value)
     }
 
     /// All-gather with `bytes` contributed per rank. A yield point.
     pub fn allgather(&mut self, bytes: u64) -> Poll<()> {
-        let at = self.clock + MPI_CALL_OVERHEAD;
-        self.collective(CollectiveEntry {
-            op: CollectiveOp::Allgather,
-            bytes,
-            at,
-            value: 0,
-            rop: ReduceOp::Sum,
-            is_root: false,
-        })
-        .map(|_| ())
+        self.collective(CollectiveOp::Allgather, bytes, 0, false)
+            .map(|_| ())
     }
 
     /// Personalized all-to-all exchange with `bytes` per rank pair. A yield
     /// point.
     pub fn alltoall(&mut self, bytes: u64) -> Poll<()> {
-        let at = self.clock + MPI_CALL_OVERHEAD;
-        self.collective(CollectiveEntry {
-            op: CollectiveOp::Alltoall,
-            bytes,
-            at,
-            value: 0,
-            rop: ReduceOp::Sum,
-            is_root: false,
-        })
-        .map(|_| ())
-    }
-
-    /// Collective communicator split (`MPI_Comm_split`): ranks with the
-    /// same `color` form a sub-communicator. A collective over the world,
-    /// and a yield point.
-    pub fn split(&mut self, color: i64) -> Poll<Comm> {
-        match self.comm.pending {
-            None => {
-                self.failstop_check();
-                let start = self.clock;
-                let at = self.clock + MPI_CALL_OVERHEAD;
-                // As with collectives: the last arriver yields too.
-                self.comm.pending = Some(PendingOp::Split { start, color, at });
-                Poll::Pending
-            }
-            Some(PendingOp::Split { start, color, .. }) => {
-                let Some(Wake::Split(comm, exit)) = self.comm.wake.take() else {
-                    return Poll::Pending;
-                };
-                self.comm.pending = None;
-                self.clock = self.clock.max(exit);
-                self.stats.mpi_time += self.clock - start;
-                self.stats.collectives += 1;
-                self.trace_span(Category::MPI, "comm_split", start, color as u64, 0);
-                Poll::Ready(comm)
-            }
-            Some(other) => self.resumed_into_wrong_op(other),
-        }
-    }
-
-    fn sub_collective(&mut self, comm: &Comm, entry: CollectiveEntry) -> Poll<CollectiveResult> {
-        self.group_collective(Some(comm), entry)
-    }
-
-    /// Barrier over a sub-communicator. A yield point.
-    pub fn comm_barrier(&mut self, comm: &Comm) -> Poll<()> {
-        let at = self.clock + MPI_CALL_OVERHEAD;
-        self.sub_collective(
-            comm,
-            CollectiveEntry {
-                op: CollectiveOp::Barrier,
-                bytes: 0,
-                at,
-                value: 0,
-                rop: ReduceOp::Sum,
-                is_root: false,
-            },
-        )
-        .map(|_| ())
-    }
-
-    /// All-reduce over a sub-communicator. A yield point.
-    pub fn comm_allreduce(
-        &mut self,
-        comm: &Comm,
-        bytes: u64,
-        value: i64,
-        op: ReduceOp,
-    ) -> Poll<i64> {
-        let at = self.clock + MPI_CALL_OVERHEAD;
-        self.sub_collective(
-            comm,
-            CollectiveEntry {
-                op: CollectiveOp::Allreduce,
-                bytes,
-                at,
-                value,
-                rop: op,
-                is_root: false,
-            },
-        )
-        .map(|r| r.value)
-    }
-
-    /// Personalized all-to-all within a sub-communicator. A yield point.
-    pub fn comm_alltoall(&mut self, comm: &Comm, bytes: u64) -> Poll<()> {
-        let at = self.clock + MPI_CALL_OVERHEAD;
-        self.sub_collective(
-            comm,
-            CollectiveEntry {
-                op: CollectiveOp::Alltoall,
-                bytes,
-                at,
-                value: 0,
-                rop: ReduceOp::Sum,
-                is_root: false,
-            },
-        )
-        .map(|_| ())
+        self.collective(CollectiveOp::Alltoall, bytes, 0, false)
+            .map(|_| ())
     }
 
     /// Read `bytes` from the parallel filesystem.

@@ -9,14 +9,14 @@
 //!
 //! The scheduler advances in *phases*. Each phase (1) gathers every rank
 //! due at the minimum pending instant `t0` — from the run-queue heap and
-//! from any group-release batches — (2) resumes all of them (serially, or
+//! from any collective-release batches — (2) resumes all of them (serially, or
 //! on a worker pool when `SimBackend::Event { workers: N }` asks for it),
 //! (3) commits their effects in ascending rank order, and (4) runs the
-//! collective control plane: every rendezvous touched by a registration
-//! (and, after a death, every open rendezvous) gets a counter-based
-//! `try_complete` check, and a completed group releases *all* its waiters
-//! as one [`ReadyBatch`] at the exit instant instead of one heap push per
-//! waiter.
+//! collective control plane: if a rank registered with the world's
+//! rendezvous in this phase (or a rank died while it is open), it gets one
+//! counter-based `try_complete` check, and a completed collective releases
+//! *all* its waiters as one [`ReadyBatch`] at the exit instant instead of
+//! one heap push per waiter.
 //!
 //! # Who touches what
 //!
@@ -25,21 +25,21 @@
 //! outbox, a blocking operation latches in the rank. Every write another
 //! rank can observe happens on the control thread between resumes, in the
 //! commit step: it moves outbox messages into the receivers' inboxes,
-//! registers latched collective and split arrivals with their rendezvous,
+//! registers latched collective arrivals with the world's rendezvous,
 //! marks deaths on the [`DeathBoard`], and hands each released waiter its
-//! result. Mailboxes, slots and the death board are therefore plain data
+//! result. Mailboxes, the slot and the death board are therefore plain data
 //! with `&mut self` methods — nothing in this crate takes a lock — and
 //! worker threads resuming disjoint ranks share nothing mutable.
 //!
 //! This keeps the per-rank-iteration cost near-constant in the rank count:
 //!
-//! * **Collective completion is O(1) amortized.** Slots keep a running
-//!   `max(entry)`, a running reduction fold, and an alive-member counter
-//!   maintained from [`DeathBoard`] deltas, so the completion check is a
-//!   counter compare — no per-member scan, and a death adjusts counters
-//!   instead of rescanning every open rendezvous.
-//! * **Group wake-ups are batched.** A completed rendezvous contributes
-//!   one batch (O(1) heap-equivalent work), not `p` heap pushes.
+//! * **Collective completion is O(1).** The slot keeps a running
+//!   `max(entry)` and a running sum, and reads the alive count off the
+//!   [`DeathBoard`]'s death count, so the completion check is a counter
+//!   compare — no per-rank scan, before or after a death.
+//! * **Collective wake-ups are batched.** A completed rendezvous
+//!   contributes one batch (O(1) heap-equivalent work), not `p` heap
+//!   pushes.
 //! * **The run queue is a four-ary heap** (`heap::FourAryHeap`), half the
 //!   depth of the old binary heap on the pop-heavy schedule (the
 //!   measurement is recorded in DESIGN.md §14).
@@ -53,10 +53,10 @@
 //! worker count*. The ingredients:
 //!
 //! * An arrival never completes a rendezvous inline; the control plane
-//!   completes touched slots only after every same-instant rank has
-//!   committed, so a completion can never race a member's registration.
+//!   completes the touched slot only after every same-instant rank has
+//!   committed, so a completion can never race a registration.
 //!   Registration order within a phase is ascending rank, and immaterial
-//!   anyway: the running fold uses commutative operators and `max`.
+//!   anyway: the running fold is a wrapping sum and a `max`.
 //! * Same-instant sends arrive strictly later than `t0` (the MPI call
 //!   overhead precedes the p2p cost), so deferring their delivery to the
 //!   commit step cannot change which message a same-phase receive takes.
@@ -70,17 +70,15 @@
 //! `tests/event_equivalence.rs`.
 
 use crate::collectives::{CollectiveResult, CollectiveSlot};
-use crate::comm::{Comm, SplitSlot};
 use crate::death::{death_in_payload, DeathBoard, DeathUnwind};
 use crate::heap::{FourAryHeap, HeapEntry};
 use crate::p2p::{ANY_SOURCE, ANY_TAG};
-use crate::proc::{GroupKey, PendingOp, Proc, Wake};
+use crate::proc::{PendingOp, Proc, Wake};
 use crate::world::World;
 use cluster_sim::time::VirtualTime;
 use cluster_sim::trace::{self, Category, TraceEvent, SERVER_LANE};
 use cluster_sim::Cluster;
 use std::any::Any;
-use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::time::Instant;
 
@@ -202,11 +200,11 @@ fn degraded_due(cluster: &Cluster, me: usize, src: usize, posted: VirtualTime) -
     posted.max(death.unwrap_or(posted)) + cluster.faults().death_timeout()
 }
 
-/// All waiters of one completed rendezvous, released together at the
-/// group's exit instant. One batch replaces `p` individual heap pushes —
+/// All waiters of one completed collective, released together at its
+/// exit instant. One batch replaces `p` individual heap pushes —
 /// the heap sees O(1) traffic per collective instead of O(p log p).
 struct ReadyBatch {
-    /// The group's common exit instant.
+    /// The collective's common exit instant.
     at: VirtualTime,
     /// First not-yet-consumed index into `ranks`.
     next: usize,
@@ -225,68 +223,9 @@ enum Waiting {
         tag: i64,
         posted: VirtualTime,
     },
-    /// Registered for a group rendezvous, waiting for the last arriver.
-    Group(GroupKey),
-}
-
-/// One rendezvous: the slot folding the arrivals and the ranks parked on
-/// it.
-struct Rendezvous<S> {
-    slot: S,
-    ranks: Vec<usize>,
-    /// A member registered since the last control-plane pass, so the pass
-    /// owes this rendezvous one completion check — one per phase however
-    /// many members registered in it.
-    touched: bool,
-}
-
-impl<S> Rendezvous<S> {
-    fn new(slot: S) -> Self {
-        Rendezvous {
-            slot,
-            ranks: Vec::new(),
-            touched: false,
-        }
-    }
-}
-
-/// Every rendezvous of the world. The world collective and the split —
-/// every collective of a program that never splits — have a slot of their
-/// own; only sub-communicators are looked up by ID.
-struct GroupTable {
-    world: Rendezvous<CollectiveSlot>,
-    split: Rendezvous<SplitSlot>,
-    /// Created when the split that forms the communicator completes.
-    comms: HashMap<u64, Rendezvous<CollectiveSlot>>,
-}
-
-impl GroupTable {
-    /// The world's or a sub-communicator's rendezvous.
-    fn collective(&mut self, key: GroupKey) -> &mut Rendezvous<CollectiveSlot> {
-        match key {
-            GroupKey::World => &mut self.world,
-            // Proof: a `Comm` is minted only by a completed split, which
-            // inserts its rendezvous first; only one smuggled in from
-            // another run can miss (a documented panic of the run).
-            GroupKey::Comm(id) => self
-                .comms
-                .get_mut(&id)
-                .unwrap_or_else(|| panic!("communicator {id} is not of this world")),
-            // Proof: every caller routes `Split` to `self.split` first.
-            GroupKey::Split => unreachable!("the split rendezvous is not a collective slot"),
-        }
-    }
-
-    /// Parked ranks and touched flag of `key`'s rendezvous.
-    fn parked(&mut self, key: GroupKey) -> (&mut Vec<usize>, &mut bool) {
-        match key {
-            GroupKey::Split => (&mut self.split.ranks, &mut self.split.touched),
-            _ => {
-                let group = self.collective(key);
-                (&mut group.ranks, &mut group.touched)
-            }
-        }
-    }
+    /// Registered with the world's collective, waiting for the last
+    /// arriver.
+    Collective,
 }
 
 /// Scheduler bookkeeping: the event queue, per-rank wait state, and the
@@ -302,11 +241,16 @@ struct EventQueue {
     waiting: Vec<Option<Waiting>>,
     /// Fail-stop liveness, marked when a death commits.
     board: DeathBoard,
-    groups: GroupTable,
-    /// Released groups whose wake-up instant is still in the future.
+    /// The world's collective rendezvous: the slot folding the arrivals.
+    world: CollectiveSlot,
+    /// The ranks parked on `world`.
+    parked: Vec<usize>,
+    /// A rank registered with `world` since the last control-plane pass,
+    /// so the pass owes it one completion check — one per phase however
+    /// many ranks registered in it.
+    touched: bool,
+    /// Released collectives whose wake-up instant is still in the future.
     batches: Vec<ReadyBatch>,
-    /// Groups whose `touched` flag is set, each once (scratch).
-    touched: Vec<GroupKey>,
     /// Ranks due at the current phase's instant, ascending (scratch).
     due: Vec<usize>,
     /// Recycled batch rank vectors (zero steady-state allocation).
@@ -321,13 +265,10 @@ impl EventQueue {
             scheduled: vec![Some(VirtualTime::ZERO); size],
             waiting: vec![None; size],
             board: DeathBoard::new(size),
-            groups: GroupTable {
-                world: Rendezvous::new(CollectiveSlot::new(size)),
-                split: Rendezvous::new(SplitSlot::new(size)),
-                comms: HashMap::new(),
-            },
+            world: CollectiveSlot::new(size),
+            parked: Vec::new(),
+            touched: false,
             batches: Vec::new(),
-            touched: Vec::new(),
             due: Vec::with_capacity(size),
             batch_pool: Vec::new(),
         };
@@ -460,7 +401,7 @@ impl EventQueue {
         let Some(pending) = proc.pending() else {
             return;
         };
-        let key = match pending {
+        match pending {
             PendingOp::Recv { src, tag, .. } => {
                 // The clock froze at post time when the op latched.
                 let posted = proc.now();
@@ -470,30 +411,21 @@ impl EventQueue {
                     // Otherwise a future send or death wakes it.
                     None => self.degrade_if_peer_gone(rank, cluster, proc, src, posted),
                 }
-                return;
             }
-            PendingOp::Collective { key, entry, .. } => {
-                let slot = &mut self.groups.collective(key).slot;
+            PendingOp::Collective { entry, .. } => {
                 // Proof: ranks disagreeing on a collective is a program
                 // error, a documented panic of the run.
-                slot.register(entry)
+                self.world
+                    .register(entry)
                     .unwrap_or_else(|e| panic!("rank {rank}: {e}"));
-                key
+                // A rank only ever yields on a collective straight out of
+                // its arrival (it is next resumed by the release), so this
+                // is where the rendezvous is marked for the end-of-phase
+                // completion pass.
+                self.waiting[rank] = Some(Waiting::Collective);
+                self.parked.push(rank);
+                self.touched = true;
             }
-            PendingOp::Split { color, at, .. } => {
-                self.groups.split.slot.register(rank, color, at);
-                GroupKey::Split
-            }
-        };
-        // A rank only ever yields on a group wait straight out of its
-        // arrival (it is next resumed by the group's release), so this is
-        // where the rendezvous is marked for the end-of-phase completion
-        // pass.
-        self.waiting[rank] = Some(Waiting::Group(key));
-        let (ranks, touched) = self.groups.parked(key);
-        ranks.push(rank);
-        if !std::mem::replace(touched, true) {
-            self.touched.push(key);
         }
     }
 
@@ -532,88 +464,47 @@ impl EventQueue {
     }
 
     /// The collective control plane, run once per phase after every due
-    /// rank has committed: try to complete each rendezvous touched by a
-    /// registration — and, after a death, every open rendezvous (the
-    /// membership shrank, so the arrivals so far may now suffice). A
-    /// completed group releases all its waiters as one [`ReadyBatch`].
+    /// rank has committed: try to complete the world's rendezvous if a
+    /// rank registered with it — or, after a death, if it is open at all
+    /// (the membership shrank, so the arrivals so far may now suffice). A
+    /// completed collective releases all its waiters as one
+    /// [`ReadyBatch`].
     ///
     /// Deferring completion to this point is what makes the schedule
     /// independent of commit order within the phase: every same-instant
-    /// member has registered before any release is computed.
+    /// rank has registered before any release is computed.
     fn complete_touched<T: RankTask>(&mut self, tasks: &mut [T], cluster: &Cluster, deaths: bool) {
-        if deaths {
-            let groups = &mut self.groups;
-            let (world, split) = (&mut groups.world, &mut groups.split);
-            let comms = groups.comms.iter_mut();
-            let open = [
-                (GroupKey::World, &world.ranks, &mut world.touched),
-                (GroupKey::Split, &split.ranks, &mut split.touched),
-            ]
-            .into_iter()
-            .chain(comms.map(|(&id, g)| (GroupKey::Comm(id), &g.ranks, &mut g.touched)));
-            for (key, ranks, touched) in open {
-                if !ranks.is_empty() && !std::mem::replace(touched, true) {
-                    self.touched.push(key);
-                }
-            }
+        let due = std::mem::replace(&mut self.touched, false);
+        if !(due || (deaths && !self.parked.is_empty())) {
+            return;
         }
-        let mut touched = std::mem::take(&mut self.touched);
-        for key in touched.drain(..) {
-            *self.groups.parked(key).1 = false;
-            if key == GroupKey::Split {
-                let Some((exit, comms)) = self.groups.split.slot.try_complete(cluster) else {
-                    continue;
-                };
-                for (id, members) in comms {
-                    for (my_index, &rank) in members.iter().enumerate() {
-                        let comm = Comm {
-                            id,
-                            members: members.clone(),
-                            my_index,
-                        };
-                        tasks[rank].proc_mut().wake(Wake::Split(comm, exit));
-                    }
-                    let slot = CollectiveSlot::with_members(members);
-                    self.groups.comms.insert(id, Rendezvous::new(slot));
-                }
-                self.release_group(tasks, key, exit, None);
-            } else {
-                let slot = &mut self.groups.collective(key).slot;
-                if let Some(res) = slot.try_complete(cluster, &self.board) {
-                    self.release_group(tasks, key, res.exit, Some(res));
-                }
-            }
+        if let Some(res) = self.world.try_complete(cluster, &self.board) {
+            self.release(tasks, res);
         }
-        self.touched = touched;
     }
 
-    /// Release a completed group's waiters as one batch at `at`, handing
-    /// each the collective's result. Group exits are strictly after the
-    /// current phase instant (entry clocks include the MPI call overhead),
-    /// so the batch never feeds back into the running phase.
-    fn release_group<T: RankTask>(
-        &mut self,
-        tasks: &mut [T],
-        key: GroupKey,
-        at: VirtualTime,
-        result: Option<CollectiveResult>,
-    ) {
-        let waiters = self.groups.parked(key).0;
-        waiters.sort_unstable();
+    /// Release a completed collective's waiters as one batch at its exit,
+    /// handing each the result. Exits are strictly after the current phase
+    /// instant (entry clocks include the MPI call overhead), so the batch
+    /// never feeds back into the running phase.
+    fn release<T: RankTask>(&mut self, tasks: &mut [T], res: CollectiveResult) {
+        self.parked.sort_unstable();
         let mut ranks = self.batch_pool.pop().unwrap_or_default();
         ranks.clear();
-        for &rank in waiters.iter() {
+        for &rank in &self.parked {
             self.gens[rank] += 1;
-            self.scheduled[rank] = Some(at);
+            self.scheduled[rank] = Some(res.exit);
             self.waiting[rank] = None;
             ranks.push((rank, self.gens[rank]));
-            if let Some(res) = result {
-                tasks[rank].proc_mut().wake(Wake::Collective(res));
-            }
+            tasks[rank].proc_mut().wake(Wake::Collective(res));
         }
         // Emptied in place: the list keeps its capacity.
-        waiters.clear();
-        self.batches.push(ReadyBatch { at, next: 0, ranks });
+        self.parked.clear();
+        self.batches.push(ReadyBatch {
+            at: res.exit,
+            next: 0,
+            ranks,
+        });
     }
 
     /// What `rank` waits on, for the deadlock report.
@@ -626,14 +517,9 @@ impl EventQueue {
                 any(tag == ANY_TAG, tag.to_string()),
                 tasks[rank].proc_mut().inbox().len(),
             ),
-            Some(Waiting::Group(GroupKey::Split)) => {
-                let (arrived, procs) = self.groups.split.slot.progress();
-                format!("rank {rank}: comm split with {arrived}/{procs} ranks arrived")
-            }
-            Some(Waiting::Group(key)) => {
-                let (op, arrived, required) =
-                    self.groups.collective(key).slot.progress(&self.board);
-                format!("rank {rank}: {op:?} on {key:?} with {arrived}/{required} ranks arrived")
+            Some(Waiting::Collective) => {
+                let (op, arrived, required) = self.world.progress(&self.board);
+                format!("rank {rank}: {op:?} on World with {arrived}/{required} ranks arrived")
             }
             // Every other unfinished rank is queued or waits on something.
             None => format!("rank {rank}: yielded with no pending operation"),
@@ -690,8 +576,7 @@ impl World {
     /// With `"rank N panicked: ..."` if a task panics with a non-death
     /// payload (a mismatched retry of a latched operation included), with
     /// `"rank N: collective mismatch ..."` if ranks disagree on a
-    /// collective, with `"communicator N is not of this world"` if a rank
-    /// passes a communicator from another run, and with a deadlock report
+    /// collective, and with a deadlock report
     /// naming what the first blocked ranks wait on if the event queue
     /// drains while unfinished tasks remain.
     pub fn run_event_workers<T, F, D>(
@@ -718,7 +603,8 @@ impl World {
         let mut live = size;
         let mut results: Vec<Option<ResumeOutcome>> = Vec::new();
 
-        // Phase accounting for `repro simmpi --profile`. Aggregates are
+        // Phase accounting, read by the benchmark's `ring8k-sched`
+        // workload (`perf/`, its `simmpi.*_ms` layers). Aggregates are
         // recorded as a handful of SCHED trace events at run end, so the
         // per-phase cost is two `Instant` reads per phase — and only when
         // a trace session has the SCHED category enabled.
@@ -842,7 +728,7 @@ impl World {
                 commit_ns += t.elapsed().as_nanos() as u64;
             }
 
-            // Control plane: death fallout, then group completion.
+            // Control plane: death fallout, then collective completion.
             let t_complete = profiling.then(Instant::now);
             if deaths {
                 q.rescan_recvs_after_death(&mut tasks, cluster);

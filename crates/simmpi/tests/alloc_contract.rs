@@ -17,7 +17,7 @@
 use cluster_sim::node::Work;
 use cluster_sim::time::VirtualTime;
 use cluster_sim::ClusterConfig;
-use simmpi::{Poll, Proc, RankTask, ReduceOp, TaskPoll, World};
+use simmpi::{Poll, Proc, RankTask, TaskPoll, World};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -84,7 +84,7 @@ impl RankTask for SkeletonTask {
                     Poll::Ready(())
                 }
                 1 => p.sendrecv(right, 4096, left, 7, 0).map(|_| ()),
-                2 => p.allreduce(256, 1, ReduceOp::Sum).map(|_| ()),
+                2 => p.allreduce(256, 1).map(|_| ()),
                 _ => p.barrier(),
             };
             if polled.is_pending() {

@@ -1,14 +1,14 @@
 //! Property test: the counter-based collective completion must be
 //! bitwise-equivalent to a scan over the membership.
 //!
-//! The event scheduler's O(1)-amortized completion check keeps a running
-//! alive-member counter maintained from death-log deltas instead of
-//! rescanning the membership on every arrival (see
-//! `CollectiveSlot::alive_now`). This test drives a slot through random
-//! interleavings of arrivals and rank deaths — shrinking the membership
-//! mid-rendezvous and across generations — against a deliberately naive
-//! oracle that rescans everything after every step, and demands the exit
-//! instants, reduced values, and missing counts agree bit-for-bit.
+//! The event scheduler's O(1) completion check reads the alive count off
+//! the death board's death count instead of rescanning the ranks on every
+//! arrival (see `CollectiveSlot::alive_now`). This test drives a slot
+//! through random interleavings of arrivals and rank deaths — shrinking
+//! the membership mid-rendezvous and across generations — against a
+//! deliberately naive oracle that rescans everything after every step,
+//! and demands the exit instants, reduced values, and missing counts agree
+//! bit-for-bit.
 
 use cluster_sim::network::CollectiveOp;
 use cluster_sim::time::VirtualTime;
@@ -16,42 +16,32 @@ use cluster_sim::{Cluster, ClusterConfig};
 use proptest::prelude::*;
 use simmpi::collectives::{CollectiveEntry, CollectiveResult, CollectiveSlot};
 use simmpi::death::DeathBoard;
-use simmpi::ReduceOp;
 
 /// The scan-style model the counters replaced: full per-step state, no
 /// incremental bookkeeping anywhere.
 struct ScanOracle {
-    members: Vec<usize>,
     dead: Vec<bool>,
     /// `(at, value)` for every arrival of the open generation, in order.
     arrivals: Vec<(VirtualTime, i64)>,
     arrived: Vec<bool>,
     op: CollectiveOp,
     bytes: u64,
-    rop: ReduceOp,
 }
 
 impl ScanOracle {
-    fn new(members: Vec<usize>, op: CollectiveOp, bytes: u64, rop: ReduceOp) -> Self {
-        let n = members.iter().copied().max().unwrap_or(0) + 1;
+    fn new(n: usize, op: CollectiveOp, bytes: u64) -> Self {
         ScanOracle {
-            members,
             dead: vec![false; n],
             arrivals: Vec::new(),
             arrived: vec![false; n],
             op,
             bytes,
-            rop,
         }
     }
 
     fn alive_count(&self) -> usize {
-        // The scan the counters replaced: walk the whole membership.
-        self.members
-            .iter()
-            .filter(|&&m| !self.dead[m])
-            .count()
-            .max(1)
+        // The scan the counter replaced: walk every rank.
+        self.dead.iter().filter(|&&d| !d).count().max(1)
     }
 
     fn try_complete(&mut self, cluster: &Cluster) -> Option<CollectiveResult> {
@@ -63,19 +53,8 @@ impl ScanOracle {
             .iter()
             .map(|&(at, _)| at)
             .fold(VirtualTime::ZERO, VirtualTime::max);
-        let value = self.arrivals.iter().fold(
-            match self.rop {
-                ReduceOp::Sum => 0,
-                ReduceOp::Min => i64::MAX,
-                ReduceOp::Max => i64::MIN,
-            },
-            |acc, &(_, v)| match self.rop {
-                ReduceOp::Sum => acc.wrapping_add(v),
-                ReduceOp::Min => acc.min(v),
-                ReduceOp::Max => acc.max(v),
-            },
-        );
-        let missing = (self.members.len() - self.arrivals.len()) as u32;
+        let value = (self.arrivals.iter()).fold(0i64, |acc, &(_, v)| acc.wrapping_add(v));
+        let missing = (self.dead.len() - self.arrivals.len()) as u32;
         let mut cost = cluster.collective_cost(self.op, self.arrivals.len(), self.bytes, max_entry);
         if missing > 0 {
             cost += cluster.faults().death_timeout();
@@ -97,7 +76,6 @@ proptest! {
     #[test]
     fn counter_completion_matches_scan_oracle(
         n in 2usize..12,
-        rop_sel in 0u8..3,
         steps in proptest::collection::vec(
             // (rank selector, action selector, entry instant µs, contribution)
             (0usize..64, 0u8..5, 0u64..100_000, -1000i64..1000),
@@ -106,12 +84,10 @@ proptest! {
     ) {
         let cluster = ClusterConfig::quiet(n).build();
         let mut board = DeathBoard::new(n);
-        let members: Vec<usize> = (0..n).collect();
-        let mut slot = CollectiveSlot::with_members(members.clone());
+        let mut slot = CollectiveSlot::new(n);
         let op = CollectiveOp::Allreduce;
         let bytes = 256;
-        let rop = [ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max][rop_sel as usize];
-        let mut oracle = ScanOracle::new(members, op, bytes, rop);
+        let mut oracle = ScanOracle::new(n, op, bytes);
 
         for (i, &(rank_sel, action, at_us, value)) in steps.iter().enumerate() {
             let rank = rank_sel % n;
@@ -131,7 +107,6 @@ proptest! {
                         bytes,
                         at: VirtualTime::from_micros(at_us),
                         value,
-                        rop,
                         is_root: false,
                     };
                     slot.register(entry).expect("no mismatch generated");

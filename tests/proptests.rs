@@ -13,7 +13,7 @@ use vsensor_repro::runtime::history::History;
 use vsensor_repro::runtime::record::SliceRecord;
 use vsensor_repro::runtime::smoothing::SliceAggregator;
 use vsensor_repro::runtime::RuntimeConfig;
-use vsensor_repro::simmpi::{ReduceOp, World};
+use vsensor_repro::simmpi::World;
 
 // ---------------------------------------------------------------------
 // Front-end: printing a lowered program re-parses to the same print
@@ -150,7 +150,7 @@ proptest! {
         let expected: i64 = values.iter().sum();
         let sums = run_hosted(
             &World::new(cluster),
-            move |mut h| h.wait(|p| p.allreduce(8, values[p.rank()], ReduceOp::Sum)),
+            move |mut h| h.wait(|p| p.allreduce(8, values[p.rank()])),
             |_, _| unreachable!("no deaths planned"),
         );
         prop_assert!(sums.iter().all(|&s| s == expected));

@@ -90,14 +90,14 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 const RANKS: usize = 2_048;
 
 /// Ceilings on peak heap bytes per rank over one run, measured here plus
-/// 10 % (1,587 and 3,581 bytes). Before ranks were sized to use, the same
+/// 10 % (1,515 and 3,405 bytes). Before ranks were sized to use, the same
 /// runs peaked at 4,427 (plain) and 6,317 (instrumented) bytes per rank:
 /// the VM reserved 2 KiB of stack, locals and frames per rank, a plain
 /// rank carried an unused inline sensor harness, every finished rank kept
 /// its harness until the last rank ended, and the last phase held each
 /// rank's output twice.
-const PLAIN_CEILING: usize = 1_746;
-const INSTRUMENTED_CEILING: usize = 3_939;
+const PLAIN_CEILING: usize = 1_667;
+const INSTRUMENTED_CEILING: usize = 3_746;
 
 /// The benchmark's ring skeleton at `iters` iterations.
 fn ring_source(iters: u32) -> String {
