@@ -150,14 +150,15 @@ fn main() {
             if let Some(s) = opt("--sim") {
                 run_config.sim = SimBackend::parse(&s).unwrap_or_else(|| usage());
             }
+            let kind = match opt("--matrix").as_deref() {
+                None | Some("comp") => SensorKind::Computation,
+                Some("net") => SensorKind::Network,
+                Some("io") => SensorKind::Io,
+                Some(_) => usage(),
+            };
             let run = prepared.run(Arc::new(cluster.build()), &run_config);
             println!("{}", run.report.render());
             println!("workload max error: {:.2}%", run.workload_max_error * 100.0);
-            let kind = match opt("--matrix").as_deref() {
-                Some("net") => SensorKind::Network,
-                Some("io") => SensorKind::Io,
-                _ => SensorKind::Computation,
-            };
             let matrix = run.server.matrix(kind).unwrap_or_else(|e| {
                 eprintln!("vsc: {e}");
                 exit(2);

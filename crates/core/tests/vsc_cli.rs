@@ -98,3 +98,25 @@ fn zero_ranks_is_a_usage_error() {
     assert!(stderr.starts_with("usage:"), "{stderr}");
     assert!(out.stdout.is_empty(), "no matrix for a zero-rank run");
 }
+
+/// `--matrix` names one of three kinds; anything else is a usage error
+/// caught before the simulation starts, like an unknown `--scenario`.
+#[test]
+fn unknown_matrix_kind_is_a_usage_error() {
+    let default = vsc_run_with(&[]);
+    assert!(default.status.success());
+    let comp = vsc_run_with(&["--matrix", "comp"]);
+    assert_eq!(comp.stdout, default.stdout, "comp is the default matrix");
+    for kind in ["net", "io"] {
+        let out = vsc_run_with(&["--matrix", kind]);
+        assert!(out.status.success(), "--matrix {kind}");
+        assert_ne!(out.stdout, default.stdout, "--matrix {kind} drew comp");
+    }
+    for bad in ["bogus", "computation", ""] {
+        let out = vsc_run_with(&["--matrix", bad]);
+        assert_eq!(out.status.code(), Some(2), "--matrix {bad:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("usage:"), "--matrix {bad:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "--matrix {bad:?} ran the simulation");
+    }
+}

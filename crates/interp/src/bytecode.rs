@@ -24,16 +24,29 @@
 //!
 //! * unit charges (`cost::EXPR_NODE` = 1) are foldable because `n`
 //!   successive `charge(1)` calls are reproducible in O(1) with the same
-//!   flush boundary (`Machine::charge_units`);
-//! * non-unit charges (`STMT`, `LOOP_ITER`, `CALL`) keep their own
-//!   [`Insn::ChargeCpu`] — folding them could overshoot the chunk
-//!   threshold differently than the walker;
+//!   flush boundary (`Pending::charge_units`);
+//! * non-unit charges (`STMT`, `LOOP_ITER`, `CALL`) are never summed —
+//!   a sum could overshoot the chunk threshold differently than the
+//!   walker. Each is its own [`Insn::ChargeCpu`], or its own field of a
+//!   fused instruction that charges it at the walker's point: a
+//!   statement prologue ([`Insn::ChargeUnitsCpu`]), a fused head's
+//!   `LOOP_ITER` before its condition and the next statement's `STMT`
+//!   after it, on the fall-through path ([`Insn::CmpLocalImmBr`]'s `cpu`
+//!   and `post`);
 //! * pending unit runs are flushed into the stream before anything
 //!   observable: jumps and jump targets, non-unit charges, memory charges
 //!   (array ops), calls, probes, traps and returns. Pure stack traffic
 //!   (push/load/store/arith) may sit between a charge and the point the
 //!   walker issued it — invisible, since only charge order reaches the
 //!   clock.
+//!
+//! A fold removes an instruction only where no jump lands: the `STMT` of
+//! the statement right behind a fused head moves into the head's `post`
+//! unless a jump targets its position (an empty then-branch's exit does),
+//! and a `for` step of the shape `i = j <op> literal` is emitted with its
+//! back edge as one [`Insn::StepJump`] directly, so no dead instruction
+//! stays in the stream. A canonical `for` iteration is then the head, the
+//! body and the `StepJump`, which also runs the head it lands on.
 //!
 //! Runtime *errors* are compiled too: a reference that can never resolve
 //! becomes a [`Insn::Trap`] carrying the exact message the walker would
@@ -166,14 +179,6 @@ pub enum Insn {
     Truthy,
     /// Unconditional relative jump.
     Jump(i32),
-    /// `ChargeUnits(units)` folded into a `Jump` (the loop back-edge: the
-    /// step expression's charges flush right before jumping to the head).
-    JumpCharged {
-        /// Pending unit charges to replay before jumping.
-        units: u32,
-        /// Relative jump offset.
-        off: i32,
-    },
     /// Pop; jump if the value is falsy.
     JumpIfFalse(i32),
     /// `ChargeUnits(units)` folded into a `JumpIfFalse` (condition charges
@@ -199,7 +204,28 @@ pub enum Insn {
         cpu: u32,
         /// Pending unit charges to replay first.
         units: u32,
+        /// Non-unit CPU charge on the fall-through path only: the first
+        /// statement's `STMT` of the body or then-branch; 0 = none.
+        post: u32,
         /// Relative branch offset when falsy.
+        off: i32,
+    },
+    /// A `for` loop's step fused into its back edge:
+    /// `locals[dst] = locals[src] <op> imm`, replay `units` pending unit
+    /// charges, jump. A `CmpLocalImmBr` at the target (the loop head)
+    /// runs in the same dispatch.
+    StepJump {
+        /// Operator (never `&&`/`||`).
+        op: BinOp,
+        /// Destination frame slot (the induction variable).
+        dst: u32,
+        /// Source frame slot.
+        src: u32,
+        /// Immediate right-hand side.
+        imm: i64,
+        /// The step's unit charges, replayed before jumping.
+        units: u32,
+        /// Relative jump offset (back to the loop head).
         off: i32,
     },
     /// Pop; if falsy, push `Int(0)` and jump (short-circuit `&&`).
@@ -374,6 +400,9 @@ struct FnCompiler<'p> {
     /// Unit (EXPR_NODE) charges accumulated since the last effectful
     /// instruction; folded into one `ChargeUnits` on flush.
     units: u32,
+    /// The newest jump target ([`Self::here`]). Targets only grow, so the
+    /// current position is a target iff it equals this.
+    label: usize,
 }
 
 fn compile_function(
@@ -399,6 +428,7 @@ fn compile_function(
         loop_depth: 0,
         exits: Vec::new(),
         units: 0,
+        label: 0,
     };
     if bind_params {
         for (i, (name, _)) in f.params.iter().enumerate() {
@@ -442,16 +472,27 @@ impl FnCompiler<'_> {
     }
 
     /// Statement prologue: pending unit charges and the `STMT` charge fuse
-    /// into one instruction (same charge order as flush-then-charge).
+    /// into one instruction (same charge order as flush-then-charge). The
+    /// first statement behind a fused conditional — a loop body's or a
+    /// then-branch's — folds its `STMT` into the conditional's `post`,
+    /// which charges it on the fall-through path, unless a jump lands
+    /// here: that jump must still meet the charge.
     fn charge_stmt(&mut self) {
+        let stmt = cost::STMT as u32;
         if self.units > 0 {
             let units = self.units;
             self.units = 0;
-            self.code
-                .push(Insn::ChargeUnitsCpu(units, cost::STMT as u32));
-        } else {
-            self.code.push(Insn::ChargeCpu(cost::STMT as u32));
+            self.code.push(Insn::ChargeUnitsCpu(units, stmt));
+            return;
         }
+        let targeted = self.label == self.code.len();
+        if let Some(Insn::CmpLocalImmBr { post: post @ 0, .. }) = self.code.last_mut() {
+            if !targeted {
+                *post = stmt;
+                return;
+            }
+        }
+        self.code.push(Insn::ChargeCpu(stmt));
     }
 
     /// Compile a condition followed by branch-if-false, fusing the
@@ -475,6 +516,7 @@ impl FnCompiler<'_> {
                             imm: *imm,
                             cpu,
                             units,
+                            post: 0,
                             off: 0,
                         });
                         return self.code.len() - 1;
@@ -506,7 +548,8 @@ impl FnCompiler<'_> {
     /// be skipped or double-executed across the label).
     fn here(&mut self) -> usize {
         self.flush_units();
-        self.code.len()
+        self.label = self.code.len();
+        self.label
     }
 
     /// Emit a forward jump with a placeholder offset; patch later.
@@ -522,12 +565,12 @@ impl FnCompiler<'_> {
         let off = i32::try_from(target as i64 - (at as i64 + 1)).expect("jump offset exceeds i32");
         match &mut self.code[at] {
             Insn::Jump(o)
-            | Insn::JumpCharged { off: o, .. }
             | Insn::JumpIfFalse(o)
             | Insn::AndShortCircuit(o)
             | Insn::OrShortCircuit(o)
             | Insn::JumpIfFalseCharged { off: o, .. }
-            | Insn::CmpLocalImmBr { off: o, .. } => *o = off,
+            | Insn::CmpLocalImmBr { off: o, .. }
+            | Insn::StepJump { off: o, .. } => *o = off,
             // Proof: every `at` comes from a jump-emitting helper above.
             other => unreachable!("patching non-jump instruction {other:?}"),
         }
@@ -539,17 +582,10 @@ impl FnCompiler<'_> {
         self.patch_to(at, target);
     }
 
-    /// Emit a backward jump to `target`, folding any pending unit charges
-    /// (the loop step's) into the jump itself.
+    /// Emit a loop's back edge to `target` (a step that does not fuse
+    /// into a [`Insn::StepJump`], or a `while`).
     fn jump_back(&mut self, target: usize) {
-        let at = if self.units > 0 {
-            let units = self.units;
-            self.units = 0;
-            self.code.push(Insn::JumpCharged { units, off: 0 });
-            self.code.len() - 1
-        } else {
-            self.emit_jump(Insn::Jump)
-        };
+        let at = self.emit_jump(Insn::Jump);
         self.patch_to(at, target);
     }
 
@@ -720,14 +756,30 @@ impl FnCompiler<'_> {
                 for &(at, _) in exits.iter().filter(|(_, is_break)| !is_break) {
                     self.patch_to(at, cont);
                 }
-                if let Some(slot) = var_slot {
-                    if !self.try_fused_local_assign(slot, step) {
+                match var_slot.map(|slot| (slot, self.local_op_imm(step))) {
+                    // `i = j <op> imm`: the step and the back edge are one
+                    // instruction, which also runs a fused head.
+                    Some((dst, Some((op, src, imm)))) => {
+                        let units = self.units + 3 * cost::EXPR_NODE as u32;
+                        self.units = 0;
+                        self.code.push(Insn::StepJump {
+                            op,
+                            dst,
+                            src,
+                            imm,
+                            units,
+                            off: 0,
+                        });
+                        self.patch_to(self.code.len() - 1, start);
+                    }
+                    Some((slot, None)) => {
                         self.expr(step);
                         self.flush_units();
                         self.emit(Insn::StoreLocal(slot));
+                        self.jump_back(start);
                     }
+                    None => self.jump_back(start),
                 }
-                self.jump_back(start);
                 let end = self.here();
                 self.patch_to(jexit, end);
                 for &(at, _) in exits.iter().filter(|(_, is_break)| *is_break) {
@@ -902,30 +954,34 @@ impl FnCompiler<'_> {
         }
     }
 
-    /// Try to compile `locals[dst] = <value>` as one fused instruction.
-    /// Only `local <op> int-literal` qualifies: both operands are
-    /// effect-free, so the value's three expression-node charges join the
-    /// pending unit fold and the whole statement becomes a single dispatch.
-    fn try_fused_local_assign(&mut self, dst: u32, value: &Expr) -> bool {
+    /// `local <op> int-literal` (never `&&`/`||`) as (op, slot, imm): both
+    /// operands are effect-free, so the value's three expression-node
+    /// charges can join the pending unit fold.
+    fn local_op_imm(&self, value: &Expr) -> Option<(BinOp, u32, i64)> {
         let Expr::Binary { op, lhs, rhs } = value else {
-            return false;
+            return None;
         };
         if matches!(op, BinOp::And | BinOp::Or) {
-            return false;
+            return None;
         }
         let (Expr::Var(src_name), Expr::Int(imm)) = (&**lhs, &**rhs) else {
-            return false;
+            return None;
         };
-        let Resolved::Local(src) = self.resolve(src_name) else {
+        match self.resolve(src_name) {
+            Resolved::Local(src) => Some((*op, src, *imm)),
+            _ => None,
+        }
+    }
+
+    /// Try to compile `locals[dst] = <value>` as one fused instruction
+    /// ([`Self::local_op_imm`] shapes): the whole statement becomes a
+    /// single dispatch.
+    fn try_fused_local_assign(&mut self, dst: u32, value: &Expr) -> bool {
+        let Some((op, src, imm)) = self.local_op_imm(value) else {
             return false;
         };
         self.units += 3 * cost::EXPR_NODE as u32;
-        self.emit(Insn::LocalOpImm {
-            op: *op,
-            dst,
-            src,
-            imm: *imm,
-        });
+        self.emit(Insn::LocalOpImm { op, dst, src, imm });
         true
     }
 
@@ -1080,6 +1136,9 @@ mod tests {
             for (at, insn) in f.code.iter().enumerate() {
                 if let Insn::Jump(o)
                 | Insn::JumpIfFalse(o)
+                | Insn::JumpIfFalseCharged { off: o, .. }
+                | Insn::CmpLocalImmBr { off: o, .. }
+                | Insn::StepJump { off: o, .. }
                 | Insn::AndShortCircuit(o)
                 | Insn::OrShortCircuit(o) = insn
                 {
@@ -1091,6 +1150,134 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Where a jump at `at` lands.
+    fn target(code: &[Insn], at: usize) -> usize {
+        let off = match &code[at] {
+            Insn::CmpLocalImmBr { off, .. } | Insn::StepJump { off, .. } => *off,
+            other => panic!("not a fused loop jump: {other:?}"),
+        };
+        (at as i64 + 1 + off as i64) as usize
+    }
+
+    #[test]
+    fn canonical_for_is_one_head_and_one_step_jump() {
+        let p = compile_src(
+            "fn main() { float m[8]; float x[8]; float y[8]; \
+             for (k = 0; k < 8; k = k + 1) { y[k] = m[k] * x[k]; } }",
+        );
+        let code = main_code(&p);
+        let heads: Vec<usize> = (0..code.len())
+            .filter(|&at| matches!(code[at], Insn::CmpLocalImmBr { .. }))
+            .collect();
+        let steps: Vec<usize> = (0..code.len())
+            .filter(|&at| matches!(code[at], Insn::StepJump { .. }))
+            .collect();
+        assert_eq!((heads.len(), steps.len()), (1, 1), "{code:?}");
+        let (head, step) = (heads[0], steps[0]);
+        assert!(matches!(
+            code[head],
+            Insn::CmpLocalImmBr { op: BinOp::Lt, imm: 8, cpu, units: 3, post, .. }
+                if cpu == cost::LOOP_ITER as u32 && post == cost::STMT as u32
+        ));
+        assert!(matches!(
+            code[step],
+            Insn::StepJump { op: BinOp::Add, imm: 1, units: 3, dst, src, .. } if dst == src
+        ));
+        // The back edge lands on the head, the head's exit right past the
+        // step, and the body between them is the element product and its
+        // store: no statement charge, no separate step, no plain back edge.
+        assert_eq!(target(code, step), head);
+        assert_eq!(target(code, head), step + 1);
+        assert!(
+            matches!(
+                &code[head + 1..step],
+                [Insn::BinOpII { .. }, Insn::StoreIndexLV { .. }]
+            ),
+            "{code:?}"
+        );
+    }
+
+    #[test]
+    fn steps_and_heads_that_do_not_fuse_keep_their_forms() {
+        // A step that is not `local <op> literal`: evaluated, stored, and
+        // a plain back edge.
+        let p = compile_src("fn main() { int s = 2; for (k = 0; k < 8; k = k + s) { s = s; } }");
+        let code = main_code(&p);
+        assert!(!code.iter().any(|i| matches!(i, Insn::StepJump { .. })));
+        let back = code
+            .iter()
+            .rposition(|i| matches!(i, Insn::Jump(o) if *o < 0));
+        let back = back.expect("a plain back edge");
+        assert!(matches!(code[back - 1], Insn::StoreLocal(_)), "{code:?}");
+        // A head that is not `local <op> literal`: no `post` to carry the
+        // body's `STMT`, which keeps its own instruction; the step still
+        // fuses with the back edge, which lands on the `LOOP_ITER` charge.
+        let p = compile_src(
+            "fn main() { int n = 8; int s = 0; for (k = 0; k < n; k = k + 1) { s = s + k; } }",
+        );
+        let code = main_code(&p);
+        let step = code.iter().position(|i| matches!(i, Insn::StepJump { .. }));
+        let step = step.expect("the step fuses");
+        let Insn::StepJump { off, .. } = code[step] else {
+            unreachable!()
+        };
+        let head = (step as i64 + 1 + off as i64) as usize;
+        assert_eq!(code[head], Insn::ChargeCpu(cost::LOOP_ITER as u32));
+        assert!(code[head..step].contains(&Insn::ChargeCpu(cost::STMT as u32)));
+    }
+
+    #[test]
+    fn a_statement_behind_a_jump_target_keeps_its_charge() {
+        // The `if`'s empty then-branch: its head's exit lands on the next
+        // statement's `STMT`, so that charge stays an instruction of its
+        // own (folding it into the head's `post` would skip it whenever
+        // the condition is false). The loop head, which no jump lands
+        // behind, still carries the `if` statement's `STMT`.
+        let p = compile_src(
+            "fn main() { int s = 0; for (k = 0; k < 8; k = k + 1) { if (k < 4) {} s = s + 1; } }",
+        );
+        let code = main_code(&p);
+        let heads: Vec<usize> = (0..code.len())
+            .filter(|&at| matches!(code[at], Insn::CmpLocalImmBr { .. }))
+            .collect();
+        assert_eq!(heads.len(), 2, "{code:?}");
+        let stmt = cost::STMT as u32;
+        assert!(matches!(code[heads[0]], Insn::CmpLocalImmBr { post, .. } if post == stmt));
+        assert!(matches!(
+            code[heads[1]],
+            Insn::CmpLocalImmBr { post: 0, .. }
+        ));
+        assert_eq!(target(code, heads[1]), heads[1] + 1);
+        assert_eq!(code[heads[1] + 1], Insn::ChargeCpu(stmt));
+    }
+
+    #[test]
+    fn first_statements_fold_into_then_branches_and_nested_heads() {
+        // A `for` whose first statement is another loop, and a then-branch
+        // opened by a fused head: every `STMT` right behind a head rides
+        // on it.
+        let p = compile_src(
+            "fn main() { int s = 0; \
+             for (b = 0; b < 4; b = b + 1) { while (s < 100) { if (s > 7) { s = s + 2; } s = s + 1; } } }",
+        );
+        let code = main_code(&p);
+        let stmt = cost::STMT as u32;
+        let posts: Vec<u32> = code
+            .iter()
+            .filter_map(|i| match i {
+                Insn::CmpLocalImmBr { post, .. } => Some(*post),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(posts, vec![stmt, stmt, stmt], "{code:?}");
+        assert_eq!(
+            code.iter()
+                .filter(|i| matches!(i, Insn::StepJump { .. }))
+                .count(),
+            1
+        );
     }
 
     #[test]

@@ -46,6 +46,87 @@ pub mod cost {
     pub const CHUNK: u64 = 1 << 16;
 }
 
+/// Work not yet converted into virtual time: all units, and how many of
+/// them are memory-bound. The one home of the charge arithmetic: a charge
+/// is one add and one compare against [`cost::CHUNK`], and the chunk
+/// flush hands the taken work to the [`Machine`]. `Copy` and two words,
+/// so the VM's dispatch loop keeps its own copy in a local
+/// (`vm::resume_vm`) while `Machine`'s own charges — the walker's and the
+/// builtins' — go through the same methods on the machine's copy.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Pending {
+    total: u64,
+    mem: u64,
+}
+
+impl Pending {
+    /// One `charge(units)`: flushes once the total reaches the chunk
+    /// threshold.
+    #[inline(always)]
+    pub(crate) fn charge<P: DerefMut<Target = Proc>>(&mut self, m: &mut Machine<P>, units: u64) {
+        self.total += units;
+        if self.total >= cost::CHUNK {
+            m.flush(std::mem::take(self));
+        }
+    }
+
+    /// Replay `n` successive `charge(1)` calls in O(1): the accumulator is
+    /// topped up to exactly the chunk threshold (flushing there, as the
+    /// walker would after that many unit charges) and the remainder is
+    /// added in one step. The VM's folded unit charges use this, so every
+    /// flush boundary — and therefore every `Proc::compute` call — falls
+    /// at the same work counts as `n` separate unit charges.
+    #[inline(always)]
+    pub(crate) fn charge_units<P: DerefMut<Target = Proc>>(&mut self, m: &mut Machine<P>, n: u32) {
+        let total = self.total + n as u64;
+        if total < cost::CHUNK {
+            self.total = total;
+        } else {
+            *self = self.charge_units_flushing(m, n as u64);
+        }
+    }
+
+    /// [`Self::charge_units`] when at least one unit charge trips a flush.
+    /// Takes and returns the accumulator by value, so a caller's copy never
+    /// has its address taken.
+    #[cold]
+    #[inline(never)]
+    fn charge_units_flushing<P: DerefMut<Target = Proc>>(
+        mut self,
+        m: &mut Machine<P>,
+        mut left: u64,
+    ) -> Pending {
+        while left > 0 {
+            // Units until a single-unit charge would trip the flush. The
+            // accumulator can already sit at/above the threshold (memory
+            // charges don't flush), in which case the next unit trips it.
+            let to_flush = cost::CHUNK.saturating_sub(self.total).max(1);
+            if to_flush > left {
+                self.total += left;
+                break;
+            }
+            self.total += to_flush;
+            m.flush(std::mem::take(&mut self));
+            left -= to_flush;
+        }
+        self
+    }
+
+    /// A memory charge: never flushes.
+    #[inline(always)]
+    pub(crate) fn charge_mem(&mut self, mem: u64) {
+        self.total += mem;
+        self.mem += mem;
+    }
+
+    /// Bulk work (the `compute`/`mem_access` builtins): its memory part,
+    /// then one charge of the whole.
+    fn charge_bulk<P: DerefMut<Target = Proc>>(&mut self, m: &mut Machine<P>, work: Work) {
+        self.mem += work.mem;
+        self.charge(m, work.total());
+    }
+}
+
 /// A runtime error with a message (locations come from the enclosing call
 /// chain in panics; the interpreter is deterministic so errors reproduce).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -79,12 +160,11 @@ impl std::error::Error for ExecError {}
 /// host's `Lockstep` handle, through which it parks ([`Self::handle`]).
 pub struct Machine<P = Box<Proc>> {
     proc: P,
-    /// Work not yet converted into virtual time: all units, and how many
-    /// of them are memory-bound. One running total makes a charge one add
-    /// and one compare against the chunk threshold.
-    pending_total: u64,
-    pending_mem: u64,
-    /// Work already flushed; with `pending_total` it is the work counter
+    /// Work not yet converted into virtual time. The VM's dispatch loop
+    /// works on its own copy and writes it back here before any call that
+    /// reads or flushes it.
+    pending: Pending,
+    /// Work already flushed; with the pending total it is the work counter
     /// since machine start (see [`Self::work_total`]).
     work_flushed: u64,
     miss_rate: f64,
@@ -145,8 +225,7 @@ impl<P: DerefMut<Target = Proc>> Machine<P> {
         let rand_seed = 0x7ea5_0000 ^ proc.rank() as u64;
         Machine {
             proc,
-            pending_total: 0,
-            pending_mem: 0,
+            pending: Pending::default(),
             work_flushed: 0,
             miss_rate: 0.0,
             sensors: sensors.map(Box::new),
@@ -251,78 +330,57 @@ impl<P: DerefMut<Target = Proc>> Machine<P> {
 
     /// Add bulk work (the `compute`/`mem_access` builtins).
     pub fn charge_bulk(&mut self, work: Work) {
-        self.pending_mem += work.mem;
-        self.charge(work.total());
+        let mut p = self.pending;
+        p.charge_bulk(self, work);
+        self.pending = p;
     }
 
     #[doc(hidden)]
     #[inline(always)]
     pub fn charge(&mut self, units: u64) {
-        self.pending_total += units;
-        if self.pending_total >= cost::CHUNK {
-            self.sync_clock();
-        }
-    }
-
-    /// Replay `n` successive `charge(1)` calls in O(1): the accumulator is
-    /// topped up to exactly the chunk threshold (flushing there, as the
-    /// walker would after that many unit charges) and the remainder is
-    /// added in one step. The VM's `ChargeUnits` instruction uses this to
-    /// fold whole runs of expression-node charges while keeping every
-    /// flush boundary — and therefore every `Proc::compute` call — at the
-    /// same work counts as `n` separate unit charges.
-    #[inline(always)]
-    pub(crate) fn charge_units(&mut self, n: u32) {
-        let total = self.pending_total + n as u64;
-        if total < cost::CHUNK {
-            self.pending_total = total;
-        } else {
-            self.charge_units_flushing(n as u64);
-        }
-    }
-
-    /// [`Self::charge_units`] when at least one unit charge trips a flush.
-    #[cold]
-    #[inline(never)]
-    fn charge_units_flushing(&mut self, mut left: u64) {
-        while left > 0 {
-            // Units until a single-unit charge would trip the flush. The
-            // accumulator can already sit at/above the threshold (memory
-            // charges don't flush), in which case the next unit trips it.
-            let to_flush = cost::CHUNK.saturating_sub(self.pending_total).max(1);
-            if to_flush > left {
-                self.pending_total += left;
-                return;
-            }
-            self.pending_total += to_flush;
-            self.sync_clock();
-            left -= to_flush;
-        }
+        let mut p = self.pending;
+        p.charge(self, units);
+        self.pending = p;
     }
 
     #[doc(hidden)]
     #[inline(always)]
     pub fn charge_mem(&mut self, mem: u64) {
-        self.pending_total += mem;
-        self.pending_mem += mem;
+        self.pending.charge_mem(mem);
+    }
+
+    /// The accumulator, for the VM's dispatch loop to keep in a local.
+    #[inline(always)]
+    pub(crate) fn pending(&self) -> Pending {
+        self.pending
+    }
+
+    /// Hand the dispatch loop's accumulator back (see [`Self::pending`]).
+    #[inline(always)]
+    pub(crate) fn set_pending(&mut self, p: Pending) {
+        self.pending = p;
     }
 
     /// Work counter since machine start (drives PMU sampling keys and
     /// per-sense instruction counts).
     fn work_total(&self) -> u64 {
-        self.work_flushed + self.pending_total
+        self.work_flushed + self.pending.total
     }
 
     /// Convert all pending work into virtual time.
     pub fn sync_clock(&mut self) {
-        if self.pending_total > 0 {
+        let p = std::mem::take(&mut self.pending);
+        self.flush(p);
+    }
+
+    /// Convert `p`, work taken out of an accumulator, into virtual time.
+    fn flush(&mut self, p: Pending) {
+        if p.total > 0 {
             let w = Work {
-                cpu: self.pending_total - self.pending_mem,
-                mem: self.pending_mem,
+                cpu: p.total - p.mem,
+                mem: p.mem,
             };
-            self.work_flushed += self.pending_total;
-            self.pending_total = 0;
-            self.pending_mem = 0;
+            self.work_flushed += p.total;
             self.proc.compute(w, self.miss_rate);
         }
     }

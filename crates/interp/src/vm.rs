@@ -1,12 +1,29 @@
 //! The slot-resolved bytecode VM.
 //!
 //! The product's one executor. Executes a [`CompiledProgram`] against the
-//! [`Machine`] cost/probe surface: charges flow through `Machine::charge` /
-//! `charge_units` / `charge_mem`, probes through `on_tick`/`on_tock`, and
-//! builtins through the shared dispatch. The dev-only `vsensor-oracle`
-//! crate runs a tree-walker over the same surface, and virtual time, PMU
-//! sampling keys, sensor records and errors are bit-identical between the
-//! two (`tests/vm_equivalence.rs` is the differential suite).
+//! [`Machine`] cost/probe surface: charges flow through the rank's
+//! pending-work accumulator ([`Pending`], the one home of the charge
+//! arithmetic), probes through `on_tick`/`on_tock`, and builtins through
+//! the shared dispatch. The dev-only `vsensor-oracle` crate runs a
+//! tree-walker over the same surface, and virtual time, PMU sampling
+//! keys, sensor records and errors are bit-identical between the two
+//! (`tests/vm_equivalence.rs` is the differential suite,
+//! `tests/vm_flush_boundaries.rs` holds the compute calls to the walker's
+//! call for call).
+//!
+//! The dispatch loop keeps the accumulator in a local, so a charge is an
+//! add and a compare on a value the loop owns, not a read-modify-write
+//! through `&mut Machine`. The machine's copy is stale while the loop
+//! runs: the loop writes its copy back before every call that reads or
+//! flushes the machine's (builtins, probes) and takes it back after, and
+//! writes it back once more on every exit — return, suspend or error. A
+//! chunk flush needs no write-back: [`Pending`] hands the taken work to
+//! the machine by value.
+//!
+//! The canonical `for` loop costs one dispatch of control per iteration:
+//! its head (`CmpLocalImmBr`) charges the body's first statement on the
+//! fall-through path, and the step and back edge (`StepJump`) run the
+//! head they land on in the same dispatch.
 //!
 //! Per-rank execution keeps three growable buffers — operand stack, frame
 //! stack and a flat locals area — and grows them to need once, never per
@@ -17,7 +34,9 @@
 
 use crate::builtins;
 use crate::bytecode::{self, CompiledProgram, Insn};
-use crate::machine::{binop, coerce_scalar, cost, load_element, store_element, ExecError, Machine};
+use crate::machine::{
+    binop, coerce_scalar, cost, load_element, store_element, ExecError, Machine, Pending,
+};
 use crate::values::Value;
 use vsensor_lang::UnOp;
 
@@ -70,16 +89,16 @@ impl VmState {
 }
 
 /// Run or resume one rank's VM: the dispatch loop. The `Machine` carries
-/// the rank's clock, cost accumulator and sensor harness. `Ok(true)` means `main` returned (call `Machine::finalize` for the
-/// result); `Ok(false)` means a blocking builtin is `Pending` — the rank
-/// yielded, and the next call continues bit-identically to an
-/// uninterrupted run.
+/// the rank's clock, cost accumulator and sensor harness. `Ok(true)` means
+/// `main` returned (call `Machine::finalize` for the result); `Ok(false)`
+/// means a blocking builtin is `Pending` — the rank yielded, and the next
+/// call continues bit-identically to an uninterrupted run.
 ///
 /// Never inlined into the task's `resume`: keeping anything trace-related
 /// live across the loop perturbs its register allocation enough to cost
 /// double-digit percent even with tracing disabled. State lives in locals
 /// for dispatch speed and is written back to `st` only at a suspend or the
-/// final return.
+/// final return; the accumulator goes back to `m` on every exit.
 #[inline(never)]
 pub(crate) fn resume_vm(
     m: &mut Machine,
@@ -106,24 +125,65 @@ pub(crate) fn resume_vm(
     let mut pc: usize = st.pc;
     let mut locals_base: usize = st.locals_base;
     let mut stack_floor: usize = st.stack_floor;
+    // The rank's pending work, in a local for the whole loop. Every call
+    // that reads or flushes the machine's copy is bracketed by
+    // `machine!`, and every exit leaves through the `'run` loop's value,
+    // after which the copy goes back.
+    let mut acc = m.pending();
 
-    // The compiler balances every push with a pop, so an empty stack here
-    // is a compiler bug; it surfaces as a typed error, never a panic.
-    macro_rules! pop {
-        () => {
-            match stack.pop() {
-                Some(v) => v,
-                None => return Err(stack_underflow()),
-            }
-        };
-    }
+    let outcome = 'run: loop {
+        // The compiler balances every push with a pop, so an empty stack
+        // here is a compiler bug; it surfaces as a typed error, never a
+        // panic. Every error leaves the loop through `'run`.
+        macro_rules! pop {
+            () => {
+                match stack.pop() {
+                    Some(v) => v,
+                    None => break 'run Err(stack_underflow()),
+                }
+            };
+        }
+        macro_rules! tri {
+            ($e:expr) => {
+                match $e {
+                    Ok(v) => v,
+                    Err(e) => break 'run Err(e),
+                }
+            };
+        }
+        // A call on the machine that reads or flushes its accumulator.
+        macro_rules! machine {
+            ($e:expr) => {{
+                m.set_pending(acc);
+                let r = $e;
+                acc = m.pending();
+                r
+            }};
+        }
+        // The fused conditional's charges and branch: `cpu` before
+        // everything, the condition's units, the compare, then `post` on
+        // the fall-through path only. Shared by `CmpLocalImmBr` and the
+        // `StepJump` that lands on one.
+        macro_rules! cmp_branch {
+            ($op:expr, $slot:expr, $imm:expr, $cpu:expr, $units:expr, $post:expr, $off:expr) => {
+                if $cpu > 0 {
+                    acc.charge(m, $cpu as u64);
+                }
+                acc.charge_units(m, $units);
+                let l = &locals[locals_base + $slot as usize];
+                if !tri!(op_imm($op, l, $imm)).truthy() {
+                    pc = offset(pc, $off);
+                } else if $post > 0 {
+                    acc.charge(m, $post as u64);
+                }
+            };
+        }
 
-    loop {
         let insn = &func.code[pc];
         pc += 1;
         match insn {
-            Insn::ChargeUnits(n) => m.charge_units(*n),
-            Insn::ChargeCpu(n) => m.charge(*n as u64),
+            Insn::ChargeUnits(n) => acc.charge_units(m, *n),
+            Insn::ChargeCpu(n) => acc.charge(m, *n as u64),
             Insn::PushInt(v) => stack.push(Value::Int(*v)),
             Insn::PushFloat(v) => stack.push(Value::Float(*v)),
             Insn::Pop => {
@@ -138,32 +198,36 @@ pub(crate) fn resume_vm(
                 stack.push(coerce_scalar(v, *ty));
             }
             Insn::LoadIndexLocal(s) => {
-                let i = index_operand(m, pop!())?;
-                stack.push(load_element(&locals[locals_base + *s as usize], i)?);
+                let i = tri!(index_operand(&mut acc, pop!()));
+                stack.push(tri!(load_element(&locals[locals_base + *s as usize], i)));
             }
             Insn::LoadIndexGlobal(g) => {
-                let i = index_operand(m, pop!())?;
-                stack.push(load_element(&globals[*g as usize], i)?);
+                let i = tri!(index_operand(&mut acc, pop!()));
+                stack.push(tri!(load_element(&globals[*g as usize], i)));
             }
             Insn::StoreIndexLocal(s) => {
-                let i = index_operand(m, pop!())?;
+                let i = tri!(index_operand(&mut acc, pop!()));
                 let v = pop!();
-                store_element(&mut locals[locals_base + *s as usize], i, v)?;
+                tri!(store_element(&mut locals[locals_base + *s as usize], i, v));
             }
             Insn::StoreIndexGlobal(g) => {
-                let i = index_operand(m, pop!())?;
+                let i = tri!(index_operand(&mut acc, pop!()));
                 let v = pop!();
-                store_element(&mut globals[*g as usize], i, v)?;
+                tri!(store_element(&mut globals[*g as usize], i, v));
             }
             Insn::LoadIndexLV { arr, idx } => {
-                let i = local_index(m, &locals[locals_base + *idx as usize])?;
-                stack.push(load_element(&locals[locals_base + *arr as usize], i)?);
+                let i = tri!(local_index(&mut acc, &locals[locals_base + *idx as usize]));
+                stack.push(tri!(load_element(&locals[locals_base + *arr as usize], i)));
             }
             Insn::StoreIndexLV { arr, idx, u } => {
-                m.charge_units(*u);
-                let i = local_index(m, &locals[locals_base + *idx as usize])?;
+                acc.charge_units(m, *u);
+                let i = tri!(local_index(&mut acc, &locals[locals_base + *idx as usize]));
                 let v = pop!();
-                store_element(&mut locals[locals_base + *arr as usize], i, v)?;
+                tri!(store_element(
+                    &mut locals[locals_base + *arr as usize],
+                    i,
+                    v
+                ));
             }
             Insn::BinOpII {
                 op,
@@ -173,35 +237,35 @@ pub(crate) fn resume_vm(
                 bi,
                 u1,
             } => {
-                m.charge_units(*u1);
-                let i = local_index(m, &locals[locals_base + *ai as usize])?;
-                let l = load_element(&locals[locals_base + *a as usize], i)?;
-                m.charge_units(2 * cost::EXPR_NODE as u32);
-                let j = local_index(m, &locals[locals_base + *bi as usize])?;
-                let r = load_element(&locals[locals_base + *b as usize], j)?;
-                stack.push(binop_fast(*op, l, r)?);
+                acc.charge_units(m, *u1);
+                let i = tri!(local_index(&mut acc, &locals[locals_base + *ai as usize]));
+                let l = tri!(load_element(&locals[locals_base + *a as usize], i));
+                acc.charge_units(m, 2 * cost::EXPR_NODE as u32);
+                let j = tri!(local_index(&mut acc, &locals[locals_base + *bi as usize]));
+                let r = tri!(load_element(&locals[locals_base + *b as usize], j));
+                stack.push(tri!(binop_fast(*op, l, r)));
             }
             Insn::BinOpIdx { op, arr, idx, u } => {
-                m.charge_units(*u);
-                let i = local_index(m, &locals[locals_base + *idx as usize])?;
-                let r = load_element(&locals[locals_base + *arr as usize], i)?;
+                acc.charge_units(m, *u);
+                let i = tri!(local_index(&mut acc, &locals[locals_base + *idx as usize]));
+                let r = tri!(load_element(&locals[locals_base + *arr as usize], i));
                 let l = pop!();
-                stack.push(binop_fast(*op, l, r)?);
+                stack.push(tri!(binop_fast(*op, l, r)));
             }
             Insn::IndexTrap(msg) => {
                 // Unresolvable array name: the index check and memory
                 // charge still happen, then the lookup error.
-                index_operand(m, pop!())?;
-                return Err(ExecError::new(compiled.msgs[*msg as usize].clone()));
+                tri!(index_operand(&mut acc, pop!()));
+                break 'run Err(ExecError::new(compiled.msgs[*msg as usize].clone()));
             }
             Insn::AllocArray { slot, ty } => {
-                let n = pop!()
-                    .as_int()
-                    .ok_or_else(|| ExecError::new("array length must be integer"))?;
+                let Some(n) = pop!().as_int() else {
+                    break 'run Err(ExecError::new("array length must be integer"));
+                };
                 if n < 0 {
-                    return Err(ExecError::new(format!("negative array length {n}")));
+                    break 'run Err(ExecError::new(format!("negative array length {n}")));
                 }
-                m.charge_mem(n as u64 / 8);
+                acc.charge_mem(n as u64 / 8);
                 locals[locals_base + *slot as usize] = Value::zeroed_array(*ty, n as usize);
             }
             Insn::UnOp(op) => {
@@ -210,7 +274,7 @@ pub(crate) fn resume_vm(
                     UnOp::Neg => match v {
                         Value::Int(x) => Value::Int(-x),
                         Value::Float(x) => Value::Float(-x),
-                        _ => return Err(ExecError::new("cannot negate array")),
+                        _ => break 'run Err(ExecError::new("cannot negate array")),
                     },
                     UnOp::Not => Value::Int(!v.truthy() as i64),
                 };
@@ -219,41 +283,37 @@ pub(crate) fn resume_vm(
             Insn::BinOp(op) => {
                 let r = pop!();
                 let l = pop!();
-                stack.push(binop_fast(*op, l, r)?);
+                stack.push(tri!(binop_fast(*op, l, r)));
             }
             Insn::BinOpInt(op, imm) => {
                 let l = pop!();
-                stack.push(binop_fast(*op, l, Value::Int(*imm))?);
+                stack.push(tri!(binop_fast(*op, l, Value::Int(*imm))));
             }
             Insn::BinOpLocal(op, s) => {
                 let l = pop!();
                 let r = load(&locals[locals_base + *s as usize]);
-                stack.push(binop_fast(*op, l, r)?);
+                stack.push(tri!(binop_fast(*op, l, r)));
             }
             Insn::ChargeUnitsCpu(u, c) => {
-                m.charge_units(*u);
-                m.charge(*c as u64);
+                acc.charge_units(m, *u);
+                acc.charge(m, *c as u64);
             }
             Insn::LocalOpImm { op, dst, src, imm } => {
-                let l = load(&locals[locals_base + *src as usize]);
-                locals[locals_base + *dst as usize] = binop_fast(*op, l, Value::Int(*imm))?;
+                let l = &locals[locals_base + *src as usize];
+                locals[locals_base + *dst as usize] = tri!(op_imm(*op, l, *imm));
             }
             Insn::Truthy => {
                 let v = pop!();
                 stack.push(Value::Int(v.truthy() as i64));
             }
             Insn::Jump(off) => pc = offset(pc, *off),
-            Insn::JumpCharged { units, off } => {
-                m.charge_units(*units);
-                pc = offset(pc, *off);
-            }
             Insn::JumpIfFalse(off) => {
                 if !pop!().truthy() {
                     pc = offset(pc, *off);
                 }
             }
             Insn::JumpIfFalseCharged { units, off } => {
-                m.charge_units(*units);
+                acc.charge_units(m, *units);
                 if !pop!().truthy() {
                     pc = offset(pc, *off);
                 }
@@ -264,15 +324,36 @@ pub(crate) fn resume_vm(
                 imm,
                 cpu,
                 units,
+                post,
                 off,
             } => {
-                if *cpu > 0 {
-                    m.charge(*cpu as u64);
-                }
-                m.charge_units(*units);
-                let l = load(&locals[locals_base + *slot as usize]);
-                if !binop_fast(*op, l, Value::Int(*imm))?.truthy() {
-                    pc = offset(pc, *off);
+                cmp_branch!(*op, *slot, *imm, *cpu, *units, *post, *off);
+            }
+            Insn::StepJump {
+                op,
+                dst,
+                src,
+                imm,
+                units,
+                off,
+            } => {
+                let l = &locals[locals_base + *src as usize];
+                locals[locals_base + *dst as usize] = tri!(op_imm(*op, l, *imm));
+                acc.charge_units(m, *units);
+                pc = offset(pc, *off);
+                // The loop head it lands on runs here, in this dispatch.
+                if let Insn::CmpLocalImmBr {
+                    op,
+                    slot,
+                    imm,
+                    cpu,
+                    units,
+                    post,
+                    off,
+                } = &func.code[pc]
+                {
+                    pc += 1;
+                    cmp_branch!(*op, *slot, *imm, *cpu, *units, *post, *off);
                 }
             }
             Insn::AndShortCircuit(off) => {
@@ -291,9 +372,9 @@ pub(crate) fn resume_vm(
                 // Active calls = entry + suspended frames + the current
                 // function; the depth limit is checked before charging.
                 if frames.len() + 1 > 256 {
-                    return Err(ExecError::new("call depth exceeded (runaway recursion)"));
+                    break 'run Err(ExecError::new("call depth exceeded (runaway recursion)"));
                 }
-                m.charge(cost::CALL);
+                acc.charge(m, cost::CALL);
                 let callee = &compiled.functions[*fi as usize];
                 let new_base = locals.len();
                 let split = stack.len() - *argc as usize;
@@ -313,7 +394,7 @@ pub(crate) fn resume_vm(
             }
             Insn::CallBuiltin { builtin, argc } => {
                 let split = stack.len() - *argc as usize;
-                match builtins::dispatch(m, *builtin, &stack[split..])? {
+                match tri!(machine!(builtins::dispatch(m, *builtin, &stack[split..]))) {
                     Some(result) => {
                         stack.truncate(split);
                         stack.push(result);
@@ -332,7 +413,7 @@ pub(crate) fn resume_vm(
                         st.pc = pc;
                         st.locals_base = locals_base;
                         st.stack_floor = stack_floor;
-                        return Ok(false);
+                        break 'run Ok(false);
                     }
                 }
             }
@@ -343,23 +424,27 @@ pub(crate) fn resume_vm(
                 match frames.pop() {
                     Some(frame) => {
                         func_idx = frame.func;
-                        func = compiled.fn_by_index(func_idx)?;
+                        func = tri!(compiled.fn_by_index(func_idx));
                         pc = frame.ret_pc;
                         locals_base = frame.locals_base;
                         stack_floor = frame.stack_floor;
                         stack.push(v);
                     }
-                    // `main` returned; its value is discarded.
-                    None => break,
+                    // `main` returned; its value is discarded, and the
+                    // buffers drop with this frame, so a finished rank
+                    // keeps none.
+                    None => break 'run Ok(true),
                 }
             }
-            Insn::Tick(s) => m.on_tick(*s),
-            Insn::Tock(s) => m.on_tock(*s),
-            Insn::Trap(msg) => return Err(ExecError::new(compiled.msgs[*msg as usize].clone())),
+            Insn::Tick(s) => machine!(m.on_tick(*s)),
+            Insn::Tock(s) => machine!(m.on_tock(*s)),
+            Insn::Trap(msg) => {
+                break 'run Err(ExecError::new(compiled.msgs[*msg as usize].clone()))
+            }
         }
-    }
-    // `main` returned: the buffers drop here, so a finished rank keeps none.
-    Ok(true)
+    };
+    m.set_pending(acc);
+    outcome
 }
 
 #[inline]
@@ -410,6 +495,17 @@ fn binop_fast(op: vsensor_lang::BinOp, l: Value, r: Value) -> Result<Value, Exec
     binop(op, l, r)
 }
 
+/// `slot <op> imm`, the fused local-and-literal shapes: an `Int` slot
+/// goes straight to [`binop_fast`]'s integer path, with no copy of the
+/// slot through [`load`]'s match.
+#[inline(always)]
+fn op_imm(op: vsensor_lang::BinOp, l: &Value, imm: i64) -> Result<Value, ExecError> {
+    match l {
+        Value::Int(a) => binop_fast(op, Value::Int(*a), Value::Int(imm)),
+        other => binop_fast(op, load(other), Value::Int(imm)),
+    }
+}
+
 #[cold]
 #[inline(never)]
 fn stack_underflow() -> ExecError {
@@ -429,22 +525,22 @@ fn load(v: &Value) -> Value {
 
 /// Pop-side of an array index: integer check, then the memory charge.
 #[inline]
-fn index_operand(m: &mut Machine, v: Value) -> Result<i64, ExecError> {
+fn index_operand(acc: &mut Pending, v: Value) -> Result<i64, ExecError> {
     let i = v
         .as_int()
         .ok_or_else(|| ExecError::new("array index must be integer"))?;
-    m.charge_mem(cost::ARRAY_MEM);
+    acc.charge_mem(cost::ARRAY_MEM);
     Ok(i)
 }
 
 /// [`index_operand`] reading straight from a slot (fused `a[k]` forms).
 #[inline(always)]
-fn local_index(m: &mut Machine, v: &Value) -> Result<i64, ExecError> {
+fn local_index(acc: &mut Pending, v: &Value) -> Result<i64, ExecError> {
     let i = match v {
         Value::Int(x) => *x,
         Value::Float(x) => *x as i64,
         _ => return Err(ExecError::new("array index must be integer")),
     };
-    m.charge_mem(cost::ARRAY_MEM);
+    acc.charge_mem(cost::ARRAY_MEM);
     Ok(i)
 }

@@ -7,8 +7,8 @@
 //! divergence — in final virtual times, MPI stats, sensor record streams,
 //! or even the rendered report text — is a compiler bug, not tolerable
 //! drift. Random programs come from an extended `arb_program` that
-//! exercises calls, recursion, arrays, `while`/`break`/`continue` and
-//! every sensor-relevant builtin class.
+//! exercises calls, recursion, arrays, `while`/`break`/`continue`, every
+//! sensor-relevant builtin class and every fused loop form.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -139,7 +139,8 @@ fn assert_plain_identical(program: &Arc<Program>, make_cluster: &dyn Fn() -> Clu
 // ---------------------------------------------------------------------
 // Random program generator — wider than `tests/proptests.rs`: user
 // functions with recursion, arrays, while/break/continue, short-circuit
-// conditions and all three sensor component classes.
+// conditions, all three sensor component classes, and every fused loop
+// form with the accumulator flushing inside it.
 // ---------------------------------------------------------------------
 
 fn arb_program() -> impl Strategy<Value = String> {
@@ -166,11 +167,52 @@ fn arb_program() -> impl Strategy<Value = String> {
         }),
         Just("float f = 1.5; x = x + f * 2.0;".to_string()),
     ];
+    // The fused loop forms: a head that carries the first statement's
+    // charge (into a `continue`/`break` body, a nested loop or an `if`),
+    // steps other than `+ 1`, and per-element float kernels whose trip
+    // counts reach past `cost::CHUNK`, so the pending-work accumulator
+    // flushes mid-loop — at a head, a body statement or a fused step.
+    let loops = prop_oneof![
+        (2u32..40, 1u32..6).prop_map(|(n, k)| format!(
+            "for (i = 0; i < {n}; i = i + 1) {{ if (i == {k}) {{ continue; }} \
+             if (i > {}) {{ break; }} x = x + i; }}",
+            n * 2 / 3
+        )),
+        (1u32..60, 2i64..5).prop_map(|(n, d)| format!(
+            "for (i = 0; i < {n}; i = i + {d}) {{ x = x + i; }} \
+             for (i = {n}; i > 0; i = i - {d}) {{ x = x - 1; }}"
+        )),
+        (1u32..20).prop_map(|n| format!(
+            "for (b = 0; b < {n}; b = b + 1) {{ while (x > 5000) {{ x = x - 5000; }} x = x + b; }}"
+        )),
+        (1u32..20).prop_map(|n| format!(
+            "for (b = 0; b < {n}; b = b + 3) {{ if (b > 4) {{ x = x + b; }} else {{ x = x - 1; }} }}"
+        )),
+        // An empty then-branch: its head's exit lands on the next
+        // statement's charge, which must stay out of the head.
+        (1u32..20).prop_map(|n| format!(
+            "for (b = 0; b < {n}; b = b + 1) {{ if (b < 3) {{}} x = x + b; }}"
+        )),
+        (1u32..4096).prop_map(|n| format!(
+            "for (k = 0; k < {n}; k = k + 1) {{ fy[k] = fm[k] * fx[k]; }}"
+        )),
+        (1u32..4096).prop_map(|n| format!(
+            "float s = 0.0; for (k = 0; k < {n}; k = k + 1) {{ s = s + fx[k] * fy[k]; }} x = x + s;"
+        )),
+        (1u32..1500).prop_map(|n| format!(
+            "for (k = 0; k < {n}; k = k + 1) {{ fy[k] = fm[k] * fx[k]; mem_access(16); \
+             for (c = 0; c < 2; c = c + 1) {{ compute(40); }} }}"
+        )),
+    ];
+    let stmt = prop_oneof![2 => stmt, 1 => loops];
     proptest::collection::vec(stmt, 1..7).prop_map(|stmts| {
         format!(
             "fn helper(int n) -> int {{ if (n < 2) {{ return 1; }} return n + helper(n - 1); }}\n\
              fn fib(int n) -> int {{ if (n < 2) {{ return n; }} return fib(n - 1) + fib(n - 2); }}\n\
-             fn main() {{ int x = 1; int a[8];\n{}\nmpi_barrier();\n}}",
+             fn main() {{ int x = 1; int a[8];\n\
+             float fx[4096]; float fy[4096]; float fm[4096];\n\
+             for (k = 0; k < 4096; k = k + 1) {{ fm[k] = 0.5; fx[k] = 1.0; }}\n\
+             {}\nmpi_barrier();\n}}",
             stmts.join("\n")
         )
     })
