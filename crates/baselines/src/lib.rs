@@ -1,8 +1,8 @@
-//! Comparator tools (§1's four prior approaches + §6.4's instruments).
+//! Comparator tools (§1's prior approaches + §6.4's instruments).
 //!
 //! The paper contrasts vSensor with the existing ways to handle
-//! performance variance; this crate implements working analogues of each
-//! so the comparison experiments can run:
+//! performance variance; this crate implements working analogues of the
+//! ones a comparison experiment runs, one per figure or study:
 //!
 //! * [`mpip`] — an mpiP-style profiler: per-rank computation vs. MPI time
 //!   totals (Figures 18-19), which *cannot* localize variance in time;
@@ -11,18 +11,14 @@
 //!   §6.4);
 //! * [`fwq`] — fixed-work-quanta external benchmarking: detects variance
 //!   but is intrusive (it co-runs with and perturbs the application);
-//! * [`rerun`] — the run-it-N-times methodology of Figure 1;
-//! * [`model`] — an analytic-model baseline: predicts one scalar and can
-//!   flag *that* a run was slow, but not where or why.
+//! * [`rerun`] — the run-it-N-times methodology of Figure 1.
 
 pub mod fwq;
-pub mod model;
 pub mod mpip;
 pub mod rerun;
 pub mod tracer;
 
 pub use fwq::{FwqProbe, FwqSample};
-pub use model::AnalyticModel;
 pub use mpip::MpipProfile;
 pub use rerun::RerunStats;
 pub use tracer::TraceVolume;

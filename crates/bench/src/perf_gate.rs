@@ -38,11 +38,11 @@
 //! The fixed tolerance band is one-size-fits-all: 25 % is far too loose
 //! for a deterministic virtual-time figure (which should not move at
 //! all) and occasionally too tight for a wall-derived ratio on a noisy
-//! runner. `--stats` replaces it with the same statistics the runtime's
-//! cross-run baseline store uses ([`vsensor_runtime::stats`]): every
-//! `repro gate` run appends its checked rows to `BENCH_history.jsonl`,
-//! and once a `(suite, cell, metric)` series has [`MIN_HISTORY_SAMPLES`]
-//! recorded runs the verdict becomes *variance-aware* — the series is
+//! runner. `--stats` replaces it with the change-point statistics of
+//! [`vsensor_runtime::stats`]: every `repro gate` run appends its
+//! checked rows to `BENCH_history.jsonl`, and once a
+//! `(suite, cell, metric)` series has [`MIN_HISTORY_SAMPLES`] recorded
+//! runs the verdict becomes *variance-aware* — the series is
 //! split at its most significant change-points (Welch-t scan, so a
 //! runner-hardware change mid-history starts a fresh regime instead of
 //! poisoning the median), and the current value must sit within
@@ -852,7 +852,7 @@ mod tests {
         let lines = text.lines().filter(|l| !l.trim().is_empty()).count();
         assert_eq!(
             (history.len(), lines),
-            (512, 512),
+            (542, 542),
             "valid-prefix parsing truncated the history"
         );
         for (_, h) in &history {
@@ -877,15 +877,15 @@ mod tests {
                 runs.len(),
                 match (h.suite.as_str(), h.metric.as_str()) {
                     // First filed with run 19.
-                    ("interp", "sim-seconds") => 9,
-                    // Runs 20, 21 and 24–27 were filed `--ratio-only`:
+                    ("interp", "sim-seconds") => 11,
+                    // Runs 20, 21 and 24–29 were filed `--ratio-only`:
                     // the wall series skipped them.
                     ("interp", _) | ("simmpi", "wall-throughput") => 20,
-                    ("simmpi", _) => 26,
+                    ("simmpi", _) => 28,
                     ("service", "service-throughput") => 18,
-                    ("service", _) => 24,
+                    ("service", _) => 26,
                     // First filed with runs 10 and 11.
-                    _ => 18,
+                    _ => 20,
                 },
                 "{}",
                 h.key()
@@ -912,28 +912,30 @@ mod tests {
     /// five samples the history verdict needs. Runs 24 and 25 (the
     /// telemetry hop at table speed, and its parent) were filed
     /// `--ratio-only` again, and so were runs 26 and 27 (the VM's
-    /// register-held accumulator and fused loop control, and its parent).
+    /// register-held accumulator and fused loop control, and its parent)
+    /// and runs 28 and 29 (the cross-run store's deletion with the
+    /// scaling study's alternated rounds, and its parent).
     #[rustfmt::skip]
     const PARENT_VERDICTS: [ParentVerdict; 19] = [
         ("cg-fig21/4/vm-throughput", 6621909025.009828, true, true, 20, 14, 5479174589.089014, 2947923364.5529785),
-        ("cg-fig21/4/sim-seconds", 0.057710674, true, true, 9, 9, 0.057710674, 0.0005771067399999999),
+        ("cg-fig21/4/sim-seconds", 0.057710674, true, true, 11, 11, 0.057710674, 0.0005771067399999999),
         ("cg-fig21/16/vm-throughput", 25937512577.381153, true, true, 20, 14, 21796278034.640255, 11056524616.494904),
-        ("cg-fig21/16/sim-seconds", 0.058969947, true, true, 9, 9, 0.058969947, 0.00058969947),
+        ("cg-fig21/16/sim-seconds", 0.058969947, true, true, 11, 11, 0.058969947, 0.00058969947),
         ("ft-fig22/4/vm-throughput", 5294777322.017859, true, true, 20, 14, 4402294011.176673, 4106717687.5519996),
-        ("ft-fig22/4/sim-seconds", 0.075075833, true, true, 9, 9, 0.075075833, 0.00075075833),
+        ("ft-fig22/4/sim-seconds", 0.075075833, true, true, 11, 11, 0.075075833, 0.00075075833),
         ("ft-fig22/16/vm-throughput", 10355921262.139862, true, true, 20, 14, 8790977564.365166, 2813886562.908047),
-        ("ft-fig22/16/sim-seconds", 0.150430555, true, true, 9, 9, 0.150430555, 0.00150430555),
-        ("service/16/p99-hot-ingest", 200161800.0, true, true, 24, 24, 200161800.0, 2001618.0),
-        ("service/16/p99-steady-ingest", 155302.0, true, true, 24, 17, 155302.0, 1553.02),
+        ("ft-fig22/16/sim-seconds", 0.150430555, true, true, 11, 11, 0.150430555, 0.00150430555),
+        ("service/16/p99-hot-ingest", 200161800.0, true, true, 26, 26, 200161800.0, 2001618.0),
+        ("service/16/p99-steady-ingest", 155302.0, true, true, 26, 19, 155302.0, 1553.02),
         ("service/16/service-throughput", 3014.4132286850117, true, true, 18, 11, 3011.8709524315414, 1726.8143575985032),
-        ("simmpi/1024/virt-throughput", 30290854.321401544, true, true, 26, 26, 30290854.321401544, 302908.54321401543),
+        ("simmpi/1024/virt-throughput", 30290854.321401544, true, true, 28, 28, 30290854.321401544, 302908.54321401543),
         ("simmpi/1024/wall-throughput", 1585238.294031774, true, true, 20, 13, 1602361.7100751556, 600461.3567629906),
-        ("simmpi/4096/virt-throughput", 102637134.54627462, true, true, 26, 26, 102637134.54627462, 1026371.3454627462),
+        ("simmpi/4096/virt-throughput", 102637134.54627462, true, true, 28, 28, 102637134.54627462, 1026371.3454627462),
         ("simmpi/4096/wall-throughput", 1246161.69609726, true, true, 20, 13, 1276746.5074383954, 712619.3637453956),
-        ("simmpi/16384/virt-throughput", 356091986.0829121, true, true, 26, 26, 356091986.0829121, 3560919.860829121),
+        ("simmpi/16384/virt-throughput", 356091986.0829121, true, true, 28, 28, 356091986.0829121, 3560919.860829121),
         ("simmpi/16384/wall-throughput", 1076014.5047311282, true, true, 20, 14, 1076060.384049619, 436009.7805240781),
-        ("simmpi/4096/scaling-ratio", 0.7861037049060099, true, true, 26, 26, 0.7755992779436438, 0.12943462986641285),
-        ("simmpi/16384/scaling-ratio", 0.8634629904778808, true, true, 26, 26, 0.873390657022992, 0.16220937938285837),
+        ("simmpi/4096/scaling-ratio", 0.7861037049060099, true, true, 28, 28, 0.77959219976563, 0.15033535611294177),
+        ("simmpi/16384/scaling-ratio", 0.8634629904778808, true, true, 28, 28, 0.8689013989008711, 0.18046001283414148),
     ];
 
     #[test]

@@ -45,7 +45,8 @@ pub struct ScaleRow {
     /// Rank-iterations per virtual second: `ranks * iterations /
     /// virtual_secs`. Deterministic; the gate's primary column.
     pub rank_iters_per_virtual_sec: f64,
-    /// Wall-clock nanoseconds for the whole run (best of a few repeats).
+    /// Wall-clock nanoseconds for the whole run (the median over
+    /// [`ROUNDS`] alternated rounds).
     pub wall_ns: u64,
     /// Rank-iterations per wall second — the scheduler's real throughput.
     pub rank_iters_per_wall_sec: f64,
@@ -154,33 +155,54 @@ fn workload() -> Prepared {
         .expect("scaling workload compiles")
 }
 
-fn measure(prepared: &Prepared, ranks: usize) -> ScaleRow {
-    // Virtual time is deterministic across repeats; wall time is not, and
-    // has a heavy right tail from allocator/scheduler state, so take the
-    // best of a few runs — except at paper scale, where one run is already
-    // tens of seconds and the relative noise is small.
-    let reps = if ranks <= 4096 { 2 } else { 1 };
-    let mut best_wall_ns = u64::MAX;
-    let mut virtual_secs = 0.0f64;
-    for _ in 0..reps {
-        let cluster = Arc::new(scenarios::quiet(ranks).build());
-        let started = Instant::now();
-        let results = prepared.run_plain_on(cluster, SimBackend::event());
-        let wall_ns = started.elapsed().as_nanos() as u64;
-        best_wall_ns = best_wall_ns.min(wall_ns);
-        virtual_secs = results
-            .iter()
-            .map(|r| r.end.as_secs_f64())
-            .fold(0.0, f64::max);
+/// Alternated rounds over the sweep: each round runs every rank count
+/// once, in sweep order, and a count's wall time is its median over the
+/// rounds. Host speed drifts over seconds; sampling both ends of a
+/// scaling ratio in the same rounds lets the drift hit them alike, and
+/// the median drops the heavy right tail (allocator and scheduler state)
+/// that one or two samples cannot.
+const ROUNDS: usize = 15;
+
+/// One plain run: `(wall ns, virtual seconds)`.
+fn run_once(prepared: &Prepared, ranks: usize) -> (u64, f64) {
+    let cluster = Arc::new(scenarios::quiet(ranks).build());
+    let started = Instant::now();
+    let results = prepared.run_plain_on(cluster, SimBackend::event());
+    let wall_ns = started.elapsed().as_nanos() as u64;
+    let virtual_secs = results
+        .iter()
+        .map(|r| r.end.as_secs_f64())
+        .fold(0.0, f64::max);
+    (wall_ns, virtual_secs)
+}
+
+/// Measure every rank count of `rank_sweep` in [`ROUNDS`] alternated
+/// rounds.
+fn measure(prepared: &Prepared, rank_sweep: &[usize]) -> Vec<ScaleRow> {
+    let mut samples: Vec<(Vec<u64>, f64)> = vec![(Vec::new(), 0.0); rank_sweep.len()];
+    for _ in 0..ROUNDS {
+        for (&ranks, (walls, virtual_secs)) in rank_sweep.iter().zip(&mut samples) {
+            let (wall_ns, virt) = run_once(prepared, ranks);
+            walls.push(wall_ns);
+            *virtual_secs = virt;
+        }
     }
-    let rank_iters = (ranks * ITERS) as f64;
-    ScaleRow {
-        ranks,
-        virtual_secs,
-        rank_iters_per_virtual_sec: rank_iters / virtual_secs.max(1e-9),
-        wall_ns: best_wall_ns,
-        rank_iters_per_wall_sec: rank_iters / (best_wall_ns as f64 / 1e9).max(1e-9),
-    }
+    rank_sweep
+        .iter()
+        .zip(samples)
+        .map(|(&ranks, (mut walls, virtual_secs))| {
+            walls.sort_unstable();
+            let wall_ns = walls[walls.len() / 2];
+            let rank_iters = (ranks * ITERS) as f64;
+            ScaleRow {
+                ranks,
+                virtual_secs,
+                rank_iters_per_virtual_sec: rank_iters / virtual_secs.max(1e-9),
+                wall_ns,
+                rank_iters_per_wall_sec: rank_iters / (wall_ns as f64 / 1e9).max(1e-9),
+            }
+        })
+        .collect()
 }
 
 /// Run the sweep at the default rank curve for the effort level. Paper
@@ -196,12 +218,9 @@ pub fn run(effort: Effort) -> ScaleResult {
 /// Run the sweep over an explicit rank list — the perf-regression gate
 /// uses a reduced curve whose rank counts still match the baseline's.
 pub fn run_with_ranks(rank_sweep: &[usize]) -> ScaleResult {
-    let prepared = workload();
-    let rows = rank_sweep
-        .iter()
-        .map(|&ranks| measure(&prepared, ranks))
-        .collect();
-    ScaleResult { rows }
+    ScaleResult {
+        rows: measure(&workload(), rank_sweep),
+    }
 }
 
 #[cfg(test)]

@@ -239,33 +239,6 @@ pub fn lossy_control(
     (cluster.with_faults(plan), runtime)
 }
 
-/// One submission of the cross-run regression hunt (the ROADMAP's Fig-1
-/// "40 submissions, 3× spread" scenario recast across runs): the same
-/// program on a healthy cluster whose background-noise seed is distinct
-/// per `submission` — honest run-to-run wobble, nothing else varying —
-/// with, optionally, one node's memory degraded to `mem_perf` of nominal.
-/// Replaying submissions `0..k` healthy and `k..n` degraded against a
-/// shared [`vsensor_runtime::BaselineStore`] is the step-regime ground
-/// truth `tests/cross_run.rs` asserts against.
-pub fn cross_run_submission(
-    ranks: usize,
-    submission: u64,
-    degraded_mem: Option<f64>,
-) -> ClusterConfig {
-    let ranks_per_node = 2;
-    let mut config = ClusterConfig::healthy(ranks).with_ranks_per_node(ranks_per_node);
-    // Golden-ratio hash so consecutive submissions get decorrelated seeds.
-    config.noise.seed = submission
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .rotate_left(17)
-        .wrapping_add(0x5bd1_e995);
-    if let Some(mem_perf) = degraded_mem {
-        let nodes = ranks.div_ceil(ranks_per_node);
-        config = config.with_node(nodes / 2, NodeSpec::slow_memory(mem_perf));
-    }
-    config
-}
-
 /// One tenant's slice of the multi-tenant skewed-load scenario: a fully
 /// independent job (own cluster, fault plan and runtime knobs) that joins
 /// the shared [`ServiceConfig`]-governed analysis service.
@@ -553,29 +526,6 @@ mod tests {
         let fc = c.faults().config();
         assert!((fc.drop_rate - 0.1).abs() < 1e-12);
         assert!(fc.duplicate_rate > 0.0 && fc.corrupt_rate > 0.0 && fc.delay_rate > 0.0);
-    }
-
-    #[test]
-    fn cross_run_submissions_vary_only_the_noise_seed() {
-        let a = cross_run_submission(8, 0, None);
-        let b = cross_run_submission(8, 1, None);
-        assert_ne!(a.noise.seed, b.noise.seed, "distinct per-submission seeds");
-        assert_eq!(
-            cross_run_submission(8, 1, None).noise.seed,
-            b.noise.seed,
-            "same submission, same seed"
-        );
-        // Healthy submissions carry no degradation; degraded ones slow the
-        // middle node's memory.
-        let healthy = a.build();
-        let degraded = cross_run_submission(8, 0, Some(0.55)).build();
-        let w = Work::mem(100_000);
-        let h = healthy.compute_elapsed(4, VirtualTime::ZERO, w, 0.0, 1);
-        let d = degraded.compute_elapsed(4, VirtualTime::ZERO, w, 0.0, 1);
-        assert!(d.as_nanos() as f64 > h.as_nanos() as f64 * 1.5);
-        let h0 = healthy.compute_elapsed(0, VirtualTime::ZERO, w, 0.0, 1);
-        let d0 = degraded.compute_elapsed(0, VirtualTime::ZERO, w, 0.0, 1);
-        assert_eq!(d0.as_nanos(), h0.as_nanos(), "other nodes untouched");
     }
 
     #[test]

@@ -791,7 +791,7 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_across_runs() {
+    fn deterministic_run_to_run() {
         let src = r#"
             fn main() {
                 for (i = 0; i < 50; i = i + 1) {

@@ -17,8 +17,8 @@ use std::sync::Arc;
 use vsensor_lang::Program;
 use vsensor_runtime::{
     AnalysisServer, AnalysisSink, BatchChannel, DistributionStats, DynamicRule, FaultyChannel,
-    RunId, RuntimeConfig, SensorInfo, SensorRuntime, ServerResult, SharedBaseline, TransportStats,
-    VarianceAlert, VarianceReport,
+    RuntimeConfig, SensorInfo, SensorRuntime, ServerResult, TransportStats, VarianceAlert,
+    VarianceReport,
 };
 
 /// Configuration for an instrumented run.
@@ -31,11 +31,6 @@ pub struct RunConfig {
     /// How many workers the event scheduler resumes same-instant ranks on
     /// (results are bit-identical for every count).
     pub sim: SimBackend,
-    /// Cross-run baseline store to attach (with this run's id) to the
-    /// analysis server: detection thresholds turn history-adaptive and
-    /// closing the run records it into the store and classifies it against
-    /// prior runs. `None` (the default) keeps single-run behavior.
-    pub baseline: Option<(SharedBaseline, RunId)>,
 }
 
 impl Default for RunConfig {
@@ -44,7 +39,6 @@ impl Default for RunConfig {
             runtime: RuntimeConfig::default(),
             rule: Arc::new(vsensor_runtime::dynrules::ConstantExpected),
             sim: SimBackend::default(),
-            baseline: None,
         }
     }
 }
@@ -263,10 +257,7 @@ pub fn server_sink(
     };
     // Proof: `Prepared::run`'s signature has no error path; a rejected
     // `RuntimeConfig` is a caller bug, reported with its validation text.
-    let mut server = built.unwrap_or_else(|e| panic!("invalid runtime configuration: {e}"));
-    if let Some((baseline, run_id)) = config.baseline.clone() {
-        server.attach_baseline(baseline, run_id);
-    }
+    let server = built.unwrap_or_else(|e| panic!("invalid runtime configuration: {e}"));
     Arc::new(FaultyChannel::new(Arc::new(server), faults))
 }
 
@@ -372,7 +363,6 @@ pub fn assemble_run(
         failed_ranks: server_result.failed_ranks.clone(),
         load: server_result.load.clone(),
         health: None,
-        cross_run: server_result.cross_run.clone(),
         control: server_result.control.clone(),
     };
 

@@ -144,7 +144,7 @@ impl Replayed {
 /// (across ranks for a process-invariant sensor, per rank otherwise), then
 /// [`normalized`] per record into its rank's matrix bin. Ranks `server`
 /// believes fail-stopped are masked from their death bin onward, and
-/// events are detected with `server`'s threshold for each kind.
+/// events are detected at `server`'s configured variance threshold.
 pub fn replay(
     server: &AnalysisServer,
     sensors: &[SensorInfo],
@@ -184,7 +184,7 @@ pub fn replay(
 
     let mut events = Vec::new();
     for kind in SensorKind::ALL {
-        let threshold = server.threshold_for(kind);
+        let threshold = config.variance_threshold;
         events.extend(detect_events(&matrices[&kind], kind, threshold).unwrap_or_default());
     }
     events.sort_by_key(|e| (e.start_bin, e.first_rank, e.kind));

@@ -1,9 +1,10 @@
 //! The one CRC-32 in the crate.
 //!
 //! Telemetry batches ([`crate::transport::TelemetryBatch`]), write-ahead
-//! log frames ([`crate::wal`]) and the cross-run baseline file
-//! ([`crate::baseline`]) all checksum through this folder, so the
-//! polynomial and the init/final inversion are stated in one place.
+//! log frames ([`crate::wal`]) and control directives
+//! ([`crate::control::ControlDirective`]) all checksum through this
+//! folder, so the polynomial and the init/final inversion are stated in
+//! one place.
 //!
 //! The fold is slice-by-16: sixteen 256-entry tables, built at compile
 //! time, fold sixteen bytes per step, and a tail shorter than that goes
@@ -11,8 +12,8 @@
 //! 400-record telemetry batch, it runs at about 1.5 GB/s on a 2-thread
 //! Intel Xeon virtual machine, against 0.14 GB/s for the bitwise loop it
 //! replaced; that loop stays in the tests as the reference. Every value is
-//! unchanged: the tests pin a batch, a WAL frame, a control directive and
-//! a baseline file to constants taken from the bitwise fold.
+//! unchanged: the tests pin a batch, two WAL frames and a control
+//! directive to constants taken from the bitwise fold.
 
 /// The reflected IEEE 802.3 polynomial.
 const POLY: u32 = 0xEDB8_8320;
@@ -96,7 +97,6 @@ impl Crc32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::{BaselineStore, GroupSummary, RunId};
     use crate::config::RuntimeConfig;
     use crate::control::ControlDirective;
     use crate::dynrules::Bucket;
@@ -153,14 +153,6 @@ mod tests {
         }
     }
 
-    /// FNV-1a over a byte string: pins a whole file without going through
-    /// the folder under test.
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-            (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
-        })
-    }
-
     /// A fixed 400-record batch in which every wire field varies.
     fn pinned_batch() -> TelemetryBatch {
         let records = (0..400u64)
@@ -176,9 +168,9 @@ mod tests {
     }
 
     /// Every stored or wire checksum in the crate, captured on the bitwise
-    /// fold before the tables replaced it: a batch stamp, a WAL batch
-    /// frame and snapshot frame, a control directive, and a saved
-    /// baseline file's bytes.
+    /// fold before the tables replaced it, one per checksum user: a batch
+    /// stamp, a WAL batch frame and snapshot frame, and a control
+    /// directive.
     #[test]
     fn checksums_are_pinned() {
         let batch = pinned_batch();
@@ -212,24 +204,5 @@ mod tests {
 
         let directive = ControlDirective::new(5, 9, vec![0, 3, 17, 42], 4);
         assert_eq!(directive.crc, 0xBB0A_D291, "control directive");
-
-        let mut store = BaselineStore::new();
-        for run in 0..3u64 {
-            let groups = (0..2u32)
-                .map(|s| GroupSummary {
-                    sensor: SensorId(s),
-                    bucket: Bucket(s),
-                    mean_perf: 0.9 - 0.01 * run as f64,
-                    records: 64 + run,
-                })
-                .collect();
-            store.record_run(RunId(run), groups);
-        }
-        let file = store.to_bytes();
-        assert_eq!(
-            (file.len(), fnv1a(&file)),
-            (212, 0x9354_24EA_A07D_FC17),
-            "baseline file"
-        );
     }
 }

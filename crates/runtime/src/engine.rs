@@ -48,7 +48,6 @@
 //! timestamps and shapes at emission, the number of detection passes, and a
 //! worker clock's `free_at`.
 
-use crate::baseline::{CrossRunFinding, GroupSummary, RegimeChange, RunId, SharedBaseline};
 use crate::config::RuntimeConfig;
 use crate::control::{ControlDirective, ControlEpoch, Controller};
 use crate::detect::{detect_events, VarianceEvent};
@@ -348,10 +347,6 @@ pub enum AlertKind {
     Variance(VarianceEvent),
     /// A rank was detected as fail-stopped.
     RankDeath(DeathRecord),
-    /// The run that just closed began a worsening performance regime
-    /// relative to the attached cross-run baseline history — a step
-    /// change, not within-run variance and not a transient outlier.
-    CrossRunRegression(CrossRunFinding),
 }
 
 /// One live detection: a variance event or rank death first observed
@@ -384,14 +379,6 @@ impl VarianceAlert {
             _ => None,
         }
     }
-
-    /// The cross-run finding, if this alert reports a baseline regression.
-    pub fn cross_run(&self) -> Option<&CrossRunFinding> {
-        match &self.kind {
-            AlertKind::CrossRunRegression(f) => Some(f),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for VarianceAlert {
@@ -399,13 +386,6 @@ impl std::fmt::Display for VarianceAlert {
         match &self.kind {
             AlertKind::Variance(e) => write!(f, "t={} pass {}: {}", self.at, self.pass, e),
             AlertKind::RankDeath(d) => write!(f, "t={} pass {}: {}", self.at, self.pass, d),
-            AlertKind::CrossRunRegression(c) => {
-                write!(
-                    f,
-                    "t={} pass {}: cross-run regression, {}",
-                    self.at, self.pass, c
-                )
-            }
         }
     }
 }
@@ -489,9 +469,6 @@ pub(crate) struct EngineState {
     /// Budget/escalation controller, present when the control plane is
     /// enabled.
     control: Option<Controller>,
-    /// Findings of the close-time cross-run analysis (empty until close
-    /// or without an attached baseline).
-    findings: Vec<CrossRunFinding>,
 }
 
 impl EngineState {
@@ -548,19 +525,6 @@ pub struct AnalysisServer {
     state: Mutex<EngineState>,
     /// In-memory write-ahead log, when durability is enabled.
     wal: Option<Arc<WriteAheadLog>>,
-    /// Cross-run baseline comparison, when a store is attached.
-    cross_run: Option<CrossRunState>,
-}
-
-/// Cross-run detection set-up, fixed at attach time (before the engine is
-/// shared).
-struct CrossRunState {
-    baseline: SharedBaseline,
-    run_id: RunId,
-    /// Per-kind variance threshold derived from history at attach: the
-    /// minimum adaptive threshold over the kind's (sensor, bucket) groups.
-    /// `None` where history is too shallow — the fixed config knob rules.
-    thresholds: KindMap<Option<f64>>,
 }
 
 impl AnalysisServer {
@@ -593,7 +557,6 @@ impl AnalysisServer {
             control: config
                 .control_enabled()
                 .then(|| Controller::new(config.clone(), ranks, sensors.len())),
-            findings: Vec::new(),
         };
         Ok(AnalysisServer {
             config,
@@ -601,7 +564,6 @@ impl AnalysisServer {
             ranks,
             state: Mutex::new(state),
             wal: None,
-            cross_run: None,
         })
     }
 
@@ -618,48 +580,6 @@ impl AnalysisServer {
     /// The write-ahead log this server journals to, if it is durable.
     pub(crate) fn wal(&self) -> Option<&Arc<WriteAheadLog>> {
         self.wal.as_ref()
-    }
-
-    /// Attach a cross-run baseline store for run `run_id`. Must be called
-    /// before the server is shared (it takes `&mut self`). Detection
-    /// thresholds become history-adaptive per sensor kind where the store
-    /// holds enough runs; at session close the run is analyzed against
-    /// history, recorded into the store, and any worsening step regime
-    /// surfaces as an [`AlertKind::CrossRunRegression`] alert plus
-    /// [`ServerResult::cross_run`] findings. Per-kind adaptive thresholds
-    /// are derived from history *now* — detection during the run must not
-    /// depend on what later runs record into the shared store — as the
-    /// minimum over the kind's per-(sensor, bucket) adaptive cuts: every
-    /// group of the kind is held at least to its own historical band.
-    pub fn attach_baseline(&mut self, baseline: SharedBaseline, run_id: RunId) {
-        let per_group = baseline.with(|store| store.adaptive_thresholds());
-        let mut thresholds = KindMap::build(|_| None::<f64>);
-        for ((sensor, _bucket), t) in per_group {
-            let Some(info) = self.sensors.get(sensor.0 as usize) else {
-                continue;
-            };
-            let slot = &mut thresholds[info.kind];
-            *slot = Some(slot.map_or(t, |prev: f64| prev.min(t)));
-        }
-        self.cross_run = Some(CrossRunState {
-            baseline,
-            run_id,
-            thresholds,
-        });
-    }
-
-    /// The detection threshold for one sensor kind: the history-derived
-    /// adaptive cut when a baseline with enough runs is attached, the
-    /// fixed `variance_threshold` knob otherwise. Used identically by the
-    /// streaming passes and `interim`; public (hidden) so that
-    /// `vsensor-oracle`'s record-log replay detects with the same cut, and
-    /// streaming/replay equivalence holds with or without a baseline.
-    #[doc(hidden)]
-    pub fn threshold_for(&self, kind: SensorKind) -> f64 {
-        self.cross_run
-            .as_ref()
-            .and_then(|c| c.thresholds[kind])
-            .unwrap_or(self.config.variance_threshold)
     }
 
     /// The configuration the server runs under.
@@ -679,42 +599,7 @@ impl AnalysisServer {
 
     /// Seal the server against further ingest.
     pub(crate) fn close(&self) {
-        let st = &mut *self.state.lock();
-        // Once-only transition: a recovered server may be closed again by
-        // the same logical run, and the cross-run analysis must not record
-        // that run twice.
-        if !std::mem::replace(&mut st.closed, true) {
-            self.finish_cross_run(st);
-        }
-    }
-
-    /// Close-time cross-run analysis: fold this run's per-(sensor, bucket)
-    /// summaries, classify them against the attached baseline history,
-    /// record the run into the store, and queue a [`VarianceAlert`] for
-    /// every worsening step regime.
-    fn finish_cross_run(&self, st: &mut EngineState) {
-        let Some(cr) = &self.cross_run else { return };
-        let groups = self.group_summaries(st);
-        let findings = cr.baseline.with(|store| {
-            let findings = store.analyze(cr.run_id, &groups);
-            store.record_run(cr.run_id, groups);
-            findings
-        });
-        // Timestamp alerts at the last ingest arrival the engine saw: the
-        // virtual instant an operator watching the stream learns the run's
-        // final shape.
-        let now = st.last_arrival.iter().flatten().max().copied();
-        let now = now.unwrap_or(VirtualTime::ZERO);
-        for f in &findings {
-            if matches!(f.change, RegimeChange::Step { .. }) && f.is_worsening() {
-                st.pending.push(VarianceAlert {
-                    at: now,
-                    pass: st.detect_passes,
-                    kind: AlertKind::CrossRunRegression(f.clone()),
-                });
-            }
-        }
-        st.findings = findings;
+        self.state.lock().closed = true;
     }
 
     /// The standard `rank`'s records of `(sensor, bucket)` normalize
@@ -760,21 +645,6 @@ impl AnalysisServer {
             e.1 += count as u64;
         }
         out
-    }
-
-    /// This run's mean normalized performance per (sensor, bucket) group —
-    /// the unit the cross-run store records.
-    fn group_summaries(&self, st: &EngineState) -> Vec<GroupSummary> {
-        self.summarize(st, |sensor, bucket| (sensor, bucket))
-            .into_iter()
-            .filter(|&(_, (_, n))| n > 0)
-            .map(|((sensor, bucket), (sum, n))| GroupSummary {
-                sensor,
-                bucket,
-                mean_perf: sum / n as f64,
-                records: n,
-            })
-            .collect()
     }
 
     /// Running ingest counters.
@@ -1040,8 +910,8 @@ impl AnalysisServer {
         }
         let mut fresh_spans: Vec<(usize, usize)> = Vec::new();
         for kind in SensorKind::ALL {
-            let events =
-                detect_events(&matrices[kind], kind, self.threshold_for(kind)).unwrap_or_default();
+            let events = detect_events(&matrices[kind], kind, self.config.variance_threshold)
+                .unwrap_or_default();
             for event in events {
                 let already = st.emitted.iter().any(|e| {
                     e.kind == event.kind
@@ -1133,7 +1003,7 @@ impl AnalysisServer {
     /// Build the full result over `[0, up_to)` from the accumulators:
     /// fold the matrices, detect and order the events, order the sensor
     /// summary worst first, and attach the state's delivery, volume, load,
-    /// death, cross-run and control views. Non-destructive, callable while
+    /// death and control views. Non-destructive, callable while
     /// ranks are still streaming: §2's workflow updates the report
     /// *periodically while the program runs* — this is that read, and the
     /// close-time read too.
@@ -1145,7 +1015,8 @@ impl AnalysisServer {
         let mut events = Vec::new();
         for kind in SensorKind::ALL {
             events.extend(
-                detect_events(&matrices[kind], kind, self.threshold_for(kind)).unwrap_or_default(),
+                detect_events(&matrices[kind], kind, self.config.variance_threshold)
+                    .unwrap_or_default(),
             );
         }
         events.sort_by(|a, b| {
@@ -1184,7 +1055,6 @@ impl AnalysisServer {
             malformed_records: stats.malformed,
             load: st.load(),
             failed_ranks: st.failed_ranks(),
-            cross_run: st.findings.clone(),
             control: st.control.as_ref().map(Controller::stats),
         }
     }

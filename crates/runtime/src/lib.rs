@@ -32,7 +32,6 @@
 //!
 //! [`tock`]: SensorRuntime::tock
 
-pub mod baseline;
 pub mod config;
 pub mod control;
 mod crc;
@@ -54,9 +53,6 @@ pub mod trace;
 pub mod transport;
 pub mod wal;
 
-pub use baseline::{
-    BaselineStore, CrossRunFinding, GroupSummary, RegimeChange, RunId, SharedBaseline,
-};
 pub use config::RuntimeConfig;
 pub use control::{
     ControlDirective, ControlEpoch, ControlStats, DirectiveGate, DirectiveVerdict, CONTROL_SEQ_BASE,

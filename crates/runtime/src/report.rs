@@ -5,7 +5,6 @@
 //! processes and component in a coarse-grain fashion", leaving the repair
 //! decision to the user.
 
-use crate::baseline::{CrossRunFinding, RegimeChange};
 use crate::control::ControlStats;
 use crate::detect::VarianceEvent;
 use crate::distribution::DistributionStats;
@@ -54,11 +53,6 @@ pub struct VarianceReport {
     /// wrapped the run; `None` keeps the rendered text bit-identical to a
     /// run without tracing.
     pub health: Option<crate::trace::RuntimeHealth>,
-    /// Cross-run findings against the attached baseline store — step
-    /// regimes, drift, and transient outliers. Empty for runs without a
-    /// baseline (the default), which keeps their rendered text
-    /// bit-identical.
-    pub cross_run: Vec<CrossRunFinding>,
     /// Control-plane counters when the runtime-adaptive loop was on
     /// (`RuntimeConfig::overhead_budget > 0`). `None` keeps the rendered
     /// text of control-free runs bit-identical.
@@ -218,22 +212,6 @@ impl VarianceReport {
                 let _ = writeln!(out, "  {d}");
             }
         }
-        if !self.cross_run.is_empty() {
-            let regressions = self
-                .cross_run
-                .iter()
-                .filter(|f| matches!(f.change, RegimeChange::Step { .. }) && f.is_worsening())
-                .count();
-            let _ = writeln!(
-                out,
-                "cross-run baseline: {} finding(s), {} regression(s):",
-                self.cross_run.len(),
-                regressions,
-            );
-            for f in &self.cross_run {
-                let _ = writeln!(out, "  {f}");
-            }
-        }
         if let Some(c) = &self.control {
             let _ = writeln!(
                 out,
@@ -314,7 +292,6 @@ mod tests {
             failed_ranks: Vec::new(),
             load: ServerLoad::default(),
             health: None,
-            cross_run: Vec::new(),
             control: None,
         }
     }
@@ -423,32 +400,6 @@ mod tests {
         let r = rep.render();
         assert!(r.contains("1 rank(s) fail-stopped"), "{r}");
         assert!(r.contains("rank 7"), "{r}");
-    }
-
-    #[test]
-    fn cross_run_findings_are_rendered() {
-        use crate::dynrules::Bucket;
-        use vsensor_lang::SensorId;
-        let mut rep = sample_report();
-        assert!(
-            !rep.render().contains("cross-run"),
-            "baseline-free reports stay bit-identical"
-        );
-        rep.cross_run = vec![CrossRunFinding {
-            sensor: SensorId(3),
-            bucket: Bucket(0),
-            change: RegimeChange::Step { at_run: 8 },
-            before: 0.95,
-            after: 0.47,
-            score: 0.0004,
-            runs: 11,
-        }];
-        let r = rep.render();
-        assert!(
-            r.contains("cross-run baseline: 1 finding(s), 1 regression(s)"),
-            "{r}"
-        );
-        assert!(r.contains("step at run index 8"), "{r}");
     }
 
     #[test]

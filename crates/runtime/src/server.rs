@@ -28,7 +28,6 @@
 //! The session is the one front door for telemetry, so interim and final
 //! views cannot disagree by construction.
 
-use crate::baseline::CrossRunFinding;
 use crate::config::RuntimeConfig;
 use crate::control::ControlStats;
 use crate::detect::VarianceEvent;
@@ -249,10 +248,6 @@ pub struct ServerResult {
     /// Ranks the engine believes fail-stopped (gossip notice or liveness
     /// timeout), in rank order — the report's "failed ranks" section.
     pub failed_ranks: Vec<DeathRecord>,
-    /// Cross-run findings against the attached baseline store (empty when
-    /// no baseline is attached or the run has not closed): step regimes,
-    /// drift, and transient outliers per (sensor, bucket) group.
-    pub cross_run: Vec<CrossRunFinding>,
     /// Control-plane counters (`None` when the control plane is off).
     pub control: Option<ControlStats>,
 }

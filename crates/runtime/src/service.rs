@@ -310,8 +310,8 @@ impl AnalysisService {
 
     /// A one-tenant service around a private server: tenant 0, spec'd from
     /// the server's own ranks, sensors and config, with `server` itself
-    /// live (so anything attached to it, a baseline say, stays) and no
-    /// admission budget. Durable iff the server journals, and then with an
+    /// live (the route ingests into this instance, not a rebuilt copy) and
+    /// no admission budget. Durable iff the server journals, and then with an
     /// empty standby attached, so a planned crash promotes a replica that
     /// replays the server's log from the start: a cold recovery.
     pub(crate) fn solo(server: Arc<AnalysisServer>) -> Self {

@@ -1,10 +1,9 @@
-//! Deterministic statistics for cross-run variance detection.
+//! Deterministic statistics for judging a series of runs.
 //!
-//! The paper's detector — and, until this module, our own CI perf gate —
-//! compares against fixed thresholds (a 0.5 normalized-performance cut, a
-//! 25% tolerance band). Both are the "magic number" failure mode: the
-//! right threshold depends on how noisy the series actually is. This
-//! module supplies the adaptive replacements:
+//! The CI perf gate's fixed 25% tolerance band is the "magic number"
+//! failure mode: the right band depends on how noisy the series actually
+//! is. This module supplies the variance-aware replacement that
+//! `repro gate --stats` judges its history with:
 //!
 //! - **Welch's t-test** ([`welch_t`]) for "are these two samples drawn
 //!   from the same mean", with the two-sided p-value computed from the

@@ -184,9 +184,6 @@ fn faulty_tenant_cannot_perturb_a_healthy_neighbor() {
             .map(|a| match &a.kind {
                 AlertKind::Variance(e) => (a.pass, Some(e.kind), e.first_rank, e.last_rank),
                 AlertKind::RankDeath(d) => (a.pass, None, d.rank, d.rank),
-                AlertKind::CrossRunRegression(_) => {
-                    unreachable!("no baseline store is attached in this suite")
-                }
             })
             .collect::<Vec<_>>()
     };
