@@ -18,7 +18,8 @@
 //!
 //! A snippet `S` is then a v-sensor of an enclosing loop `L` iff the
 //! closure of its seed intersects neither `L`'s assigned set nor any
-//! disqualifying symbol — the judgment itself lives in [`crate::identify`].
+//! disqualifying symbol — the judgment itself lives in
+//! [`crate::identify`](mod@crate::identify).
 //!
 //! ## Representation
 //!

@@ -12,12 +12,12 @@
 //!   v-sensor candidates (§3.1).
 //! * [`deps`] — the dependency-propagation core: flow-insensitive
 //!   use-define closure with control-dependence, per function (§3.2).
-//! * [`identify`] — intra- and inter-procedural v-sensor identification,
-//!   including the rank-dependence analysis of §3.4 and the
-//!   globally-fixed-argument fixpoint of §3.3.
+//! * [`identify`](mod@identify) — intra- and inter-procedural v-sensor
+//!   identification, including the rank-dependence analysis of §3.4 and
+//!   the globally-fixed-argument fixpoint of §3.3.
 //! * [`select`] — instrumentation selection: global scope, `max_depth`,
 //!   outermost-of-nested (§4).
-//! * [`instrument`] — inserts `Tick`/`Tock` probes into the IR.
+//! * [`instrument`](mod@instrument) — inserts `Tick`/`Tock` probes into the IR.
 //! * [`report`] — the analysis summary feeding Table 1.
 //!
 //! # Example

@@ -19,29 +19,31 @@
 //!
 //! `interp`, `service`, `simmpi` and `control` are the *gate suites*
 //! ([`SUITES`]): each study reports `perf_gate::BenchRow`s and owns one
-//! committed baseline, `BENCH_<suite>.json`. Run plainly, a suite
-//! rewrites its baseline from the fresh rows; `--check` instead turns it
-//! into the CI perf-regression gate — a paper-scale measurement is
-//! compared row by row against the committed baseline and the process
-//! exits nonzero on regression. `--ratio-only` restricts the gate to
-//! machine-independent rows (same-machine ratios and virtual-time
-//! figures), skipping absolute wall-clock rows by name — required on
-//! hardware that is not comparable to the baseline machine (shared CI
-//! runners).
+//! committed baseline, `BENCH_<suite>.json` at the repo root. Run
+//! plainly, a suite writes its fresh rows as a baseline only under
+//! `--out DIR`, so no run overwrites a committed file by accident;
+//! `--check` instead turns it into the CI perf-regression gate — a
+//! paper-scale measurement is compared row by row against the committed
+//! baseline and the process exits nonzero on regression. `--ratio-only`
+//! restricts the gate to machine-independent rows (same-machine ratios
+//! and virtual-time figures), skipping absolute wall-clock rows by name —
+//! required on hardware that is not comparable to the baseline machine
+//! (shared CI runners).
 //!
 //! `repro gate` (explicit-only, like `failover`) checks every suite in
 //! one invocation and **appends** the checked rows to the history
-//! file (`BENCH_history.jsonl`, override with `--history PATH`) — even
-//! when a gate fails, so the change-point analysis can see the failing
-//! regime form. `--stats` makes every gate variance-aware: once a cell
-//! has 5 recorded runs, the verdict comes from the recorded history
-//! (latest change-point regime median ± `max(3·MAD, floor)`) instead of
-//! the fixed 25 % band; shallower cells keep the fixed band. `--stats`
-//! also works with the individual `<suite> --check` gates (read-only —
-//! only `gate` appends). `--allow-new-cells` accepts measured cells that
-//! are missing from the committed baseline (the intended flag when
-//! regenerating a baseline that grew a cell); without it, a new
-//! unmeasured cell fails the gate hard.
+//! file (the committed `BENCH_history.jsonl`, override with
+//! `--history PATH`) — even when a gate fails, so the change-point
+//! analysis can see the failing regime form. `--stats` makes every gate
+//! variance-aware: once a cell has 5 recorded runs, the verdict comes
+//! from the recorded history (latest change-point regime median ±
+//! `max(3·MAD, floor)`) instead of the fixed 25 % band; shallower cells
+//! keep the fixed band. `--stats` also works with the individual
+//! `<suite> --check` gates (read-only — only `gate` appends).
+//! `--allow-new-cells` accepts measured cells that are missing from the
+//! committed baseline (the intended flag when regenerating a baseline
+//! that grew a cell); without it, a new unmeasured cell fails the gate
+//! hard.
 
 use cluster_sim::time::Duration;
 use std::path::PathBuf;
@@ -424,24 +426,17 @@ struct GateCtx {
     history: Vec<(u64, BenchRow)>,
 }
 
-/// A committed bench file: next to the invocation first (repo root in
-/// CI), then relative to the crate for `cargo run` from anywhere in the
-/// workspace.
+/// A committed bench file at the repo root, found from this crate's
+/// source path so the current directory never shadows it.
 fn committed(name: &str) -> PathBuf {
-    let local = PathBuf::from(name);
-    let repo = PathBuf::from(format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR")));
-    if !local.exists() && repo.exists() {
-        repo
-    } else {
-        local
-    }
+    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")).join(name)
 }
 
 /// Run one gate suite. Without `check`, the fresh rows become the suite's
-/// baseline — written into `--out` when given, next to the invocation
-/// otherwise — and there is no report. With `check`, the study runs at
-/// paper effort (the committed baselines were measured at paper scale, so
-/// a smoke run would not be comparable) and is compared against the
+/// baseline, written into `--out` when given and nowhere otherwise, and
+/// there is no report. With `check`, the study runs at paper effort (the
+/// committed baselines were measured at paper scale, so a smoke run would
+/// not be comparable) and is compared against the
 /// committed baseline; the caller exits nonzero on a failed report so CI
 /// can gate on it.
 fn run_gate(suite: &Suite, check: bool, ctx: &GateCtx) -> Option<perf_gate::GateReport> {
@@ -450,9 +445,11 @@ fn run_gate(suite: &Suite, check: bool, ctx: &GateCtx) -> Option<perf_gate::Gate
     let effort = if check { Effort::Paper } else { ctx.effort };
     let fresh = study(effort, check, ctx.ranks);
     if !check {
-        let path = ctx.out_dir.clone().unwrap_or_default().join(baseline_file);
-        std::fs::write(&path, perf_gate::rows_to_json(&fresh)).expect("write baseline");
-        println!("[wrote {}]", path.display());
+        write_artifact(
+            &ctx.out_dir,
+            baseline_file,
+            &perf_gate::rows_to_json(&fresh),
+        );
         return None;
     }
     let path = committed(baseline_file);

@@ -112,7 +112,7 @@ fn workloads(effort: Effort) -> Vec<(&'static str, Prepared)> {
 }
 
 fn measure(prepared: &Prepared, ranks: usize) -> (u64, f64) {
-    // Cell wall timings have a heavy right tail: rank-thread scheduling
+    // Cell wall timings have a heavy right tail: host scheduling
     // and allocator state left by earlier runs in the same process can
     // slow an unlucky run by ~25% without meaning anything about the
     // code. Virtual time is deterministic across repeats, so the fastest

@@ -66,8 +66,8 @@ use vsensor_runtime::stats::{self, ShiftPolicy};
 pub const DEFAULT_TOLERANCE: f64 = 0.25;
 
 /// A series needs this many recorded runs before the history verdict
-/// supersedes the fixed tolerance band — mirrors the runtime baseline
-/// store's `min_history`.
+/// supersedes the fixed tolerance band, and `latest_regime` splits no
+/// regime shorter than this.
 pub const MIN_HISTORY_SAMPLES: usize = 5;
 
 /// What a row's value is made of — decides whether it is comparable

@@ -3,7 +3,7 @@
 //! Bundles nodes, topology, noise model, network model and PMU into a single
 //! shared object the MPI simulator and interpreter query for timing. All
 //! methods take explicit virtual-time arguments, so a `Cluster` is immutable
-//! and can be shared across rank threads with an `Arc` without locking.
+//! and can be shared across worker threads with an `Arc` without locking.
 
 use crate::fault::FaultPlan;
 use crate::network::{CollectiveOp, NetworkConfig};
@@ -123,7 +123,7 @@ impl ClusterConfig {
     }
 }
 
-/// An immutable simulated cluster; share with `Arc` across rank threads.
+/// An immutable simulated cluster; share with `Arc` across worker threads.
 #[derive(Clone, Debug)]
 pub struct Cluster {
     nodes: Vec<NodeSpec>,

@@ -227,7 +227,7 @@ impl TraceEvent {
 
 /// Bounded single-producer event buffer owned by one thread. The owning
 /// thread appends lock-free; the session drains it only after the
-/// producing threads have quiesced (rank threads are joined before
+/// producing threads have quiesced (worker threads are joined before
 /// [`TraceSession::finish`] runs).
 struct ThreadBuf {
     len: AtomicUsize,
@@ -423,7 +423,7 @@ impl TraceSession {
 
     /// End the session and drain every thread's events. Call only after
     /// the traced workload's threads have quiesced (e.g. the simulated
-    /// world's rank threads are joined).
+    /// world's worker threads are joined).
     pub fn finish(self) -> Trace {
         MASK.store(0, Ordering::Relaxed);
         let mut events = Vec::new();

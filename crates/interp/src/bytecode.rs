@@ -271,7 +271,7 @@ pub struct CompiledFn {
     pub code: Vec<Insn>,
 }
 
-/// A fully lowered program, shared across rank threads via `Arc`.
+/// A fully lowered program, shared across ranks via `Arc`.
 #[derive(Clone, Debug)]
 pub struct CompiledProgram {
     /// Initial global values, in declaration order (lowering rejects

@@ -195,7 +195,7 @@ pub struct SensorHarness {
 
 impl SensorHarness {
     /// Harness over a channel to the analysis sink. The transport knobs
-    /// are taken from the runtime's [`RuntimeConfig`].
+    /// are taken from the runtime's [`RuntimeConfig`](vsensor_runtime::RuntimeConfig).
     pub fn with_channel(
         runtime: SensorRuntime,
         rank: usize,

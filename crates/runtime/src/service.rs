@@ -290,7 +290,7 @@ pub struct TenantStats {
     pub p99_ingest_latency: Duration,
 }
 
-/// The multi-tenant analysis service. Shared across rank threads with an
+/// The multi-tenant analysis service. Shared across host threads with an
 /// `Arc`; every operation routes by [`TenantId`].
 pub struct AnalysisService {
     config: ServiceConfig,
