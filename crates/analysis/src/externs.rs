@@ -86,13 +86,13 @@ impl ExternBehavior {
     }
 
     /// Builder: mark as returning a rank/identity value.
-    pub fn rank_source(mut self) -> Self {
+    pub(crate) fn rank_source(mut self) -> Self {
         self.returns_rank = true;
         self
     }
 
     /// Builder: mark the return value as unanalyzable data.
-    pub fn unknown_result(mut self) -> Self {
+    pub(crate) fn unknown_result(mut self) -> Self {
         self.returns_unknown = true;
         self
     }

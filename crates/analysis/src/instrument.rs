@@ -206,15 +206,9 @@ mod tests {
             }
             "#,
         );
-        let mut ticks = 0;
-        let mut tocks = 0;
-        for f in &inst.program.functions {
-            vsensor_lang::ir::visit_stmts(&f.body, &mut |s| match s {
-                Stmt::Tick(_) => ticks += 1,
-                Stmt::Tock(_) => tocks += 1,
-                _ => {}
-            });
-        }
+        let text = vsensor_lang::printer::print_program(&inst.program);
+        let ticks = text.matches("vs_tick(").count();
+        let tocks = text.matches("vs_tock(").count();
         assert_eq!(ticks, tocks);
         assert_eq!(ticks, inst.sensors.len());
     }

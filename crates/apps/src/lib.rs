@@ -119,23 +119,6 @@ pub fn all_apps(p: Params) -> Vec<AppSpec> {
     ]
 }
 
-/// Fetch one app by (case-insensitive) name.
-pub fn app_by_name(name: &str, p: Params) -> Option<AppSpec> {
-    let n = name.to_ascii_lowercase();
-    Some(match n.as_str() {
-        "bt" => bt::generate(p),
-        "btio" => btio::generate(p),
-        "cg" => cg::generate(p),
-        "ft" => ft::generate(p),
-        "lu" => lu::generate(p),
-        "sp" => sp::generate(p),
-        "amg" => amg::generate(p),
-        "lulesh" => lulesh::generate(p),
-        "raxml" => raxml::generate(p),
-        _ => return None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,8 +126,7 @@ mod tests {
     #[test]
     fn all_apps_compile() {
         for p in [Params::test(), Params::bench(), Params::full()] {
-            let btio = app_by_name("btio", p).expect("btio is listed");
-            for app in all_apps(p).into_iter().chain([btio]) {
+            for app in all_apps(p).into_iter().chain([btio::generate(p)]) {
                 let program = app.compile();
                 assert!(
                     program.function("main").is_some(),
@@ -153,13 +135,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn app_lookup_is_case_insensitive() {
-        assert!(app_by_name("CG", Params::test()).is_some());
-        assert!(app_by_name("LuLeSh", Params::test()).is_some());
-        assert!(app_by_name("hpcg", Params::test()).is_none());
     }
 
     #[test]

@@ -45,21 +45,6 @@ impl MpipProfile {
         mean(self.per_rank.iter().map(|(c, _, _)| *c))
     }
 
-    /// Aggregate MPI fraction of the whole job.
-    pub fn mpi_fraction(&self) -> f64 {
-        let mpi: u64 = self.per_rank.iter().map(|(_, m, _)| m.as_nanos()).sum();
-        let total: u64 = self
-            .per_rank
-            .iter()
-            .map(|(c, m, i)| c.as_nanos() + m.as_nanos() + i.as_nanos())
-            .sum();
-        if total == 0 {
-            0.0
-        } else {
-            mpi as f64 / total as f64
-        }
-    }
-
     /// Render the Figure 18/19-style view as text: one line per rank
     /// bucket with computation and MPI seconds.
     pub fn render(&self, title: &str, buckets: usize) -> String {
@@ -117,11 +102,10 @@ mod tests {
     }
 
     #[test]
-    fn means_and_fraction() {
+    fn means() {
         let p = MpipProfile::from_stats(&[stats(75, 50), stats(75, 50)]);
         assert_eq!(p.mean_compute(), Duration::from_secs(75));
         assert_eq!(p.mean_mpi(), Duration::from_secs(50));
-        assert!((p.mpi_fraction() - 0.4).abs() < 1e-12);
     }
 
     #[test]
@@ -136,7 +120,6 @@ mod tests {
     #[test]
     fn empty_profile_is_safe() {
         let p = MpipProfile::from_stats(&[]);
-        assert_eq!(p.mpi_fraction(), 0.0);
         assert_eq!(p.mean_mpi(), Duration::ZERO);
         let _ = p.render("empty", 4);
     }

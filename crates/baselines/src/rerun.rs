@@ -71,12 +71,6 @@ impl RerunStats {
             / (self.runs.len() - 1) as f64;
         var.sqrt() / mean
     }
-
-    /// Total machine time consumed by the whole campaign — the cost of
-    /// this detection method.
-    pub fn total_cost(&self) -> Duration {
-        self.runs.iter().copied().sum()
-    }
 }
 
 #[cfg(test)]
@@ -101,12 +95,6 @@ mod tests {
         let s = secs(&[100, 101, 99, 100]);
         assert!(s.cv() < 0.01);
         assert!(s.max_over_min() < 1.03);
-    }
-
-    #[test]
-    fn cost_adds_up() {
-        let s = secs(&[10, 20, 30]);
-        assert_eq!(s.total_cost(), Duration::from_secs(60));
     }
 
     #[test]

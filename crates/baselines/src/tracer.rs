@@ -12,10 +12,10 @@ use simmpi::ProcStats;
 
 /// Bytes per trace event. ITAC/OTF-class formats store ~40-80 bytes per
 /// event (timestamps, ids, sizes) before compression; we use a midpoint.
-pub const EVENT_BYTES: u64 = 56;
+pub(crate) const EVENT_BYTES: u64 = 56;
 
 /// Per-rank fixed overhead (definitions, process metadata).
-pub const RANK_HEADER_BYTES: u64 = 4096;
+pub(crate) const RANK_HEADER_BYTES: u64 = 4096;
 
 /// Trace-volume estimate for a run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,15 +48,6 @@ impl TraceVolume {
             self.bytes as f64 / other_bytes as f64
         }
     }
-
-    /// Per-rank data rate in bytes per virtual second.
-    pub fn rate_per_rank(&self, run_secs: f64) -> f64 {
-        if run_secs == 0.0 || self.ranks == 0 {
-            0.0
-        } else {
-            self.bytes as f64 / run_secs / self.ranks as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -87,12 +78,5 @@ mod tests {
         let vsensor_bytes = 8_800_000u64;
         assert!(v.ratio_to(vsensor_bytes) > 10.0);
         assert!(v.ratio_to(0).is_infinite());
-    }
-
-    #[test]
-    fn rates() {
-        let v = TraceVolume::from_stats(&stats(1000, 2));
-        assert!(v.rate_per_rank(10.0) > 0.0);
-        assert_eq!(v.rate_per_rank(0.0), 0.0);
     }
 }

@@ -5,8 +5,11 @@
 //! ```text
 //! repro [--smoke] [--out DIR] [--ranks N] [--check [--ratio-only]] [experiment...]
 //! repro gate [--stats] [--ratio-only] [--history PATH] [--allow-new-cells]
-//! repro --list
+//! repro --list | --help
 //! ```
+//!
+//! An unknown flag, or `--out`, `--ranks` or `--history` without a value,
+//! prints the usage and exits 2.
 //!
 //! With no experiment names, runs everything. `--smoke` uses the reduced
 //! scale (what the unit tests run); the default is the full reproduction
@@ -18,7 +21,7 @@
 //! scaling curve at N ranks only.
 //!
 //! `interp`, `service`, `simmpi` and `control` are the *gate suites*
-//! ([`SUITES`]): each study reports `perf_gate::BenchRow`s and owns one
+//! (`SUITES`): each study reports `perf_gate::BenchRow`s and owns one
 //! committed baseline, `BENCH_<suite>.json` at the repo root. Run
 //! plainly, a suite writes its fresh rows as a baseline only under
 //! `--out DIR`, so no run overwrites a committed file by accident;
@@ -102,54 +105,91 @@ const EXPERIMENTS: &[(&str, &str)] = &[
     ),
 ];
 
+const USAGE: &str =
+    "usage: repro [--smoke] [--out DIR] [--ranks N] [--check [--ratio-only]] [experiment...]
+       repro gate [--stats] [--ratio-only] [--history PATH] [--allow-new-cells]
+       repro --list | --help";
+
+/// Print `msg` and the usage, and exit 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// The command line, parsed in one pass: an unknown flag or a value flag
+/// without its value is a usage error.
+#[derive(Default)]
+struct Args {
+    list: bool,
+    smoke: bool,
+    check: bool,
+    ratio_only: bool,
+    stats: bool,
+    allow_new_cells: bool,
+    history: Option<PathBuf>,
+    out: Option<PathBuf>,
+    ranks: Option<usize>,
+    selected: Vec<String>,
+}
+
+fn parse_args(mut args: impl Iterator<Item = String>) -> Args {
+    let mut parsed = Args::default();
+    while let Some(arg) = args.next() {
+        let mut value = |flag: &str| {
+            args.next()
+                .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
+        };
+        match arg.as_str() {
+            "--help" => {
+                println!("{USAGE}");
+                std::process::exit(0);
+            }
+            "--list" => parsed.list = true,
+            "--smoke" => parsed.smoke = true,
+            "--check" => parsed.check = true,
+            "--ratio-only" => parsed.ratio_only = true,
+            "--stats" => parsed.stats = true,
+            "--allow-new-cells" => parsed.allow_new_cells = true,
+            "--history" => parsed.history = Some(PathBuf::from(value("--history"))),
+            "--out" => parsed.out = Some(PathBuf::from(value("--out"))),
+            "--ranks" => {
+                let v = value("--ranks");
+                let ranks = v.parse().unwrap_or_else(|_| {
+                    usage_error(&format!("--ranks needs a positive integer, got `{v}`"))
+                });
+                parsed.ranks = Some(ranks);
+            }
+            flag if flag.starts_with('-') => usage_error(&format!("unknown flag `{flag}`")),
+            name => parsed.selected.push(name.to_string()),
+        }
+    }
+    parsed
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--list") {
+    let Args {
+        list,
+        smoke,
+        check,
+        ratio_only,
+        stats,
+        allow_new_cells,
+        history,
+        out: out_dir,
+        ranks: ranks_override,
+        selected,
+    } = parse_args(std::env::args().skip(1));
+    if list {
         for (name, desc) in EXPERIMENTS {
             println!("{name:<12} {desc}");
         }
         return;
     }
-    let effort = if args.iter().any(|a| a == "--smoke") {
-        Effort::Smoke
-    } else {
-        Effort::Paper
-    };
-    let check = args.iter().any(|a| a == "--check");
-    let ratio_only = args.iter().any(|a| a == "--ratio-only");
-    let stats = args.iter().any(|a| a == "--stats");
-    let allow_new_cells = args.iter().any(|a| a == "--allow-new-cells");
-    let history_arg: Option<&String> = args
-        .iter()
-        .position(|a| a == "--history")
-        .and_then(|i| args.get(i + 1));
-    let out_dir: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
+    let effort = if smoke { Effort::Smoke } else { Effort::Paper };
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir).expect("create --out directory");
     }
-    let out_args: Vec<String> = out_dir.iter().map(|d| d.display().to_string()).collect();
-    let ranks_arg: Option<&String> = args
-        .iter()
-        .position(|a| a == "--ranks")
-        .and_then(|i| args.get(i + 1));
-    let ranks_override: Option<usize> = ranks_arg.map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--ranks needs a positive integer, got `{v}`");
-            std::process::exit(2);
-        })
-    });
-    let selected: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .filter(|a| !out_args.contains(a))
-        .filter(|a| Some(*a) != ranks_arg)
-        .filter(|a| Some(*a) != history_arg)
-        .map(String::as_str)
-        .collect();
+    let selected: Vec<&str> = selected.iter().map(String::as_str).collect();
     let run_all = selected.is_empty();
     let want = |name: &str| run_all || selected.contains(&name);
 
@@ -164,7 +204,7 @@ fn main() {
         std::process::exit(2);
     }
 
-    let history_path = history_arg.map_or_else(|| committed("BENCH_history.jsonl"), PathBuf::from);
+    let history_path = history.unwrap_or_else(|| committed("BENCH_history.jsonl"));
     // A missing history file is an empty history, not an error: the
     // stats gate falls back to the fixed band until runs accumulate.
     let history_text = std::fs::read_to_string(&history_path).unwrap_or_default();

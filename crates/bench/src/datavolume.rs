@@ -91,7 +91,7 @@ mod tests {
         assert!(ratio > 5.0, "ratio {ratio:.1} should be lopsided");
         // Per-process rate stays far below what a full tracer would need.
         let rate = r.vsensor_bytes as f64 / r.run_secs.max(1e-9) / r.ranks as f64;
-        let trace_rate = r.trace.rate_per_rank(r.run_secs);
+        let trace_rate = r.trace.bytes as f64 / r.run_secs.max(1e-9) / r.trace.ranks as f64;
         assert!(
             rate < trace_rate / 5.0,
             "vsensor {rate:.0} vs trace {trace_rate:.0} B/s"

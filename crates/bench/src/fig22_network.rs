@@ -134,10 +134,10 @@ mod tests {
         assert!(!net_events.is_empty(), "{:?}", r.degraded.report.events);
         let widest = net_events
             .iter()
-            .max_by_key(|e| e.rank_count())
+            .max_by_key(|e| e.last_rank - e.first_rank)
             .expect("non-empty");
         assert!(
-            widest.rank_count() * 10 >= r.ranks * 9,
+            (widest.last_rank - widest.first_rank + 1) * 10 >= r.ranks * 9,
             "network problems hit everyone: {widest:?}"
         );
         // The normal run is clean.

@@ -852,7 +852,7 @@ mod tests {
         let lines = text.lines().filter(|l| !l.trim().is_empty()).count();
         assert_eq!(
             (history.len(), lines),
-            (542, 542),
+            (572, 572),
             "valid-prefix parsing truncated the history"
         );
         for (_, h) in &history {
@@ -877,15 +877,15 @@ mod tests {
                 runs.len(),
                 match (h.suite.as_str(), h.metric.as_str()) {
                     // First filed with run 19.
-                    ("interp", "sim-seconds") => 11,
-                    // Runs 20, 21 and 24–29 were filed `--ratio-only`:
+                    ("interp", "sim-seconds") => 13,
+                    // Runs 20, 21 and 24–31 were filed `--ratio-only`:
                     // the wall series skipped them.
                     ("interp", _) | ("simmpi", "wall-throughput") => 20,
-                    ("simmpi", _) => 28,
+                    ("simmpi", _) => 30,
                     ("service", "service-throughput") => 18,
-                    ("service", _) => 26,
+                    ("service", _) => 28,
                     // First filed with runs 10 and 11.
-                    _ => 20,
+                    _ => 22,
                 },
                 "{}",
                 h.key()
@@ -914,28 +914,29 @@ mod tests {
     /// `--ratio-only` again, and so were runs 26 and 27 (the VM's
     /// register-held accumulator and fused loop control, and its parent)
     /// and runs 28 and 29 (the cross-run store's deletion with the
-    /// scaling study's alternated rounds, and its parent).
+    /// scaling study's alternated rounds, and its parent), and runs 30 and
+    /// 31 (uncalled public items deleted, and its parent).
     #[rustfmt::skip]
     const PARENT_VERDICTS: [ParentVerdict; 19] = [
         ("cg-fig21/4/vm-throughput", 6621909025.009828, true, true, 20, 14, 5479174589.089014, 2947923364.5529785),
-        ("cg-fig21/4/sim-seconds", 0.057710674, true, true, 11, 11, 0.057710674, 0.0005771067399999999),
+        ("cg-fig21/4/sim-seconds", 0.057710674, true, true, 13, 13, 0.057710674, 0.0005771067399999999),
         ("cg-fig21/16/vm-throughput", 25937512577.381153, true, true, 20, 14, 21796278034.640255, 11056524616.494904),
-        ("cg-fig21/16/sim-seconds", 0.058969947, true, true, 11, 11, 0.058969947, 0.00058969947),
+        ("cg-fig21/16/sim-seconds", 0.058969947, true, true, 13, 13, 0.058969947, 0.00058969947),
         ("ft-fig22/4/vm-throughput", 5294777322.017859, true, true, 20, 14, 4402294011.176673, 4106717687.5519996),
-        ("ft-fig22/4/sim-seconds", 0.075075833, true, true, 11, 11, 0.075075833, 0.00075075833),
+        ("ft-fig22/4/sim-seconds", 0.075075833, true, true, 13, 13, 0.075075833, 0.00075075833),
         ("ft-fig22/16/vm-throughput", 10355921262.139862, true, true, 20, 14, 8790977564.365166, 2813886562.908047),
-        ("ft-fig22/16/sim-seconds", 0.150430555, true, true, 11, 11, 0.150430555, 0.00150430555),
-        ("service/16/p99-hot-ingest", 200161800.0, true, true, 26, 26, 200161800.0, 2001618.0),
-        ("service/16/p99-steady-ingest", 155302.0, true, true, 26, 19, 155302.0, 1553.02),
+        ("ft-fig22/16/sim-seconds", 0.150430555, true, true, 13, 13, 0.150430555, 0.00150430555),
+        ("service/16/p99-hot-ingest", 200161800.0, true, true, 28, 28, 200161800.0, 2001618.0),
+        ("service/16/p99-steady-ingest", 155302.0, true, true, 28, 21, 155302.0, 1553.02),
         ("service/16/service-throughput", 3014.4132286850117, true, true, 18, 11, 3011.8709524315414, 1726.8143575985032),
-        ("simmpi/1024/virt-throughput", 30290854.321401544, true, true, 28, 28, 30290854.321401544, 302908.54321401543),
+        ("simmpi/1024/virt-throughput", 30290854.321401544, true, true, 30, 30, 30290854.321401544, 302908.54321401543),
         ("simmpi/1024/wall-throughput", 1585238.294031774, true, true, 20, 13, 1602361.7100751556, 600461.3567629906),
-        ("simmpi/4096/virt-throughput", 102637134.54627462, true, true, 28, 28, 102637134.54627462, 1026371.3454627462),
+        ("simmpi/4096/virt-throughput", 102637134.54627462, true, true, 30, 30, 102637134.54627462, 1026371.3454627462),
         ("simmpi/4096/wall-throughput", 1246161.69609726, true, true, 20, 13, 1276746.5074383954, 712619.3637453956),
-        ("simmpi/16384/virt-throughput", 356091986.0829121, true, true, 28, 28, 356091986.0829121, 3560919.860829121),
+        ("simmpi/16384/virt-throughput", 356091986.0829121, true, true, 30, 30, 356091986.0829121, 3560919.860829121),
         ("simmpi/16384/wall-throughput", 1076014.5047311282, true, true, 20, 14, 1076060.384049619, 436009.7805240781),
-        ("simmpi/4096/scaling-ratio", 0.7861037049060099, true, true, 28, 28, 0.77959219976563, 0.15033535611294177),
-        ("simmpi/16384/scaling-ratio", 0.8634629904778808, true, true, 28, 28, 0.8689013989008711, 0.18046001283414148),
+        ("simmpi/4096/scaling-ratio", 0.7861037049060099, true, true, 30, 30, 0.7824854148558755, 0.17348472320755665),
+        ("simmpi/16384/scaling-ratio", 0.8634629904778808, true, true, 30, 30, 0.8592277790812317, 0.2217949252506191),
     ];
 
     #[test]

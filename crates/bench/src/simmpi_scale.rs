@@ -46,7 +46,7 @@ pub struct ScaleRow {
     /// virtual_secs`. Deterministic; the gate's primary column.
     pub rank_iters_per_virtual_sec: f64,
     /// Wall-clock nanoseconds for the whole run (the median over
-    /// [`ROUNDS`] alternated rounds).
+    /// `ROUNDS` alternated rounds).
     pub wall_ns: u64,
     /// Rank-iterations per wall second — the scheduler's real throughput.
     pub rank_iters_per_wall_sec: f64,

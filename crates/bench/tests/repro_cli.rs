@@ -64,3 +64,34 @@ fn check_reads_the_committed_baseline_not_one_in_the_directory() {
     );
     assert!(!stdout.contains("stale/1"), "the stale baseline was read");
 }
+
+#[test]
+fn an_unknown_or_incomplete_flag_is_a_usage_error() {
+    for args in [
+        &["control", "--smoke", "--chek"][..],
+        &["control", "--smoke", "--out"],
+        &["table1", "--ranks"],
+        &["gate", "--history"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("run repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "repro {args:?}: {stderr}");
+        assert!(stderr.contains("usage: repro"), "repro {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "repro {args:?} ran something");
+    }
+}
+
+#[test]
+fn help_prints_the_usage_and_runs_nothing() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("--help")
+        .output()
+        .expect("run repro");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(stdout.starts_with("usage: repro"), "{stdout}");
+    assert!(!stdout.contains("reproduction harness"), "{stdout}");
+}

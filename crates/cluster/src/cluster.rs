@@ -175,11 +175,6 @@ impl Cluster {
         self.deaths.get(rank).copied().flatten()
     }
 
-    /// Whether the fault plan kills any rank during the run.
-    pub fn has_deaths(&self) -> bool {
-        self.deaths.iter().any(Option::is_some)
-    }
-
     /// Number of ranks.
     pub fn ranks(&self) -> usize {
         self.topology.ranks()

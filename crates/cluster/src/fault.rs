@@ -19,11 +19,15 @@ use crate::noise::mix64;
 use crate::time::{Duration, VirtualTime};
 use crate::topology::Topology;
 
+/// Virtual failure-detection latency: how long a surviving peer waits on
+/// a dead rank before its receive or collective reports the death.
+pub const DEATH_TIMEOUT: Duration = Duration::from_millis(1);
+
 /// A window of virtual time during which the analysis server is down:
 /// every send attempt fails immediately (connection refused), rather than
 /// timing out silently like a dropped message.
 #[derive(Clone, Debug, PartialEq)]
-pub struct OutageWindow {
+pub(crate) struct OutageWindow {
     /// Start of the outage (inclusive).
     pub start: VirtualTime,
     /// End of the outage (exclusive).
@@ -33,25 +37,6 @@ pub struct OutageWindow {
 impl OutageWindow {
     fn covers(&self, t: VirtualTime) -> bool {
         t >= self.start && t < self.end
-    }
-}
-
-/// A window during which selected ranks' telemetry stalls: batches sent
-/// inside the window are held (e.g. a wedged I/O thread or paused cgroup)
-/// and only reach the server when the window ends.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StallWindow {
-    /// Start of the stall (inclusive).
-    pub start: VirtualTime,
-    /// End of the stall (exclusive).
-    pub end: VirtualTime,
-    /// Ranks affected; empty means every rank.
-    pub ranks: Vec<usize>,
-}
-
-impl StallWindow {
-    fn applies(&self, rank: usize, t: VirtualTime) -> bool {
-        t >= self.start && t < self.end && (self.ranks.is_empty() || self.ranks.contains(&rank))
     }
 }
 
@@ -102,7 +87,7 @@ pub struct RankDeath {
 /// A fail-stop death of a whole node: every rank placed on `node` by the
 /// cluster topology dies at `at`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct NodeDeath {
+pub(crate) struct NodeDeath {
     /// The node (topology index) that dies.
     pub node: usize,
     /// Virtual instant of the death.
@@ -134,11 +119,9 @@ pub enum SendFate {
 pub struct FaultPlan {
     config: FaultConfig,
     outages: Vec<OutageWindow>,
-    stalls: Vec<StallWindow>,
     rank_deaths: Vec<RankDeath>,
     node_deaths: Vec<NodeDeath>,
     server_crash: Option<VirtualTime>,
-    death_timeout: Option<Duration>,
 }
 
 impl FaultPlan {
@@ -182,13 +165,6 @@ impl FaultPlan {
         self
     }
 
-    /// Add a rank-stall window (builder style); empty `ranks` stalls all.
-    pub fn with_stall(mut self, start: VirtualTime, end: VirtualTime, ranks: Vec<usize>) -> Self {
-        assert!(end > start, "stall window must be non-empty");
-        self.stalls.push(StallWindow { start, end, ranks });
-        self
-    }
-
     /// Kill a single rank at `at` (builder style). Fail-stop: the rank
     /// charges no work after `at` and never comes back.
     pub fn with_rank_death(mut self, rank: usize, at: VirtualTime) -> Self {
@@ -211,32 +187,9 @@ impl FaultPlan {
         self
     }
 
-    /// Override the virtual failure-detection latency (builder style): how
-    /// long a surviving peer waits on a dead rank before its recv or
-    /// collective reports the death.
-    pub fn with_death_timeout(mut self, timeout: Duration) -> Self {
-        self.death_timeout = Some(timeout);
-        self
-    }
-
     /// The per-message probabilities.
     pub fn config(&self) -> &FaultConfig {
         &self.config
-    }
-
-    /// Outage windows.
-    pub fn outages(&self) -> &[OutageWindow] {
-        &self.outages
-    }
-
-    /// Scheduled single-rank deaths.
-    pub fn rank_deaths(&self) -> &[RankDeath] {
-        &self.rank_deaths
-    }
-
-    /// Scheduled whole-node deaths.
-    pub fn node_deaths(&self) -> &[NodeDeath] {
-        &self.node_deaths
     }
 
     /// The scheduled server crash, if any.
@@ -244,15 +197,9 @@ impl FaultPlan {
         self.server_crash
     }
 
-    /// Virtual failure-detection latency for survivors waiting on a dead
-    /// peer (defaults to 1ms).
-    pub fn death_timeout(&self) -> Duration {
-        self.death_timeout.unwrap_or(Duration::from_millis(1))
-    }
-
     /// Earliest death instant of `rank` from single-rank events only.
     /// Node-level deaths need the topology; use [`Self::resolve_deaths`].
-    pub fn death_of_rank(&self, rank: usize) -> Option<VirtualTime> {
+    pub(crate) fn death_of_rank(&self, rank: usize) -> Option<VirtualTime> {
         self.rank_deaths
             .iter()
             .filter(|d| d.rank == rank)
@@ -293,7 +240,6 @@ impl FaultPlan {
             || c.delay_rate > 0.0
             || c.corrupt_rate > 0.0
             || !self.outages.is_empty()
-            || !self.stalls.is_empty()
             || !self.rank_deaths.is_empty()
             || !self.node_deaths.is_empty()
             || self.server_crash.is_some()
@@ -305,9 +251,7 @@ impl FaultPlan {
     /// Precedence is fixed: a dead sender can deliver nothing
     /// (rank-level deaths only — node-level deaths are enforced by the
     /// simulator layer, which stops dead ranks from sending at all), then
-    /// server outages, then the per-message dice, with stall delay applied
-    /// last — a stalled batch is charged the stall once, never a stall
-    /// *plus* an overlapping outage.
+    /// server outages, then the per-message dice.
     pub fn fate(&self, rank: usize, seq: u64, attempt: u32, at: VirtualTime) -> SendFate {
         if self.death_of_rank(rank).is_some_and(|d| at >= d) {
             return SendFate::Unreachable;
@@ -339,12 +283,6 @@ impl FaultPlan {
         if roll(4) < self.config.delay_rate {
             let span = self.config.max_delay.as_nanos();
             delay = Duration::from_nanos((roll(5) * span as f64) as u64);
-        }
-        // A stalled rank's batch is held until its stall window closes.
-        for s in &self.stalls {
-            if s.applies(rank, at) {
-                delay = delay.max(s.end.since(at));
-            }
         }
         SendFate::Delivered {
             copies,
@@ -433,23 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn stall_delays_selected_ranks_until_window_end() {
-        let p = FaultPlan::none().with_stall(
-            VirtualTime::from_secs(1),
-            VirtualTime::from_secs(3),
-            vec![2],
-        );
-        match p.fate(2, 0, 0, VirtualTime::from_secs(2)) {
-            SendFate::Delivered { delay, .. } => assert_eq!(delay, Duration::from_secs(1)),
-            f => panic!("unexpected fate {f:?}"),
-        }
-        match p.fate(1, 0, 0, VirtualTime::from_secs(2)) {
-            SendFate::Delivered { delay, .. } => assert_eq!(delay, Duration::ZERO),
-            f => panic!("unexpected fate {f:?}"),
-        }
-    }
-
-    #[test]
     fn duplicates_and_corruption_occur_at_configured_rates() {
         let p = FaultPlan::new(FaultConfig {
             duplicate_rate: 0.2,
@@ -530,75 +451,5 @@ mod tests {
             p.fate(1, 0, 0, VirtualTime::from_secs(9)),
             SendFate::Delivered { .. }
         ));
-    }
-
-    #[test]
-    fn stall_overlapping_outage_charges_outage_first_then_stall_once() {
-        // Stall [1s,5s) on rank 2 overlaps an outage [2s,3s). Inside the
-        // overlap the outage wins outright (no delivery, so no stall delay
-        // can also apply); outside the outage but inside the stall, the
-        // batch is held exactly until the stall closes — never until
-        // stall end *plus* the outage span.
-        let p = FaultPlan::none()
-            .with_stall(
-                VirtualTime::from_secs(1),
-                VirtualTime::from_secs(5),
-                vec![2],
-            )
-            .with_outage(VirtualTime::from_secs(2), VirtualTime::from_secs(3));
-        assert_eq!(
-            p.fate(2, 0, 0, VirtualTime::from_millis(2500)),
-            SendFate::Unreachable
-        );
-        match p.fate(2, 0, 0, VirtualTime::from_millis(1500)) {
-            SendFate::Delivered { delay, .. } => {
-                assert_eq!(delay, Duration::from_millis(3500), "held to stall end only")
-            }
-            f => panic!("unexpected fate {f:?}"),
-        }
-        // Deterministic: the same attempt meets the same fate.
-        assert_eq!(
-            p.fate(2, 0, 0, VirtualTime::from_millis(2500)),
-            p.fate(2, 0, 0, VirtualTime::from_millis(2500))
-        );
-    }
-
-    #[test]
-    fn rank_death_inside_stall_window_takes_precedence() {
-        // Rank 2 is stalled over [1s,5s) and dies at 2s, inside the window.
-        // Before the death the stall holds its batches; from the death
-        // instant on, nothing is delivered at all — the death is never
-        // converted into one more stalled (delayed) delivery.
-        let p = FaultPlan::none()
-            .with_stall(
-                VirtualTime::from_secs(1),
-                VirtualTime::from_secs(5),
-                vec![2],
-            )
-            .with_rank_death(2, VirtualTime::from_secs(2));
-        match p.fate(2, 0, 0, VirtualTime::from_millis(1500)) {
-            SendFate::Delivered { delay, .. } => assert_eq!(delay, Duration::from_millis(3500)),
-            f => panic!("unexpected fate {f:?}"),
-        }
-        assert_eq!(
-            p.fate(2, 1, 0, VirtualTime::from_secs(2)),
-            SendFate::Unreachable
-        );
-        assert_eq!(
-            p.fate(2, 1, 0, VirtualTime::from_secs(4)),
-            SendFate::Unreachable
-        );
-        // An unrelated rank in the same window still just stalls.
-        match p.fate(1, 0, 0, VirtualTime::from_secs(2)) {
-            SendFate::Delivered { delay, .. } => assert_eq!(delay, Duration::ZERO),
-            f => panic!("unexpected fate {f:?}"),
-        }
-    }
-
-    #[test]
-    fn death_timeout_defaults_and_overrides() {
-        assert_eq!(FaultPlan::none().death_timeout(), Duration::from_millis(1));
-        let p = FaultPlan::none().with_death_timeout(Duration::from_micros(250));
-        assert_eq!(p.death_timeout(), Duration::from_micros(250));
     }
 }

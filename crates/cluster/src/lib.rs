@@ -32,7 +32,7 @@ pub mod topology;
 pub mod trace;
 
 pub use cluster::{Cluster, ClusterConfig};
-pub use fault::{FaultConfig, FaultPlan, NodeDeath, RankDeath, SendFate};
+pub use fault::{FaultConfig, FaultPlan, RankDeath, SendFate};
 pub use network::{CollectiveOp, NetworkConfig};
 pub use node::NodeSpec;
 pub use noise::{NoiseConfig, SlowdownWindow};

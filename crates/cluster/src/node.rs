@@ -80,14 +80,6 @@ impl Work {
     pub fn total(&self) -> u64 {
         self.cpu + self.mem
     }
-
-    /// Component-wise sum.
-    pub fn plus(self, other: Work) -> Work {
-        Work {
-            cpu: self.cpu + other.cpu,
-            mem: self.mem + other.mem,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -138,7 +130,7 @@ mod tests {
 
     #[test]
     fn work_combines() {
-        let w = Work::cpu(3).plus(Work::mem(4));
+        let w = Work { cpu: 3, mem: 4 };
         assert_eq!(w.total(), 7);
     }
 }

@@ -131,11 +131,6 @@ impl NoiseModel {
         &self.windows
     }
 
-    /// Add an injected window after construction.
-    pub fn inject(&mut self, w: SlowdownWindow) {
-        self.windows.push(w);
-    }
-
     /// Stretch a noise-free duration `base` starting at `start` on `node`
     /// into the actual elapsed virtual time, integrating all slowdown
     /// sources. `sample_key` decorrelates the random jitter between

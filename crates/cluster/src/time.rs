@@ -165,14 +165,6 @@ impl BusyClock {
     pub fn busy_time(&self) -> Duration {
         self.busy
     }
-
-    /// Busy time divided by a run length — the worker's utilization.
-    pub fn utilization(&self, run_time: Duration) -> f64 {
-        if run_time.as_nanos() == 0 {
-            return 0.0;
-        }
-        self.busy.as_nanos() as f64 / run_time.as_nanos() as f64
-    }
 }
 
 impl Add<Duration> for VirtualTime {
@@ -369,6 +361,5 @@ mod tests {
         assert_eq!(done, VirtualTime(101));
         assert_eq!(c.busy_time(), Duration(11));
         assert_eq!(c.free_at(), VirtualTime(101));
-        assert!((c.utilization(Duration(110)) - 0.1).abs() < 1e-12);
     }
 }

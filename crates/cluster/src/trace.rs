@@ -56,8 +56,6 @@ impl Category {
     pub const SCHED: Category = Category(1 << 6);
     /// Every category.
     pub const ALL: Category = Category(0x7f);
-    /// No categories (tracing off).
-    pub const NONE: Category = Category(0);
 
     /// The raw bits.
     pub fn bits(self) -> u32 {
@@ -288,7 +286,7 @@ static SESSION_ID: AtomicU64 = AtomicU64::new(0);
 static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
 
 /// Default per-thread event capacity.
-pub const DEFAULT_CAPACITY: usize = 1 << 16;
+pub(crate) const DEFAULT_CAPACITY: usize = 1 << 16;
 
 fn registry() -> &'static Mutex<Vec<Arc<ThreadBuf>>> {
     static REGISTRY: std::sync::OnceLock<Mutex<Vec<Arc<ThreadBuf>>>> = std::sync::OnceLock::new();
@@ -374,11 +372,6 @@ impl Trace {
         self.of(cat).count()
     }
 
-    /// Number of events of any category in `cat` with the given name.
-    pub fn count_named(&self, cat: Category, name: &str) -> usize {
-        self.of(cat).filter(|e| e.name == name).count()
-    }
-
     /// Distinct rank lanes (pids below [`SERVER_LANE`]) that emitted
     /// events.
     pub fn rank_lanes(&self) -> Vec<u32> {
@@ -409,7 +402,7 @@ impl TraceSession {
     }
 
     /// Begin a session with an explicit per-thread event capacity.
-    pub fn start_with_capacity(mask: Category, capacity: usize) -> TraceSession {
+    pub(crate) fn start_with_capacity(mask: Category, capacity: usize) -> TraceSession {
         let guard = session_lock().lock();
         registry().lock().clear();
         CAPACITY.store(capacity.max(1), Ordering::Relaxed);
@@ -558,7 +551,10 @@ mod tests {
         let t = s.finish();
         assert_eq!(t.count(Category::ALL), 3);
         assert_eq!(t.count(Category::SENSOR | Category::MPI), 2);
-        assert_eq!(t.count_named(Category::SENSOR | Category::MPI, "sense"), 1);
+        let sense = t
+            .of(Category::SENSOR | Category::MPI)
+            .filter(|e| e.name == "sense");
+        assert_eq!(sense.count(), 1);
         assert_eq!(t.count(Category::TRANSPORT | Category::ENGINE), 0);
     }
 }

@@ -48,7 +48,7 @@ impl Pipeline {
 }
 
 /// Build the runtime sensor table from the static module's sensor metadata.
-pub fn sensor_table(analysis: &Analysis) -> Vec<SensorInfo> {
+pub(crate) fn sensor_table(analysis: &Analysis) -> Vec<SensorInfo> {
     analysis
         .instrumented
         .sensors

@@ -5,7 +5,7 @@
 //! and the examples build on these.
 
 use cluster_sim::time::{Duration, VirtualTime};
-use cluster_sim::{ClusterConfig, FaultConfig, FaultPlan, NetworkConfig, NodeSpec, SlowdownWindow};
+use cluster_sim::{ClusterConfig, FaultConfig, FaultPlan, NetworkConfig, NodeSpec};
 use vsensor_runtime::{RuntimeConfig, ServiceConfig};
 
 /// Perfectly quiet cluster: no noise, exact PMU. Baseline for overhead
@@ -36,43 +36,6 @@ pub fn network_degradation(ranks: usize, from_s: u64, to_s: u64, factor: f64) ->
         factor,
     );
     ClusterConfig::healthy(ranks).with_network(network)
-}
-
-/// The §6.4 / Figures 19-20 scenario: a "noiser" program co-runs on the
-/// nodes hosting the given rank blocks, stealing CPU during the windows.
-/// The paper injects twice for 10 s each: ranks 24-47 at 34 s and ranks
-/// 72-96 at 66 s.
-pub fn noise_injection(
-    ranks: usize,
-    ranks_per_node: usize,
-    injections: &[(std::ops::Range<usize>, u64, u64, f64)],
-) -> ClusterConfig {
-    let mut config = ClusterConfig::healthy(ranks).with_ranks_per_node(ranks_per_node);
-    for (rank_range, from_s, to_s, factor) in injections {
-        let first_node = rank_range.start / ranks_per_node;
-        let last_node = (rank_range.end.saturating_sub(1)) / ranks_per_node;
-        let nodes: Vec<usize> = (first_node..=last_node).collect();
-        config = config.with_injection(SlowdownWindow::on_nodes(
-            VirtualTime::from_secs(*from_s),
-            VirtualTime::from_secs(*to_s),
-            *factor,
-            nodes,
-        ));
-    }
-    config
-}
-
-/// The paper's standard injection for cg.D.128 (Figures 19-20): noise on
-/// ranks 24-47 at 34 s and ranks 72-96 at 66 s, 10 s each.
-pub fn paper_noise_injection(total_virtual_secs: u64) -> ClusterConfig {
-    // Scale the injection instants to the requested run length, keeping
-    // the paper's proportions (34/100 and 66/100 of a 100 s run).
-    let s = |frac_num: u64| total_virtual_secs * frac_num / 100;
-    noise_injection(
-        128,
-        24,
-        &[(24..48, s(34), s(44), 3.0), (72..97, s(66), s(76), 3.0)],
-    )
 }
 
 /// The live-alert scenario: the Figure 21 bad node paired with runtime
@@ -107,25 +70,6 @@ pub fn degraded_transport(
     seed: u64,
 ) -> ClusterConfig {
     bad_node(ranks, node, mem_perf).with_faults(FaultPlan::lossy(drop_rate, seed))
-}
-
-/// A bad-node cluster whose analysis server is completely unreachable
-/// during `[from, to)` seconds, on top of a light packet-loss floor —
-/// the graceful-degradation scenario: the run must terminate cleanly and
-/// report the outage in its delivery metadata.
-pub fn server_outage(
-    ranks: usize,
-    node: usize,
-    mem_perf: f64,
-    from_s: u64,
-    to_s: u64,
-) -> ClusterConfig {
-    let plan = FaultPlan::new(FaultConfig {
-        drop_rate: 0.02,
-        ..FaultConfig::default()
-    })
-    .with_outage(VirtualTime::from_secs(from_s), VirtualTime::from_secs(to_s));
-    bad_node(ranks, node, mem_perf).with_faults(plan)
 }
 
 /// The fail-stop scenario: the Figure 21 bad node, plus a *different*
@@ -389,22 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn server_outage_window_is_unreachable() {
-        use cluster_sim::fault::SendFate;
-        let c = server_outage(8, 1, 0.55, 10, 20)
-            .with_ranks_per_node(2)
-            .build();
-        assert!(matches!(
-            c.faults().fate(0, 0, 0, VirtualTime::from_secs(15)),
-            SendFate::Unreachable
-        ));
-        assert!(!matches!(
-            c.faults().fate(0, 0, 0, VirtualTime::from_secs(25)),
-            SendFate::Unreachable
-        ));
-    }
-
-    #[test]
     fn live_bad_node_tunes_the_runtime_for_streaming() {
         let (cluster, runtime) = live_bad_node(48, 1, 0.55);
         let c = cluster.build();
@@ -435,7 +363,7 @@ mod tests {
             c.faults().server_crash(),
             Some(VirtualTime::from_millis(80))
         );
-        assert!(c.faults().rank_deaths().is_empty() && !c.has_deaths());
+        assert!((0..c.ranks()).all(|r| c.death_of(r).is_none()));
     }
 
     #[test]
@@ -463,7 +391,8 @@ mod tests {
                 "tenant {}",
                 l.tenant
             );
-            assert_eq!(c.has_deaths(), l.faulty, "tenant {}", l.tenant);
+            let deaths = (0..c.ranks()).any(|r| c.death_of(r).is_some());
+            assert_eq!(deaths, l.faulty, "tenant {}", l.tenant);
             assert_eq!(c.trace_lane(0), l.tenant * 4096, "disjoint lanes");
         }
     }
@@ -526,15 +455,5 @@ mod tests {
         let fc = c.faults().config();
         assert!((fc.drop_rate - 0.1).abs() < 1e-12);
         assert!(fc.duplicate_rate > 0.0 && fc.corrupt_rate > 0.0 && fc.delay_rate > 0.0);
-    }
-
-    #[test]
-    fn injections_map_rank_ranges_to_nodes() {
-        let c = paper_noise_injection(100).build();
-        let w = Work::cpu(1_000_000);
-        // Rank 30 (node 1) is hit at 38s; rank 0 (node 0) is not.
-        let hit = c.compute_elapsed(30, VirtualTime::from_secs(38), w, 0.0, 1);
-        let clean = c.compute_elapsed(0, VirtualTime::from_secs(38), w, 0.0, 1);
-        assert!(hit.as_nanos() as f64 > clean.as_nanos() as f64 * 2.0);
     }
 }

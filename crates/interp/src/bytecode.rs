@@ -234,7 +234,7 @@ pub enum Insn {
     OrShortCircuit(i32),
     /// Call a user function by index; `argc` values are on the stack.
     Call {
-        /// Index into [`CompiledProgram::functions`].
+        /// Index into `CompiledProgram::functions`.
         func: u32,
         /// Argument count.
         argc: u32,
@@ -259,11 +259,7 @@ pub enum Insn {
 /// One compiled function: a flat instruction stream with every local
 /// resolved to a slot in a frame of `n_slots` values.
 #[derive(Clone, Debug)]
-pub struct CompiledFn {
-    /// Source name (diagnostics only; calls are by index).
-    pub name: Name,
-    /// Number of parameters (slots `0..arity` at entry).
-    pub arity: u32,
+pub(crate) struct CompiledFn {
     /// Total frame size: parameters plus one slot per declaration site.
     pub n_slots: u32,
     /// The instruction stream. Ends with an implicit-return sequence, so
@@ -441,8 +437,6 @@ fn compile_function(
     c.code.push(Insn::PushInt(0));
     c.code.push(Insn::Return);
     CompiledFn {
-        name: f.name.clone(),
-        arity,
         n_slots: c.next_slot,
         code: c.code,
     }
@@ -1025,7 +1019,6 @@ mod tests {
             "fn f(int a, int b) -> int { int c = a + b; return c; } fn main() { f(1, 2); }",
         );
         let f = &p.functions[0];
-        assert_eq!(f.arity, 2);
         assert_eq!(f.n_slots, 3);
         // `a + b` reads slot 0 with slot 1 fused into the operator; `c`
         // lives in slot 2.
@@ -1288,7 +1281,6 @@ mod tests {
         // not bind (the walker's entry call passes no arguments).
         let weird = compile_src("global int x = 1; fn main(int x) { x = 5; }");
         let entry = weird.entry_fn().unwrap();
-        assert_eq!(entry.arity, 0);
         assert!(entry.code.contains(&Insn::StoreGlobal(0)));
     }
 }

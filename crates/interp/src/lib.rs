@@ -34,8 +34,8 @@ pub mod vm;
 pub use bytecode::{CompiledProgram, Insn};
 pub use machine::{ExecError, Machine};
 pub use run::{
-    run_instrumented, run_instrumented_shared, run_instrumented_sink, run_plain, run_plain_shared,
-    InstrumentedRun, RankResult, RunConfig,
+    run_instrumented_shared, run_instrumented_sink, run_plain, run_plain_shared, InstrumentedRun,
+    RankResult, RunConfig,
 };
 pub use validate::ValidationStats;
 pub use values::Value;

@@ -43,7 +43,7 @@ pub mod cost {
     /// Memory component per array element access.
     pub const ARRAY_MEM: u64 = 2;
     /// Flush the pending-work accumulator when it exceeds this.
-    pub const CHUNK: u64 = 1 << 16;
+    pub(crate) const CHUNK: u64 = 1 << 16;
 }
 
 /// Work not yet converted into virtual time: all units, and how many of

@@ -1,7 +1,7 @@
 //! High-level run drivers.
 //!
 //! [`run_plain`] executes an uninstrumented program (the overhead
-//! baseline); [`run_instrumented`] executes an instrumented one with the
+//! baseline); [`run_instrumented_shared`] executes an instrumented one with the
 //! full dynamic module attached — per-rank sensor runtimes, a shared
 //! analysis server, and a final [`VarianceReport`]. Every rank runs on the
 //! bytecode VM, a resumable task on simmpi's event scheduler.
@@ -210,22 +210,12 @@ pub struct InstrumentedRun {
     pub workload_max_error: f64,
 }
 
-/// Run an instrumented program with the dynamic module attached.
+/// Run an instrumented program with the dynamic module attached, on the
+/// one server-backed sink ([`server_sink`]).
 ///
 /// `sensors` is the sensor table produced by the static module (converted
 /// to [`SensorInfo`]); its length must cover every `SensorId` in the
 /// program.
-pub fn run_instrumented(
-    program: &Program,
-    sensors: Vec<SensorInfo>,
-    cluster: Arc<Cluster>,
-    config: &RunConfig,
-) -> InstrumentedRun {
-    run_instrumented_shared(Arc::new(program.clone()), sensors, cluster, config)
-}
-
-/// [`run_instrumented`] without the program clone: runs on the one
-/// server-backed sink ([`server_sink`]).
 pub fn run_instrumented_shared(
     program: Arc<Program>,
     sensors: Vec<SensorInfo>,
@@ -262,7 +252,7 @@ pub fn server_sink(
 }
 
 /// Run an instrumented program against an arbitrary [`AnalysisSink`] —
-/// the driver underneath [`run_instrumented`], exposed so multi-tenant
+/// the driver underneath [`run_instrumented_shared`], exposed so multi-tenant
 /// callers can route a run's telemetry into a shared service
 /// (`vsensor_runtime::TenantChannel`) instead of a private server.
 ///
@@ -421,7 +411,12 @@ mod tests {
         let (program, sensors) = prepare(STENCIL);
         assert!(!sensors.is_empty());
         let cluster = Arc::new(ClusterConfig::quiet(4).build());
-        let run = run_instrumented(&program, sensors, cluster, &RunConfig::default());
+        let run = run_instrumented_shared(
+            Arc::new(program.clone()),
+            sensors,
+            cluster,
+            &RunConfig::default(),
+        );
         assert!(run.server.records > 0);
         assert!(run.report.distribution.sense_count > 0);
         // A quiet cluster shows no variance.
@@ -436,7 +431,12 @@ mod tests {
         let plain = vsensor_lang::compile(STENCIL).unwrap();
         let cluster = Arc::new(ClusterConfig::quiet(4).build());
         let base = run_plain(&plain, cluster.clone());
-        let inst = run_instrumented(&instrumented, sensors, cluster, &RunConfig::default());
+        let inst = run_instrumented_shared(
+            Arc::new(instrumented.clone()),
+            sensors,
+            cluster,
+            &RunConfig::default(),
+        );
         let t0 = base.iter().map(|r| r.end.as_nanos()).max().unwrap() as f64;
         let t1 = inst.ranks.iter().map(|r| r.end.as_nanos()).max().unwrap() as f64;
         let overhead = (t1 - t0) / t0;
@@ -467,7 +467,7 @@ mod tests {
         // raise sensitivity the way a user chasing the white line would.
         let mut config = RunConfig::default();
         config.runtime.variance_threshold = 0.7;
-        let run = run_instrumented(&program, sensors, cluster, &config);
+        let run = run_instrumented_shared(Arc::new(program.clone()), sensors, cluster, &config);
         let comp_events: Vec<_> = run
             .report
             .events
@@ -492,7 +492,12 @@ mod tests {
             seed: 11,
         };
         let cluster = Arc::new(cfg.build());
-        let run = run_instrumented(&program, sensors, cluster, &RunConfig::default());
+        let run = run_instrumented_shared(
+            Arc::new(program.clone()),
+            sensors,
+            cluster,
+            &RunConfig::default(),
+        );
         assert!(run.workload_max_error > 0.0);
         assert!(
             run.workload_max_error < 0.05,

@@ -44,15 +44,6 @@ impl ValidationStats {
         self.widen(sensor, measured, measured);
     }
 
-    /// `Ps` for one sensor: max/min, or `None` if unseen or zero-work.
-    pub fn ps(&self, sensor: SensorId) -> Option<f64> {
-        let (lo, hi) = (*self.ranges.get(sensor.0 as usize)?)?;
-        if lo == 0 {
-            return None;
-        }
-        Some(hi as f64 / lo as f64)
-    }
-
     /// `Pa`: the worst `Ps` over all sensors of this process (1.0 if no
     /// sensor produced two measurements).
     pub fn pa(&self) -> f64 {
@@ -92,13 +83,19 @@ pub fn pm(all: &[ValidationStats]) -> f64 {
 mod tests {
     use super::*;
 
+    /// `Ps` for one sensor: max/min, or `None` if unseen or zero-work.
+    fn ps(v: &ValidationStats, sensor: SensorId) -> Option<f64> {
+        let (lo, hi) = (*v.ranges.get(sensor.0 as usize)?)?;
+        (lo > 0).then(|| hi as f64 / lo as f64)
+    }
+
     #[test]
     fn ps_tracks_spread() {
         let mut v = ValidationStats::default();
         v.observe(SensorId(0), 100);
         v.observe(SensorId(0), 104);
         v.observe(SensorId(0), 98);
-        assert!((v.ps(SensorId(0)).unwrap() - 104.0 / 98.0).abs() < 1e-12);
+        assert!((ps(&v, SensorId(0)).unwrap() - 104.0 / 98.0).abs() < 1e-12);
     }
 
     #[test]
@@ -135,28 +132,28 @@ mod tests {
         v.observe(SensorId(7), 100);
         v.observe(SensorId(7), 110);
         assert_eq!(v.sensor_count(), 1);
-        assert_eq!(v.ps(SensorId(3)), None);
-        assert_eq!(v.ps(SensorId(8)), None);
-        assert!((v.ps(SensorId(7)).unwrap() - 1.1).abs() < 1e-12);
+        assert_eq!(ps(&v, SensorId(3)), None);
+        assert_eq!(ps(&v, SensorId(8)), None);
+        assert!((ps(&v, SensorId(7)).unwrap() - 1.1).abs() < 1e-12);
         // Merging keeps the gaps and unions the ranges per sensor.
         let mut w = ValidationStats::default();
         w.observe(SensorId(2), 50);
         w.observe(SensorId(7), 90);
         w.merge(&v);
         assert_eq!(w.sensor_count(), 2);
-        assert_eq!(w.ps(SensorId(3)), None);
-        assert!((w.ps(SensorId(7)).unwrap() - 110.0 / 90.0).abs() < 1e-12);
-        assert_eq!(w.ps(SensorId(2)), Some(1.0));
+        assert_eq!(ps(&w, SensorId(3)), None);
+        assert!((ps(&w, SensorId(7)).unwrap() - 110.0 / 90.0).abs() < 1e-12);
+        assert_eq!(ps(&w, SensorId(2)), Some(1.0));
     }
 
     #[test]
     fn empty_and_zero_cases() {
         let v = ValidationStats::default();
         assert_eq!(v.pa(), 1.0);
-        assert_eq!(v.ps(SensorId(0)), None);
+        assert_eq!(ps(&v, SensorId(0)), None);
         let mut z = ValidationStats::default();
         z.observe(SensorId(0), 0);
-        assert_eq!(z.ps(SensorId(0)), None);
+        assert_eq!(ps(&z, SensorId(0)), None);
         assert_eq!(z.pa(), 1.0);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The product's one executor. Executes a [`CompiledProgram`] against the
 //! [`Machine`] cost/probe surface: charges flow through the rank's
-//! pending-work accumulator ([`Pending`], the one home of the charge
+//! pending-work accumulator (`Pending`, the one home of the charge
 //! arithmetic), probes through `on_tick`/`on_tock`, and builtins through
 //! the shared dispatch. The dev-only `vsensor-oracle` crate runs a
 //! tree-walker over the same surface, and virtual time, PMU sampling
@@ -17,7 +17,7 @@
 //! runs: the loop writes its copy back before every call that reads or
 //! flushes the machine's (builtins, probes) and takes it back after, and
 //! writes it back once more on every exit — return, suspend or error. A
-//! chunk flush needs no write-back: [`Pending`] hands the taken work to
+//! chunk flush needs no write-back: `Pending` hands the taken work to
 //! the machine by value.
 //!
 //! The canonical `for` loop costs one dispatch of control per iteration:

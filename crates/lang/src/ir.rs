@@ -315,29 +315,6 @@ pub enum Expr {
 }
 
 impl Expr {
-    /// Collect the names of all variables read by this expression
-    /// (including array bases), appending to `out`.
-    pub fn collect_vars<'e>(&'e self, out: &mut Vec<&'e str>) {
-        match self {
-            Expr::Int(_) | Expr::Float(_) => {}
-            Expr::Var(n) => out.push(n),
-            Expr::Index { name, index } => {
-                out.push(name);
-                index.collect_vars(out);
-            }
-            Expr::Unary { operand, .. } => operand.collect_vars(out),
-            Expr::Binary { lhs, rhs, .. } => {
-                lhs.collect_vars(out);
-                rhs.collect_vars(out);
-            }
-            Expr::Call(c) => {
-                for a in &c.args {
-                    a.collect_vars(out);
-                }
-            }
-        }
-    }
-
     /// Visit every call site in this expression.
     pub fn visit_calls<'e>(&'e self, f: &mut impl FnMut(&'e CallSite)) {
         match self {
@@ -399,7 +376,7 @@ pub enum BinOp {
 }
 
 /// Walk every statement of a block tree in pre-order, calling `f` on each.
-pub fn visit_stmts<'b>(block: &'b Block, f: &mut impl FnMut(&'b Stmt)) {
+fn visit_stmts<'b>(block: &'b Block, f: &mut impl FnMut(&'b Stmt)) {
     for stmt in &block.stmts {
         f(stmt);
         match stmt {
@@ -485,19 +462,6 @@ mod tests {
         calls.sort_unstable();
         assert_eq!(loops, (0..p.loop_count).collect::<Vec<_>>());
         assert_eq!(calls, (0..p.call_count).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn collect_vars_finds_all_reads() {
-        let p = compile("fn main() { int a = 1; int b = 2; int c = a + b * a; }").unwrap();
-        let Stmt::Decl { init: Some(e), .. } = &p.functions[0].body.stmts[2] else {
-            panic!();
-        };
-        let mut vars = Vec::new();
-        e.collect_vars(&mut vars);
-        vars.sort_unstable();
-        vars.dedup();
-        assert_eq!(vars, vec!["a", "b"]);
     }
 
     #[test]

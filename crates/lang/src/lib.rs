@@ -49,8 +49,8 @@ pub mod token;
 pub use error::{LangError, Result};
 pub use intern::{Interner, Name};
 pub use ir::{
-    visit_calls, visit_stmts, BinOp, Block, CallId, CallSite, Expr, Function, Global, GlobalInit,
-    LValue, LoopId, LoopKind, Program, SensorId, Stmt, UnOp,
+    visit_calls, BinOp, Block, CallId, CallSite, Expr, Function, Global, GlobalInit, LValue,
+    LoopId, LoopKind, Program, SensorId, Stmt, UnOp,
 };
 pub use span::Span;
 

@@ -43,7 +43,7 @@ pub fn write_program(p: &Program, out: &mut impl Write) -> fmt::Result {
 }
 
 /// Emit a single function.
-pub fn write_function(f: &Function, out: &mut impl Write) -> fmt::Result {
+pub(crate) fn write_function(f: &Function, out: &mut impl Write) -> fmt::Result {
     write!(out, "fn {}(", f.name)?;
     for (i, (n, t)) in f.params.iter().enumerate() {
         let sep = if i > 0 { ", " } else { "" };
@@ -151,11 +151,6 @@ impl fmt::Display for Call<'_> {
         }
         f.write_char(')')
     }
-}
-
-/// Render an expression (fully parenthesized where precedence demands it).
-pub fn print_expr(e: &Expr) -> String {
-    Prec(e, 0).to_string()
 }
 
 /// Precedence tiers: 1=or, 2=and, 3=cmp, 4=add, 5=mul, 6=unary, 7=atom.
@@ -347,6 +342,6 @@ mod tests {
             }),
             rhs: Box::new(Var("c".into())),
         };
-        assert_eq!(print_expr(&e), "(a < b) == c");
+        assert_eq!(Prec(&e, 0).to_string(), "(a < b) == c");
     }
 }

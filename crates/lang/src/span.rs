@@ -42,7 +42,7 @@ impl Span {
     }
 
     /// True if this span was synthesized rather than parsed.
-    pub fn is_synthetic(&self) -> bool {
+    pub(crate) fn is_synthetic(&self) -> bool {
         self.line == 0
     }
 

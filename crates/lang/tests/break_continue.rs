@@ -17,13 +17,11 @@ fn break_and_continue_parse_and_lower() {
         "#,
     )
     .unwrap();
-    let mut found = (false, false);
-    vsensor_lang::visit_stmts(&p.functions[0].body, &mut |s| match s {
-        Stmt::Break { .. } => found.0 = true,
-        Stmt::Continue { .. } => found.1 = true,
-        _ => {}
-    });
-    assert!(found.0 && found.1);
+    let text = vsensor_lang::printer::print_program(&p);
+    assert!(
+        text.contains("break;") && text.contains("continue;"),
+        "{text}"
+    );
 }
 
 #[test]

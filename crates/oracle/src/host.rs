@@ -272,7 +272,7 @@ mod tests {
                     4 => p.barrier(),
                     _ => return TaskPoll::Ready((self.got, self.sum, p.now(), p.stats())),
                 };
-                if polled.is_pending() {
+                if matches!(polled, Poll::Pending) {
                     return TaskPoll::Yielded;
                 }
                 self.state += 1;
@@ -306,7 +306,8 @@ mod tests {
     /// identical values, instants and stats.
     #[test]
     fn hosted_closure_matches_state_machine() {
-        let machine = quiet_world(3).run_event(
+        let machine = quiet_world(3).run_event_workers(
+            1,
             |_, proc| RingTask {
                 proc,
                 state: 0,
@@ -347,7 +348,8 @@ mod tests {
             },
             |_death, _proc| None,
         );
-        let machine = world().run_event(
+        let machine = world().run_event_workers(
+            1,
             |_, proc| StepTask {
                 proc,
                 step: |p: &mut Proc| {
@@ -441,7 +443,7 @@ mod tests {
                     p.compute(Work::cpu(100 + p.rank() as u64), 0.0);
                     rounds_started += 1;
                 }
-                if p.barrier().is_pending() {
+                if matches!(p.barrier(), Poll::Pending) {
                     return TaskPoll::Yielded;
                 }
             },
@@ -452,7 +454,11 @@ mod tests {
     fn hosted_barrier_rounds_match_the_task() {
         let world = quiet_world(16);
         let hosted = hosted(&world, barrier_rounds);
-        let machine = world.run_event(|_, proc| barrier_rounds_task(proc), |_, _| unreachable!());
+        let machine = world.run_event_workers(
+            1,
+            |_, proc| barrier_rounds_task(proc),
+            |_, _| unreachable!(),
+        );
         assert_eq!(hosted, machine);
         assert!(hosted.iter().all(|t| *t == hosted[0]));
     }

@@ -239,8 +239,7 @@ fn recv_from_dead_peer_degrades() {
     assert_eq!(stats.peer_dead_recvs, 1);
     assert_eq!(stats.msgs_received, 0, "no real message was received");
     // Completion pays the death-detection timeout past the death.
-    let plan_timeout = cluster_sim::FaultPlan::none().death_timeout();
-    assert!(info.completed_at >= VirtualTime::from_micros(1) + plan_timeout);
+    assert!(info.completed_at >= VirtualTime::from_micros(1) + cluster_sim::fault::DEATH_TIMEOUT);
 }
 
 #[test]

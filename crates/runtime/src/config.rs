@@ -79,7 +79,7 @@ impl Default for RuntimeConfig {
 
 impl RuntimeConfig {
     /// Slice index containing a virtual instant.
-    pub fn slice_index(&self, t: cluster_sim::time::VirtualTime) -> u64 {
+    pub(crate) fn slice_index(&self, t: cluster_sim::time::VirtualTime) -> u64 {
         t.as_nanos() / self.slice.as_nanos().max(1)
     }
 
@@ -119,20 +119,6 @@ impl RuntimeConfig {
     //
     // Each setter assigns and then runs the field's one range rule — the
     // same rule [`RuntimeConfig::validate`] runs for struct literals.
-
-    /// Set the smoothing slice width. Must be positive.
-    pub fn with_slice(mut self, slice: Duration) -> Result<Self, RuntimeError> {
-        self.slice = slice;
-        positive("slice", slice)?;
-        Ok(self)
-    }
-
-    /// Set the matrix time resolution. Must be positive.
-    pub fn with_matrix_resolution(mut self, resolution: Duration) -> Result<Self, RuntimeError> {
-        self.matrix_resolution = resolution;
-        positive("matrix_resolution", resolution)?;
-        Ok(self)
-    }
 
     /// Set the variance threshold. Must lie in `(0, 1]`.
     pub fn with_variance_threshold(mut self, threshold: f64) -> Result<Self, RuntimeError> {
@@ -291,20 +277,17 @@ mod tests {
     #[test]
     fn builders_accept_valid_values() {
         let c = RuntimeConfig::default()
-            .with_slice(Duration::from_micros(500))
-            .and_then(|c| c.with_variance_threshold(0.7))
+            .with_variance_threshold(0.7)
             .and_then(|c| c.with_detect_interval(Duration::from_millis(50)))
-            .and_then(|c| c.with_matrix_resolution(Duration::from_millis(100)))
             .and_then(|c| c.with_batch_interval(Duration::from_millis(20)))
             .and_then(|c| c.with_buffer_capacity(64))
             .expect("all valid");
-        assert_eq!(c.slice.as_micros(), 500);
+        assert_eq!(c.variance_threshold, 0.7);
         assert_eq!(c.buffer_capacity, 64);
     }
 
     #[test]
     fn builders_reject_out_of_range_values() {
-        assert!(RuntimeConfig::default().with_slice(Duration::ZERO).is_err());
         assert!(RuntimeConfig::default()
             .with_variance_threshold(0.0)
             .is_err());
@@ -314,11 +297,20 @@ mod tests {
         assert!(RuntimeConfig::default()
             .with_detect_interval(Duration::ZERO)
             .is_err());
-        assert!(RuntimeConfig::default()
-            .with_matrix_resolution(Duration::ZERO)
-            .is_err());
         assert!(RuntimeConfig::default().with_buffer_capacity(0).is_err());
         assert!(RuntimeConfig::default().with_liveness_intervals(0).is_err());
+        for c in [
+            RuntimeConfig {
+                slice: Duration::ZERO,
+                ..Default::default()
+            },
+            RuntimeConfig {
+                matrix_resolution: Duration::ZERO,
+                ..Default::default()
+            },
+        ] {
+            assert!(c.validate().is_err());
+        }
     }
 
     #[test]
@@ -382,10 +374,12 @@ mod tests {
             .expect("equal width divides");
         assert_eq!(c.escalation_subdiv(), 1);
         // Divisibility is re-checked against the *current* slice.
-        let c = RuntimeConfig::default()
-            .with_slice(Duration::from_micros(600))
-            .and_then(|c| c.with_escalation_slice(Duration::from_micros(200)))
-            .expect("200 divides 600");
+        let c = RuntimeConfig {
+            slice: Duration::from_micros(600),
+            ..Default::default()
+        }
+        .with_escalation_slice(Duration::from_micros(200))
+        .expect("200 divides 600");
         assert_eq!(c.escalation_subdiv(), 3);
         let bad = RuntimeConfig {
             escalation_slice: Duration::from_micros(700),

@@ -35,7 +35,7 @@
 //!
 //! # Crash recovery
 //!
-//! The controller's full state is cloned into every [`EngineSnapshot`]
+//! The controller's full state is cloned into every engine snapshot
 //! written to the WAL, and its decision inputs (per-rank sensor cost
 //! accumulated from ingested records) are derived exclusively from
 //! batches the WAL already replays — so a crashed-and-recovered server
@@ -46,7 +46,6 @@
 //!
 //! [`RuntimeConfig::overhead_budget`]: crate::config::RuntimeConfig::overhead_budget
 //! [`RuntimeConfig::escalation_slice`]: crate::config::RuntimeConfig::escalation_slice
-//! [`EngineSnapshot`]: crate::engine::EngineSnapshot
 
 use crate::config::RuntimeConfig;
 use crate::crc::Crc32;

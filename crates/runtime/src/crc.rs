@@ -178,10 +178,13 @@ mod tests {
 
         let arrival = VirtualTime::from_millis(251);
         let frame = entry_crc(&WalEntry::Batch {
-            batch: batch.clone().with_death_notice(DeathNotice {
-                rank: 1,
-                at: VirtualTime::from_millis(200),
-            }),
+            batch: TelemetryBatch {
+                death_notice: Some(DeathNotice {
+                    rank: 1,
+                    at: VirtualTime::from_millis(200),
+                }),
+                ..batch.clone()
+            },
             arrival,
         });
         assert_eq!(frame, 0xD99C_37F0, "WAL batch frame");

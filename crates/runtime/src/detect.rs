@@ -37,11 +37,6 @@ impl VarianceEvent {
     pub fn is_persistent(&self, total_bins: usize) -> bool {
         (self.end_bin - self.start_bin) * 10 >= total_bins * 8
     }
-
-    /// Number of ranks affected.
-    pub fn rank_count(&self) -> usize {
-        self.last_rank - self.first_rank + 1
-    }
 }
 
 impl fmt::Display for VarianceEvent {
@@ -223,7 +218,7 @@ mod tests {
         let events = detect_events(&m, SensorKind::Computation, 0.5).unwrap();
         assert_eq!(events.len(), 1);
         assert!(events[0].is_persistent(10));
-        assert_eq!(events[0].rank_count(), 1);
+        assert_eq!(events[0].first_rank, events[0].last_rank);
     }
 
     #[test]

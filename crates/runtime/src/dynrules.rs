@@ -75,11 +75,6 @@ impl CacheMissBuckets {
         CacheMissBuckets { boundaries }
     }
 
-    /// Uniform 10-percentage-point ranges: 0-10 %, 10-20 %, ….
-    pub fn deciles() -> Self {
-        CacheMissBuckets::new((1..10).map(|i| i as f64 / 10.0).collect())
-    }
-
     /// The two-group high/low split used in Figure 13.
     pub fn high_low(split: f64) -> Self {
         CacheMissBuckets::new(vec![split])
@@ -130,7 +125,7 @@ mod tests {
 
     #[test]
     fn decile_buckets_cover_the_range() {
-        let r = CacheMissBuckets::deciles();
+        let r = CacheMissBuckets::new((1..10).map(|i| i as f64 / 10.0).collect());
         assert_eq!(r.group_count(), 10);
         assert_eq!(r.bucket(&m(0.0)), Bucket(0));
         assert_eq!(r.bucket(&m(0.05)), Bucket(0));

@@ -10,16 +10,16 @@
 //!
 //! * **One state, one lock** — paper §5.4 dedicates one process to the
 //!   analysis; everything the server learns after construction is one
-//!   plain, clonable [`EngineState`] behind the server's single lock. Every
+//!   plain, clonable `EngineState` behind the server's single lock. Every
 //!   `&self` entry point locks once and the internals take the state by
 //!   reference, so an ingest (with the detection pass it may trigger) is
 //!   atomic with respect to every other call. Only the batch's CRC check —
 //!   the expensive, state-free step — runs in front of the lock. The
-//!   *virtual* server still models [`INGEST_WORKERS`] ingest workers:
+//!   *virtual* server still models `INGEST_WORKERS` ingest workers:
 //!   `rank % INGEST_WORKERS` picks whose busy clock and counters a batch is
 //!   charged to. That is load accounting, not routing.
 //! * **Incremental accumulators** — records fold into per-cell, per-group
-//!   [`GroupAcc`]s instead of a record log. The trick is algebraic: the
+//!   `GroupAcc`s instead of a record log. The trick is algebraic: the
 //!   seed's cell sum is Σ min(std/avgᵢ, 1) where `std` is the group's
 //!   *final* fastest record. Because `std` is the minimum over the very
 //!   `avgᵢ` being normalized, the clamp never binds, so the sum decomposes
@@ -27,7 +27,7 @@
 //!   can keep without the records. Standards may keep tightening while the
 //!   run is live; the decomposition re-normalizes frozen history for free.
 //! * **Bounded-memory eviction** — per rank, only the trailing
-//!   [`EVICTION_LAG_BINS`] matrix bins stay "hot"; older bins freeze. Both
+//!   `EVICTION_LAG_BINS` matrix bins stay "hot"; older bins freeze. Both
 //!   are bin-sorted vectors of group-sorted vectors, so a checkpoint's clone
 //!   is as compact as the state. Late (out-of-order) records transparently
 //!   reopen and re-freeze their bin.
@@ -36,8 +36,8 @@
 //!   before are emitted as timestamped [`VarianceAlert`]s *during* the run,
 //!   which is the paper's actual pitch (§2: users notice variance while the
 //!   program is still running).
-//! * **A checkpoint is the state's clone** — [`EngineSnapshot`] wraps an
-//!   [`EngineState`]; restoring one is an assignment.
+//! * **A checkpoint is the state's clone** — `EngineSnapshot` wraps an
+//!   `EngineState`; restoring one is an assignment.
 //!
 //! Determinism: every accumulator is fed by exactly one rank (cells and
 //! sensor groups are rank-keyed), each rank's records arrive in program
@@ -417,11 +417,6 @@ pub struct ShardLoad {
 }
 
 impl ServerLoad {
-    /// Total busy time across workers and detection.
-    pub fn total_busy(&self) -> Duration {
-        self.shards.iter().map(|s| s.busy).sum::<Duration>() + self.detect_busy
-    }
-
     /// Utilization of the busiest worker over a run length — the ingest
     /// bottleneck indicator.
     pub fn peak_shard_utilization(&self, run_time: Duration) -> f64 {
@@ -1385,7 +1380,7 @@ mod tests {
         assert_eq!(result.failed_ranks, dead);
         let m = &result.matrices[&SensorKind::Computation];
         let death_bin = 150 / 200; // matrix_resolution default 200 ms
-        assert_eq!(m.dead_from(3), Some(death_bin));
+        assert_eq!(m.cell(3, death_bin), None, "masked from the death bin");
         // Dead rank never surfaces as a variance event.
         assert!(
             result.events.iter().all(|ev| ev.first_rank != 3),

@@ -95,10 +95,9 @@ pub enum IngestError {
         /// How long until the admission window rolls over.
         retry_after: Duration,
     },
-    /// The batch routed to a tenant the service does not know — never
-    /// registered, or already deregistered. Typed (rather than a map
-    /// lookup panic or a generic [`IngestError::Closed`]) so operators can
-    /// tell a misrouted job from a finished one.
+    /// The batch routed to a tenant the service never registered. Typed
+    /// (rather than a map lookup panic or a generic [`IngestError::Closed`])
+    /// so operators can tell a misrouted job from a finished one.
     UnknownTenant(TenantId),
 }
 

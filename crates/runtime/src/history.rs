@@ -59,16 +59,10 @@ impl History {
         normalized(std, rec.avg)
     }
 
-    /// Normalize a record against the current standard without updating it
-    /// (used by the server when replaying already-merged data).
-    pub fn normalize_only(&self, rec: &SliceRecord) -> Option<f64> {
-        self.standard(rec.sensor, rec.bucket)
-            .map(|s| normalized(s, rec.avg))
-    }
-
     /// Number of stored scalars — the paper's point is that this stays
     /// tiny (one per sensor per group) no matter how long the run is.
-    pub fn stored_scalars(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn stored_scalars(&self) -> usize {
         self.standards.iter().map(Vec::len).sum()
     }
 }
@@ -136,20 +130,6 @@ mod tests {
         let mut h = History::new();
         h.observe(&rec(0, 0, 10));
         assert_eq!(h.observe(&rec(1, 0, 1000)), 1.0);
-    }
-
-    #[test]
-    fn normalize_only_does_not_update() {
-        let mut h = History::new();
-        h.observe(&rec(0, 0, 50));
-        let fast = rec(0, 0, 25);
-        assert_eq!(h.normalize_only(&fast), Some(1.0), "clamped to 1.0");
-        assert_eq!(
-            h.standard(SensorId(0), Bucket(0)).unwrap().as_micros(),
-            50,
-            "standard unchanged"
-        );
-        assert_eq!(h.normalize_only(&rec(9, 0, 1)), None);
     }
 
     #[test]

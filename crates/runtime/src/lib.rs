@@ -65,7 +65,7 @@ pub use engine::{
     VarianceAlert,
 };
 pub use error::{IngestError, RuntimeError};
-pub use matrix::{CellState, PerformanceMatrix};
+pub use matrix::PerformanceMatrix;
 pub use record::{SensorInfo, SensorKind, SliceRecord};
 pub use report::VarianceReport;
 pub use server::{DeliveryQuality, IngestSession, IngestStats, SensorSummary, ServerResult};

@@ -5,23 +5,11 @@
 //! below render white in the paper's figures and mark variance. Cells with
 //! no senses hold `NaN` and are rendered as gaps.
 //!
-//! A fail-stopped rank gets a third cell state: from its death bin onward
-//! its cells are *dead* — masked out of detection and rendered distinctly,
-//! never conflated with 0%-performance variance.
+//! A fail-stopped rank's cells are *dead* from its death bin onward: masked
+//! out of detection and rendering like empty cells, never conflated with
+//! 0%-performance variance.
 
 use cluster_sim::time::Duration;
-
-/// What one matrix cell holds, for rendering and detection masking.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum CellState {
-    /// No observations landed in the cell.
-    Empty,
-    /// Average normalized performance of the cell's observations.
-    Perf(f64),
-    /// The rank was fail-stopped for this bin; any residual observations
-    /// are masked.
-    Dead,
-}
 
 /// A dense time × rank grid of normalized performance values.
 #[derive(Clone, Debug)]
@@ -53,8 +41,8 @@ impl PerformanceMatrix {
     }
 
     /// Mark `rank` as fail-stopped from `from_bin` onward: those cells are
-    /// masked ([`Self::cell`] returns `None`, [`Self::cell_state`] returns
-    /// [`CellState::Dead`]) so a dead rank can never read as variance.
+    /// masked ([`Self::cell`] returns `None`) so a dead rank can never read
+    /// as variance.
     /// Repeated marks keep the earliest bin.
     pub fn mark_dead(&mut self, rank: usize, from_bin: u64) {
         if rank >= self.ranks {
@@ -127,21 +115,6 @@ impl PerformanceMatrix {
         }
     }
 
-    /// Full three-state view of a cell: empty, populated, or dead. Out-of-
-    /// range cells read as empty.
-    pub fn cell_state(&self, rank: usize, bin: usize) -> CellState {
-        if rank >= self.ranks || bin >= self.bins {
-            return CellState::Empty;
-        }
-        if self.is_dead_cell(rank, bin) {
-            return CellState::Dead;
-        }
-        match self.cell(rank, bin) {
-            Some(p) => CellState::Perf(p),
-            None => CellState::Empty,
-        }
-    }
-
     /// Raw `(sum, count)` of a cell — what equivalence tests compare, since
     /// it avoids the division. `None` outside the grid. Deliberately *not*
     /// death-masked: bitwise oracles compare the underlying accumulators.
@@ -194,23 +167,6 @@ impl PerformanceMatrix {
         }
     }
 
-    /// Fraction of cells that hold at least one observation (dead cells
-    /// count as unfilled).
-    pub fn fill_ratio(&self) -> f64 {
-        if self.counts.is_empty() {
-            return 0.0; // nothing observed, or no cells at all
-        }
-        let mut filled = 0usize;
-        for rank in 0..self.ranks {
-            for bin in 0..self.bins {
-                if self.cell(rank, bin).is_some() {
-                    filled += 1;
-                }
-            }
-        }
-        filled as f64 / self.counts.len() as f64
-    }
-
     /// Export as CSV: `rank,bin,time_s,perf` rows for populated cells.
     pub fn to_csv(&self) -> String {
         use std::fmt::Write;
@@ -245,7 +201,6 @@ mod tests {
         let mut m = PerformanceMatrix::new(2, 2, Duration::from_millis(200));
         m.add(5, 0, 1.0);
         m.add(0, 99, 1.0);
-        assert_eq!(m.fill_ratio(), 0.0);
         assert_eq!(m.cell(5, 0), None);
         assert_eq!(m.cell_raw(0, 99), None);
     }
@@ -298,14 +253,12 @@ mod tests {
         m.mark_dead(1, 2);
         assert_eq!(m.cell(1, 1), Some(1.0), "pre-death cells intact");
         assert_eq!(m.cell(1, 2), None, "dead cells are masked");
-        assert_eq!(m.cell_state(1, 2), CellState::Dead);
-        assert_eq!(m.cell_state(1, 3), CellState::Dead);
-        assert_eq!(m.cell_state(1, 1), CellState::Perf(1.0));
-        assert_eq!(m.cell_state(0, 2), CellState::Perf(1.0));
+        assert!(m.is_dead_cell(1, 2) && m.is_dead_cell(1, 3));
+        assert!(!m.is_dead_cell(1, 1) && !m.is_dead_cell(0, 2));
+        assert_eq!(m.cell(0, 2), Some(1.0));
         // Raw accumulators stay visible for bitwise oracles.
         assert_eq!(m.cell_raw(1, 2), Some((1.0, 1)));
         // Aggregates skip dead cells.
-        assert!((m.fill_ratio() - 6.0 / 8.0).abs() < 1e-12);
         assert_eq!(m.fraction_below(0.5), 0.0);
         // Earliest death bin wins on repeated marks.
         m.mark_dead(1, 3);
@@ -322,9 +275,7 @@ mod tests {
         let m = PerformanceMatrix::new(3, 3, Duration::from_millis(200));
         assert_eq!(m.mean(), 1.0);
         assert_eq!(m.fraction_below(0.5), 0.0);
-        assert_eq!(m.fill_ratio(), 0.0);
         assert_eq!(m.cell(1, 1), None);
-        assert_eq!(m.cell_state(1, 1), CellState::Empty);
         assert_eq!(
             m.cell_raw(1, 1),
             Some((0.0, 0)),

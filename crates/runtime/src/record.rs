@@ -21,7 +21,7 @@ impl SensorKind {
     pub const ALL: [SensorKind; 3] = [SensorKind::Computation, SensorKind::Network, SensorKind::Io];
 
     /// Dense index into [`Self::ALL`]-ordered arrays (see
-    /// [`crate::engine::KindMap`]).
+    /// `crate::engine::KindMap`).
     pub const fn index(self) -> usize {
         match self {
             SensorKind::Computation => 0,

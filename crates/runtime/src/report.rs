@@ -76,7 +76,7 @@ impl VarianceReport {
     }
 
     /// Server ingest rate in bytes per (virtual) second.
-    pub fn data_rate(&self) -> f64 {
+    pub(crate) fn data_rate(&self) -> f64 {
         let secs = self.run_time.as_secs_f64();
         if secs == 0.0 {
             0.0
@@ -85,21 +85,16 @@ impl VarianceReport {
         }
     }
 
-    /// Whether any event affects the given component.
-    pub fn has_variance(&self, kind: SensorKind) -> bool {
-        self.events.iter().any(|e| e.kind == kind)
-    }
-
     /// Whether any rank's telemetry was lost or damaged in transit. When
     /// true, the report's evidence is incomplete and absence of an event is
     /// weaker than usual.
-    pub fn delivery_degraded(&self) -> bool {
+    pub(crate) fn delivery_degraded(&self) -> bool {
         self.delivery.iter().any(|d| d.degraded()) || self.transport.total_dropped() > 0
     }
 
     /// Worst per-rank delivery ratio (1.0 when delivery was perfect or the
     /// run had no ranks).
-    pub fn min_delivery_ratio(&self) -> f64 {
+    pub(crate) fn min_delivery_ratio(&self) -> f64 {
         self.delivery
             .iter()
             .map(|d| d.delivery_ratio)
@@ -109,7 +104,7 @@ impl VarianceReport {
     /// Virtual instant of the first live alert, if the detection stream
     /// fired before the run ended. `run_time − first_alert_at` is the
     /// streaming engine's detection-latency win over end-of-run analysis.
-    pub fn first_alert_at(&self) -> Option<cluster_sim::time::VirtualTime> {
+    pub(crate) fn first_alert_at(&self) -> Option<cluster_sim::time::VirtualTime> {
         self.alerts.iter().map(|a| a.at).min()
     }
 
@@ -314,7 +309,6 @@ mod tests {
         let mut rep = sample_report();
         rep.events.clear();
         assert!(rep.render().contains("no performance variance detected"));
-        assert!(!rep.has_variance(SensorKind::Network));
     }
 
     #[test]
@@ -433,7 +427,8 @@ mod tests {
     fn rates_are_computed() {
         let r = sample_report();
         assert!(r.data_rate() > 0.0);
-        assert!(r.has_variance(SensorKind::Network));
-        assert!(!r.has_variance(SensorKind::Io));
+        let has = |kind| r.events.iter().any(|e| e.kind == kind);
+        assert!(has(SensorKind::Network));
+        assert!(!has(SensorKind::Io));
     }
 }

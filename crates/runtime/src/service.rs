@@ -96,7 +96,9 @@ pub(crate) const BUDGET_WINDOW: Duration = Duration::from_millis(100);
 /// Service-level tunables.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Maximum tenants admitted; registration past this is refused.
+    /// Maximum tenants admitted over the service's lifetime; registration
+    /// past this is refused. A tenant is never unregistered, so a closed
+    /// tenant keeps its slot, its engine and its WAL.
     pub max_tenants: usize,
     /// Batches each tenant may ingest per 100 ms admission window
     /// (`BUDGET_WINDOW`); 0 disables admission control (unlimited).
@@ -343,9 +345,10 @@ impl AnalysisService {
         &self.config
     }
 
-    /// Register a tenant. Admission control happens here: past
-    /// `max_tenants` the service refuses, and an invalid tenant config is
-    /// rejected up front so the lazy engine build cannot fail later.
+    /// Register a tenant for the service's lifetime. Admission control
+    /// happens here: past `max_tenants` registrations the service refuses,
+    /// and an invalid tenant config is rejected up front so the lazy engine
+    /// build cannot fail later.
     pub fn register(&self, id: TenantId, spec: TenantSpec) -> Result<(), ServiceError> {
         spec.config
             .validate()
@@ -367,36 +370,6 @@ impl AnalysisService {
     /// Registered tenants, in id order.
     pub fn tenants(&self) -> Vec<TenantId> {
         self.tenants.lock().keys().copied().collect()
-    }
-
-    /// Remove a tenant and evict everything it owned: its live engine,
-    /// its write-ahead log handle, its admission ledger and its standby
-    /// replica all drop with the shard, so a later [`register`] under the
-    /// same id starts from a clean slate. Subsequent ingests get
-    /// [`IngestError::UnknownTenant`], exactly like an unregistered
-    /// tenant.
-    ///
-    /// [`register`]: AnalysisService::register
-    pub fn deregister_tenant(&self, tenant: TenantId) -> Result<(), ServiceError> {
-        self.tenants
-            .lock()
-            .remove(&tenant)
-            .ok_or(ServiceError::UnknownTenant(tenant))?;
-        // The standby map is keyed separately; evict the replica too.
-        if let Some(replicas) = self.standby.lock().replicas.as_mut() {
-            replicas.remove(&tenant);
-        }
-        if trace::enabled(Category::ENGINE) {
-            trace::record(TraceEvent::instant(
-                Category::ENGINE,
-                "tenant_deregister",
-                SERVER_LANE,
-                0,
-                tenant.0 as u64,
-                0,
-            ));
-        }
-        Ok(())
     }
 
     fn shard(&self, id: TenantId) -> Option<Arc<TenantShard>> {
@@ -520,7 +493,7 @@ impl AnalysisService {
     /// Acknowledge a control epoch applied by one of `tenant`'s ranks.
     /// Rejected with [`ServiceError::UnknownTenant`] when no such tenant
     /// is registered.
-    pub fn control_ack(
+    pub(crate) fn control_ack(
         &self,
         tenant: TenantId,
         rank: usize,
@@ -534,7 +507,8 @@ impl AnalysisService {
     }
 
     /// Seal one tenant's engine and read its final result. Other tenants
-    /// are untouched — closing is per-tenant, the service stays up.
+    /// are untouched — closing is per-tenant, the service stays up. The
+    /// tenant stays registered: its slot, engine and WAL are not freed.
     pub fn close_tenant(
         &self,
         tenant: TenantId,
@@ -712,8 +686,8 @@ impl BatchChannel for TenantChannel {
 
     fn poll_control(&self, rank: usize, now: VirtualTime) -> Vec<ControlDirective> {
         self.fail_over_if_due(now);
-        // A deregistered tenant has no control plane; the rank's poll
-        // comes back empty instead of panicking on the routing lookup.
+        // A route to an unregistered tenant has no control plane; the
+        // rank's poll comes back empty instead of panicking on the lookup.
         let Some(server) = self.service.server(self.tenant) else {
             return Vec::new();
         };
@@ -734,11 +708,11 @@ impl AnalysisSink for TenantChannel {
     ///
     /// # Panics
     ///
-    /// If the tenant was deregistered: a sink has no error path, and
-    /// reading a run's results through a route to a tenant its caller
-    /// evicted is a caller bug.
+    /// If the tenant is not registered: a sink has no error path, and
+    /// reading a run's results through a route to a tenant nobody
+    /// registered is a caller bug.
     fn server(&self) -> Arc<AnalysisServer> {
-        // Proof: see `# Panics` — only `deregister_tenant` unregisters.
+        // Proof: see `# Panics`.
         self.service
             .server(self.tenant)
             .expect("TenantChannel implies a registered tenant")
@@ -1074,61 +1048,6 @@ mod tests {
             assert_eq!(crashed_schedule, schedule, "{first}");
             assert_eq!(crashed_stats, stats, "{first}");
         }
-    }
-
-    #[test]
-    fn deregister_refuses_unknown_tenants() {
-        let svc = AnalysisService::new(ServiceConfig::default());
-        assert_eq!(
-            svc.deregister_tenant(TenantId(3)),
-            Err(ServiceError::UnknownTenant(TenantId(3)))
-        );
-        let t = TenantId(0);
-        svc.register(t, spec(1)).unwrap();
-        svc.deregister_tenant(t).unwrap();
-        assert!(svc.tenants().is_empty());
-    }
-
-    #[test]
-    fn deregister_evicts_engine_and_wal() {
-        let svc = AnalysisService::new(ServiceConfig::default().durable());
-        let t = TenantId(0);
-        svc.register(t, spec(1)).unwrap();
-        let at = VirtualTime::from_micros(5);
-        svc.ingest(t, &batch(0, 0, at), at).unwrap();
-        assert_eq!(svc.wal(t).unwrap().batch_entries(), 1);
-        svc.deregister_tenant(t).unwrap();
-        // The engine and journal are gone; ingest sees no tenant at all.
-        assert!(svc.server(t).is_none());
-        assert!(svc.wal(t).is_none());
-        assert_eq!(
-            svc.ingest(t, &batch(0, 1, at), at).unwrap_err(),
-            IngestError::UnknownTenant(t)
-        );
-        // Re-registering the same id starts from a clean slate.
-        svc.register(t, spec(1)).unwrap();
-        svc.ingest(t, &batch(0, 0, at), at).unwrap();
-        assert_eq!(svc.wal(t).unwrap().batch_entries(), 1);
-    }
-
-    #[test]
-    fn deregister_evicts_the_standby_replica() {
-        let svc = AnalysisService::new(ServiceConfig::default().durable());
-        let a = TenantId(0);
-        let b = TenantId(1);
-        svc.register(a, spec(1)).unwrap();
-        svc.register(b, spec(1)).unwrap();
-        svc.attach_standby().unwrap();
-        let at = VirtualTime::from_micros(5);
-        svc.ingest(a, &batch(0, 0, at), at).unwrap();
-        svc.ingest(b, &batch(0, 0, at), at).unwrap();
-        svc.catch_up_standby().unwrap();
-        svc.deregister_tenant(a).unwrap();
-        // Promotion after the eviction only touches the surviving tenant.
-        svc.fail_over(at).unwrap();
-        assert!(svc.server(a).is_none());
-        let result = svc.close_tenant(b, VirtualTime::from_millis(1)).unwrap();
-        assert_eq!(result.batches, 1);
     }
 
     #[test]

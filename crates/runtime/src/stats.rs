@@ -5,14 +5,14 @@
 //! is. This module supplies the variance-aware replacement that
 //! `repro gate --stats` judges its history with:
 //!
-//! - **Welch's t-test** ([`welch_t`]) for "are these two samples drawn
+//! - **Welch's t-test** (`welch_t`) for "are these two samples drawn
 //!   from the same mean", with the two-sided p-value computed from the
 //!   regularized incomplete beta function — no stats crate, everything
 //!   hand-rolled and fixture-tested.
-//! - **MAD dispersion** ([`mad`], [`scaled_mad`]): the median absolute
+//! - **MAD dispersion** (`mad`, `scaled_mad`): the median absolute
 //!   deviation is robust to the outliers that performance series always
 //!   contain, where a standard deviation would be dragged by them.
-//! - **Change-point detection** ([`change_point`], [`detect_shift`]): an
+//! - **Change-point detection** (`change_point`, [`detect_shift`]): an
 //!   E-divisive-style binary segmentation that scans every split point of
 //!   a scalar series for the maximum-|t| split, Bonferroni-corrects the
 //!   p-value for having tried every split, and only reports a shift that
@@ -37,7 +37,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 
 /// Unbiased sample variance (n−1 denominator); 0.0 for fewer than two
 /// samples.
-pub fn variance(xs: &[f64]) -> f64 {
+pub(crate) fn variance(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
@@ -62,7 +62,7 @@ pub fn median(xs: &[f64]) -> Option<f64> {
 }
 
 /// Median absolute deviation from the median. `None` on an empty slice.
-pub fn mad(xs: &[f64]) -> Option<f64> {
+pub(crate) fn mad(xs: &[f64]) -> Option<f64> {
     let m = median(xs)?;
     let devs: Vec<f64> = xs.iter().map(|x| (x - m).abs()).collect();
     median(&devs)
@@ -70,7 +70,7 @@ pub fn mad(xs: &[f64]) -> Option<f64> {
 
 /// Consistency constant making the MAD estimate the standard deviation of
 /// a normal distribution: `σ ≈ 1.4826 × MAD`.
-pub const MAD_SCALE: f64 = 1.4826;
+pub(crate) const MAD_SCALE: f64 = 1.4826;
 
 /// MAD scaled to be comparable with a normal standard deviation.
 pub fn scaled_mad(xs: &[f64]) -> Option<f64> {
@@ -79,7 +79,7 @@ pub fn scaled_mad(xs: &[f64]) -> Option<f64> {
 
 /// A Welch two-sample t-test result.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Welch {
+pub(crate) struct Welch {
     /// The t statistic (`mean(a) − mean(b)` over the pooled standard
     /// error); `±inf` when both samples are exactly constant but differ.
     pub t: f64,
@@ -91,7 +91,7 @@ pub struct Welch {
 
 /// Welch's unequal-variance t-test between two samples. `None` when either
 /// sample has fewer than two points (no variance estimate exists).
-pub fn welch_t(a: &[f64], b: &[f64]) -> Option<Welch> {
+pub(crate) fn welch_t(a: &[f64], b: &[f64]) -> Option<Welch> {
     if a.len() < 2 || b.len() < 2 {
         return None;
     }
@@ -131,7 +131,7 @@ pub fn welch_t(a: &[f64], b: &[f64]) -> Option<Welch> {
 
 /// Two-sided p-value of a t statistic with `df` degrees of freedom:
 /// `p = I_{df/(df+t²)}(df/2, 1/2)` via the regularized incomplete beta.
-pub fn student_t_two_sided(t: f64, df: f64) -> f64 {
+pub(crate) fn student_t_two_sided(t: f64, df: f64) -> f64 {
     if !t.is_finite() {
         return 0.0;
     }
@@ -218,7 +218,7 @@ fn betacf(a: f64, b: f64, x: f64) -> f64 {
 }
 
 /// Regularized incomplete beta function `I_x(a, b)`.
-pub fn reg_inc_beta(a: f64, b: f64, x: f64) -> f64 {
+pub(crate) fn reg_inc_beta(a: f64, b: f64, x: f64) -> f64 {
     if x <= 0.0 {
         return 0.0;
     }
@@ -258,7 +258,7 @@ pub struct ChangePoint {
 /// |t| between its two segments, with segments shorter than `min_segment`
 /// (floored at 2 — a variance needs two points) never considered. `None`
 /// when the series is too short to split.
-pub fn change_point(series: &[f64], min_segment: usize) -> Option<ChangePoint> {
+pub(crate) fn change_point(series: &[f64], min_segment: usize) -> Option<ChangePoint> {
     let min_seg = min_segment.max(2);
     let n = series.len();
     if n < 2 * min_seg {

@@ -11,8 +11,8 @@
 //! plane's observed-cost model reads the same ones.
 //!
 //! §5.3's runtime throttling is implemented here: a sensor whose senses are
-//! consistently shorter than [`MIN_SENSE_DURATION`] after a probation of
-//! [`THROTTLE_PROBATION`] senses is disabled, and its probes degrade to a
+//! consistently shorter than `MIN_SENSE_DURATION` after a probation of
+//! `THROTTLE_PROBATION` senses is disabled, and its probes degrade to a
 //! near-free check.
 
 use crate::config::RuntimeConfig;
@@ -254,16 +254,6 @@ impl SensorRuntime {
         self.local_variances
     }
 
-    /// Whether a sensor is currently off (throttled or server-disabled).
-    pub fn is_disabled(&self, sensor: SensorId) -> bool {
-        self.states[sensor.0 as usize].off != 0
-    }
-
-    /// Whether the control plane specifically has this sensor dark.
-    pub fn is_server_disabled(&self, sensor: SensorId) -> bool {
-        self.states[sensor.0 as usize].off & OFF_SERVER != 0
-    }
-
     /// Whether a control-plane poll is due. Polling rides the batch
     /// cadence but is independent of the outbox: a rank whose sensors are
     /// all dark must still poll so the server can re-enable them.
@@ -300,11 +290,6 @@ impl SensorRuntime {
                 Some(self.gate.epoch())
             }
         }
-    }
-
-    /// Highest control epoch applied so far (0 = none).
-    pub fn applied_epoch(&self) -> u64 {
-        self.gate.epoch()
     }
 }
 
@@ -374,7 +359,7 @@ mod tests {
         // minimum.
         let n = u64::from(THROTTLE_PROBATION) + 2;
         run_senses(&mut rt, SensorId(0), n, 100, 100);
-        assert!(rt.is_disabled(SensorId(0)));
+        assert!(rt.states[0].off != 0);
         // Disabled probes cost only the cheap check.
         let out = rt.tick(SensorId(0), VirtualTime::from_secs(1));
         assert_eq!(out.cost, DISABLED_PROBE_COST);
@@ -385,7 +370,7 @@ mod tests {
         let mut rt = SensorRuntime::new(1, RuntimeConfig::default());
         let n = u64::from(THROTTLE_PROBATION) + 36;
         run_senses(&mut rt, SensorId(0), n, 50_000, 1000);
-        assert!(!rt.is_disabled(SensorId(0)));
+        assert_eq!(rt.states[0].off, 0);
     }
 
     #[test]
@@ -477,21 +462,21 @@ mod tests {
         let mut rt = SensorRuntime::new(2, RuntimeConfig::default());
         let dark = ControlDirective::new(0, 1, vec![SensorId(1).0], 1);
         assert_eq!(rt.apply_directive(&dark), Some(1));
-        assert!(!rt.is_disabled(SensorId(0)));
-        assert!(rt.is_disabled(SensorId(1)));
-        assert!(rt.is_server_disabled(SensorId(1)));
+        assert_eq!(rt.states[0].off, 0);
+        assert!(rt.states[1].off != 0);
+        assert!(rt.states[1].off & OFF_SERVER != 0);
         // Dark probes cost only the cheap check and drop the sense.
         let out = rt.tick(SensorId(1), VirtualTime::ZERO);
         assert_eq!(out.cost, DISABLED_PROBE_COST);
         // A newer directive with an empty dark set re-enables.
         let light = ControlDirective::new(0, 2, vec![], 1);
         assert_eq!(rt.apply_directive(&light), Some(2));
-        assert!(!rt.is_disabled(SensorId(1)));
+        assert_eq!(rt.states[1].off, 0);
         // Stale and corrupt copies leave the state alone.
         assert_eq!(rt.apply_directive(&dark), Some(2), "stale acks epoch 2");
-        assert!(!rt.is_disabled(SensorId(1)));
+        assert_eq!(rt.states[1].off, 0);
         assert_eq!(rt.apply_directive(&light.corrupted_copy()), None);
-        assert_eq!(rt.applied_epoch(), 2);
+        assert_eq!(rt.gate.epoch(), 2);
     }
 
     #[test]
@@ -499,11 +484,11 @@ mod tests {
         let mut rt = SensorRuntime::new(1, RuntimeConfig::default());
         let n = u64::from(THROTTLE_PROBATION) + 2;
         run_senses(&mut rt, SensorId(0), n, 100, 100);
-        assert!(rt.is_disabled(SensorId(0)), "throttled");
-        assert!(!rt.is_server_disabled(SensorId(0)));
+        assert!(rt.states[0].off != 0, "throttled");
+        assert_eq!(rt.states[0].off & OFF_SERVER, 0);
         // A server re-enable (empty dark set) must not clear the throttle.
         rt.apply_directive(&ControlDirective::new(0, 1, vec![], 1));
-        assert!(rt.is_disabled(SensorId(0)), "throttle survives control");
+        assert!(rt.states[0].off != 0, "throttle survives control");
     }
 
     #[test]

@@ -21,8 +21,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write;
 
 pub use cluster_sim::trace::{
-    enabled, mask, record, Category, EventKind, Trace, TraceEvent, TraceSession, DEFAULT_CAPACITY,
-    SERVER_LANE,
+    enabled, mask, record, Category, EventKind, Trace, TraceEvent, TraceSession, SERVER_LANE,
 };
 
 /// A log2-bucketed duration histogram (nanosecond domain). 64 buckets
@@ -188,7 +187,7 @@ impl MetricsRegistry {
 
     /// Total events across a category (or every category in a compound
     /// mask).
-    pub fn category_total(&self, cat: Category) -> u64 {
+    pub(crate) fn category_total(&self, cat: Category) -> u64 {
         Self::query_labels(cat)
             .map(|label| {
                 self.counters
@@ -213,7 +212,7 @@ impl MetricsRegistry {
     }
 
     /// Iterate all counters in `(category label, name) -> count` order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, &'static str, u64)> + '_ {
+    pub(crate) fn counters(&self) -> impl Iterator<Item = (&'static str, &'static str, u64)> + '_ {
         self.counters.iter().map(|((c, n), v)| (*c, *n, *v))
     }
 

@@ -90,19 +90,13 @@ impl TelemetryBatch {
         }
     }
 
-    /// Attach death gossip (builder style).
-    pub fn with_death_notice(mut self, notice: DeathNotice) -> Self {
-        self.death_notice = Some(notice);
-        self
-    }
-
     /// Whether the checksum still matches the content.
     pub fn verify(&self) -> bool {
         checksum(self.rank, self.seq, &self.records) == self.crc
     }
 
     /// A copy damaged in flight (used by fault-injecting channels).
-    pub fn corrupted_copy(&self) -> Self {
+    pub(crate) fn corrupted_copy(&self) -> Self {
         let mut c = self.clone();
         c.crc ^= 0x5EED_BEEF;
         c
@@ -519,7 +513,7 @@ impl RankTransport {
 
     /// Drive retries that are due and transmit queued batches. Returns the
     /// virtual cost of the attempts made.
-    pub fn pump(&mut self, now: VirtualTime) -> Duration {
+    pub(crate) fn pump(&mut self, now: VirtualTime) -> Duration {
         let mut cost = Duration::ZERO;
         if now < self.circuit_open_until {
             return cost; // breaker open: let the server breathe
@@ -603,11 +597,6 @@ impl RankTransport {
     /// Sender-side counters.
     pub fn stats(&self) -> &TransportStats {
         &self.stats
-    }
-
-    /// Batches currently buffered or awaiting ack (diagnostics).
-    pub fn in_flight(&self) -> usize {
-        self.queue.len() + self.pending.len()
     }
 
     fn attempt(
@@ -734,7 +723,7 @@ mod tests {
         let cost = t.enqueue(vec![rec(0, 0), rec(0, 1)], VirtualTime::ZERO);
         assert_eq!(cost, SEND_COST);
         assert_eq!(t.stats().acked, 1);
-        assert_eq!(t.in_flight(), 0);
+        assert_eq!(t.queue.len() + t.pending.len(), 0);
         assert_eq!(s.stats().records, 2);
     }
 
@@ -796,7 +785,11 @@ mod tests {
         assert_eq!(st.dropped_exhausted, 1);
         assert_eq!(st.records_dropped, 2);
         assert_eq!(s.stats().records, 0);
-        assert_eq!(t.in_flight(), 0, "finish leaves nothing behind");
+        assert_eq!(
+            t.queue.len() + t.pending.len(),
+            0,
+            "finish leaves nothing behind"
+        );
     }
 
     #[test]
@@ -842,7 +835,7 @@ mod tests {
         assert_eq!(st.batches_enqueued, 21);
         assert_eq!(st.acked + st.total_dropped(), 21, "{st:?}");
         assert_eq!(s.stats().records, 0);
-        assert_eq!(t.in_flight(), 0);
+        assert_eq!(t.queue.len() + t.pending.len(), 0);
     }
 
     /// How a target is prepared so that an arriving batch meets one
@@ -896,12 +889,6 @@ mod tests {
             (FaultPlan::lossy(1.0, 1), now, 0, Some(SendOutcome::NoAck)),
             (FaultPlan::none(), now, 1, None),
             (rates(1.0, 0.0), now, 2, None),
-            (
-                FaultPlan::none().with_stall(VirtualTime::ZERO, stall_end, Vec::new()),
-                stall_end,
-                1,
-                None,
-            ),
             (rates(0.0, 1.0), now, 1, Some(SendOutcome::NoAck)),
         ];
         for (plan, arrival, ingests, fate_decides) in &fates {
@@ -992,12 +979,13 @@ mod tests {
 
     #[test]
     fn death_notice_rides_outside_the_crc() {
-        let b = TelemetryBatch::new(1, 0, VirtualTime::ZERO, vec![rec(0, 0)]).with_death_notice(
-            DeathNotice {
+        let b = TelemetryBatch {
+            death_notice: Some(DeathNotice {
                 rank: 2,
                 at: VirtualTime::from_millis(3),
-            },
-        );
+            }),
+            ..TelemetryBatch::new(1, 0, VirtualTime::ZERO, vec![rec(0, 0)])
+        };
         assert!(b.verify(), "gossip is metadata, not checksummed payload");
         assert_eq!(
             b.death_notice,

@@ -5,7 +5,7 @@
 //! discipline is the real one — every arriving batch is appended *before*
 //! it mutates engine state, under the engine's one state lock (log order ≡
 //! processing order), and each detection pass appends a full
-//! [`EngineSnapshot`], a clone of that state.
+//! `EngineSnapshot`, a clone of that state.
 //!
 //! **Shape.** The log is its newest checkpoint known to have landed whole,
 //! then everything appended after it. An append *behind* an intact

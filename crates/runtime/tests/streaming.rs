@@ -53,7 +53,8 @@ fn receipts_route_ranks_across_shards() {
     let load = s.load();
     let batches: Vec<u64> = load.shards.iter().map(|sh| sh.batches).collect();
     assert_eq!(batches, [3, 3, 2, 2]);
-    assert!(load.total_busy() > Duration::from_nanos(0));
+    let busy: Duration = load.shards.iter().map(|sh| sh.busy).sum();
+    assert!(busy + load.detect_busy > Duration::from_nanos(0));
 }
 
 #[test]
@@ -74,7 +75,10 @@ fn typed_errors_name_the_failure() {
     let corrupt = s
         .session()
         .ingest(
-            TelemetryBatch::new(0, 0, t, vec![rec(0, 10)]).corrupted_copy(),
+            TelemetryBatch {
+                crc: !0,
+                ..TelemetryBatch::new(0, 0, t, vec![rec(0, 10)])
+            },
             t,
         )
         .unwrap_err();
@@ -145,9 +149,12 @@ fn builder_validation_rejects_bad_knobs() {
     assert!(RuntimeConfig::default()
         .with_detect_interval(Duration::from_nanos(0))
         .is_err());
-    assert!(RuntimeConfig::default()
-        .with_slice(Duration::from_nanos(0))
-        .is_err());
+    assert!(RuntimeConfig {
+        slice: Duration::from_nanos(0),
+        ..Default::default()
+    }
+    .validate()
+    .is_err());
     assert!(RuntimeConfig::default().with_buffer_capacity(0).is_err());
 
     // A config hand-built around the setters is caught at the door.

@@ -176,7 +176,7 @@ impl CollectiveSlot {
         let missing = (self.procs - self.arrived) as u32;
         let mut cost = cluster.collective_cost(self.op, self.arrived, self.bytes, self.max_entry);
         if missing > 0 {
-            cost += cluster.faults().death_timeout();
+            cost += cluster_sim::fault::DEATH_TIMEOUT;
         }
         self.arrived = 0;
         Some(CollectiveResult {

@@ -66,7 +66,7 @@
 //! }
 //!
 //! let cluster = Arc::new(ClusterConfig::quiet(4).build());
-//! let finals = World::new(cluster).run_event(
+//! let finals = World::new(cluster).run_event_workers(1,
 //!     |_rank, proc| WorkThenBarrier { proc, worked: false },
 //!     |_death, _task| unreachable!("no deaths planned"),
 //! );

@@ -30,7 +30,7 @@ fn collective_name(op: CollectiveOp) -> &'static str {
 }
 
 /// Fixed software overhead charged on entry to every MPI call.
-pub const MPI_CALL_OVERHEAD: Duration = Duration(120);
+pub(crate) const MPI_CALL_OVERHEAD: Duration = Duration(120);
 
 /// The operation a rank latched on its first (yielding) poll. Entry effects
 /// on the rank itself (fail-stop gate, call overhead) already happened;
@@ -230,7 +230,7 @@ impl Proc {
 
     /// Complete a receive whose peer fail-stopped: no message ever arrives,
     /// so the receive degrades to a timeout-shaped completion with a zeroed
-    /// payload at `due` — `max(post, peer death) + death_timeout`, computed
+    /// payload at `due` — `max(post, peer death) + DEATH_TIMEOUT`, computed
     /// by the scheduler that detected the death.
     fn degraded_recv(
         &mut self,
@@ -265,7 +265,7 @@ impl Proc {
         if self.size < 2 {
             return out;
         }
-        let timeout = self.cluster.faults().death_timeout();
+        let timeout = cluster_sim::fault::DEATH_TIMEOUT;
         let mut next = (self.rank + 1) % self.size;
         while next != self.rank {
             match self.cluster.death_of(next) {

@@ -15,7 +15,7 @@
 //! collective control plane: if a rank registered with the world's
 //! rendezvous in this phase (or a rank died while it is open), it gets one
 //! counter-based `try_complete` check, and a completed collective releases
-//! *all* its waiters as one [`ReadyBatch`] at the exit instant instead of
+//! *all* its waiters as one `ReadyBatch` at the exit instant instead of
 //! one heap push per waiter.
 //!
 //! # Who touches what
@@ -103,11 +103,6 @@ impl<T> Poll<T> {
             Poll::Pending => Poll::Pending,
         }
     }
-
-    /// True if the operation blocked.
-    pub fn is_pending(&self) -> bool {
-        matches!(self, Poll::Pending)
-    }
 }
 
 /// How the scheduler dispatches same-instant ranks. There is one
@@ -186,7 +181,7 @@ pub trait RankTask {
 }
 
 /// Virtual instant a blocked receive completes degraded (peer dead, no
-/// message coming): `max(posted, death) + death_timeout`, where a wildcard
+/// message coming): `max(posted, death) + DEATH_TIMEOUT`, where a wildcard
 /// receive waits out the latest death among its peers.
 fn degraded_due(cluster: &Cluster, me: usize, src: usize, posted: VirtualTime) -> VirtualTime {
     let death = if src == ANY_SOURCE {
@@ -197,7 +192,7 @@ fn degraded_due(cluster: &Cluster, me: usize, src: usize, posted: VirtualTime) -
     } else {
         cluster.death_of(src)
     };
-    posted.max(death.unwrap_or(posted)) + cluster.faults().death_timeout()
+    posted.max(death.unwrap_or(posted)) + cluster_sim::fault::DEATH_TIMEOUT
 }
 
 /// All waiters of one completed collective, released together at its
@@ -551,18 +546,6 @@ fn resume_into<T: RankTask>(task: &mut T, output: &mut Option<T::Output>) -> Res
 
 impl World {
     /// Run every rank as a resumable task on the event-driven virtual-time
-    /// scheduler with serial dispatch. See [`World::run_event_workers`].
-    pub fn run_event<T, F, D>(&self, make: F, on_death: D) -> Vec<T::Output>
-    where
-        T: RankTask + Send,
-        T::Output: Send,
-        F: FnMut(usize, Proc) -> T,
-        D: Fn(DeathUnwind, &mut T) -> T::Output,
-    {
-        self.run_event_workers(1, make, on_death)
-    }
-
-    /// Run every rank as a resumable task on the event-driven virtual-time
     /// scheduler. `make` builds rank `r`'s task from its [`Proc`];
     /// `on_death` converts a fail-stopped task into its output.
     ///
@@ -810,7 +793,8 @@ mod tests {
 
     #[test]
     fn barrier_equalizes_unequal_clocks() {
-        let ends = quiet_world(8).run_event(
+        let ends = quiet_world(8).run_event_workers(
+            1,
             |_, proc| {
                 let mut computed = false;
                 StepTask {
@@ -838,7 +822,8 @@ mod tests {
 
     #[test]
     fn wildcard_recv_collects_all_senders() {
-        let totals = quiet_world(4).run_event(
+        let totals = quiet_world(4).run_event_workers(
+            1,
             |_, proc| {
                 let mut total = 0i64;
                 let mut recvd = 0u32;
@@ -880,7 +865,7 @@ mod tests {
         F: FnMut(usize, Proc) -> T,
     {
         let started = Instant::now();
-        let run = || world.run_event(make, |_, _| unreachable!("no deaths planned"));
+        let run = || world.run_event_workers(1, make, |_, _| unreachable!("no deaths planned"));
         let payload = std::panic::catch_unwind(AssertUnwindSafe(run))
             .err()
             .expect("the run must fail");
@@ -975,7 +960,7 @@ mod tests {
                     p.compute(Work::cpu(100 + p.rank() as u64), 0.0);
                     rounds_started += 1;
                 }
-                if p.barrier().is_pending() {
+                if matches!(p.barrier(), Poll::Pending) {
                     return TaskPoll::Yielded;
                 }
             },
@@ -984,8 +969,11 @@ mod tests {
 
     #[test]
     fn scales_to_thousands_of_ranks_in_one_thread() {
-        let ends =
-            quiet_world(2048).run_event(|_, proc| barrier_rounds_task(proc), |_, _| unreachable!());
+        let ends = quiet_world(2048).run_event_workers(
+            1,
+            |_, proc| barrier_rounds_task(proc),
+            |_, _| unreachable!(),
+        );
         assert!(ends.iter().all(|t| *t == ends[0]));
         assert!(ends[0] > VirtualTime::ZERO);
     }

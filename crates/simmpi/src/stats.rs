@@ -53,16 +53,6 @@ impl ProcStats {
     pub fn total(&self) -> Duration {
         self.compute_time + self.mpi_time + self.io_time
     }
-
-    /// Fraction of accounted time spent in MPI, in `[0, 1]`.
-    pub fn mpi_fraction(&self) -> f64 {
-        let total = self.total().as_nanos();
-        if total == 0 {
-            0.0
-        } else {
-            self.mpi_time.as_nanos() as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -78,11 +68,5 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(s.total(), Duration::from_secs(4));
-        assert!((s.mpi_fraction() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_stats_fraction_is_zero() {
-        assert_eq!(ProcStats::default().mpi_fraction(), 0.0);
     }
 }

@@ -87,7 +87,7 @@ impl RankTask for SkeletonTask {
                 2 => p.allreduce(256, 1).map(|_| ()),
                 _ => p.barrier(),
             };
-            if polled.is_pending() {
+            if matches!(polled, Poll::Pending) {
                 return TaskPoll::Yielded;
             }
             self.step = (self.step + 1) % 4;
@@ -109,7 +109,8 @@ impl RankTask for SkeletonTask {
 fn allocations_of_a_run(iterations: u32) -> (u64, VirtualTime) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let world = World::new(Arc::new(ClusterConfig::quiet(RANKS).build()));
-    let ends = world.run_event(
+    let ends = world.run_event_workers(
+        1,
         |_, proc| SkeletonTask {
             proc,
             iterations_left: iterations,

@@ -57,7 +57,7 @@ impl ScanOracle {
         let missing = (self.dead.len() - self.arrivals.len()) as u32;
         let mut cost = cluster.collective_cost(self.op, self.arrivals.len(), self.bytes, max_entry);
         if missing > 0 {
-            cost += cluster.faults().death_timeout();
+            cost += cluster_sim::fault::DEATH_TIMEOUT;
         }
         let exit = max_entry + cost;
         self.arrivals.clear();

@@ -31,7 +31,7 @@ impl Default for HeatmapOptions {
 ///
 /// 1.0 → deep blue (8, 48, 160); `white_at` and below → white. Linear
 /// interpolation between.
-pub fn color_of(perf: f64, white_at: f64) -> (u8, u8, u8) {
+pub(crate) fn color_of(perf: f64, white_at: f64) -> (u8, u8, u8) {
     let span = (1.0 - white_at).max(1e-9);
     let t = ((perf - white_at) / span).clamp(0.0, 1.0); // 0 = white, 1 = blue
     let lerp = |a: f64, b: f64| (a + (b - a) * t).round() as u8;

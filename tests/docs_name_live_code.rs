@@ -19,6 +19,9 @@
 //! documents may cite, each with its reason. `perf/README.md` is not read:
 //! its text is refreshed together with the benchmark it describes.
 
+mod common;
+
+use common::{files_under, idents, repo_root, word_index, WordIndex};
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -65,84 +68,26 @@ const EXEMPT: &[(&str, &str)] = &[
     ),
 ];
 
-fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-}
-
 /// This file names exempt and deliberately missing names; it is not
 /// evidence that they exist.
 const SELF: &str = "tests/docs_name_live_code.rs";
 
-/// Every file under the code directories (build output skipped), as
-/// paths relative to the repo root.
-fn code_files(root: &Path) -> Vec<PathBuf> {
-    fn walk(root: &Path, rel: &Path, out: &mut Vec<PathBuf>) {
-        let Ok(entries) = fs::read_dir(root.join(rel)) else {
-            return;
-        };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let rel = rel.join(&name);
-            let Ok(kind) = entry.file_type() else {
-                continue;
-            };
-            if kind.is_dir() {
-                if name != "target" {
-                    walk(root, &rel, out);
-                }
-            } else {
-                out.push(rel);
-            }
-        }
-    }
-    let mut out = Vec::new();
-    for dir in CODE_DIRS {
-        walk(root, Path::new(dir), &mut out);
-    }
-    out
-}
-
-fn is_ident_char(c: char) -> bool {
-    c.is_ascii_alphanumeric() || c == '_'
-}
-
-/// The identifier tokens of `text`, each with its byte offset.
-fn idents(text: &str) -> Vec<(usize, &str)> {
-    let mut out = Vec::new();
-    let mut start = None;
-    for (i, c) in text.char_indices() {
-        match (start, is_ident_char(c)) {
-            (None, true) => start = Some(i),
-            (Some(s), false) => {
-                out.push((s, &text[s..i]));
-                start = None;
-            }
-            _ => {}
-        }
-    }
-    if let Some(s) = start {
-        out.push((s, &text[s..]));
-    }
-    out
-}
-
 /// Every whole word of the code corpus.
-fn code_words(root: &Path, files: &[PathBuf]) -> BTreeSet<String> {
-    let mut words = BTreeSet::new();
-    for file in files {
-        let is_code = file
-            .extension()
-            .and_then(|e| e.to_str())
-            .is_some_and(|e| CODE_EXTENSIONS.contains(&e));
-        if !is_code || file == Path::new(SELF) {
-            continue;
-        }
-        let text = fs::read_to_string(root.join(file)).unwrap_or_default();
-        for (_, word) in idents(&text) {
-            words.insert(word.to_string());
-        }
-    }
-    words
+fn code_words(root: &Path, files: &[PathBuf]) -> WordIndex {
+    let texts: Vec<(&Path, String)> = files
+        .iter()
+        .filter(|file| {
+            file.extension()
+                .and_then(|e| e.to_str())
+                .is_some_and(|e| CODE_EXTENSIONS.contains(&e))
+                && file.as_path() != Path::new(SELF)
+        })
+        .map(|file| {
+            let text = fs::read_to_string(root.join(file)).unwrap_or_default();
+            (file.as_path(), text)
+        })
+        .collect();
+    word_index(texts.iter().map(|(file, text)| (*file, text.as_str())))
 }
 
 /// The inline code spans of a Markdown text, outside fenced blocks, with
@@ -253,7 +198,7 @@ fn is_rust_name(word: &str, next: Option<char>, in_path: bool) -> bool {
 }
 
 /// Everything a document cites that the tree does not hold.
-fn dead_names(doc: &str, root: &Path, files: &[PathBuf], words: &BTreeSet<String>) -> Vec<String> {
+fn dead_names(doc: &str, root: &Path, files: &[PathBuf], words: &WordIndex) -> Vec<String> {
     let exempt = |name: &str| EXEMPT.iter().any(|(e, _)| *e == name);
     let mut dead = Vec::new();
     for span in code_spans(doc) {
@@ -278,7 +223,10 @@ fn dead_names(doc: &str, root: &Path, files: &[PathBuf], words: &BTreeSet<String
                 let end = start + token.len();
                 let in_path = names[end..].starts_with("::") || names[..start].ends_with("::");
                 let next = names[end..].chars().next();
-                if is_rust_name(token, next, in_path) && !exempt(token) && !words.contains(token) {
+                if is_rust_name(token, next, in_path)
+                    && !exempt(token)
+                    && !words.contains_key(token)
+                {
                     dead.push(format!("name `{token}` (in `{span}`)"));
                 }
             }
@@ -290,10 +238,10 @@ fn dead_names(doc: &str, root: &Path, files: &[PathBuf], words: &BTreeSet<String
 #[test]
 fn every_name_the_docs_cite_is_live_code() {
     let root = repo_root();
-    let files = code_files(&root);
+    let files = files_under(&root, CODE_DIRS);
     let words = code_words(&root, &files);
     assert!(
-        words.contains("AnalysisServer") && words.contains("resume_vm"),
+        words.contains_key("AnalysisServer") && words.contains_key("resume_vm"),
         "the code corpus under {CODE_DIRS:?} was not read"
     );
     let mut dead = Vec::new();
@@ -315,7 +263,7 @@ fn every_name_the_docs_cite_is_live_code() {
 #[test]
 fn a_dead_name_and_a_dead_path_are_caught() {
     let root = repo_root();
-    let files = code_files(&root);
+    let files = files_under(&root, CODE_DIRS);
     let words = code_words(&root, &files);
     let doc = "Live: `AnalysisServer::catch_up`, `crates/{interp,simmpi}/src/*.rs`, \
                `vm.rs`, `tests/vm_equivalence.rs::run_one`.\n\
@@ -335,7 +283,7 @@ fn a_dead_name_and_a_dead_path_are_caught() {
 #[test]
 fn every_exemption_is_still_needed() {
     let root = repo_root();
-    let files = code_files(&root);
+    let files = files_under(&root, CODE_DIRS);
     let words = code_words(&root, &files);
     let cited: BTreeSet<String> = DOCS
         .iter()
@@ -355,7 +303,7 @@ fn every_exemption_is_still_needed() {
         let missing = if is_path(name) {
             !path_exists(&root, &files, name)
         } else {
-            idents(name) == [(0, *name)] && !words.contains(*name)
+            idents(name) == [(0, *name)] && !words.contains_key(*name)
         };
         assert!(
             missing,

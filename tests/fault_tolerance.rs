@@ -10,6 +10,7 @@ use std::sync::Arc;
 use vsensor_repro::cluster_sim::{Duration, FaultConfig, FaultPlan, VirtualTime};
 use vsensor_repro::interp::RunConfig;
 use vsensor_repro::runtime::record::SensorKind;
+use vsensor_repro::runtime::VarianceReport;
 use vsensor_repro::{scenarios, Pipeline};
 
 /// The Figure 21 bad-node workload: memory-bound iterations with a barrier,
@@ -22,6 +23,12 @@ const BAD_NODE_SRC: &str = r#"
         }
     }
 "#;
+
+/// Whether the rendered report carries its "telemetry degraded" section,
+/// which it prints when any rank's telemetry was lost or damaged.
+fn reports_degraded(report: &VarianceReport) -> bool {
+    report.render().contains("telemetry degraded")
+}
 
 /// Config tuned for fault tests: frequent small batches (lots of traffic
 /// to inject faults into) and the Figure 21 sensitivity threshold.
@@ -54,7 +61,7 @@ fn bad_node_detection_survives_loss_and_an_outage() {
         "baseline must localize the bad node: {:?}",
         baseline.report.events
     );
-    assert!(!baseline.report.delivery_degraded(), "lossless baseline");
+    assert!(!reports_degraded(&baseline.report), "lossless baseline");
 
     // Same cluster, but: 10 % of batch sends dropped, plus a full server
     // outage across the middle fifth of the run.
@@ -88,7 +95,7 @@ fn bad_node_detection_survives_loss_and_an_outage() {
         "the outage must register: {stats:?}"
     );
     assert!(
-        run.report.delivery_degraded(),
+        reports_degraded(&run.report),
         "outage-era batches exceed the retry budget, so the report must \
          flag degraded delivery: {stats:?}"
     );
@@ -124,8 +131,8 @@ fn heavy_loss_degrades_gracefully() {
         "retries still land most batches: {stats:?}"
     );
     assert_eq!(stats.acked + stats.total_dropped(), stats.batches_enqueued);
-    assert!(run.report.delivery_degraded());
-    assert!(run.report.min_delivery_ratio() < 1.0);
+    assert!(reports_degraded(&run.report));
+    assert!(run.report.delivery.iter().any(|d| d.delivery_ratio < 1.0));
     // Server-side bookkeeping agrees: gaps in the sequence space.
     assert!(
         run.report.delivery.iter().any(|d| d.gaps > 0),
@@ -152,7 +159,7 @@ fn dead_server_never_hangs_or_panics_the_run() {
     // No evidence, no events — but the report must say the evidence is gone
     // rather than implying a healthy run.
     assert!(run.report.events.is_empty());
-    assert!(run.report.delivery_degraded());
+    assert!(reports_degraded(&run.report));
 }
 
 #[test]

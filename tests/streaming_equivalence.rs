@@ -20,7 +20,7 @@ use vsensor_repro::cluster_sim::{
 use vsensor_repro::interp::run::server_sink;
 use vsensor_repro::interp::{InstrumentedRun, RunConfig};
 use vsensor_repro::runtime::record::SensorKind;
-use vsensor_repro::runtime::{AnalysisSink, DeliveryQuality};
+use vsensor_repro::runtime::{AnalysisSink, DeliveryQuality, RuntimeConfig};
 use vsensor_repro::{scenarios, Pipeline, Prepared};
 
 /// The private-server sink a run of `prepared` on `cluster` uses, wrapped
@@ -201,27 +201,34 @@ fn bad_node_raises_a_live_alert_before_the_run_ends() {
     // smoke run lasts tens of virtual milliseconds, so scale the batch /
     // detection / matrix cadences down with it.
     let config = RunConfig {
-        runtime: runtime
-            .with_batch_interval(Duration::from_millis(2))
-            .unwrap()
-            .with_matrix_resolution(Duration::from_millis(5))
-            .unwrap()
-            .with_detect_interval(Duration::from_millis(5))
-            .unwrap(),
+        runtime: RuntimeConfig {
+            matrix_resolution: Duration::from_millis(5),
+            ..runtime
+        }
+        .with_batch_interval(Duration::from_millis(2))
+        .unwrap()
+        .with_detect_interval(Duration::from_millis(5))
+        .unwrap(),
         ..Default::default()
     };
     let run = prepared.run(Arc::new(cluster.with_ranks_per_node(4).build()), &config);
 
     // End-of-run detection still fires…
     assert!(
-        run.report.has_variance(SensorKind::Computation),
+        run.report
+            .events
+            .iter()
+            .any(|e| e.kind == SensorKind::Computation),
         "bad node must be detected: {:?}",
         run.report.events
     );
     // …but the detection stream flagged it while the run was in flight.
     let first = run
         .report
-        .first_alert_at()
+        .alerts
+        .iter()
+        .map(|a| a.at)
+        .min()
         .expect("the detection stream emitted at least one live alert");
     assert!(
         first < VirtualTime::ZERO + run.run_time,

@@ -13,6 +13,7 @@ use vsensor_bench::{trace_run, Effort};
 #[test]
 fn every_retry_and_detect_pass_is_traced_exactly_once() {
     let r = trace_run::run(Effort::Smoke);
+    let count_named = |cat, name| r.trace.of(cat).filter(|e| e.name == name).count() as u64;
     assert_eq!(
         r.trace.dropped, 0,
         "smoke run must fit the buffers or counts are meaningless"
@@ -23,12 +24,12 @@ fn every_retry_and_detect_pass_is_traced_exactly_once() {
     let stats = &r.run.report.transport;
     assert!(stats.retries > 0, "lossy scenario must retry: {stats:?}");
     assert_eq!(
-        r.trace.count_named(Category::TRANSPORT, "retry") as u64,
+        count_named(Category::TRANSPORT, "retry"),
         stats.retries,
         "every transport retry appears exactly once"
     );
     assert_eq!(
-        r.trace.count_named(Category::TRANSPORT, "drop") as u64,
+        count_named(Category::TRANSPORT, "drop"),
         stats.total_dropped(),
         "every dropped batch appears exactly once"
     );
@@ -38,13 +39,13 @@ fn every_retry_and_detect_pass_is_traced_exactly_once() {
     let load = &r.run.report.load;
     assert!(load.detect_passes > 0);
     assert_eq!(
-        r.trace.count_named(Category::ENGINE, "detect_pass") as u64,
+        count_named(Category::ENGINE, "detect_pass"),
         load.detect_passes,
         "every detection pass appears exactly once"
     );
     let shard_batches: u64 = load.shards.iter().map(|s| s.batches).sum();
     assert_eq!(
-        r.trace.count_named(Category::ENGINE, "ingest") as u64,
+        count_named(Category::ENGINE, "ingest"),
         shard_batches,
         "every accepted batch's ingest appears exactly once"
     );
